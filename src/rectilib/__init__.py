@@ -9,6 +9,7 @@ parametrization with a verified Lipschitz constant.
 __version__ = "0.1.0"
 
 from .errors import (
+    ConfigError,
     ContainmentError,
     DegenerateInputError,
     DisconnectedError,
@@ -23,6 +24,7 @@ from .space import Ball, MetricMeasureSpace, TargetSet
 
 __all__ = [
     "Ball",
+    "ConfigError",
     "ContainmentError",
     "DegenerateInputError",
     "DisconnectedError",

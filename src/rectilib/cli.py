@@ -2,57 +2,32 @@
 
 Every subcommand prints a JSON document to stdout; heavier artifacts
 (point clouds, edge lists, tours, per-point tables) go to files named
-by flags.  Exit codes: 0 success, 1 a verified invariant failed,
-2 bad input or configuration.
+by flags.  ``run`` prints the full pipeline report.  ``gen``, ``nets``,
+``cubes``, ``porous``, ``curve`` and ``param`` are views over it: each
+runs the pipeline stages it needs and prints their report sections.
+Exit codes: 0 success, 1 a verified invariant failed, 2 bad input or
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .cubes import build_cubes, verify_cube_axioms
-from .curve import (
-    assemble_gamma,
-    build_bridges,
-    check_parametrization,
-    connectivity,
-    edges_csv,
-    length_budget,
-    parametrize,
-    parametrization_csv,
-)
+from .curve import edges_csv, parametrization_csv
 from .density import (
-    Beta2Result,
     beta2,
     bs_sum,
+    density_csv,
     density_profiles,
     resolution_scale,
 )
-from .errors import DisconnectedError, InputError, RectilibError
-from .generators import KINDS, GeneratorSpec, generate
-from .nets import auto_levels, build_nets, verify_nets
-from .pipeline import (
-    RunConfig,
-    load_space,
-    report_json,
-    run_pipeline,
-)
-from .porosity import (
-    PorosityConfig,
-    carleson_check,
-    find_porous,
-    shadow_map,
-    validate_config,
-)
-from .space import (
-    doubling_estimate,
-    dyadic_radii,
-    enclosing_target,
-    save_csv,
-)
-from .pipeline import _plain
+from .errors import ConfigError, InputError, RectilibError
+from .generators import KINDS
+from .pipeline import RunConfig, report_json, run_pipeline, run_stages
+from .space import save_csv
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -79,309 +54,137 @@ def _add_porosity_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict", action="store_true")
 
 
-def _run_config(args: argparse.Namespace, **extra) -> RunConfig:
-    fields = dict(
-        input=args.input,
-        matrix=args.matrix,
-        weights=args.weights,
-        kind=args.kind,
-        resolution=args.resolution,
-        params=json.loads(args.params),
-        seed=args.seed,
-    )
-    fields.update(extra)
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The subcommand's flags as a RunConfig; absent flags keep defaults."""
+    fields = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if hasattr(args, f.name)
+    }
+    fields["params"] = json.loads(args.params)
+    if getattr(args, "spanning", False):
+        fields["bridge_mode"] = "star"
     return RunConfig(**fields)
 
 
 def _space_and_target(args: argparse.Namespace):
-    space, target = load_space(_run_config(args))
-    if target is None:
-        target = enclosing_target(space, list(space.ids))
-    return space, target
+    ctx = run_stages(_run_config(args), ("load",))[0]
+    return ctx.space, ctx.target
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(
-        json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
-    )
-
-
-def _ids_arg(raw: str | None, space) -> list[int]:
-    if raw is None:
-        return list(space.ids)
+def _ids_arg(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _cmd_gen(args) -> int:
-    space, target = _space_and_target(args)
-    if args.out:
-        save_csv(space, args.out)
-    _emit(
-        {
-            "points": len(space),
-            "total_mass": space.total_mass,
-            "diameter": space.diameter(),
-            "min_gap": space.min_gap(),
-            "target_size": len(target.members),
-            "out": args.out,
-        }
-    )
-    return 0
+def _write_tour(ctx, path: str) -> None:
+    if ctx.param is not None:
+        parametrization_csv(ctx.param, ctx.space, path)
 
 
-def _hierarchy(space, args, seed_ids=None):
-    if args.n_min is not None and args.n_max is not None:
-        lo, hi = args.n_min, args.n_max
-    else:
-        lo, hi = auto_levels(space, args.rho)
-    return build_nets(space, args.rho, lo, hi, seed_ids=seed_ids)
+_CURVE = (
+    "load", "validate", "doubling", "nets", "cubes", "porous", "bridges",
+    "gamma",
+)
+
+# command -> (stages it runs, (side-file flag, writer), extra report keys)
+VIEWS = {
+    "gen": (
+        ("load",),
+        ("out", lambda ctx, path: save_csv(ctx.space, path)),
+        None,
+    ),
+    "nets": (("load", "nets", "verify_nets"), None, None),
+    "cubes": (("load", "nets", "cubes", "verify_cubes"), None, None),
+    "porous": (
+        (
+            "load", "validate", "doubling", "nets", "cubes", "verify_cubes",
+            "porous", "shadow", "carleson",
+        ),
+        None,
+        # the report counts porous cubes; the view lists them
+        lambda ctx: {
+            "family": [dataclasses.asdict(p) for p in ctx.porous]
+        },
+    ),
+    "curve": (
+        _CURVE + ("connectivity", "budget"),
+        ("edges_out", lambda ctx, path: edges_csv(ctx.gamma, path)),
+        None,
+    ),
+    "param": (
+        _CURVE + ("parametrize", "check_param"),
+        ("tour_out", _write_tour),
+        None,
+    ),
+}
 
 
-def _cmd_nets(args) -> int:
-    space, target = _space_and_target(args)
-    h = _hierarchy(space, args, seed_ids=[target.xi0])
-    check = verify_nets(space, h)
-    _emit(
-        {
-            "rho": h.rho,
-            "levels": {
-                str(n): len(h.levels[n]) for n in sorted(h.levels)
-            },
-            "separation_ok": check.separation_ok,
-            "covering_ok": check.covering_ok,
-            "nesting_ok": check.nesting_ok,
-            "ok": check.ok,
-        }
-    )
-    return 0 if check.ok else 1
-
-
-def _cmd_cubes(args) -> int:
-    space, target = _space_and_target(args)
-    h = _hierarchy(space, args, seed_ids=[target.xi0])
-    tree = build_cubes(space, h, args.c0)
-    check = verify_cube_axioms(space, h, tree)
-    _emit(
-        {
-            "count": len(tree.cubes),
-            "per_level": {
-                str(n): len(tree.by_level[n])
-                for n in sorted(tree.by_level)
-            },
-            "c0_target": tree.c0_target,
-            "c0_achieved": tree.c0_achieved,
-            "ok": check.ok,
-        }
-    )
-    return 0 if check.ok else 1
+def _cmd_view(args) -> int:
+    stages, side_file, extra = VIEWS[args.command]
+    ctx, report, failures, _ = run_stages(_run_config(args), stages)
+    if side_file is not None and getattr(args, side_file[0]):
+        side_file[1](ctx, getattr(args, side_file[0]))
+    if extra is not None:
+        report.update(extra(ctx))
+    sys.stdout.write(report_json(report))
+    # the tour is what param is asked for; a disconnected curve has none
+    no_tour = "parametrize" in stages and ctx.param is None
+    return 1 if failures or no_tour else 0
 
 
 def _cmd_density(args) -> int:
     space, target = _space_and_target(args)
-    pts = _ids_arg(args.points, space) if args.points else list(
-        target.members
-    )
+    pts = _ids_arg(args.points) if args.points else list(target.members)
     r_lo = args.r_lo if args.r_lo is not None else resolution_scale(space)
     r_hi = args.r_hi if args.r_hi is not None else space.diameter() / 4
     profiles = density_profiles(space, pts, r_lo, r_hi)
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["id", "lower_estimate"])
-            for p in sorted(profiles, key=lambda q: q.point):
-                writer.writerow([p.point, repr(p.lower_estimate)])
+        density_csv(profiles, args.out)
     lows = sorted(p.lower_estimate for p in profiles)
-    _emit(
-        {
-            "profiled": len(profiles),
-            "r_lo": r_lo,
-            "r_hi": r_hi,
-            "lower_min": lows[0],
-            "lower_max": lows[-1],
-            "lower_median": lows[len(lows) // 2],
-            "out": args.out,
-        }
-    )
+    payload = {
+        "profiled": len(profiles),
+        "r_lo": r_lo,
+        "r_hi": r_hi,
+        "lower_min": lows[0],
+        "lower_max": lows[-1],
+        "lower_median": lows[len(lows) // 2],
+        "out": args.out,
+    }
+    sys.stdout.write(report_json(payload))
     return 0
 
 
 def _cmd_beta2(args) -> int:
     space, target = _space_and_target(args)
-    members = (
-        _ids_arg(args.members, space)
-        if args.members
-        else list(target.members)
-    )
-    result: Beta2Result = beta2(space, members, label=args.label)
-    _emit(
-        {
-            "label": result.label,
-            "beta2": result.beta2,
-            "line_point": list(result.line_point),
-            "line_direction": list(result.line_direction),
-            "members": len(members),
-        }
-    )
+    members = _ids_arg(args.members) if args.members else list(target.members)
+    result = beta2(space, members, label=args.label)
+    payload = {
+        "label": result.label,
+        "beta2": result.beta2,
+        "line_point": list(result.line_point),
+        "line_direction": list(result.line_direction),
+        "members": len(members),
+    }
+    sys.stdout.write(report_json(payload))
     return 0
 
 
 def _cmd_bssum(args) -> int:
     space, _ = _space_and_target(args)
     result = bs_sum(space, args.point, args.depth)
-    _emit(
-        {
-            "point": result.point,
-            "depth": result.depth,
-            "value": result.value,
-            "skipped": result.skipped,
-            "terms": list(result.terms),
-        }
-    )
+    payload = {
+        "point": result.point,
+        "depth": result.depth,
+        "value": result.value,
+        "skipped": result.skipped,
+        "terms": list(result.terms),
+    }
+    sys.stdout.write(report_json(payload))
     return 0
 
 
-def _porosity_cfg(space, args) -> PorosityConfig:
-    r_lo = 2 * space.min_gap()
-    r_hi = space.diameter() / 2
-    c_mu = None
-    if 0 < r_lo < r_hi:
-        c_mu = doubling_estimate(space, dyadic_radii(r_lo, r_hi)).c_hat
-    return PorosityConfig(
-        M=args.M,
-        delta=args.delta,
-        n0=args.n0,
-        rho=args.rho,
-        c0=args.c0,
-        C_mu=max(c_mu, 1.0 + 1e-9) if c_mu is not None else None,
-    )
-
-
-def _cmd_porous(args) -> int:
-    space, target = _space_and_target(args)
-    cfg = _porosity_cfg(space, args)
-    validation = validate_config(cfg, strict=args.strict)
-    if not validation.ok:
-        _emit({"ok": False, "violations": list(validation.violations)})
-        return 2
-    h = _hierarchy(space, args, seed_ids=[target.xi0])
-    tree = build_cubes(space, h, args.c0)
-    porous = find_porous(space, tree, target, cfg)
-    shadow = shadow_map(space, tree, target, porous, cfg)
-    carleson = carleson_check(
-        tree, porous, cfg, b_observed=shadow.b_observed
-    )
-    _emit(
-        {
-            "family": [
-                {
-                    "cube": p.cube,
-                    "witness": p.witness,
-                    "witness_gap": p.witness_gap,
-                }
-                for p in porous
-            ],
-            "worst_ratio": carleson.worst_ratio,
-            "C1": carleson.constants.C1,
-            "a": carleson.constants.a,
-            "b": carleson.constants.b,
-            "b_mode": carleson.constants.b_mode,
-            "antichain": len(shadow.maximal),
-            "b_observed": shadow.b_observed,
-            "shadow_failures": len(shadow.failures),
-            "shadow_ok": shadow.ok,
-            "carleson_ok": carleson.ok,
-        }
-    )
-    return 0 if (carleson.ok and shadow.ok) else 1
-
-
-def _curve_graph(args):
-    space, target = _space_and_target(args)
-    cfg = _porosity_cfg(space, args)
-    validation = validate_config(cfg, strict=args.strict)
-    if not validation.ok:
-        raise InputError(
-            "config violates: " + "; ".join(validation.violations)
-        )
-    h = _hierarchy(space, args, seed_ids=[target.xi0])
-    tree = build_cubes(space, h, args.c0)
-    porous = find_porous(space, tree, target, cfg)
-    mode = "star" if args.spanning else "complete"
-    bridges = build_bridges(space, tree, h, porous, cfg, mode=mode)
-    eps = (
-        args.eps_res
-        if args.eps_res is not None
-        else 2 * args.rho ** max(h.levels)
-    )
-    gamma = assemble_gamma(space, target, bridges, eps)
-    return space, target, tree, porous, cfg, gamma, eps
-
-
-def _cmd_curve(args) -> int:
-    space, target, tree, porous, cfg, gamma, eps = _curve_graph(args)
-    conn = connectivity(gamma)
-    budget = length_budget(space, target, gamma, porous, tree, cfg)
-    if args.edges_out:
-        edges_csv(gamma, args.edges_out)
-    _emit(
-        {
-            "vertices": len(gamma.vertices),
-            "edges": gamma.edge_count(),
-            "eps_res": eps,
-            "components": conn.components,
-            "e_part": budget.e_part,
-            "bridge_part": budget.bridge_part,
-            "bound_e": budget.bound_e,
-            "bound_bridge": budget.bound_bridge,
-            "e_vacuous": budget.e_vacuous,
-            "budget_ok": budget.ok,
-            "edges_out": args.edges_out,
-        }
-    )
-    return 0 if budget.ok else 1
-
-
-def _cmd_param(args) -> int:
-    space, target, tree, porous, cfg, gamma, eps = _curve_graph(args)
-    param = parametrize(gamma)
-    check = check_parametrization(param, gamma)
-    if args.tour_out:
-        parametrization_csv(param, space, args.tour_out)
-    _emit(
-        {
-            "visits": len(param.visits),
-            "lip_bound": param.lip_bound,
-            "tree_length": param.tree_length,
-            "surjective": check.surjective,
-            "max_ratio": check.max_ratio,
-            "lipschitz_ok": check.lipschitz_ok,
-            "ok": check.ok,
-            "tour_out": args.tour_out,
-        }
-    )
-    return 0 if check.ok else 1
-
-
 def _cmd_run(args) -> int:
-    cfg = _run_config(
-        args,
-        rho=args.rho,
-        c0=args.c0,
-        M=args.M,
-        delta=args.delta,
-        n0=args.n0,
-        eps_res=args.eps_res,
-        r_lo=args.r_lo,
-        r_hi=args.r_hi,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        bridge_mode="star" if args.spanning else "complete",
-        strict=args.strict,
-        out_dir=args.out_dir,
-    )
-    report, failures, timings = run_pipeline(cfg)
+    report, failures, timings = run_pipeline(_run_config(args))
     sys.stdout.write(report_json(report))
     for name, seconds in timings:
         sys.stderr.write(f"{name}\t{seconds:.6f}\n")
@@ -399,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a point cloud")
     _add_source_args(p)
     p.add_argument("--out", help="write points CSV here")
-    p.set_defaults(handler=_cmd_gen)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("nets", help="build and verify net hierarchy")
     _add_source_args(p)
     _add_scale_args(p)
-    p.set_defaults(handler=_cmd_nets)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("cubes", help="build and verify the cube tree")
     _add_source_args(p)
     _add_scale_args(p)
     p.add_argument("--c0", type=float, default=1 / 500)
-    p.set_defaults(handler=_cmd_cubes)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("density", help="lower-density profiles")
     _add_source_args(p)
@@ -436,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     _add_scale_args(p)
     _add_porosity_args(p)
-    p.set_defaults(handler=_cmd_porous)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("curve", help="assemble the curve graph")
     _add_source_args(p)
@@ -446,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spanning", action="store_true",
                    help="star bridges instead of complete pairing")
     p.add_argument("--edges-out", help="edge-list CSV")
-    p.set_defaults(handler=_cmd_curve)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("param", help="parametrize the curve graph")
     _add_source_args(p)
@@ -455,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-res", type=float, default=None)
     p.add_argument("--spanning", action="store_true")
     p.add_argument("--tour-out", help="tour CSV")
-    p.set_defaults(handler=_cmd_param)
+    p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("run", help="full pipeline with JSON report")
     _add_source_args(p)
@@ -475,12 +278,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except ConfigError as exc:
+        sys.stdout.write(report_json(exc.report))
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except DisconnectedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except RectilibError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -28,7 +28,6 @@ from .cubes import CubeTree
 from .errors import DisconnectedError, ParameterError
 from .nets import NetHierarchy
 from .porosity import PorosityConfig, PorousCube
-from .runtime import map_indexed
 from .space import MetricMeasureSpace, TargetSet, linear_mass_check
 
 VKey = tuple[int, int, int, int]
@@ -66,15 +65,6 @@ class BridgeGraph:
 
     def total_length(self) -> float:
         return float(sum(self.edges.values()))
-
-    def neighbors(self) -> dict[VKey, list[tuple[VKey, float]]]:
-        adj: dict[VKey, list[tuple[VKey, float]]] = {
-            v: [] for v in self.vertices
-        }
-        for (u, v), length in self.edges.items():
-            adj[u].append((v, length))
-            adj[v].append((u, length))
-        return adj
 
     def to_csr(self) -> csr_matrix:
         """Symmetric sparse adjacency in vertex order."""
@@ -139,7 +129,7 @@ def build_bridges(
         return pairs
 
     ordered = sorted(porous, key=lambda p: p.cube)
-    results = map_indexed(pairs_for, ordered)
+    results = [pairs_for(p) for p in ordered]
 
     edges: dict[tuple[VKey, VKey], float] = {}
     provenance: dict[tuple[VKey, VKey], int | str] = {}

@@ -8,6 +8,7 @@ evaluated on and the minimum is a finite-resolution surrogate.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +20,6 @@ from .errors import (
     ParameterError,
     UnsupportedMetricError,
 )
-from .runtime import map_indexed
 from .space import MetricMeasureSpace, dyadic_radii
 
 
@@ -74,10 +74,16 @@ def density_profiles(
     r_hi: float,
 ) -> list[DensityProfile]:
     """Profiles for many points; evaluation order is deterministic."""
-    pts = list(points)
-    return map_indexed(
-        lambda p: density_profile(space, p, r_lo, r_hi), pts
-    )
+    return [density_profile(space, p, r_lo, r_hi) for p in points]
+
+
+def density_csv(profiles: Iterable[DensityProfile], path: str) -> None:
+    """Per-point lower estimates as CSV, ascending by id."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "lower_estimate"])
+        for p in sorted(profiles, key=lambda q: q.point):
+            writer.writerow([p.point, repr(p.lower_estimate)])
 
 
 def resolution_scale(space: MetricMeasureSpace) -> float:
@@ -107,12 +113,12 @@ def stratify(
     if not radii:
         return tuple(ids)
 
-    def keep(point_id: int) -> bool:
-        masses = _masses_at(space, space.index_of(point_id), radii)
-        return bool(np.all(masses >= np.asarray(radii) / j))
-
-    flags = map_indexed(keep, ids)
-    return tuple(p for p, ok in zip(ids, flags) if ok)
+    floor = np.asarray(radii) / j
+    return tuple(
+        p
+        for p in ids
+        if np.all(_masses_at(space, space.index_of(p), radii) >= floor)
+    )
 
 
 def split_by_diameter(

@@ -21,6 +21,18 @@ class ParameterError(InputError):
     """A numeric or structural parameter is out of its legal range."""
 
 
+class ConfigError(ParameterError):
+    """The run configuration violates a parameter inequality.
+
+    ``report`` holds the report sections computed before the check,
+    ending with the ``validation`` section that names the violations.
+    """
+
+    def __init__(self, message: str, *, report: dict):
+        super().__init__(message)
+        self.report = report
+
+
 class UnknownIdentifierError(InputError):
     """A point id (or cube id) does not exist in the structure at hand."""
 

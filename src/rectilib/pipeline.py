@@ -5,17 +5,21 @@ configurations produce byte-identical JSON reports.  Wall-clock
 timings are collected but kept out of the report (they go to stderr
 or a sidecar file) so reports stay reproducible.
 
+The stages form one table, ``STAGES``.  ``run_pipeline`` runs all of
+them; ``run_stages`` runs a named subset in table order, which is how
+the CLI's stage subcommands print parts of the same report.
+
 Exit-code convention for front ends: 0 when every verified invariant
 holds, 1 when one fails, 2 for input or configuration problems.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,8 +35,9 @@ from .curve import (
     parametrize,
     parametrization_csv,
 )
-from .density import density_profiles, resolution_scale
+from .density import density_csv, density_profiles, resolution_scale
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     DisconnectedError,
     ParameterError,
@@ -132,112 +137,88 @@ def report_json(report: dict) -> str:
     return json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
 
 
-def run_pipeline(
-    cfg: RunConfig,
-) -> tuple[dict, list[str], list[tuple[str, float]]]:
-    """Execute every stage; returns (report, failures, timings).
+def _porosity_config(cfg: RunConfig, C_mu: float | None = None):
+    return PorosityConfig(
+        M=cfg.M, delta=cfg.delta, n0=cfg.n0, rho=cfg.rho, c0=cfg.c0, C_mu=C_mu
+    )
 
-    Failures list the verified invariants that did not hold; a
-    disconnected curve is a reported outcome, not a failure.  Stage
-    errors propagate, prefixed with the stage name.
-    """
-    timings: list[tuple[str, float]] = []
-    failures: list[str] = []
-    report: dict = {"schema": SCHEMA_VERSION, "config": asdict(cfg)}
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            return fn()
-        except RectilibError as exc:
-            raise type(exc)(f"stage {name}: {exc}") from exc
-        finally:
-            timings.append((name, time.perf_counter() - t0))
+# Each stage reads earlier results from the context ``ctx``, adds its
+# own, and returns (its report section or None, invariant failure or None).
 
-    space, target = stage("load", lambda: load_space(cfg))
+
+def _load(ctx):
+    space, target = load_space(ctx.cfg)
     if target is None:
         target = enclosing_target(space, list(space.ids))
-    report["space"] = {
+    ctx.space, ctx.target = space, target
+    return {
         "points": len(space),
         "total_mass": space.total_mass,
         "diameter": space.diameter(),
         "min_gap": space.min_gap(),
         "target_size": len(target.members),
-    }
+    }, None
 
-    pcfg_unmeasured = PorosityConfig(
-        M=cfg.M, delta=cfg.delta, n0=cfg.n0, rho=cfg.rho, c0=cfg.c0
-    )
-    validation = stage(
-        "validate",
-        lambda: validate_config(pcfg_unmeasured, strict=cfg.strict),
-    )
-    report["validation"] = {
-        "ok": validation.ok,
-        "violations": list(validation.violations),
-        "strict": cfg.strict,
-    }
-    if not validation.ok:
-        raise ParameterError(
-            "stage validate: config violates: "
-            + "; ".join(validation.violations)
-        )
 
-    def run_doubling():
-        r_lo = 2 * space.min_gap()
-        r_hi = space.diameter() / 2
-        if not 0 < r_lo < r_hi:
-            raise DegenerateInputError(
-                "space too small for a doubling estimate"
-            )
-        return doubling_estimate(space, dyadic_radii(r_lo, r_hi))
+def _validate(ctx):
+    result = validate_config(_porosity_config(ctx.cfg), strict=ctx.cfg.strict)
+    return {
+        "ok": result.ok,
+        "violations": list(result.violations),
+        "strict": ctx.cfg.strict,
+    }, None
 
-    doubling = stage("doubling", run_doubling)
-    report["doubling"] = {
+
+def _doubling(ctx):
+    r_lo = 2 * ctx.space.min_gap()
+    r_hi = ctx.space.diameter() / 2
+    if not 0 < r_lo < r_hi:
+        raise DegenerateInputError("space too small for a doubling estimate")
+    doubling = doubling_estimate(ctx.space, dyadic_radii(r_lo, r_hi))
+    ctx.pcfg = _porosity_config(ctx.cfg, max(doubling.c_hat, 1.0 + 1e-9))
+    return {
         "c_hat": doubling.c_hat,
         "evaluated": doubling.evaluated,
         "skipped": doubling.skipped,
         "worst_center": doubling.worst_center,
         "worst_radius": doubling.worst_radius,
-    }
-    pcfg = PorosityConfig(
-        M=cfg.M,
-        delta=cfg.delta,
-        n0=cfg.n0,
-        rho=cfg.rho,
-        c0=cfg.c0,
-        C_mu=max(doubling.c_hat, 1.0 + 1e-9),
+    }, None
+
+
+def _nets(ctx):
+    cfg = ctx.cfg
+    if cfg.n_min is not None and cfg.n_max is not None:
+        lo, hi = cfg.n_min, cfg.n_max
+    else:
+        lo, hi = auto_levels(ctx.space, cfg.rho)
+    ctx.hierarchy = build_nets(
+        ctx.space, cfg.rho, lo, hi, seed_ids=[ctx.target.xi0]
     )
+    return None, None
 
-    def run_nets():
-        if cfg.n_min is not None and cfg.n_max is not None:
-            lo, hi = cfg.n_min, cfg.n_max
-        else:
-            lo, hi = auto_levels(space, cfg.rho)
-        return build_nets(
-            space, cfg.rho, lo, hi, seed_ids=[target.xi0]
-        )
 
-    hierarchy = stage("nets", run_nets)
-    net_check = stage("verify_nets", lambda: verify_nets(space, hierarchy))
-    report["nets"] = {
-        "levels": {
-            str(n): len(hierarchy.levels[n])
-            for n in sorted(hierarchy.levels)
-        },
-        "separation_ok": net_check.separation_ok,
-        "covering_ok": net_check.covering_ok,
-        "nesting_ok": net_check.nesting_ok,
-        "ok": net_check.ok,
-    }
-    if not net_check.ok:
-        failures.append(f"nets: witness {net_check.witness}")
+def _verify_nets(ctx):
+    levels = ctx.hierarchy.levels
+    check = verify_nets(ctx.space, ctx.hierarchy)
+    return {
+        "levels": {str(n): len(levels[n]) for n in sorted(levels)},
+        "separation_ok": check.separation_ok,
+        "covering_ok": check.covering_ok,
+        "nesting_ok": check.nesting_ok,
+        "ok": check.ok,
+    }, None if check.ok else f"nets: witness {check.witness}"
 
-    tree = stage("cubes", lambda: build_cubes(space, hierarchy, cfg.c0))
-    cube_check = stage(
-        "verify_cubes", lambda: verify_cube_axioms(space, hierarchy, tree)
-    )
-    report["cubes"] = {
+
+def _cubes(ctx):
+    ctx.tree = build_cubes(ctx.space, ctx.hierarchy, ctx.cfg.c0)
+    return None, None
+
+
+def _verify_cubes(ctx):
+    tree = ctx.tree
+    check = verify_cube_axioms(ctx.space, ctx.hierarchy, tree)
+    return {
         "count": len(tree.cubes),
         "per_level": {
             str(n): len(tree.by_level[n]) for n in sorted(tree.by_level)
@@ -245,124 +226,117 @@ def run_pipeline(
         "c0_achieved": tree.c0_achieved
         if np.isfinite(tree.c0_achieved)
         else None,
-        "partition_ok": cube_check.partition_ok,
-        "nesting_ok": cube_check.nesting_ok,
-        "outer_ok": cube_check.outer_ok,
-        "inner_ok": cube_check.inner_ok,
-        "centers_ok": cube_check.centers_ok,
-        "ok": cube_check.ok,
-    }
-    if not cube_check.ok:
-        failures.append(f"cubes: witness {cube_check.witness}")
+        "partition_ok": check.partition_ok,
+        "nesting_ok": check.nesting_ok,
+        "outer_ok": check.outer_ok,
+        "inner_ok": check.inner_ok,
+        "centers_ok": check.centers_ok,
+        "ok": check.ok,
+    }, None if check.ok else f"cubes: witness {check.witness}"
 
-    def run_density():
-        r_lo = cfg.r_lo if cfg.r_lo is not None else resolution_scale(space)
-        r_hi = cfg.r_hi if cfg.r_hi is not None else space.diameter() / 4
-        if not 0 < r_lo < r_hi:
-            return None, r_lo, r_hi
-        profiles = density_profiles(space, target.members, r_lo, r_hi)
-        return profiles, r_lo, r_hi
 
-    profiles, d_lo, d_hi = stage("density", run_density)
-    if profiles is None:
-        report["density"] = {"skipped": "radius grid is empty"}
-    else:
-        lows = np.array([p.lower_estimate for p in profiles])
-        report["density"] = {
-            "profiled": len(profiles),
-            "r_lo": d_lo,
-            "r_hi": d_hi,
-            "lower_min": float(lows.min()),
-            "lower_median": float(np.median(lows)),
-            "lower_max": float(lows.max()),
-        }
+def _density(ctx):
+    cfg, space = ctx.cfg, ctx.space
+    r_lo = cfg.r_lo if cfg.r_lo is not None else resolution_scale(space)
+    r_hi = cfg.r_hi if cfg.r_hi is not None else space.diameter() / 4
+    ctx.profiles = None
+    if not 0 < r_lo < r_hi:
+        return {"skipped": "radius grid is empty"}, None
+    ctx.profiles = density_profiles(space, ctx.target.members, r_lo, r_hi)
+    lows = np.array([p.lower_estimate for p in ctx.profiles])
+    return {
+        "profiled": len(ctx.profiles),
+        "r_lo": r_lo,
+        "r_hi": r_hi,
+        "lower_min": float(lows.min()),
+        "lower_median": float(np.median(lows)),
+        "lower_max": float(lows.max()),
+    }, None
 
-    porous = stage(
-        "porous", lambda: find_porous(space, tree, target, pcfg)
-    )
+
+def _porous(ctx):
+    ctx.porous = find_porous(ctx.space, ctx.tree, ctx.target, ctx.pcfg)
     level_hist: dict[str, int] = {}
-    for p in porous:
-        key = str(tree.cubes[p.cube].level)
+    for p in ctx.porous:
+        key = str(ctx.tree.cubes[p.cube].level)
         level_hist[key] = level_hist.get(key, 0) + 1
-    report["porous"] = {"count": len(porous), "per_level": level_hist}
+    return {"count": len(ctx.porous), "per_level": level_hist}, None
 
-    shadow = stage(
-        "shadow", lambda: shadow_map(space, tree, target, porous, pcfg)
-    )
-    report["shadow"] = {
+
+def _shadow(ctx):
+    shadow = shadow_map(ctx.space, ctx.tree, ctx.target, ctx.porous, ctx.pcfg)
+    ctx.shadow = shadow
+    return {
         "antichain": len(shadow.maximal),
         "mapped": sum(1 for r in shadow.records if r.shadow is not None),
         "failures": len(shadow.failures),
         "b_observed": shadow.b_observed,
         "c0_used": shadow.c0_used,
         "ok": shadow.ok,
-    }
-    if not shadow.ok:
-        failures.append("shadow: a scale comparison failed")
+    }, None if shadow.ok else "shadow: a scale comparison failed"
 
-    carleson = stage(
-        "carleson",
-        lambda: carleson_check(
-            tree, porous, pcfg, b_observed=shadow.b_observed
-        ),
+
+def _carleson(ctx):
+    carleson = carleson_check(
+        ctx.tree, ctx.porous, ctx.pcfg, b_observed=ctx.shadow.b_observed
     )
-    report["carleson"] = {
+    constants = carleson.constants
+    return {
         "worst_ratio": carleson.worst_ratio,
         "worst_cube": carleson.worst_cube,
-        "C1": carleson.constants.C1,
-        "a": carleson.constants.a,
-        "b": carleson.constants.b,
-        "b_mode": carleson.constants.b_mode,
+        "C1": constants.C1,
+        "a": constants.a,
+        "b": constants.b,
+        "b_mode": constants.b_mode,
         "skipped": carleson.skipped,
         "ok": carleson.ok,
-    }
-    if not carleson.ok:
-        failures.append(
-            f"carleson: worst ratio {carleson.worst_ratio} exceeds "
-            f"{carleson.constants.C1}"
-        )
-
-    bridges = stage(
-        "bridges",
-        lambda: build_bridges(
-            space, tree, hierarchy, porous, pcfg, mode=cfg.bridge_mode
-        ),
+    }, None if carleson.ok else (
+        f"carleson: worst ratio {carleson.worst_ratio} exceeds {constants.C1}"
     )
-    report["bridges"] = {
-        "pairs": len(bridges.bridge_pairs),
-        "edges": bridges.edge_count(),
-        "skipped_cubes": len(bridges.skipped),
-        "mode": cfg.bridge_mode,
-    }
 
+
+def _bridges(ctx):
+    mode = ctx.cfg.bridge_mode
+    ctx.bridges = build_bridges(
+        ctx.space, ctx.tree, ctx.hierarchy, ctx.porous, ctx.pcfg, mode=mode
+    )
+    return {
+        "pairs": len(ctx.bridges.bridge_pairs),
+        "edges": ctx.bridges.edge_count(),
+        "skipped_cubes": len(ctx.bridges.skipped),
+        "mode": mode,
+    }, None
+
+
+def _gamma(ctx):
+    cfg = ctx.cfg
     eps_res = (
         cfg.eps_res
         if cfg.eps_res is not None
-        else 2 * cfg.rho ** max(hierarchy.levels)
+        else 2 * cfg.rho ** max(ctx.hierarchy.levels)
     )
-    gamma = stage(
-        "gamma", lambda: assemble_gamma(space, target, bridges, eps_res)
-    )
-    report["gamma"] = {
-        "vertices": len(gamma.vertices),
-        "edges": gamma.edge_count(),
+    ctx.gamma = assemble_gamma(ctx.space, ctx.target, ctx.bridges, eps_res)
+    return {
+        "vertices": len(ctx.gamma.vertices),
+        "edges": ctx.gamma.edge_count(),
         "eps_res": eps_res,
-    }
+    }, None
 
-    conn = stage("connectivity", lambda: connectivity(gamma))
-    report["connectivity"] = {
+
+def _connectivity(ctx):
+    conn = connectivity(ctx.gamma)
+    return {
         "components": conn.components,
-        "representatives": [
-            key_str(v) for v in conn.representatives[:10]
-        ],
+        "representatives": [key_str(v) for v in conn.representatives[:10]],
         "disconnected": conn.components != 1,
-    }
+    }, None
 
-    budget = stage(
-        "budget",
-        lambda: length_budget(space, target, gamma, porous, tree, pcfg),
+
+def _budget(ctx):
+    budget = length_budget(
+        ctx.space, ctx.target, ctx.gamma, ctx.porous, ctx.tree, ctx.pcfg
     )
-    report["budget"] = {
+    return {
         "e_part": budget.e_part,
         "bridge_part": budget.bridge_part,
         "bound_e": budget.bound_e,
@@ -376,45 +350,112 @@ def run_pipeline(
         "gated_mass_sum": budget.gated_mass_sum,
         "gated_ok": budget.gated_ok,
         "ok": budget.ok,
-    }
-    if not budget.ok:
-        failures.append("budget: a length bound failed")
+    }, None if budget.ok else "budget: a length bound failed"
 
-    def run_param():
+
+def _parametrize(ctx):
+    """A disconnected curve is a reported outcome, not a failure."""
+    ctx.param, ctx.param_skip = None, None
+    try:
+        ctx.param = parametrize(ctx.gamma)
+    except DisconnectedError as exc:
+        ctx.param_skip = {"skipped": str(exc)}
+        return ctx.param_skip, None
+    return {
+        "visits": len(ctx.param.visits),
+        "lip_bound": ctx.param.lip_bound,
+        "tree_length": ctx.param.tree_length,
+    }, None
+
+
+def _check_param(ctx):
+    if ctx.param is None:
+        return ctx.param_skip, None
+    check = check_parametrization(ctx.param, ctx.gamma)
+    return {
+        "surjective": check.surjective,
+        "missing": check.missing,
+        "max_ratio": check.max_ratio,
+        "lipschitz_ok": check.lipschitz_ok,
+        "ok": check.ok,
+    }, None if check.ok else "param_check: surjectivity or ratio failed"
+
+
+# (stage name, report section it writes, stage function)
+STAGES = (
+    ("load", "space", _load),
+    ("validate", "validation", _validate),
+    ("doubling", "doubling", _doubling),
+    ("nets", None, _nets),
+    ("verify_nets", "nets", _verify_nets),
+    ("cubes", None, _cubes),
+    ("verify_cubes", "cubes", _verify_cubes),
+    ("density", "density", _density),
+    ("porous", "porous", _porous),
+    ("shadow", "shadow", _shadow),
+    ("carleson", "carleson", _carleson),
+    ("bridges", "bridges", _bridges),
+    ("gamma", "gamma", _gamma),
+    ("connectivity", "connectivity", _connectivity),
+    ("budget", "budget", _budget),
+    ("parametrize", "parametrization", _parametrize),
+    ("check_param", "param_check", _check_param),
+)
+STAGE_NAMES = tuple(name for name, _, _ in STAGES)
+
+
+def run_stages(
+    cfg: RunConfig, names: tuple[str, ...] = STAGE_NAMES
+) -> tuple[SimpleNamespace, dict, list[str], list[tuple[str, float]]]:
+    """Run the named stages in table order.
+
+    Returns (context, report, failures, timings).  The caller names
+    every stage whose results a later named stage reads.  Stage errors
+    propagate, prefixed with the stage name; a configuration that fails
+    validation raises :class:`ConfigError` carrying the report so far.
+    """
+    ctx = SimpleNamespace(cfg=cfg)
+    report: dict = {"schema": SCHEMA_VERSION, "config": asdict(cfg)}
+    failures: list[str] = []
+    timings: list[tuple[str, float]] = []
+    for name, key, fn in STAGES:
+        if name not in names:
+            continue
+        t0 = time.perf_counter()
         try:
-            return parametrize(gamma), None
-        except DisconnectedError as exc:
-            return None, str(exc)
+            section, failure = fn(ctx)
+        except RectilibError as exc:
+            raise type(exc)(f"stage {name}: {exc}") from exc
+        finally:
+            timings.append((name, time.perf_counter() - t0))
+        if section is not None:
+            report[key] = section
+        if failure is not None:
+            failures.append(failure)
+        if name == "validate" and not section["ok"]:
+            raise ConfigError(
+                "stage validate: config violates: "
+                + "; ".join(section["violations"]),
+                report=report,
+            )
+    return ctx, report, failures, timings
 
-    param, param_skip = stage("parametrize", run_param)
-    if param is None:
-        report["parametrization"] = {"skipped": param_skip}
-        report["param_check"] = {"skipped": param_skip}
-    else:
-        report["parametrization"] = {
-            "visits": len(param.visits),
-            "lip_bound": param.lip_bound,
-            "tree_length": param.tree_length,
-        }
-        check = stage(
-            "check_param", lambda: check_parametrization(param, gamma)
-        )
-        report["param_check"] = {
-            "surjective": check.surjective,
-            "missing": check.missing,
-            "max_ratio": check.max_ratio,
-            "lipschitz_ok": check.lipschitz_ok,
-            "ok": check.ok,
-        }
-        if not check.ok:
-            failures.append("param_check: surjectivity or ratio failed")
 
+def run_pipeline(
+    cfg: RunConfig,
+) -> tuple[dict, list[str], list[tuple[str, float]]]:
+    """Execute every stage; returns (report, failures, timings).
+
+    Failures list the verified invariants that did not hold; a
+    disconnected curve is a reported outcome, not a failure.
+    """
+    ctx, report, failures, timings = run_stages(cfg)
     report["invariant_failures"] = list(failures)
     report["ok"] = not failures
-
     if cfg.out_dir is not None:
         write_outputs(
-            cfg.out_dir, report, timings, space, profiles, gamma, param
+            cfg.out_dir, report, timings,
+            ctx.space, ctx.profiles, ctx.gamma, ctx.param,
         )
     return report, failures, timings
 
@@ -433,13 +474,7 @@ def write_outputs(
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(report_json(report))
     if profiles is not None:
-        with open(
-            os.path.join(out_dir, "density.csv"), "w", newline=""
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "lower_estimate"])
-            for p in sorted(profiles, key=lambda q: q.point):
-                writer.writerow([p.point, repr(p.lower_estimate)])
+        density_csv(profiles, os.path.join(out_dir, "density.csv"))
     edges_csv(gamma, os.path.join(out_dir, "edges.csv"))
     if param is not None:
         parametrization_csv(

@@ -40,13 +40,14 @@ def test_gen_writes_loadable_csv(capsys, tmp_path):
         ["gen", "--kind", "circle", "--resolution", "32", "--out", out_path],
     )
     assert code == 0
-    assert payload["points"] == 32
-    assert payload["out"] == out_path
-    assert payload["target_size"] == 32
+    assert set(payload) == {"schema", "config", "space"}
+    space = payload["space"]
+    assert space["points"] == 32
+    assert space["target_size"] == 32
     reloaded = load_csv(out_path)
     assert len(reloaded) == 32
-    assert reloaded.total_mass == pytest.approx(payload["total_mass"])
-    assert reloaded.diameter() == pytest.approx(payload["diameter"])
+    assert reloaded.total_mass == pytest.approx(space["total_mass"])
+    assert reloaded.diameter() == pytest.approx(space["diameter"])
 
 
 def test_gen_reads_json_points(capsys, tmp_path):
@@ -56,9 +57,9 @@ def test_gen_reads_json_points(capsys, tmp_path):
     ))
     code, payload, _ = run_json(capsys, ["gen", "--input", str(pts)])
     assert code == 0
-    assert payload["points"] == 4
-    assert payload["total_mass"] == pytest.approx(4.0)
-    assert payload["diameter"] == pytest.approx(1.0)
+    assert payload["space"]["points"] == 4
+    assert payload["space"]["total_mass"] == pytest.approx(4.0)
+    assert payload["space"]["diameter"] == pytest.approx(1.0)
 
 
 def test_source_selection_is_exclusive(capsys, tmp_path):
@@ -82,10 +83,11 @@ def test_nets_reports_level_sizes(capsys):
         ["nets", "--kind", "interval", "--resolution", "64", "--rho", "0.25"],
     )
     assert code == 0
-    assert payload["rho"] == pytest.approx(0.25)
-    assert payload["levels"] == {"-1": 1, "0": 1, "1": 4, "2": 16}
-    assert payload["separation_ok"] and payload["covering_ok"]
-    assert payload["ok"] is True
+    assert payload["config"]["rho"] == pytest.approx(0.25)
+    nets = payload["nets"]
+    assert nets["levels"] == {"-1": 1, "0": 1, "1": 4, "2": 16}
+    assert nets["separation_ok"] and nets["covering_ok"]
+    assert nets["ok"] is True
 
 
 def test_nets_accepts_matrix_input(capsys, tmp_path):
@@ -99,8 +101,8 @@ def test_nets_accepts_matrix_input(capsys, tmp_path):
          "--rho", "0.5"],
     )
     assert code == 0
-    assert payload["levels"] == {"-2": 1, "-1": 1, "0": 3}
-    assert payload["ok"] is True
+    assert payload["nets"]["levels"] == {"-2": 1, "-1": 1, "0": 3}
+    assert payload["nets"]["ok"] is True
 
     code, out, err = run_cli(
         capsys, ["nets", "--matrix", str(matrix), "--rho", "0.5"]
@@ -116,11 +118,12 @@ def test_cubes_reports_tree_shape(capsys):
          "--rho", "0.25"],
     )
     assert code == 0
-    assert payload["count"] == 22
-    assert payload["per_level"] == {"-1": 1, "0": 1, "1": 4, "2": 16}
-    assert payload["c0_target"] == pytest.approx(1 / 500)
-    assert payload["c0_achieved"] == pytest.approx(0.07619047619047618)
-    assert payload["ok"] is True
+    cubes = payload["cubes"]
+    assert cubes["count"] == 22
+    assert cubes["per_level"] == {"-1": 1, "0": 1, "1": 4, "2": 16}
+    assert payload["config"]["c0"] == pytest.approx(1 / 500)
+    assert cubes["c0_achieved"] == pytest.approx(0.07619047619047618)
+    assert cubes["ok"] is True
 
 
 def test_density_profiles_selected_points(capsys, tmp_path):
@@ -182,13 +185,15 @@ def test_porous_reports_family_and_packing(capsys):
     for entry in payload["family"]:
         assert set(entry) == {"cube", "witness", "witness_gap"}
         assert entry["witness_gap"] > 0
-    assert payload["antichain"] == 14
-    assert payload["b_observed"] == 36
-    assert payload["shadow_failures"] == 6
-    assert payload["worst_ratio"] == pytest.approx(2.28)
-    assert payload["worst_ratio"] <= payload["C1"]
-    assert payload["shadow_ok"] is True
-    assert payload["carleson_ok"] is True
+    assert payload["porous"]["count"] == 55
+    shadow, carleson = payload["shadow"], payload["carleson"]
+    assert shadow["antichain"] == 14
+    assert shadow["b_observed"] == 36
+    assert shadow["failures"] == 6
+    assert carleson["worst_ratio"] == pytest.approx(2.28)
+    assert carleson["worst_ratio"] <= carleson["C1"]
+    assert shadow["ok"] is True
+    assert carleson["ok"] is True
 
 
 def test_porous_invalid_config_exits_2_with_violations(capsys):
@@ -198,8 +203,8 @@ def test_porous_invalid_config_exits_2_with_violations(capsys):
          "--rho", "0.25"],
     )
     assert code == 2
-    assert payload["ok"] is False
-    assert payload["violations"] == [
+    assert payload["validation"]["ok"] is False
+    assert payload["validation"]["violations"] == [
         "rho < 3/(M+1)", "1/rho > M", "5*M*rho^n0 < 1",
     ]
 
@@ -210,7 +215,7 @@ def test_porous_strict_rejects_coarse_rho(capsys):
         ["porous", "--kind", "interval", "--resolution", "50", "--strict"],
     )
     assert code == 2
-    assert payload["violations"] == ["rho < 1/1000"]
+    assert payload["validation"]["violations"] == ["rho < 1/1000"]
 
 
 def test_curve_builds_connected_graph(capsys, tmp_path):
@@ -221,16 +226,17 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
          "--edges-out", edges_path],
     )
     assert code == 0
-    assert payload["vertices"] == 10000
-    assert payload["edges"] == 15047
-    assert payload["components"] == 1
-    assert payload["budget_ok"] is True
-    assert payload["e_vacuous"] is False
-    assert payload["e_part"] <= payload["bound_e"]
-    assert payload["bridge_part"] <= payload["bound_bridge"]
+    assert payload["gamma"]["vertices"] == 10000
+    assert payload["gamma"]["edges"] == 15047
+    assert payload["connectivity"]["components"] == 1
+    budget = payload["budget"]
+    assert budget["ok"] is True
+    assert budget["e_vacuous"] is False
+    assert budget["e_part"] <= budget["bound_e"]
+    assert budget["bridge_part"] <= budget["bound_bridge"]
     with open(edges_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == payload["edges"]
+    assert len(rows) == payload["gamma"]["edges"]
 
 
 def test_param_round_trip_tour(capsys, tmp_path):
@@ -241,26 +247,26 @@ def test_param_round_trip_tour(capsys, tmp_path):
          "--tour-out", tour_path],
     )
     assert code == 0
-    assert payload["visits"] == 63
-    assert payload["tree_length"] == pytest.approx(1.0)
-    assert payload["lip_bound"] == pytest.approx(2.0)
-    assert payload["surjective"] is True
-    assert payload["ok"] is True
+    tour, check = payload["parametrization"], payload["param_check"]
+    assert tour["visits"] == 63
+    assert tour["tree_length"] == pytest.approx(1.0)
+    assert tour["lip_bound"] == pytest.approx(2.0)
+    assert check["surjective"] is True
+    assert check["ok"] is True
     with open(tour_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == payload["visits"]
+    assert len(rows) == tour["visits"]
     assert float(rows[0]["t"]) == 0.0
     assert float(rows[-1]["t"]) == 1.0
 
 
 def test_param_disconnected_exits_1(capsys):
-    code, out, err = run_cli(
+    code, payload, _ = run_json(
         capsys, ["param", "--kind", "cantor4", "--resolution", "3"]
     )
     assert code == 1
-    assert out == ""
-    assert "error:" in err
-    assert "components" in err
+    assert "components" in payload["parametrization"]["skipped"]
+    assert "skipped" in payload["param_check"]
 
 
 def test_run_report_is_deterministic(capsys):
@@ -315,3 +321,50 @@ def test_run_skips_parametrization_when_disconnected(capsys):
     assert "skipped" in payload["param_check"]
     assert payload["invariant_failures"] == []
     assert payload["ok"] is True
+
+
+def test_run_invalid_config_prints_validation(capsys):
+    code, payload, err = run_json(
+        capsys,
+        ["run", "--kind", "interval", "--resolution", "50", "--rho", "0.25"],
+    )
+    assert code == 2
+    assert payload["validation"]["ok"] is False
+    assert payload["validation"]["violations"] == [
+        "rho < 3/(M+1)", "1/rho > M", "5*M*rho^n0 < 1",
+    ]
+    assert "doubling" not in payload
+    assert "stage validate" in err
+
+
+# Each view gets the flags it accepts from HOLE_ARGS + --eps-res.
+EPS_ARGS = ["--eps-res", "0.0222222"]
+VIEW_ARGS = {
+    "gen": HOLE_ARGS[:6],
+    "nets": HOLE_ARGS,
+    "cubes": HOLE_ARGS,
+    "porous": HOLE_ARGS,
+    "curve": HOLE_ARGS + EPS_ARGS,
+    "param": HOLE_ARGS + EPS_ARGS,
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEW_ARGS))
+def test_view_sections_match_run(capsys, view):
+    argv = VIEW_ARGS[view]
+    code, payload, _ = run_json(capsys, [view, *argv])
+    _, report, _ = run_json(capsys, ["run", *argv])
+    assert code == 0
+    extra = {"family"} if view == "porous" else set()
+    assert set(payload) - extra <= set(report)
+    assert {"schema", "config", "space"} <= set(payload)
+    for key in set(payload) - extra:
+        assert payload[key] == report[key], key
+
+
+def test_curve_default_eps_res_matches_run(capsys):
+    code, payload, _ = run_json(capsys, ["curve", *HOLE_ARGS])
+    run_code, report, _ = run_json(capsys, ["run", *HOLE_ARGS])
+    assert code == run_code
+    assert payload["gamma"]["eps_res"] == report["gamma"]["eps_res"]
+    assert payload["gamma"] == report["gamma"]

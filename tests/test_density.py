@@ -88,15 +88,12 @@ def test_profiles_are_isometry_invariant():
         assert a.values == pytest.approx(b.values, rel=1e-9)
 
 
-def test_profiles_batch_matches_single(monkeypatch):
+def test_profiles_batch_matches_single():
     rng = np.random.default_rng(43)
     space = random_cloud(rng, n=12)
     pts = [3, 1, 9]
     batch = density_profiles(space, pts, 0.1, 0.9)
     assert [p.point for p in batch] == pts
-    monkeypatch.setenv("RECTILIB_THREADS", "4")
-    threaded = density_profiles(space, pts, 0.1, 0.9)
-    assert threaded == batch
     for prof in batch:
         assert prof == density_profile(space, prof.point, 0.1, 0.9)
 
