@@ -172,21 +172,21 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
                 nest_ok = False
                 witness = witness or ("nesting", n, sorted(missing)[0])
         previous = set(ids)
-        # separation
-        if sep_ok:
-            for pos, k in enumerate(idx):
-                row = space.dists_from(k)[idx[pos + 1 :]]
-                bad = np.flatnonzero(row < scale)
+        # separation and covering from one row per net point
+        best = np.full(len(space), math.inf)
+        for pos, k in enumerate(idx):
+            if not (sep_ok or cov_ok):
+                break
+            row = space.dists_from(k)
+            if sep_ok:
+                bad = np.flatnonzero(row[idx[pos + 1 :]] < scale)
                 if bad.size:
                     sep_ok = False
                     other = ids[pos + 1 + int(bad[0])]
                     witness = witness or ("separation", n, ids[pos], other)
-                    break
-        # covering
+            if cov_ok:
+                np.minimum(best, row, out=best)
         if cov_ok:
-            best = np.full(len(space), math.inf)
-            for k in idx:
-                np.minimum(best, space.dists_from(k), out=best)
             bad = np.flatnonzero(best >= scale)
             if bad.size:
                 cov_ok = False

@@ -70,9 +70,22 @@ class PorousCube:
 def dist_to_set(
     space: MetricMeasureSpace, member_ids: Iterable[int]
 ) -> np.ndarray:
-    """Distance from every point to the nearest of the given points."""
+    """Distance from every point to the nearest of the given points.
+
+    Rows are computed for the smaller side: the members' rows, or, when
+    fewer points lie outside the set, the outsiders' rows restricted to
+    the member columns (members are at distance 0).  Both give the same
+    values, since distances are exactly symmetric.
+    """
+    idx = np.unique(space.indices_of(member_ids))
+    outside = np.setdiff1d(np.arange(len(space)), idx)
     best = np.full(len(space), math.inf)
-    for k in space.indices_of(member_ids):
+    if len(outside) < len(idx):
+        best[idx] = 0.0
+        for k in outside:
+            best[k] = space.dists_from(int(k))[idx].min()
+        return best
+    for k in idx:
         np.minimum(best, space.dists_from(int(k)), out=best)
     return best
 

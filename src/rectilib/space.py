@@ -12,6 +12,31 @@ Conventions used throughout the package:
 * weights are nonnegative with positive total;
 * ties in greedy selections are broken by ascending point id, so every
   operation is deterministic.
+
+Every distance comes from one formula.  A coordinate space keeps one
+contiguous column per axis; the row of point ``i`` is
+``acc = dx0*dx0; acc += dx1*dx1; ...`` in axis order with
+``dx_a = col_a - col_a[i]``, then ``sqrt(acc)``.  It is made of
+elementwise operations only, so ``d(i, j)`` and ``d(j, i)`` are equal
+bit for bit, and :meth:`MetricMeasureSpace.distance_matrix` and
+:meth:`MetricMeasureSpace.distance_submatrix` give the same values as
+the rows.  A matrix space serves views of its matrix, which must be
+exactly symmetric.
+
+A space caches what the pipeline asks for repeatedly:
+
+* the summary, one pass over all rows: each point's eccentricity (its
+  largest distance) and its smallest positive distance, from which
+  :meth:`~MetricMeasureSpace.diameter`, :meth:`~MetricMeasureSpace.min_gap`
+  and the basepoint of :func:`enclosing_target` over every point are read;
+* open-ball masses, one array of length ``n`` per radius, filled by
+  :meth:`~MetricMeasureSpace.ball_masses` (used by
+  :func:`doubling_estimate` and :func:`linear_mass_check`).
+
+The cached arrays, the axis columns, the weights and the stored matrix
+are read-only, so a caller cannot change a later row or cached value by
+writing into one it was given.  The inputs are not copied: do not
+modify a coordinate or matrix array after building a space from it.
 """
 
 from __future__ import annotations
@@ -36,6 +61,13 @@ from .errors import (
 _DENSE_LIMIT = 5000
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (no copy; the input keeps its flags)."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 class MetricMeasureSpace:
     """A finite metric space with a weight (mass) per point.
 
@@ -53,12 +85,21 @@ class MetricMeasureSpace:
         matrix: np.ndarray | None = None,
     ):
         self.ids: tuple[int, ...] = tuple(int(i) for i in ids)
-        self.weights = np.asarray(weights, dtype=float)
-        self.coords = None if coords is None else np.asarray(coords, dtype=float)
-        self._matrix = None if matrix is None else np.asarray(matrix, dtype=float)
+        self.weights = _read_only(np.asarray(weights, dtype=float))
+        self.coords = None
+        self._axes: tuple[np.ndarray, ...] = ()
+        if coords is not None:
+            self.coords = _read_only(np.asarray(coords, dtype=float))
+            self._axes = tuple(
+                _read_only(np.array(self.coords[:, a]))
+                for a in range(self.coords.shape[1])
+            )
+        self._matrix = None
+        if matrix is not None:
+            self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
-        self._diameter: float | None = None
-        self._min_gap: float | None = None
+        self._summary: tuple[np.ndarray, np.ndarray] | None = None
+        self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
 
     # -- construction ---------------------------------------------------
 
@@ -72,6 +113,10 @@ class MetricMeasureSpace:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ParameterError("coords must be a 2-d array (n points by d axes)")
+        if coords.shape[0] != len(ids):
+            raise ParameterError(
+                f"coords have {coords.shape[0]} rows for {len(ids)} ids"
+            )
         space = cls(ids, np.asarray(weights, dtype=float), coords=coords)
         space._validate_common()
         if not np.all(np.isfinite(coords)):
@@ -172,21 +217,45 @@ class MetricMeasureSpace:
         return np.array([self.index_of(p) for p in point_ids], dtype=np.intp)
 
     def dists_from(self, index: int) -> np.ndarray:
-        """Distances from the point at ``index`` to every point."""
+        """Distances from the point at ``index`` to every point.
+
+        Matrix spaces return a read-only view of the stored row.
+        """
         if self._matrix is not None:
             return self._matrix[index]
-        diff = self.coords - self.coords[index]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if not self._axes:
+            return np.zeros(len(self))
+        first, *others = self._axes
+        acc = first - first[index]
+        acc *= acc
+        if others:
+            step = np.empty_like(acc)
+            for col in others:
+                np.subtract(col, col[index], out=step)
+                step *= step
+                acc += step
+        return np.sqrt(acc, out=acc)
+
+    def _pairwise(self, idx: np.ndarray) -> np.ndarray:
+        # the row formula of dists_from over an index block
+        acc = np.zeros((len(idx), len(idx)))
+        for col in self._axes:
+            sub = col[idx]
+            step = sub[:, None] - sub[None, :]
+            step *= step
+            acc += step
+        return np.sqrt(acc, out=acc)
 
     def distance_matrix(self) -> np.ndarray:
-        """Full matrix; cached, refused above a size guard."""
+        """Full matrix (read-only); cached, refused above a size guard."""
         if self._matrix is None:
             if len(self) > _DENSE_LIMIT:
                 raise ParameterError(
                     f"refusing to materialize a {len(self)}^2 distance matrix"
                 )
-            diff = self.coords[:, None, :] - self.coords[None, :, :]
-            self._matrix = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            matrix = self._pairwise(np.arange(len(self)))
+            matrix.setflags(write=False)
+            self._matrix = matrix
         return self._matrix
 
     def distance_submatrix(self, point_ids: Iterable[int]) -> np.ndarray:
@@ -194,29 +263,59 @@ class MetricMeasureSpace:
         idx = self.indices_of(point_ids)
         if self._matrix is not None:
             return self._matrix[np.ix_(idx, idx)]
-        sub = self.coords[idx]
-        diff = sub[:, None, :] - sub[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return self._pairwise(idx)
+
+    def summary(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per point: eccentricity and smallest positive distance.
+
+        One pass over every row, cached.  The second array holds ``inf``
+        for a point whose every distance is zero.  Both are read-only.
+        """
+        if self._summary is None:
+            n = len(self)
+            ecc = np.empty(n)
+            nearest = np.empty(n)
+            for k in range(n):
+                row = self.dists_from(k)
+                ecc[k] = row.max()
+                nearest[k] = np.min(row, where=row > 0, initial=math.inf)
+            ecc.setflags(write=False)
+            nearest.setflags(write=False)
+            self._summary = (ecc, nearest)
+        return self._summary
 
     def diameter(self) -> float:
-        if self._diameter is None:
-            best = 0.0
-            for k in range(len(self)):
-                best = max(best, float(self.dists_from(k).max()))
-            self._diameter = best
-        return self._diameter
+        return float(self.summary()[0].max())
 
     def min_gap(self) -> float:
         """Smallest positive inter-point distance (0.0 for a singleton)."""
-        if self._min_gap is None:
-            best = math.inf
-            for k in range(len(self)):
-                row = self.dists_from(k)
-                positive = row[row > 0]
-                if positive.size:
-                    best = min(best, float(positive.min()))
-            self._min_gap = 0.0 if best is math.inf else best
-        return self._min_gap
+        best = float(self.summary()[1].min())
+        return 0.0 if best == math.inf else best
+
+    def ball_masses(self, index: int, radii: Sequence[float]) -> list[float]:
+        """Open-ball masses of the point at ``index``, one per radius.
+
+        Each mass is ``float(weights[row < r].sum())``.  Masses are cached
+        per radius; the row is computed only when one is missing.
+        """
+        w = self.weights
+        row = None
+        out = []
+        for r in radii:
+            col = self._masses.get(r)
+            if col is None:
+                col = self._masses[r] = np.full(len(self), math.nan)
+                col.setflags(write=False)
+            mass = col[index]
+            if math.isnan(mass):
+                if row is None:
+                    row = self.dists_from(index)
+                mass = w[row < r].sum()
+                col.setflags(write=True)
+                col[index] = mass
+                col.setflags(write=False)
+            out.append(float(mass))
+        return out
 
 
 @dataclass(frozen=True)
@@ -275,15 +374,14 @@ def enclosing_target(
     if not ids:
         raise DegenerateInputError("target set must be nonempty")
     idx = space.indices_of(ids)
-    best_ecc = math.inf
-    best_id = ids[0]
-    for pid, k in zip(ids, idx):
-        ecc = float(space.dists_from(k)[idx].max())
-        if ecc < best_ecc:
-            best_ecc = ecc
-            best_id = pid
+    if len(set(ids)) == len(space):
+        ecc = space.summary()[0][idx]
+    else:
+        ecc = np.array([space.dists_from(k)[idx].max() for k in idx])
+    best = int(np.argmin(ecc))  # first minimum: the smallest id
+    best_ecc = float(ecc[best])
     r0 = 1e-9 if best_ecc == 0 else 2.0 * best_ecc * (1.0 + 1e-9)
-    return TargetSet(members=ids, xi0=best_id, r0=r0)
+    return TargetSet(members=ids, xi0=ids[best], r0=r0)
 
 
 # -- measures of balls -------------------------------------------------
@@ -319,7 +417,9 @@ def doubling_estimate(
     """Largest sampled ratio mass(B(x, 2r)) / mass(B(x, r)).
 
     Pairs with an empty inner ball mass are skipped and counted; if
-    every pair is skipped the input is degenerate.
+    every pair is skipped the input is degenerate.  Masses come from
+    :meth:`MetricMeasureSpace.ball_masses`; on a dyadic grid each outer
+    radius ``2r`` is the next inner radius, so it is counted once.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
@@ -333,15 +433,13 @@ def doubling_estimate(
     best_center, best_radius = ids[0], radii[0]
     evaluated = 0
     skipped = 0
-    w = space.weights
+    both = radii + [2.0 * r for r in radii]
     for pid, k in zip(ids, idx):
-        row = space.dists_from(k)
-        for r in radii:
-            inner = float(w[row < r].sum())
+        masses = space.ball_masses(k, both)
+        for r, inner, outer in zip(radii, masses, masses[len(radii):]):
             if inner == 0.0:
                 skipped += 1
                 continue
-            outer = float(w[row < 2.0 * r].sum())
             evaluated += 1
             ratio = outer / inner
             if ratio > best:
@@ -528,18 +626,20 @@ def linear_mass_check(
     r_hi: float,
     factor: float = 2.0,
 ) -> MassCheckResult:
-    """Check ``mass(B(x, r)) >= factor * r`` on the dyadic radius grid."""
+    """Check ``mass(B(x, r)) >= factor * r`` on the dyadic radius grid.
+
+    Masses come from the cache of :meth:`MetricMeasureSpace.ball_masses`.
+    """
     ids = sorted(int(p) for p in point_ids)
     if not ids:
         raise DegenerateInputError("no points to check")
     radii = dyadic_radii(r_lo, r_hi)
     worst = math.inf
     worst_id, worst_r = ids[0], radii[0]
-    w = space.weights
     for pid in ids:
-        row = space.dists_from(space.index_of(pid))
-        for r in radii:
-            margin = float(w[row < r].sum()) - factor * r
+        masses = space.ball_masses(space.index_of(pid), radii)
+        for r, mass in zip(radii, masses):
+            margin = mass - factor * r
             if margin < worst:
                 worst = margin
                 worst_id, worst_r = pid, r

@@ -176,3 +176,27 @@ def net_covers(space, ids, scale: float) -> bool:
         if min(float(row[k]) for k in net_idx) >= scale:
             return False
     return True
+
+
+def dist_to_set_brute(space, member_ids) -> list[float]:
+    """Distance from each point to the nearest member, by a double loop."""
+    members = [space.index_of(m) for m in member_ids]
+    out = []
+    for pid in space.ids:
+        k = space.index_of(pid)
+        best = math.inf
+        for m in members:
+            best = min(best, float(space.dists_from(m)[k]))
+        out.append(best)
+    return out
+
+
+def basepoint_brute(space, member_ids) -> int:
+    """Member with the smallest eccentricity over the members; ties: smaller id."""
+    best_id, best_ecc = None, math.inf
+    for a in sorted(member_ids):
+        row = space.dists_from(space.index_of(a))
+        ecc = max(float(row[space.index_of(b)]) for b in member_ids)
+        if ecc < best_ecc:
+            best_id, best_ecc = a, ecc
+    return best_id

@@ -111,11 +111,27 @@ def test_verify_nets_flags_injected_violations():
     check = verify_nets(space, bad_cov)
     assert not check.covering_ok or not check.nesting_ok
 
+    both = dict(crowded)
+    both[2] = h.levels[2][:-4]
+    check = verify_nets(space, NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=both))
+    assert not check.separation_ok and not check.covering_ok
+    assert check.witness[0] == "separation"
+
     swapped = dict(h.levels)
     swapped[0] = (h.levels[2][-1],)  # coarse member missing below
     bad_nest = NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=swapped)
     check = verify_nets(space, bad_nest)
     assert not check.nesting_ok
+
+
+def test_verify_nets_computes_one_row_per_net_point():
+    space, _ = generate(GeneratorSpec("interval", 200))
+    h = build_nets(space, 0.25, 0, 3)
+    calls = []
+    original = space.dists_from
+    space.dists_from = lambda k: calls.append(k) or original(k)
+    assert verify_nets(space, h).ok
+    assert len(calls) == sum(len(ids) for ids in h.levels.values())
 
 
 def test_auto_levels_frozen_and_degenerate():

@@ -6,8 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from _oracles import dist_to_set_brute
 from rectilib.cubes import build_cubes
-from rectilib.errors import ContainmentError, ParameterError
+from rectilib.errors import (
+    ContainmentError,
+    ParameterError,
+    UnknownIdentifierError,
+)
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import build_nets
 from rectilib.porosity import (
@@ -122,6 +127,46 @@ def test_dist_to_set_minimizes_over_members():
     gap = dist_to_set(space, [0, 4])
     assert gap.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
     assert np.array_equal(dist_to_set(space, [2]), space.dists_from(2))
+
+
+def _cloud_and_twin():
+    rng = np.random.default_rng(17)
+    coords = np.round(rng.uniform(-1.0, 1.0, size=(21, 2)), 1)  # some duplicates
+    ids = [int(i) for i in rng.permutation(100)[:21]]
+    space = MetricMeasureSpace.from_coords(ids, coords, np.ones(21))
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), np.ones(21))
+    return space, twin
+
+
+@pytest.mark.parametrize(
+    "pick",
+    [
+        lambda ids: ids[:4],  # fewer than half: members' rows
+        lambda ids: ids[2:],  # more than half: outsiders' rows
+        lambda ids: ids[10:] + ids[:1],  # one more than half
+        lambda ids: ids,
+        lambda ids: ids[7:8],
+        lambda ids: [],
+    ],
+    ids=["small", "large", "just-over-half", "all", "single", "empty"],
+)
+def test_dist_to_set_matches_brute_force(pick):
+    for space in _cloud_and_twin():
+        members = pick(list(space.ids))
+        gap = dist_to_set(space, members)
+        assert gap.tolist() == dist_to_set_brute(space, members)
+        if len(members) == len(space):
+            assert gap.tolist() == [0.0] * len(space)
+        if not members:
+            assert np.all(np.isinf(gap))
+
+
+def test_dist_to_set_rejects_unknown_ids():
+    space, _ = _cloud_and_twin()
+    with pytest.raises(UnknownIdentifierError):
+        dist_to_set(space, [space.ids[0], -5])
+    with pytest.raises(UnknownIdentifierError):
+        dist_to_set(space, [*space.ids[1:], -5])
 
 
 # -- porous cube detection ----------------------------------------------

@@ -66,6 +66,15 @@ def test_from_coords_rejects_bad_shapes_and_values():
         )
 
 
+def test_from_coords_rejects_coords_of_wrong_length():
+    with pytest.raises(ParameterError):
+        MetricMeasureSpace.from_coords(
+            [0, 1, 2], np.random.default_rng(0).random((5, 2)), np.ones(3)
+        )
+    with pytest.raises(ParameterError):
+        MetricMeasureSpace.from_coords([0, 1, 2], np.zeros((2, 1)), np.ones(3))
+
+
 def test_from_coords_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
         MetricMeasureSpace.from_coords([], np.zeros((0, 1)), np.zeros(0))
@@ -151,6 +160,68 @@ def test_distance_submatrix_matches_both_backends():
         for b, pb in enumerate(ids):
             d = space.dists_from(space.index_of(pa))[space.index_of(pb)]
             assert sub[a, b] == pytest.approx(d)
+
+
+def test_zero_axis_coords_give_zero_rows():
+    space = MetricMeasureSpace.from_coords(range(3), np.zeros((3, 0)), np.ones(3))
+    assert space.dists_from(1).tolist() == [0.0, 0.0, 0.0]
+    assert space.distance_matrix().tolist() == [[0.0] * 3] * 3
+    assert space.diameter() == 0.0 and space.min_gap() == 0.0
+
+
+def test_summary_records_eccentricity_and_nearest_gap():
+    space = MetricMeasureSpace.from_coords(
+        range(4), np.array([[0.0], [0.0], [1.0], [3.0]]), np.ones(4)
+    )
+    ecc, nearest = space.summary()
+    assert ecc.tolist() == [3.0, 3.0, 2.0, 3.0]
+    assert nearest.tolist() == [1.0, 1.0, 1.0, 2.0]
+    assert space.diameter() == 3.0 and space.min_gap() == 1.0
+    twins = MetricMeasureSpace.from_coords(range(2), np.zeros((2, 1)), np.ones(2))
+    assert twins.summary()[1].tolist() == [math.inf, math.inf]
+    assert twins.min_gap() == 0.0
+
+
+def test_rows_and_caches_are_read_only():
+    rng = np.random.default_rng(3)
+    space = random_cloud(rng, n=6)
+    matrix = space.distance_matrix()
+    twin = MetricMeasureSpace.from_matrix(space.ids, matrix, space.weights)
+    row = twin.dists_from(2)
+    with pytest.raises(ValueError):
+        row[0] = 5.0
+    with pytest.raises(ValueError):
+        matrix[0, 1] = 5.0
+    for array in (*space.summary(), *space._axes):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    space.ball_masses(0, [0.5])
+    with pytest.raises(ValueError):
+        space._masses[0.5][1] = 5.0
+    # the caller's array is served without a copy and keeps its own flags
+    given = np.array(matrix)
+    served = MetricMeasureSpace.from_matrix(space.ids, given, space.weights)
+    assert np.shares_memory(served.dists_from(0), given)
+    assert given.flags.writeable
+
+
+def test_ball_masses_match_uncached_masks_and_compute_rows_once():
+    rng = np.random.default_rng(13)
+    space = random_cloud(rng, n=25)
+    calls = []
+    original = space.dists_from
+    space.dists_from = lambda k: calls.append(k) or original(k)
+    radii = [0.2, 0.4, 0.8]
+    first = space.ball_masses(4, radii)
+    row = original(4)
+    assert first == [float(space.weights[row < r].sum()) for r in radii]
+    assert space.ball_masses(4, radii[::-1]) == first[::-1]
+    assert calls == [4]
+    space.ball_masses(4, [1.6])
+    assert calls == [4, 4]
+    # open balls: a point at distance exactly r is outside
+    line = line_space(5, spacing=1.0, weight=2.0)
+    assert line.ball_masses(2, [1.0, 1.5, 2.0]) == [2.0, 6.0, 6.0]
 
 
 def test_min_gap_singleton_is_zero():
@@ -364,6 +435,12 @@ def test_enclosing_target_and_validation():
         target = enclosing_target(space)
         validate_target(space, target)
         assert set(target.members) == set(space.ids)
+    # eccentricities 3, 2, 2, 3: the tie goes to the smaller id
+    tied = MetricMeasureSpace.from_coords(
+        [9, 7, 5, 2], np.arange(4, dtype=float)[:, None], np.ones(4)
+    )
+    assert enclosing_target(tied).xi0 == 5
+    assert enclosing_target(tied, members=[9, 7, 5]).xi0 == 7
     single = enclosing_target(line_space(3), members=[1])
     assert single.members == (1,) and single.xi0 == 1
     validate_target(line_space(3), single)

@@ -1,0 +1,153 @@
+"""Property tests: the distance layer is exact and its caches are invisible.
+
+Rows, matrices, the cached summary and the cached ball masses must give
+the same values bit for bit whatever the backend, the id order, the
+weights and the order of the calls.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from _oracles import basepoint_brute, dist_to_set_brute
+from rectilib.errors import DegenerateInputError
+from rectilib.generators import GeneratorSpec, generate
+from rectilib.porosity import dist_to_set
+from rectilib.space import (
+    MetricMeasureSpace,
+    doubling_estimate,
+    dyadic_radii,
+    enclosing_target,
+    linear_mass_check,
+)
+
+# a coarse value pool makes duplicate points and distance ties common
+VALUES = st.sampled_from([-3.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.0, 2.125, 6.0])
+
+
+@st.composite
+def clouds(draw, dims=(1, 2, 3, 5)):
+    """(ids, coords, weights): permuted ids, duplicates, zero weights."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 14))
+    point = st.lists(VALUES, min_size=d, max_size=d)
+    pool = draw(st.lists(point, min_size=1, max_size=n))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    coords = np.array(picks, dtype=float).reshape(n, d)
+    ids = draw(st.permutations([3 * k + 1 for k in range(n)]))
+    mass = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    weights = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+    assume(weights.sum() > 0)
+    return ids, coords, weights
+
+
+def axis_order_distance(x, y) -> float:
+    """The documented row formula, one point pair at a time."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        acc += (float(a) - float(b)) * (float(a) - float(b))
+    return math.sqrt(acc)
+
+
+@given(clouds())
+def test_rows_follow_the_axis_order_formula_and_match_the_matrix(cloud):
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    rows = [space.dists_from(k) for k in range(len(ids))]
+    matrix = space.distance_matrix()
+    sub = space.distance_submatrix(ids[::-1])
+    for k, row in enumerate(rows):
+        expected = [axis_order_distance(coords[k], p) for p in coords]
+        assert row.tolist() == expected
+        assert np.array_equal(row, matrix[k])
+        assert np.array_equal(row[::-1], sub[len(ids) - 1 - k])
+    assert np.array_equal(matrix, matrix.T)
+
+
+@given(clouds(dims=(1, 2)))
+def test_rows_match_the_einsum_formula_in_one_and_two_dimensions(cloud):
+    # With at most two axes a row is one product or one sum of two, so
+    # every summation order agrees.  From three axes on, einsum's order
+    # follows the CPU's vector width, and the axis-order formula is the
+    # reference instead (test above).
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    for k in range(len(ids)):
+        diff = coords - coords[k]
+        old = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        assert np.array_equal(space.dists_from(k), old)
+
+
+def _doubling(space):
+    lo, hi = 2 * space.min_gap(), space.diameter() / 2
+    if not 0 < lo < hi:
+        return "no grid"
+    try:
+        return doubling_estimate(space, dyadic_radii(lo, hi))
+    except DegenerateInputError:
+        return "degenerate"
+
+
+def _mass_check(space, members):
+    lo, hi = 2 * space.min_gap(), space.diameter() / 4
+    if not 0 < lo < hi:
+        return "no grid"
+    return linear_mass_check(space, members, lo, hi)
+
+
+@given(clouds(), st.data())
+def test_coordinate_and_matrix_backends_agree(cloud, data):
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    members = data.draw(st.lists(st.sampled_from(ids), unique=True))
+    assert space.diameter() == twin.diameter()
+    assert space.min_gap() == twin.min_gap()
+    assert enclosing_target(space) == enclosing_target(twin)
+    assert enclosing_target(space).xi0 == basepoint_brute(space, ids)
+    if members:
+        assert enclosing_target(space, members).xi0 == basepoint_brute(space, members)
+        assert enclosing_target(space, members) == enclosing_target(twin, members)
+        assert _mass_check(space, members) == _mass_check(twin, members)
+    assert _doubling(space) == _doubling(twin)
+    assert np.array_equal(dist_to_set(space, members), dist_to_set(twin, members))
+    assert dist_to_set(space, members).tolist() == dist_to_set_brute(space, members)
+
+
+@given(clouds())
+def test_mass_cache_does_not_depend_on_call_order(cloud):
+    ids, coords, weights = cloud
+    first = MetricMeasureSpace.from_coords(ids, coords, weights)
+    second = MetricMeasureSpace.from_coords(ids, coords, weights)
+    early = _mass_check(first, ids)
+    doubling_first = _doubling(first)
+    assert _doubling(second) == doubling_first
+    assert _mass_check(second, ids) == early
+
+
+def test_pipeline_grids_reuse_cached_rows():
+    """After the doubling estimate, the budget's mass check and
+    dist_to_set over every point compute no rows."""
+    space, _ = generate(GeneratorSpec("circle", 300))
+    gap, diam = space.min_gap(), space.diameter()
+    doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
+    calls = []
+    original = space.dists_from
+    space.dists_from = lambda k: calls.append(k) or original(k)
+    enclosing_target(space)
+    linear_mass_check(space, space.ids, 2 * gap, diam / 4)
+    assert dist_to_set(space, space.ids).tolist() == [0.0] * len(space)
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_doubling_counts_one_mask_per_distinct_radius(d):
+    rng = np.random.default_rng(d)
+    space = MetricMeasureSpace.from_coords(range(30), rng.random((30, d)), np.ones(30))
+    radii = dyadic_radii(0.05, 0.4)
+    doubling_estimate(space, radii)
+    assert sorted(space._masses) == sorted({*radii, *(2 * r for r in radii)})
+    assert len(space._masses) == len(radii) + 1
