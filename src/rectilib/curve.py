@@ -7,17 +7,41 @@ bridges contributed by porous cubes.  Parametrization doubles a
 minimum spanning tree into a closed tour, giving an explicitly
 Lipschitz surjection onto the vertex set.
 
-Vertices are sortable 4-tuples: ground points are (0, id, 0, 0) and
-the two lifted vertices of the bridge over the pair x < y are
+Vertices are keys of four integers: ground points are (0, id, 0, 0)
+and the two lifted vertices of the bridge over the pair x < y are
 (1, x, y, 0) and (1, x, y, 1), nearer x and y respectively.
+
+A :class:`BridgeGraph` is integer arrays, not dicts:
+
+- ``keys`` is one (V, 4) int64 array of vertex keys, sorted
+  lexicographically by ``np.lexsort`` over its columns (ids may be
+  negative or large, so keys are never packed into one integer).  A
+  vertex *is* its position in ``keys``.
+- ``src < dst`` are the positions of each edge's endpoints, ``length``
+  its float64 length and ``provenance`` the id of the porous cube that
+  bridged it, or the sentinel ``ADJACENCY`` (-1) for an
+  ``E-adjacency`` edge.
+
+Three order guarantees keep every result equal, bit for bit, to the
+tuple-keyed construction the arrays replace:
+
+- vertex positions follow key order, so sorting by position is
+  sorting by key, and equal-length Kruskal ties resolve by
+  ``(src, dst)`` exactly as they did by endpoint keys;
+- edges keep insertion order: bridge edges as :func:`build_bridges`
+  makes them, three per pair, then adjacency edges by ascending
+  ground pair ``(g, h)``;
+- sums are sequential in a stated order: the budget's ``e_part`` and
+  ``bridge_part`` in edge order, the tree length in Kruskal order.
+
+All arrays of a graph and of a tour are read-only.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +57,7 @@ from .space import MetricMeasureSpace, TargetSet, linear_mass_check
 VKey = tuple[int, int, int, int]
 
 E_ADJACENCY = "E-adjacency"
+ADJACENCY = -1  # provenance code of an E-adjacency edge
 
 
 def ground_key(point_id: int) -> VKey:
@@ -51,38 +76,143 @@ def key_str(v: VKey) -> str:
     return f"b:{v[1]}:{v[2]}:{v[3]}"
 
 
-@dataclass(frozen=True)
+def key_strs(keys: np.ndarray) -> list[str]:
+    """:func:`key_str` of every row of a (k, 4) key array."""
+    return [key_str(v) for v in np.asarray(keys).tolist()]
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _key_rows(keys) -> np.ndarray:
+    """Vertex keys as a (k, 4) int64 array."""
+    message = "vertex keys must be rows of four integers"
+    try:
+        rows = np.asarray(keys, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ParameterError(message) from None
+    if rows.size == 0:
+        return rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ParameterError(message)
+    return rows
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct rows of a (k, 4) array and each row's index there."""
+    order = np.lexsort(rows.T[::-1])  # column 0 is the primary key
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
+def _seq_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order ``total += x`` would use."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+@dataclass(frozen=True, eq=False)
 class BridgeGraph:
-    vertices: tuple[VKey, ...]  # sorted ascending
-    edges: dict[tuple[VKey, VKey], float]  # key (u, v) with u < v
-    provenance: dict[tuple[VKey, VKey], int | str]
+    keys: np.ndarray  # (V, 4) int64, rows in lexicographic order
+    src: np.ndarray  # (E,) int64 vertex positions, src < dst
+    dst: np.ndarray
+    length: np.ndarray  # (E,) float64
+    provenance: np.ndarray  # (E,) int64 cube id, or ADJACENCY
     bridge_pairs: dict[tuple[int, int], int]  # pair -> first cube id
     pairs_per_cube: dict[int, int]  # cube id -> pair count before dedupe
     skipped: tuple[int, ...]  # porous cubes lacking their bridge level
+    _csr: csr_matrix | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[tuple[VKey, VKey, float, int]],
+        vertices: Iterable[VKey] = (),
+        bridge_pairs: dict[tuple[int, int], int] | None = None,
+        pairs_per_cube: dict[int, int] | None = None,
+        skipped: tuple[int, ...] = (),
+    ) -> BridgeGraph:
+        """Graph of ``(u, v, length, provenance)`` edges, kept in order.
+
+        The vertices are the edge endpoints plus ``vertices``.  Loops
+        and repeated edges are rejected.
+        """
+        edges = list(edges)
+        ends = _key_rows(
+            [u for u, _, _, _ in edges] + [v for _, v, _, _ in edges]
+        )
+        graph = _build(
+            np.concatenate([ends, _key_rows(list(vertices))]),
+            np.arange(len(edges)),
+            len(edges) + np.arange(len(edges)),
+            np.array([length for _, _, length, _ in edges], dtype=float),
+            np.array([p for _, _, _, p in edges], dtype=np.int64),
+            {} if bridge_pairs is None else bridge_pairs,
+            {} if pairs_per_cube is None else pairs_per_cube,
+            tuple(skipped),
+        )
+        if np.any(graph.src == graph.dst):
+            raise ParameterError("an edge joins a vertex to itself")
+        ranked = np.lexsort((graph.dst, graph.src))
+        s, d = graph.src[ranked], graph.dst[ranked]
+        if np.any((s[1:] == s[:-1]) & (d[1:] == d[:-1])):
+            raise ParameterError("an edge is given twice")
+        return graph
 
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def total_length(self) -> float:
-        return float(sum(self.edges.values()))
+        return len(self.src)
 
     def to_csr(self) -> csr_matrix:
-        """Symmetric sparse adjacency in vertex order."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        rows, cols, vals = [], [], []
-        for (u, v), length in self.edges.items():
-            rows.extend((pos[u], pos[v]))
-            cols.extend((pos[v], pos[u]))
-            vals.extend((length, length))
-        return csr_matrix(
-            (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-            shape=(n, n),
-        )
+        """Symmetric sparse adjacency in vertex order, built once."""
+        if self._csr is None:
+            n = len(self.keys)
+            # each edge contributes (src, dst) then (dst, src)
+            rows = np.column_stack([self.src, self.dst]).ravel()
+            cols = np.column_stack([self.dst, self.src]).ravel()
+            vals = np.repeat(self.length, 2)
+            matrix = csr_matrix((vals, (rows, cols)), shape=(n, n))
+            object.__setattr__(self, "_csr", matrix)
+        return self._csr
 
 
-def _edge_key(u: VKey, v: VKey) -> tuple[VKey, VKey]:
-    return (u, v) if u < v else (v, u)
+def _build(
+    vertex_keys: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    length: np.ndarray,
+    provenance: np.ndarray,
+    bridge_pairs: dict[tuple[int, int], int],
+    pairs_per_cube: dict[int, int],
+    skipped: tuple[int, ...],
+) -> BridgeGraph:
+    """A graph over the distinct rows of ``vertex_keys``.
+
+    Edge k joins rows ``u[k]`` and ``v[k]`` of ``vertex_keys``; edges
+    keep the order given.
+    """
+    keys, inverse = _unique_rows(vertex_keys)
+    pu, pv = inverse[u], inverse[v]
+    return BridgeGraph(
+        keys=_readonly(keys),
+        src=_readonly(np.minimum(pu, pv)),
+        dst=_readonly(np.maximum(pu, pv)),
+        length=_readonly(np.asarray(length, dtype=float)),
+        provenance=_readonly(np.asarray(provenance, dtype=np.int64)),
+        bridge_pairs=bridge_pairs,
+        pairs_per_cube=pairs_per_cube,
+        skipped=skipped,
+    )
+
+
+def _ground_rows(ids) -> np.ndarray:
+    rows = np.zeros((len(ids), 4), dtype=np.int64)
+    rows[:, 1] = ids
+    return rows
 
 
 def build_bridges(
@@ -131,12 +261,10 @@ def build_bridges(
     ordered = sorted(porous, key=lambda p: p.cube)
     results = [pairs_for(p) for p in ordered]
 
-    edges: dict[tuple[VKey, VKey], float] = {}
-    provenance: dict[tuple[VKey, VKey], int | str] = {}
     bridge_pairs: dict[tuple[int, int], int] = {}
     pairs_per_cube: dict[int, int] = {}
     skipped: list[int] = []
-    verts: set[VKey] = set()
+    lengths: list[float] = []
     row_cache: dict[int, np.ndarray] = {}
     for p, pairs in zip(ordered, results):
         if pairs is None:
@@ -152,20 +280,28 @@ def build_bridges(
             if d <= 0:
                 continue
             bridge_pairs[(x, y)] = p.cube
-            gx, gy = ground_key(x), ground_key(y)
-            lx, ly = lifted_keys(x, y)
-            verts.update((gx, gy, lx, ly))
-            for u, v in ((gx, lx), (lx, ly), (ly, gy)):
-                key = _edge_key(u, v)
-                edges[key] = d
-                provenance[key] = p.cube
-    return BridgeGraph(
-        vertices=tuple(sorted(verts)),
-        edges=edges,
-        provenance=provenance,
-        bridge_pairs=bridge_pairs,
-        pairs_per_cube=pairs_per_cube,
-        skipped=tuple(skipped),
+            lengths.append(d)
+
+    pair_ids = np.array(list(bridge_pairs), dtype=np.int64).reshape(-1, 2)
+    gx, gy = _ground_rows(pair_ids[:, 0]), _ground_rows(pair_ids[:, 1])
+    lx = np.zeros((len(pair_ids), 4), dtype=np.int64)
+    lx[:, 0] = 1
+    lx[:, 1:3] = pair_ids
+    ly = lx.copy()
+    ly[:, 3] = 1
+    # the edges (gx, lx), (lx, ly), (gy, ly) of each pair, pair by pair
+    ends_u = np.stack([gx, lx, gy], axis=1).reshape(-1, 4)
+    ends_v = np.stack([lx, ly, ly], axis=1).reshape(-1, 4)
+    m = len(ends_u)
+    return _build(
+        np.concatenate([ends_u, ends_v]),
+        np.arange(m),
+        m + np.arange(m),
+        np.repeat(np.array(lengths, dtype=float), 3),
+        np.repeat(np.array(list(bridge_pairs.values()), dtype=np.int64), 3),
+        bridge_pairs,
+        pairs_per_cube,
+        tuple(skipped),
     )
 
 
@@ -189,53 +325,41 @@ def assemble_gamma(
         | {x for x, _ in bridges.bridge_pairs}
         | {y for _, y in bridges.bridge_pairs}
     )
-    edges = dict(bridges.edges)
-    provenance = dict(bridges.provenance)
-    verts = set(bridges.vertices)
-    verts.update(ground_key(g) for g in ground_ids)
     idx = space.indices_of(ground_ids)
-    for a, g in enumerate(ground_ids):
+    # adjacency edges: positions (a, b) in ground_ids, and lengths
+    adjacency = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+    for a in range(len(ground_ids)):
         row = space.dists_from(int(idx[a]))[idx]
-        for b in np.flatnonzero((row > 0) & (row < eps_res)):
-            h = ground_ids[int(b)]
-            if h <= g:
-                continue
-            key = (ground_key(g), ground_key(h))
-            edges[key] = float(row[int(b)])
-            provenance[key] = E_ADJACENCY
-    return BridgeGraph(
-        vertices=tuple(sorted(verts)),
-        edges=edges,
-        provenance=provenance,
-        bridge_pairs=bridges.bridge_pairs,
-        pairs_per_cube=bridges.pairs_per_cube,
-        skipped=bridges.skipped,
+        b = np.flatnonzero((row > 0) & (row < eps_res))
+        b = b[b > a]  # ground ids ascend, so h > g is b > a
+        adjacency.append((np.full(len(b), a), b, row[b]))
+    adj_a, adj_b, adj_d = (np.concatenate(part) for part in zip(*adjacency))
+    n_bridge = len(bridges.keys)
+    return _build(
+        np.concatenate([bridges.keys, _ground_rows(ground_ids)]),
+        np.concatenate([bridges.src, n_bridge + adj_a]),
+        np.concatenate([bridges.dst, n_bridge + adj_b]),
+        np.concatenate([bridges.length, adj_d]),
+        np.concatenate([bridges.provenance, np.full(len(adj_d), ADJACENCY)]),
+        bridges.bridge_pairs,
+        bridges.pairs_per_cube,
+        bridges.skipped,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectivityReport:
     components: int
-    representatives: tuple[VKey, ...]  # smallest vertex of each component
-    labels: dict[VKey, int]
+    representatives: np.ndarray  # position of each component's smallest vertex
 
 
 def connectivity(graph: BridgeGraph) -> ConnectivityReport:
-    """Connected components; labels are numbered by smallest vertex."""
-    if not graph.vertices:
-        return ConnectivityReport(0, (), {})
+    """Connected components, listed by their smallest vertex."""
+    if not len(graph.keys):
+        return ConnectivityReport(0, np.empty(0, dtype=np.int64))
     n_raw, raw = connected_components(graph.to_csr(), directed=False)
-    relabel: dict[int, int] = {}
-    reps: list[VKey] = []
-    labels: dict[VKey, int] = {}
-    for v, r in zip(graph.vertices, raw):
-        if int(r) not in relabel:
-            relabel[int(r)] = len(reps)
-            reps.append(v)
-        labels[v] = relabel[int(r)]
-    return ConnectivityReport(
-        components=n_raw, representatives=tuple(reps), labels=labels
-    )
+    _, first = np.unique(raw, return_index=True)
+    return ConnectivityReport(components=n_raw, representatives=np.sort(first))
 
 
 @dataclass(frozen=True)
@@ -271,12 +395,9 @@ def length_budget(
     comparison is restricted to the porous cubes whose own mass reaches
     twice their sidelength, where it holds term by term.
     """
-    e_part = bridge_part = 0.0
-    for key, length in graph.edges.items():
-        if graph.provenance[key] == E_ADJACENCY:
-            e_part += length
-        else:
-            bridge_part += length
+    adjacency = graph.provenance == ADJACENCY
+    e_part = _seq_sum(graph.length[adjacency])
+    bridge_part = _seq_sum(graph.length[~adjacency])
     mu_e = float(space.weights[space.indices_of(target.members)].sum())
     bound_e = 10.0 * mu_e
 
@@ -325,50 +446,86 @@ def length_budget(
     )
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveParametrization:
-    visits: tuple[VKey, ...]
-    ts: tuple[float, ...]  # nondecreasing, 0 to 1
+    visits: np.ndarray  # (N, 4) int64 vertex keys, in tour order
+    ts: np.ndarray  # (N,) float64, nondecreasing, 0 to 1
     lip_bound: float  # twice the spanning tree length
     tree_length: float
+
+
+def _kruskal(n: int, src: list[int], dst: list[int]) -> list[int]:
+    """Indices of the edges that join two trees, scanning in list order."""
+    parent = list(range(n))
+    taken: list[int] = []
+    for k, (a, b) in enumerate(zip(src, dst)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+            taken.append(k)
+            if len(taken) == n - 1:
+                break
+    return taken
+
+
+def _euler_tour(
+    n: int, start: int, src: np.ndarray, dst: np.ndarray, length: np.ndarray
+) -> tuple[list[int], list[float]]:
+    """Closed depth-first walk of a tree; children in ascending position.
+
+    Returns the visited positions and the length of each step.
+    """
+    ends = np.concatenate([src, dst])
+    order = np.lexsort((np.concatenate([dst, src]), ends))
+    indptr = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
+    nbr = np.concatenate([dst, src])[order].tolist()
+    wt = np.concatenate([length, length])[order].tolist()
+    cursor = indptr[:-1]
+    parent = [-1] * n
+    up = [0.0] * n  # length of the edge to the parent
+    visits, steps = [start], []
+    stack = [start]
+    while stack:
+        node = stack[-1]
+        k, end = cursor[node], indptr[node + 1]
+        if k < end and nbr[k] == parent[node]:
+            k += 1
+        if k < end:
+            cursor[node] = k + 1
+            child = nbr[k]
+            parent[child], up[child] = node, wt[k]
+            visits.append(child)
+            steps.append(wt[k])
+            stack.append(child)
+        else:
+            stack.pop()
+            if stack:
+                visits.append(stack[-1])
+                steps.append(up[node])
+    return visits, steps
 
 
 def parametrize(graph: BridgeGraph) -> CurveParametrization:
     """Closed tour of a minimum spanning tree, parametrized by length.
 
-    Edges enter the tree in (length, endpoints) order, so equal lengths
-    resolve lexicographically.  The tour starts at the smallest vertex,
-    walks children in sorted order, and re-emits the parent after each
-    child subtree; every edge is traversed exactly twice, making the
-    tour speed (hence the Lipschitz bound) twice the tree length.  A
-    single-vertex graph gets the constant parametrization.
+    Edges enter the tree in (length, src, dst) order, so equal lengths
+    resolve by vertex position, which is key order.  The tour starts at
+    the smallest vertex, walks children in ascending order, and
+    re-emits the parent after each child subtree; every edge is
+    traversed exactly twice, making the tour speed (hence the Lipschitz
+    bound) twice the tree length.  A single-vertex graph gets the
+    constant parametrization.
     """
-    if not graph.vertices:
+    n = len(graph.keys)
+    if not n:
         raise ParameterError("cannot parametrize an empty graph")
-    if len(graph.vertices) == 1:
+    if n == 1:
         return CurveParametrization(
-            visits=(graph.vertices[0],),
-            ts=(0.0,),
+            visits=_readonly(graph.keys.copy()),
+            ts=_readonly(np.zeros(1)),
             lip_bound=0.0,
             tree_length=0.0,
         )
@@ -378,51 +535,18 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
             f"graph has {report.components} components",
             components=report.components,
         )
-    uf = _UnionFind(graph.vertices)
-    tree_adj: dict[VKey, list[tuple[VKey, float]]] = {
-        v: [] for v in graph.vertices
-    }
-    tree_length = 0.0
-    for (u, v), length in sorted(
-        graph.edges.items(), key=lambda kv: (kv[1], kv[0])
-    ):
-        if uf.union(u, v):
-            tree_adj[u].append((v, length))
-            tree_adj[v].append((u, length))
-            tree_length += length
-    for v in tree_adj:
-        tree_adj[v].sort()
-
-    start = graph.vertices[0]
-    visits: list[VKey] = [start]
-    lengths: list[float] = []
-    # stack holds (vertex, parent, iterator over children)
-    stack = [(start, None, iter(tree_adj[start]))]
-    while stack:
-        node, parent, it = stack[-1]
-        advanced = False
-        for child, w in it:
-            if child == parent:
-                continue
-            visits.append(child)
-            lengths.append(w)
-            stack.append((child, node, iter(tree_adj[child])))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if stack:
-                back = stack[-1][0]
-                visits.append(back)
-                lengths.append(
-                    next(w for c, w in tree_adj[node] if c == back)
-                )
-    total = float(sum(lengths))
-    cum = np.concatenate(([0.0], np.cumsum(lengths)))
-    ts = tuple(float(t) for t in cum / total)
+    ranked = np.lexsort((graph.dst, graph.src, graph.length))
+    taken = _kruskal(n, graph.src[ranked].tolist(), graph.dst[ranked].tolist())
+    tree = ranked[taken]  # tree edges, in Kruskal order
+    tree_length = _seq_sum(graph.length[tree])
+    visits, steps = _euler_tour(
+        n, 0, graph.src[tree], graph.dst[tree], graph.length[tree]
+    )
+    total = float(sum(steps))
+    cum = np.concatenate(([0.0], np.cumsum(steps)))
     return CurveParametrization(
-        visits=tuple(visits),
-        ts=ts,
+        visits=_readonly(graph.keys[visits]),
+        ts=_readonly(cum / total),
         lip_bound=total,
         tree_length=tree_length,
     )
@@ -438,6 +562,21 @@ class ParamCheck:
     ok: bool
 
 
+def _positions(keys: np.ndarray, visits: np.ndarray) -> np.ndarray:
+    """Position in ``keys`` of every visit; a visit off the graph raises."""
+    n = len(keys)
+    ranked, inverse = _unique_rows(np.concatenate([keys, visits]))
+    if len(ranked) == n:  # every visit is a vertex, so ranked == keys
+        return inverse[n:]
+    is_vertex = np.zeros(len(ranked), dtype=bool)
+    is_vertex[inverse[:n]] = True
+    i = int(np.flatnonzero(~is_vertex[inverse[n:]])[0])
+    raise ParameterError(
+        f"visit {i} is at {key_str(tuple(visits[i].tolist()))}, "
+        "which is not a vertex of the graph"
+    )
+
+
 def check_parametrization(
     param: CurveParametrization,
     graph: BridgeGraph,
@@ -448,13 +587,21 @@ def check_parametrization(
 
     Ratios compare graph distance between visited vertices to the
     parameter gap; the tour segment between two visits is at least the
-    graph distance, so every ratio must stay within the bound.
+    graph distance, so every ratio must stay within the bound.  A tour
+    with a visit off the graph, or with other than one time per visit,
+    raises :class:`ParameterError`.
     """
-    visited = set(param.visits)
-    missing = len(set(graph.vertices) - visited)
-    surjective = missing == 0 and visited <= set(graph.vertices)
+    visits = _key_rows(param.visits)
+    ts = np.asarray(param.ts, dtype=float)
+    n_visits = len(visits)
+    if len(ts) != n_visits:
+        raise ParameterError(
+            f"tour has {len(ts)} times for {n_visits} visits"
+        )
+    pos = _positions(graph.keys, visits)
+    missing = len(graph.keys) - len(np.unique(pos))
+    surjective = missing == 0
 
-    n_visits = len(param.visits)
     max_ratio = 0.0
     witness: tuple[int, int] | None = None
     lipschitz_ok = True
@@ -463,28 +610,21 @@ def check_parametrization(
         side = max(1, int(math.isqrt(sample_pairs)))
         src_visits = rng.integers(0, n_visits, size=side)
         dst_visits = rng.integers(0, n_visits, size=side)
-        pos = {v: i for i, v in enumerate(graph.vertices)}
-        src_idx = sorted({pos[param.visits[i]] for i in src_visits})
-        dist = dijkstra(
-            graph.to_csr(), directed=False, indices=src_idx
-        )
-        row_of = {v: r for r, v in enumerate(src_idx)}
-        ts = np.asarray(param.ts)
+        src_idx = np.unique(pos[src_visits])
+        dist = dijkstra(graph.to_csr(), directed=False, indices=src_idx)
+        rows = np.searchsorted(src_idx, pos[src_visits])
+        graph_dist = dist[rows][:, pos[dst_visits]]
+        dt = np.abs(ts[src_visits][:, None] - ts[dst_visits][None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = graph_dist / dt
+        # pairs at one time, and undefined ratios, are not compared
+        ratio[(dt == 0) | np.isnan(ratio)] = -np.inf
+        worst = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        if ratio[worst] > 0.0:
+            max_ratio = float(ratio[worst])
+            witness = (int(src_visits[worst[0]]), int(dst_visits[worst[1]]))
         bound = param.lip_bound * (1 + 1e-9)
-        for i in src_visits:
-            r = row_of[pos[param.visits[int(i)]]]
-            for j in dst_visits:
-                dt = abs(ts[int(i)] - ts[int(j)])
-                if dt == 0:
-                    continue
-                ratio = float(
-                    dist[r, pos[param.visits[int(j)]]] / dt
-                )
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    witness = (int(i), int(j))
-                if ratio > bound:
-                    lipschitz_ok = False
+        lipschitz_ok = not bool((ratio > bound).any())
     return ParamCheck(
         surjective=surjective,
         missing=missing,
@@ -495,15 +635,28 @@ def check_parametrization(
     )
 
 
+# The side files are written line by line: no field holds a comma, a
+# quote or a line break, so each line is what csv.writer would write.
+_EOL = "\r\n"
+
+
 def edges_csv(graph: BridgeGraph, path: str) -> None:
-    """Edge list as CSV: endpoints, length, provenance."""
+    """Edge list as CSV in endpoint order: endpoints, length, provenance."""
+    names = key_strs(graph.keys)
+    order = np.lexsort((graph.dst, graph.src))
+    lines = [
+        f"{names[u]},{names[v]},{length!r},"
+        f"{E_ADJACENCY if p == ADJACENCY else p}{_EOL}"
+        for u, v, length, p in zip(
+            graph.src[order].tolist(),
+            graph.dst[order].tolist(),
+            graph.length[order].tolist(),
+            graph.provenance[order].tolist(),
+        )
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "length", "provenance"])
-        for (u, v), length in sorted(graph.edges.items()):
-            writer.writerow(
-                [key_str(u), key_str(v), repr(length), graph.provenance[(u, v)]]
-            )
+        fh.write(f"u,v,length,provenance{_EOL}")
+        fh.write("".join(lines))
 
 
 def parametrization_csv(
@@ -512,19 +665,21 @@ def parametrization_csv(
     path: str,
 ) -> None:
     """Tour as CSV: t, vertex, coordinates when available."""
+    vertices, at = _unique_rows(_key_rows(param.visits))
+    dim = 0 if space.coords is None else space.coords.shape[1]
+    # each distinct vertex's label and coordinate fields, formatted once
+    names = key_strs(vertices)
+    tails = [name + "," * dim for name in names]
+    if dim:
+        ground = np.flatnonzero(vertices[:, 0] == 0)
+        coords = space.coords[space.indices_of(vertices[ground, 1].tolist())]
+        for g, xs in zip(ground.tolist(), coords.tolist()):
+            tails[g] = ",".join([names[g]] + [repr(c) for c in xs])
+    header = ",".join(["t", "vertex"] + [f"x{i + 1}" for i in range(dim)])
+    lines = [
+        f"{t!r},{tails[k]}{_EOL}"
+        for t, k in zip(np.asarray(param.ts).tolist(), at.tolist())
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = 0 if space.coords is None else space.coords.shape[1]
-        writer.writerow(
-            ["t", "vertex"] + [f"x{i + 1}" for i in range(dim)]
-        )
-        for t, v in zip(param.ts, param.visits):
-            row = [repr(t), key_str(v)]
-            if dim and v[0] == 0:
-                row += [
-                    repr(float(c))
-                    for c in space.coords[space.index_of(v[1])]
-                ]
-            elif dim:
-                row += [""] * dim
-            writer.writerow(row)
+        fh.write(header + _EOL)
+        fh.write("".join(lines))

@@ -30,7 +30,7 @@ from .curve import (
     check_parametrization,
     connectivity,
     edges_csv,
-    key_str,
+    key_strs,
     length_budget,
     parametrize,
     parametrization_csv,
@@ -317,7 +317,7 @@ def _gamma(ctx):
     )
     ctx.gamma = assemble_gamma(ctx.space, ctx.target, ctx.bridges, eps_res)
     return {
-        "vertices": len(ctx.gamma.vertices),
+        "vertices": len(ctx.gamma.keys),
         "edges": ctx.gamma.edge_count(),
         "eps_res": eps_res,
     }, None
@@ -327,7 +327,9 @@ def _connectivity(ctx):
     conn = connectivity(ctx.gamma)
     return {
         "components": conn.components,
-        "representatives": [key_str(v) for v in conn.representatives[:10]],
+        "representatives": key_strs(
+            ctx.gamma.keys[conn.representatives[:10]]
+        ),
         "disconnected": conn.components != 1,
     }, None
 

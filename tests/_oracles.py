@@ -200,3 +200,105 @@ def basepoint_brute(space, member_ids) -> int:
         if ecc < best_ecc:
             best_id, best_ecc = a, ecc
     return best_id
+
+
+# -- curve graphs over tuple keys ---------------------------------------
+#
+# The tuple-keyed graph the array-backed BridgeGraph replaced: vertices
+# are a sorted tuple of 4-tuple keys and edges a dict {(u, v): length}
+# with u < v.  These are that representation's component labelling and
+# MST tour, kept line for line as they were.
+
+
+def components_brute(vertices, edges):
+    """(component count, smallest vertex of each component, in order)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    if not vertices:
+        return 0, ()
+    pos = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    rows, cols, vals = [], [], []
+    for (u, v), length in edges.items():
+        rows.extend((pos[u], pos[v]))
+        cols.extend((pos[v], pos[u]))
+        vals.extend((length, length))
+    graph = csr_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
+        shape=(n, n),
+    )
+    n_raw, raw = connected_components(graph, directed=False)
+    relabel: dict[int, int] = {}
+    reps = []
+    for v, r in zip(vertices, raw):
+        if int(r) not in relabel:
+            relabel[int(r)] = len(reps)
+            reps.append(v)
+    return n_raw, tuple(reps)
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+
+def tour_brute(vertices, edges):
+    """(visits, ts, lip_bound, tree_length) of a connected graph.
+
+    Kruskal in (length, (u, v)) order, then a closed depth-first tour
+    from the smallest vertex with children in sorted order.
+    """
+    if len(vertices) == 1:
+        return (vertices[0],), (0.0,), 0.0, 0.0
+    uf = _UnionFind(vertices)
+    tree_adj = {v: [] for v in vertices}
+    tree_length = 0.0
+    for (u, v), length in sorted(edges.items(), key=lambda kv: (kv[1], kv[0])):
+        if uf.union(u, v):
+            tree_adj[u].append((v, length))
+            tree_adj[v].append((u, length))
+            tree_length += length
+    for v in tree_adj:
+        tree_adj[v].sort()
+
+    start = vertices[0]
+    visits = [start]
+    lengths = []
+    stack = [(start, None, iter(tree_adj[start]))]
+    while stack:
+        node, parent, it = stack[-1]
+        advanced = False
+        for child, w in it:
+            if child == parent:
+                continue
+            visits.append(child)
+            lengths.append(w)
+            stack.append((child, node, iter(tree_adj[child])))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if stack:
+                back = stack[-1][0]
+                visits.append(back)
+                lengths.append(next(w for c, w in tree_adj[node] if c == back))
+    total = float(sum(lengths))
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    ts = tuple(float(t) for t in cum / total)
+    return tuple(visits), ts, total, tree_length

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
+    ADJACENCY,
     E_ADJACENCY,
     BridgeGraph,
     assemble_gamma,
@@ -20,6 +22,7 @@ from rectilib.curve import (
     edges_csv,
     ground_key,
     key_str,
+    key_strs,
     length_budget,
     lifted_keys,
     parametrize,
@@ -57,16 +60,34 @@ def micro_gamma():
     target = enclosing_target(space)
     l0, l1 = lifted_keys(1, 2)
     g1, g2 = ground_key(1), ground_key(2)
-    edges = {(g1, l0): 0.9, (l0, l1): 0.9, (g2, l1): 0.9}
-    bridges = BridgeGraph(
-        vertices=tuple(sorted([g1, g2, l0, l1])),
-        edges=edges,
-        provenance={k: 7 for k in edges},
+    bridges = BridgeGraph.from_edges(
+        [(g1, l0, 0.9, 7), (l0, l1, 0.9, 7), (g2, l1, 0.9, 7)],
         bridge_pairs={(1, 2): 7},
         pairs_per_cube={7: 1},
-        skipped=(),
     )
     return space, target, assemble_gamma(space, target, bridges, 0.15)
+
+
+def empty_graph():
+    return BridgeGraph.from_edges(())
+
+
+def vertex_keys(graph) -> list[tuple]:
+    return [tuple(k) for k in graph.keys.tolist()]
+
+
+def edge_map(graph) -> dict:
+    """{(u, v): (length, provenance)} over vertex keys, in edge order."""
+    keys = vertex_keys(graph)
+    return {
+        (keys[s], keys[d]): (length, p)
+        for s, d, length, p in zip(
+            graph.src.tolist(),
+            graph.dst.tolist(),
+            graph.length.tolist(),
+            graph.provenance.tolist(),
+        )
+    }
 
 
 # -- vertex keys --------------------------------------------------------
@@ -89,15 +110,16 @@ def test_vertex_keys():
 def test_bridges_have_three_equal_edges():
     space, target, h, tree, porous = hole_fixture()
     graph = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
-    assert len(graph.edges) == 3 * len(graph.bridge_pairs)
+    assert graph.edge_count() == 3 * len(graph.bridge_pairs)
+    edges = edge_map(graph)
     for (x, y), cube_id in graph.bridge_pairs.items():
         d = space.dists_from(space.index_of(x))[space.index_of(y)]
         gx, gy = ground_key(x), ground_key(y)
         lx, ly = lifted_keys(x, y)
         for u, v in ((gx, lx), (lx, ly), (ly, gy)):
             key = (u, v) if u < v else (v, u)
-            assert graph.edges[key] == pytest.approx(float(d))
-            assert graph.provenance[key] == cube_id
+            assert edges[key][0] == pytest.approx(float(d))
+            assert edges[key][1] == cube_id
 
 
 def test_bridges_dedupe_and_attribute_to_first_cube():
@@ -106,8 +128,8 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     graph = build_bridges(space, tree, h, porous, cfg)
     assert len(graph.bridge_pairs) == 4950  # all pairs of the 100 points
     assert sum(graph.pairs_per_cube.values()) == 9900  # two level-0 cubes
-    assert len(graph.edges) == 3 * 4950
-    assert len(graph.vertices) == 100 + 2 * 4950
+    assert graph.edge_count() == 3 * 4950
+    assert len(graph.keys) == 100 + 2 * 4950
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for p in sorted(porous, key=lambda q: q.cube):
@@ -151,6 +173,77 @@ def test_star_mode_is_a_subset_through_the_center():
         assert x in centers or y in centers
 
 
+# -- array layout -------------------------------------------------------
+
+
+def test_graph_arrays_follow_key_and_insertion_order():
+    space, target, h, tree, porous = hole_fixture()
+    bridges = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    keys = vertex_keys(gamma)
+    assert keys == sorted(set(keys))  # distinct, in tuple order
+    assert gamma.keys.dtype == np.int64 and gamma.keys.shape == (len(keys), 4)
+    assert np.all(gamma.src < gamma.dst)
+    # bridge edges first, three per pair in bridge_pairs order
+    edges = list(edge_map(gamma).items())
+    n_bridge = 3 * len(bridges.bridge_pairs)
+    for k, ((x, y), cube_id) in enumerate(bridges.bridge_pairs.items()):
+        gx, gy = ground_key(x), ground_key(y)
+        lx, ly = lifted_keys(x, y)
+        triple = edges[3 * k : 3 * k + 3]
+        assert [e for e, _ in triple] == [(gx, lx), (lx, ly), (gy, ly)]
+        assert [p for _, (_, p) in triple] == [cube_id] * 3
+    # then adjacency edges by ascending ground pair
+    adjacency = [e for e, _ in edges[n_bridge:]]
+    assert adjacency == sorted(adjacency)
+    assert all(p == ADJACENCY for _, (_, p) in edges[n_bridge:])
+    assert all(p != ADJACENCY for _, (_, p) in edges[:n_bridge])
+    for a in (gamma.keys, gamma.src, gamma.dst, gamma.length, gamma.provenance):
+        assert not a.flags.writeable
+    assert gamma.to_csr() is gamma.to_csr()  # built once per graph
+
+
+def test_keys_sort_by_columns_with_negative_and_large_ids():
+    big = 2**62
+    a, b, c = ground_key(-5), ground_key(big), ground_key(3)
+    lo, hi = lifted_keys(-5, big)
+    graph = BridgeGraph.from_edges(
+        [(b, hi, 1.0, 0), (a, lo, 1.0, 0), (lo, hi, 1.0, 0), (c, a, 2.0, ADJACENCY)],
+        vertices=[(0, -(2**62), 0, 0)],
+    )
+    assert vertex_keys(graph) == sorted([a, b, c, lo, hi, (0, -(2**62), 0, 0)])
+    # edges keep the order given; each edge's endpoints are stored ascending
+    assert list(edge_map(graph)) == [(b, hi), (a, lo), (lo, hi), (a, c)]
+
+
+def test_from_edges_rejects_loops_and_repeats():
+    g0, g1 = ground_key(0), ground_key(1)
+    with pytest.raises(ParameterError, match="itself"):
+        BridgeGraph.from_edges([(g0, g0, 1.0, ADJACENCY)])
+    with pytest.raises(ParameterError, match="twice"):
+        BridgeGraph.from_edges(
+            [(g0, g1, 1.0, ADJACENCY), (g1, g0, 2.0, ADJACENCY)]
+        )
+    with pytest.raises(ParameterError, match="keys"):
+        BridgeGraph.from_edges([((0, 1), g1, 1.0, ADJACENCY)])
+
+
+def test_connectivity_lists_components_by_smallest_vertex():
+    g = [ground_key(i) for i in range(6)]
+    graph = BridgeGraph.from_edges(
+        [(g[4], g[1], 1.0, ADJACENCY), (g[5], g[2], 1.0, ADJACENCY)],
+        vertices=[g[3], g[0]],
+    )
+    report = connectivity(graph)
+    assert report.components == 4
+    assert [vertex_keys(graph)[r] for r in report.representatives] == [
+        g[0],
+        g[1],
+        g[2],
+        g[3],
+    ]
+
+
 # -- curve assembly -----------------------------------------------------
 
 
@@ -158,14 +251,15 @@ def test_gamma_chain_adjacency():
     coords = np.array([[0.0], [0.1], [0.2]])
     space = MetricMeasureSpace.from_coords(range(3), coords, np.ones(3))
     target = enclosing_target(space)
-    empty = BridgeGraph((), {}, {}, {}, {}, ())
+    empty = empty_graph()
     gamma = assemble_gamma(space, target, empty, 0.15)
-    keys = sorted(gamma.edges)
+    edges = edge_map(gamma)
+    keys = sorted(edges)
     assert keys == [
         (ground_key(0), ground_key(1)),
         (ground_key(1), ground_key(2)),
     ]
-    assert all(gamma.provenance[k] == E_ADJACENCY for k in keys)
+    assert all(edges[k][1] == ADJACENCY for k in keys)
     assert connectivity(gamma).components == 1
     with pytest.raises(ParameterError):
         assemble_gamma(space, target, empty, 0.0)
@@ -175,14 +269,14 @@ def test_gamma_skips_coincident_points():
     coords = np.array([[0.0], [0.0]])
     space = MetricMeasureSpace.from_coords(range(2), coords, np.ones(2))
     target = enclosing_target(space)
-    gamma = assemble_gamma(space, target, BridgeGraph((), {}, {}, {}, {}, ()), 0.5)
-    assert gamma.edges == {}
+    gamma = assemble_gamma(space, target, empty_graph(), 0.5)
+    assert gamma.edge_count() == 0
     assert connectivity(gamma).components == 2
 
 
 def test_micro_gamma_connects_through_the_bridge():
     space, target, gamma = micro_gamma()
-    assert [key_str(v) for v in gamma.vertices] == [
+    assert key_strs(gamma.keys) == [
         "g:0",
         "g:1",
         "g:2",
@@ -192,16 +286,18 @@ def test_micro_gamma_connects_through_the_bridge():
     ]
     report = connectivity(gamma)
     assert report.components == 1
-    assert report.representatives == (ground_key(0),)
+    assert [vertex_keys(gamma)[r] for r in report.representatives] == [
+        ground_key(0)
+    ]
     # without the bridge the clusters stay apart
-    bare = assemble_gamma(space, target, BridgeGraph((), {}, {}, {}, {}, ()), 0.15)
+    bare = assemble_gamma(space, target, empty_graph(), 0.15)
     assert connectivity(bare).components == 2
-    assert connectivity(BridgeGraph((), {}, {}, {}, {}, ())).components == 0
+    assert connectivity(empty_graph()).components == 0
 
 
 def test_graph_distance_across_a_bridge_is_three_hops():
     space, target, gamma = micro_gamma()
-    pos = {v: i for i, v in enumerate(gamma.vertices)}
+    pos = {v: i for i, v in enumerate(vertex_keys(gamma))}
     dist = dijkstra(gamma.to_csr(), directed=False, indices=[pos[ground_key(1)]])
     assert dist[0, pos[ground_key(2)]] == pytest.approx(2.7)
 
@@ -236,13 +332,29 @@ def test_budget_on_hole_fixture():
     assert budget.c_pair == pytest.approx(3 * 2 * cfg.M * 4950)
     brute_bridge = sum(
         length
-        for key, length in gamma.edges.items()
-        if gamma.provenance[key] != E_ADJACENCY
+        for length, p in edge_map(gamma).values()
+        if p != ADJACENCY
     )
     assert budget.bridge_part == pytest.approx(brute_bridge)
     assert budget.bridge_part <= budget.bound_bridge
     assert budget.gated_cubes == 0  # interval cubes are too light to gate
     assert budget.gated_ok and budget.ok
+
+
+def test_budget_parts_are_sequential_sums_in_edge_order():
+    space, target, h, tree, porous = hole_fixture()
+    cfg = good_cfg()
+    graph = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
+    budget = length_budget(space, target, gamma, porous, tree, cfg)
+    e_part = bridge_part = 0.0
+    for length, p in edge_map(gamma).values():
+        if p == ADJACENCY:
+            e_part += length
+        else:
+            bridge_part += length
+    assert budget.e_part == e_part
+    assert budget.bridge_part == bridge_part
 
 
 def test_budget_gate_opens_for_heavy_cubes():
@@ -271,7 +383,7 @@ def test_budget_vacuous_on_tiny_targets():
     coords = np.array([[0.0], [0.1], [0.2]])
     space = MetricMeasureSpace.from_coords(range(3), coords, np.ones(3))
     target = enclosing_target(space)
-    gamma = assemble_gamma(space, target, BridgeGraph((), {}, {}, {}, {}, ()), 0.15)
+    gamma = assemble_gamma(space, target, empty_graph(), 0.15)
     space2, _, h, tree, _ = hole_fixture()
     budget = length_budget(space, target, gamma, (), tree, good_cfg())
     assert budget.e_vacuous  # no usable radius window for the mass check
@@ -285,7 +397,7 @@ def test_budget_vacuous_on_tiny_targets():
 def test_parametrize_micro_tour():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    assert [key_str(v) for v in param.visits] == [
+    assert key_strs(param.visits) == [
         "g:0",
         "g:1",
         "b:1:2:0",
@@ -302,45 +414,60 @@ def test_parametrize_micro_tour():
     assert param.lip_bound == pytest.approx(5.8)
     assert param.ts[0] == 0.0 and param.ts[-1] == 1.0
     assert list(param.ts) == sorted(param.ts)
-    assert param.visits[0] == param.visits[-1]  # closed tour
+    assert tuple(param.visits[0]) == tuple(param.visits[-1])  # closed tour
 
 
 def test_parametrize_consecutive_visits_are_graph_edges():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    for i in range(len(param.visits) - 1):
-        u, v = param.visits[i], param.visits[i + 1]
+    edges = edge_map(gamma)
+    visits = [tuple(v) for v in param.visits.tolist()]
+    for i in range(len(visits) - 1):
+        u, v = visits[i], visits[i + 1]
         key = (u, v) if u < v else (v, u)
         dt = param.ts[i + 1] - param.ts[i]
-        assert gamma.edges[key] == pytest.approx(dt * param.lip_bound)
+        assert edges[key][0] == pytest.approx(dt * param.lip_bound)
+
+
+def test_kruskal_ties_resolve_by_src_then_dst():
+    # a 4-cycle whose two long edges tie: (g0, g3) precedes (g1, g2) by
+    # src, (g1, g2) would precede by dst; the tree keeps (g0, g3)
+    g = [ground_key(i) for i in range(4)]
+    graph = BridgeGraph.from_edges(
+        [
+            (g[1], g[2], 2.0, ADJACENCY),
+            (g[0], g[3], 2.0, ADJACENCY),
+            (g[0], g[1], 1.0, ADJACENCY),
+            (g[2], g[3], 1.0, ADJACENCY),
+        ]
+    )
+    param = parametrize(graph)
+    assert [tuple(v)[1] for v in param.visits.tolist()] == [0, 1, 0, 3, 2, 3, 0]
 
 
 def test_parametrize_two_vertices():
-    g = BridgeGraph(
-        vertices=(ground_key(0), ground_key(1)),
-        edges={(ground_key(0), ground_key(1)): 2.0},
-        provenance={(ground_key(0), ground_key(1)): E_ADJACENCY},
-        bridge_pairs={},
-        pairs_per_cube={},
-        skipped=(),
-    )
+    g = BridgeGraph.from_edges([(ground_key(0), ground_key(1), 2.0, ADJACENCY)])
     param = parametrize(g)
-    assert param.visits == (ground_key(0), ground_key(1), ground_key(0))
-    assert param.ts == (0.0, 0.5, 1.0)
+    assert [tuple(v) for v in param.visits.tolist()] == [
+        ground_key(0),
+        ground_key(1),
+        ground_key(0),
+    ]
+    assert param.ts.tolist() == [0.0, 0.5, 1.0]
     assert param.lip_bound == pytest.approx(4.0)
 
 
 def test_parametrize_singleton_and_errors():
-    single = BridgeGraph((ground_key(5),), {}, {}, {}, {}, ())
+    single = BridgeGraph.from_edges((), vertices=[ground_key(5)])
     param = parametrize(single)
-    assert param.visits == (ground_key(5),)
-    assert param.ts == (0.0,) and param.lip_bound == 0.0
+    assert [tuple(v) for v in param.visits.tolist()] == [ground_key(5)]
+    assert param.ts.tolist() == [0.0] and param.lip_bound == 0.0
     with pytest.raises(ParameterError):
-        parametrize(BridgeGraph((), {}, {}, {}, {}, ()))
+        parametrize(empty_graph())
     coords = np.array([[0.0], [10.0]])
     space = MetricMeasureSpace.from_coords(range(2), coords, np.ones(2))
     target = enclosing_target(space)
-    split = assemble_gamma(space, target, BridgeGraph((), {}, {}, {}, {}, ()), 0.5)
+    split = assemble_gamma(space, target, empty_graph(), 0.5)
     with pytest.raises(DisconnectedError) as err:
         parametrize(split)
     assert err.value.components == 2
@@ -374,11 +501,39 @@ def test_check_parametrization_catches_missing_vertex():
     # drop the single visit to g:3 (index 5 in the frozen tour)
     clipped = dataclasses.replace(
         param,
-        visits=param.visits[:5] + param.visits[6:],
-        ts=param.ts[:5] + param.ts[6:],
+        visits=np.delete(param.visits, 5, axis=0),
+        ts=np.delete(param.ts, 5),
     )
     check = check_parametrization(clipped, gamma, sample_pairs=2500)
     assert not check.surjective and check.missing == 1
+
+
+def _stray_visit(param):
+    visits = param.visits.copy()
+    visits[3] = ground_key(9)  # no point 9 in the graph
+    return dataclasses.replace(param, visits=visits)
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (_stray_visit, "visit 3 is at g:9, which is not a vertex"),
+        (
+            lambda p: dataclasses.replace(p, ts=p.ts[:-1]),
+            "10 times for 11 visits",
+        ),
+        (
+            lambda p: dataclasses.replace(p, ts=np.append(p.ts, 1.0)),
+            "12 times for 11 visits",
+        ),
+    ],
+    ids=["visit-off-graph", "short-ts", "long-ts"],
+)
+def test_check_parametrization_rejects_malformed_tours(malform, message):
+    space, target, gamma = micro_gamma()
+    bad = malform(parametrize(gamma))
+    with pytest.raises(ParameterError, match=message):
+        check_parametrization(bad, gamma)
 
 
 def test_hole_fixture_tour_end_to_end():
@@ -387,7 +542,7 @@ def test_hole_fixture_tour_end_to_end():
     graph = build_bridges(space, tree, h, porous, cfg, mode="star")
     gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
     param = parametrize(gamma)
-    assert len(param.visits) == 2 * len(gamma.vertices) - 1
+    assert len(param.visits) == 2 * len(gamma.keys) - 1
     assert param.lip_bound == pytest.approx(2 * param.tree_length)
     check = check_parametrization(param, gamma, sample_pairs=2500)
     assert check.ok
@@ -402,9 +557,9 @@ def test_edges_csv_round_trip(tmp_path):
     edges_csv(gamma, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(gamma.edges)
+    assert len(rows) == gamma.edge_count()
     lengths = sorted(float(r["length"]) for r in rows)
-    assert lengths == sorted(gamma.edges.values())
+    assert lengths == sorted(gamma.length.tolist())
     assert {r["provenance"] for r in rows} == {"7", E_ADJACENCY}
 
 
@@ -420,3 +575,57 @@ def test_parametrization_csv_layout(tmp_path):
     assert float(rows[1]["x1"]) == pytest.approx(0.1)
     assert rows[2]["x1"] == ""  # lifted vertices have no coordinates
     assert float(rows[-1]["t"]) == 1.0
+
+
+# Frozen bytes of the side files, as written by the tuple-keyed graph
+# before it became arrays.
+MICRO_EDGES_CSV = (
+    "u,v,length,provenance\r\n"
+    "g:0,g:1,0.1,E-adjacency\r\n"
+    "g:1,b:1:2:0,0.9,7\r\n"
+    "g:2,g:3,0.10000000000000009,E-adjacency\r\n"
+    "g:2,b:1:2:1,0.9,7\r\n"
+    "b:1:2:0,b:1:2:1,0.9,7\r\n"
+)
+MICRO_TOUR_CSV = (
+    "t,vertex,x1\r\n"
+    "0.0,g:0,0.0\r\n"
+    "0.017241379310344827,g:1,0.1\r\n"
+    "0.1724137931034483,b:1:2:0,\r\n"
+    "0.3275862068965517,b:1:2:1,\r\n"
+    "0.48275862068965514,g:2,1.0\r\n"
+    "0.5,g:3,1.1\r\n"
+    "0.5172413793103449,g:2,1.0\r\n"
+    "0.6724137931034483,b:1:2:1,\r\n"
+    "0.8275862068965517,b:1:2:0,\r\n"
+    "0.9827586206896552,g:1,0.1\r\n"
+    "1.0,g:0,0.0\r\n"
+)
+HOLE_STAR_EDGES_SHA256 = (
+    "1f981cc502639c16d488b6f741138b6b906464be394bc4b9cfefb105c00add1f"
+)
+HOLE_STAR_TOUR_SHA256 = (
+    "41557b1ccca42be15c5e8ba540cb43d7f15ed18a7e343f2ddd53f78accdb4cbf"
+)
+
+
+def test_micro_gamma_side_files_are_frozen(tmp_path):
+    space, target, gamma = micro_gamma()
+    edges_csv(gamma, str(tmp_path / "edges.csv"))
+    parametrization_csv(parametrize(gamma), space, str(tmp_path / "tour.csv"))
+    assert (tmp_path / "edges.csv").read_bytes() == MICRO_EDGES_CSV.encode()
+    assert (tmp_path / "tour.csv").read_bytes() == MICRO_TOUR_CSV.encode()
+
+
+def test_hole_fixture_star_side_files_are_frozen(tmp_path):
+    space, target, h, tree, porous = hole_fixture()
+    graph = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
+    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
+    edges_csv(gamma, str(tmp_path / "edges.csv"))
+    parametrization_csv(parametrize(gamma), space, str(tmp_path / "tour.csv"))
+    for name, expected in (
+        ("edges.csv", HOLE_STAR_EDGES_SHA256),
+        ("tour.csv", HOLE_STAR_TOUR_SHA256),
+    ):
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected
