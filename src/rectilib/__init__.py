@@ -14,7 +14,6 @@ from .errors import (
     DegenerateInputError,
     DisconnectedError,
     InputError,
-    InvariantError,
     ParameterError,
     RectilibError,
     UnknownIdentifierError,
@@ -29,7 +28,6 @@ __all__ = [
     "DegenerateInputError",
     "DisconnectedError",
     "InputError",
-    "InvariantError",
     "MetricMeasureSpace",
     "ParameterError",
     "RectilibError",

@@ -22,6 +22,7 @@ from .density import (
     bs_sum,
     density_csv,
     density_profiles,
+    density_summary,
     resolution_scale,
 )
 from .errors import ConfigError, InputError, RectilibError
@@ -62,8 +63,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, f.name)
     }
     fields["params"] = json.loads(args.params)
-    if getattr(args, "spanning", False):
-        fields["bridge_mode"] = "star"
     return RunConfig(**fields)
 
 
@@ -140,16 +139,7 @@ def _cmd_density(args) -> int:
     profiles = density_profiles(space, pts, r_lo, r_hi)
     if args.out:
         density_csv(profiles, args.out)
-    lows = sorted(p.lower_estimate for p in profiles)
-    payload = {
-        "profiled": len(profiles),
-        "r_lo": r_lo,
-        "r_hi": r_hi,
-        "lower_min": lows[0],
-        "lower_max": lows[-1],
-        "lower_median": lows[len(lows) // 2],
-        "out": args.out,
-    }
+    payload = {**density_summary(profiles, r_lo, r_hi), "out": args.out}
     sys.stdout.write(report_json(payload))
     return 0
 
@@ -246,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p)
     _add_porosity_args(p)
     p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--spanning", action="store_true",
-                   help="star bridges instead of complete pairing")
     p.add_argument("--edges-out", help="edge-list CSV")
     p.set_defaults(handler=_cmd_view)
 
@@ -256,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p)
     _add_porosity_args(p)
     p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--spanning", action="store_true")
     p.add_argument("--tour-out", help="tour CSV")
     p.set_defaults(handler=_cmd_view)
 
@@ -267,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-res", type=float, default=None)
     p.add_argument("--r-lo", type=float, default=None)
     p.add_argument("--r-hi", type=float, default=None)
-    p.add_argument("--spanning", action="store_true")
     p.add_argument("--out-dir", help="directory for side outputs")
     p.set_defaults(handler=_cmd_run)
 

@@ -223,28 +223,6 @@ def build_cubes(
     )
 
 
-def cube_of(tree: CubeTree, point_id: int, level: int) -> int:
-    """Cube id of the cube at ``level`` containing the point."""
-    if level not in tree.by_level:
-        raise UnknownIdentifierError(f"no cubes at level {level}")
-    for cid in tree.by_level[level]:
-        # membership tuples are sorted, so binary search would do; cube
-        # counts per level are modest and this stays simple
-        members = tree.cubes[cid].members
-        lo, hi = 0, len(members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if members[mid] < point_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(members) and members[lo] == point_id:
-            return cid
-    raise UnknownIdentifierError(
-        f"point {point_id} not found at level {level}"
-    )
-
-
 @dataclass(frozen=True)
 class CubeCheck:
     ok: bool

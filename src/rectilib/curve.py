@@ -1,11 +1,14 @@
 """Bridge graphs, the assembled curve, and its Lipschitz parametrization.
 
 A bridge between sample points x and y is a three-edge detour through
-two abstract lifted vertices, every edge as long as dist(x, y).  The
-curve graph is the target set plus short-range adjacency plus all
-bridges contributed by porous cubes.  Parametrization doubles a
-minimum spanning tree into a closed tour, giving an explicitly
-Lipschitz surjection onto the vertex set.
+two abstract lifted vertices, every edge as long as dist(x, y).  Each
+porous cube contributes three-edge bridges from its center to the net
+points near it: a star, linear in the number of those points, that
+joins them through the center.  The curve graph is the target set
+plus short-range adjacency plus those bridges.  Parametrization
+doubles a minimum-length tree through every vertex (Kruskal) into a
+closed tour, giving an explicitly Lipschitz surjection onto the vertex
+set.
 
 Vertices are keys of four integers: ground points are (0, id, 0, 0)
 and the two lifted vertices of the bridge over the pair x < y are
@@ -39,7 +42,6 @@ All arrays of a graph and of a tour are read-only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -221,65 +223,49 @@ def build_bridges(
     hierarchy: NetHierarchy,
     porous: Sequence[PorousCube],
     cfg: PorosityConfig,
-    mode: str = "complete",
 ) -> BridgeGraph:
-    """Bridges over net-point pairs near each porous cube's center.
+    """Star bridges from each porous cube's center to the net points near it.
 
-    For a porous cube at level n the candidate endpoints are the level
-    n + n0 net points strictly within M sidelengths of the center; in
-    complete mode every unordered pair gets a bridge, in star mode only
-    the pairs through the center.  A pair appearing under several cubes
-    is bridged once, attributed to the smallest contributing cube id.
-    Cubes whose bridge level is missing from the hierarchy are skipped
-    and reported.
+    For a porous cube at level n the endpoints are the level n + n0 net
+    points strictly within M sidelengths of the center; each is joined
+    to the center, so k such points cost k - 1 bridges and every bridge
+    is as long as the center row's entry.  Nested cubes can share a
+    center, so a pair appearing under several cubes is bridged once,
+    attributed to the smallest contributing cube id; a coincident pair
+    gets no bridge.  Cubes whose bridge level is missing from the
+    hierarchy are skipped and reported.
     """
-    if mode not in ("complete", "star"):
-        raise ParameterError(f"unknown bridge mode {mode!r}")
 
     def pairs_for(p: PorousCube):
+        """The cube's (pair, length) bridges, or None without its level."""
         cube = tree.cubes[p.cube]
         level = cube.level + cfg.n0
         if level not in hierarchy.levels:
             return None
-        idx = space.indices_of(hierarchy.levels[level])
+        ids = hierarchy.levels[level]
         row = space.dists_from(space.index_of(cube.center))
-        near = sorted(
-            hierarchy.levels[level][j]
-            for j in range(len(idx))
-            if row[idx[j]] < cfg.M * cube.sidelength
-        )
-        if mode == "complete":
-            pairs = list(itertools.combinations(near, 2))
-        else:
-            pairs = [
-                tuple(sorted((cube.center, q)))
-                for q in near
-                if q != cube.center
-            ]
-        return pairs
-
-    ordered = sorted(porous, key=lambda p: p.cube)
-    results = [pairs_for(p) for p in ordered]
+        # a coordinate row is symmetric bit for bit, so the center's
+        # entry is the pair's distance whichever end is smaller
+        return [
+            ((min(cube.center, q), max(cube.center, q)), float(row[i]))
+            for q, i in sorted(zip(ids, space.indices_of(ids).tolist()))
+            if q != cube.center and row[i] < cfg.M * cube.sidelength
+        ]
 
     bridge_pairs: dict[tuple[int, int], int] = {}
     pairs_per_cube: dict[int, int] = {}
     skipped: list[int] = []
     lengths: list[float] = []
-    row_cache: dict[int, np.ndarray] = {}
-    for p, pairs in zip(ordered, results):
+    for p in sorted(porous, key=lambda p: p.cube):
+        pairs = pairs_for(p)
         if pairs is None:
             skipped.append(p.cube)
             continue
         pairs_per_cube[p.cube] = len(pairs)
-        for x, y in pairs:
-            if (x, y) in bridge_pairs:
+        for pair, d in pairs:
+            if pair in bridge_pairs or d <= 0:
                 continue
-            if x not in row_cache:
-                row_cache[x] = space.dists_from(space.index_of(x))
-            d = float(row_cache[x][space.index_of(y)])
-            if d <= 0:
-                continue
-            bridge_pairs[(x, y)] = p.cube
+            bridge_pairs[pair] = p.cube
             lengths.append(d)
 
     pair_ids = np.array(list(bridge_pairs), dtype=np.int64).reshape(-1, 2)
@@ -362,6 +348,9 @@ def connectivity(graph: BridgeGraph) -> ConnectivityReport:
     return ConnectivityReport(components=n_raw, representatives=np.sort(first))
 
 
+_BUDGET_SLACK = 1.0 + 1e-12  # relative float tolerance of every bound
+
+
 @dataclass(frozen=True)
 class LengthBudget:
     e_part: float
@@ -375,8 +364,32 @@ class LengthBudget:
     gated_cubes: int  # porous cubes whose mass reaches 2 sidelengths
     gated_sidelength_sum: float
     gated_mass_sum: float
-    gated_ok: bool
-    ok: bool
+
+    def violations(self) -> list[str]:
+        """Each asserted inequality that fails, as "lhs x > limit y"."""
+        inequalities = [
+            ("e_part", self.e_part, "bound_e", self.bound_e),
+            ("bridge_part", self.bridge_part,
+             "bound_bridge", self.bound_bridge),
+            ("gated_sidelength_sum", self.gated_sidelength_sum,
+             "0.5*gated_mass_sum", 0.5 * self.gated_mass_sum),
+        ]
+        if self.e_vacuous:
+            del inequalities[0]
+        return [
+            f"{lhs} {float(value)!r} > {rhs} {float(limit)!r}"
+            for lhs, value, rhs, limit in inequalities
+            if not value <= limit * _BUDGET_SLACK
+        ]
+
+    @property
+    def gated_ok(self) -> bool:
+        limit = 0.5 * self.gated_mass_sum
+        return self.gated_sidelength_sum <= limit * _BUDGET_SLACK
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations()
 
 
 def length_budget(
@@ -394,6 +407,8 @@ def length_budget(
     it is reported but marked vacuous.  The sidelength-vs-mass
     comparison is restricted to the porous cubes whose own mass reaches
     twice their sidelength, where it holds term by term.
+    ``LengthBudget.violations`` names each asserted inequality that
+    fails, with its measured value and its limit.
     """
     adjacency = graph.provenance == ADJACENCY
     e_part = _seq_sum(graph.length[adjacency])
@@ -422,13 +437,6 @@ def length_budget(
     ]
     gated_l = sum(tree.cubes[p.cube].sidelength for p in gated)
     gated_mu = sum(tree.cubes[p.cube].mass for p in gated)
-    slack = 1.0 + 1e-12
-    gated_ok = gated_l <= 0.5 * gated_mu * slack
-    ok = (
-        (e_vacuous or e_part <= bound_e * slack)
-        and bridge_part <= bound_bridge * slack
-        and gated_ok
-    )
     return LengthBudget(
         e_part=e_part,
         bridge_part=bridge_part,
@@ -441,8 +449,6 @@ def length_budget(
         gated_cubes=len(gated),
         gated_sidelength_sum=gated_l,
         gated_mass_sum=gated_mu,
-        gated_ok=gated_ok,
-        ok=ok,
     )
 
 
@@ -450,7 +456,7 @@ def length_budget(
 class CurveParametrization:
     visits: np.ndarray  # (N, 4) int64 vertex keys, in tour order
     ts: np.ndarray  # (N,) float64, nondecreasing, 0 to 1
-    lip_bound: float  # twice the spanning tree length
+    lip_bound: float  # twice the tree length
     tree_length: float
 
 
@@ -509,7 +515,7 @@ def _euler_tour(
 
 
 def parametrize(graph: BridgeGraph) -> CurveParametrization:
-    """Closed tour of a minimum spanning tree, parametrized by length.
+    """Closed tour of a minimum-length tree, parametrized by length.
 
     Edges enter the tree in (length, src, dst) order, so equal lengths
     resolve by vertex position, which is key order.  The tour starts at

@@ -86,6 +86,21 @@ def density_csv(profiles: Iterable[DensityProfile], path: str) -> None:
             writer.writerow([p.point, repr(p.lower_estimate)])
 
 
+def density_summary(
+    profiles: Sequence[DensityProfile], r_lo: float, r_hi: float
+) -> dict:
+    """Count, radius grid and spread of the profiles' lower estimates."""
+    lows = np.array([p.lower_estimate for p in profiles])
+    return {
+        "profiled": len(profiles),
+        "r_lo": r_lo,
+        "r_hi": r_hi,
+        "lower_min": float(lows.min()),
+        "lower_median": float(np.median(lows)),
+        "lower_max": float(lows.max()),
+    }
+
+
 def resolution_scale(space: MetricMeasureSpace) -> float:
     """Half the smallest positive distance; the finest trustworthy radius."""
     return space.min_gap() / 2.0
@@ -119,32 +134,6 @@ def stratify(
         for p in ids
         if np.all(_masses_at(space, space.index_of(p), radii) >= floor)
     )
-
-
-def split_by_diameter(
-    space: MetricMeasureSpace,
-    members: Iterable[int],
-    bound: float,
-) -> list[tuple[int, ...]]:
-    """Greedy partition into pieces of diameter strictly below ``bound``.
-
-    Repeatedly seeds with the smallest unassigned id and absorbs every
-    unassigned point strictly within bound/2 of the seed.
-    """
-    if bound <= 0:
-        raise ParameterError("bound must be positive")
-    remaining = sorted(set(members))
-    pieces: list[tuple[int, ...]] = []
-    while remaining:
-        seed = remaining[0]
-        row = space.dists_from(space.index_of(seed))
-        piece = [
-            p for p in remaining if row[space.index_of(p)] < bound / 2
-        ]
-        taken = set(piece)
-        remaining = [p for p in remaining if p not in taken]
-        pieces.append(tuple(piece))
-    return pieces
 
 
 @dataclass(frozen=True)

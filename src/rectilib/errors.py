@@ -63,7 +63,3 @@ class DisconnectedError(RectilibError):
     def __init__(self, message: str, *, components: int | None = None):
         super().__init__(message)
         self.components = components
-
-
-class InvariantError(RectilibError):
-    """A structural invariant that should hold by construction failed."""

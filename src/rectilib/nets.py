@@ -198,24 +198,3 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
         nesting_ok=nest_ok,
         witness=witness,
     )
-
-
-def packing_counts(
-    space: MetricMeasureSpace, h: NetHierarchy
-) -> dict[int, int]:
-    """Max count of next-level net points inside ``B(x, rho^n)``, per level.
-
-    For a doubling measure this stays bounded by a constant depending
-    only on the doubling ratio and ``rho``.
-    """
-    out: dict[int, int] = {}
-    for n in sorted(h.levels):
-        if n + 1 not in h.levels:
-            break
-        scale = h.rho**n
-        fine = space.indices_of(h.levels[n + 1])
-        worst = 0
-        for k in space.indices_of(h.levels[n]):
-            worst = max(worst, int((space.dists_from(k)[fine] < scale).sum()))
-        out[n] = worst
-    return out

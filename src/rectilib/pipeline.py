@@ -35,7 +35,12 @@ from .curve import (
     parametrize,
     parametrization_csv,
 )
-from .density import density_csv, density_profiles, resolution_scale
+from .density import (
+    density_csv,
+    density_profiles,
+    density_summary,
+    resolution_scale,
+)
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -87,7 +92,6 @@ class RunConfig:
     r_hi: float | None = None
     n_min: int | None = None
     n_max: int | None = None
-    bridge_mode: str = "complete"
     strict: bool = False
     out_dir: str | None = None
 
@@ -243,15 +247,7 @@ def _density(ctx):
     if not 0 < r_lo < r_hi:
         return {"skipped": "radius grid is empty"}, None
     ctx.profiles = density_profiles(space, ctx.target.members, r_lo, r_hi)
-    lows = np.array([p.lower_estimate for p in ctx.profiles])
-    return {
-        "profiled": len(ctx.profiles),
-        "r_lo": r_lo,
-        "r_hi": r_hi,
-        "lower_min": float(lows.min()),
-        "lower_median": float(np.median(lows)),
-        "lower_max": float(lows.max()),
-    }, None
+    return density_summary(ctx.profiles, r_lo, r_hi), None
 
 
 def _porous(ctx):
@@ -296,15 +292,13 @@ def _carleson(ctx):
 
 
 def _bridges(ctx):
-    mode = ctx.cfg.bridge_mode
     ctx.bridges = build_bridges(
-        ctx.space, ctx.tree, ctx.hierarchy, ctx.porous, ctx.pcfg, mode=mode
+        ctx.space, ctx.tree, ctx.hierarchy, ctx.porous, ctx.pcfg
     )
     return {
         "pairs": len(ctx.bridges.bridge_pairs),
         "edges": ctx.bridges.edge_count(),
         "skipped_cubes": len(ctx.bridges.skipped),
-        "mode": mode,
     }, None
 
 
@@ -352,7 +346,7 @@ def _budget(ctx):
         "gated_mass_sum": budget.gated_mass_sum,
         "gated_ok": budget.gated_ok,
         "ok": budget.ok,
-    }, None if budget.ok else "budget: a length bound failed"
+    }, None if budget.ok else "budget: " + "; ".join(budget.violations())
 
 
 def _parametrize(ctx):

@@ -6,13 +6,19 @@ frozen from deterministic runs; the underlying math is covered by the
 per-module tests.
 """
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from rectilib.cli import main
+from rectilib.cli import build_parser, main
+from rectilib.density import density_profiles
+from rectilib.generators import GeneratorSpec, generate
+from rectilib.pipeline import RunConfig
 from rectilib.space import load_csv
 
 HOLE_ARGS = [
@@ -144,6 +150,27 @@ def test_density_profiles_selected_points(capsys, tmp_path):
                for row in rows)
 
 
+def test_density_median_is_the_median(capsys):
+    # four profiles: the median averages the two middle lower estimates,
+    # as the run report's density section does
+    points = [0, 700, 2100, 3500]
+    code, payload, _ = run_json(
+        capsys,
+        ["density", "--kind", "cascade", "--resolution", "6",
+         "--points", ",".join(map(str, points))],
+    )
+    assert code == 0
+    space, _ = generate(GeneratorSpec("cascade", 6))
+    lows = [
+        p.lower_estimate
+        for p in density_profiles(
+            space, points, payload["r_lo"], payload["r_hi"]
+        )
+    ]
+    assert payload["lower_median"] == float(np.median(lows))
+    assert payload["lower_median"] == pytest.approx(0.0372382634023727)
+
+
 def test_beta2_label_and_members(capsys):
     code, payload, _ = run_json(
         capsys,
@@ -226,8 +253,8 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
          "--edges-out", edges_path],
     )
     assert code == 0
-    assert payload["gamma"]["vertices"] == 10000
-    assert payload["gamma"]["edges"] == 15047
+    assert payload["gamma"]["vertices"] == 298
+    assert payload["gamma"]["edges"] == 494
     assert payload["connectivity"]["components"] == 1
     budget = payload["budget"]
     assert budget["ok"] is True
@@ -310,6 +337,16 @@ def test_run_writes_side_files(capsys, tmp_path):
     assert all("\t" in line for line in lines)
 
 
+def test_run_names_the_failed_budget_inequality(capsys):
+    code, report, _ = run_json(capsys, ["run", *HOLE_ARGS, "--eps-res", "0.3"])
+    budget = report["budget"]
+    assert code == 1
+    assert budget["e_part"] > budget["bound_e"]
+    assert report["invariant_failures"] == [
+        f"budget: e_part {budget['e_part']!r} > bound_e {budget['bound_e']!r}"
+    ]
+
+
 def test_run_skips_parametrization_when_disconnected(capsys):
     code, payload, _ = run_json(
         capsys, ["run", "--kind", "cantor4", "--resolution", "3"]
@@ -368,3 +405,17 @@ def test_curve_default_eps_res_matches_run(capsys):
     assert code == run_code
     assert payload["gamma"]["eps_res"] == report["gamma"]["eps_res"]
     assert payload["gamma"] == report["gamma"]
+
+
+def test_every_run_config_field_is_one_run_flag():
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    dests = [
+        a.dest
+        for a in commands.choices["run"]._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
+    assert len(dests) == len(set(dests))
+    assert set(dests) == {f.name for f in dataclasses.fields(RunConfig)}

@@ -10,7 +10,6 @@ from rectilib.cubes import (
     SIDELENGTH_FACTOR,
     CubeTree,
     build_cubes,
-    cube_of,
     verify_cube_axioms,
 )
 from rectilib.errors import ParameterError, UnknownIdentifierError
@@ -99,16 +98,8 @@ def test_axioms_on_random_clouds():
                     assert set(cube.members) <= set(parent.members)
 
 
-def test_cube_of_round_trips():
+def test_unknown_cube_id_raises():
     space, _, tree = interval4_tree()
-    for level, cids in tree.by_level.items():
-        for cid in cids:
-            for p in tree.cubes[cid].members:
-                assert cube_of(tree, p, level) == cid
-    with pytest.raises(UnknownIdentifierError):
-        cube_of(tree, 0, 99)
-    with pytest.raises(UnknownIdentifierError):
-        cube_of(tree, 77, 0)
     with pytest.raises(UnknownIdentifierError):
         tree.cube(999)
 

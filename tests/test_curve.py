@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -109,7 +108,7 @@ def test_vertex_keys():
 
 def test_bridges_have_three_equal_edges():
     space, target, h, tree, porous = hole_fixture()
-    graph = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
+    graph = build_bridges(space, tree, h, porous, good_cfg())
     assert graph.edge_count() == 3 * len(graph.bridge_pairs)
     edges = edge_map(graph)
     for (x, y), cube_id in graph.bridge_pairs.items():
@@ -126,10 +125,12 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
     graph = build_bridges(space, tree, h, porous, cfg)
-    assert len(graph.bridge_pairs) == 4950  # all pairs of the 100 points
-    assert sum(graph.pairs_per_cube.values()) == 9900  # two level-0 cubes
-    assert graph.edge_count() == 3 * 4950
-    assert len(graph.keys) == 100 + 2 * 4950
+    # two level-0 cubes centered at 0 and 99 reach all 100 points, and
+    # they share the pair (0, 99)
+    assert len(graph.bridge_pairs) == 99 + 98
+    assert sum(graph.pairs_per_cube.values()) == 2 * 99
+    assert graph.edge_count() == 3 * 197
+    assert len(graph.keys) == 100 + 2 * 197
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for p in sorted(porous, key=lambda q: q.cube):
@@ -138,13 +139,12 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
         if level not in h.levels:
             continue
         row = space.dists_from(space.index_of(cube.center))
-        near = sorted(
-            q
-            for q in h.levels[level]
-            if row[space.index_of(q)] < cfg.M * cube.sidelength
-        )
-        for pair in itertools.combinations(near, 2):
-            expected.setdefault(pair, p.cube)
+        for q in sorted(h.levels[level]):
+            if q == cube.center:
+                continue
+            if row[space.index_of(q)] < cfg.M * cube.sidelength:
+                pair = (min(cube.center, q), max(cube.center, q))
+                expected.setdefault(pair, p.cube)
     assert graph.bridge_pairs == expected
 
 
@@ -155,22 +155,31 @@ def test_bridges_skip_cubes_without_their_level():
     deep = {p.cube for p in porous if tree.cubes[p.cube].level >= 1}
     assert set(graph.skipped) == deep
     assert len(graph.skipped) == 55
-    with pytest.raises(ParameterError):
-        build_bridges(space, tree, h, porous, good_cfg(), mode="ring")
 
 
-def test_star_mode_is_a_subset_through_the_center():
+def test_star_bridges_pass_through_the_center():
     space, target, h, tree, porous = hole_fixture()
-    complete = build_bridges(space, tree, h, porous, good_cfg())
-    star = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
-    assert set(star.bridge_pairs) <= set(complete.bridge_pairs)
-    centers = {
-        tree.cubes[p.cube].center
-        for p in porous
-        if tree.cubes[p.cube].level + 2 in h.levels
-    }
-    for x, y in star.bridge_pairs:
-        assert x in centers or y in centers
+    cfg = good_cfg()
+    graph = build_bridges(space, tree, h, porous, cfg)
+    assert graph.pairs_per_cube
+    for cube_id, count in graph.pairs_per_cube.items():
+        cube = tree.cubes[cube_id]
+        row = space.dists_from(space.index_of(cube.center))
+        near = [
+            q
+            for q in h.levels[cube.level + cfg.n0]
+            if row[space.index_of(q)] < cfg.M * cube.sidelength
+        ]
+        assert count == len(near) - 1  # every near point but the center
+    lengths = edge_map(graph)
+    for (x, y), cube_id in graph.bridge_pairs.items():
+        center = tree.cubes[cube_id].center
+        assert center in (x, y)
+        other = y if x == center else x
+        row = space.dists_from(space.index_of(center))
+        gx, lx = ground_key(x), lifted_keys(x, y)[0]
+        # bit for bit the center row's entry, not merely close to it
+        assert lengths[(gx, lx)][0] == float(row[space.index_of(other)])
 
 
 # -- array layout -------------------------------------------------------
@@ -178,7 +187,7 @@ def test_star_mode_is_a_subset_through_the_center():
 
 def test_graph_arrays_follow_key_and_insertion_order():
     space, target, h, tree, porous = hole_fixture()
-    bridges = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
+    bridges = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     keys = vertex_keys(gamma)
     assert keys == sorted(set(keys))  # distinct, in tuple order
@@ -329,7 +338,7 @@ def test_budget_on_hole_fixture():
     assert budget.e_part == pytest.approx(99 / 99 + 98 * 2 / 99)
     assert budget.bound_e == pytest.approx(16.0)
     assert budget.mass_check_ok and not budget.e_vacuous
-    assert budget.c_pair == pytest.approx(3 * 2 * cfg.M * 4950)
+    assert budget.c_pair == pytest.approx(3 * 2 * cfg.M * 99)
     brute_bridge = sum(
         length
         for length, p in edge_map(gamma).values()
@@ -389,6 +398,50 @@ def test_budget_vacuous_on_tiny_targets():
     assert budget.e_vacuous  # no usable radius window for the mass check
     assert budget.bridge_part == 0.0 and budget.bound_bridge == 0.0
     assert budget.ok
+
+
+def hole_budget():
+    space, target, h, tree, porous = hole_fixture()
+    cfg = good_cfg()
+    graph = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
+    return length_budget(space, target, gamma, porous, tree, cfg)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (
+            lambda b: {"e_part": 2 * b.bound_e},
+            lambda b: f"e_part {b.e_part!r} > bound_e {b.bound_e!r}",
+        ),
+        (
+            lambda b: {"bridge_part": 2 * b.bound_bridge},
+            lambda b: f"bridge_part {b.bridge_part!r} "
+            f"> bound_bridge {b.bound_bridge!r}",
+        ),
+        (
+            lambda b: {"gated_sidelength_sum": 1.0, "gated_mass_sum": 1.0},
+            lambda b: "gated_sidelength_sum 1.0 > 0.5*gated_mass_sum 0.5",
+        ),
+    ],
+    ids=["e_part", "bridge_part", "gated"],
+)
+def test_budget_names_each_failed_inequality(broken, message):
+    budget = hole_budget()
+    assert budget.ok and budget.violations() == []
+    bad = dataclasses.replace(budget, **broken(budget))
+    assert bad.violations() == [message(bad)]
+    assert not bad.ok
+    assert bad.gated_ok == ("gated" not in message(bad))
+
+
+def test_budget_does_not_assert_a_vacuous_e_part():
+    budget = hole_budget()
+    vacuous = dataclasses.replace(
+        budget, e_part=2 * budget.bound_e, e_vacuous=True
+    )
+    assert vacuous.violations() == [] and vacuous.ok
 
 
 # -- parametrization ----------------------------------------------------
@@ -539,7 +592,7 @@ def test_check_parametrization_rejects_malformed_tours(malform, message):
 def test_hole_fixture_tour_end_to_end():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg, mode="star")
+    graph = build_bridges(space, tree, h, porous, cfg)
     gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
     param = parametrize(gamma)
     assert len(param.visits) == 2 * len(gamma.keys) - 1
@@ -619,7 +672,7 @@ def test_micro_gamma_side_files_are_frozen(tmp_path):
 
 def test_hole_fixture_star_side_files_are_frozen(tmp_path):
     space, target, h, tree, porous = hole_fixture()
-    graph = build_bridges(space, tree, h, porous, good_cfg(), mode="star")
+    graph = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
     edges_csv(gamma, str(tmp_path / "edges.csv"))
     parametrization_csv(parametrize(gamma), space, str(tmp_path / "tour.csv"))

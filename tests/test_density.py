@@ -12,7 +12,6 @@ from rectilib.density import (
     density_profile,
     density_profiles,
     resolution_scale,
-    split_by_diameter,
     stratify,
 )
 from rectilib.errors import (
@@ -138,31 +137,6 @@ def test_stratify_is_monotone_in_k():
         assert kept_k <= kept_2k
         sizes.append((len(kept_k), len(kept_2k)))
     assert any(a < b for a, b in sizes)  # growth is strict somewhere
-
-
-# -- diameter splitting -------------------------------------------------
-
-
-def test_split_by_diameter_trace():
-    coords = np.arange(5, dtype=float)[:, None]
-    space = MetricMeasureSpace.from_coords(range(5), coords, np.ones(5))
-    pieces = split_by_diameter(space, range(5), 2.1)
-    assert pieces == [(0, 1), (2, 3), (4,)]
-    with pytest.raises(ParameterError):
-        split_by_diameter(space, range(5), 0.0)
-
-
-def test_split_pieces_partition_and_stay_small():
-    rng = np.random.default_rng(47)
-    for trial in range(8):
-        space = random_cloud(rng, n=30)
-        bound = float(rng.uniform(0.3, 1.5))
-        pieces = split_by_diameter(space, space.ids, bound)
-        flat = sorted(p for piece in pieces for p in piece)
-        assert flat == list(space.ids)
-        for piece in pieces:
-            if len(piece) > 1:
-                assert space.distance_submatrix(piece).max() < bound
 
 
 # -- beta-2 flatness ----------------------------------------------------

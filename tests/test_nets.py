@@ -10,7 +10,6 @@ from rectilib.nets import (
     NetHierarchy,
     auto_levels,
     build_nets,
-    packing_counts,
     verify_nets,
 )
 from rectilib.space import MetricMeasureSpace
@@ -154,11 +153,3 @@ def test_hierarchy_round_trip_and_level_lookup():
     with pytest.raises(UnknownIdentifierError):
         h.level(99)
 
-
-def test_packing_counts_are_small_on_the_line():
-    space, _ = generate(GeneratorSpec("interval", 200))
-    n_min, n_max = auto_levels(space, 0.25)
-    h = build_nets(space, 0.25, n_min, n_max)
-    counts = packing_counts(space, h)
-    assert set(counts) == set(range(n_min, n_max))
-    assert all(1 <= c <= 8 for c in counts.values())
