@@ -72,7 +72,10 @@ def _space_and_target(args: argparse.Namespace):
 
 
 def _ids_arg(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InputError(f"point ids must be integers: {exc}") from None
 
 
 def _write_tour(ctx, path: str) -> None:
@@ -133,7 +136,12 @@ def _cmd_view(args) -> int:
 
 def _cmd_density(args) -> int:
     space, target = _space_and_target(args)
-    pts = _ids_arg(args.points) if args.points else list(target.members)
+    if args.points is None:
+        pts = list(target.members)
+    else:
+        pts = _ids_arg(args.points)
+        if not pts:
+            raise InputError("--points names no point ids")
     r_lo = args.r_lo if args.r_lo is not None else resolution_scale(space)
     r_hi = args.r_hi if args.r_hi is not None else space.diameter() / 4
     profiles = density_profiles(space, pts, r_lo, r_hi)

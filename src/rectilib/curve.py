@@ -361,9 +361,6 @@ class LengthBudget:
     sidelength_sum: float
     mass_check_ok: bool  # ball masses over the target pass >= 2r
     e_vacuous: bool  # bound_e not asserted because the check failed
-    gated_cubes: int  # porous cubes whose mass reaches 2 sidelengths
-    gated_sidelength_sum: float
-    gated_mass_sum: float
 
     def violations(self) -> list[str]:
         """Each asserted inequality that fails, as "lhs x > limit y"."""
@@ -371,8 +368,6 @@ class LengthBudget:
             ("e_part", self.e_part, "bound_e", self.bound_e),
             ("bridge_part", self.bridge_part,
              "bound_bridge", self.bound_bridge),
-            ("gated_sidelength_sum", self.gated_sidelength_sum,
-             "0.5*gated_mass_sum", 0.5 * self.gated_mass_sum),
         ]
         if self.e_vacuous:
             del inequalities[0]
@@ -381,11 +376,6 @@ class LengthBudget:
             for lhs, value, rhs, limit in inequalities
             if not value <= limit * _BUDGET_SLACK
         ]
-
-    @property
-    def gated_ok(self) -> bool:
-        limit = 0.5 * self.gated_mass_sum
-        return self.gated_sidelength_sum <= limit * _BUDGET_SLACK
 
     @property
     def ok(self) -> bool:
@@ -404,11 +394,9 @@ def length_budget(
 
     The adjacency part is only asserted when ball masses over the
     target pass the 2r lower bound on a halving radius grid; otherwise
-    it is reported but marked vacuous.  The sidelength-vs-mass
-    comparison is restricted to the porous cubes whose own mass reaches
-    twice their sidelength, where it holds term by term.
-    ``LengthBudget.violations`` names each asserted inequality that
-    fails, with its measured value and its limit.
+    it is reported but marked vacuous.  ``LengthBudget.violations``
+    names each asserted inequality that fails, with its measured value
+    and its limit.
     """
     adjacency = graph.provenance == ADJACENCY
     e_part = _seq_sum(graph.length[adjacency])
@@ -429,14 +417,6 @@ def length_budget(
     else:
         mass_ok = False
     e_vacuous = not mass_ok
-
-    gated = [
-        p
-        for p in porous
-        if tree.cubes[p.cube].mass >= 2 * tree.cubes[p.cube].sidelength
-    ]
-    gated_l = sum(tree.cubes[p.cube].sidelength for p in gated)
-    gated_mu = sum(tree.cubes[p.cube].mass for p in gated)
     return LengthBudget(
         e_part=e_part,
         bridge_part=bridge_part,
@@ -446,9 +426,6 @@ def length_budget(
         sidelength_sum=sum_l,
         mass_check_ok=mass_ok,
         e_vacuous=e_vacuous,
-        gated_cubes=len(gated),
-        gated_sidelength_sum=gated_l,
-        gated_mass_sum=gated_mu,
     )
 
 

@@ -35,30 +35,18 @@ class DensityProfile:
             raise ParameterError("profile values must be nonnegative")
 
 
-def _masses_at(
-    space: MetricMeasureSpace, index: int, radii: Sequence[float]
-) -> np.ndarray:
-    """Open-ball masses around one point at several radii."""
-    row = space.dists_from(index)
-    order = np.argsort(row, kind="stable")
-    cum = np.cumsum(space.weights[order])
-    sorted_d = row[order]
-    # open ball: strictly closer than r
-    pos = np.searchsorted(sorted_d, np.asarray(radii), side="left")
-    out = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
-    return np.asarray(out, dtype=float)
-
-
 def density_profile(
     space: MetricMeasureSpace, x: int, r_lo: float, r_hi: float
 ) -> DensityProfile:
-    """Ball-mass-to-radius ratios on a halving radius grid."""
+    """Ball-mass-to-radius ratios on a halving radius grid.
+
+    Masses come from the cache of :meth:`MetricMeasureSpace.ball_masses`.
+    """
     if not (0 < r_lo < r_hi):
         raise ParameterError("need 0 < r_lo < r_hi")
     radii = dyadic_radii(r_lo, r_hi)
-    idx = space.index_of(x)
-    masses = _masses_at(space, idx, radii)
-    values = tuple(float(m / r) for m, r in zip(masses, radii))
+    masses = space.ball_masses(space.index_of(x), radii)
+    values = tuple(m / r for m, r in zip(masses, radii))
     return DensityProfile(
         point=x,
         radii=tuple(radii),
@@ -115,7 +103,8 @@ def stratify(
     """Points whose ball masses stay above r/j at every scale below 1/k.
 
     The radius grid halves downward from 1/k to the resolution scale;
-    only radii strictly below 1/k are tested.  Returned ids ascend.
+    only radii strictly below 1/k are tested.  Masses come from the
+    cache of :meth:`MetricMeasureSpace.ball_masses`.  Returned ids ascend.
     """
     if j < 1 or k < 1:
         raise ParameterError("need j >= 1 and k >= 1")
@@ -129,11 +118,12 @@ def stratify(
         return tuple(ids)
 
     floor = np.asarray(radii) / j
-    return tuple(
-        p
-        for p in ids
-        if np.all(_masses_at(space, space.index_of(p), radii) >= floor)
-    )
+    kept = []
+    for p in ids:
+        masses = space.ball_masses(space.index_of(p), radii)
+        if np.all(np.asarray(masses) >= floor):
+            kept.append(p)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)

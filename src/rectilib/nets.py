@@ -72,7 +72,6 @@ def build_nets(
     n_max: int,
     *,
     seed_ids: Sequence[int] | None = None,
-    order: str = "id",
 ) -> NetHierarchy:
     """Greedy nested nets for levels ``n_min..n_max``.
 
@@ -80,15 +79,11 @@ def build_nets(
     from ``seed_ids``, which lets a caller force a particular root
     point), then scans the remaining points in ascending id order,
     admitting any point at distance >= ``rho^n`` from all current
-    members.  ``order="farthest"`` scans by decreasing distance to the
-    current members instead; it exists for benchmarking and keeps the
-    same axioms but different (still deterministic) membership.
+    members.
     """
     _check_rho(rho)
     if n_max < n_min:
         raise ParameterError("n_max must be >= n_min")
-    if order not in ("id", "farthest"):
-        raise ParameterError(f"unknown scan order {order!r}")
     if rho**n_min < space.diameter():
         import warnings
 
@@ -116,17 +111,9 @@ def build_nets(
                 k = space.index_of(pid)
                 if mindist[k] >= scale:
                     admit(k)
-        if order == "id":
-            for k in order_ids:
-                if mindist[k] >= scale:
-                    admit(int(k))
-        else:
-            while True:
-                candidates = np.flatnonzero(mindist >= scale)
-                if candidates.size == 0:
-                    break
-                far = candidates[np.argmax(mindist[candidates])]
-                admit(int(far))
+        for k in order_ids:
+            if mindist[k] >= scale:
+                admit(int(k))
         levels[n] = tuple(space.ids[k] for k in members)
     return NetHierarchy(rho=rho, n_min=n_min, n_max=n_max, levels=levels)
 

@@ -341,10 +341,6 @@ def _budget(ctx):
         "sidelength_sum": budget.sidelength_sum,
         "mass_check_ok": budget.mass_check_ok,
         "e_vacuous": budget.e_vacuous,
-        "gated_cubes": budget.gated_cubes,
-        "gated_sidelength_sum": budget.gated_sidelength_sum,
-        "gated_mass_sum": budget.gated_mass_sum,
-        "gated_ok": budget.gated_ok,
         "ok": budget.ok,
     }, None if budget.ok else "budget: " + "; ".join(budget.violations())
 

@@ -95,7 +95,6 @@ def find_porous(
     tree: CubeTree,
     target: TargetSet,
     cfg: PorosityConfig,
-    force: bool = False,
 ) -> tuple[PorousCube, ...]:
     """All cubes under the target's root that are porous for cfg.
 
@@ -103,12 +102,9 @@ def find_porous(
     strictly within M sidelengths of the cube center; ties go to the
     smaller point id.
     """
-    if not force:
-        result = validate_config(cfg)
-        if not result.ok:
-            raise ParameterError(
-                "config violates: " + "; ".join(result.violations)
-            )
+    result = validate_config(cfg)
+    if not result.ok:
+        raise ParameterError("config violates: " + "; ".join(result.violations))
     e_members = set(target.members)
     root = None
     for rid in tree.roots():

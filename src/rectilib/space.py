@@ -30,8 +30,12 @@ A space caches what the pipeline asks for repeatedly:
   :meth:`~MetricMeasureSpace.diameter`, :meth:`~MetricMeasureSpace.min_gap`
   and the basepoint of :func:`enclosing_target` over every point are read;
 * open-ball masses, one array of length ``n`` per radius, filled by
-  :meth:`~MetricMeasureSpace.ball_masses` (used by
-  :func:`doubling_estimate` and :func:`linear_mass_check`).
+  :meth:`~MetricMeasureSpace.ball_masses`, the package's only
+  open-ball mass computation (used by :func:`doubling_estimate`,
+  :func:`linear_mass_check`, :func:`~rectilib.density.density_profile`
+  and :func:`~rectilib.density.stratify`);
+* the full distance matrix, once :meth:`~MetricMeasureSpace.distance_matrix`
+  has been called (a matrix space holds it from the start).
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -56,8 +60,7 @@ from .errors import (
     UnknownIdentifierError,
 )
 
-# Above this point count the full distance matrix is not cached and rows
-# are recomputed on demand.
+# Above this point count distance_matrix() refuses to build the full matrix.
 _DENSE_LIMIT = 5000
 
 
@@ -73,7 +76,8 @@ class MetricMeasureSpace:
 
     Build instances with :meth:`from_coords` or :meth:`from_matrix`;
     both validate their input.  Distances are served row-wise through
-    :meth:`dists_from`; for small spaces the full matrix is cached.
+    :meth:`dists_from`; a coordinate space computes each row on demand
+    and keeps the full matrix only after :meth:`distance_matrix`.
     """
 
     def __init__(
@@ -129,15 +133,12 @@ class MetricMeasureSpace:
         ids: Sequence[int],
         matrix: np.ndarray,
         weights: np.ndarray,
-        *,
-        triangle_samples: int = 1000,
-        seed: int = 0,
     ) -> "MetricMeasureSpace":
         """Build from an explicit distance matrix.
 
         Symmetry and the zero diagonal are checked exactly; the triangle
-        inequality is validated on at least ``triangle_samples`` random
-        triples (all triples when the space is small enough).
+        inequality is validated on 1000 random triples drawn with seed 0
+        (all triples when the space is small enough).
         """
         matrix = np.asarray(matrix, dtype=float)
         n = len(ids)
@@ -155,7 +156,7 @@ class MetricMeasureSpace:
             raise ParameterError("distance matrix must be symmetric")
         space = cls(ids, np.asarray(weights, dtype=float), matrix=matrix)
         space._validate_common()
-        space._validate_triangle(triangle_samples, seed)
+        space._validate_triangle()
         return space
 
     def _validate_common(self) -> None:
@@ -173,7 +174,7 @@ class MetricMeasureSpace:
         if self.weights.sum() <= 0:
             raise DegenerateInputError("total mass must be positive")
 
-    def _validate_triangle(self, samples: int, seed: int) -> None:
+    def _validate_triangle(self) -> None:
         n = len(self.ids)
         m = self._matrix
         assert m is not None
@@ -185,9 +186,8 @@ class MetricMeasureSpace:
                 if np.any(via.min(axis=0) + tol < m[a]):
                     raise ParameterError("triangle inequality fails")
             return
-        rng = np.random.default_rng(seed)
-        count = max(samples, 1000)
-        abc = rng.integers(0, n, size=(count, 3))
+        rng = np.random.default_rng(0)
+        abc = rng.integers(0, n, size=(1000, 3))
         lhs = m[abc[:, 0], abc[:, 2]]
         rhs = m[abc[:, 0], abc[:, 1]] + m[abc[:, 1], abc[:, 2]]
         bad = lhs > rhs + tol
@@ -385,13 +385,6 @@ def enclosing_target(
 
 
 # -- measures of balls -------------------------------------------------
-
-
-def ball_mass(space: MetricMeasureSpace, ball: Ball) -> float:
-    """Mass of the open ball."""
-    k = space.index_of(ball.center)
-    row = space.dists_from(k)
-    return float(space.weights[row < ball.radius].sum())
 
 
 def ball_members(space: MetricMeasureSpace, ball: Ball) -> np.ndarray:

@@ -23,6 +23,34 @@ def ball_mass_brute(space, center_id: int, radius: float) -> float:
     return total
 
 
+def stratify_brute(space, member_ids, j: int, k: int) -> tuple:
+    """Density stratum E_{j,k} of the members, by loops over every point.
+
+    The radius grid halves from 1/k down to half the smallest positive
+    distance (with the library's 1e-12 relative allowance at the
+    bottom); a member stays when every open ball around it of a grid
+    radius strictly below 1/k holds mass at least r/j.  Returns the
+    kept ids in ascending order.
+    """
+    gap = math.inf
+    for a in range(len(space)):
+        for d in space.dists_from(a):
+            if 0 < d < gap:
+                gap = float(d)
+    r_lo = gap / 2.0
+    radii = []
+    r = 1.0 / k
+    while r >= r_lo * (1.0 - 1e-12):
+        if r < 1.0 / k:
+            radii.append(r)
+        r /= 2.0
+    kept = []
+    for p in sorted(set(member_ids)):
+        if all(ball_mass_brute(space, p, r) >= r / j for r in radii):
+            kept.append(p)
+    return tuple(kept)
+
+
 def greedy_cover_trace(space, member_ids, delta: float, r_min: float):
     """Literal re-run of the documented greedy covering.
 

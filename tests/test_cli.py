@@ -150,6 +150,22 @@ def test_density_profiles_selected_points(capsys, tmp_path):
                for row in rows)
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [(",", "names no point ids"), ("", "names no point ids"),
+     ("0,x", "must be integers")],
+)
+def test_density_rejects_bad_point_lists(capsys, points, message):
+    code, out, err = run_cli(
+        capsys,
+        ["density", "--kind", "interval", "--resolution", "32",
+         "--points", points],
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_density_median_is_the_median(capsys):
     # four profiles: the median averages the two middle lower estimates,
     # as the run report's density section does

@@ -49,23 +49,12 @@ def test_seed_ids_take_the_root():
     assert verify_nets(space, h).ok
 
 
-def test_farthest_order_also_satisfies_axioms():
-    space, _ = generate(GeneratorSpec("interval", 4))
-    h = build_nets(space, 1.0 / 3.0, 0, 1, order="farthest")
-    assert h.levels[1] == (0, 3, 2, 1)  # same set, different admission order
-    assert verify_nets(space, h).ok
-    again = build_nets(space, 1.0 / 3.0, 0, 1, order="farthest")
-    assert again.levels == h.levels
-
-
 def test_build_nets_parameter_errors():
     space, _ = generate(GeneratorSpec("interval", 4))
     with pytest.raises(ParameterError):
         build_nets(space, 1.5, 0, 1)
     with pytest.raises(ParameterError):
         build_nets(space, 0.5, 2, 1)
-    with pytest.raises(ParameterError):
-        build_nets(space, 0.5, 0, 1, order="random")
 
 
 def test_warns_when_top_scale_is_too_small():

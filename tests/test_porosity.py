@@ -222,13 +222,11 @@ def test_find_porous_is_antitone_in_delta():
         previous = cubes
 
 
-def test_find_porous_rejects_invalid_config_unless_forced():
+def test_find_porous_rejects_invalid_config():
     space, target, h, tree = hole_fixture()
     bad = good_cfg(M=9.0)
     with pytest.raises(ParameterError, match="config violates: M > 10"):
         find_porous(space, tree, target, bad)
-    forced = find_porous(space, tree, target, bad, force=True)
-    assert isinstance(forced, tuple)
 
 
 def test_find_porous_needs_single_containing_root():
@@ -239,7 +237,7 @@ def test_find_porous_needs_single_containing_root():
     assert len(tree.roots()) == 2
     target = enclosing_target(space)
     with pytest.raises(ContainmentError):
-        find_porous(space, tree, target, good_cfg(), force=True)
+        find_porous(space, tree, target, good_cfg())
 
 
 # -- packing (Carleson) ratios ------------------------------------------

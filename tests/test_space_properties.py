@@ -2,7 +2,8 @@
 
 Rows, matrices, the cached summary and the cached ball masses must give
 the same values bit for bit whatever the backend, the id order, the
-weights and the order of the calls.
+weights and the order of the calls.  Density profiles and strata read
+the same mass cache as the doubling estimate.
 """
 
 import math
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import basepoint_brute, dist_to_set_brute
+from _oracles import basepoint_brute, dist_to_set_brute, stratify_brute
+from rectilib.density import density_profile, stratify
 from rectilib.errors import DegenerateInputError
 from rectilib.generators import GeneratorSpec, generate
+from rectilib.pipeline import STAGES, RunConfig, run_stages
 from rectilib.porosity import dist_to_set
 from rectilib.space import (
     MetricMeasureSpace,
@@ -29,7 +32,7 @@ VALUES = st.sampled_from([-3.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.0, 2.125, 6.0])
 
 
 @st.composite
-def clouds(draw, dims=(1, 2, 3, 5)):
+def clouds(draw, dims=(1, 2, 3, 5), masses=(0.0, 0.5, 1.0, 2.0)):
     """(ids, coords, weights): permuted ids, duplicates, zero weights."""
     d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, 14))
@@ -38,7 +41,7 @@ def clouds(draw, dims=(1, 2, 3, 5)):
     picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     coords = np.array(picks, dtype=float).reshape(n, d)
     ids = draw(st.permutations([3 * k + 1 for k in range(n)]))
-    mass = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    mass = st.sampled_from(masses)
     weights = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
     assume(weights.sum() > 0)
     return ids, coords, weights
@@ -151,3 +154,52 @@ def test_doubling_counts_one_mask_per_distinct_radius(d):
     doubling_estimate(space, radii)
     assert sorted(space._masses) == sorted({*radii, *(2 * r for r in radii)})
     assert len(space._masses) == len(radii) + 1
+
+
+# weights whose sums round differently in different orders
+INEXACT = (0.0, 0.1, 0.3, 0.7, 1.0 / 3.0)
+
+
+@given(clouds(masses=INEXACT), st.data())
+def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    matrix = MetricMeasureSpace.from_coords(ids, coords, weights).distance_matrix()
+    twin = MetricMeasureSpace.from_matrix(ids, matrix, weights)
+    r_hi = data.draw(st.sampled_from([20.0, 7.0, 2.5, 1.0]))
+    r_lo = r_hi / data.draw(st.sampled_from([300.0, 40.0, 1.5]))
+    members = data.draw(st.lists(st.sampled_from(ids), unique=True))
+    j = data.draw(st.sampled_from([1, 2, 4, 16]))
+    k = data.draw(st.sampled_from([1, 2, 8]))
+    for s in (space, twin):
+        for pid in ids:
+            row = matrix[s.index_of(pid)]
+            profile = density_profile(s, pid, r_lo, r_hi)
+            assert profile.values == tuple(
+                weights[row < r].sum() / r for r in profile.radii
+            )
+        if s.min_gap() > 0:
+            assert stratify(s, members, j, k) == stratify_brute(s, members, j, k)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("circle", 300),
+        GeneratorSpec("interval", 200, params={"holes": [(0.4, 0.6)]}),
+        GeneratorSpec("cascade", 4),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_density_stage_adds_only_radii_below_the_doubling_grid(spec):
+    cfg = RunConfig(kind=spec.kind, resolution=spec.resolution, params=spec.params)
+    ctx = run_stages(cfg, ("load", "doubling"))[0]
+    space = ctx.space
+    before = set(space._masses)
+    density = next(fn for name, _, fn in STAGES if name == "density")
+    density(ctx)
+    radii = set(ctx.profiles[0].radii)
+    added = set(space._masses) - before
+    assert added == {r for r in radii if r < 2 * space.min_gap()}
+    assert 0 < len(added) <= 2
+    assert radii - added <= before
