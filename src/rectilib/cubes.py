@@ -95,26 +95,32 @@ class CubeTree:
 
 
 def _nearest(
-    space: MetricMeasureSpace, candidate_idx: np.ndarray
+    space: MetricMeasureSpace,
+    candidate_idx: np.ndarray,
+    radius: float,
+    points: np.ndarray,
 ) -> np.ndarray:
-    """Index (into candidate_idx) of the nearest candidate per point.
+    """Index (into candidate_idx) of the nearest candidate to each point.
 
-    Candidates are scanned in ascending point-id order and updated only
-    on a strict improvement, so equal distances resolve to the smaller
-    candidate id.
+    Equal distances resolve to the smaller candidate id (then the
+    earlier position).  Candidates closer than ``radius``, the level's
+    covering scale, come from one neighbour query; a point with none
+    there is compared with every candidate.
     """
-    best_d = np.full(len(space), math.inf)
-    best_j = np.zeros(len(space), dtype=np.intp)
-    order = np.argsort(
-        np.array([space.ids[k] for k in candidate_idx], dtype=np.int64),
-        kind="stable",
-    )
-    for j in order:
-        row = space.dists_from(int(candidate_idx[j]))
-        better = row < best_d
-        best_d[better] = row[better]
-        best_j[better] = j
-    return best_j
+    cand_ids = np.array([space.ids[k] for k in candidate_idx], dtype=np.int64)
+    q, j, d = space.neighbors(candidate_idx, radius)
+    # per point: the first pair by (distance, candidate id, position)
+    order = np.lexsort((cand_ids[q], d, j))
+    j, q = j[order], q[order]
+    first = np.ones(len(j), dtype=bool)
+    first[1:] = j[1:] != j[:-1]
+    best = np.full(len(space), -1, dtype=np.intp)
+    best[j[first]] = q[first]
+    out = best[points]
+    for m in np.flatnonzero(out < 0):
+        row = space.dists_between(int(points[m]), candidate_idx)
+        out[m] = np.lexsort((cand_ids, row))[0]
+    return out
 
 
 def build_cubes(
@@ -135,12 +141,15 @@ def build_cubes(
     # point -> position of its cube center within each level's net
     assign: dict[int, np.ndarray] = {}
     finest = levels[-1]
-    assign[finest] = _nearest(space, level_idx[finest])
+    assign[finest] = _nearest(
+        space, level_idx[finest], hierarchy.scale(finest), np.arange(len(space))
+    )
     for n_above, n in zip(levels[-2::-1], levels[:0:-1]):
         # map each level-n net point to its nearest level-n_above net
         # point, then compose with the existing point assignment
-        centers = level_idx[n]
-        up = _nearest(space, level_idx[n_above])[centers]
+        up = _nearest(
+            space, level_idx[n_above], hierarchy.scale(n_above), level_idx[n]
+        )
         assign[n_above] = up[assign[n]]
 
     cubes: list[dict] = []
@@ -186,17 +195,33 @@ def build_cubes(
             cubes[cid]["parent"] = parent_id
             cubes[parent_id]["children"].append(cid)
 
+    # c0: the nearest non-member of each cube, relative to its sidelength;
+    # one within a sidelength comes from a neighbour query per level
     c0 = math.inf
-    member_mask = np.zeros(len(space), dtype=bool)
-    for c in cubes:
-        idx = space.indices_of(c["members"])
-        member_mask[:] = False
-        member_mask[idx] = True
-        if member_mask.all():
-            continue
-        row = space.dists_from(space.index_of(c["center"]))
-        nearest_out = float(row[~member_mask].min())
-        c0 = min(c0, nearest_out / c["sidelength"])
+    far_cubes: list[dict] = []
+    for n in levels:
+        level_cubes = [cubes[cid] for cid in by_level[n]]
+        side = SIDELENGTH_FACTOR * hierarchy.rho**n
+        q, j, d = space.neighbors(level_idx[n], side)
+        outside = assign[n][j] != q
+        nearest_out = np.full(len(level_cubes), math.inf)
+        np.minimum.at(nearest_out, q[outside], d[outside])
+        found = np.isfinite(nearest_out)
+        if found.any():
+            c0 = min(c0, float((nearest_out[found] / side).min()))
+        far_cubes.extend(c for c, ok in zip(level_cubes, found) if not ok)
+    if not c0 < 1.0:
+        # every ratio found is below 1 and a far cube's is at least 1, so
+        # far cubes need their rows only when nothing was found
+        member_mask = np.zeros(len(space), dtype=bool)
+        for c in far_cubes:
+            member_mask[:] = False
+            member_mask[space.indices_of(c["members"])] = True
+            if member_mask.all():
+                continue
+            row = space.dists_from(space.index_of(c["center"]))
+            nearest = float(row[~member_mask].min())
+            c0 = min(c0, nearest / c["sidelength"])
 
     frozen = tuple(
         Cube(
@@ -259,7 +284,7 @@ def verify_cube_axioms(
             seen.update(cube.members)
             if outer_ok and cube.members:
                 idx = space.indices_of(cube.members)
-                row = space.dists_from(space.index_of(cube.center))[idx]
+                row = space.dists_between(space.index_of(cube.center), idx)
                 far = np.flatnonzero(row >= cube.sidelength)
                 if far.size:
                     outer_ok = False

@@ -243,13 +243,15 @@ def build_bridges(
         if level not in hierarchy.levels:
             return None
         ids = hierarchy.levels[level]
-        row = space.dists_from(space.index_of(cube.center))
+        dist = space.dists_between(
+            space.index_of(cube.center), space.indices_of(ids)
+        )
         # a coordinate row is symmetric bit for bit, so the center's
         # entry is the pair's distance whichever end is smaller
         return [
-            ((min(cube.center, q), max(cube.center, q)), float(row[i]))
-            for q, i in sorted(zip(ids, space.indices_of(ids).tolist()))
-            if q != cube.center and row[i] < cfg.M * cube.sidelength
+            ((min(cube.center, q), max(cube.center, q)), d)
+            for q, d in sorted(zip(ids, dist.tolist()))
+            if q != cube.center and d < cfg.M * cube.sidelength
         ]
 
     bridge_pairs: dict[tuple[int, int], int] = {}
@@ -312,13 +314,17 @@ def assemble_gamma(
         | {y for _, y in bridges.bridge_pairs}
     )
     idx = space.indices_of(ground_ids)
-    # adjacency edges: positions (a, b) in ground_ids, and lengths
-    adjacency = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
-    for a in range(len(ground_ids)):
-        row = space.dists_from(int(idx[a]))[idx]
-        b = np.flatnonzero((row > 0) & (row < eps_res))
-        b = b[b > a]  # ground ids ascend, so h > g is b > a
-        adjacency.append((np.full(len(b), a), b, row[b]))
+    # adjacency edges: positions a < b in ground_ids (ground ids ascend,
+    # so h > g is b > a), by ascending (a, b), and lengths
+    position = np.full(len(space), -1, dtype=np.intp)
+    position[idx] = np.arange(len(idx))
+    adjacency = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for batch, a, j, d in space.neighbor_batches(idx, eps_res):
+        a, b = a + batch.start, position[j]
+        keep = (b > a) & (d > 0)  # coincident pairs are dropped batch by batch
+        a, b, d = a[keep], b[keep], d[keep]
+        order = np.lexsort((b, a))
+        adjacency.append((a[order], b[order], d[order]))
     adj_a, adj_b, adj_d = (np.concatenate(part) for part in zip(*adjacency))
     n_bridge = len(bridges.keys)
     return _build(

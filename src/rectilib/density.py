@@ -105,11 +105,19 @@ def stratify(
     The radius grid halves downward from 1/k to the resolution scale;
     only radii strictly below 1/k are tested.  Masses come from the
     cache of :meth:`MetricMeasureSpace.ball_masses`.  Returned ids ascend.
+    A space with no positive distance (one point, or every point
+    coincident) has resolution scale 0 and no grid: that input is
+    degenerate.
     """
     if j < 1 or k < 1:
         raise ParameterError("need j >= 1 and k >= 1")
     ids = sorted(set(members))
     r_lo = resolution_scale(space)
+    if r_lo == 0.0:
+        raise DegenerateInputError(
+            "no positive distance between points, so the resolution scale "
+            "is 0 and stratify has no radius grid"
+        )
     r_hi = 1.0 / k
     if r_hi <= r_lo:
         return tuple(ids)

@@ -95,13 +95,16 @@ def build_nets(
 
     n_pts = len(space)
     order_ids = np.argsort(np.array(space.ids, dtype=np.int64), kind="stable")
-    # mindist[k]: distance from point k to the current net members
+    # mindist[k]: distance from point k to the current net members, or
+    # inf when every member was at least its admission scale away; scales
+    # only shrink, so the comparison with the current scale is exact
     mindist = np.full(n_pts, math.inf)
     members: list[int] = []
 
-    def admit(k: int) -> None:
+    def admit(k: int, scale: float) -> None:
         members.append(k)
-        np.minimum(mindist, space.dists_from(k), out=mindist)
+        _, j, d = space.neighbors([k], scale)
+        mindist[j] = np.minimum(mindist[j], d)
 
     levels: dict[int, tuple[int, ...]] = {}
     for n in range(n_min, n_max + 1):
@@ -110,10 +113,10 @@ def build_nets(
             for pid in seed_ids:
                 k = space.index_of(pid)
                 if mindist[k] >= scale:
-                    admit(k)
+                    admit(k, scale)
         for k in order_ids:
             if mindist[k] >= scale:
-                admit(int(k))
+                admit(int(k), scale)
         levels[n] = tuple(space.ids[k] for k in members)
     return NetHierarchy(rho=rho, n_min=n_min, n_max=n_max, levels=levels)
 
@@ -133,6 +136,18 @@ def auto_levels(space: MetricMeasureSpace, rho: float) -> tuple[int, int]:
     while rho ** (n_max + 1) >= gap and n_max - n_min < 64:
         n_max += 1
     return n_min, max(n_max, n_min + 1)
+
+
+def _position_pairs(
+    idx: np.ndarray, q: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (position q, point index j) pair as (q, b) for every position
+    b of the level that holds j; the order of q is kept."""
+    order = np.argsort(idx, kind="stable")
+    lo = np.searchsorted(idx[order], j, "left")
+    counts = np.searchsorted(idx[order], j, "right") - lo
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return np.repeat(q, counts), order[starts + np.arange(counts.sum())]
 
 
 @dataclass(frozen=True)
@@ -159,22 +174,22 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
                 nest_ok = False
                 witness = witness or ("nesting", n, sorted(missing)[0])
         previous = set(ids)
-        # separation and covering from one row per net point
-        best = np.full(len(space), math.inf)
-        for pos, k in enumerate(idx):
-            if not (sep_ok or cov_ok):
-                break
-            row = space.dists_from(k)
-            if sep_ok:
-                bad = np.flatnonzero(row[idx[pos + 1 :]] < scale)
-                if bad.size:
-                    sep_ok = False
-                    other = ids[pos + 1 + int(bad[0])]
-                    witness = witness or ("separation", n, ids[pos], other)
-            if cov_ok:
-                np.minimum(best, row, out=best)
+        if not (sep_ok or cov_ok):
+            continue
+        # separation and covering from the pairs closer than the scale
+        q, j, _ = space.neighbors(idx, scale)
+        if sep_ok:
+            a, b = _position_pairs(idx, q, j)
+            bad = b > a
+            if bad.any():
+                sep_ok = False
+                first = a[bad][0]  # a ascends: the smallest offending position
+                other = b[bad & (a == first)].min()
+                witness = witness or ("separation", n, ids[first], ids[other])
         if cov_ok:
-            bad = np.flatnonzero(best >= scale)
+            covered = np.zeros(len(space), dtype=bool)
+            covered[j] = True
+            bad = np.flatnonzero(~covered)
             if bad.size:
                 cov_ok = False
                 witness = witness or ("covering", n, space.ids[int(bad[0])])

@@ -116,26 +116,36 @@ def find_porous(
             "target set is not contained in any single root cube"
         )
     gap = dist_to_set(space, target.members)
-    id_order = np.argsort(np.asarray(space.ids), kind="stable")
+    ids = np.asarray(space.ids)
+    # points by ascending gap: the candidates {gap >= delta*l} are a suffix
+    by_gap = np.argsort(gap, kind="stable")
+    sorted_gap = gap[by_gap]
     found: list[PorousCube] = []
     for cid in tree.descendants(root):
         cube = tree.cubes[cid]
         if not e_members.intersection(cube.members):
             continue
-        row = space.dists_from(space.index_of(cube.center))
-        near = row < cfg.M * cube.sidelength
-        gaps = np.where(near, gap, -math.inf)
-        best = float(gaps.max())
-        if best >= cfg.delta * cube.sidelength:
-            # first id (ascending) attaining the maximal gap
-            pos = next(int(k) for k in id_order if gaps[k] == best)
-            found.append(
-                PorousCube(
-                    cube=cid,
-                    witness=space.ids[pos],
-                    witness_gap=best,
-                )
+        # the maximal near gap, if porous, and every point attaining it
+        # are candidates, so distances to the others are never needed
+        start = np.searchsorted(sorted_gap, cfg.delta * cube.sidelength, "left")
+        if start == len(gap):
+            continue
+        cand = by_gap[start:]
+        row = space.dists_between(space.index_of(cube.center), cand)
+        near = cand[row < cfg.M * cube.sidelength]
+        if not near.size:
+            continue
+        best = float(gap[near].max())
+        # first id (ascending) attaining the maximal gap
+        tied = near[gap[near] == best]
+        pos = int(tied[np.argmin(ids[tied])])
+        found.append(
+            PorousCube(
+                cube=cid,
+                witness=space.ids[pos],
+                witness_gap=best,
             )
+        )
     return tuple(sorted(found, key=lambda p: p.cube))
 
 

@@ -35,7 +35,25 @@ A space caches what the pipeline asks for repeatedly:
   :func:`linear_mass_check`, :func:`~rectilib.density.density_profile`
   and :func:`~rectilib.density.stratify`);
 * the full distance matrix, once :meth:`~MetricMeasureSpace.distance_matrix`
-  has been called (a matrix space holds it from the start).
+  has been called (a matrix space holds it from the start);
+* a k-d tree over the coordinates, built by the first
+  :meth:`~MetricMeasureSpace.neighbors` call of a coordinate space.
+
+Small balls never need a full row.  :meth:`~MetricMeasureSpace.neighbors`
+answers "which points are closer than ``r``" for a batch of query
+points, and :meth:`~MetricMeasureSpace.dists_between` gives one row's
+entries at chosen columns.  On a coordinate space the tree
+(``scipy.spatial.cKDTree``, imported on first use, never by a matrix
+space or by loading one) is only a candidate filter: it is queried with
+the radius plus a pad of ``1e-6`` times the bounding-box diagonal, so
+its own rounding cannot drop a pair, and ``d < r`` is then decided by
+the row formula above on the candidate columns.  Ties on lattice inputs
+therefore resolve exactly as the rows resolve them.  A matrix space
+answers from its stored rows.  :meth:`~MetricMeasureSpace.neighbor_batches`
+gives the same answer in batches of a bounded number of pairs, for
+callers whose balls may hold many coincident points.  Nets, cubes,
+porous witnesses, the curve's adjacency and the mass cache's radii
+below ``2 * min_gap`` are built on these methods.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -49,7 +67,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +80,10 @@ from .errors import (
 
 # Above this point count distance_matrix() refuses to build the full matrix.
 _DENSE_LIMIT = 5000
+# neighbor_batches() sends at most this many query points to the tree
+# at once, and keeps a batch near or below this many candidate pairs
+_QUERY_CHUNK = 1024
+_PAIR_BUDGET = 1 << 18
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -76,8 +98,10 @@ class MetricMeasureSpace:
 
     Build instances with :meth:`from_coords` or :meth:`from_matrix`;
     both validate their input.  Distances are served row-wise through
-    :meth:`dists_from`; a coordinate space computes each row on demand
-    and keeps the full matrix only after :meth:`distance_matrix`.
+    :meth:`dists_from`, as chosen entries of a row through
+    :meth:`dists_between`, and as the pairs closer than a radius through
+    :meth:`neighbors`; a coordinate space computes each on demand and
+    keeps the full matrix only after :meth:`distance_matrix`.
     """
 
     def __init__(
@@ -104,6 +128,8 @@ class MetricMeasureSpace:
         self._index = {pid: k for k, pid in enumerate(self.ids)}
         self._summary: tuple[np.ndarray, np.ndarray] | None = None
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
+        self._tree = None  # k-d tree over coords, built by the first neighbors()
+        self._pad = 0.0
 
     # -- construction ---------------------------------------------------
 
@@ -236,15 +262,101 @@ class MetricMeasureSpace:
                 acc += step
         return np.sqrt(acc, out=acc)
 
-    def _pairwise(self, idx: np.ndarray) -> np.ndarray:
-        # the row formula of dists_from over an index block
-        acc = np.zeros((len(idx), len(idx)))
-        for col in self._axes:
-            sub = col[idx]
-            step = sub[:, None] - sub[None, :]
+    def dists_between(self, index: int, cols: np.ndarray) -> np.ndarray:
+        """``dists_from(index)[cols]``, bit for bit, without the rest of the row."""
+        cols = np.asarray(cols, dtype=np.intp)
+        if self._matrix is not None:
+            return self._matrix[index, cols]
+        return self._pair_dists(index, cols)
+
+    def _pair_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # the row formula of dists_from, entry by entry, for d(rows, cols)
+        # broadcast together; (-x)*(-x) == x*x, so d(i, j) == d(j, i)
+        if not self._axes:
+            return np.zeros(np.broadcast(rows, cols).shape)
+        first, *others = self._axes
+        acc = first[cols] - first[rows]
+        acc *= acc
+        for col in others:
+            step = col[cols] - col[rows]
             step *= step
             acc += step
         return np.sqrt(acc, out=acc)
+
+    def neighbors(
+        self, query_idx: Sequence[int] | np.ndarray, r: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair closer than ``r`` to a query point, in one answer.
+
+        Returns ``(q, j, d)``: exactly the pairs with
+        ``d = dists_from(query_idx[q])[j] < r``, sorted by ``(q, j)``,
+        each ``d`` equal to that row entry bit for bit.  The answer is
+        the concatenation of :meth:`neighbor_batches`.
+        """
+        parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+        for batch, q, j, d in self.neighbor_batches(query_idx, r):
+            parts.append((q + batch.start, j, d))
+        q, j, d = (np.concatenate(part) for part in zip(*parts))
+        return q, j, d
+
+    def neighbor_batches(
+        self, query_idx: Sequence[int] | np.ndarray, r: float
+    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`neighbors` for consecutive runs of query points.
+
+        Yields ``(batch, q, j, d)``, where ``batch`` is the slice of
+        ``query_idx`` answered and ``q`` indexes ``query_idx[batch]``;
+        every query's pairs are in one batch.  A batch holds at most
+        about ``_PAIR_BUDGET`` pairs (more only when one query point
+        alone has more neighbours), so a caller that reduces each batch
+        keeps its memory bounded even where many points coincide.
+        Coordinate spaces size each batch with a tree count, filter
+        candidates with a k-d tree and decide ``d < r`` by the row
+        formula; matrix spaces scan their stored rows in blocks.
+        """
+        query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
+        n = len(self)
+        if self._matrix is not None or not self._axes:
+            step = max(1, _PAIR_BUDGET // n)
+            for start in range(0, len(query_idx), step):
+                chunk = query_idx[start : start + step]
+                if self._matrix is not None:
+                    rows = self._matrix[chunk]
+                else:  # no axes: every distance is zero
+                    rows = np.zeros((len(chunk), n))
+                q, j = np.nonzero(rows < r)
+                yield slice(start, start + len(chunk)), q, j, rows[q, j]
+            return
+        from scipy.spatial import cKDTree
+
+        tree, pad = self._kdtree()
+        start = 0
+        while start < len(query_idx):
+            size = min(_QUERY_CHUNK, len(query_idx) - start)
+            while True:
+                chunk = query_idx[start : start + size]
+                batch = cKDTree(self.coords[chunk])
+                if size == 1 or batch.count_neighbors(tree, r + pad) <= _PAIR_BUDGET:
+                    break
+                size //= 2
+            found = batch.sparse_distance_matrix(tree, r + pad, output_type="ndarray")
+            key = np.sort(found["i"] * n + found["j"])
+            q, j = key // n, key % n
+            d = self._pair_dists(chunk[q], j)
+            keep = d < r
+            yield slice(start, start + size), q[keep], j[keep], d[keep]
+            start += size
+
+    def _kdtree(self):
+        """The k-d tree over the coordinates and its query pad, built once."""
+        if self._tree is None:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self.coords)
+            # the tree rounds its own squared sums; the pad keeps every
+            # pair the row formula puts below r, whatever the rounding
+            self._pad = 1e-6 * math.hypot(*np.ptp(self.coords, axis=0))
+        return self._tree, self._pad
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only); cached, refused above a size guard."""
@@ -253,7 +365,8 @@ class MetricMeasureSpace:
                 raise ParameterError(
                     f"refusing to materialize a {len(self)}^2 distance matrix"
                 )
-            matrix = self._pairwise(np.arange(len(self)))
+            idx = np.arange(len(self))
+            matrix = self._pair_dists(idx[:, None], idx[None, :])
             matrix.setflags(write=False)
             self._matrix = matrix
         return self._matrix
@@ -263,7 +376,7 @@ class MetricMeasureSpace:
         idx = self.indices_of(point_ids)
         if self._matrix is not None:
             return self._matrix[np.ix_(idx, idx)]
-        return self._pairwise(idx)
+        return self._pair_dists(idx[:, None], idx[None, :])
 
     def summary(self) -> tuple[np.ndarray, np.ndarray]:
         """Per point: eccentricity and smallest positive distance.
@@ -296,7 +409,13 @@ class MetricMeasureSpace:
         """Open-ball masses of the point at ``index``, one per radius.
 
         Each mass is ``float(weights[row < r].sum())``.  Masses are cached
-        per radius; the row is computed only when one is missing.
+        per radius; the row is computed only when one is missing.  Once
+        the summary pass has run, a radius below twice the smallest
+        positive distance is filled for every point at once from
+        :meth:`neighbor_batches`, asked once per location (coincident
+        points have the same row, so the same ball): such a ball holds a
+        packing-bounded number of locations, and ``weights[ascending
+        neighbour indices].sum()`` is the same array and the same sum.
         """
         w = self.weights
         row = None
@@ -305,6 +424,21 @@ class MetricMeasureSpace:
             col = self._masses.get(r)
             if col is None:
                 col = self._masses[r] = np.full(len(self), math.nan)
+                if self._summary is not None and r < 2.0 * self.min_gap():
+                    if self.coords is not None:
+                        _, first, where = np.unique(
+                            self.coords, axis=0, return_index=True, return_inverse=True
+                        )
+                    else:
+                        first = where = np.arange(len(self))
+                    at = np.empty(len(first))  # mass per location
+                    for batch, q, j, _ in self.neighbor_batches(first, r):
+                        size = batch.stop - batch.start
+                        ends = np.searchsorted(q, np.arange(size + 1)).tolist()
+                        for k in range(size):
+                            group = j[ends[k] : ends[k + 1]]
+                            at[batch.start + k] = w[group].sum()
+                    col[:] = at[where.reshape(-1)]
                 col.setflags(write=False)
             mass = col[index]
             if math.isnan(mass):

@@ -330,3 +330,160 @@ def tour_brute(vertices, edges):
     cum = np.concatenate(([0.0], np.cumsum(lengths)))
     ts = tuple(float(t) for t in cum / total)
     return tuple(visits), ts, total, tree_length
+
+
+# -- row-based constructions ---------------------------------------------
+#
+# The nets, cubes, porosity and adjacency code as it was before it moved
+# onto MetricMeasureSpace.neighbors: one full distance row per query
+# point, masked.  Kept line for line, so the neighbour-query versions
+# can be held to the same witnesses, ties and fallbacks.
+
+
+def build_nets_rows(space, rho, n_min, n_max, seed_ids=None) -> dict:
+    """Levels of the greedy nested nets: level -> member ids, scan order."""
+    n_pts = len(space)
+    order_ids = np.argsort(np.array(space.ids, dtype=np.int64), kind="stable")
+    mindist = np.full(n_pts, math.inf)
+    members: list[int] = []
+
+    def admit(k: int) -> None:
+        members.append(k)
+        np.minimum(mindist, space.dists_from(k), out=mindist)
+
+    levels: dict[int, tuple[int, ...]] = {}
+    for n in range(n_min, n_max + 1):
+        scale = rho**n
+        if n == n_min and seed_ids:
+            for pid in seed_ids:
+                k = space.index_of(pid)
+                if mindist[k] >= scale:
+                    admit(k)
+        for k in order_ids:
+            if mindist[k] >= scale:
+                admit(int(k))
+        levels[n] = tuple(space.ids[k] for k in members)
+    return levels
+
+
+def verify_nets_rows(space, h) -> tuple:
+    """(separation_ok, covering_ok, nesting_ok, witness) from one row per net point."""
+    sep_ok = cov_ok = nest_ok = True
+    witness = None
+    previous = None
+    for n in sorted(h.levels):
+        ids = h.levels[n]
+        scale = h.rho**n
+        idx = np.array([space.index_of(p) for p in ids], dtype=np.intp)
+        if previous is not None and nest_ok:
+            missing = previous - set(ids)
+            if missing:
+                nest_ok = False
+                witness = witness or ("nesting", n, sorted(missing)[0])
+        previous = set(ids)
+        best = np.full(len(space), math.inf)
+        for pos, k in enumerate(idx):
+            if not (sep_ok or cov_ok):
+                break
+            row = space.dists_from(k)
+            if sep_ok:
+                bad = np.flatnonzero(row[idx[pos + 1 :]] < scale)
+                if bad.size:
+                    sep_ok = False
+                    other = ids[pos + 1 + int(bad[0])]
+                    witness = witness or ("separation", n, ids[pos], other)
+            if cov_ok:
+                np.minimum(best, row, out=best)
+        if cov_ok:
+            bad = np.flatnonzero(best >= scale)
+            if bad.size:
+                cov_ok = False
+                witness = witness or ("covering", n, space.ids[int(bad[0])])
+    return sep_ok, cov_ok, nest_ok, witness
+
+
+def nearest_rows(space, candidate_idx) -> np.ndarray:
+    """Position (into candidate_idx) of each point's nearest candidate;
+    candidates scanned by ascending id, replaced only on a strict gain."""
+    best_d = np.full(len(space), math.inf)
+    best_j = np.zeros(len(space), dtype=np.intp)
+    order = np.argsort(
+        np.array([space.ids[k] for k in candidate_idx], dtype=np.int64),
+        kind="stable",
+    )
+    for j in order:
+        row = space.dists_from(int(candidate_idx[j]))
+        better = row < best_d
+        best_d[better] = row[better]
+        best_j[better] = j
+    return best_j
+
+
+def cube_members_rows(space, hierarchy) -> dict:
+    """{(level, center id): member ids} from nearest-parent composition."""
+    levels = sorted(hierarchy.levels)
+    level_idx = {
+        n: np.array([space.index_of(p) for p in hierarchy.levels[n]], dtype=np.intp)
+        for n in levels
+    }
+    assign = {levels[-1]: nearest_rows(space, level_idx[levels[-1]])}
+    for n_above, n in zip(levels[-2::-1], levels[:0:-1]):
+        up = nearest_rows(space, level_idx[n_above])[level_idx[n]]
+        assign[n_above] = up[assign[n]]
+    out = {}
+    for n in levels:
+        for j, k in enumerate(level_idx[n]):
+            members = np.flatnonzero(assign[n] == j)
+            out[(n, space.ids[int(k)])] = tuple(sorted(space.ids[p] for p in members))
+    return out
+
+
+def c0_rows(space, tree) -> float:
+    """Smallest (nearest non-member distance) / sidelength over all cubes."""
+    c0 = math.inf
+    member_mask = np.zeros(len(space), dtype=bool)
+    for c in tree.cubes:
+        idx = [space.index_of(p) for p in c.members]
+        member_mask[:] = False
+        member_mask[idx] = True
+        if member_mask.all():
+            continue
+        row = space.dists_from(space.index_of(c.center))
+        nearest_out = float(row[~member_mask].min())
+        c0 = min(c0, nearest_out / c.sidelength)
+    return c0
+
+
+def find_porous_rows(space, tree, target, cfg, root) -> list:
+    """(cube, witness id, witness gap) for every porous cube under root."""
+    e_members = set(target.members)
+    gap = np.array(dist_to_set_brute(space, target.members))
+    id_order = np.argsort(np.asarray(space.ids), kind="stable")
+    found = []
+    stack = [root]
+    while stack:
+        cid = stack.pop()
+        cube = tree.cubes[cid]
+        stack.extend(reversed(cube.children))
+        if not e_members.intersection(cube.members):
+            continue
+        row = space.dists_from(space.index_of(cube.center))
+        near = row < cfg.M * cube.sidelength
+        gaps = np.where(near, gap, -math.inf)
+        best = float(gaps.max())
+        if best >= cfg.delta * cube.sidelength:
+            pos = next(int(k) for k in id_order if gaps[k] == best)
+            found.append((cid, space.ids[pos], best))
+    return sorted(found)
+
+
+def adjacency_rows(space, ground_ids, eps_res) -> list:
+    """(a, b, length) for ground positions a < b with 0 < d < eps_res."""
+    idx = [space.index_of(p) for p in ground_ids]
+    edges = []
+    for a in range(len(ground_ids)):
+        row = space.dists_from(idx[a])[idx]
+        for b in np.flatnonzero((row > 0) & (row < eps_res)):
+            if b > a:
+                edges.append((a, int(b), float(row[b])))
+    return edges

@@ -119,6 +119,17 @@ def test_stratify_two_atoms():
         stratify(heavy, [0, 1], 1, 0)
 
 
+@pytest.mark.parametrize(
+    "coords", [np.zeros((2, 2)), np.array([[0.5, -1.0]])], ids=["coincident", "single"]
+)
+def test_stratify_without_a_positive_distance_is_degenerate(coords):
+    space = MetricMeasureSpace.from_coords(
+        range(len(coords)), coords, np.ones(len(coords))
+    )
+    with pytest.raises(DegenerateInputError, match="no positive distance"):
+        stratify(space, space.ids, 1, 1)
+
+
 def test_stratify_keeps_whole_circle():
     space, _ = generate(GeneratorSpec("circle", 256))
     kept = stratify(space, list(space.ids), 1, 1)

@@ -1,0 +1,456 @@
+"""The small-radius neighbour query and the stages built on it.
+
+``MetricMeasureSpace.neighbors`` and ``dists_between`` must give exactly
+the pairs and the bits of the full rows they replace, on both backends,
+with duplicate points and with radii equal to a lattice distance.  Each
+converted client is held to its row-based original in ``_oracles``,
+witnesses and fallbacks included.  A default run computes full rows
+only in the summary pass and the doubling stage, and only a coordinate
+space ever imports ``scipy.spatial``.
+"""
+
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import rectilib
+import rectilib.space as space_module
+from _oracles import (
+    adjacency_rows,
+    build_nets_rows,
+    c0_rows,
+    cube_members_rows,
+    find_porous_rows,
+    verify_nets_rows,
+)
+from rectilib.cubes import build_cubes
+from rectilib.curve import ADJACENCY, assemble_gamma, build_bridges
+from rectilib.generators import GeneratorSpec, generate
+from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
+from rectilib.pipeline import STAGES, RunConfig
+from rectilib.porosity import PorosityConfig, find_porous
+from rectilib.space import MetricMeasureSpace, TargetSet, enclosing_target
+
+# a coarse value pool makes duplicate points and distance ties common
+VALUES = st.sampled_from([-3.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.0, 2.125, 6.0])
+
+
+@st.composite
+def clouds(draw, dims=(0, 1, 2, 3), min_size=1):
+    """(ids, coords, weights): shuffled ids, duplicates, zero weights."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(min_size, 30))
+    pool = draw(
+        st.lists(st.lists(VALUES, min_size=d, max_size=d), min_size=1, max_size=n)
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    coords = np.array(rows, dtype=float).reshape(n, d)
+    ids = draw(st.permutations(list(range(0, 3 * n, 3))))
+    masses = st.sampled_from([0.0, 0.1, 0.3, 1.0 / 3.0])
+    weights = np.array(draw(st.lists(masses, min_size=n, max_size=n)))
+    weights[draw(st.integers(0, n - 1))] = 1.0  # positive total mass
+    return ids, coords, weights
+
+
+def both_backends(ids, coords, weights):
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    matrix = MetricMeasureSpace.from_coords(ids, coords, weights).distance_matrix()
+    return space, MetricMeasureSpace.from_matrix(ids, matrix, weights)
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def row_pairs(space, query_idx, r):
+    """(q, j, d) from full rows: flatnonzero(row < r) per query, in order."""
+    q, j, d = [], [], []
+    for pos, k in enumerate(query_idx):
+        row = space.dists_from(int(k))
+        hit = np.flatnonzero(row < r)
+        q.extend([pos] * len(hit))
+        j.extend(hit.tolist())
+        d.extend(row[hit].tolist())
+    return np.array(q, dtype=np.intp), np.array(j, dtype=np.intp), np.array(d)
+
+
+def assert_same_pairs(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(bits(got[2]), bits(want[2]))
+
+
+# -- the query itself ----------------------------------------------------
+
+
+@given(clouds(), st.data())
+def test_neighbors_and_sub_rows_equal_the_row_masks(cloud, data):
+    ids, coords, weights = cloud
+    n = len(ids)
+    query = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=int)
+    backends = both_backends(ids, coords, weights)
+    # every pairwise distance is a radius: the open/closed ties
+    dists = [*np.unique(backends[1].distance_matrix()), 0.5, 1e-9, 100.0]
+    radii = data.draw(st.lists(st.sampled_from(dists), min_size=1, max_size=4))
+    for space in backends:
+        for r in radii:
+            want = row_pairs(space, query, r)
+            assert_same_pairs(space.neighbors(query, float(r)), want)
+        for k in query:
+            want = space.dists_from(k)[cols]
+            assert np.array_equal(bits(space.dists_between(k, cols)), bits(want))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("interval", 97), GeneratorSpec("grid2d", 9)],
+    ids=lambda spec: spec.kind,
+)
+def test_lattice_distances_as_radii_flip_no_tie(spec):
+    space, _ = generate(spec)
+    twin = MetricMeasureSpace.from_matrix(
+        space.ids, space.distance_matrix(), space.weights
+    )
+    fresh, _ = generate(spec)  # no cached matrix: the tree answers
+    ties = np.unique(space.distance_matrix())[1:40]
+    query = np.arange(len(space))
+    for r in ties:
+        want = row_pairs(fresh, query, r)
+        assert_same_pairs(fresh.neighbors(query, float(r)), want)
+        assert_same_pairs(twin.neighbors(query, float(r)), want)
+        # r is a tie: points at exactly r are outside, one ulp more holds them
+        wider = row_pairs(fresh, query, np.nextafter(r, np.inf))
+        assert len(wider[0]) > len(want[0])
+
+
+@given(clouds(), st.data())
+def test_batches_stay_within_the_pair_budget(cloud, data):
+    """A tiny budget splits the queries into many batches; together they
+    are the answer, and only a single query may exceed the budget."""
+    ids, coords, weights = cloud
+    n = len(ids)
+    query = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    r = data.draw(st.sampled_from([0.3, 1.0, 4.0, 100.0]))
+    budget = data.draw(st.sampled_from([1, 7, 40]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "_PAIR_BUDGET", budget)
+        for space in both_backends(ids, coords, weights):
+            batches = list(space.neighbor_batches(query, r))
+            bounds = [0] + [b.stop for b, _, _, _ in batches]
+            assert [b.start for b, _, _, _ in batches] == bounds[:-1]
+            assert bounds[-1] == len(query)
+            for b, q, _, _ in batches:
+                size = b.stop - b.start
+                if space.coords is None or not coords.shape[1]:
+                    assert size <= max(1, budget // n)
+                else:
+                    assert size == 1 or len(q) <= budget
+            got = space.neighbors(query, r)
+            assert_same_pairs(got, row_pairs(space, query, r))
+
+
+def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
+    """Coincident points are asked for once per location, so 298 points
+    at one location cost three queries, not 298 balls of 298 pairs."""
+    coords = np.zeros((300, 1))
+    coords[5, 0] = -0.0
+    coords[-2:, 0] = [0.5, 1.0]
+    weights = np.full(300, 0.1)
+    space = MetricMeasureSpace.from_coords(range(300), coords, weights)
+    gap = space.min_gap()
+    asked = []
+    batches = MetricMeasureSpace.neighbor_batches
+
+    def recorded(self, query_idx, r):
+        asked.extend(np.asarray(query_idx).tolist())
+        return batches(self, query_idx, r)
+
+    monkeypatch.setattr(MetricMeasureSpace, "neighbor_batches", recorded)
+    masses = [space.ball_masses(k, [gap])[0] for k in range(300)]
+    assert sorted(asked) == [0, 298, 299]
+    assert row_calls == {"MetricMeasureSpace.summary": 300}  # min_gap only
+    want = [weights[space.dists_from(k) < gap].sum() for k in range(300)]
+    assert np.array_equal(bits(masses), bits(want))
+
+
+@given(clouds(dims=(1, 2, 3)), st.data())
+def test_small_radius_masses_from_neighbours_equal_row_sums(cloud, data):
+    ids, coords, weights = cloud
+    for space in both_backends(ids, coords, weights):
+        gap = space.min_gap()  # runs the summary: small radii use neighbors()
+        if gap == 0:
+            continue
+        radii = [gap / 2, gap, 2 * gap * (1 - 1e-9)]
+        radii.append(data.draw(st.sampled_from([gap / 3, 1.5 * gap])))
+        for k in range(len(space)):
+            row = space.dists_from(k)
+            masses = space.ball_masses(k, radii)
+            assert np.array_equal(
+                bits(masses), bits([weights[row < r].sum() for r in radii])
+            )
+
+
+def test_small_radius_masses_keep_numpys_pairwise_sum():
+    """Twenty coincident points: a sequential sum of their weights is a
+    different float, so the mass must be the same numpy sum as the row's."""
+    coords = np.array([[0.0]] * 20 + [[1.0], [3.0]])
+    weights = np.array([0.1, 0.1, 1.0 / 3.0] * 7 + [0.3])
+    for space in both_backends(range(22), coords, weights):
+        gap = space.min_gap()
+        row = space.dists_from(0)
+        want = weights[row < gap].sum()
+        assert space.ball_masses(0, [gap])[0] == want
+        sequential = 0.0
+        for w in weights[:20]:
+            sequential += w
+        assert sequential != want
+
+
+# -- clients against their row-based originals ----------------------------
+
+
+def net_check(space, h) -> tuple:
+    check = verify_nets(space, h)
+    return check.separation_ok, check.covering_ok, check.nesting_ok, check.witness
+
+
+@given(clouds(dims=(1, 2, 3)), st.sampled_from([0.5, 0.25, 1 / 16]), st.data())
+def test_nets_match_the_row_based_scan(cloud, rho, data):
+    ids, coords, weights = cloud
+    for space in both_backends(ids, coords, weights):
+        lo, hi = auto_levels(space, rho)
+        seeds = data.draw(st.lists(st.sampled_from(ids), max_size=2))
+        h = build_nets(space, rho, lo, hi, seed_ids=seeds)
+        assert h.levels == build_nets_rows(space, rho, lo, hi, seed_ids=seeds)
+        assert verify_nets(space, h).ok
+        assert net_check(space, h) == verify_nets_rows(space, h)
+
+
+@given(clouds(dims=(1, 2, 3), min_size=3), st.data())
+def test_net_witnesses_match_the_row_based_check(cloud, data):
+    """Injected separation, covering and nesting failures name the same
+    witness as the row-based check, duplicate members included."""
+    ids, coords, weights = cloud
+    for space in both_backends(ids, coords, weights):
+        lo, hi = auto_levels(space, 0.5)
+        levels = dict(build_nets(space, 0.5, lo, hi).levels)
+        for n in data.draw(st.lists(st.sampled_from(sorted(levels)), max_size=3)):
+            members = list(levels[n])
+            edits = st.sampled_from(["add", "drop", "duplicate", "shuffle"])
+            for edit in data.draw(st.lists(edits, min_size=1, max_size=4)):
+                at = data.draw(st.integers(0, len(members)))
+                if edit == "add":
+                    members.insert(at, data.draw(st.sampled_from(ids)))
+                elif edit == "drop" and members:
+                    members.pop(at % len(members))
+                elif edit == "duplicate" and members:
+                    members.append(members[at % len(members)])
+                else:
+                    members = data.draw(st.permutations(members))
+            levels[n] = tuple(members)
+        h = NetHierarchy(rho=0.5, n_min=lo, n_max=hi, levels=levels)
+        assert net_check(space, h) == verify_nets_rows(space, h)
+
+
+def assert_cubes_match(space, h):
+    tree = build_cubes(space, h)
+    want = cube_members_rows(space, h)
+    got = {(c.level, c.center): c.members for c in tree.cubes}
+    assert got == want
+    assert tree.c0_achieved == c0_rows(space, tree)
+
+
+@given(clouds(dims=(1, 2, 3), min_size=2), st.data())
+def test_cubes_match_the_row_based_assignment(cloud, data):
+    """Nearest centres and c0, also over hand-made levels that do not
+    cover, so points fall back to a comparison with every candidate."""
+    ids, coords, weights = cloud
+    for space in both_backends(ids, coords, weights):
+        lo, hi = auto_levels(space, 0.25)
+        h = build_nets(space, 0.25, lo, hi)
+        assert_cubes_match(space, h)
+        # nested random subsets: a finer level need not cover anything
+        chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        levels = {n: tuple(chosen[: 1 + n - lo]) for n in range(lo, hi + 1)}
+        assert_cubes_match(
+            space, NetHierarchy(rho=0.25, n_min=lo, n_max=hi, levels=levels)
+        )
+
+
+def test_c0_falls_back_to_rows_when_no_cube_has_a_near_outsider():
+    coords = np.array([[0.0], [10.0], [10.0 + 1e-3]])
+    space = MetricMeasureSpace.from_coords([5, 7, 9], coords, np.ones(3))
+    h = NetHierarchy(rho=0.25, n_min=0, n_max=0, levels={0: (5, 9)})
+    tree = build_cubes(space, h)
+    assert tree.c0_achieved == c0_rows(space, tree) == (10.0 - 0.0) / 5.0
+    assert_cubes_match(space, h)
+
+
+@given(
+    clouds(dims=(1, 2, 3), min_size=2),
+    st.sampled_from([0.003, 0.05, 0.2]),
+    st.data(),
+)
+def test_porous_cubes_match_the_row_based_search(cloud, delta, data):
+    ids, coords, weights = cloud
+    cfg = PorosityConfig(M=11.0, delta=delta, n0=2, rho=1.0 / 16.0, C_mu=2.0)
+    for space in both_backends(ids, coords, weights):
+        lo, hi = auto_levels(space, cfg.rho)
+        tree = build_cubes(space, build_nets(space, cfg.rho, lo, hi))
+        members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        target = enclosing_target(space, members)
+        assert porous(space, tree, target, cfg) == find_porous_rows(
+            space, tree, target, cfg, tree.roots()[0]
+        )
+
+
+HOLE = {"holes": [(0.4, 0.6)]}
+
+
+def test_porous_cubes_match_on_the_hole_fixture():
+    space, target = generate(GeneratorSpec("interval", 300, params=HOLE))
+    cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
+    tree = build_cubes(space, build_nets(space, cfg.rho, -1, 2))
+    got = porous(space, tree, target, cfg)
+    assert got == find_porous_rows(space, tree, target, cfg, tree.roots()[0])
+    assert len(got) > 10
+
+
+def test_a_gap_equal_to_the_threshold_is_porous():
+    """delta * l is exactly 1.0 at level 0 here, and so is the witness gap."""
+    space = MetricMeasureSpace.from_coords(
+        [4, 8, 2], np.array([[0.0], [0.5], [1.0]]), np.ones(3)
+    )
+    target = enclosing_target(space, [4])
+    cfg = PorosityConfig(M=11.0, delta=0.2, n0=2, rho=1.0 / 16.0, C_mu=2.0)
+    levels = auto_levels(space, cfg.rho)
+    tree = build_cubes(space, build_nets(space, cfg.rho, *levels))
+    got = porous(space, tree, target, cfg)
+    assert got == find_porous_rows(space, tree, target, cfg, tree.roots()[0])
+    assert any(
+        gap == cfg.delta * tree.cubes[cube].sidelength == 1.0 for cube, _, gap in got
+    )
+
+
+def porous(space, tree, target, cfg) -> list:
+    return [
+        (p.cube, p.witness, p.witness_gap)
+        for p in find_porous(space, tree, target, cfg)
+    ]
+
+
+def adjacency_edges(graph):
+    """(g, h, length) of each adjacency edge, in edge order."""
+    keep = graph.provenance == ADJACENCY
+    g = graph.keys[graph.src[keep], 1].tolist()
+    h = graph.keys[graph.dst[keep], 1].tolist()
+    return list(zip(g, h, graph.length[keep].tolist()))
+
+
+@given(clouds(dims=(0, 1, 2, 3), min_size=2), st.data())
+def test_adjacency_matches_the_row_based_pairs(cloud, data):
+    ids, coords, weights = cloud
+    backends = both_backends(ids, coords, weights)
+    members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    members = tuple(sorted(members))
+    target = TargetSet(members=members, xi0=members[0], r0=1.0)
+    dists = np.unique(backends[1].distance_matrix())
+    eps = float(data.draw(st.sampled_from([*dists[1:], 0.4, 50.0])))
+    for space in backends:
+        empty = build_bridges(space, None, None, (), None)
+        graph = assemble_gamma(space, target, empty, eps)
+        want = adjacency_rows(space, members, eps)
+        want = [(members[a], members[b], d) for a, b, d in want]
+        assert adjacency_edges(graph) == want
+
+
+def test_adjacency_with_bridges_matches_the_row_based_pairs():
+    space, target = generate(GeneratorSpec("interval", 200, params=HOLE))
+    cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
+    h = build_nets(space, cfg.rho, -1, 3)
+    tree = build_cubes(space, h)
+    found = find_porous(space, tree, target, cfg)
+    bridges = build_bridges(space, tree, h, found, cfg)
+    assert bridges.bridge_pairs
+    eps = 2.2 / 200
+    graph = assemble_gamma(space, target, bridges, eps)
+    ends = {p for pair in bridges.bridge_pairs for p in pair}
+    ground = sorted(set(target.members) | ends)
+    want = adjacency_rows(space, ground, eps)
+    assert adjacency_edges(graph) == [(ground[a], ground[b], d) for a, b, d in want]
+
+
+# -- the row budget and the lazy import ------------------------------------
+
+
+class _Probe:
+    def row(self, space):
+        return space.dists_from(0)
+
+
+def test_row_calls_keys_name_the_caller(row_calls):
+    space = MetricMeasureSpace.from_coords([4, 7], np.array([[0.0], [1.0]]), np.ones(2))
+    space.summary()
+    _Probe().row(space)
+    space.dists_from(1)
+    assert row_calls == {
+        "MetricMeasureSpace.summary": 2,
+        "_Probe.row": 1,
+        "test_row_calls_keys_name_the_caller": 1,
+    }
+
+
+def test_default_run_computes_rows_only_in_summary_and_doubling(row_calls):
+    cfg = RunConfig(kind="lipschitz_curve", resolution=2000)
+    ctx = SimpleNamespace(cfg=cfg)
+    by_stage = {}
+    for name, _, stage in STAGES:
+        before = row_calls.copy()
+        stage(ctx)
+        added = row_calls - before
+        if added:
+            by_stage[name] = dict(added)
+    n = len(ctx.space)
+    assert n == 2000
+    assert by_stage == {
+        "load": {"MetricMeasureSpace.summary": n},
+        "doubling": {"MetricMeasureSpace.ball_masses": n},
+    }
+
+
+GUARD = """
+import sys
+import numpy as np
+from rectilib.pipeline import RunConfig, load_space, run_pipeline
+
+space, _ = load_space(RunConfig(kind="interval", resolution=300))
+assert "scipy.spatial" not in sys.modules, "load_space imported scipy.spatial"
+np.savetxt(sys.argv[1], space.distance_matrix(), delimiter=",", fmt="%.17g")
+with open(sys.argv[2], "w") as fh:
+    fh.write("id,weight\\n")
+    fh.writelines(f"{i},{w!r}\\n" for i, w in zip(space.ids, space.weights.tolist()))
+run_pipeline(RunConfig(matrix=sys.argv[1], weights=sys.argv[2]))
+assert "scipy.spatial" not in sys.modules, "a matrix run imported scipy.spatial"
+run_pipeline(RunConfig(kind="interval", resolution=300))
+assert "scipy.spatial" in sys.modules, "a coordinate run built no tree"
+"""
+
+
+def test_only_a_coordinate_run_imports_scipy_spatial(tmp_path):
+    src = os.path.dirname(os.path.dirname(rectilib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path / "m.csv"), str(tmp_path / "w.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

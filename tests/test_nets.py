@@ -112,14 +112,15 @@ def test_verify_nets_flags_injected_violations():
     assert not check.nesting_ok
 
 
-def test_verify_nets_computes_one_row_per_net_point():
+def test_verify_nets_computes_no_rows():
+    """Separation and covering come from the pairs closer than the scale."""
     space, _ = generate(GeneratorSpec("interval", 200))
     h = build_nets(space, 0.25, 0, 3)
     calls = []
     original = space.dists_from
     space.dists_from = lambda k: calls.append(k) or original(k)
     assert verify_nets(space, h).ok
-    assert len(calls) == sum(len(ids) for ids in h.levels.values())
+    assert calls == []
 
 
 def test_auto_levels_frozen_and_degenerate():

@@ -180,6 +180,9 @@ def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
             )
         if s.min_gap() > 0:
             assert stratify(s, members, j, k) == stratify_brute(s, members, j, k)
+        else:
+            with pytest.raises(DegenerateInputError, match="resolution scale"):
+                stratify(s, members, j, k)
 
 
 @pytest.mark.parametrize(
