@@ -38,7 +38,6 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=KINDS, help="generator kind")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--params", default="{}", help="generator params, JSON")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_scale_args(p: argparse.ArgumentParser) -> None:

@@ -17,12 +17,11 @@ reported rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnknownIdentifierError
+from .errors import ParameterError
 from .nets import NetHierarchy
 from .space import MetricMeasureSpace
 
@@ -31,7 +30,6 @@ SIDELENGTH_FACTOR = 5.0
 
 @dataclass(frozen=True)
 class Cube:
-    cube_id: int
     level: int
     center: int  # point id of the net point indexing this cube
     sidelength: float
@@ -43,20 +41,11 @@ class Cube:
 
 @dataclass(frozen=True)
 class CubeTree:
-    rho: float
     c0_target: float
     n_min: int
-    n_max: int
-    cubes: tuple[Cube, ...]  # indexed by cube_id
+    cubes: tuple[Cube, ...]  # a cube's id is its position here
     by_level: dict[int, tuple[int, ...]]  # level -> cube ids
     c0_achieved: float  # +inf when no cube has a non-member
-    # (level, center point id) -> cube id
-    index: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
-
-    def cube(self, cube_id: int) -> Cube:
-        if not 0 <= cube_id < len(self.cubes):
-            raise UnknownIdentifierError(f"unknown cube id {cube_id}")
-        return self.cubes[cube_id]
 
     def roots(self) -> tuple[int, ...]:
         return self.by_level[self.n_min]
@@ -70,28 +59,6 @@ class CubeTree:
             out.append(cid)
             stack.extend(reversed(self.cubes[cid].children))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "c0_target": self.c0_target,
-            "c0_achieved": self.c0_achieved,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "cubes": [
-                {
-                    "id": c.cube_id,
-                    "level": c.level,
-                    "center": c.center,
-                    "sidelength": c.sidelength,
-                    "parent": c.parent,
-                    "children": list(c.children),
-                    "mass": c.mass,
-                    "n_members": len(c.members),
-                }
-                for c in self.cubes
-            ],
-        }
 
 
 def _nearest(
@@ -154,7 +121,6 @@ def build_cubes(
 
     cubes: list[dict] = []
     by_level: dict[int, tuple[int, ...]] = {}
-    index: dict[tuple[int, int], int] = {}
     for n in levels:
         ids = []
         side = SIDELENGTH_FACTOR * hierarchy.rho**n
@@ -165,13 +131,11 @@ def build_cubes(
             groups[int(j)].append(point)
         for j, net_k in enumerate(level_idx[n]):
             member_pos = groups[j]
-            cube_id = len(cubes)
-            center_id = space.ids[int(net_k)]
+            ids.append(len(cubes))
             cubes.append(
                 {
-                    "cube_id": cube_id,
                     "level": n,
-                    "center": center_id,
+                    "center": space.ids[int(net_k)],
                     "sidelength": side,
                     "parent": None,
                     "children": [],
@@ -181,8 +145,6 @@ def build_cubes(
                     "mass": float(space.weights[member_pos].sum()),
                 }
             )
-            index[(n, center_id)] = cube_id
-            ids.append(cube_id)
         by_level[n] = tuple(ids)
 
     # parent/child links: the child's center belongs to the parent cube
@@ -225,7 +187,6 @@ def build_cubes(
 
     frozen = tuple(
         Cube(
-            cube_id=c["cube_id"],
             level=c["level"],
             center=c["center"],
             sidelength=c["sidelength"],
@@ -237,14 +198,11 @@ def build_cubes(
         for c in cubes
     )
     return CubeTree(
-        rho=hierarchy.rho,
         c0_target=c0_target,
         n_min=levels[0],
-        n_max=levels[-1],
         cubes=frozen,
         by_level=by_level,
         c0_achieved=c0,
-        index=index,
     )
 
 

@@ -570,7 +570,6 @@ def check_parametrization(
     param: CurveParametrization,
     graph: BridgeGraph,
     sample_pairs: int = 10_000,
-    seed: int = 0,
 ) -> ParamCheck:
     """Surjectivity (exact) and sampled Lipschitz ratios of a tour.
 
@@ -578,7 +577,8 @@ def check_parametrization(
     parameter gap; the tour segment between two visits is at least the
     graph distance, so every ratio must stay within the bound.  A tour
     with a visit off the graph, or with other than one time per visit,
-    raises :class:`ParameterError`.
+    raises :class:`ParameterError`.  Visit pairs are drawn with seed 0,
+    so the check repeats exactly.
     """
     visits = _key_rows(param.visits)
     ts = np.asarray(param.ts, dtype=float)
@@ -595,7 +595,7 @@ def check_parametrization(
     witness: tuple[int, int] | None = None
     lipschitz_ok = True
     if n_visits >= 2 and param.lip_bound > 0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         side = max(1, int(math.isqrt(sample_pairs)))
         src_visits = rng.integers(0, n_visits, size=side)
         dst_visits = rng.integers(0, n_visits, size=side)

@@ -178,8 +178,10 @@ def beta2(
     if nz.size and direction[nz[0]] < 0:
         direction = -direction
 
-    sub = space.distance_submatrix(ids)
-    diam = float(sub.max())
+    if len(idx) == len(space):
+        diam = space.diameter()
+    else:  # the largest sub-row maximum; no m x m matrix
+        diam = max(float(space.dists_between(k, idx).max()) for k in idx)
     if diam == 0.0:
         value = 0.0
     else:

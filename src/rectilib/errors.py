@@ -34,19 +34,14 @@ class ConfigError(ParameterError):
 
 
 class UnknownIdentifierError(InputError):
-    """A point id (or cube id) does not exist in the structure at hand."""
+    """A point id does not exist in the space at hand."""
 
 
 class DegenerateInputError(InputError):
     """Input is formally valid but degenerate for the requested operation.
 
-    Examples: zero total mass, every sampled pair skipped, an empty
-    target set.
+    Examples: zero total mass, an empty target set.
     """
-
-    def __init__(self, message: str, *, skipped: int | None = None):
-        super().__init__(message)
-        self.skipped = skipped
 
 
 class UnsupportedMetricError(InputError):

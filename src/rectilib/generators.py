@@ -3,8 +3,8 @@
 Every generator returns a :class:`~rectilib.space.MetricMeasureSpace`
 with ids ``0..n-1`` plus an optional target set (only the interval kind
 with holes produces one; for the rest the natural target is the whole
-space).  Generators take no randomness beyond the spec's seed field,
-which present kinds do not use; identical specs give identical output.
+space).  Generators take no randomness; identical specs give identical
+output.
 
 Kinds
 -----
@@ -66,7 +66,6 @@ class GeneratorSpec:
     kind: str
     resolution: int
     params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
 
 
 def _require(cond: bool, message: str) -> None:

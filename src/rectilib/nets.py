@@ -18,46 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, UnknownIdentifierError
+from .errors import ParameterError
 from .space import MetricMeasureSpace
 
 
 @dataclass(frozen=True)
 class NetHierarchy:
     rho: float
-    n_min: int
-    n_max: int
     levels: dict[int, tuple[int, ...]]  # level -> member point ids, scan order
 
     def scale(self, n: int) -> float:
         return self.rho**n
-
-    def level(self, n: int) -> tuple[int, ...]:
-        try:
-            return self.levels[n]
-        except KeyError:
-            raise UnknownIdentifierError(f"no net at level {n}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "levels": {str(n): list(self.levels[n]) for n in sorted(self.levels)},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetHierarchy":
-        levels = {
-            int(n): tuple(int(p) for p in members)
-            for n, members in data["levels"].items()
-        }
-        return cls(
-            rho=float(data["rho"]),
-            n_min=int(data["n_min"]),
-            n_max=int(data["n_max"]),
-            levels=levels,
-        )
 
 
 def _check_rho(rho: float) -> None:
@@ -83,7 +54,7 @@ def build_nets(
     """
     _check_rho(rho)
     if n_max < n_min:
-        raise ParameterError("n_max must be >= n_min")
+        raise ParameterError(f"n_max must be >= n_min, got {n_min}..{n_max}")
     if rho**n_min < space.diameter():
         import warnings
 
@@ -118,7 +89,7 @@ def build_nets(
             if mindist[k] >= scale:
                 admit(int(k), scale)
         levels[n] = tuple(space.ids[k] for k in members)
-    return NetHierarchy(rho=rho, n_min=n_min, n_max=n_max, levels=levels)
+    return NetHierarchy(rho=rho, levels=levels)
 
 
 def auto_levels(space: MetricMeasureSpace, rho: float) -> tuple[int, int]:

@@ -53,6 +53,7 @@ from .nets import auto_levels, build_nets, verify_nets
 from .porosity import (
     PorosityConfig,
     carleson_check,
+    dist_to_set,
     find_porous,
     shadow_map,
     validate_config,
@@ -80,7 +81,6 @@ class RunConfig:
     kind: str | None = None
     resolution: int = 0
     params: dict = field(default_factory=dict)
-    seed: int = 0
     # geometry parameters
     rho: float = 1.0 / 16.0
     c0: float = 1.0 / 500.0
@@ -119,7 +119,6 @@ def load_space(cfg: RunConfig) -> tuple[MetricMeasureSpace, TargetSet | None]:
         kind=cfg.kind,
         resolution=cfg.resolution,
         params=dict(cfg.params),
-        seed=cfg.seed,
     )
     return generate(spec)
 
@@ -192,10 +191,10 @@ def _doubling(ctx):
 
 def _nets(ctx):
     cfg = ctx.cfg
-    if cfg.n_min is not None and cfg.n_max is not None:
-        lo, hi = cfg.n_min, cfg.n_max
-    else:
-        lo, hi = auto_levels(ctx.space, cfg.rho)
+    # a level flag left unset takes its end of the automatic range
+    lo, hi = auto_levels(ctx.space, cfg.rho)
+    lo = lo if cfg.n_min is None else cfg.n_min
+    hi = hi if cfg.n_max is None else cfg.n_max
     ctx.hierarchy = build_nets(
         ctx.space, cfg.rho, lo, hi, seed_ids=[ctx.target.xi0]
     )
@@ -251,7 +250,10 @@ def _density(ctx):
 
 
 def _porous(ctx):
-    ctx.porous = find_porous(ctx.space, ctx.tree, ctx.target, ctx.pcfg)
+    ctx.gap = dist_to_set(ctx.space, ctx.target.members)
+    ctx.porous = find_porous(
+        ctx.space, ctx.tree, ctx.target, ctx.gap, ctx.pcfg
+    )
     level_hist: dict[str, int] = {}
     for p in ctx.porous:
         key = str(ctx.tree.cubes[p.cube].level)
@@ -260,7 +262,7 @@ def _porous(ctx):
 
 
 def _shadow(ctx):
-    shadow = shadow_map(ctx.space, ctx.tree, ctx.target, ctx.porous, ctx.pcfg)
+    shadow = shadow_map(ctx.space, ctx.tree, ctx.gap, ctx.porous, ctx.pcfg)
     ctx.shadow = shadow
     return {
         "antichain": len(shadow.maximal),
@@ -274,7 +276,7 @@ def _shadow(ctx):
 
 def _carleson(ctx):
     carleson = carleson_check(
-        ctx.tree, ctx.porous, ctx.pcfg, b_observed=ctx.shadow.b_observed
+        ctx.tree, ctx.porous, ctx.pcfg, ctx.shadow.b_observed
     )
     constants = carleson.constants
     return {
@@ -283,7 +285,7 @@ def _carleson(ctx):
         "C1": constants.C1,
         "a": constants.a,
         "b": constants.b,
-        "b_mode": constants.b_mode,
+        "b_mode": "observed",  # b is the shadow map's multiplicity
         "skipped": carleson.skipped,
         "ok": carleson.ok,
     }, None if carleson.ok else (

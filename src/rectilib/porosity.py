@@ -72,21 +72,23 @@ def dist_to_set(
 ) -> np.ndarray:
     """Distance from every point to the nearest of the given points.
 
-    Rows are computed for the smaller side: the members' rows, or, when
-    fewer points lie outside the set, the outsiders' rows restricted to
-    the member columns (members are at distance 0).  Both give the same
-    values, since distances are exactly symmetric.
+    Members are at distance 0.  Only member-to-outsider distances are
+    computed, one sub-row per point of the smaller side: each member's
+    distances to the outsiders, or each outsider's distances to the
+    members.  Both give the same values, since distances are exactly
+    symmetric.
     """
     idx = np.unique(space.indices_of(member_ids))
     outside = np.setdiff1d(np.arange(len(space)), idx)
-    best = np.full(len(space), math.inf)
+    best = np.zeros(len(space))
     if len(outside) < len(idx):
-        best[idx] = 0.0
         for k in outside:
-            best[k] = space.dists_from(int(k))[idx].min()
+            best[k] = space.dists_between(int(k), idx).min()
         return best
+    near = np.full(len(outside), math.inf)
     for k in idx:
-        np.minimum(best, space.dists_from(int(k)), out=best)
+        np.minimum(near, space.dists_between(int(k), outside), out=near)
+    best[outside] = near
     return best
 
 
@@ -94,13 +96,14 @@ def find_porous(
     space: MetricMeasureSpace,
     tree: CubeTree,
     target: TargetSet,
+    gap: np.ndarray,
     cfg: PorosityConfig,
 ) -> tuple[PorousCube, ...]:
     """All cubes under the target's root that are porous for cfg.
 
-    A witness maximizes the gap to the target set among sample points
-    strictly within M sidelengths of the cube center; ties go to the
-    smaller point id.
+    ``gap`` is :func:`dist_to_set` of the target's members.  A witness
+    maximizes the gap among sample points strictly within M sidelengths
+    of the cube center; ties go to the smaller point id.
     """
     result = validate_config(cfg)
     if not result.ok:
@@ -115,7 +118,6 @@ def find_porous(
         raise ContainmentError(
             "target set is not contained in any single root cube"
         )
-    gap = dist_to_set(space, target.members)
     ids = np.asarray(space.ids)
     # points by ascending gap: the candidates {gap >= delta*l} are a suffix
     by_gap = np.argsort(gap, kind="stable")
@@ -154,14 +156,9 @@ class AppendixConstants:
     a: float
     C1: float
     b: float
-    b_mode: str  # "supplied" | "observed"
 
 
-def appendix_constants(
-    cfg: PorosityConfig,
-    b: float | None = None,
-    b_observed: int | None = None,
-) -> AppendixConstants:
+def appendix_constants(cfg: PorosityConfig, b_observed: int) -> AppendixConstants:
     """Assemble the packing bound C1 from the doubling estimate.
 
         a  = C_mu^(log2(c0 / (4 M))) * (4 / rho)^(log2 C_mu)
@@ -170,20 +167,12 @@ def appendix_constants(
     The exponents telescope, so C1 also equals
     b * C_mu^(log2(4 / rho) - 1); both forms are evaluated and must
     agree, guarding against transcription slips.  The multiplicity b
-    is supplied, or taken from an observed shadow-map multiplicity
-    (floored at 1 so an empty family still yields a usable bound).
+    is the observed shadow-map multiplicity, floored at 1 so an empty
+    family still yields a usable bound.
     """
     if cfg.C_mu is None or not (cfg.C_mu > 1):
         raise ParameterError("constants need a doubling estimate C_mu > 1")
-    if b is not None:
-        b_mode = "supplied"
-        b_val = float(b)
-    elif b_observed is not None:
-        b_mode = "observed"
-        b_val = float(max(1, b_observed))
-    else:
-        b_mode = "supplied"
-        b_val = 1.0
+    b_val = float(max(1, b_observed))
     c = cfg.C_mu
     a = c ** math.log2(cfg.c0 / (4 * cfg.M)) * (4 / cfg.rho) ** math.log2(c)
     c1 = a * b_val * c ** (math.log2(cfg.M / cfg.c0) + 1)
@@ -192,7 +181,7 @@ def appendix_constants(
         raise ParameterError(
             f"constant assembly disagrees: {c1} vs {c1_direct}"
         )
-    return AppendixConstants(a=a, C1=c1, b=b_val, b_mode=b_mode)
+    return AppendixConstants(a=a, C1=c1, b=b_val)
 
 
 @dataclass(frozen=True)
@@ -209,8 +198,7 @@ def carleson_check(
     tree: CubeTree,
     porous: Sequence[PorousCube],
     cfg: PorosityConfig,
-    b: float | None = None,
-    b_observed: int | None = None,
+    b_observed: int,
 ) -> CarlesonReport:
     """Packed-mass ratio of every cube against the assembled bound.
 
@@ -218,7 +206,7 @@ def carleson_check(
     (itself included) divided by its own mass; nested porous cubes each
     contribute their full mass, matching the packing sum being bounded.
     """
-    constants = appendix_constants(cfg, b=b, b_observed=b_observed)
+    constants = appendix_constants(cfg, b_observed)
     porous_ids = {p.cube for p in porous}
     packed = [0.0] * len(tree.cubes)
     ratios: dict[int, float] = {}
@@ -273,21 +261,21 @@ class ShadowReport:
 def shadow_map(
     space: MetricMeasureSpace,
     tree: CubeTree,
-    target: TargetSet,
+    gap: np.ndarray,
     porous: Sequence[PorousCube],
     cfg: PorosityConfig,
 ) -> ShadowReport:
     """Map porous cubes to maximal cubes clear of the target set.
 
     The antichain consists of maximal cubes whose doubled center ball
-    misses the target set entirely.  Each porous cube's witness lies in
+    misses the target set entirely (``gap`` is :func:`dist_to_set` of
+    the target's members).  Each porous cube's witness lies in
     at most one antichain cube (its shadow); for every mapped pair the
     two sidelengths must be comparable, which is checked with the
     achieved inner-ball constant rather than the nominal target.
     A witness contained in no antichain cube at the available levels is
     a resolution failure and is recorded, not raised.
     """
-    gap = dist_to_set(space, target.members)
     maximal: list[int] = []
     stack = list(tree.roots())
     while stack:

@@ -468,31 +468,11 @@ class Ball:
 class TargetSet:
     """The subset of points a curve must pass through.
 
-    ``xi0`` is a designated basepoint and ``r0`` an enclosing scale:
-    every member lies in ``B(xi0, r0/2)``.
+    ``xi0`` is a designated basepoint; the nets are seeded with it.
     """
 
     members: tuple[int, ...]
     xi0: int
-    r0: float
-
-
-def validate_target(space: MetricMeasureSpace, target: TargetSet) -> None:
-    if not target.members:
-        raise DegenerateInputError("target set must be nonempty")
-    if len(set(target.members)) != len(target.members):
-        raise ParameterError("target set members must be unique")
-    if not (target.r0 > 0):
-        raise ParameterError("target enclosing scale r0 must be positive")
-    idx = space.indices_of(target.members)
-    center = space.index_of(target.xi0)
-    dists = space.dists_from(center)[idx]
-    if np.any(dists >= target.r0 / 2):
-        worst = target.members[int(np.argmax(dists))]
-        raise ParameterError(
-            f"member {worst} is not inside B(xi0, r0/2) "
-            f"(distance {float(dists.max()):.6g} >= {target.r0 / 2:.6g})"
-        )
 
 
 def enclosing_target(
@@ -501,8 +481,7 @@ def enclosing_target(
     """Canonical target set over ``members`` (default: every point).
 
     The basepoint is the member with the smallest maximal distance to
-    the other members (ties: smaller id); ``r0`` is twice that
-    eccentricity, padded so the strict enclosure holds.
+    the other members (ties: smaller id).
     """
     ids = tuple(sorted(space.ids if members is None else (int(m) for m in members)))
     if not ids:
@@ -511,11 +490,9 @@ def enclosing_target(
     if len(set(ids)) == len(space):
         ecc = space.summary()[0][idx]
     else:
-        ecc = np.array([space.dists_from(k)[idx].max() for k in idx])
+        ecc = np.array([space.dists_between(k, idx).max() for k in idx])
     best = int(np.argmin(ecc))  # first minimum: the smallest id
-    best_ecc = float(ecc[best])
-    r0 = 1e-9 if best_ecc == 0 else 2.0 * best_ecc * (1.0 + 1e-9)
-    return TargetSet(members=ids, xi0=ids[best], r0=r0)
+    return TargetSet(members=ids, xi0=ids[best])
 
 
 # -- measures of balls -------------------------------------------------
@@ -537,31 +514,26 @@ class DoublingEstimate:
 
 
 def doubling_estimate(
-    space: MetricMeasureSpace,
-    radii: Sequence[float],
-    centers: Sequence[int] | None = None,
+    space: MetricMeasureSpace, radii: Sequence[float]
 ) -> DoublingEstimate:
-    """Largest sampled ratio mass(B(x, 2r)) / mass(B(x, r)).
+    """Largest sampled ratio mass(B(x, 2r)) / mass(B(x, r)) over every point.
 
-    Pairs with an empty inner ball mass are skipped and counted; if
-    every pair is skipped the input is degenerate.  Masses come from
-    :meth:`MetricMeasureSpace.ball_masses`; on a dyadic grid each outer
-    radius ``2r`` is the next inner radius, so it is counted once.
+    Pairs with an empty inner ball mass are skipped and counted; a point
+    of positive weight lies in its own balls, so some pair is always
+    evaluated.  Masses come from :meth:`MetricMeasureSpace.ball_masses`;
+    on a dyadic grid each outer radius ``2r`` is the next inner radius,
+    so it is counted once.
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0 for r in radii):
         raise ParameterError("radii must be a nonempty list of positive values")
-    ids = list(space.ids) if centers is None else [int(c) for c in centers]
-    if not ids:
-        raise ParameterError("centers must be nonempty")
-    idx = space.indices_of(ids)
 
     best = -math.inf
-    best_center, best_radius = ids[0], radii[0]
+    best_center, best_radius = space.ids[0], radii[0]
     evaluated = 0
     skipped = 0
     both = radii + [2.0 * r for r in radii]
-    for pid, k in zip(ids, idx):
+    for k, pid in enumerate(space.ids):
         masses = space.ball_masses(k, both)
         for r, inner, outer in zip(radii, masses, masses[len(radii):]):
             if inner == 0.0:
@@ -572,11 +544,6 @@ def doubling_estimate(
             if ratio > best:
                 best = ratio
                 best_center, best_radius = pid, r
-    if evaluated == 0:
-        raise DegenerateInputError(
-            "every sampled (center, radius) pair had an empty inner ball",
-            skipped=skipped,
-        )
     return DoublingEstimate(
         c_hat=best,
         evaluated=evaluated,

@@ -128,6 +128,23 @@ def beta2_grid(space, member_ids, n_angles: int = 10_000) -> float:
     return math.sqrt(best / (mass * diam * diam))
 
 
+def beta2_submatrix(space, member_ids) -> float:
+    """beta2's value with the diameter read off the members' full
+    distance submatrix, the way beta2 once computed it."""
+    ids = sorted(set(member_ids))
+    idx = space.indices_of(ids)
+    w = space.weights[idx]
+    mass = float(w.sum())
+    pts = space.coords[idx]
+    centered = pts - (w[:, None] * pts).sum(axis=0) / mass
+    moment = centered.T @ (w[:, None] * centered)
+    diam = float(space.distance_submatrix(ids).max())
+    if diam == 0.0:
+        return 0.0
+    resid = float(np.trace(moment) - np.linalg.eigh(moment)[0][-1])
+    return math.sqrt(max(resid, 0.0) / (mass * diam * diam))
+
+
 def beta2_grid_slack(diam: float, n_angles: int = 10_000) -> float:
     """Upper bound on the grid's excess over the true minimum.
 

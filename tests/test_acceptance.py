@@ -21,6 +21,7 @@ from rectilib.pipeline import RunConfig, report_json, run_pipeline
 from rectilib.porosity import (
     PorosityConfig,
     carleson_check,
+    dist_to_set,
     find_porous,
     shadow_map,
     validate_config,
@@ -69,9 +70,10 @@ def _porosity_bundle(kind, resolution, params=None):
     )
     tree = build_cubes(space, hierarchy, cfg.c0)
     start = time.monotonic()
-    porous = find_porous(space, tree, target, cfg)
-    shadow = shadow_map(space, tree, target, porous, cfg)
-    packing = carleson_check(tree, porous, cfg, b_observed=shadow.b_observed)
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    shadow = shadow_map(space, tree, gap, porous, cfg)
+    packing = carleson_check(tree, porous, cfg, shadow.b_observed)
     elapsed = time.monotonic() - start
     return SimpleNamespace(
         space=space, target=target, cfg=cfg, tree=tree, porous=porous,
@@ -231,7 +233,6 @@ def test_criterion_05_packing_and_shadow_inequalities(
         total_seconds += bundle.porosity_seconds
         packing = bundle.packing
         assert packing.constants.b == max(1, bundle.shadow.b_observed)
-        assert packing.constants.b_mode == "observed"
         assert packing.worst_ratio <= packing.constants.C1
         assert packing.ok
 

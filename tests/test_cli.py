@@ -96,6 +96,38 @@ def test_nets_reports_level_sizes(capsys):
     assert nets["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "flag, value, levels",
+    [
+        ("--n-min", "-3", {"-3": 1, "-2": 1, "-1": 1, "0": 1, "1": 16}),
+        ("--n-max", "3", {"-1": 1, "0": 1, "1": 16, "2": 64, "3": 64}),
+    ],
+    ids=["n-min", "n-max"],
+)
+def test_one_level_flag_keeps_the_other_automatic_end(capsys, flag, value, levels):
+    base = ["nets", "--kind", "interval", "--resolution", "64"]
+    code, payload, _ = run_json(capsys, base)
+    assert code == 0
+    assert payload["nets"]["levels"] == {"-1": 1, "0": 1, "1": 16}
+    code, payload, _ = run_json(capsys, [*base, flag, value])
+    assert code == 0
+    assert payload["nets"]["levels"] == levels
+    assert payload["config"][flag[2:].replace("-", "_")] == int(value)
+
+
+@pytest.mark.parametrize(
+    "flag, value, levels",
+    [("--n-min", "2", "2..1"), ("--n-max", "-2", "-1..-2")],
+    ids=["n-min", "n-max"],
+)
+def test_one_level_flag_past_the_other_end_exits_2(capsys, flag, value, levels):
+    code, out, err = run_cli(
+        capsys, ["nets", "--kind", "interval", "--resolution", "64", flag, value]
+    )
+    assert code == 2 and out == ""
+    assert f"n_max must be >= n_min, got {levels}" in err
+
+
 def test_nets_accepts_matrix_input(capsys, tmp_path):
     matrix = tmp_path / "m.csv"
     weights = tmp_path / "w.csv"

@@ -1,18 +1,16 @@
 """Tests for the metric dyadic cube tree."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from rectilib.cubes import (
     SIDELENGTH_FACTOR,
-    CubeTree,
     build_cubes,
     verify_cube_axioms,
 )
-from rectilib.errors import ParameterError, UnknownIdentifierError
+from rectilib.errors import ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import auto_levels, build_nets
 from rectilib.space import MetricMeasureSpace
@@ -27,13 +25,13 @@ def interval4_tree():
 def test_four_point_trace():
     space, h, tree = interval4_tree()
     assert tree.by_level == {0: (0, 1), 1: (2, 3, 4, 5)}
-    root0 = tree.cube(0)
+    root0 = tree.cubes[0]
     assert root0.center == 0 and root0.members == (0, 1)
     assert root0.sidelength == pytest.approx(SIDELENGTH_FACTOR)
     assert root0.children == (2, 4) and root0.parent is None
-    root1 = tree.cube(1)
+    root1 = tree.cubes[1]
     assert root1.center == 3 and root1.members == (2, 3)
-    leaves = {tree.cube(cid).center: tree.cube(cid) for cid in tree.by_level[1]}
+    leaves = {tree.cubes[cid].center: tree.cubes[cid] for cid in tree.by_level[1]}
     assert leaves[1].parent == 0 and leaves[2].parent == 1
     assert all(len(leaves[c].members) == 1 for c in leaves)
     # Tightest inner ball: root at center 0 has a non-member at 2/3,
@@ -98,44 +96,14 @@ def test_axioms_on_random_clouds():
                     assert set(cube.members) <= set(parent.members)
 
 
-def test_unknown_cube_id_raises():
-    space, _, tree = interval4_tree()
-    with pytest.raises(UnknownIdentifierError):
-        tree.cube(999)
-
-
 def test_verify_flags_tampered_membership():
     space, h, tree = interval4_tree()
     cubes = list(tree.cubes)
     # Move point 1 from the leaf under root 0 into a leaf under root 1.
     cubes[4] = dataclasses.replace(cubes[4], members=())
     cubes[5] = dataclasses.replace(cubes[5], members=(1, 2))
-    tampered = CubeTree(
-        rho=tree.rho,
-        c0_target=tree.c0_target,
-        n_min=tree.n_min,
-        n_max=tree.n_max,
-        cubes=tuple(cubes),
-        by_level=tree.by_level,
-        c0_achieved=tree.c0_achieved,
-        index=tree.index,
-    )
+    tampered = dataclasses.replace(tree, cubes=tuple(cubes))
     check = verify_cube_axioms(space, h, tampered)
     assert not check.ok
     assert not check.nesting_ok  # 1 is not a member of its new parent
 
-
-def test_tree_serializes_to_json():
-    _, _, tree = interval4_tree()
-    blob = json.dumps(tree.to_dict())
-    data = json.loads(blob)
-    assert data["c0_achieved"] == pytest.approx(2.0 / 15.0)
-    assert len(data["cubes"]) == 6
-    assert data["cubes"][0]["parent"] is None
-    assert data["cubes"][2]["parent"] == 0
-
-
-def test_index_lookup_matches_centers():
-    _, _, tree = interval4_tree()
-    for cid, cube in enumerate(tree.cubes):
-        assert tree.index[(cube.level, cube.center)] == cid

@@ -30,7 +30,7 @@ from rectilib.curve import (
 from rectilib.errors import DisconnectedError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import build_nets
-from rectilib.porosity import PorosityConfig, find_porous
+from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
 from rectilib.space import MetricMeasureSpace, enclosing_target
 
 
@@ -44,7 +44,8 @@ def hole_fixture():
     )
     h = build_nets(space, 1.0 / 16.0, -1, 2)
     tree = build_cubes(space, h)
-    porous = find_porous(space, tree, target, good_cfg())
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, good_cfg())
     return space, target, h, tree, porous
 
 

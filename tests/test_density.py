@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import ball_mass_brute, beta2_grid, beta2_grid_slack, bs_terms_brute
+from _oracles import (
+    ball_mass_brute,
+    beta2_grid,
+    beta2_grid_slack,
+    beta2_submatrix,
+    bs_terms_brute,
+)
 from rectilib.density import (
     bs_sum,
     beta2,
@@ -219,6 +225,33 @@ def test_beta2_direction_sign_is_normalized():
 
 
 # -- dyadic flatness sums -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec("circle", 300),
+        GeneratorSpec("interval", 200, params={"holes": [(0.4, 0.6)]}),
+        GeneratorSpec("grid2d", 12),
+        GeneratorSpec("cascade", 4),
+        GeneratorSpec("lipschitz_curve", 400),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_beta2_builds_no_distance_submatrix(monkeypatch, spec):
+    """The diameter comes from the summary pass or from sub-rows; the
+    value is the submatrix maximum's, bit for bit."""
+    space, target = generate(spec)
+    subsets = [space.ids, space.ids[::3], space.ids[5:9]]
+    if target is not None:
+        subsets.append(target.members)
+    want = [beta2_submatrix(space, m) for m in subsets]
+
+    def refuse(self, point_ids):
+        raise AssertionError("beta2 built a distance submatrix")
+
+    monkeypatch.setattr(MetricMeasureSpace, "distance_submatrix", refuse)
+    assert [beta2(space, m).beta2 for m in subsets] == want
 
 
 def test_bs_sum_matches_brute_force():

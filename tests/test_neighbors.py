@@ -34,7 +34,7 @@ from rectilib.curve import ADJACENCY, assemble_gamma, build_bridges
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
 from rectilib.pipeline import STAGES, RunConfig
-from rectilib.porosity import PorosityConfig, find_porous
+from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
 from rectilib.space import MetricMeasureSpace, TargetSet, enclosing_target
 
 # a coarse value pool makes duplicate points and distance ties common
@@ -255,7 +255,7 @@ def test_net_witnesses_match_the_row_based_check(cloud, data):
                 else:
                     members = data.draw(st.permutations(members))
             levels[n] = tuple(members)
-        h = NetHierarchy(rho=0.5, n_min=lo, n_max=hi, levels=levels)
+        h = NetHierarchy(rho=0.5, levels=levels)
         assert net_check(space, h) == verify_nets_rows(space, h)
 
 
@@ -280,14 +280,14 @@ def test_cubes_match_the_row_based_assignment(cloud, data):
         chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         levels = {n: tuple(chosen[: 1 + n - lo]) for n in range(lo, hi + 1)}
         assert_cubes_match(
-            space, NetHierarchy(rho=0.25, n_min=lo, n_max=hi, levels=levels)
+            space, NetHierarchy(rho=0.25, levels=levels)
         )
 
 
 def test_c0_falls_back_to_rows_when_no_cube_has_a_near_outsider():
     coords = np.array([[0.0], [10.0], [10.0 + 1e-3]])
     space = MetricMeasureSpace.from_coords([5, 7, 9], coords, np.ones(3))
-    h = NetHierarchy(rho=0.25, n_min=0, n_max=0, levels={0: (5, 9)})
+    h = NetHierarchy(rho=0.25, levels={0: (5, 9)})
     tree = build_cubes(space, h)
     assert tree.c0_achieved == c0_rows(space, tree) == (10.0 - 0.0) / 5.0
     assert_cubes_match(space, h)
@@ -340,9 +340,10 @@ def test_a_gap_equal_to_the_threshold_is_porous():
 
 
 def porous(space, tree, target, cfg) -> list:
+    gap = dist_to_set(space, target.members)
     return [
         (p.cube, p.witness, p.witness_gap)
-        for p in find_porous(space, tree, target, cfg)
+        for p in find_porous(space, tree, target, gap, cfg)
     ]
 
 
@@ -360,7 +361,7 @@ def test_adjacency_matches_the_row_based_pairs(cloud, data):
     backends = both_backends(ids, coords, weights)
     members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
     members = tuple(sorted(members))
-    target = TargetSet(members=members, xi0=members[0], r0=1.0)
+    target = TargetSet(members=members, xi0=members[0])
     dists = np.unique(backends[1].distance_matrix())
     eps = float(data.draw(st.sampled_from([*dists[1:], 0.4, 50.0])))
     for space in backends:
@@ -376,7 +377,7 @@ def test_adjacency_with_bridges_matches_the_row_based_pairs():
     cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
     h = build_nets(space, cfg.rho, -1, 3)
     tree = build_cubes(space, h)
-    found = find_porous(space, tree, target, cfg)
+    found = find_porous(space, tree, target, dist_to_set(space, target.members), cfg)
     bridges = build_bridges(space, tree, h, found, cfg)
     assert bridges.bridge_pairs
     eps = 2.2 / 200
@@ -408,21 +409,26 @@ def test_row_calls_keys_name_the_caller(row_calls):
 
 
 def test_default_run_computes_rows_only_in_summary_and_doubling(row_calls):
-    cfg = RunConfig(kind="lipschitz_curve", resolution=2000)
-    ctx = SimpleNamespace(cfg=cfg)
-    by_stage = {}
-    for name, _, stage in STAGES:
-        before = row_calls.copy()
-        stage(ctx)
-        added = row_calls - before
-        if added:
-            by_stage[name] = dict(added)
-    n = len(ctx.space)
-    assert n == 2000
-    assert by_stage == {
-        "load": {"MetricMeasureSpace.summary": n},
-        "doubling": {"MetricMeasureSpace.ball_masses": n},
-    }
+    """Also with a target smaller than the space, whose basepoint and
+    distance to the target come from sub-rows."""
+    for cfg in (
+        RunConfig(kind="lipschitz_curve", resolution=2000),
+        RunConfig(kind="interval", resolution=2000, params=HOLE),
+    ):
+        ctx = SimpleNamespace(cfg=cfg)
+        by_stage = {}
+        for name, _, stage in STAGES:
+            before = row_calls.copy()
+            stage(ctx)
+            added = row_calls - before
+            if added:
+                by_stage[name] = dict(added)
+        n = len(ctx.space)
+        assert n == 2000
+        assert by_stage == {
+            "load": {"MetricMeasureSpace.summary": n},
+            "doubling": {"MetricMeasureSpace.ball_masses": n},
+        }, cfg.kind
 
 
 GUARD = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import net_covers, net_is_separated
-from rectilib.errors import ParameterError, UnknownIdentifierError
+from rectilib.errors import ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import (
     NetHierarchy,
@@ -28,6 +28,7 @@ def test_four_point_trace():
     assert h.levels[0] == (0, 3)
     # Scale 1/3: carry (0, 3), then admit 1 and 2 in id order.
     assert h.levels[1] == (0, 3, 1, 2)
+    assert h.scale(1) == 1.0 / 3.0
     assert verify_nets(space, h).ok
 
 
@@ -88,26 +89,26 @@ def test_verify_nets_flags_injected_violations():
 
     crowded = dict(h.levels)
     crowded[1] = h.levels[1] + (1,)  # id 1 is within 0.25 of id 0
-    bad_sep = NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=crowded)
+    bad_sep = NetHierarchy(rho=0.25, levels=crowded)
     check = verify_nets(space, bad_sep)
     assert not check.ok and not check.separation_ok
     assert check.witness[0] == "separation"
 
     thinned = dict(h.levels)
     thinned[2] = h.levels[2][:-4]
-    bad_cov = NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=thinned)
+    bad_cov = NetHierarchy(rho=0.25, levels=thinned)
     check = verify_nets(space, bad_cov)
     assert not check.covering_ok or not check.nesting_ok
 
     both = dict(crowded)
     both[2] = h.levels[2][:-4]
-    check = verify_nets(space, NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=both))
+    check = verify_nets(space, NetHierarchy(rho=0.25, levels=both))
     assert not check.separation_ok and not check.covering_ok
     assert check.witness[0] == "separation"
 
     swapped = dict(h.levels)
     swapped[0] = (h.levels[2][-1],)  # coarse member missing below
-    bad_nest = NetHierarchy(rho=0.25, n_min=0, n_max=2, levels=swapped)
+    bad_nest = NetHierarchy(rho=0.25, levels=swapped)
     check = verify_nets(space, bad_nest)
     assert not check.nesting_ok
 
@@ -132,14 +133,4 @@ def test_auto_levels_frozen_and_degenerate():
     assert auto_levels(singleton, 0.5) == (0, 0)
     with pytest.raises(ParameterError):
         auto_levels(space, 0.0)
-
-
-def test_hierarchy_round_trip_and_level_lookup():
-    space, _ = generate(GeneratorSpec("interval", 16))
-    h = build_nets(space, 0.25, 0, 2)
-    clone = NetHierarchy.from_dict(h.to_dict())
-    assert clone == h
-    assert h.scale(2) == pytest.approx(0.0625)
-    with pytest.raises(UnknownIdentifierError):
-        h.level(99)
 

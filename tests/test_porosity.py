@@ -35,6 +35,11 @@ def good_cfg(**overrides):
     return PorosityConfig(**base)
 
 
+def porous_cubes(space, tree, target, cfg):
+    """find_porous with the target's gap, as the porous stage calls it."""
+    return find_porous(space, tree, target, dist_to_set(space, target.members), cfg)
+
+
 def hole_fixture(weights_scale=1.0):
     """Interval with a central hole, cube tree down to hole-sized cubes."""
     space, target = generate(
@@ -90,32 +95,30 @@ def test_validate_strict_adds_two_checks():
 
 def test_appendix_constants_frozen_reference_point():
     cfg = good_cfg(rho=1.0 / 1024.0)
-    got = appendix_constants(cfg, b=1.0)
+    got = appendix_constants(cfg, 1)
     assert got.a == pytest.approx(0.1861818181818183, rel=1e-12)
     assert got.C1 == 2048.0  # b * C_mu^(log2(4/rho) - 1) lands exactly
-    assert got.b == 1.0 and got.b_mode == "supplied"
+    assert got.b == 1.0
 
 
 def test_appendix_constants_limit_and_errors():
-    almost_flat = appendix_constants(good_cfg(C_mu=1.0 + 1e-9), b=1.0)
+    almost_flat = appendix_constants(good_cfg(C_mu=1.0 + 1e-9), 1)
     assert almost_flat.C1 == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ParameterError):
-        appendix_constants(good_cfg(C_mu=None))
+        appendix_constants(good_cfg(C_mu=None), 1)
     with pytest.raises(ParameterError):
-        appendix_constants(good_cfg(C_mu=1.0))
+        appendix_constants(good_cfg(C_mu=1.0), 1)
     with pytest.raises(ParameterError):
-        appendix_constants(good_cfg(C_mu=0.5))
+        appendix_constants(good_cfg(C_mu=0.5), 1)
 
 
 def test_appendix_constants_multiplicity_modes():
     cfg = good_cfg(rho=1.0 / 1024.0)
-    assert appendix_constants(cfg, b=3.0).C1 == pytest.approx(3.0 * 2048.0)
+    assert appendix_constants(cfg, 3).C1 == pytest.approx(3.0 * 2048.0)
     observed = appendix_constants(cfg, b_observed=5)
-    assert observed.b == 5.0 and observed.b_mode == "observed"
+    assert observed.b == 5.0
     floored = appendix_constants(cfg, b_observed=0)
     assert floored.b == 1.0  # empty family still yields a usable bound
-    both = appendix_constants(cfg, b=2.0, b_observed=7)
-    assert both.b == 2.0 and both.b_mode == "supplied"
 
 
 # -- distances to the target set ----------------------------------------
@@ -175,12 +178,12 @@ def test_dist_to_set_rejects_unknown_ids():
 def test_no_porosity_when_target_is_everything():
     space, _, h, tree = hole_fixture()
     full = enclosing_target(space)
-    assert find_porous(space, tree, full, good_cfg()) == ()
+    assert porous_cubes(space, tree, full, good_cfg()) == ()
 
 
 def test_find_porous_on_hole_fixture():
     space, target, h, tree = hole_fixture()
-    porous = find_porous(space, tree, target, good_cfg())
+    porous = porous_cubes(space, tree, target, good_cfg())
     assert len(porous) == 57
     # The deepest gap point: ids 49 and 50 tie at distance 10/99 from
     # the target, and the tie resolves to the smaller id.
@@ -193,7 +196,7 @@ def test_find_porous_witness_recheck():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
-    for p in find_porous(space, tree, target, cfg):
+    for p in find_porous(space, tree, target, gap, cfg):
         cube = tree.cubes[p.cube]
         row = space.dists_from(space.index_of(cube.center))
         wk = space.index_of(p.witness)
@@ -216,7 +219,7 @@ def test_find_porous_is_antitone_in_delta():
     space, target, h, tree = hole_fixture()
     previous = None
     for delta in (0.003, 0.01, 0.05, 0.2):
-        cubes = {p.cube for p in find_porous(space, tree, target, good_cfg(delta=delta))}
+        cubes = {p.cube for p in porous_cubes(space, tree, target, good_cfg(delta=delta))}
         if previous is not None:
             assert cubes <= previous
         previous = cubes
@@ -226,7 +229,7 @@ def test_find_porous_rejects_invalid_config():
     space, target, h, tree = hole_fixture()
     bad = good_cfg(M=9.0)
     with pytest.raises(ParameterError, match="config violates: M > 10"):
-        find_porous(space, tree, target, bad)
+        porous_cubes(space, tree, target, bad)
 
 
 def test_find_porous_needs_single_containing_root():
@@ -237,7 +240,7 @@ def test_find_porous_needs_single_containing_root():
     assert len(tree.roots()) == 2
     target = enclosing_target(space)
     with pytest.raises(ContainmentError):
-        find_porous(space, tree, target, good_cfg())
+        porous_cubes(space, tree, target, good_cfg())
 
 
 # -- packing (Carleson) ratios ------------------------------------------
@@ -245,8 +248,8 @@ def test_find_porous_needs_single_containing_root():
 
 def test_carleson_matches_brute_force_descendant_sums():
     space, target, h, tree = hole_fixture()
-    porous = find_porous(space, tree, target, good_cfg())
-    report = carleson_check(tree, porous, good_cfg(), b=1.0)
+    porous = porous_cubes(space, tree, target, good_cfg())
+    report = carleson_check(tree, porous, good_cfg(), 1)
     porous_ids = {p.cube for p in porous}
     for cid, ratio in report.ratios.items():
         packed = sum(
@@ -262,9 +265,10 @@ def test_carleson_matches_brute_force_descendant_sums():
 def test_carleson_is_invariant_under_mass_rescaling():
     _, target, _, tree = hole_fixture()
     scaled_space, target2, _, scaled_tree = hole_fixture(weights_scale=3.7)
-    porous = find_porous(scaled_space, scaled_tree, target2, good_cfg())
-    a = carleson_check(tree, porous, good_cfg(), b=1.0)
-    b = carleson_check(scaled_tree, porous, good_cfg(), b=1.0)
+    gap = dist_to_set(scaled_space, target2.members)
+    porous = find_porous(scaled_space, scaled_tree, target2, gap, good_cfg())
+    a = carleson_check(tree, porous, good_cfg(), 1)
+    b = carleson_check(scaled_tree, porous, good_cfg(), 1)
     assert a.worst_ratio == pytest.approx(b.worst_ratio, rel=1e-12)
     for cid in a.ratios:
         assert a.ratios[cid] == pytest.approx(b.ratios[cid], rel=1e-12)
@@ -274,7 +278,7 @@ def test_carleson_single_porous_root_has_ratio_one():
     space, target, h, tree = hole_fixture()
     root = tree.roots()[0]
     porous = (PorousCube(cube=root, witness=49, witness_gap=0.1),)
-    report = carleson_check(tree, porous, good_cfg(), b=1.0)
+    report = carleson_check(tree, porous, good_cfg(), 1)
     assert report.worst_ratio == pytest.approx(1.0)
     assert report.worst_cube == root
     assert report.ok
@@ -287,7 +291,7 @@ def test_carleson_skips_and_empty_family():
     )
     h = build_nets(space, 0.5, -2, 0)
     tree = build_cubes(space, h)
-    report = carleson_check(tree, (), good_cfg(), b=1.0)
+    report = carleson_check(tree, (), good_cfg(), 1)
     assert report.worst_ratio == 0.0
     assert report.ok
     assert report.skipped == 2  # the zero-weight point's two singleton cubes
@@ -303,8 +307,9 @@ def test_carleson_skips_and_empty_family():
 def test_shadow_map_on_hole_fixture():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()
-    porous = find_porous(space, tree, target, cfg)
-    report = shadow_map(space, tree, target, porous, cfg)
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    report = shadow_map(space, tree, gap, porous, cfg)
     # Maximal target-free cubes: the finest cubes centered deep enough
     # inside the hole, gap >= twice their sidelength 5/256.
     assert len(report.maximal) == 14
@@ -323,8 +328,9 @@ def test_shadow_map_on_hole_fixture():
 def test_shadow_map_records_scale_comparisons():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()
-    porous = find_porous(space, tree, target, cfg)
-    report = shadow_map(space, tree, target, porous, cfg)
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    report = shadow_map(space, tree, gap, porous, cfg)
     for rec in report.records:
         if rec.shadow is None:
             assert rec.cube in report.failures
@@ -347,9 +353,9 @@ def test_shadow_map_records_scale_comparisons():
 def test_shadow_map_antichain_is_maximal_and_disjoint():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()
-    porous = find_porous(space, tree, target, cfg)
-    report = shadow_map(space, tree, target, porous, cfg)
     gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    report = shadow_map(space, tree, gap, porous, cfg)
     seen: set[int] = set()
     for cid in report.maximal:
         cube = tree.cubes[cid]
@@ -365,7 +371,7 @@ def test_shadow_map_antichain_is_maximal_and_disjoint():
 
 def test_shadow_map_empty_porous_family():
     space, target, h, tree = hole_fixture()
-    report = shadow_map(space, tree, target, (), good_cfg())
+    report = shadow_map(space, tree, dist_to_set(space, target.members), (), good_cfg())
     assert report.records == ()
     assert report.b_observed == 0
     assert report.failures == ()

@@ -1,0 +1,72 @@
+"""Every public function, class and method of the package is used by it.
+
+The check walks ``src/rectilib`` with ``ast``.  A public definition
+(name not starting with ``_``) counts as used when some ``Name`` or
+``Attribute`` node outside its own definition carries its name, in any
+module of the package; tests do not count.  Matching is by name only,
+so a method shares its uses with every attribute of the same name: the
+check misses some dead code, but whatever it reports is dead.
+"""
+
+import ast
+from pathlib import Path
+
+import rectilib
+
+PACKAGE = Path(rectilib.__file__).parent
+
+# qualified name -> why it stays although the package never uses it
+KEEP = {
+    "density.stratify": "planned: the strata E_{j,k} become the curve's "
+    "target (ROADMAP.md, open items)",
+    "space.hausdorff_estimate": "planned: the report sets it against "
+    "10 mu(E) on a stratum target (ROADMAP.md, open items)",
+    "curve.BridgeGraph.from_edges": "tests build small graphs with it",
+    "curve.ground_key": "tests build vertex keys with it",
+    "curve.lifted_keys": "tests build vertex keys with it",
+    "space.MetricMeasureSpace.distance_matrix": "property tests use it as the "
+    "matrix-backend reference, and feed it to from_matrix",
+    "space.MetricMeasureSpace.distance_submatrix": "property tests use it as "
+    "the matrix-backend reference",
+}
+
+
+def public_definitions(modules: dict) -> list:
+    """(qualified name, name, node) of each top-level public function or
+    class, and each public method of a top-level class."""
+    out = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    out.append((f"{stem}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("_"):
+                        continue
+                    out.append((f"{stem}.{node.name}.{sub.name}", sub.name, sub))
+    return out
+
+
+def unreferenced(package: Path) -> list[str]:
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    uses: dict[str, list] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    dead = []
+    for qual, name, node in public_definitions(modules):
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(use) in own for use in uses.get(name, [])):
+            dead.append(qual)
+    return dead
+
+
+def test_every_public_definition_is_used_by_the_package():
+    dead = unreferenced(PACKAGE)
+    assert sorted(set(dead) - set(KEEP)) == []
+    # an entry the package now uses, or that is gone, leaves the list
+    assert sorted(set(KEEP) - set(dead)) == []
