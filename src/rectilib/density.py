@@ -42,17 +42,7 @@ def density_profile(
 
     Masses come from the cache of :meth:`MetricMeasureSpace.ball_masses`.
     """
-    if not (0 < r_lo < r_hi):
-        raise ParameterError("need 0 < r_lo < r_hi")
-    radii = dyadic_radii(r_lo, r_hi)
-    masses = space.ball_masses(space.index_of(x), radii)
-    values = tuple(m / r for m, r in zip(masses, radii))
-    return DensityProfile(
-        point=x,
-        radii=tuple(radii),
-        values=values,
-        lower_estimate=min(values),
-    )
+    return density_profiles(space, [x], r_lo, r_hi)[0]
 
 
 def density_profiles(
@@ -61,8 +51,21 @@ def density_profiles(
     r_lo: float,
     r_hi: float,
 ) -> list[DensityProfile]:
-    """Profiles for many points; evaluation order is deterministic."""
-    return [density_profile(space, p, r_lo, r_hi) for p in points]
+    """Profiles for many points on one radius grid, built once;
+    evaluation order is deterministic."""
+    if not (0 < r_lo < r_hi):
+        raise ParameterError("need 0 < r_lo < r_hi")
+    radii = tuple(dyadic_radii(r_lo, r_hi))
+    profiles = []
+    for x in points:
+        masses = space.ball_masses(space.index_of(x), radii)
+        values = tuple(m / r for m, r in zip(masses, radii))
+        profiles.append(
+            DensityProfile(
+                point=x, radii=radii, values=values, lower_estimate=min(values)
+            )
+        )
+    return profiles
 
 
 def density_csv(profiles: Iterable[DensityProfile], path: str) -> None:

@@ -32,8 +32,13 @@ A space caches what the pipeline asks for repeatedly:
 * open-ball masses, one array of length ``n`` per radius, filled by
   :meth:`~MetricMeasureSpace.ball_masses`, the package's only
   open-ball mass computation (used by :func:`doubling_estimate`,
-  :func:`linear_mass_check`, :func:`~rectilib.density.density_profile`
-  and :func:`~rectilib.density.stratify`);
+  :func:`linear_mass_check`, :func:`~rectilib.density.density_profiles`
+  and :func:`~rectilib.density.stratify`).  Each mass is
+  ``weights[row < r].sum()``; when every weight is the same ``w0``
+  (checked by the first mass request), it is ``np.full(k, w0).sum()``
+  for the ball's point count ``k``, kept per ``k``: numpy's sum over a
+  fresh contiguous array of the same ``k`` values, so the same float,
+  with no weights gathered;
 * the full distance matrix, once :meth:`~MetricMeasureSpace.distance_matrix`
   has been called (a matrix space holds it from the start);
 * a k-d tree over the coordinates, built by the first
@@ -128,6 +133,8 @@ class MetricMeasureSpace:
         self._index = {pid: k for k, pid in enumerate(self.ids)}
         self._summary: tuple[np.ndarray, np.ndarray] | None = None
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
+        self._equal: bool | None = None  # equal weights, decided by ball_masses
+        self._count_sums: dict[int, np.float64] = {}  # point count -> ball mass
         self._tree = None  # k-d tree over coords, built by the first neighbors()
         self._pad = 0.0
 
@@ -296,6 +303,8 @@ class MetricMeasureSpace:
         parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
         for batch, q, j, d in self.neighbor_batches(query_idx, r):
             parts.append((q + batch.start, j, d))
+        if len(parts) == 2:  # one batch: nothing to join
+            return parts[1]
         q, j, d = (np.concatenate(part) for part in zip(*parts))
         return q, j, d
 
@@ -312,7 +321,9 @@ class MetricMeasureSpace:
         keeps its memory bounded even where many points coincide.
         Coordinate spaces size each batch with a tree count, filter
         candidates with a k-d tree and decide ``d < r`` by the row
-        formula; matrix spaces scan their stored rows in blocks.
+        formula; a batch of one point asks the space's own tree, with
+        no tree built over the batch.  Matrix spaces scan their stored
+        rows in blocks.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -327,22 +338,34 @@ class MetricMeasureSpace:
                 q, j = np.nonzero(rows < r)
                 yield slice(start, start + len(chunk)), q, j, rows[q, j]
             return
-        from scipy.spatial import cKDTree
-
         tree, pad = self._kdtree()
         start = 0
         while start < len(query_idx):
             size = min(_QUERY_CHUNK, len(query_idx) - start)
-            while True:
+            while size > 1:
+                from scipy.spatial import cKDTree
+
                 chunk = query_idx[start : start + size]
                 batch = cKDTree(self.coords[chunk])
-                if size == 1 or batch.count_neighbors(tree, r + pad) <= _PAIR_BUDGET:
+                if batch.count_neighbors(tree, r + pad) <= _PAIR_BUDGET:
                     break
                 size //= 2
-            found = batch.sparse_distance_matrix(tree, r + pad, output_type="ndarray")
-            key = np.sort(found["i"] * n + found["j"])
-            q, j = key // n, key % n
-            d = self._pair_dists(chunk[q], j)
+            chunk = query_idx[start : start + size]
+            if size == 1:  # one point: the space's own tree answers it
+                rows = chunk[0]
+                hits = tree.query_ball_point(
+                    self.coords[rows], r + pad, return_sorted=True
+                )
+                j = np.array(hits, dtype=np.intp)
+                q = np.zeros(len(j), dtype=np.intp)
+            else:
+                found = batch.sparse_distance_matrix(
+                    tree, r + pad, output_type="ndarray"
+                )
+                key = np.sort(found["i"] * n + found["j"])
+                q, j = key // n, key % n
+                rows = chunk[q]
+            d = self._pair_dists(rows, j)
             keep = d < r
             yield slice(start, start + size), q[keep], j[keep], d[keep]
             start += size
@@ -416,40 +439,67 @@ class MetricMeasureSpace:
         points have the same row, so the same ball): such a ball holds a
         packing-bounded number of locations, and ``weights[ascending
         neighbour indices].sum()`` is the same array and the same sum.
+
+        When every weight is the same ``w0`` (checked on the first
+        call), a mass depends only on the ball's point count ``k``: it
+        is ``np.full(k, w0).sum()``, kept per ``k``.  That is numpy's
+        sum over a fresh contiguous array of the same ``k`` values as
+        the gathered ``weights[row < r]``, so it is the same float, and
+        the pass counts ``row < r`` instead of gathering weights.
         """
         w = self.weights
+        if self._equal is None:
+            self._equal = bool(np.all(w == w[0]))
         row = None
         out = []
         for r in radii:
             col = self._masses.get(r)
             if col is None:
-                col = self._masses[r] = np.full(len(self), math.nan)
-                if self._summary is not None and r < 2.0 * self.min_gap():
-                    if self.coords is not None:
-                        _, first, where = np.unique(
-                            self.coords, axis=0, return_index=True, return_inverse=True
-                        )
-                    else:
-                        first = where = np.arange(len(self))
-                    at = np.empty(len(first))  # mass per location
-                    for batch, q, j, _ in self.neighbor_batches(first, r):
-                        size = batch.stop - batch.start
-                        ends = np.searchsorted(q, np.arange(size + 1)).tolist()
-                        for k in range(size):
-                            group = j[ends[k] : ends[k + 1]]
-                            at[batch.start + k] = w[group].sum()
-                    col[:] = at[where.reshape(-1)]
-                col.setflags(write=False)
+                col = self._masses[r] = _read_only(self._new_mass_column(r))
             mass = col[index]
             if math.isnan(mass):
                 if row is None:
                     row = self.dists_from(index)
-                mass = w[row < r].sum()
-                col.setflags(write=True)
-                col[index] = mass
-                col.setflags(write=False)
+                if self._equal:
+                    mass = self._count_mass(np.count_nonzero(row < r))
+                else:
+                    mass = w[row < r].sum()
+                col.base[index] = mass  # the cached view is read-only, its base is not
             out.append(float(mass))
         return out
+
+    def _new_mass_column(self, r: float) -> np.ndarray:
+        """Every point's mass at a radius below ``2 * min_gap`` once the
+        summary pass has run; otherwise NaN, filled row by row."""
+        if self._summary is None or not r < 2.0 * self.min_gap():
+            return np.full(len(self), math.nan)
+        if self.coords is not None:
+            _, first, where = np.unique(
+                self.coords, axis=0, return_index=True, return_inverse=True
+            )
+        else:
+            first = where = np.arange(len(self))
+        at = np.empty(len(first))  # mass per location
+        for batch, q, j, _ in self.neighbor_batches(first, r):
+            size = batch.stop - batch.start
+            if self._equal:  # one sum per distinct neighbour count
+                counts, slot = np.unique(
+                    np.bincount(q, minlength=size), return_inverse=True
+                )
+                sums = [self._count_mass(k) for k in counts.tolist()]
+                at[batch] = np.array(sums)[slot]
+            else:
+                ends = np.searchsorted(q, np.arange(size + 1)).tolist()
+                for k in range(size):
+                    at[batch.start + k] = self.weights[j[ends[k] : ends[k + 1]]].sum()
+        return at[where.reshape(-1)]
+
+    def _count_mass(self, k: int) -> np.float64:
+        """The mass of a ball of ``k`` points when every weight is equal."""
+        mass = self._count_sums.get(k)
+        if mass is None:
+            mass = self._count_sums[k] = np.full(k, self.weights[0]).sum()
+        return mass
 
 
 @dataclass(frozen=True)
@@ -525,31 +575,27 @@ def doubling_estimate(
     so it is counted once.
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
+    if not radii or not all(r > 0 for r in radii):
         raise ParameterError("radii must be a nonempty list of positive values")
 
-    best = -math.inf
-    best_center, best_radius = space.ids[0], radii[0]
-    evaluated = 0
-    skipped = 0
-    both = radii + [2.0 * r for r in radii]
-    for k, pid in enumerate(space.ids):
-        masses = space.ball_masses(k, both)
-        for r, inner, outer in zip(radii, masses, masses[len(radii):]):
-            if inner == 0.0:
-                skipped += 1
-                continue
-            evaluated += 1
-            ratio = outer / inner
-            if ratio > best:
-                best = ratio
-                best_center, best_radius = pid, r
+    # each distinct radius once, then one row of masses per point
+    grid = list(dict.fromkeys(radii + [2.0 * r for r in radii]))
+    col = {r: c for c, r in enumerate(grid)}
+    masses = np.array([space.ball_masses(k, grid) for k in range(len(space))])
+    inner = masses[:, [col[r] for r in radii]]
+    outer = masses[:, [col[2.0 * r] for r in radii]]
+    nonzero = inner != 0.0
+    ratio = np.full(inner.shape, -math.inf)
+    np.divide(outer, inner, out=ratio, where=nonzero)
+    # the first largest ratio in (point, radius) order, as a scan would keep
+    k, c = divmod(int(np.argmax(ratio)), len(radii))
+    evaluated = int(np.count_nonzero(nonzero))
     return DoublingEstimate(
-        c_hat=best,
+        c_hat=float(ratio[k, c]),
         evaluated=evaluated,
-        skipped=skipped,
-        worst_center=best_center,
-        worst_radius=best_radius,
+        skipped=ratio.size - evaluated,
+        worst_center=space.ids[k],
+        worst_radius=radii[c],
     )
 
 

@@ -236,6 +236,30 @@ def dist_to_set_brute(space, member_ids) -> list[float]:
     return out
 
 
+def doubling_scan(space, radii) -> tuple:
+    """(c_hat, evaluated, skipped, worst_center, worst_radius) by a scan
+    over points in index order, then radii in the given order.
+
+    Masses are ``weights[row < r].sum()`` on each point's own row; an
+    empty inner ball is skipped, and only a strictly larger ratio
+    replaces the best, so the first largest ratio wins.
+    """
+    best, center, radius = -math.inf, space.ids[0], radii[0]
+    evaluated = skipped = 0
+    for k, pid in enumerate(space.ids):
+        row = space.dists_from(k)
+        for r in radii:
+            inner = float(space.weights[row < r].sum())
+            outer = float(space.weights[row < 2.0 * r].sum())
+            if inner == 0.0:
+                skipped += 1
+                continue
+            evaluated += 1
+            if outer / inner > best:
+                best, center, radius = outer / inner, pid, r
+    return best, evaluated, skipped, center, radius
+
+
 def basepoint_brute(space, member_ids) -> int:
     """Member with the smallest eccentricity over the members; ties: smaller id."""
     best_id, best_ecc = None, math.inf

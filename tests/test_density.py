@@ -103,6 +103,20 @@ def test_profiles_batch_matches_single():
         assert prof == density_profile(space, prof.point, 0.1, 0.9)
 
 
+def test_profiles_build_one_radius_grid(monkeypatch):
+    import rectilib.density as density
+
+    space = random_cloud(np.random.default_rng(47), n=12)
+    grids = []
+    original = density.dyadic_radii
+    monkeypatch.setattr(
+        density, "dyadic_radii", lambda lo, hi: grids.append(1) or original(lo, hi)
+    )
+    batch = density_profiles(space, range(12), 0.1, 0.9)
+    assert len(grids) == 1
+    assert batch[0].radii == tuple(original(0.1, 0.9))
+
+
 def test_resolution_scale_is_half_min_gap():
     space, _ = generate(GeneratorSpec("interval", 11))
     assert resolution_scale(space) == pytest.approx(0.05)

@@ -156,6 +156,33 @@ def test_batches_stay_within_the_pair_budget(cloud, data):
             assert_same_pairs(got, row_pairs(space, query, r))
 
 
+def test_one_point_queries_build_no_tree(monkeypatch):
+    """Once the space's tree exists, a one-point query and the net scan
+    (one query per admitted point) construct no other tree, and give
+    the row-based answers."""
+    import scipy.spatial
+
+    space, _ = generate(GeneratorSpec("circle", 400))
+    space.neighbors([0], 0.1)  # builds the space's own tree
+    built = []
+    original = scipy.spatial.cKDTree
+
+    def counted(*args, **kwargs):
+        built.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    gap = space.min_gap()
+    for k, r in [(0, 0.1), (7, gap), (7, gap * (1 + 1e-9)), (399, 0.5), (3, 5.0)]:
+        assert_same_pairs(space.neighbors([k], r), row_pairs(space, [k], r))
+    lo, hi = auto_levels(space, 0.5)
+    h = build_nets(space, 0.5, lo, hi, seed_ids=[5])
+    assert built == []
+    assert h.levels == build_nets_rows(space, 0.5, lo, hi, seed_ids=[5])
+    space.neighbors([0, 1], 0.1)  # two points still share a batch tree
+    assert built == [2]
+
+
 def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
     """Coincident points are asked for once per location, so 298 points
     at one location cost three queries, not 298 balls of 298 pairs."""

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import basepoint_brute, dist_to_set_brute, stratify_brute
+from _oracles import basepoint_brute, dist_to_set_brute, doubling_scan, stratify_brute
 from rectilib.density import density_profile, stratify
-from rectilib.errors import DegenerateInputError
+from rectilib.errors import DegenerateInputError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import STAGES, RunConfig, run_stages
 from rectilib.porosity import dist_to_set
@@ -158,6 +158,101 @@ def test_doubling_counts_one_mask_per_distinct_radius(d):
 
 # weights whose sums round differently in different orders
 INEXACT = (0.0, 0.1, 0.3, 0.7, 1.0 / 3.0)
+
+
+@given(clouds(masses=INEXACT), st.data())
+def test_doubling_estimate_is_the_first_largest_ratio_of_a_scan(cloud, data):
+    """Repeated radii, radii equal to a distance, skipped pairs and tied
+    ratios, with equal and unequal weights, on both backends."""
+    ids, coords, weights = cloud
+    if data.draw(st.booleans()):  # every weight equal: masses from counts
+        w0 = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0]))
+        weights = np.full(len(ids), w0)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    pool = [*np.unique(space.distance_matrix())[1:], 0.05, 0.6, 3.0]
+    radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    for s in (space, twin):
+        est = doubling_estimate(s, radii)
+        assert doubling_scan(s, radii) == (
+            est.c_hat, est.evaluated, est.skipped, est.worst_center, est.worst_radius
+        )
+
+
+def test_doubling_estimate_rejects_a_nan_radius():
+    space = MetricMeasureSpace.from_coords(range(3), np.eye(3), np.ones(3))
+    with pytest.raises(ParameterError, match="positive"):
+        doubling_estimate(space, [0.5, math.nan])
+
+
+def stacked_line(base: int, stacks: dict, w0: float) -> tuple:
+    """(ids, coords, weights): one point at each of 0, 1, ..., base - 1,
+    except that position p holds ``stacks[p]`` coincident points; every
+    weight is ``w0``."""
+    xs = [float(p) for p in range(base) for _ in range(stacks.get(p, 1))]
+    n = len(xs)
+    return list(range(n)), np.array(xs)[:, None], np.full(n, w0)
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# numpy's pairwise sum adds the first 7 values one by one, runs 8 lanes
+# up to 128 values and splits larger arrays in halves; a reduction may
+# also be cut into buffers of 8192.  A ball mass is checked on each side
+# of every edge, by a row (centre 0, one point per position) and by the
+# small-radius fill (radius 0.5 and 1.5 around a stack).
+EDGES = (7, 8, 9, 127, 128, 129)
+
+
+@pytest.mark.parametrize("w0", [0.1, 1.0 / 3.0])
+def test_equal_weight_masses_are_the_gathered_sums_at_pairwise_sum_edges(w0):
+    ids, coords, weights = stacked_line(
+        400, {200 + 20 * i: k for i, k in enumerate(EDGES)}, w0
+    )
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    row_radii = [k - 0.5 for k in EDGES]
+    for s in (space, twin):
+        assert s.min_gap() == 1.0  # the summary: radii below 2 are filled
+        for k in range(len(s)):
+            row = s.dists_from(k)
+            radii = [0.5, 1.5, *row_radii] if k in (0, len(s) - 1) else [0.5, 1.5]
+            want = [weights[row < r].sum() for r in radii]
+            assert bits(s.ball_masses(k, radii)) == bits(want)
+        assert s._equal
+    sizes = {np.count_nonzero(space.dists_from(0) < r) for r in row_radii}
+    first = np.searchsorted(coords[:, 0], [200 + 20 * i for i in range(len(EDGES))])
+    stacked = [np.count_nonzero(space.dists_from(k) < 0.5) for k in first]
+    assert sizes == set(EDGES) and tuple(stacked) == EDGES
+    # a product k * w0 or a running sum is a different float at some size
+    assert any(np.full(k, w0).sum() != k * w0 for k in EDGES)
+    running = np.cumsum(np.full(max(EDGES), w0))
+    assert any(np.full(k, w0).sum() != running[k - 1] for k in EDGES)
+
+
+@pytest.mark.parametrize("w0", [0.1, 1.0 / 3.0])
+def test_equal_weight_masses_of_balls_past_8192_points(w0):
+    """Coordinates only: a distance matrix of 9,199 points would take
+    677 MB."""
+    ids, coords, weights = stacked_line(1000, {500: 8200}, w0)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    assert len(space) == 9199 and space.min_gap() == 1.0
+    stack = int(np.searchsorted(coords[:, 0], 500.0))
+    radii = [0.5, 1.5, 450.0, 600.0, 1000.0]
+    sizes = set()
+    for k in (0, 1, stack, stack + 8199, len(space) - 1):
+        row = space.dists_from(k)
+        want = [weights[row < r].sum() for r in radii]
+        assert bits(space.ball_masses(k, radii)) == bits(want)
+        sizes |= {np.count_nonzero(row < r) for r in radii}
+    assert {8200, 8202, 8799, 9098, 9199} <= sizes
+    assert space._equal
+    big = [k for k in sizes if k > 8192]
+    assert any(np.full(k, w0).sum() != k * w0 for k in big)
+    running = np.cumsum(np.full(max(big), w0))
+    assert any(np.full(k, w0).sum() != running[k - 1] for k in big)
 
 
 @given(clouds(masses=INEXACT), st.data())

@@ -21,6 +21,9 @@ KEEP = {
     "target (ROADMAP.md, open items)",
     "space.hausdorff_estimate": "planned: the report sets it against "
     "10 mu(E) on a stratum target (ROADMAP.md, open items)",
+    "density.density_profile": "the one-point form of density_profiles, "
+    "which builds its radius grid once for all points; tests read single "
+    "profiles through it",
     "curve.BridgeGraph.from_edges": "tests build small graphs with it",
     "curve.ground_key": "tests build vertex keys with it",
     "curve.lifted_keys": "tests build vertex keys with it",
