@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -23,7 +24,7 @@ from .density import (
     density_csv,
     density_profiles,
     density_summary,
-    resolution_scale,
+    density_window,
 )
 from .errors import ConfigError, InputError, RectilibError
 from .generators import KINDS
@@ -36,22 +37,32 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", help="distance-matrix CSV (needs --weights)")
     p.add_argument("--weights", help="id,weight CSV for --matrix")
     p.add_argument("--kind", choices=KINDS, help="generator kind")
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--params", default="{}", help="generator params, JSON")
+    p.add_argument("--resolution", type=int)
+    p.add_argument("--params", type=json.loads, help="generator params, JSON")
 
 
 def _add_scale_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=1 / 16)
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+
+
+def _add_cube_args(p: argparse.ArgumentParser) -> None:
+    _add_scale_args(p)
+    p.add_argument("--c0", type=float)
 
 
 def _add_porosity_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", type=float, default=1 / 500)
-    p.add_argument("--M", type=float, default=11.0)
-    p.add_argument("--delta", type=float, default=0.003)
-    p.add_argument("--n0", type=int, default=2)
+    _add_cube_args(p)
+    p.add_argument("--M", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--n0", type=int)
     p.add_argument("--strict", action="store_true")
+
+
+def _add_curve_args(p: argparse.ArgumentParser) -> None:
+    _add_porosity_args(p)
+    p.add_argument("--eps-res", type=float)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -61,7 +72,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         for f in dataclasses.fields(RunConfig)
         if hasattr(args, f.name)
     }
-    fields["params"] = json.loads(args.params)
     return RunConfig(**fields)
 
 
@@ -141,8 +151,9 @@ def _cmd_density(args) -> int:
         pts = _ids_arg(args.points)
         if not pts:
             raise InputError("--points names no point ids")
-    r_lo = args.r_lo if args.r_lo is not None else resolution_scale(space)
-    r_hi = args.r_hi if args.r_hi is not None else space.diameter() / 4
+    r_lo, r_hi = density_window(space)
+    r_lo = r_lo if args.r_lo is None else args.r_lo
+    r_hi = r_hi if args.r_hi is None else args.r_hi
     profiles = density_profiles(space, pts, r_lo, r_hi)
     if args.out:
         density_csv(profiles, args.out)
@@ -194,11 +205,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="nets, cubes, porosity, and curve pipelines "
         "over finite metric measure spaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag with no stated default is left out of the namespace when
+    # absent, so a RunConfig field keeps RunConfig's default
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, argument_default=argparse.SUPPRESS
+        ),
+    )
 
     p = sub.add_parser("gen", help="generate a point cloud")
     _add_source_args(p)
-    p.add_argument("--out", help="write points CSV here")
+    p.add_argument("--out", default=None, help="write points CSV here")
     p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("nets", help="build and verify net hierarchy")
@@ -208,21 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cubes", help="build and verify the cube tree")
     _add_source_args(p)
-    _add_scale_args(p)
-    p.add_argument("--c0", type=float, default=1 / 500)
+    _add_cube_args(p)
     p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("density", help="lower-density profiles")
     _add_source_args(p)
-    p.add_argument("--points", help="comma-separated ids (default: target)")
+    p.add_argument(
+        "--points", default=None, help="comma-separated ids (default: target)"
+    )
     p.add_argument("--r-lo", type=float, default=None)
     p.add_argument("--r-hi", type=float, default=None)
-    p.add_argument("--out", help="per-point CSV")
+    p.add_argument("--out", default=None, help="per-point CSV")
     p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("beta2", help="flatness of a subset")
     _add_source_args(p)
-    p.add_argument("--members", help="comma-separated ids (default: target)")
+    p.add_argument(
+        "--members", default=None, help="comma-separated ids (default: target)"
+    )
     p.add_argument("--label", default="")
     p.set_defaults(handler=_cmd_beta2)
 
@@ -234,33 +256,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("porous", help="porous cubes, packing, shadows")
     _add_source_args(p)
-    _add_scale_args(p)
     _add_porosity_args(p)
     p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("curve", help="assemble the curve graph")
     _add_source_args(p)
-    _add_scale_args(p)
-    _add_porosity_args(p)
-    p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--edges-out", help="edge-list CSV")
+    _add_curve_args(p)
+    p.add_argument("--edges-out", default=None, help="edge-list CSV")
     p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("param", help="parametrize the curve graph")
     _add_source_args(p)
-    _add_scale_args(p)
-    _add_porosity_args(p)
-    p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--tour-out", help="tour CSV")
+    _add_curve_args(p)
+    p.add_argument("--tour-out", default=None, help="tour CSV")
     p.set_defaults(handler=_cmd_view)
 
     p = sub.add_parser("run", help="full pipeline with JSON report")
     _add_source_args(p)
-    _add_scale_args(p)
-    _add_porosity_args(p)
-    p.add_argument("--eps-res", type=float, default=None)
-    p.add_argument("--r-lo", type=float, default=None)
-    p.add_argument("--r-hi", type=float, default=None)
+    _add_curve_args(p)
     p.add_argument("--out-dir", help="directory for side outputs")
     p.set_defaults(handler=_cmd_run)
 

@@ -90,6 +90,13 @@ def _nearest(
     return out
 
 
+def _groups(labels: np.ndarray, size: int) -> list[np.ndarray]:
+    """Per label ``0 .. size-1``, the positions holding it, ascending."""
+    order = np.argsort(labels, kind="stable")
+    ends = np.searchsorted(labels[order], np.arange(size + 1)).tolist()
+    return [order[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
 def build_cubes(
     space: MetricMeasureSpace,
     hierarchy: NetHierarchy,
@@ -119,88 +126,63 @@ def build_cubes(
         )
         assign[n_above] = up[assign[n]]
 
-    cubes: list[dict] = []
-    by_level: dict[int, tuple[int, ...]] = {}
-    for n in levels:
-        ids = []
-        side = SIDELENGTH_FACTOR * hierarchy.rho**n
-        groups: dict[int, list[int]] = {
-            j: [] for j in range(len(level_idx[n]))
-        }
-        for point, j in enumerate(assign[n]):
-            groups[int(j)].append(point)
-        for j, net_k in enumerate(level_idx[n]):
-            member_pos = groups[j]
-            ids.append(len(cubes))
-            cubes.append(
-                {
-                    "level": n,
-                    "center": space.ids[int(net_k)],
-                    "sidelength": side,
-                    "parent": None,
-                    "children": [],
-                    "members": tuple(
-                        sorted(space.ids[p] for p in member_pos)
-                    ),
-                    "mass": float(space.weights[member_pos].sum()),
-                }
-            )
-        by_level[n] = tuple(ids)
-
-    # parent/child links: the child's center belongs to the parent cube
+    # a cube's id is its level's first id plus its net point's position;
+    # a cube's parent holds its centre
+    sizes = [len(level_idx[n]) for n in levels]
+    first = dict(zip(levels, np.cumsum([0] + sizes).tolist()))
+    parent = {levels[0]: [None] * sizes[0]}
+    children = {levels[-1]: [()] * sizes[-1]}
     for n_above, n in zip(levels, levels[1:]):
-        for cid in by_level[n]:
-            center = cubes[cid]["center"]
-            k = space.index_of(center)
-            parent_pos = int(assign[n_above][k])
-            parent_id = by_level[n_above][parent_pos]
-            cubes[cid]["parent"] = parent_id
-            cubes[parent_id]["children"].append(cid)
+        up = assign[n_above][level_idx[n]]
+        parent[n] = (first[n_above] + up).tolist()
+        children[n_above] = [
+            tuple((first[n] + g).tolist())
+            for g in _groups(up, len(level_idx[n_above]))
+        ]
 
+    cubes: list[Cube] = []
+    by_level: dict[int, tuple[int, ...]] = {}
     # c0: the nearest non-member of each cube, relative to its sidelength;
     # one within a sidelength comes from a neighbour query per level
     c0 = math.inf
-    far_cubes: list[dict] = []
-    for n in levels:
-        level_cubes = [cubes[cid] for cid in by_level[n]]
+    far_cubes: list[tuple[int, int]] = []  # (level, position) of the rest
+    for n, size in zip(levels, sizes):
         side = SIDELENGTH_FACTOR * hierarchy.rho**n
+        by_level[n] = tuple(range(first[n], first[n] + size))
+        for k, pos in enumerate(_groups(assign[n], size)):
+            cubes.append(
+                Cube(
+                    level=n,
+                    center=space.ids[int(level_idx[n][k])],
+                    sidelength=side,
+                    parent=parent[n][k],
+                    children=children[n][k],
+                    members=tuple(sorted(space.ids[p] for p in pos.tolist())),
+                    mass=float(space.weights[pos].sum()),
+                )
+            )
         q, j, d = space.neighbors(level_idx[n], side)
         outside = assign[n][j] != q
-        nearest_out = np.full(len(level_cubes), math.inf)
+        nearest_out = np.full(size, math.inf)
         np.minimum.at(nearest_out, q[outside], d[outside])
         found = np.isfinite(nearest_out)
         if found.any():
             c0 = min(c0, float((nearest_out[found] / side).min()))
-        far_cubes.extend(c for c, ok in zip(level_cubes, found) if not ok)
+        far_cubes.extend((n, k) for k in np.flatnonzero(~found).tolist())
     if not c0 < 1.0:
         # every ratio found is below 1 and a far cube's is at least 1, so
         # far cubes need their rows only when nothing was found
-        member_mask = np.zeros(len(space), dtype=bool)
-        for c in far_cubes:
-            member_mask[:] = False
-            member_mask[space.indices_of(c["members"])] = True
-            if member_mask.all():
-                continue
-            row = space.dists_from(space.index_of(c["center"]))
-            nearest = float(row[~member_mask].min())
-            c0 = min(c0, nearest / c["sidelength"])
+        for n, k in far_cubes:
+            outside = assign[n] != k
+            if outside.any():
+                row = space.dists_from(int(level_idx[n][k]))
+                side = SIDELENGTH_FACTOR * hierarchy.rho**n
+                c0 = min(c0, float(row[outside].min()) / side)
 
-    frozen = tuple(
-        Cube(
-            level=c["level"],
-            center=c["center"],
-            sidelength=c["sidelength"],
-            parent=c["parent"],
-            children=tuple(c["children"]),
-            members=c["members"],
-            mass=c["mass"],
-        )
-        for c in cubes
-    )
     return CubeTree(
         c0_target=c0_target,
         n_min=levels[0],
-        cubes=frozen,
+        cubes=tuple(cubes),
         by_level=by_level,
         c0_achieved=c0,
     )

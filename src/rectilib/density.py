@@ -97,6 +97,11 @@ def resolution_scale(space: MetricMeasureSpace) -> float:
     return space.min_gap() / 2.0
 
 
+def density_window(space: MetricMeasureSpace) -> tuple[float, float]:
+    """Default profile radii: the resolution scale to diameter / 4."""
+    return resolution_scale(space), space.diameter() / 4
+
+
 def stratify(
     space: MetricMeasureSpace,
     members: Iterable[int],

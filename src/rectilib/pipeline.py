@@ -39,7 +39,7 @@ from .density import (
     density_csv,
     density_profiles,
     density_summary,
-    resolution_scale,
+    density_window,
 )
 from .errors import (
     ConfigError,
@@ -79,7 +79,7 @@ class RunConfig:
     matrix: str | None = None
     weights: str | None = None
     kind: str | None = None
-    resolution: int = 0
+    resolution: int = 64
     params: dict = field(default_factory=dict)
     # geometry parameters
     rho: float = 1.0 / 16.0
@@ -88,8 +88,6 @@ class RunConfig:
     delta: float = 0.003
     n0: int = 2
     eps_res: float | None = None  # default: twice the finest net scale
-    r_lo: float | None = None
-    r_hi: float | None = None
     n_min: int | None = None
     n_max: int | None = None
     strict: bool = False
@@ -239,13 +237,11 @@ def _verify_cubes(ctx):
 
 
 def _density(ctx):
-    cfg, space = ctx.cfg, ctx.space
-    r_lo = cfg.r_lo if cfg.r_lo is not None else resolution_scale(space)
-    r_hi = cfg.r_hi if cfg.r_hi is not None else space.diameter() / 4
+    r_lo, r_hi = density_window(ctx.space)
     ctx.profiles = None
     if not 0 < r_lo < r_hi:
         return {"skipped": "radius grid is empty"}, None
-    ctx.profiles = density_profiles(space, ctx.target.members, r_lo, r_hi)
+    ctx.profiles = density_profiles(ctx.space, ctx.target.members, r_lo, r_hi)
     return density_summary(ctx.profiles, r_lo, r_hi), None
 
 
@@ -285,7 +281,6 @@ def _carleson(ctx):
         "C1": constants.C1,
         "a": constants.a,
         "b": constants.b,
-        "b_mode": "observed",  # b is the shadow map's multiplicity
         "skipped": carleson.skipped,
         "ok": carleson.ok,
     }, None if carleson.ok else (

@@ -287,7 +287,6 @@ def shadow_map(
         else:
             stack.extend(cube.children)
     maximal.sort()
-    in_antichain = set(maximal)
 
     # point id -> containing antichain cube (at most one: it is an antichain)
     shadow_of_point: dict[int, int] = {}

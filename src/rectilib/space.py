@@ -39,8 +39,6 @@ A space caches what the pipeline asks for repeatedly:
   for the ball's point count ``k``, kept per ``k``: numpy's sum over a
   fresh contiguous array of the same ``k`` values, so the same float,
   with no weights gathered;
-* the full distance matrix, once :meth:`~MetricMeasureSpace.distance_matrix`
-  has been called (a matrix space holds it from the start);
 * a k-d tree over the coordinates, built by the first
   :meth:`~MetricMeasureSpace.neighbors` call of a coordinate space.
 
@@ -105,8 +103,8 @@ class MetricMeasureSpace:
     both validate their input.  Distances are served row-wise through
     :meth:`dists_from`, as chosen entries of a row through
     :meth:`dists_between`, and as the pairs closer than a radius through
-    :meth:`neighbors`; a coordinate space computes each on demand and
-    keeps the full matrix only after :meth:`distance_matrix`.
+    :meth:`neighbors`; a coordinate space computes each on demand, a
+    matrix space reads its stored matrix.
     """
 
     def __init__(
@@ -127,7 +125,7 @@ class MetricMeasureSpace:
                 _read_only(np.array(self.coords[:, a]))
                 for a in range(self.coords.shape[1])
             )
-        self._matrix = None
+        self._matrix = None  # set only by from_matrix
         if matrix is not None:
             self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
@@ -382,7 +380,8 @@ class MetricMeasureSpace:
         return self._tree, self._pad
 
     def distance_matrix(self) -> np.ndarray:
-        """Full matrix (read-only); cached, refused above a size guard."""
+        """Full matrix (read-only), refused above a size guard; a
+        coordinate space builds a fresh one per call and keeps none."""
         if self._matrix is None:
             if len(self) > _DENSE_LIMIT:
                 raise ParameterError(
@@ -391,7 +390,7 @@ class MetricMeasureSpace:
             idx = np.arange(len(self))
             matrix = self._pair_dists(idx[:, None], idx[None, :])
             matrix.setflags(write=False)
-            self._matrix = matrix
+            return matrix
         return self._matrix
 
     def distance_submatrix(self, point_ids: Iterable[int]) -> np.ndarray:
@@ -446,7 +445,12 @@ class MetricMeasureSpace:
         sum over a fresh contiguous array of the same ``k`` values as
         the gathered ``weights[row < r]``, so it is the same float, and
         the pass counts ``row < r`` instead of gathering weights.
+
+        A radius that is not ``> 0`` raises before any cache changes.
         """
+        bad = [r for r in radii if not r > 0]
+        if bad:
+            raise ParameterError(f"ball radii must be positive, got {bad[0]!r}")
         w = self.weights
         if self._equal is None:
             self._equal = bool(np.all(w == w[0]))

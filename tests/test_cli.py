@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from rectilib.cli import build_parser, main
+from rectilib.cli import _run_config, build_parser, main
 from rectilib.density import density_profiles
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import RunConfig
@@ -467,3 +467,18 @@ def test_every_run_config_field_is_one_run_flag():
     ]
     assert len(dests) == len(set(dests))
     assert set(dests) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "nets", "cubes", "density", "porous", "curve", "run"]
+)
+def test_flags_left_out_keep_the_run_config_defaults(command):
+    args = build_parser().parse_args([command, "--kind", "interval"])
+    assert _run_config(args) == RunConfig(kind="interval")
+
+
+def test_params_that_are_not_json_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--kind", "interval", "--params", "{bad"])
+    assert exc.value.code == 2
+    assert "--params" in capsys.readouterr().err

@@ -292,6 +292,18 @@ def assert_cubes_match(space, h):
     got = {(c.level, c.center): c.members for c in tree.cubes}
     assert got == want
     assert tree.c0_achieved == c0_rows(space, tree)
+    # a parent is the cube one level up that holds the centre; children
+    # ascend; a mass sums the members' weights in ascending point order
+    levels = sorted(tree.by_level)
+    assert all(tree.cubes[c].parent is None for c in tree.by_level[levels[0]])
+    for above, n in zip(levels, levels[1:]):
+        for cid in tree.by_level[n]:
+            center = tree.cubes[cid].center
+            holder = [p for p in tree.by_level[above] if center in tree.cubes[p].members]
+            assert [tree.cubes[cid].parent] == holder
+    for cid, c in enumerate(tree.cubes):
+        assert c.children == tuple(k for k, d in enumerate(tree.cubes) if d.parent == cid)
+        assert c.mass == float(space.weights[np.sort(space.indices_of(c.members))].sum())
 
 
 @given(clouds(dims=(1, 2, 3), min_size=2), st.data())

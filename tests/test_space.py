@@ -221,6 +221,17 @@ def test_ball_masses_match_uncached_masks_and_compute_rows_once():
     assert line.ball_masses(2, [1.0, 1.5, 2.0]) == [2.0, 6.0, 6.0]
 
 
+@pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0])
+def test_ball_masses_reject_a_radius_that_is_not_positive(radius):
+    space = line_space(3)
+    space.ball_masses(0, [0.5])
+    column = np.array(space._masses[0.5])
+    with pytest.raises(ParameterError, match="positive"):
+        space.ball_masses(1, [0.5, 1.5, radius])
+    assert list(space._masses) == [0.5]
+    assert np.array_equal(space._masses[0.5], column, equal_nan=True)
+
+
 def test_min_gap_singleton_is_zero():
     space = MetricMeasureSpace.from_coords([0], np.zeros((1, 1)), np.ones(1))
     assert space.min_gap() == 0.0

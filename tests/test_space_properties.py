@@ -120,6 +120,29 @@ def test_coordinate_and_matrix_backends_agree(cloud, data):
     assert dist_to_set(space, members).tolist() == dist_to_set_brute(space, members)
 
 
+@given(clouds(), st.booleans(), st.data())
+def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
+    """Serving distance_matrix() stores nothing: rows, neighbours and
+    masses still come from the coordinates."""
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    if serve_matrix:
+        space.distance_matrix()
+    expected = np.array([[axis_order_distance(a, b) for b in coords] for a in coords])
+    pool = [*np.unique(expected), 0.05, 1.3, 10.0]
+    r = data.draw(st.sampled_from([x for x in pool if x > 0]))
+    space.min_gap()  # radii below 2 * min_gap are then filled from neighbours
+    for k in range(len(ids)):
+        assert space.dists_from(k).tolist() == expected[k].tolist()
+        mass = float(weights[expected[k] < r].sum())
+        assert space.ball_masses(k, [r]) == [mass]
+    q, j, d = space.neighbors(np.arange(len(ids)), r)
+    assert space._tree is not None
+    assert np.array_equal(np.stack([q, j]), np.nonzero(expected < r))
+    assert d.tolist() == expected[expected < r].tolist()
+    assert space._matrix is None
+
+
 @given(clouds())
 def test_mass_cache_does_not_depend_on_call_order(cloud):
     ids, coords, weights = cloud
