@@ -25,10 +25,12 @@ exactly symmetric.
 
 A space caches what the pipeline asks for repeatedly:
 
-* the summary, one pass over all rows: each point's eccentricity (its
-  largest distance) and its smallest positive distance, from which
+* the summary: each point's eccentricity (its largest distance) and the
+  smallest positive distance, from which
   :meth:`~MetricMeasureSpace.diameter`, :meth:`~MetricMeasureSpace.min_gap`
-  and the basepoint of :func:`enclosing_target` over every point are read;
+  and the basepoint of :func:`enclosing_target` over every point are
+  read.  A matrix space reduces its stored matrix; a coordinate space
+  asks the cell pass below;
 * open-ball masses, one array of length ``n`` per radius, filled by
   :meth:`~MetricMeasureSpace.ball_masses`, the package's only
   open-ball mass computation (used by :func:`doubling_estimate`,
@@ -39,10 +41,11 @@ A space caches what the pipeline asks for repeatedly:
   for the ball's point count ``k``, kept per ``k``: numpy's sum over a
   fresh contiguous array of the same ``k`` values, so the same float,
   with no weights gathered;
-* a k-d tree over the coordinates, built by the first
-  :meth:`~MetricMeasureSpace.neighbors` call of a coordinate space.
+* a k-d tree over the coordinates, built by the first neighbour query
+  or cell pass of a coordinate space.
 
-Small balls never need a full row.  :meth:`~MetricMeasureSpace.neighbors`
+A coordinate space needs no full row for its summary, its small balls
+or, with equal weights, any ball.  :meth:`~MetricMeasureSpace.neighbors`
 answers "which points are closer than ``r``" for a batch of query
 points, and :meth:`~MetricMeasureSpace.dists_between` gives one row's
 entries at chosen columns.  On a coordinate space the tree
@@ -57,6 +60,17 @@ gives the same answer in batches of a bounded number of pairs, for
 callers whose balls may hold many coincident points.  Nets, cubes,
 porous witnesses, the curve's adjacency and the mass cache's radii
 below ``2 * min_gap`` are built on these methods.
+
+The cell pass serves the summary and the equal-weight masses at every
+other radius.  Its cells are the maximal nodes of the same tree that
+hold at most ``_CELL`` points.  The tight boxes of two cells, widened
+by the pad, bound every distance between them, so a whole cell lies
+inside a ball, outside it, or straddles its boundary; only straddling
+cell pairs (and, for the summary, the pairs that may hold an
+eccentricity or the smallest gap) get distances, by the row formula,
+in blocks of at most ``_PAIR_BUDGET`` pairs.  Unequal weights still
+gather each ball's weights from the point's full row, because a
+pairwise sum in index order cannot be split across cells.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -84,9 +98,12 @@ from .errors import (
 # Above this point count distance_matrix() refuses to build the full matrix.
 _DENSE_LIMIT = 5000
 # neighbor_batches() sends at most this many query points to the tree
-# at once, and keeps a batch near or below this many candidate pairs
+# at once, and keeps a batch near or below this many candidate pairs;
+# the cell pass computes at most _PAIR_BUDGET distances per block
 _QUERY_CHUNK = 1024
 _PAIR_BUDGET = 1 << 18
+# the cell pass decides k-d tree nodes of at most this many points whole
+_CELL = 64
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -129,11 +146,11 @@ class MetricMeasureSpace:
         if matrix is not None:
             self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
-        self._summary: tuple[np.ndarray, np.ndarray] | None = None
+        self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
         self._equal: bool | None = None  # equal weights, decided by ball_masses
         self._count_sums: dict[int, np.float64] = {}  # point count -> ball mass
-        self._tree = None  # k-d tree over coords, built by the first neighbors()
+        self._tree = None  # k-d tree over coords, built on first use
         self._pad = 0.0
 
     # -- construction ---------------------------------------------------
@@ -400,23 +417,25 @@ class MetricMeasureSpace:
             return self._matrix[np.ix_(idx, idx)]
         return self._pair_dists(idx[:, None], idx[None, :])
 
-    def summary(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per point: eccentricity and smallest positive distance.
+    def summary(self) -> tuple[np.ndarray, float]:
+        """Each point's eccentricity (read-only) and the smallest positive
+        distance (0.0 when there is none), computed once.
 
-        One pass over every row, cached.  The second array holds ``inf``
-        for a point whose every distance is zero.  Both are read-only.
+        A matrix space reduces its stored matrix; a coordinate space
+        asks the k-d cells, and computes distances only between cells
+        whose box bounds leave the answer open.
         """
         if self._summary is None:
-            n = len(self)
-            ecc = np.empty(n)
-            nearest = np.empty(n)
-            for k in range(n):
-                row = self.dists_from(k)
-                ecc[k] = row.max()
-                nearest[k] = np.min(row, where=row > 0, initial=math.inf)
+            if self._matrix is not None:
+                m = self._matrix
+                ecc = m.max(axis=1)
+                gap = float(np.min(m, where=m > 0, initial=math.inf))
+            elif self._axes:
+                ecc, gap = self._cell_summary()
+            else:  # no axes: every distance is zero
+                ecc, gap = np.zeros(len(self)), math.inf
             ecc.setflags(write=False)
-            nearest.setflags(write=False)
-            self._summary = (ecc, nearest)
+            self._summary = (ecc, 0.0 if gap == math.inf else gap)
         return self._summary
 
     def diameter(self) -> float:
@@ -424,27 +443,32 @@ class MetricMeasureSpace:
 
     def min_gap(self) -> float:
         """Smallest positive inter-point distance (0.0 for a singleton)."""
-        best = float(self.summary()[1].min())
-        return 0.0 if best == math.inf else best
+        return self.summary()[1]
 
     def ball_masses(self, index: int, radii: Sequence[float]) -> list[float]:
         """Open-ball masses of the point at ``index``, one per radius.
 
         Each mass is ``float(weights[row < r].sum())``.  Masses are cached
-        per radius; the row is computed only when one is missing.  Once
-        the summary pass has run, a radius below twice the smallest
-        positive distance is filled for every point at once from
-        :meth:`neighbor_batches`, asked once per location (coincident
-        points have the same row, so the same ball): such a ball holds a
-        packing-bounded number of locations, and ``weights[ascending
-        neighbour indices].sum()`` is the same array and the same sum.
+        per radius, one column over every point; the radii a call finds
+        missing are filled together:
+
+        * once the summary pass has run, a radius below twice the
+          smallest positive distance is filled for every point from
+          :meth:`neighbor_batches`, asked once per location (coincident
+          points have the same row, so the same ball): such a ball holds
+          a packing-bounded number of locations, and ``weights[ascending
+          neighbour indices].sum()`` is the same array and the same sum;
+        * with equal weights, a coordinate space counts every other
+          radius's balls in one pass over its k-d cells;
+        * otherwise the column waits, and each point's row is computed
+          when its mass is first asked for.
 
         When every weight is the same ``w0`` (checked on the first
         call), a mass depends only on the ball's point count ``k``: it
         is ``np.full(k, w0).sum()``, kept per ``k``.  That is numpy's
         sum over a fresh contiguous array of the same ``k`` values as
         the gathered ``weights[row < r]``, so it is the same float, and
-        the pass counts ``row < r`` instead of gathering weights.
+        no weights are gathered.
 
         A radius that is not ``> 0`` raises before any cache changes.
         """
@@ -454,12 +478,13 @@ class MetricMeasureSpace:
         w = self.weights
         if self._equal is None:
             self._equal = bool(np.all(w == w[0]))
+        missing = [r for r in radii if r not in self._masses]
+        if missing:
+            self._add_mass_columns(list(dict.fromkeys(missing)))
         row = None
         out = []
         for r in radii:
-            col = self._masses.get(r)
-            if col is None:
-                col = self._masses[r] = _read_only(self._new_mass_column(r))
+            col = self._masses[r]
             mass = col[index]
             if math.isnan(mass):
                 if row is None:
@@ -472,11 +497,36 @@ class MetricMeasureSpace:
             out.append(float(mass))
         return out
 
-    def _new_mass_column(self, r: float) -> np.ndarray:
-        """Every point's mass at a radius below ``2 * min_gap`` once the
-        summary pass has run; otherwise NaN, filled row by row."""
-        if self._summary is None or not r < 2.0 * self.min_gap():
-            return np.full(len(self), math.nan)
+    def _mass_table(self, radii: Sequence[float]) -> np.ndarray:
+        """:meth:`ball_masses` of every point, one row per point; the
+        columns are read whole, and only a point whose mass is still
+        missing is asked on its own."""
+        self.ball_masses(0, radii)  # validates and adds missing columns
+        table = np.stack([self._masses[r] for r in radii], axis=1)
+        for k in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
+            table[k] = self.ball_masses(k, radii)
+        return table
+
+    def _add_mass_columns(self, radii: list[float]) -> None:
+        """Cache a mass column for each radius, as :meth:`ball_masses` says."""
+        # below 2 * min_gap, once known, a ball holds few locations, and
+        # the neighbour query asks each location once
+        limit = 2.0 * self.min_gap() if self._summary is not None else 0.0
+        for r in radii:
+            if r < limit:
+                self._masses[r] = _read_only(self._small_mass_column(r))
+        rest = [r for r in radii if not r < limit]
+        if rest and self._equal and self._axes:
+            counts = self._cell_counts(rest)
+            columns = [self._count_masses(counts[:, c]) for c in range(len(rest))]
+        else:
+            columns = [np.full(len(self), math.nan) for _ in rest]
+        for r, column in zip(rest, columns):
+            self._masses[r] = _read_only(column)
+
+    def _small_mass_column(self, r: float) -> np.ndarray:
+        """Every point's mass at a radius below ``2 * min_gap``, from
+        :meth:`neighbor_batches` asked once per location."""
         if self.coords is not None:
             _, first, where = np.unique(
                 self.coords, axis=0, return_index=True, return_inverse=True
@@ -486,12 +536,8 @@ class MetricMeasureSpace:
         at = np.empty(len(first))  # mass per location
         for batch, q, j, _ in self.neighbor_batches(first, r):
             size = batch.stop - batch.start
-            if self._equal:  # one sum per distinct neighbour count
-                counts, slot = np.unique(
-                    np.bincount(q, minlength=size), return_inverse=True
-                )
-                sums = [self._count_mass(k) for k in counts.tolist()]
-                at[batch] = np.array(sums)[slot]
+            if self._equal:
+                at[batch] = self._count_masses(np.bincount(q, minlength=size))
             else:
                 ends = np.searchsorted(q, np.arange(size + 1)).tolist()
                 for k in range(size):
@@ -504,6 +550,136 @@ class MetricMeasureSpace:
         if mass is None:
             mass = self._count_sums[k] = np.full(k, self.weights[0]).sum()
         return mass
+
+    def _count_masses(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`_count_mass` of each count, one sum per distinct count."""
+        distinct, slot = np.unique(counts, return_inverse=True)
+        sums = [self._count_mass(k) for k in distinct.tolist()]
+        return np.array(sums)[slot.reshape(-1)]
+
+    # -- the cell pass ---------------------------------------------------
+    #
+    # A cell is a maximal node of the k-d tree holding at most _CELL
+    # points, or a leaf (a leaf of coincident points may hold more).  The
+    # bounds of _box_bounds, widened by the tree's pad, hold every
+    # distance the row formula gives between two cells, whatever the
+    # rounding; so a pair the bounds decide needs no distances, and the
+    # rest are decided by _pair_dists, the row formula itself.
+
+    def _cells(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The cells' point indices, and each cell's box as the per-axis
+        minimum and maximum of its points."""
+        tree, _ = self._kdtree()
+        cells = []
+        nodes = [tree.tree]
+        while nodes:
+            node = nodes.pop()
+            if node.children <= _CELL or node.lesser is None:
+                cells.append(tree.indices[node.start_idx : node.end_idx])
+            else:
+                nodes += [node.greater, node.lesser]
+        lo = np.array([self.coords[c].min(axis=0) for c in cells])
+        hi = np.array([self.coords[c].max(axis=0) for c in cells])
+        return cells, lo, hi
+
+    def _cell_summary(self) -> tuple[np.ndarray, float]:
+        """Eccentricities and the least positive distance (``inf`` when
+        there is none) from the cells.
+
+        A cell B can hold a point's farthest point only when its upper
+        bound reaches the largest lower bound over all cells.  The least
+        positive distance is at most the least found inside any one cell,
+        and at most the upper bound to any cell surely apart; only the
+        cells whose lower bound is within that are searched for it.
+        """
+        cells, lo, hi = self._cells()
+        _, pad = self._kdtree()
+        ecc = np.empty(len(self))
+        found = math.inf  # least positive distance computed so far
+        bound = math.inf  # and an upper bound on it from the boxes
+        for a, rows in enumerate(cells):
+            mind, maxd = _box_bounds(lo, hi, a)
+            far = np.flatnonzero(maxd + pad >= mind.max() - pad)
+            cols = np.concatenate([cells[b] for b in far])
+            best = np.full(len(rows), -math.inf)
+            for rs, cs in _blocks(len(rows), len(cols)):
+                d = self._pair_dists(rows[rs, None], cols[None, cs])
+                best[rs] = np.maximum(best[rs], d.max(axis=1))
+            ecc[rows] = best
+            apart = mind - pad > 0  # every distance to such a cell is positive
+            if apart.any():
+                bound = min(bound, float(maxd[apart].min()) + pad)
+            if maxd[a] > 0:  # else every point of the cell coincides
+                for rs, cs in _blocks(len(rows), len(rows)):
+                    d = self._pair_dists(rows[rs, None], rows[None, cs])
+                    found = min(found, np.min(d, where=d > 0, initial=math.inf))
+        bound = min(bound, found)
+        for a, rows in enumerate(cells):
+            mind, _ = _box_bounds(lo, hi, a)
+            near = np.flatnonzero(mind - pad <= bound)
+            near = near[near != a]
+            if not len(near):
+                continue
+            cols = np.concatenate([cells[b] for b in near])
+            for rs, cs in _blocks(len(rows), len(cols)):
+                d = self._pair_dists(rows[rs, None], cols[None, cs])
+                found = min(found, np.min(d, where=d > 0, initial=math.inf))
+        return ecc, float(found)
+
+    def _cell_counts(self, radii: list[float]) -> np.ndarray:
+        """``counts[i, c]``: the number of points closer than ``radii[c]``
+        to point ``i``, from the cells.
+
+        For a query cell A, a cell B inside a radius (upper bound below
+        it) adds its size to every count in A, and a cell outside it
+        (lower bound at or above it) adds nothing.  A cell that
+        straddles some radius is computed once against A, and each
+        radius it straddles counts ``d < r`` over its columns.
+        """
+        cells, lo, hi = self._cells()
+        _, pad = self._kdtree()
+        sizes = np.array([len(c) for c in cells])
+        radii_arr = np.array(radii)
+        counts = np.zeros((len(self), len(radii)), dtype=np.intp)
+        for a, rows in enumerate(cells):
+            mind, maxd = _box_bounds(lo, hi, a)
+            inside = maxd[:, None] + pad < radii_arr  # (cell, radius)
+            straddle = ~inside & (mind[:, None] - pad < radii_arr)
+            counts[rows] = sizes @ inside
+            open_ = np.flatnonzero(straddle.any(axis=1))
+            if not len(open_):
+                continue
+            cols = np.concatenate([cells[b] for b in open_])
+            # per radius, the block columns of the cells straddling it
+            masks = np.repeat(straddle[open_], sizes[open_], axis=0).T
+            for rs, cs in _blocks(len(rows), len(cols)):
+                d = self._pair_dists(rows[rs, None], cols[None, cs])
+                for c, r in enumerate(radii):
+                    part = np.compress(masks[c, cs], d, axis=1)
+                    counts[rows[rs], c] += np.count_nonzero(part < r, axis=1)
+        return counts
+
+
+def _box_bounds(
+    lo: np.ndarray, hi: np.ndarray, a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per box: the least and the largest distance between a point of
+    box ``a`` and a point of that box, up to rounding."""
+    gap = np.maximum(np.maximum(lo - hi[a], lo[a] - hi), 0.0)
+    span = np.maximum(hi - lo[a], hi[a] - lo)
+    gap *= gap
+    span *= span
+    return np.sqrt(gap.sum(axis=1)), np.sqrt(span.sum(axis=1))
+
+
+def _blocks(rows: int, cols: int) -> Iterator[tuple[slice, slice]]:
+    """Row and column slices cutting a ``rows`` x ``cols`` block into
+    pieces of at most ``_PAIR_BUDGET`` pairs."""
+    width = max(1, min(cols, _PAIR_BUDGET))
+    height = max(1, _PAIR_BUDGET // width)
+    for i in range(0, rows, height):
+        for j in range(0, cols, width):
+            yield slice(i, i + height), slice(j, j + width)
 
 
 @dataclass(frozen=True)
@@ -574,9 +750,10 @@ def doubling_estimate(
 
     Pairs with an empty inner ball mass are skipped and counted; a point
     of positive weight lies in its own balls, so some pair is always
-    evaluated.  Masses come from :meth:`MetricMeasureSpace.ball_masses`;
-    on a dyadic grid each outer radius ``2r`` is the next inner radius,
-    so it is counted once.
+    evaluated.  Masses come from the cache of
+    :meth:`MetricMeasureSpace.ball_masses`, read a column at a time; on a
+    dyadic grid each outer radius ``2r`` is the next inner radius, so it
+    is counted once.
     """
     radii = [float(r) for r in radii]
     if not radii or not all(r > 0 for r in radii):
@@ -585,7 +762,7 @@ def doubling_estimate(
     # each distinct radius once, then one row of masses per point
     grid = list(dict.fromkeys(radii + [2.0 * r for r in radii]))
     col = {r: c for c, r in enumerate(grid)}
-    masses = np.array([space.ball_masses(k, grid) for k in range(len(space))])
+    masses = space._mass_table(grid)
     inner = masses[:, [col[r] for r in radii]]
     outer = masses[:, [col[2.0 * r] for r in radii]]
     nonzero = inner != 0.0

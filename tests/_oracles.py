@@ -260,6 +260,19 @@ def doubling_scan(space, radii) -> tuple:
     return best, evaluated, skipped, center, radius
 
 
+def summary_rows(space) -> tuple:
+    """(eccentricity per point, least positive distance or 0.0) from
+    every full row."""
+    ecc, gap = [], math.inf
+    for k in range(len(space)):
+        row = space.dists_from(k)
+        ecc.append(float(row.max()))
+        for d in row.tolist():
+            if 0 < d < gap:
+                gap = d
+    return ecc, 0.0 if gap == math.inf else gap
+
+
 def basepoint_brute(space, member_ids) -> int:
     """Member with the smallest eccentricity over the members; ties: smaller id."""
     best_id, best_ecc = None, math.inf

@@ -1,4 +1,5 @@
-"""Shared pytest setup: a deterministic hypothesis profile and a row counter.
+"""Shared pytest setup: a deterministic hypothesis profile, a row counter
+and a pair counter.
 
 Property tests draw the same examples on every run (``derandomize``),
 so a failure reproduces and tier-1 stays stable on a loaded machine;
@@ -7,7 +8,9 @@ time alone.
 """
 
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
+
+import numpy as np
 
 import pytest
 from hypothesis import settings
@@ -20,25 +23,48 @@ settings.register_profile(
 settings.load_profile("rectilib")
 
 
+def _caller_key(frame) -> str:
+    """The calling function's name, prefixed with its ``self``'s class
+    name in a method, such as ``"MetricMeasureSpace.summary"``."""
+    key = frame.f_code.co_name
+    if "self" in frame.f_locals:
+        key = f"{type(frame.f_locals['self']).__name__}.{key}"
+    return key
+
+
 @pytest.fixture
 def row_calls(monkeypatch) -> Counter:
     """Full distance rows computed during the test, counted by caller.
 
     Wraps :meth:`MetricMeasureSpace.dists_from` on the class, so every
-    space sees it; keys are the calling function's name, prefixed with
-    its ``self``'s class name in a method, such as
-    ``"MetricMeasureSpace.summary"``.
+    space sees it; keys name the caller as :func:`_caller_key` does.
     """
     calls: Counter = Counter()
     original = MetricMeasureSpace.dists_from
 
     def counted(self, index):
-        caller = sys._getframe(1)
-        key = caller.f_code.co_name
-        if "self" in caller.f_locals:
-            key = f"{type(caller.f_locals['self']).__name__}.{key}"
-        calls[key] += 1
+        calls[_caller_key(sys._getframe(1))] += 1
         return original(self, index)
 
     monkeypatch.setattr(MetricMeasureSpace, "dists_from", counted)
     return calls
+
+
+@pytest.fixture
+def pair_evals(monkeypatch) -> defaultdict:
+    """Distance blocks computed by the row formula during the test.
+
+    Wraps :meth:`MetricMeasureSpace._pair_dists` on the class; maps each
+    caller, keyed by :func:`_caller_key`, to the list of its calls'
+    pair counts, so ``len`` counts the calls and ``sum`` the pairs.
+    """
+    evals: defaultdict = defaultdict(list)
+    original = MetricMeasureSpace._pair_dists
+
+    def counted(self, rows, cols):
+        pairs = np.broadcast(rows, cols).size
+        evals[_caller_key(sys._getframe(1))].append(pairs)
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(MetricMeasureSpace, "_pair_dists", counted)
+    return evals

@@ -4,9 +4,10 @@
 the pairs and the bits of the full rows they replace, on both backends,
 with duplicate points and with radii equal to a lattice distance.  Each
 converted client is held to its row-based original in ``_oracles``,
-witnesses and fallbacks included.  A default run computes full rows
-only in the summary pass and the doubling stage, and only a coordinate
-space ever imports ``scipy.spatial``.
+witnesses and fallbacks included.  A default run on coordinates
+computes no full row, a run on a distance matrix computes rows only in
+its doubling stage, and only a coordinate space ever imports
+``scipy.spatial``.
 """
 
 import os
@@ -202,7 +203,7 @@ def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
     monkeypatch.setattr(MetricMeasureSpace, "neighbor_batches", recorded)
     masses = [space.ball_masses(k, [gap])[0] for k in range(300)]
     assert sorted(asked) == [0, 298, 299]
-    assert row_calls == {"MetricMeasureSpace.summary": 300}  # min_gap only
+    assert row_calls == {}  # min_gap counts cells, not rows
     want = [weights[space.dists_from(k) < gap].sum() for k in range(300)]
     assert np.array_equal(bits(masses), bits(want))
 
@@ -436,38 +437,51 @@ class _Probe:
 
 
 def test_row_calls_keys_name_the_caller(row_calls):
-    space = MetricMeasureSpace.from_coords([4, 7], np.array([[0.0], [1.0]]), np.ones(2))
-    space.summary()
+    space = MetricMeasureSpace.from_coords(
+        [4, 7], np.array([[0.0], [1.0]]), np.array([1.0, 2.0])
+    )
+    space.ball_masses(1, [0.5])  # unequal weights: the mass takes a row
     _Probe().row(space)
     space.dists_from(1)
     assert row_calls == {
-        "MetricMeasureSpace.summary": 2,
+        "MetricMeasureSpace.ball_masses": 1,
         "_Probe.row": 1,
         "test_row_calls_keys_name_the_caller": 1,
     }
 
 
-def test_default_run_computes_rows_only_in_summary_and_doubling(row_calls):
-    """Also with a target smaller than the space, whose basepoint and
-    distance to the target come from sub-rows."""
+def _rows_by_stage(row_calls, cfg) -> tuple:
+    """(points, {stage: rows computed by caller}) of one default run."""
+    ctx = SimpleNamespace(cfg=cfg)
+    by_stage = {}
+    for name, _, stage in STAGES:
+        before = row_calls.copy()
+        stage(ctx)
+        added = row_calls - before
+        if added:
+            by_stage[name] = dict(added)
+    return len(ctx.space), by_stage
+
+
+def test_default_run_computes_full_rows_only_in_matrix_doubling(row_calls, tmp_path):
+    """Coordinates: no stage computes a row, also with a target smaller
+    than the space, whose basepoint and distance to the target come from
+    sub-rows.  A distance matrix: only the doubling stage reads rows."""
     for cfg in (
         RunConfig(kind="lipschitz_curve", resolution=2000),
         RunConfig(kind="interval", resolution=2000, params=HOLE),
     ):
-        ctx = SimpleNamespace(cfg=cfg)
-        by_stage = {}
-        for name, _, stage in STAGES:
-            before = row_calls.copy()
-            stage(ctx)
-            added = row_calls - before
-            if added:
-                by_stage[name] = dict(added)
-        n = len(ctx.space)
+        n, by_stage = _rows_by_stage(row_calls, cfg)
         assert n == 2000
-        assert by_stage == {
-            "load": {"MetricMeasureSpace.summary": n},
-            "doubling": {"MetricMeasureSpace.ball_masses": n},
-        }, cfg.kind
+        assert by_stage == {}, cfg.kind
+    space, _ = generate(GeneratorSpec("interval", 300, params=HOLE))
+    matrix, weights = tmp_path / "m.csv", tmp_path / "w.csv"
+    np.savetxt(matrix, space.distance_matrix(), delimiter=",", fmt="%.17g")
+    rows = [f"{i},{w!r}\n" for i, w in zip(space.ids, space.weights.tolist())]
+    weights.write_text("id,weight\n" + "".join(rows))
+    n, by_stage = _rows_by_stage(row_calls, RunConfig(matrix=str(matrix), weights=str(weights)))
+    assert n == 300
+    assert by_stage == {"doubling": {"MetricMeasureSpace.ball_masses": n}}
 
 
 GUARD = """

@@ -170,13 +170,15 @@ def test_summary_records_eccentricity_and_nearest_gap():
     space = MetricMeasureSpace.from_coords(
         range(4), np.array([[0.0], [0.0], [1.0], [3.0]]), np.ones(4)
     )
-    ecc, nearest = space.summary()
+    ecc, gap = space.summary()
     assert ecc.tolist() == [3.0, 3.0, 2.0, 3.0]
-    assert nearest.tolist() == [1.0, 1.0, 1.0, 2.0]
-    assert space.diameter() == 3.0 and space.min_gap() == 1.0
+    assert gap == space.min_gap() == 1.0
+    assert space.diameter() == 3.0
+    twin = MetricMeasureSpace.from_matrix(range(4), space.distance_matrix(), np.ones(4))
+    assert twin.summary()[0].tolist() == ecc.tolist() and twin.min_gap() == 1.0
     twins = MetricMeasureSpace.from_coords(range(2), np.zeros((2, 1)), np.ones(2))
-    assert twins.summary()[1].tolist() == [math.inf, math.inf]
-    assert twins.min_gap() == 0.0
+    assert twins.summary()[0].tolist() == [0.0, 0.0]
+    assert twins.summary()[1] == twins.min_gap() == 0.0
 
 
 def test_rows_and_caches_are_read_only():
@@ -189,7 +191,7 @@ def test_rows_and_caches_are_read_only():
         row[0] = 5.0
     with pytest.raises(ValueError):
         matrix[0, 1] = 5.0
-    for array in (*space.summary(), *space._axes):
+    for array in (space.summary()[0], *space._axes):
         with pytest.raises(ValueError):
             array[0] = 5.0
     space.ball_masses(0, [0.5])

@@ -13,13 +13,20 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import basepoint_brute, dist_to_set_brute, doubling_scan, stratify_brute
+from _oracles import (
+    basepoint_brute,
+    dist_to_set_brute,
+    doubling_scan,
+    stratify_brute,
+    summary_rows,
+)
 from rectilib.density import density_profile, stratify
 from rectilib.errors import DegenerateInputError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import STAGES, RunConfig, run_stages
 from rectilib.porosity import dist_to_set
 from rectilib.space import (
+    _PAIR_BUDGET,
     MetricMeasureSpace,
     doubling_estimate,
     dyadic_radii,
@@ -32,10 +39,10 @@ VALUES = st.sampled_from([-3.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.0, 2.125, 6.0])
 
 
 @st.composite
-def clouds(draw, dims=(1, 2, 3, 5), masses=(0.0, 0.5, 1.0, 2.0)):
+def clouds(draw, dims=(1, 2, 3, 5), masses=(0.0, 0.5, 1.0, 2.0), sizes=(1, 14)):
     """(ids, coords, weights): permuted ids, duplicates, zero weights."""
     d = draw(st.sampled_from(dims))
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(*sizes))
     point = st.lists(VALUES, min_size=d, max_size=d)
     pool = draw(st.lists(point, min_size=1, max_size=n))
     picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -276,6 +283,68 @@ def test_equal_weight_masses_of_balls_past_8192_points(w0):
     assert any(np.full(k, w0).sum() != k * w0 for k in big)
     running = np.cumsum(np.full(max(big), w0))
     assert any(np.full(k, w0).sum() != running[k - 1] for k in big)
+
+
+def _cell_pass_matches_the_rows(space, radii) -> None:
+    """On a fresh equal-weight coordinate space: masses asked before the
+    summary, so the cells count every radius; then the summary and what
+    is read from it, against the rows and the matrix twin."""
+    ids, weights = space.ids, space.weights
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    rows = [space.dists_from(k) for k in range(len(space))]
+    ecc, gap = summary_rows(space)
+    for s in (space, twin):
+        for k, row in enumerate(rows):
+            want = [weights[row < r].sum() for r in radii]
+            assert bits(s.ball_masses(k, radii)) == bits(want)
+        assert s.summary()[0].tolist() == ecc
+        assert s.min_gap() == gap and s.diameter() == max(ecc)
+        assert enclosing_target(s).xi0 == basepoint_brute(s, ids)
+        est = doubling_estimate(s, radii)
+        assert doubling_scan(s, radii) == (
+            est.c_hat, est.evaluated, est.skipped, est.worst_center, est.worst_radius
+        )
+
+
+@given(clouds(dims=(1, 2, 3), sizes=(1, 160)), st.data())
+def test_cell_pass_gives_the_row_masses_and_summary(cloud, data):
+    """Past 64 points the k-d tree has several cells, and a location
+    holding many coincident points is a leaf larger than a cell."""
+    ids, coords, _ = cloud
+    w0 = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0]))
+    space = MetricMeasureSpace.from_coords(ids, coords, np.full(len(ids), w0))
+    dists = np.unique(space.distance_matrix())[1:]
+    # a distance itself, and the next float up, which the distance is below
+    pool = [*dists, *np.nextafter(dists, math.inf), 0.05, 0.6, 3.0, 100.0]
+    radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    _cell_pass_matches_the_rows(space, radii)
+
+
+@pytest.mark.parametrize(
+    "coords", [np.zeros((1, 2)), np.zeros((70, 0)), np.zeros((70, 2))],
+    ids=["one point", "zero axes", "one location"],
+)
+def test_cell_pass_without_a_positive_distance(coords):
+    weights = np.full(len(coords), 0.1)
+    space = MetricMeasureSpace.from_coords(range(len(coords)), coords, weights)
+    _cell_pass_matches_the_rows(space, [0.5, 1.0])
+
+
+def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
+    """A leaf of 8,200 coincident points: the summary and the doubling
+    masses still compute at most _PAIR_BUDGET distances per block."""
+    ids, coords, weights = stacked_line(1000, {500: 8200}, 0.1)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    assert max(len(cell) for cell in space._cells()[0]) == 8200
+    gap, diam = space.min_gap(), space.diameter()
+    doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
+    assert set(pair_evals) == {
+        "MetricMeasureSpace._cell_summary",
+        "MetricMeasureSpace._cell_counts",
+    }
+    blocks = [p for calls in pair_evals.values() for p in calls]
+    # the stack's 8,200 rows against one more cell already pass the budget
+    assert max(blocks) <= _PAIR_BUDGET < 8200 * 64 < sum(blocks)
 
 
 @given(clouds(masses=INEXACT), st.data())
