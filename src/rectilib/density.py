@@ -35,31 +35,26 @@ class DensityProfile:
             raise ParameterError("profile values must be nonnegative")
 
 
-def density_profile(
-    space: MetricMeasureSpace, x: int, r_lo: float, r_hi: float
-) -> DensityProfile:
-    """Ball-mass-to-radius ratios on a halving radius grid.
-
-    Masses come from the cache of :meth:`MetricMeasureSpace.ball_masses`.
-    """
-    return density_profiles(space, [x], r_lo, r_hi)[0]
-
-
 def density_profiles(
     space: MetricMeasureSpace,
     points: Iterable[int],
     r_lo: float,
     r_hi: float,
 ) -> list[DensityProfile]:
-    """Profiles for many points on one radius grid, built once;
-    evaluation order is deterministic."""
+    """Ball-mass-to-radius ratios on a halving radius grid, one profile
+    per point, in the given order.
+
+    Masses come from one table of :meth:`MetricMeasureSpace.ball_masses`.
+    """
     if not (0 < r_lo < r_hi):
         raise ParameterError("need 0 < r_lo < r_hi")
+    points = list(points)
     radii = tuple(dyadic_radii(r_lo, r_hi))
+    ratios = space.ball_masses(space.indices_of(points), radii)
+    ratios /= np.array(radii)
     profiles = []
-    for x in points:
-        masses = space.ball_masses(space.index_of(x), radii)
-        values = tuple(m / r for m, r in zip(masses, radii))
+    for x, row in zip(points, ratios):
+        values = tuple(row.tolist())
         profiles.append(
             DensityProfile(
                 point=x, radii=radii, values=values, lower_estimate=min(values)
@@ -111,8 +106,8 @@ def stratify(
     """Points whose ball masses stay above r/j at every scale below 1/k.
 
     The radius grid halves downward from 1/k to the resolution scale;
-    only radii strictly below 1/k are tested.  Masses come from the
-    cache of :meth:`MetricMeasureSpace.ball_masses`.  Returned ids ascend.
+    only radii strictly below 1/k are tested.  Masses come from one
+    table of :meth:`MetricMeasureSpace.ball_masses`.  Returned ids ascend.
     A space with no positive distance (one point, or every point
     coincident) has resolution scale 0 and no grid: that input is
     degenerate.
@@ -133,13 +128,9 @@ def stratify(
     if not radii:
         return tuple(ids)
 
-    floor = np.asarray(radii) / j
-    kept = []
-    for p in ids:
-        masses = space.ball_masses(space.index_of(p), radii)
-        if np.all(np.asarray(masses) >= floor):
-            kept.append(p)
-    return tuple(kept)
+    masses = space.ball_masses(space.indices_of(ids), radii)
+    kept = np.all(masses >= np.asarray(radii) / j, axis=1)
+    return tuple(p for p, keep in zip(ids, kept.tolist()) if keep)
 
 
 @dataclass(frozen=True)
@@ -186,10 +177,7 @@ def beta2(
     if nz.size and direction[nz[0]] < 0:
         direction = -direction
 
-    if len(idx) == len(space):
-        diam = space.diameter()
-    else:  # the largest sub-row maximum; no m x m matrix
-        diam = max(float(space.dists_between(k, idx).max()) for k in idx)
+    diam = float(space.eccentricities(idx).max())
     if diam == 0.0:
         value = 0.0
     else:

@@ -31,16 +31,14 @@ A space caches what the pipeline asks for repeatedly:
   and the basepoint of :func:`enclosing_target` over every point are
   read.  A matrix space reduces its stored matrix; a coordinate space
   asks the cell pass below;
-* open-ball masses, one array of length ``n`` per radius, filled by
-  :meth:`~MetricMeasureSpace.ball_masses`, the package's only
-  open-ball mass computation (used by :func:`doubling_estimate`,
-  :func:`linear_mass_check`, :func:`~rectilib.density.density_profiles`
-  and :func:`~rectilib.density.stratify`).  Each mass is
-  ``weights[row < r].sum()``; when every weight is the same ``w0``
-  (checked by the first mass request), it is ``np.full(k, w0).sum()``
-  for the ball's point count ``k``, kept per ``k``: numpy's sum over a
-  fresh contiguous array of the same ``k`` values, so the same float,
-  with no weights gathered;
+* open-ball masses ``weights[row < r].sum()``, one array of length
+  ``n`` per radius, filled by :meth:`~MetricMeasureSpace.ball_masses`,
+  the package's only mass computation; it answers a point set as one
+  table.  The space, not the order of the calls, chooses one of two
+  fills: equal weights on coordinates are counted on the cells below,
+  and any other space finds each ball's members, from one neighbour
+  query per location below ``2 * min_gap`` and from the point's full
+  row at any other radius;
 * a k-d tree over the coordinates, built by the first neighbour query
   or cell pass of a coordinate space.
 
@@ -58,19 +56,20 @@ therefore resolve exactly as the rows resolve them.  A matrix space
 answers from its stored rows.  :meth:`~MetricMeasureSpace.neighbor_batches`
 gives the same answer in batches of a bounded number of pairs, for
 callers whose balls may hold many coincident points.  Nets, cubes,
-porous witnesses, the curve's adjacency and the mass cache's radii
-below ``2 * min_gap`` are built on these methods.
+porous witnesses, the curve's adjacency and the gathered masses at
+radii below ``2 * min_gap`` are built on these methods.
 
-The cell pass serves the summary and the equal-weight masses at every
-other radius.  Its cells are the maximal nodes of the same tree that
-hold at most ``_CELL`` points.  The tight boxes of two cells, widened
-by the pad, bound every distance between them, so a whole cell lies
-inside a ball, outside it, or straddles its boundary; only straddling
-cell pairs (and, for the summary, the pairs that may hold an
-eccentricity or the smallest gap) get distances, by the row formula,
-in blocks of at most ``_PAIR_BUDGET`` pairs.  Unequal weights still
-gather each ball's weights from the point's full row, because a
-pairwise sum in index order cannot be split across cells.
+The cell pass serves the summary, the eccentricities over a subset of
+the points and the equal-weight masses.  Its cells are the maximal
+nodes of the same tree that hold at most ``_CELL`` points; a subset is
+cut into cells of its own by median splits, with no tree.  The tight
+boxes of two cells, widened by the pad, bound every distance between
+them, so a whole cell lies inside a ball, outside it, or straddles its
+boundary; only straddling cell pairs (and, for the summary, the pairs
+that may hold an eccentricity or the smallest gap) get distances, by
+the row formula, in blocks of at most ``_PAIR_BUDGET`` pairs.  A count
+gives the mass only when every weight is the same: a pairwise sum of
+unequal weights in index order cannot be split across cells.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -148,10 +147,10 @@ class MetricMeasureSpace:
         self._index = {pid: k for k, pid in enumerate(self.ids)}
         self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
-        self._equal: bool | None = None  # equal weights, decided by ball_masses
+        self._equal = False  # every weight the same, set by _validate_common
         self._count_sums: dict[int, np.float64] = {}  # point count -> ball mass
         self._tree = None  # k-d tree over coords, built on first use
-        self._pad = 0.0
+        self._pad = 0.0  # widens the tree's radii and the cells' bounds
 
     # -- construction ---------------------------------------------------
 
@@ -163,8 +162,8 @@ class MetricMeasureSpace:
         weights: np.ndarray,
     ) -> "MetricMeasureSpace":
         coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2:
-            raise ParameterError("coords must be a 2-d array (n points by d axes)")
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise ParameterError("coords must be n points by d >= 1 axes")
         if coords.shape[0] != len(ids):
             raise ParameterError(
                 f"coords have {coords.shape[0]} rows for {len(ids)} ids"
@@ -173,6 +172,9 @@ class MetricMeasureSpace:
         space._validate_common()
         if not np.all(np.isfinite(coords)):
             raise ParameterError("coordinates must be finite")
+        # the tree and the boxes round their own squared sums; the pad
+        # keeps every pair the row formula puts below r
+        space._pad = 1e-6 * math.hypot(*np.ptp(coords, axis=0))
         return space
 
     @classmethod
@@ -221,6 +223,7 @@ class MetricMeasureSpace:
             raise ParameterError("weights must be nonnegative")
         if self.weights.sum() <= 0:
             raise DegenerateInputError("total mass must be positive")
+        self._equal = bool(np.all(self.weights == self.weights[0]))
 
     def _validate_triangle(self) -> None:
         n = len(self.ids)
@@ -271,8 +274,6 @@ class MetricMeasureSpace:
         """
         if self._matrix is not None:
             return self._matrix[index]
-        if not self._axes:
-            return np.zeros(len(self))
         first, *others = self._axes
         acc = first - first[index]
         acc *= acc
@@ -286,16 +287,14 @@ class MetricMeasureSpace:
 
     def dists_between(self, index: int, cols: np.ndarray) -> np.ndarray:
         """``dists_from(index)[cols]``, bit for bit, without the rest of the row."""
-        cols = np.asarray(cols, dtype=np.intp)
-        if self._matrix is not None:
-            return self._matrix[index, cols]
-        return self._pair_dists(index, cols)
+        return self._pair_dists(index, np.asarray(cols, dtype=np.intp))
 
     def _pair_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # the row formula of dists_from, entry by entry, for d(rows, cols)
-        # broadcast together; (-x)*(-x) == x*x, so d(i, j) == d(j, i)
-        if not self._axes:
-            return np.zeros(np.broadcast(rows, cols).shape)
+        # d(rows, cols) broadcast together: a matrix space's stored
+        # entries, or the row formula of dists_from entry by entry;
+        # (-x)*(-x) == x*x, so d(i, j) == d(j, i)
+        if self._matrix is not None:
+            return self._matrix[rows, cols]
         first, *others = self._axes
         acc = first[cols] - first[rows]
         acc *= acc
@@ -342,18 +341,15 @@ class MetricMeasureSpace:
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
-        if self._matrix is not None or not self._axes:
+        if self._matrix is not None:
             step = max(1, _PAIR_BUDGET // n)
             for start in range(0, len(query_idx), step):
                 chunk = query_idx[start : start + step]
-                if self._matrix is not None:
-                    rows = self._matrix[chunk]
-                else:  # no axes: every distance is zero
-                    rows = np.zeros((len(chunk), n))
+                rows = self._matrix[chunk]
                 q, j = np.nonzero(rows < r)
                 yield slice(start, start + len(chunk)), q, j, rows[q, j]
             return
-        tree, pad = self._kdtree()
+        tree, pad = self._kdtree(), self._pad
         start = 0
         while start < len(query_idx):
             size = min(_QUERY_CHUNK, len(query_idx) - start)
@@ -386,15 +382,12 @@ class MetricMeasureSpace:
             start += size
 
     def _kdtree(self):
-        """The k-d tree over the coordinates and its query pad, built once."""
+        """The k-d tree over the coordinates, built once."""
         if self._tree is None:
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(self.coords)
-            # the tree rounds its own squared sums; the pad keeps every
-            # pair the row formula puts below r, whatever the rounding
-            self._pad = 1e-6 * math.hypot(*np.ptp(self.coords, axis=0))
-        return self._tree, self._pad
+        return self._tree
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
@@ -413,8 +406,6 @@ class MetricMeasureSpace:
     def distance_submatrix(self, point_ids: Iterable[int]) -> np.ndarray:
         """Pairwise distances among the given points, in the given order."""
         idx = self.indices_of(point_ids)
-        if self._matrix is not None:
-            return self._matrix[np.ix_(idx, idx)]
         return self._pair_dists(idx[:, None], idx[None, :])
 
     def summary(self) -> tuple[np.ndarray, float]:
@@ -430,10 +421,8 @@ class MetricMeasureSpace:
                 m = self._matrix
                 ecc = m.max(axis=1)
                 gap = float(np.min(m, where=m > 0, initial=math.inf))
-            elif self._axes:
+            else:
                 ecc, gap = self._cell_summary()
-            else:  # no axes: every distance is zero
-                ecc, gap = np.zeros(len(self)), math.inf
             ecc.setflags(write=False)
             self._summary = (ecc, 0.0 if gap == math.inf else gap)
         return self._summary
@@ -445,83 +434,97 @@ class MetricMeasureSpace:
         """Smallest positive inter-point distance (0.0 for a singleton)."""
         return self.summary()[1]
 
-    def ball_masses(self, index: int, radii: Sequence[float]) -> list[float]:
-        """Open-ball masses of the point at ``index``, one per radius.
+    def eccentricities(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Each listed point's largest distance to the listed points.
 
-        Each mass is ``float(weights[row < r].sum())``.  Masses are cached
-        per radius, one column over every point; the radii a call finds
-        missing are filled together:
+        Over every point this reads the summary.  Over fewer, a matrix
+        space reduces the members' submatrix a block of rows at a time,
+        and a coordinate space applies the summary's eccentricity rule to
+        cells made of the members.  Indices may repeat.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        members = np.unique(idx)
+        if len(members) == len(self):
+            return self.summary()[0][idx]
+        if self._matrix is not None:
+            return self._max_dists(idx, members)
+        return self._cell_eccentricities(members)[idx]
 
-        * once the summary pass has run, a radius below twice the
-          smallest positive distance is filled for every point from
-          :meth:`neighbor_batches`, asked once per location (coincident
-          points have the same row, so the same ball): such a ball holds
-          a packing-bounded number of locations, and ``weights[ascending
-          neighbour indices].sum()`` is the same array and the same sum;
-        * with equal weights, a coordinate space counts every other
-          radius's balls in one pass over its k-d cells;
-        * otherwise the column waits, and each point's row is computed
-          when its mass is first asked for.
+    def _max_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Each ``rows`` point's largest distance to the ``cols`` points,
+        in blocks of at most ``_PAIR_BUDGET`` pairs."""
+        best = np.full(len(rows), -math.inf)
+        for rs, cs in _blocks(len(rows), len(cols)):
+            d = self._pair_dists(rows[rs, None], cols[None, cs])
+            best[rs] = np.maximum(best[rs], d.max(axis=1))
+        return best
 
-        When every weight is the same ``w0`` (checked on the first
-        call), a mass depends only on the ball's point count ``k``: it
-        is ``np.full(k, w0).sum()``, kept per ``k``.  That is numpy's
-        sum over a fresh contiguous array of the same ``k`` values as
-        the gathered ``weights[row < r]``, so it is the same float, and
-        no weights are gathered.
+    def ball_masses(
+        self, indices: Sequence[int] | np.ndarray, radii: Sequence[float]
+    ) -> np.ndarray:
+        """Open-ball masses of the points at ``indices`` (any order, repeats
+        allowed): ``table[a, c]`` is
+        ``weights[dists_from(indices[a]) < radii[c]].sum()``, bit for bit.
 
-        A radius that is not ``> 0`` raises before any cache changes.
+        Masses are cached per radius, one column over every point, and
+        the space chooses the fill, whatever was asked before:
+
+        * equal weights on coordinates: the radii a call finds missing
+          are counted together in one pass over the k-d cells;
+        * any other space finds each ball's members: below twice the
+          smallest positive distance from :meth:`neighbor_batches`, asked
+          once per location, as ``weights[ascending neighbour indices]``,
+          the row mask's array; at any other radius from the point's
+          row, computed once when one of its masses is first asked for.
+
+        With every weight ``w0``, a ball of ``k`` points has mass
+        ``np.full(k, w0).sum()``, kept per ``k``: numpy's sum over a
+        fresh array of the same ``k`` values as ``weights[row < r]``, so
+        a count stands in for the gather.  A radius that is not ``> 0``
+        raises before any cache changes.
         """
         bad = [r for r in radii if not r > 0]
         if bad:
             raise ParameterError(f"ball radii must be positive, got {bad[0]!r}")
-        w = self.weights
-        if self._equal is None:
-            self._equal = bool(np.all(w == w[0]))
+        idx = np.asarray(indices, dtype=np.intp)
         missing = [r for r in radii if r not in self._masses]
         if missing:
             self._add_mass_columns(list(dict.fromkeys(missing)))
-        row = None
-        out = []
-        for r in radii:
-            col = self._masses[r]
-            mass = col[index]
-            if math.isnan(mass):
-                if row is None:
-                    row = self.dists_from(index)
-                if self._equal:
-                    mass = self._count_mass(np.count_nonzero(row < r))
-                else:
-                    mass = w[row < r].sum()
-                col.base[index] = mass  # the cached view is read-only, its base is not
-            out.append(float(mass))
-        return out
-
-    def _mass_table(self, radii: Sequence[float]) -> np.ndarray:
-        """:meth:`ball_masses` of every point, one row per point; the
-        columns are read whole, and only a point whose mass is still
-        missing is asked on its own."""
-        self.ball_masses(0, radii)  # validates and adds missing columns
-        table = np.stack([self._masses[r] for r in radii], axis=1)
-        for k in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
-            table[k] = self.ball_masses(k, radii)
-        return table
+        columns = [self._masses[r] for r in radii]
+        table = np.empty((len(idx), len(radii)))
+        for c, column in enumerate(columns):
+            table[:, c] = column[idx]
+        waits = np.isnan(table)
+        if not waits.any():
+            return table
+        # each point still missing a mass gets one row, which fills every
+        # waiting radius (an entry already filled gets the same bits again)
+        points = np.unique(idx[waits.any(axis=1)]).tolist()
+        late = {r: col for r, col, w in zip(radii, columns, waits.any(axis=0)) if w}
+        masses = np.empty((len(points), len(late)))
+        for p, k in enumerate(points):
+            row = self.dists_from(k)
+            if self._equal:  # point counts: the sorted row holds them
+                masses[p] = np.searchsorted(np.sort(row), list(late))
+            else:
+                masses[p] = [self.weights[row < r].sum() for r in late]
+        if self._equal:
+            masses = self._count_masses(masses.astype(np.intp))
+        for column, mass in zip(late.values(), masses.T):
+            column.base[points] = mass  # a read-only view, its base is not
+        return self.ball_masses(idx, radii)
 
     def _add_mass_columns(self, radii: list[float]) -> None:
         """Cache a mass column for each radius, as :meth:`ball_masses` says."""
-        # below 2 * min_gap, once known, a ball holds few locations, and
-        # the neighbour query asks each location once
-        limit = 2.0 * self.min_gap() if self._summary is not None else 0.0
-        for r in radii:
-            if r < limit:
-                self._masses[r] = _read_only(self._small_mass_column(r))
-        rest = [r for r in radii if not r < limit]
-        if rest and self._equal and self._axes:
-            counts = self._cell_counts(rest)
-            columns = [self._count_masses(counts[:, c]) for c in range(len(rest))]
+        if self._equal and self.coords is not None:
+            columns = [self._count_masses(c) for c in self._cell_counts(radii).T]
         else:
-            columns = [np.full(len(self), math.nan) for _ in rest]
-        for r, column in zip(rest, columns):
+            small = 2.0 * self.min_gap()
+            columns = [
+                self._small_mass_column(r) if r < small else np.full(len(self), np.nan)
+                for r in radii
+            ]
+        for r, column in zip(radii, columns):
             self._masses[r] = _read_only(column)
 
     def _small_mass_column(self, r: float) -> np.ndarray:
@@ -535,77 +538,93 @@ class MetricMeasureSpace:
             first = where = np.arange(len(self))
         at = np.empty(len(first))  # mass per location
         for batch, q, j, _ in self.neighbor_batches(first, r):
-            size = batch.stop - batch.start
-            if self._equal:
-                at[batch] = self._count_masses(np.bincount(q, minlength=size))
-            else:
-                ends = np.searchsorted(q, np.arange(size + 1)).tolist()
-                for k in range(size):
-                    at[batch.start + k] = self.weights[j[ends[k] : ends[k + 1]]].sum()
+            ends = np.searchsorted(q, np.arange(1, batch.stop - batch.start))
+            at[batch] = [self.weights[part].sum() for part in np.split(j, ends)]
         return at[where.reshape(-1)]
 
-    def _count_mass(self, k: int) -> np.float64:
-        """The mass of a ball of ``k`` points when every weight is equal."""
-        mass = self._count_sums.get(k)
-        if mass is None:
-            mass = self._count_sums[k] = np.full(k, self.weights[0]).sum()
-        return mass
-
     def _count_masses(self, counts: np.ndarray) -> np.ndarray:
-        """:meth:`_count_mass` of each count, one sum per distinct count."""
+        """The mass of a ball of each count when every weight is ``w0``:
+        ``np.full(k, w0).sum()``, computed once per count ``k``."""
         distinct, slot = np.unique(counts, return_inverse=True)
-        sums = [self._count_mass(k) for k in distinct.tolist()]
-        return np.array(sums)[slot.reshape(-1)]
+        for k in distinct.tolist():
+            if k not in self._count_sums:
+                self._count_sums[k] = np.full(k, self.weights[0]).sum()
+        sums = np.array([self._count_sums[k] for k in distinct.tolist()])
+        return sums[slot.reshape(counts.shape)]
 
     # -- the cell pass ---------------------------------------------------
     #
     # A cell is a maximal node of the k-d tree holding at most _CELL
-    # points, or a leaf (a leaf of coincident points may hold more).  The
-    # bounds of _box_bounds, widened by the tree's pad, hold every
-    # distance the row formula gives between two cells, whatever the
-    # rounding; so a pair the bounds decide needs no distances, and the
-    # rest are decided by _pair_dists, the row formula itself.
+    # points, or a leaf (a leaf of coincident points may hold more); a
+    # subset of the points is cut into cells of its own.  The bounds of
+    # _box_bounds, widened by the pad, hold every distance the row
+    # formula gives between two cells, whatever the rounding; so a pair
+    # the bounds decide needs no distances, and the rest are decided by
+    # _pair_dists, the row formula itself.
 
-    def _cells(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    def _cells(
+        self, members: np.ndarray | None = None
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """The cells' point indices, and each cell's box as the per-axis
-        minimum and maximum of its points."""
-        tree, _ = self._kdtree()
-        cells = []
-        nodes = [tree.tree]
-        while nodes:
-            node = nodes.pop()
-            if node.children <= _CELL or node.lesser is None:
-                cells.append(tree.indices[node.start_idx : node.end_idx])
-            else:
-                nodes += [node.greater, node.lesser]
+        minimum and maximum of its points.
+
+        Without ``members``, the tree's cells; with them, halves at the
+        median of the widest axis down to ``_CELL`` points, so a subset
+        (such as a generator's target) builds no tree.
+        """
+        if members is None:
+            tree = self._kdtree()
+            cells = []
+            nodes = [tree.tree]
+            while nodes:
+                node = nodes.pop()
+                if node.children <= _CELL or node.lesser is None:
+                    cells.append(tree.indices[node.start_idx : node.end_idx])
+                else:
+                    nodes += [node.greater, node.lesser]
+        else:
+            cells, parts = [], [members]
+            while parts:
+                part = parts.pop()
+                if len(part) <= _CELL:
+                    cells.append(part)
+                    continue
+                x = self.coords[part]
+                part = part[np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")]
+                parts += [part[: len(part) // 2], part[len(part) // 2 :]]
         lo = np.array([self.coords[c].min(axis=0) for c in cells])
         hi = np.array([self.coords[c].max(axis=0) for c in cells])
         return cells, lo, hi
+
+    def _cell_eccentricities(self, members: np.ndarray | None = None) -> np.ndarray:
+        """Each member's largest distance to the members (default: every
+        point), at its index of a length-``n`` array.  A cell B can hold
+        a point's farthest member only when its upper bound reaches the
+        largest lower bound over all cells."""
+        cells, lo, hi = self._cells(members)
+        ecc = np.empty(len(self))
+        for a, rows in enumerate(cells):
+            mind, maxd = _box_bounds(lo, hi, a)
+            far = np.flatnonzero(maxd + self._pad >= mind.max() - self._pad)
+            ecc[rows] = self._max_dists(rows, np.concatenate([cells[b] for b in far]))
+        return ecc
 
     def _cell_summary(self) -> tuple[np.ndarray, float]:
         """Eccentricities and the least positive distance (``inf`` when
         there is none) from the cells.
 
-        A cell B can hold a point's farthest point only when its upper
-        bound reaches the largest lower bound over all cells.  The least
-        positive distance is at most the least found inside any one cell,
-        and at most the upper bound to any cell surely apart; only the
-        cells whose lower bound is within that are searched for it.
+        The least positive distance is at most the least found inside
+        any one cell, and at most the upper bound to any cell surely
+        apart; only the cells whose lower bound is within that are
+        searched for it.
         """
+        ecc = self._cell_eccentricities()
         cells, lo, hi = self._cells()
-        _, pad = self._kdtree()
-        ecc = np.empty(len(self))
+        pad = self._pad
         found = math.inf  # least positive distance computed so far
         bound = math.inf  # and an upper bound on it from the boxes
         for a, rows in enumerate(cells):
             mind, maxd = _box_bounds(lo, hi, a)
-            far = np.flatnonzero(maxd + pad >= mind.max() - pad)
-            cols = np.concatenate([cells[b] for b in far])
-            best = np.full(len(rows), -math.inf)
-            for rs, cs in _blocks(len(rows), len(cols)):
-                d = self._pair_dists(rows[rs, None], cols[None, cs])
-                best[rs] = np.maximum(best[rs], d.max(axis=1))
-            ecc[rows] = best
             apart = mind - pad > 0  # every distance to such a cell is positive
             if apart.any():
                 bound = min(bound, float(maxd[apart].min()) + pad)
@@ -637,7 +656,7 @@ class MetricMeasureSpace:
         radius it straddles counts ``d < r`` over its columns.
         """
         cells, lo, hi = self._cells()
-        _, pad = self._kdtree()
+        pad = self._pad
         sizes = np.array([len(c) for c in cells])
         radii_arr = np.array(radii)
         counts = np.zeros((len(self), len(radii)), dtype=np.intp)
@@ -716,11 +735,7 @@ def enclosing_target(
     ids = tuple(sorted(space.ids if members is None else (int(m) for m in members)))
     if not ids:
         raise DegenerateInputError("target set must be nonempty")
-    idx = space.indices_of(ids)
-    if len(set(ids)) == len(space):
-        ecc = space.summary()[0][idx]
-    else:
-        ecc = np.array([space.dists_between(k, idx).max() for k in idx])
+    ecc = space.eccentricities(space.indices_of(ids))
     best = int(np.argmin(ecc))  # first minimum: the smallest id
     return TargetSet(members=ids, xi0=ids[best])
 
@@ -750,10 +765,9 @@ def doubling_estimate(
 
     Pairs with an empty inner ball mass are skipped and counted; a point
     of positive weight lies in its own balls, so some pair is always
-    evaluated.  Masses come from the cache of
-    :meth:`MetricMeasureSpace.ball_masses`, read a column at a time; on a
-    dyadic grid each outer radius ``2r`` is the next inner radius, so it
-    is counted once.
+    evaluated.  Masses come from one table of
+    :meth:`MetricMeasureSpace.ball_masses`; on a dyadic grid each outer
+    radius ``2r`` is the next inner radius, so it is asked once.
     """
     radii = [float(r) for r in radii]
     if not radii or not all(r > 0 for r in radii):
@@ -762,7 +776,7 @@ def doubling_estimate(
     # each distinct radius once, then one row of masses per point
     grid = list(dict.fromkeys(radii + [2.0 * r for r in radii]))
     col = {r: c for c, r in enumerate(grid)}
-    masses = space._mass_table(grid)
+    masses = space.ball_masses(np.arange(len(space)), grid)
     inner = masses[:, [col[r] for r in radii]]
     outer = masses[:, [col[2.0 * r] for r in radii]]
     nonzero = inner != 0.0
@@ -949,27 +963,23 @@ def linear_mass_check(
 ) -> MassCheckResult:
     """Check ``mass(B(x, r)) >= factor * r`` on the dyadic radius grid.
 
-    Masses come from the cache of :meth:`MetricMeasureSpace.ball_masses`.
+    Masses come from one table of :meth:`MetricMeasureSpace.ball_masses`;
+    the worst margin is the first smallest in (id, radius) scan order.
     """
     ids = sorted(int(p) for p in point_ids)
     if not ids:
         raise DegenerateInputError("no points to check")
     radii = dyadic_radii(r_lo, r_hi)
-    worst = math.inf
-    worst_id, worst_r = ids[0], radii[0]
-    for pid in ids:
-        masses = space.ball_masses(space.index_of(pid), radii)
-        for r, mass in zip(radii, masses):
-            margin = mass - factor * r
-            if margin < worst:
-                worst = margin
-                worst_id, worst_r = pid, r
+    margin = space.ball_masses(space.indices_of(ids), radii)
+    margin -= factor * np.array(radii)
+    k, c = divmod(int(np.argmin(margin)), len(radii))
+    worst = float(margin[k, c])
     return MassCheckResult(
         ok=worst >= 0.0,
         factor=factor,
         radii=tuple(radii),
-        worst_id=worst_id,
-        worst_radius=worst_r,
+        worst_id=ids[k],
+        worst_radius=radii[c],
         worst_margin=worst,
     )
 

@@ -14,7 +14,7 @@ import pytest
 
 from _oracles import beta2_grid, beta2_grid_slack
 from rectilib.cubes import build_cubes, verify_cube_axioms
-from rectilib.density import beta2, density_profile, density_profiles
+from rectilib.density import beta2, density_profiles
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import auto_levels, build_nets, verify_nets
 from rectilib.pipeline import RunConfig, report_json, run_pipeline
@@ -323,7 +323,7 @@ def test_criterion_09_tour_surjective_and_lipschitz(pipeline_reports):
 
 def test_criterion_10_density_discriminates_geometry():
     circle, _ = generate(GeneratorSpec("circle", 4096))
-    profile = density_profile(circle, 0, 0.01, 0.1)
+    profile = density_profiles(circle, [0], 0.01, 0.1)[0]
     assert 1.9 <= profile.lower_estimate <= 2.1
 
     medians = []

@@ -15,7 +15,6 @@ from _oracles import (
 from rectilib.density import (
     bs_sum,
     beta2,
-    density_profile,
     density_profiles,
     resolution_scale,
     stratify,
@@ -42,7 +41,7 @@ def random_cloud(rng, n=20, dim=2):
 def test_profile_of_isolated_atom():
     coords = np.array([[0.0], [10.0]])
     space = MetricMeasureSpace.from_coords([0, 1], coords, np.ones(2))
-    prof = density_profile(space, 0, 0.25, 1.0)
+    prof = density_profiles(space, [0], 0.25, 1.0)[0]
     assert prof.radii == (1.0, 0.5, 0.25)
     assert prof.values == pytest.approx((1.0, 2.0, 4.0))
     assert prof.lower_estimate == pytest.approx(1.0)
@@ -51,7 +50,7 @@ def test_profile_of_isolated_atom():
 def test_profile_uses_open_balls():
     coords = np.array([[0.0], [1.0], [2.0]])
     space = MetricMeasureSpace.from_coords([0, 1, 2], coords, np.ones(3))
-    prof = density_profile(space, 1, 1.0, 2.0)
+    prof = density_profiles(space, [1], 1.0, 2.0)[0]
     # B(1, 1) holds only the center; B(1, 2) holds all three.
     assert prof.values == pytest.approx((1.5, 1.0))
     assert prof.lower_estimate == pytest.approx(1.0)
@@ -60,11 +59,11 @@ def test_profile_uses_open_balls():
 def test_profile_parameter_errors():
     space = random_cloud(np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        density_profile(space, 0, 0.5, 0.5)
+        density_profiles(space, [0], 0.5, 0.5)[0]
     with pytest.raises(ParameterError):
-        density_profile(space, 0, 0.0, 0.5)
+        density_profiles(space, [0], 0.0, 0.5)[0]
     with pytest.raises(UnknownIdentifierError):
-        density_profile(space, 777, 0.1, 0.5)
+        density_profiles(space, [777], 0.1, 0.5)[0]
 
 
 def test_profile_values_match_brute_force():
@@ -72,7 +71,7 @@ def test_profile_values_match_brute_force():
     for trial in range(8):
         space = random_cloud(rng, n=15)
         pid = int(rng.integers(0, 15))
-        prof = density_profile(space, pid, 0.05, 1.6)
+        prof = density_profiles(space, [pid], 0.05, 1.6)[0]
         for r, v in zip(prof.radii, prof.values):
             assert v == pytest.approx(ball_mass_brute(space, pid, r) / r)
 
@@ -88,8 +87,8 @@ def test_profiles_are_isometry_invariant():
         space.ids, space.coords @ q.T + np.array([3.0, -1.0]), space.weights
     )
     for pid in (0, 7, 17):
-        a = density_profile(space, pid, 0.1, 1.0)
-        b = density_profile(moved, pid, 0.1, 1.0)
+        a = density_profiles(space, [pid], 0.1, 1.0)[0]
+        b = density_profiles(moved, [pid], 0.1, 1.0)[0]
         assert a.values == pytest.approx(b.values, rel=1e-9)
 
 
@@ -100,7 +99,7 @@ def test_profiles_batch_matches_single():
     batch = density_profiles(space, pts, 0.1, 0.9)
     assert [p.point for p in batch] == pts
     for prof in batch:
-        assert prof == density_profile(space, prof.point, 0.1, 0.9)
+        assert prof == density_profiles(space, [prof.point], 0.1, 0.9)[0]
 
 
 def test_profiles_build_one_radius_grid(monkeypatch):

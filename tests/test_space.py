@@ -1,11 +1,13 @@
 """Tests for metric measure spaces, ball masses, covers, and IO."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from _oracles import ball_mass_brute, basepoint_brute, greedy_cover_trace
+from rectilib.cli import main
 from rectilib.errors import (
     DegenerateInputError,
     InputError,
@@ -159,11 +161,16 @@ def test_distance_submatrix_matches_both_backends():
             assert sub[a, b] == pytest.approx(d)
 
 
-def test_zero_axis_coords_give_zero_rows():
-    space = MetricMeasureSpace.from_coords(range(3), np.zeros((3, 0)), np.ones(3))
-    assert space.dists_from(1).tolist() == [0.0, 0.0, 0.0]
-    assert space.distance_matrix().tolist() == [[0.0] * 3] * 3
-    assert space.diameter() == 0.0 and space.min_gap() == 0.0
+def test_zero_axis_coords_are_rejected(tmp_path):
+    with pytest.raises(ParameterError, match="axes"):
+        MetricMeasureSpace.from_coords(range(3), np.zeros((3, 0)), np.ones(3))
+    path = tmp_path / "pts.json"
+    path.write_text(
+        json.dumps([{"id": k, "coords": [], "weight": 1.0} for k in range(3)])
+    )
+    with pytest.raises(ParameterError, match="axes"):
+        load_json(str(path))
+    assert main(["gen", "--input", str(path)]) == 2
 
 
 def test_summary_records_eccentricity_and_nearest_gap():
@@ -194,7 +201,7 @@ def test_rows_and_caches_are_read_only():
     for array in (space.summary()[0], *space._axes):
         with pytest.raises(ValueError):
             array[0] = 5.0
-    space.ball_masses(0, [0.5])
+    space.ball_masses([0], [0.5])
     with pytest.raises(ValueError):
         space._masses[0.5][1] = 5.0
     # the caller's array is served without a copy and keeps its own flags
@@ -211,25 +218,25 @@ def test_ball_masses_match_uncached_masks_and_compute_rows_once():
     original = space.dists_from
     space.dists_from = lambda k: calls.append(k) or original(k)
     radii = [0.2, 0.4, 0.8]
-    first = space.ball_masses(4, radii)
+    first = space.ball_masses([4], radii)[0].tolist()
     row = original(4)
     assert first == [float(space.weights[row < r].sum()) for r in radii]
-    assert space.ball_masses(4, radii[::-1]) == first[::-1]
+    assert space.ball_masses([4], radii[::-1])[0].tolist() == first[::-1]
     assert calls == [4]
-    space.ball_masses(4, [1.6])
+    space.ball_masses([4], [1.6])
     assert calls == [4, 4]
     # open balls: a point at distance exactly r is outside
     line = line_space(5, spacing=1.0, weight=2.0)
-    assert line.ball_masses(2, [1.0, 1.5, 2.0]) == [2.0, 6.0, 6.0]
+    assert line.ball_masses([2], [1.0, 1.5, 2.0]).tolist() == [[2.0, 6.0, 6.0]]
 
 
 @pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0])
 def test_ball_masses_reject_a_radius_that_is_not_positive(radius):
     space = line_space(3)
-    space.ball_masses(0, [0.5])
+    space.ball_masses([0], [0.5])
     column = np.array(space._masses[0.5])
     with pytest.raises(ParameterError, match="positive"):
-        space.ball_masses(1, [0.5, 1.5, radius])
+        space.ball_masses([1], [0.5, 1.5, radius])
     assert list(space._masses) == [0.5]
     assert np.array_equal(space._masses[0.5], column, equal_nan=True)
 
@@ -255,7 +262,8 @@ def test_ball_requires_positive_radius():
 def test_ball_is_open():
     space = line_space(3, spacing=1.0, weight=1.0)
     # Neighbors sit at distance exactly 1, outside the open ball.
-    assert space.ball_masses(space.index_of(1), [1.0, 1.0 + 1e-9]) == [1.0, 3.0]
+    masses = space.ball_masses([space.index_of(1)], [1.0, 1.0 + 1e-9])
+    assert masses.tolist() == [[1.0, 3.0]]
     assert ball_members(space, Ball(center=1, radius=1.0)).tolist() == [1]
 
 
@@ -266,7 +274,7 @@ def test_ball_mass_matches_brute_force():
         for _ in range(5):
             center = int(rng.integers(0, len(space)))
             radius = float(rng.uniform(0.05, 2.5))
-            [mass] = space.ball_masses(space.index_of(center), [radius])
+            [[mass]] = space.ball_masses([space.index_of(center)], [radius])
             assert mass == pytest.approx(ball_mass_brute(space, center, radius))
 
 

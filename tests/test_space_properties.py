@@ -20,7 +20,7 @@ from _oracles import (
     stratify_brute,
     summary_rows,
 )
-from rectilib.density import density_profile, stratify
+from rectilib.density import density_profiles, stratify
 from rectilib.errors import DegenerateInputError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import STAGES, RunConfig, run_stages
@@ -142,7 +142,7 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
     for k in range(len(ids)):
         assert space.dists_from(k).tolist() == expected[k].tolist()
         mass = float(weights[expected[k] < r].sum())
-        assert space.ball_masses(k, [r]) == [mass]
+        assert space.ball_masses([k], [r]).tolist() == [[mass]]
     q, j, d = space.neighbors(np.arange(len(ids)), r)
     assert space._tree is not None
     assert np.array_equal(np.stack([q, j]), np.nonzero(expected < r))
@@ -150,15 +150,29 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
     assert space._matrix is None
 
 
-@given(clouds())
-def test_mass_cache_does_not_depend_on_call_order(cloud):
+@given(clouds(), st.booleans(), st.data())
+def test_mass_cache_does_not_depend_on_call_order(cloud, equal, data):
+    """One space is asked a mass table first, so a radius below
+    ``2 * min_gap`` comes before the summary; the other is asked the
+    doubling estimate and the mass check first.  Both backends and both
+    weight modes; the index list is unordered, repeats and may be a
+    subset; every entry is the row mask's sum, bit for bit."""
     ids, coords, weights = cloud
-    first = MetricMeasureSpace.from_coords(ids, coords, weights)
-    second = MetricMeasureSpace.from_coords(ids, coords, weights)
-    early = _mass_check(first, ids)
-    doubling_first = _doubling(first)
-    assert _doubling(second) == doubling_first
-    assert _mass_check(second, ids) == early
+    if equal:
+        weights = np.full(len(ids), 0.5)
+    matrix = MetricMeasureSpace.from_coords(ids, coords, weights).distance_matrix()
+    gap = np.unique(matrix)[1] if matrix.any() else 1.0
+    radii = [gap / 2, gap, 3 * gap, 0.6]
+    idx = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1))
+    want = [[weights[matrix[k] < r].sum() for r in radii] for k in idx]
+    cls = MetricMeasureSpace
+    for build, source in ((cls.from_coords, coords), (cls.from_matrix, matrix)):
+        first, second = build(ids, source, weights), build(ids, source, weights)
+        early = bits(first.ball_masses(idx, radii))
+        mass_check, doubling = _mass_check(first, ids), _doubling(first)
+        assert _doubling(second) == doubling
+        assert _mass_check(second, ids) == mass_check
+        assert bits(second.ball_masses(idx, radii)) == early == bits(want)
 
 
 def test_pipeline_grids_reuse_cached_rows():
@@ -250,7 +264,7 @@ def test_equal_weight_masses_are_the_gathered_sums_at_pairwise_sum_edges(w0):
             row = s.dists_from(k)
             radii = [0.5, 1.5, *row_radii] if k in (0, len(s) - 1) else [0.5, 1.5]
             want = [weights[row < r].sum() for r in radii]
-            assert bits(s.ball_masses(k, radii)) == bits(want)
+            assert bits(s.ball_masses([k], radii)[0]) == bits(want)
         assert s._equal
     sizes = {np.count_nonzero(space.dists_from(0) < r) for r in row_radii}
     first = np.searchsorted(coords[:, 0], [200 + 20 * i for i in range(len(EDGES))])
@@ -275,7 +289,7 @@ def test_equal_weight_masses_of_balls_past_8192_points(w0):
     for k in (0, 1, stack, stack + 8199, len(space) - 1):
         row = space.dists_from(k)
         want = [weights[row < r].sum() for r in radii]
-        assert bits(space.ball_masses(k, radii)) == bits(want)
+        assert bits(space.ball_masses([k], radii)[0]) == bits(want)
         sizes |= {np.count_nonzero(row < r) for r in radii}
     assert {8200, 8202, 8799, 9098, 9199} <= sizes
     assert space._equal
@@ -286,24 +300,42 @@ def test_equal_weight_masses_of_balls_past_8192_points(w0):
 
 
 def _cell_pass_matches_the_rows(space, radii) -> None:
-    """On a fresh equal-weight coordinate space: masses asked before the
-    summary, so the cells count every radius; then the summary and what
-    is read from it, against the rows and the matrix twin."""
-    ids, weights = space.ids, space.weights
-    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
-    rows = [space.dists_from(k) for k in range(len(space))]
+    """On fresh spaces of both backends, with the equal weights of
+    ``space`` and with unequal ones: mass tables asked before the
+    summary, first over a subset, then over every point unordered and
+    with repeats, and with radii below ``2 * min_gap`` among the rest.
+    Every entry is the row mask's sum, bit for bit.  Then the summary
+    and what is read from it, and the eccentricities over every point
+    but one (past 64 points, a subset cut into cells of its own),
+    against the rows."""
+    ids, coords, n = space.ids, space.coords, len(space)
+    rows = [space.dists_from(k) for k in range(n)]
     ecc, gap = summary_rows(space)
-    for s in (space, twin):
-        for k, row in enumerate(rows):
-            want = [weights[row < r].sum() for r in radii]
-            assert bits(s.ball_masses(k, radii)) == bits(want)
-        assert s.summary()[0].tolist() == ecc
-        assert s.min_gap() == gap and s.diameter() == max(ecc)
-        assert enclosing_target(s).xi0 == basepoint_brute(s, ids)
-        est = doubling_estimate(s, radii)
-        assert doubling_scan(s, radii) == (
-            est.c_hat, est.evaluated, est.skipped, est.worst_center, est.worst_radius
-        )
+    members = np.arange(1, n)
+    member_ecc = [rows[k][members].max() for k in members]
+    radii = [*radii, gap / 2, gap] if gap > 0 else list(radii)
+    subset = np.arange(n)[::-2]
+    every = np.concatenate([np.arange(n)[::-1], subset])
+    unequal = space.weights * (1 + np.arange(n) % 3)
+    for weights in (space.weights, unequal):
+        fresh = MetricMeasureSpace.from_coords(ids, coords, weights)
+        twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+        for s in (fresh, twin):
+            for idx in (subset, every):
+                want = [[weights[rows[k] < r].sum() for r in radii] for k in idx]
+                assert bits(s.ball_masses(idx, radii)) == bits(want)
+            assert s.summary()[0].tolist() == ecc
+            assert s.min_gap() == gap and s.diameter() == max(ecc)
+            assert enclosing_target(s).xi0 == basepoint_brute(s, ids)
+            if n > 1:
+                assert s.eccentricities(members).tolist() == member_ecc
+                sub = [ids[k] for k in members]
+                assert enclosing_target(s, sub).xi0 == basepoint_brute(s, sub)
+            est = doubling_estimate(s, radii)
+            assert doubling_scan(s, radii) == (
+                est.c_hat, est.evaluated, est.skipped,
+                est.worst_center, est.worst_radius,
+            )
 
 
 @given(clouds(dims=(1, 2, 3), sizes=(1, 160)), st.data())
@@ -321,8 +353,7 @@ def test_cell_pass_gives_the_row_masses_and_summary(cloud, data):
 
 
 @pytest.mark.parametrize(
-    "coords", [np.zeros((1, 2)), np.zeros((70, 0)), np.zeros((70, 2))],
-    ids=["one point", "zero axes", "one location"],
+    "coords", [np.zeros((1, 2)), np.zeros((70, 2))], ids=["one point", "one location"]
 )
 def test_cell_pass_without_a_positive_distance(coords):
     weights = np.full(len(coords), 0.1)
@@ -339,6 +370,7 @@ def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     gap, diam = space.min_gap(), space.diameter()
     doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
     assert set(pair_evals) == {
+        "MetricMeasureSpace._max_dists",
         "MetricMeasureSpace._cell_summary",
         "MetricMeasureSpace._cell_counts",
     }
@@ -361,7 +393,7 @@ def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
     for s in (space, twin):
         for pid in ids:
             row = matrix[s.index_of(pid)]
-            profile = density_profile(s, pid, r_lo, r_hi)
+            profile = density_profiles(s, [pid], r_lo, r_hi)[0]
             assert profile.values == tuple(
                 weights[row < r].sum() / r for r in profile.radii
             )

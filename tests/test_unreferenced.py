@@ -1,11 +1,15 @@
-"""Every public function, class and method of the package is used by it.
+"""Every function, class, method and private constant of the package is
+used by it.
 
-The check walks ``src/rectilib`` with ``ast``.  A public definition
-(name not starting with ``_``) counts as used when some ``Name`` or
-``Attribute`` node outside its own definition carries its name, in any
-module of the package; tests do not count.  Matching is by name only,
-so a method shares its uses with every attribute of the same name: the
-check misses some dead code, but whatever it reports is dead.
+The check walks ``src/rectilib`` with ``ast``: each top-level function
+and class, each method of a top-level class, and each module-level
+constant whose name starts with ``_``; dunders are skipped.  A
+definition counts as used when some ``Name`` or ``Attribute`` node
+outside its own definition carries its name, in any module of the
+package; tests do not count.  Matching is by name only, so a method
+shares its uses with every attribute of the same name: the check misses
+some dead code, but whatever it reports is dead.  A public name may be
+kept for a reason given in ``KEEP``; a private one never is.
 """
 
 import ast
@@ -21,9 +25,6 @@ KEEP = {
     "target (ROADMAP.md, open items)",
     "space.hausdorff_estimate": "planned: the report sets it against "
     "10 mu(E) on a stratum target (ROADMAP.md, open items)",
-    "density.density_profile": "the one-point form of density_profiles, "
-    "which builds its radius grid once for all points; tests read single "
-    "profiles through it",
     "curve.BridgeGraph.from_edges": "tests build small graphs with it",
     "curve.ground_key": "tests build vertex keys with it",
     "curve.lifted_keys": "tests build vertex keys with it",
@@ -34,21 +35,29 @@ KEEP = {
 }
 
 
-def public_definitions(modules: dict) -> list:
-    """(qualified name, name, node) of each top-level public function or
-    class, and each public method of a top-level class."""
+def definitions(modules: dict) -> list:
+    """(qualified name, name, node) of each top-level function or class,
+    each method of a top-level class and each private module-level
+    constant, dunders left out."""
     out = []
     for stem, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    out.append((f"{stem}.{node.name}", node.name, node))
+                out.append((f"{stem}.{node.name}", node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                    if name.startswith("_"):
+                        out.append((f"{stem}.{name}", name, node))
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if not isinstance(sub, ast.FunctionDef) or sub.name.startswith("_"):
-                        continue
-                    out.append((f"{stem}.{node.name}.{sub.name}", sub.name, sub))
-    return out
+                    if isinstance(sub, ast.FunctionDef):
+                        out.append((f"{stem}.{node.name}.{sub.name}", sub.name, sub))
+    return [d for d in out if not (d[1].startswith("__") and d[1].endswith("__"))]
+
+
+def private(qual: str) -> bool:
+    return qual.rsplit(".", 1)[1].startswith("_")
 
 
 def unreferenced(package: Path) -> list[str]:
@@ -61,7 +70,7 @@ def unreferenced(package: Path) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append(node)
     dead = []
-    for qual, name, node in public_definitions(modules):
+    for qual, name, node in definitions(modules):
         own = {id(n) for n in ast.walk(node)}
         if all(id(use) in own for use in uses.get(name, [])):
             dead.append(qual)
@@ -69,7 +78,11 @@ def unreferenced(package: Path) -> list[str]:
 
 
 def test_every_public_definition_is_used_by_the_package():
-    dead = unreferenced(PACKAGE)
+    dead = [qual for qual in unreferenced(PACKAGE) if not private(qual)]
     assert sorted(set(dead) - set(KEEP)) == []
     # an entry the package now uses, or that is gone, leaves the list
     assert sorted(set(KEEP) - set(dead)) == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    assert [qual for qual in unreferenced(PACKAGE) if private(qual)] == []
