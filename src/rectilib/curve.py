@@ -44,17 +44,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .cubes import CubeTree
 from .errors import DisconnectedError, ParameterError
 from .nets import NetHierarchy
 from .porosity import PorosityConfig, PorousCube
 from .space import MetricMeasureSpace, TargetSet, linear_mass_check
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 VKey = tuple[int, int, int, int]
 
@@ -172,6 +173,8 @@ class BridgeGraph:
     def to_csr(self) -> csr_matrix:
         """Symmetric sparse adjacency in vertex order, built once."""
         if self._csr is None:
+            from scipy.sparse import csr_matrix
+
             n = len(self.keys)
             # each edge contributes (src, dst) then (dst, src)
             rows = np.column_stack([self.src, self.dst]).ravel()
@@ -349,6 +352,8 @@ def connectivity(graph: BridgeGraph) -> ConnectivityReport:
     """Connected components, listed by their smallest vertex."""
     if not len(graph.keys):
         return ConnectivityReport(0, np.empty(0, dtype=np.int64))
+    from scipy.sparse.csgraph import connected_components
+
     n_raw, raw = connected_components(graph.to_csr(), directed=False)
     _, first = np.unique(raw, return_index=True)
     return ConnectivityReport(components=n_raw, representatives=np.sort(first))
@@ -506,7 +511,9 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     re-emits the parent after each child subtree; every edge is
     traversed exactly twice, making the tour speed (hence the Lipschitz
     bound) twice the tree length.  A single-vertex graph gets the
-    constant parametrization.
+    constant parametrization.  A disconnected graph raises
+    :class:`DisconnectedError` with the component count of the Kruskal
+    forest.
     """
     n = len(graph.keys)
     if not n:
@@ -518,14 +525,14 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
             lip_bound=0.0,
             tree_length=0.0,
         )
-    report = connectivity(graph)
-    if report.components != 1:
-        raise DisconnectedError(
-            f"graph has {report.components} components",
-            components=report.components,
-        )
     ranked = np.lexsort((graph.dst, graph.src, graph.length))
     taken = _kruskal(n, graph.src[ranked].tolist(), graph.dst[ranked].tolist())
+    # each taken edge joins two trees, so the forest has n - len(taken)
+    components = n - len(taken)
+    if components != 1:
+        raise DisconnectedError(
+            f"graph has {components} components", components=components
+        )
     tree = ranked[taken]  # tree edges, in Kruskal order
     tree_length = _seq_sum(graph.length[tree])
     visits, steps = _euler_tour(
@@ -600,6 +607,8 @@ def check_parametrization(
         src_visits = rng.integers(0, n_visits, size=side)
         dst_visits = rng.integers(0, n_visits, size=side)
         src_idx = np.unique(pos[src_visits])
+        from scipy.sparse.csgraph import dijkstra
+
         dist = dijkstra(graph.to_csr(), directed=False, indices=src_idx)
         rows = np.searchsorted(src_idx, pos[src_visits])
         graph_dist = dist[rows][:, pos[dst_visits]]

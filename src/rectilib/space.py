@@ -39,37 +39,40 @@ A space caches what the pipeline asks for repeatedly:
   and any other space finds each ball's members, from one neighbour
   query per location below ``2 * min_gap`` and from the point's full
   row at any other radius;
-* a k-d tree over the coordinates, built by the first neighbour query
-  or cell pass of a coordinate space.
+* the cells of the cell pass below, cut once from every point;
+* a k-d tree over the coordinates, built only by the first neighbour
+  query of a coordinate space.
 
 A coordinate space needs no full row for its summary, its small balls
 or, with equal weights, any ball.  :meth:`~MetricMeasureSpace.neighbors`
 answers "which points are closer than ``r``" for a batch of query
 points, and :meth:`~MetricMeasureSpace.dists_between` gives one row's
 entries at chosen columns.  On a coordinate space the tree
-(``scipy.spatial.cKDTree``, imported on first use, never by a matrix
-space or by loading one) is only a candidate filter: it is queried with
-the radius plus a pad of ``1e-6`` times the bounding-box diagonal, so
-its own rounding cannot drop a pair, and ``d < r`` is then decided by
-the row formula above on the candidate columns.  Ties on lattice inputs
-therefore resolve exactly as the rows resolve them.  A matrix space
-answers from its stored rows.  :meth:`~MetricMeasureSpace.neighbor_batches`
-gives the same answer in batches of a bounded number of pairs, for
-callers whose balls may hold many coincident points.  Nets, cubes,
-porous witnesses, the curve's adjacency and the gathered masses at
-radii below ``2 * min_gap`` are built on these methods.
+(``scipy.spatial.cKDTree``, imported and built by the first neighbour
+query, never by a matrix space, by loading a space or by the cell pass)
+is only a candidate filter: it is queried with the radius plus a pad of
+``1e-6`` times the bounding-box diagonal, so its own rounding cannot
+drop a pair, and ``d < r`` is then decided by the row formula above on
+the candidate columns.  Ties on lattice inputs therefore resolve exactly
+as the rows resolve them.  A matrix space answers from its stored rows.
+:meth:`~MetricMeasureSpace.neighbor_batches` gives the same answer in
+batches of a bounded number of pairs, for callers whose balls may hold
+many coincident points.  Nets, cubes, porous witnesses, the curve's
+adjacency and the gathered masses at radii below ``2 * min_gap`` are
+built on these methods.
 
 The cell pass serves the summary, the eccentricities over a subset of
-the points and the equal-weight masses.  Its cells are the maximal
-nodes of the same tree that hold at most ``_CELL`` points; a subset is
-cut into cells of its own by median splits, with no tree.  The tight
-boxes of two cells, widened by the pad, bound every distance between
-them, so a whole cell lies inside a ball, outside it, or straddles its
-boundary; only straddling cell pairs (and, for the summary, the pairs
-that may hold an eccentricity or the smallest gap) get distances, by
-the row formula, in blocks of at most ``_PAIR_BUDGET`` pairs.  A count
-gives the mass only when every weight is the same: a pairwise sum of
-unequal weights in index order cannot be split across cells.
+the points and the equal-weight masses, with numpy alone.  Its cells are
+median splits of the points, or of a subset, down to ``_CELL`` points; a
+cut never separates coincident points, so a stack of them may make a
+larger cell.  The tight boxes of two cells, widened by the pad, bound
+every distance between them, so a whole cell lies inside a ball, outside
+it, or straddles its boundary; only straddling cell pairs (and, for the
+summary, the pairs that may hold an eccentricity or the smallest gap)
+get distances, by the row formula, in blocks of at most ``_PAIR_BUDGET``
+pairs.  A count gives the mass only when every weight is the same: a
+pairwise sum of unequal weights in index order cannot be split across
+cells.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -101,7 +104,8 @@ _DENSE_LIMIT = 5000
 # the cell pass computes at most _PAIR_BUDGET distances per block
 _QUERY_CHUNK = 1024
 _PAIR_BUDGET = 1 << 18
-# the cell pass decides k-d tree nodes of at most this many points whole
+# the cell pass splits points into cells of at most this many (more only
+# when they coincide) and decides pairs of cells whole
 _CELL = 64
 
 
@@ -149,7 +153,8 @@ class MetricMeasureSpace:
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
         self._equal = False  # every weight the same, set by _validate_common
         self._count_sums: dict[int, np.float64] = {}  # point count -> ball mass
-        self._tree = None  # k-d tree over coords, built on first use
+        self._tree = None  # k-d tree over coords, built by neighbor_batches
+        self._all_cells = None  # the cell pass's cells of every point, built once
         self._pad = 0.0  # widens the tree's radii and the cells' bounds
 
     # -- construction ---------------------------------------------------
@@ -336,8 +341,10 @@ class MetricMeasureSpace:
         Coordinate spaces size each batch with a tree count, filter
         candidates with a k-d tree and decide ``d < r`` by the row
         formula; a batch of one point asks the space's own tree, with
-        no tree built over the batch.  Matrix spaces scan their stored
-        rows in blocks.
+        no tree built over the batch.  The space's tree is built by the
+        first call; nothing else in the package builds one or imports
+        ``scipy.spatial``.  Matrix spaces scan their stored rows in
+        blocks.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -349,13 +356,15 @@ class MetricMeasureSpace:
                 q, j = np.nonzero(rows < r)
                 yield slice(start, start + len(chunk)), q, j, rows[q, j]
             return
-        tree, pad = self._kdtree(), self._pad
+        from scipy.spatial import cKDTree
+
+        if self._tree is None:
+            self._tree = cKDTree(self.coords)
+        tree, pad = self._tree, self._pad
         start = 0
         while start < len(query_idx):
             size = min(_QUERY_CHUNK, len(query_idx) - start)
             while size > 1:
-                from scipy.spatial import cKDTree
-
                 chunk = query_idx[start : start + size]
                 batch = cKDTree(self.coords[chunk])
                 if batch.count_neighbors(tree, r + pad) <= _PAIR_BUDGET:
@@ -381,14 +390,6 @@ class MetricMeasureSpace:
             yield slice(start, start + size), q[keep], j[keep], d[keep]
             start += size
 
-    def _kdtree(self):
-        """The k-d tree over the coordinates, built once."""
-        if self._tree is None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.coords)
-        return self._tree
-
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
         coordinate space builds a fresh one per call and keeps none."""
@@ -413,7 +414,7 @@ class MetricMeasureSpace:
         distance (0.0 when there is none), computed once.
 
         A matrix space reduces its stored matrix; a coordinate space
-        asks the k-d cells, and computes distances only between cells
+        asks the cells, and computes distances only between cells
         whose box bounds leave the answer open.
         """
         if self._summary is None:
@@ -470,7 +471,7 @@ class MetricMeasureSpace:
         the space chooses the fill, whatever was asked before:
 
         * equal weights on coordinates: the radii a call finds missing
-          are counted together in one pass over the k-d cells;
+          are counted together in one pass over the cells;
         * any other space finds each ball's members: below twice the
           smallest positive distance from :meth:`neighbor_batches`, asked
           once per location, as ``weights[ascending neighbour indices]``,
@@ -554,9 +555,9 @@ class MetricMeasureSpace:
 
     # -- the cell pass ---------------------------------------------------
     #
-    # A cell is a maximal node of the k-d tree holding at most _CELL
-    # points, or a leaf (a leaf of coincident points may hold more); a
-    # subset of the points is cut into cells of its own.  The bounds of
+    # A cell is a part of the points, or of a subset, left by median
+    # splits once it holds at most _CELL points or only coincident ones;
+    # the cells of every point are cut once.  The bounds of
     # _box_bounds, widened by the pad, hold every distance the row
     # formula gives between two cells, whatever the rounding; so a pair
     # the bounds decide needs no distances, and the rest are decided by
@@ -568,30 +569,31 @@ class MetricMeasureSpace:
         """The cells' point indices, and each cell's box as the per-axis
         minimum and maximum of its points.
 
-        Without ``members``, the tree's cells; with them, halves at the
-        median of the widest axis down to ``_CELL`` points, so a subset
-        (such as a generator's target) builds no tree.
+        The points (default: every point) are halved by median splits
+        down to ``_CELL`` points, with no tree.  Each cut sorts a part
+        along its widest axis and goes at the value change nearest the
+        middle, so the points of one location share a cell, and a part
+        whose points all coincide stays one cell, however large.  The
+        cells of every point are built once.
         """
         if members is None:
-            tree = self._kdtree()
-            cells = []
-            nodes = [tree.tree]
-            while nodes:
-                node = nodes.pop()
-                if node.children <= _CELL or node.lesser is None:
-                    cells.append(tree.indices[node.start_idx : node.end_idx])
-                else:
-                    nodes += [node.greater, node.lesser]
-        else:
-            cells, parts = [], [members]
-            while parts:
-                part = parts.pop()
-                if len(part) <= _CELL:
-                    cells.append(part)
-                    continue
+            if self._all_cells is None:
+                self._all_cells = self._cells(np.arange(len(self)))
+            return self._all_cells
+        cells, parts = [], [members]
+        while parts:
+            part = parts.pop()
+            if len(part) > _CELL:
                 x = self.coords[part]
-                part = part[np.argsort(x[:, np.ptp(x, axis=0).argmax()], kind="stable")]
-                parts += [part[: len(part) // 2], part[len(part) // 2 :]]
+                axis = x[:, np.ptp(x, axis=0).argmax()]
+                order = np.argsort(axis, kind="stable")
+                part, axis = part[order], axis[order]
+                cuts = np.flatnonzero(axis[1:] != axis[:-1]) + 1
+                if len(cuts):  # else the widest axis is flat: one location
+                    cut = cuts[np.abs(cuts - len(part) // 2).argmin()]
+                    parts += [part[:cut], part[cut:]]
+                    continue
+            cells.append(part)
         lo = np.array([self.coords[c].min(axis=0) for c in cells])
         hi = np.array([self.coords[c].max(axis=0) for c in cells])
         return cells, lo, hi

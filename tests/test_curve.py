@@ -30,6 +30,7 @@ from rectilib.curve import (
 from rectilib.errors import DisconnectedError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import build_nets
+from rectilib.pipeline import RunConfig, run_stages
 from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
 from rectilib.space import MetricMeasureSpace, enclosing_target
 
@@ -493,6 +494,17 @@ def test_parametrize_singleton_and_errors():
     with pytest.raises(DisconnectedError) as err:
         parametrize(split)
     assert err.value.components == 2
+
+
+def test_parametrize_counts_the_components_of_its_forest():
+    """The count comes from the Kruskal pass, not from a second
+    connectivity run; on cantor4 it is connectivity's count."""
+    cfg = RunConfig(kind="cantor4", resolution=5)
+    stages = ("load", "validate", "doubling", "nets", "cubes", "porous", "bridges")
+    gamma = run_stages(cfg, stages + ("gamma",))[0].gamma
+    with pytest.raises(DisconnectedError, match="^graph has 256 components$") as err:
+        parametrize(gamma)
+    assert err.value.components == connectivity(gamma).components == 256
 
 
 def test_check_parametrization_accepts_the_honest_tour():

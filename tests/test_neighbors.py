@@ -488,31 +488,56 @@ def test_default_run_computes_full_rows_only_in_matrix_doubling(row_calls, tmp_p
 
 GUARD = """
 import sys
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+import rectilib.cli
+
+assert not scipy_modules(), "import rectilib.cli imported scipy"
 import numpy as np
-from rectilib.pipeline import RunConfig, load_space, run_pipeline
+from rectilib.pipeline import RunConfig, load_space, run_pipeline, run_stages
 
 hole = {"holes": [(0.4, 0.6)]}  # a target subset: its basepoint needs no tree
 space, _ = load_space(RunConfig(kind="interval", resolution=300, params=hole))
-assert "scipy.spatial" not in sys.modules, "load_space imported scipy.spatial"
 np.savetxt(sys.argv[1], space.distance_matrix(), delimiter=",", fmt="%.17g")
 with open(sys.argv[2], "w") as fh:
     fh.write("id,weight\\n")
     fh.writelines(f"{i},{w!r}\\n" for i, w in zip(space.ids, space.weights.tolist()))
-run_pipeline(RunConfig(matrix=sys.argv[1], weights=sys.argv[2]))
-assert "scipy.spatial" not in sys.modules, "a matrix run imported scipy.spatial"
-run_pipeline(RunConfig(kind="interval", resolution=300))
-assert "scipy.spatial" in sys.modules, "a coordinate run built no tree"
+matrix = RunConfig(matrix=sys.argv[1], weights=sys.argv[2])
+load_space(matrix)
+assert not scipy_modules(), "load_space imported scipy"
+curve = RunConfig(kind="lipschitz_curve", resolution=2000)
+run_stages(curve, ("load", "validate", "doubling", "density"))
+assert not scipy_modules(), "the mass stages imported scipy"
+if sys.argv[3] == "nets":
+    run_stages(curve, ("load", "validate", "doubling", "nets"))
+    assert "scipy.spatial" in sys.modules, "the nets built no tree"
+    assert "scipy.sparse.csgraph" not in sys.modules, "the nets imported csgraph"
+else:
+    run_pipeline(matrix)
+    assert "scipy.sparse.csgraph" in sys.modules, "a matrix run had no graph pass"
+    assert "scipy.spatial" not in sys.modules, "a matrix run imported scipy.spatial"
+    run_pipeline(RunConfig(kind="interval", resolution=300))
+    assert "scipy.spatial" in sys.modules, "a coordinate run built no tree"
 """
 
 
 def test_only_a_coordinate_run_imports_scipy_spatial(tmp_path):
+    """In fresh interpreters: loading a space and the mass stages import
+    no scipy; the nets import ``scipy.spatial`` and the curve's graph
+    passes ``scipy.sparse.csgraph``, each only when it runs."""
     src = os.path.dirname(os.path.dirname(rectilib.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD, str(tmp_path / "m.csv"), str(tmp_path / "w.csv")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    files = [str(tmp_path / "m.csv"), str(tmp_path / "w.csv")]
+    for last in ("nets", "pipeline"):
+        proc = subprocess.run(
+            [sys.executable, "-c", GUARD, *files, last],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import rectilib.space as space_module
 from _oracles import (
     basepoint_brute,
     dist_to_set_brute,
@@ -26,6 +27,7 @@ from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import STAGES, RunConfig, run_stages
 from rectilib.porosity import dist_to_set
 from rectilib.space import (
+    _CELL,
     _PAIR_BUDGET,
     MetricMeasureSpace,
     doubling_estimate,
@@ -340,8 +342,8 @@ def _cell_pass_matches_the_rows(space, radii) -> None:
 
 @given(clouds(dims=(1, 2, 3), sizes=(1, 160)), st.data())
 def test_cell_pass_gives_the_row_masses_and_summary(cloud, data):
-    """Past 64 points the k-d tree has several cells, and a location
-    holding many coincident points is a leaf larger than a cell."""
+    """Past 64 points the median splits make several cells, and a
+    location holding many coincident points is a cell larger than 64."""
     ids, coords, _ = cloud
     w0 = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0]))
     space = MetricMeasureSpace.from_coords(ids, coords, np.full(len(ids), w0))
@@ -377,6 +379,74 @@ def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     blocks = [p for calls in pair_evals.values() for p in calls]
     # the stack's 8,200 rows against one more cell already pass the budget
     assert max(blocks) <= _PAIR_BUDGET < 8200 * 64 < sum(blocks)
+
+
+@given(clouds(dims=(1, 2, 3), sizes=(1, 300)), st.data())
+def test_cells_partition_the_points_and_keep_each_location_whole(cloud, data):
+    """The cells of every point, and of a member subset, partition them;
+    a cell holds more than _CELL points only when they all coincide, no
+    location is in two cells, and each box is its cell's extent."""
+    ids, coords, weights = cloud
+    n = len(ids)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    members = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    # adding 0.0 turns -0.0 into 0.0, the same location
+    _, location = np.unique(coords + 0.0, axis=0, return_inverse=True)
+    location = location.reshape(-1)
+    for points, (cells, lo, hi) in [
+        (np.arange(n), space._cells()),
+        (members, space._cells(members)),
+    ]:
+        flat = np.concatenate(cells)
+        assert np.array_equal(np.sort(flat), points)
+        for c, cell in enumerate(cells):
+            assert len(cell) <= _CELL or np.all(coords[cell] == coords[cell[0]])
+            assert np.array_equal(lo[c], coords[cell].min(axis=0))
+            assert np.array_equal(hi[c], coords[cell].max(axis=0))
+        cell_of = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+        pairs = np.unique(np.stack([location[flat], cell_of]), axis=1)
+        assert len(np.unique(pairs[0])) == pairs.shape[1]
+
+
+@st.composite
+def lattice_clouds(draw):
+    """70 to 400 points on multiples of 0.25 in one or two axes: several
+    cells, coincident points and exact distance ties."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(70, 400))
+    side = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return 0.25 * rng.integers(-side, side + 1, size=(n, d)).astype(float)
+
+
+@given(lattice_clouds(), st.sampled_from([1, 2, 5]), st.data())
+def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data):
+    """Box bounds rounded inward by half the pad, the worst the pad
+    allows for, still give the rows' summary, eccentricities over a
+    subset and equal-weight masses: a rule that drops its pads fails."""
+    n = len(coords)
+    weights = np.full(n, 0.1)
+    space = MetricMeasureSpace.from_coords(range(n), coords, weights)
+    rows = [space.dists_from(k) for k in range(n)]
+    ecc, gap = summary_rows(space)
+    members = np.arange(1, n, step)
+    member_ecc = [rows[k][members].max() for k in members]
+    dists = np.unique(np.stack(rows))[1:]
+    pool = [*dists, *np.nextafter(dists, math.inf), 100.0]
+    radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    want = [[weights[row < r].sum() for r in radii] for row in rows]
+    half, box_bounds = space._pad / 2, space_module._box_bounds
+
+    def rounded(lo, hi, a):
+        mind, maxd = box_bounds(lo, hi, a)
+        return mind + half, np.maximum(maxd - half, 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_box_bounds", rounded)
+        assert space.summary()[0].tolist() == ecc
+        assert space.min_gap() == gap
+        assert space.eccentricities(members).tolist() == member_ecc
+        assert bits(space.ball_masses(np.arange(n), radii)) == bits(want)
 
 
 @given(clouds(masses=INEXACT), st.data())
