@@ -89,7 +89,7 @@ def _ids_arg(raw: str) -> list[int]:
 
 def _write_tour(ctx, path: str) -> None:
     if ctx.param is not None:
-        parametrization_csv(ctx.param, ctx.space, path)
+        parametrization_csv(ctx.param, ctx.gamma, ctx.space, path)
 
 
 _CURVE = (

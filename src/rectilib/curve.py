@@ -1,43 +1,34 @@
-"""Bridge graphs, the assembled curve, and its Lipschitz parametrization.
+"""Bridges, the assembled curve, and its Lipschitz parametrization.
 
 A bridge between sample points x and y is a three-edge detour through
 two abstract lifted vertices, every edge as long as dist(x, y).  Each
-porous cube contributes three-edge bridges from its center to the net
-points near it: a star, linear in the number of those points, that
-joins them through the center.  The curve graph is the target set
-plus short-range adjacency plus those bridges.  Parametrization
-doubles a minimum-length tree through every vertex (Kruskal) into a
-closed tour, giving an explicitly Lipschitz surjection onto the vertex
-set.
+porous cube contributes bridges from its center to the net points near
+it: a star that joins them through the center.  :func:`build_bridges`
+returns the pairs as a :class:`Bridges` record; :func:`assemble_gamma`
+builds the one graph, the curve: target points, short-range adjacency
+and the bridges.  Parametrization doubles a minimum-length tree through
+every vertex (Kruskal) into a closed tour, giving an explicitly
+Lipschitz surjection onto the vertex set.
 
-Vertices are keys of four integers: ground points are (0, id, 0, 0)
-and the two lifted vertices of the bridge over the pair x < y are
-(1, x, y, 0) and (1, x, y, 1), nearer x and y respectively.
+A :class:`BridgeGraph` is integer arrays, and a vertex is its position.
+:func:`assemble_gamma` puts the ground points (target members and
+bridge endpoints) at ``0..G-1`` by ascending id, then the two lifted
+vertices of the pair of rank k (pairs by ascending ``(x, y)``) at
+``G + 2k``, nearer x, and ``G + 2k + 1``, nearer y.  ``keys`` labels
+the positions for the side files and the connectivity report: ground
+point (0, id, 0, 0), lifted vertices (1, x, y, 0) and (1, x, y, 1).
+Positions follow key order, which is how :meth:`BridgeGraph.from_edges`
+numbers a graph given by keys.  ``src < dst`` are each edge's endpoint
+positions, ``length`` its float64 length and ``provenance`` the id of
+the porous cube that bridged it, or ``ADJACENCY`` (-1).
 
-A :class:`BridgeGraph` is integer arrays, not dicts:
-
-- ``keys`` is one (V, 4) int64 array of vertex keys, sorted
-  lexicographically by ``np.lexsort`` over its columns (ids may be
-  negative or large, so keys are never packed into one integer).  A
-  vertex *is* its position in ``keys``.
-- ``src < dst`` are the positions of each edge's endpoints, ``length``
-  its float64 length and ``provenance`` the id of the porous cube that
-  bridged it, or the sentinel ``ADJACENCY`` (-1) for an
-  ``E-adjacency`` edge.
-
-Three order guarantees keep every result equal, bit for bit, to the
-tuple-keyed construction the arrays replace:
-
-- vertex positions follow key order, so sorting by position is
-  sorting by key, and equal-length Kruskal ties resolve by
-  ``(src, dst)`` exactly as they did by endpoint keys;
-- edges keep insertion order: bridge edges as :func:`build_bridges`
-  makes them, three per pair, then adjacency edges by ascending
-  ground pair ``(g, h)``;
-- sums are sequential in a stated order: the budget's ``e_part`` and
-  ``bridge_part`` in edge order, the tree length in Kruskal order.
-
-All arrays of a graph and of a tour are read-only.
+Order rules that fix every result: equal-length Kruskal ties resolve by
+``(src, dst)``, that is by endpoint keys; edges keep insertion order,
+the bridges' three per pair (x, lifted x), (lifted x, lifted y),
+(y, lifted y) in construction order, then adjacency edges by ascending
+ground pair; sums are sequential, the budget's parts in edge order and
+the tree length in Kruskal order.  A tour visits positions.  All arrays
+of bridges, graphs and tours are read-only.
 """
 
 from __future__ import annotations
@@ -84,9 +75,9 @@ def key_strs(keys: np.ndarray) -> list[str]:
     return [key_str(v) for v in np.asarray(keys).tolist()]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _readonly(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _key_rows(keys) -> np.ndarray:
@@ -120,47 +111,58 @@ def _seq_sum(values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Bridges:
+    pairs: np.ndarray  # (P, 2) int64 point ids x < y, in construction order
+    length: np.ndarray  # (P,) float64 dist(x, y)
+    cube: np.ndarray  # (P,) int64 id of the first cube bridging the pair
+    pairs_per_cube: dict[int, int]  # cube id -> pair count before dedupe
+    skipped: tuple[int, ...]  # porous cubes lacking their bridge level
+
+    def __post_init__(self):
+        _readonly(self.pairs, self.length, self.cube)
+
+
+@dataclass(frozen=True, eq=False)
 class BridgeGraph:
-    keys: np.ndarray  # (V, 4) int64, rows in lexicographic order
+    keys: np.ndarray  # (V, 4) int64 label of each position, in key order
     src: np.ndarray  # (E,) int64 vertex positions, src < dst
     dst: np.ndarray
     length: np.ndarray  # (E,) float64
     provenance: np.ndarray  # (E,) int64 cube id, or ADJACENCY
-    bridge_pairs: dict[tuple[int, int], int]  # pair -> first cube id
-    pairs_per_cube: dict[int, int]  # cube id -> pair count before dedupe
-    skipped: tuple[int, ...]  # porous cubes lacking their bridge level
     _csr: csr_matrix | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        _readonly(self.keys, self.src, self.dst, self.length, self.provenance)
 
     @classmethod
     def from_edges(
         cls,
         edges: Iterable[tuple[VKey, VKey, float, int]],
         vertices: Iterable[VKey] = (),
-        bridge_pairs: dict[tuple[int, int], int] | None = None,
-        pairs_per_cube: dict[int, int] | None = None,
-        skipped: tuple[int, ...] = (),
     ) -> BridgeGraph:
         """Graph of ``(u, v, length, provenance)`` edges, kept in order.
 
-        The vertices are the edge endpoints plus ``vertices``.  Loops
-        and repeated edges are rejected.
+        The vertices are the edge endpoints plus ``vertices``, numbered
+        in key order.  Loops and repeated edges are rejected.
         """
         edges = list(edges)
+        m = len(edges)
         ends = _key_rows(
             [u for u, _, _, _ in edges] + [v for _, v, _, _ in edges]
         )
-        graph = _build(
-            np.concatenate([ends, _key_rows(list(vertices))]),
-            np.arange(len(edges)),
-            len(edges) + np.arange(len(edges)),
-            np.array([length for _, _, length, _ in edges], dtype=float),
-            np.array([p for _, _, _, p in edges], dtype=np.int64),
-            {} if bridge_pairs is None else bridge_pairs,
-            {} if pairs_per_cube is None else pairs_per_cube,
-            tuple(skipped),
+        keys, inverse = _unique_rows(
+            np.concatenate([ends, _key_rows(list(vertices))])
         )
-        if np.any(graph.src == graph.dst):
+        pu, pv = inverse[:m], inverse[m : 2 * m]
+        if np.any(pu == pv):
             raise ParameterError("an edge joins a vertex to itself")
+        graph = cls(
+            keys=keys,
+            src=np.minimum(pu, pv),
+            dst=np.maximum(pu, pv),
+            length=np.array([length for _, _, length, _ in edges], dtype=float),
+            provenance=np.array([p for _, _, _, p in edges], dtype=np.int64),
+        )
         ranked = np.lexsort((graph.dst, graph.src))
         s, d = graph.src[ranked], graph.dst[ranked]
         if np.any((s[1:] == s[:-1]) & (d[1:] == d[:-1])):
@@ -185,48 +187,13 @@ class BridgeGraph:
         return self._csr
 
 
-def _build(
-    vertex_keys: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    length: np.ndarray,
-    provenance: np.ndarray,
-    bridge_pairs: dict[tuple[int, int], int],
-    pairs_per_cube: dict[int, int],
-    skipped: tuple[int, ...],
-) -> BridgeGraph:
-    """A graph over the distinct rows of ``vertex_keys``.
-
-    Edge k joins rows ``u[k]`` and ``v[k]`` of ``vertex_keys``; edges
-    keep the order given.
-    """
-    keys, inverse = _unique_rows(vertex_keys)
-    pu, pv = inverse[u], inverse[v]
-    return BridgeGraph(
-        keys=_readonly(keys),
-        src=_readonly(np.minimum(pu, pv)),
-        dst=_readonly(np.maximum(pu, pv)),
-        length=_readonly(np.asarray(length, dtype=float)),
-        provenance=_readonly(np.asarray(provenance, dtype=np.int64)),
-        bridge_pairs=bridge_pairs,
-        pairs_per_cube=pairs_per_cube,
-        skipped=skipped,
-    )
-
-
-def _ground_rows(ids) -> np.ndarray:
-    rows = np.zeros((len(ids), 4), dtype=np.int64)
-    rows[:, 1] = ids
-    return rows
-
-
 def build_bridges(
     space: MetricMeasureSpace,
     tree: CubeTree,
     hierarchy: NetHierarchy,
     porous: Sequence[PorousCube],
     cfg: PorosityConfig,
-) -> BridgeGraph:
+) -> Bridges:
     """Star bridges from each porous cube's center to the net points near it.
 
     For a porous cube at level n the endpoints are the level n + n0 net
@@ -257,10 +224,9 @@ def build_bridges(
             if q != cube.center and d < cfg.M * cube.sidelength
         ]
 
-    bridge_pairs: dict[tuple[int, int], int] = {}
+    first: dict[tuple[int, int], tuple[int, float]] = {}  # pair -> cube, length
     pairs_per_cube: dict[int, int] = {}
     skipped: list[int] = []
-    lengths: list[float] = []
     for p in sorted(porous, key=lambda p: p.cube):
         pairs = pairs_for(p)
         if pairs is None:
@@ -268,38 +234,21 @@ def build_bridges(
             continue
         pairs_per_cube[p.cube] = len(pairs)
         for pair, d in pairs:
-            if pair in bridge_pairs or d <= 0:
-                continue
-            bridge_pairs[pair] = p.cube
-            lengths.append(d)
-
-    pair_ids = np.array(list(bridge_pairs), dtype=np.int64).reshape(-1, 2)
-    gx, gy = _ground_rows(pair_ids[:, 0]), _ground_rows(pair_ids[:, 1])
-    lx = np.zeros((len(pair_ids), 4), dtype=np.int64)
-    lx[:, 0] = 1
-    lx[:, 1:3] = pair_ids
-    ly = lx.copy()
-    ly[:, 3] = 1
-    # the edges (gx, lx), (lx, ly), (gy, ly) of each pair, pair by pair
-    ends_u = np.stack([gx, lx, gy], axis=1).reshape(-1, 4)
-    ends_v = np.stack([lx, ly, ly], axis=1).reshape(-1, 4)
-    m = len(ends_u)
-    return _build(
-        np.concatenate([ends_u, ends_v]),
-        np.arange(m),
-        m + np.arange(m),
-        np.repeat(np.array(lengths, dtype=float), 3),
-        np.repeat(np.array(list(bridge_pairs.values()), dtype=np.int64), 3),
-        bridge_pairs,
-        pairs_per_cube,
-        tuple(skipped),
+            if pair not in first and d > 0:
+                first[pair] = (p.cube, d)
+    return Bridges(
+        pairs=np.array(list(first), dtype=np.int64).reshape(-1, 2),
+        length=np.array([d for _, d in first.values()], dtype=float),
+        cube=np.array([c for c, _ in first.values()], dtype=np.int64),
+        pairs_per_cube=pairs_per_cube,
+        skipped=tuple(skipped),
     )
 
 
 def assemble_gamma(
     space: MetricMeasureSpace,
     target: TargetSet,
-    bridges: BridgeGraph,
+    bridges: Bridges,
     eps_res: float,
 ) -> BridgeGraph:
     """The curve graph: target points, short-range adjacency, bridges.
@@ -307,16 +256,30 @@ def assemble_gamma(
     Ground vertices are the target members plus every bridge endpoint;
     each ground pair strictly closer than eps_res gains an adjacency
     edge of their distance.  Coincident pairs are skipped (an edge of
-    length zero carries no metric information).
+    length zero carries no metric information).  Vertices are numbered
+    as the module docstring states.
     """
     if not eps_res > 0:
         raise ParameterError("eps_res must be positive")
-    ground_ids = sorted(
-        set(target.members)
-        | {x for x, _ in bridges.bridge_pairs}
-        | {y for _, y in bridges.bridge_pairs}
-    )
-    idx = space.indices_of(ground_ids)
+    pairs = bridges.pairs
+    members = np.asarray(target.members, dtype=np.int64)
+    ground_ids = np.unique(np.concatenate([members, pairs.ravel()]))
+    n_ground, n_pairs = len(ground_ids), len(pairs)
+    by_pair = np.lexsort((pairs[:, 1], pairs[:, 0]))  # ascending (x, y)
+    rank = np.empty(n_pairs, dtype=np.int64)
+    rank[by_pair] = np.arange(n_pairs)
+    x_at, y_at = np.searchsorted(ground_ids, pairs.T)
+    lx = n_ground + 2 * rank  # and lifted y is lx + 1
+    # the edges (x, lx), (lx, ly), (y, ly) of each pair, pair by pair
+    bridge_src = np.column_stack([x_at, lx, y_at]).ravel()
+    bridge_dst = np.column_stack([lx, lx + 1, lx + 1]).ravel()
+    keys = np.zeros((n_ground + 2 * n_pairs, 4), dtype=np.int64)
+    keys[:n_ground, 1] = ground_ids
+    keys[n_ground:, 0] = 1
+    keys[n_ground:, 1:3] = np.repeat(pairs[by_pair], 2, axis=0)
+    keys[n_ground + 1 :: 2, 3] = 1
+
+    idx = space.indices_of(ground_ids.tolist())
     # adjacency edges: positions a < b in ground_ids (ground ids ascend,
     # so h > g is b > a), by ascending (a, b), and lengths
     position = np.full(len(space), -1, dtype=np.intp)
@@ -329,16 +292,14 @@ def assemble_gamma(
         order = np.lexsort((b, a))
         adjacency.append((a[order], b[order], d[order]))
     adj_a, adj_b, adj_d = (np.concatenate(part) for part in zip(*adjacency))
-    n_bridge = len(bridges.keys)
-    return _build(
-        np.concatenate([bridges.keys, _ground_rows(ground_ids)]),
-        np.concatenate([bridges.src, n_bridge + adj_a]),
-        np.concatenate([bridges.dst, n_bridge + adj_b]),
-        np.concatenate([bridges.length, adj_d]),
-        np.concatenate([bridges.provenance, np.full(len(adj_d), ADJACENCY)]),
-        bridges.bridge_pairs,
-        bridges.pairs_per_cube,
-        bridges.skipped,
+    return BridgeGraph(
+        keys=keys,
+        src=np.concatenate([bridge_src, adj_a]),
+        dst=np.concatenate([bridge_dst, adj_b]),
+        length=np.concatenate([np.repeat(bridges.length, 3), adj_d]),
+        provenance=np.concatenate(
+            [np.repeat(bridges.cube, 3), np.full(len(adj_d), ADJACENCY)]
+        ),
     )
 
 
@@ -397,6 +358,7 @@ def length_budget(
     space: MetricMeasureSpace,
     target: TargetSet,
     graph: BridgeGraph,
+    bridges: Bridges,
     porous: Sequence[PorousCube],
     tree: CubeTree,
     cfg: PorosityConfig,
@@ -415,7 +377,7 @@ def length_budget(
     mu_e = float(space.weights[space.indices_of(target.members)].sum())
     bound_e = 10.0 * mu_e
 
-    max_pairs = max(graph.pairs_per_cube.values(), default=0)
+    max_pairs = max(bridges.pairs_per_cube.values(), default=0)
     c_pair = 3.0 * 2.0 * cfg.M * max_pairs
     sum_l = sum(tree.cubes[p.cube].sidelength for p in porous)
     bound_bridge = c_pair * sum_l
@@ -442,7 +404,7 @@ def length_budget(
 
 @dataclass(frozen=True, eq=False)
 class CurveParametrization:
-    visits: np.ndarray  # (N, 4) int64 vertex keys, in tour order
+    visits: np.ndarray  # (N,) int64 vertex positions, in tour order
     ts: np.ndarray  # (N,) float64, nondecreasing, 0 to 1
     lip_bound: float  # twice the tree length
     tree_length: float
@@ -518,13 +480,6 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     n = len(graph.keys)
     if not n:
         raise ParameterError("cannot parametrize an empty graph")
-    if n == 1:
-        return CurveParametrization(
-            visits=_readonly(graph.keys.copy()),
-            ts=_readonly(np.zeros(1)),
-            lip_bound=0.0,
-            tree_length=0.0,
-        )
     ranked = np.lexsort((graph.dst, graph.src, graph.length))
     taken = _kruskal(n, graph.src[ranked].tolist(), graph.dst[ranked].tolist())
     # each taken edge joins two trees, so the forest has n - len(taken)
@@ -540,37 +495,47 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     )
     total = float(sum(steps))
     cum = np.concatenate(([0.0], np.cumsum(steps)))
+    visits = np.array(visits, dtype=np.int64)
+    ts = cum / total if total else cum  # one vertex: no steps, time 0
+    _readonly(visits, ts)
     return CurveParametrization(
-        visits=_readonly(graph.keys[visits]),
-        ts=_readonly(cum / total),
-        lip_bound=total,
-        tree_length=tree_length,
+        visits=visits, ts=ts, lip_bound=total, tree_length=tree_length
     )
+
+
+_RATIO_SLACK = 1.0 + 1e-9  # relative float tolerance of the Lipschitz bound
 
 
 @dataclass(frozen=True)
 class ParamCheck:
-    surjective: bool
-    missing: int
+    missing: int  # vertices the tour never visits
     max_ratio: float
     witness: tuple[int, int] | None  # visit indices of the worst pair
-    lipschitz_ok: bool
-    ok: bool
+    lip_bound: float
 
+    @property
+    def surjective(self) -> bool:
+        return self.missing == 0
 
-def _positions(keys: np.ndarray, visits: np.ndarray) -> np.ndarray:
-    """Position in ``keys`` of every visit; a visit off the graph raises."""
-    n = len(keys)
-    ranked, inverse = _unique_rows(np.concatenate([keys, visits]))
-    if len(ranked) == n:  # every visit is a vertex, so ranked == keys
-        return inverse[n:]
-    is_vertex = np.zeros(len(ranked), dtype=bool)
-    is_vertex[inverse[:n]] = True
-    i = int(np.flatnonzero(~is_vertex[inverse[n:]])[0])
-    raise ParameterError(
-        f"visit {i} is at {key_str(tuple(visits[i].tolist()))}, "
-        "which is not a vertex of the graph"
-    )
+    @property
+    def lipschitz_ok(self) -> bool:
+        return self.max_ratio <= self.lip_bound * _RATIO_SLACK
+
+    def violations(self) -> list[str]:
+        """Surjectivity and the sampled Lipschitz bound, where they fail."""
+        out = []
+        if not self.surjective:
+            out.append(f"missing {self.missing} > 0")
+        if not self.lipschitz_ok:
+            out.append(
+                f"max_ratio {self.max_ratio!r} > lip_bound "
+                f"{self.lip_bound!r} at visits {self.witness}"
+            )
+        return out
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations()
 
 
 def check_parametrization(
@@ -583,24 +548,28 @@ def check_parametrization(
     Ratios compare graph distance between visited vertices to the
     parameter gap; the tour segment between two visits is at least the
     graph distance, so every ratio must stay within the bound.  A tour
-    with a visit off the graph, or with other than one time per visit,
-    raises :class:`ParameterError`.  Visit pairs are drawn with seed 0,
-    so the check repeats exactly.
+    with a visit that is not a position of the graph, or with other
+    than one time per visit, raises :class:`ParameterError`.  Visit
+    pairs are drawn with seed 0, so the check repeats exactly.
     """
-    visits = _key_rows(param.visits)
+    pos = np.asarray(param.visits)
     ts = np.asarray(param.ts, dtype=float)
-    n_visits = len(visits)
+    n_visits, n = len(pos), len(graph.keys)
     if len(ts) != n_visits:
         raise ParameterError(
             f"tour has {len(ts)} times for {n_visits} visits"
         )
-    pos = _positions(graph.keys, visits)
-    missing = len(graph.keys) - len(np.unique(pos))
-    surjective = missing == 0
+    off = np.flatnonzero((pos < 0) | (pos >= n))
+    if len(off):
+        i = int(off[0])
+        raise ParameterError(
+            f"visit {i} is at position {int(pos[i])}, which is not a vertex "
+            f"of the graph of {n} vertices"
+        )
+    missing = n - len(np.unique(pos))
 
     max_ratio = 0.0
     witness: tuple[int, int] | None = None
-    lipschitz_ok = True
     if n_visits >= 2 and param.lip_bound > 0:
         rng = np.random.default_rng(0)
         side = max(1, int(math.isqrt(sample_pairs)))
@@ -621,15 +590,11 @@ def check_parametrization(
         if ratio[worst] > 0.0:
             max_ratio = float(ratio[worst])
             witness = (int(src_visits[worst[0]]), int(dst_visits[worst[1]]))
-        bound = param.lip_bound * (1 + 1e-9)
-        lipschitz_ok = not bool((ratio > bound).any())
     return ParamCheck(
-        surjective=surjective,
         missing=missing,
         max_ratio=max_ratio,
         witness=witness,
-        lipschitz_ok=lipschitz_ok,
-        ok=surjective and lipschitz_ok,
+        lip_bound=float(param.lip_bound),
     )
 
 
@@ -659,24 +624,24 @@ def edges_csv(graph: BridgeGraph, path: str) -> None:
 
 def parametrization_csv(
     param: CurveParametrization,
+    graph: BridgeGraph,
     space: MetricMeasureSpace,
     path: str,
 ) -> None:
     """Tour as CSV: t, vertex, coordinates when available."""
-    vertices, at = _unique_rows(_key_rows(param.visits))
     dim = 0 if space.coords is None else space.coords.shape[1]
-    # each distinct vertex's label and coordinate fields, formatted once
-    names = key_strs(vertices)
+    # each vertex's label and coordinate fields, formatted once
+    names = key_strs(graph.keys)
     tails = [name + "," * dim for name in names]
     if dim:
-        ground = np.flatnonzero(vertices[:, 0] == 0)
-        coords = space.coords[space.indices_of(vertices[ground, 1].tolist())]
+        ground = np.flatnonzero(graph.keys[:, 0] == 0)
+        coords = space.coords[space.indices_of(graph.keys[ground, 1].tolist())]
         for g, xs in zip(ground.tolist(), coords.tolist()):
             tails[g] = ",".join([names[g]] + [repr(c) for c in xs])
     header = ",".join(["t", "vertex"] + [f"x{i + 1}" for i in range(dim)])
     lines = [
         f"{t!r},{tails[k]}{_EOL}"
-        for t, k in zip(np.asarray(param.ts).tolist(), at.tolist())
+        for t, k in zip(np.asarray(param.ts).tolist(), param.visits.tolist())
     ]
     with open(path, "w", newline="") as fh:
         fh.write(header + _EOL)

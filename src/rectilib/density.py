@@ -108,9 +108,9 @@ def stratify(
     The radius grid halves downward from 1/k to the resolution scale;
     only radii strictly below 1/k are tested.  Masses come from one
     table of :meth:`MetricMeasureSpace.ball_masses`.  Returned ids ascend.
-    A space with no positive distance (one point, or every point
-    coincident) has resolution scale 0 and no grid: that input is
-    degenerate.
+    A grid with no radius strictly below 1/k (no positive distance, or
+    1/k under about twice the resolution scale) tests nothing, and that
+    input is degenerate.
     """
     if j < 1 or k < 1:
         raise ParameterError("need j >= 1 and k >= 1")
@@ -122,11 +122,14 @@ def stratify(
             "is 0 and stratify has no radius grid"
         )
     r_hi = 1.0 / k
-    if r_hi <= r_lo:
-        return tuple(ids)
-    radii = [r for r in dyadic_radii(r_lo, r_hi) if r < r_hi]
+    radii = []
+    if r_lo < r_hi:
+        radii = [r for r in dyadic_radii(r_lo, r_hi) if r < r_hi]
     if not radii:
-        return tuple(ids)
+        raise DegenerateInputError(
+            f"no grid radius below 1/k = {r_hi!r} reaches down to the "
+            f"resolution scale {r_lo!r}"
+        )
 
     masses = space.ball_masses(space.indices_of(ids), radii)
     kept = np.all(masses >= np.asarray(radii) / j, axis=1)
@@ -203,8 +206,12 @@ class BsSumResult:
 def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
     """Truncated sum of diam(Q)/mass(Q) over dyadic cubes around x.
 
-    Cubes are half-open, sides 2^0 down to 2^-depth; a bounded value as
-    depth grows is the flatness signature, divergence the obstruction.
+    Cubes are half-open, sides 2^0 down to 2^-depth.  The sum is
+    unweighted, so it does not tell a segment from dust: on a uniform
+    segment each level adds about sqrt(d)*side/mass = 1/2 and the value
+    grows without bound as depth grows.  The flatness-weighted Jones
+    function, sum of beta2(mu, 3Q)^2 * diam(Q)/mass(Q), is the quantity
+    that characterises 1-rectifiable measures (ROADMAP, item 4).
     """
     if space.coords is None:
         raise UnsupportedMetricError(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
@@ -245,16 +246,20 @@ def _density(ctx):
     return density_summary(ctx.profiles, r_lo, r_hi), None
 
 
+def _per_level(tree, cube_ids) -> dict[str, int]:
+    """How many of the cubes lie at each level, keyed by level."""
+    return dict(Counter(str(tree.cubes[c].level) for c in cube_ids))
+
+
 def _porous(ctx):
     ctx.gap = dist_to_set(ctx.space, ctx.target.members)
     ctx.porous = find_porous(
         ctx.space, ctx.tree, ctx.target, ctx.gap, ctx.pcfg
     )
-    level_hist: dict[str, int] = {}
-    for p in ctx.porous:
-        key = str(ctx.tree.cubes[p.cube].level)
-        level_hist[key] = level_hist.get(key, 0) + 1
-    return {"count": len(ctx.porous), "per_level": level_hist}, None
+    return {
+        "count": len(ctx.porous),
+        "per_level": _per_level(ctx.tree, (p.cube for p in ctx.porous)),
+    }, None
 
 
 def _shadow(ctx):
@@ -267,7 +272,7 @@ def _shadow(ctx):
         "b_observed": shadow.b_observed,
         "c0_used": shadow.c0_used,
         "ok": shadow.ok,
-    }, None if shadow.ok else "shadow: a scale comparison failed"
+    }, None if shadow.ok else f"shadow: {shadow.violation}"
 
 
 def _carleson(ctx):
@@ -293,9 +298,10 @@ def _bridges(ctx):
         ctx.space, ctx.tree, ctx.hierarchy, ctx.porous, ctx.pcfg
     )
     return {
-        "pairs": len(ctx.bridges.bridge_pairs),
-        "edges": ctx.bridges.edge_count(),
+        "pairs": len(ctx.bridges.pairs),
+        "edges": 3 * len(ctx.bridges.pairs),
         "skipped_cubes": len(ctx.bridges.skipped),
+        "skipped_per_level": _per_level(ctx.tree, ctx.bridges.skipped),
     }, None
 
 
@@ -327,7 +333,8 @@ def _connectivity(ctx):
 
 def _budget(ctx):
     budget = length_budget(
-        ctx.space, ctx.target, ctx.gamma, ctx.porous, ctx.tree, ctx.pcfg
+        ctx.space, ctx.target, ctx.gamma, ctx.bridges, ctx.porous, ctx.tree,
+        ctx.pcfg,
     )
     return {
         "e_part": budget.e_part,
@@ -367,7 +374,7 @@ def _check_param(ctx):
         "max_ratio": check.max_ratio,
         "lipschitz_ok": check.lipschitz_ok,
         "ok": check.ok,
-    }, None if check.ok else "param_check: surjectivity or ratio failed"
+    }, None if check.ok else "param_check: " + "; ".join(check.violations())
 
 
 # (stage name, report section it writes, stage function)
@@ -467,7 +474,7 @@ def write_outputs(
     edges_csv(gamma, os.path.join(out_dir, "edges.csv"))
     if param is not None:
         parametrization_csv(
-            param, space, os.path.join(out_dir, "tour.csv")
+            param, gamma, space, os.path.join(out_dir, "tour.csv")
         )
     with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
         for name, seconds in timings:

@@ -255,7 +255,13 @@ class ShadowReport:
     b_observed: int  # max number of porous cubes sharing one shadow
     c0_used: float
     failures: tuple[int, ...]  # porous cubes whose witness found no shadow
-    ok: bool  # every mapped pair passes both scale comparisons
+    # the first mapped pair failing a scale comparison, named with both
+    # sides of each comparison it fails; None when every pair passes
+    violation: str | None
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 def shadow_map(
@@ -300,7 +306,7 @@ def shadow_map(
     records: list[ShadowRecord] = []
     failures: list[int] = []
     load: dict[int, int] = {}
-    all_ok = True
+    violation: str | None = None
     slack = 1.0 + 1e-12
     for p in porous:
         cube = tree.cubes[p.cube]
@@ -320,9 +326,21 @@ def shadow_map(
         load[shadow] = load.get(shadow, 0) + 1
         l_cube = cube.sidelength
         l_shadow = tree.cubes[shadow].sidelength
-        lower_ok = cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * slack
-        upper_ok = l_shadow <= (2 * cfg.M / c0_used) * l_cube * slack
-        all_ok = all_ok and lower_ok and upper_ok
+        sides = [
+            ("delta*l(Q)", cfg.delta * l_cube, "(4/rho)*l(S)",
+             (4 / cfg.rho) * l_shadow),
+            ("l(S)", l_shadow, "(2M/c0)*l(Q)", (2 * cfg.M / c0_used) * l_cube),
+        ]
+        lower_ok, upper_ok = passed = [x <= y * slack for _, x, _, y in sides]
+        failed = [
+            f"{lhs} {x!r} > {rhs} {y!r}"
+            for (lhs, x, rhs, y), ok in zip(sides, passed)
+            if not ok
+        ]
+        if failed and violation is None:
+            violation = f"porous cube {p.cube} with shadow {shadow}: " + (
+                "; ".join(failed)
+            )
         records.append(
             ShadowRecord(
                 cube=p.cube,
@@ -338,5 +356,5 @@ def shadow_map(
         b_observed=max(load.values(), default=0),
         c0_used=c0_used,
         failures=tuple(failures),
-        ok=all_ok,
+        violation=violation,
     )

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from rectilib.errors import DegenerateInputError
+
 
 def ball_mass_brute(space, center_id: int, radius: float) -> float:
     """Open-ball mass by looping over every point."""
@@ -30,7 +32,8 @@ def stratify_brute(space, member_ids, j: int, k: int) -> tuple:
     distance (with the library's 1e-12 relative allowance at the
     bottom); a member stays when every open ball around it of a grid
     radius strictly below 1/k holds mass at least r/j.  Returns the
-    kept ids in ascending order.
+    kept ids in ascending order; a grid with no radius strictly below
+    1/k raises :class:`DegenerateInputError`.
     """
     gap = math.inf
     for a in range(len(space)):
@@ -44,6 +47,8 @@ def stratify_brute(space, member_ids, j: int, k: int) -> tuple:
         if r < 1.0 / k:
             radii.append(r)
         r /= 2.0
+    if not radii:
+        raise DegenerateInputError("no grid radius below 1/k")
     kept = []
     for p in sorted(set(member_ids)):
         if all(ball_mass_brute(space, p, r) >= r / j for r in radii):

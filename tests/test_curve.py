@@ -14,6 +14,7 @@ from rectilib.curve import (
     ADJACENCY,
     E_ADJACENCY,
     BridgeGraph,
+    Bridges,
     assemble_gamma,
     build_bridges,
     check_parametrization,
@@ -55,18 +56,40 @@ def micro_gamma():
     coords = np.array([[0.0], [0.1], [1.0], [1.1]])
     space = MetricMeasureSpace.from_coords(range(4), coords, np.ones(4))
     target = enclosing_target(space)
-    l0, l1 = lifted_keys(1, 2)
-    g1, g2 = ground_key(1), ground_key(2)
-    bridges = BridgeGraph.from_edges(
-        [(g1, l0, 0.9, 7), (l0, l1, 0.9, 7), (g2, l1, 0.9, 7)],
-        bridge_pairs={(1, 2): 7},
+    bridges = Bridges(
+        pairs=np.array([[1, 2]]),
+        length=np.array([0.9]),
+        cube=np.array([7]),
         pairs_per_cube={7: 1},
+        skipped=(),
     )
     return space, target, assemble_gamma(space, target, bridges, 0.15)
 
 
+def no_bridges():
+    return Bridges(
+        pairs=np.empty((0, 2), dtype=np.int64),
+        length=np.empty(0),
+        cube=np.empty(0, dtype=np.int64),
+        pairs_per_cube={},
+        skipped=(),
+    )
+
+
 def empty_graph():
     return BridgeGraph.from_edges(())
+
+
+def pair_map(bridges) -> dict:
+    """{(x, y): first cube id}, in construction order."""
+    return {
+        (x, y): c
+        for (x, y), c in zip(bridges.pairs.tolist(), bridges.cube.tolist())
+    }
+
+
+def visit_keys(graph, param) -> list[tuple]:
+    return [tuple(k) for k in graph.keys[param.visits].tolist()]
 
 
 def vertex_keys(graph) -> list[tuple]:
@@ -106,10 +129,12 @@ def test_vertex_keys():
 
 def test_bridges_have_three_equal_edges():
     space, target, h, tree, porous = hole_fixture()
-    graph = build_bridges(space, tree, h, porous, good_cfg())
-    assert graph.edge_count() == 3 * len(graph.bridge_pairs)
-    edges = edge_map(graph)
-    for (x, y), cube_id in graph.bridge_pairs.items():
+    bridges = build_bridges(space, tree, h, porous, good_cfg())
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    bridged = gamma.provenance != ADJACENCY
+    assert np.count_nonzero(bridged) == 3 * len(bridges.pairs)
+    edges = edge_map(gamma)
+    for (x, y), cube_id in pair_map(bridges).items():
         d = space.dists_from(space.index_of(x))[space.index_of(y)]
         gx, gy = ground_key(x), ground_key(y)
         lx, ly = lifted_keys(x, y)
@@ -122,13 +147,14 @@ def test_bridges_have_three_equal_edges():
 def test_bridges_dedupe_and_attribute_to_first_cube():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
+    bridges = build_bridges(space, tree, h, porous, cfg)
     # two level-0 cubes centered at 0 and 99 reach all 100 points, and
     # they share the pair (0, 99)
-    assert len(graph.bridge_pairs) == 99 + 98
-    assert sum(graph.pairs_per_cube.values()) == 2 * 99
-    assert graph.edge_count() == 3 * 197
-    assert len(graph.keys) == 100 + 2 * 197
+    assert len(bridges.pairs) == 99 + 98
+    assert sum(bridges.pairs_per_cube.values()) == 2 * 99
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    assert np.count_nonzero(gamma.provenance != ADJACENCY) == 3 * 197
+    assert len(gamma.keys) == 100 + 2 * 197
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for p in sorted(porous, key=lambda q: q.cube):
@@ -143,24 +169,49 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
             if row[space.index_of(q)] < cfg.M * cube.sidelength:
                 pair = (min(cube.center, q), max(cube.center, q))
                 expected.setdefault(pair, p.cube)
-    assert graph.bridge_pairs == expected
+    assert pair_map(bridges) == expected
 
 
 def test_bridges_skip_cubes_without_their_level():
     space, target, h, tree, porous = hole_fixture()
-    graph = build_bridges(space, tree, h, porous, good_cfg())
+    bridges = build_bridges(space, tree, h, porous, good_cfg())
     # n0 = 2 pushes level 1 and level 2 cubes past the finest net level.
     deep = {p.cube for p in porous if tree.cubes[p.cube].level >= 1}
-    assert set(graph.skipped) == deep
-    assert len(graph.skipped) == 55
+    assert set(bridges.skipped) == deep
+    assert len(bridges.skipped) == 55
+
+
+@pytest.mark.parametrize(
+    "resolution, levels, expected",
+    [(100, {"n_min": -1, "n_max": 2}, {"1": 12, "2": 42}),
+     (1000, {}, {"1": 14, "2": 104})],
+    ids=["hole-fixture", "readme-run"],
+)
+def test_report_counts_skipped_bridge_cubes_per_level(resolution, levels, expected):
+    """With n0 = 2, porous cubes below level 0 have no bridge level:
+    the bridges section counts them per level, as porous does."""
+    cfg = RunConfig(
+        kind="interval", resolution=resolution,
+        params={"holes": [(0.4, 0.6)]}, **levels,
+    )
+    stages = ("load", "validate", "doubling", "nets", "cubes", "porous", "bridges")
+    ctx, report = run_stages(cfg, stages)[:2]
+    section = report["bridges"]
+    assert section["skipped_per_level"] == expected
+    assert sum(expected.values()) == section["skipped_cubes"]
+    assert sorted(ctx.bridges.skipped) == sorted(
+        p.cube for p in ctx.porous if ctx.tree.cubes[p.cube].level >= 1
+    )
+    porous_deep = {n: c for n, c in report["porous"]["per_level"].items() if n != "0"}
+    assert porous_deep == expected
 
 
 def test_star_bridges_pass_through_the_center():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
-    assert graph.pairs_per_cube
-    for cube_id, count in graph.pairs_per_cube.items():
+    bridges = build_bridges(space, tree, h, porous, cfg)
+    assert bridges.pairs_per_cube
+    for cube_id, count in bridges.pairs_per_cube.items():
         cube = tree.cubes[cube_id]
         row = space.dists_from(space.index_of(cube.center))
         near = [
@@ -169,8 +220,8 @@ def test_star_bridges_pass_through_the_center():
             if row[space.index_of(q)] < cfg.M * cube.sidelength
         ]
         assert count == len(near) - 1  # every near point but the center
-    lengths = edge_map(graph)
-    for (x, y), cube_id in graph.bridge_pairs.items():
+    lengths = edge_map(assemble_gamma(space, target, bridges, 2.2 / 99.0))
+    for (x, y), cube_id in pair_map(bridges).items():
         center = tree.cubes[cube_id].center
         assert center in (x, y)
         other = y if x == center else x
@@ -191,10 +242,10 @@ def test_graph_arrays_follow_key_and_insertion_order():
     assert keys == sorted(set(keys))  # distinct, in tuple order
     assert gamma.keys.dtype == np.int64 and gamma.keys.shape == (len(keys), 4)
     assert np.all(gamma.src < gamma.dst)
-    # bridge edges first, three per pair in bridge_pairs order
+    # bridge edges first, three per pair in construction order
     edges = list(edge_map(gamma).items())
-    n_bridge = 3 * len(bridges.bridge_pairs)
-    for k, ((x, y), cube_id) in enumerate(bridges.bridge_pairs.items()):
+    n_bridge = 3 * len(bridges.pairs)
+    for k, ((x, y), cube_id) in enumerate(pair_map(bridges).items()):
         gx, gy = ground_key(x), ground_key(y)
         lx, ly = lifted_keys(x, y)
         triple = edges[3 * k : 3 * k + 3]
@@ -205,7 +256,8 @@ def test_graph_arrays_follow_key_and_insertion_order():
     assert adjacency == sorted(adjacency)
     assert all(p == ADJACENCY for _, (_, p) in edges[n_bridge:])
     assert all(p != ADJACENCY for _, (_, p) in edges[:n_bridge])
-    for a in (gamma.keys, gamma.src, gamma.dst, gamma.length, gamma.provenance):
+    for a in (gamma.keys, gamma.src, gamma.dst, gamma.length, gamma.provenance,
+              bridges.pairs, bridges.length, bridges.cube):
         assert not a.flags.writeable
     assert gamma.to_csr() is gamma.to_csr()  # built once per graph
 
@@ -258,7 +310,7 @@ def test_gamma_chain_adjacency():
     coords = np.array([[0.0], [0.1], [0.2]])
     space = MetricMeasureSpace.from_coords(range(3), coords, np.ones(3))
     target = enclosing_target(space)
-    empty = empty_graph()
+    empty = no_bridges()
     gamma = assemble_gamma(space, target, empty, 0.15)
     edges = edge_map(gamma)
     keys = sorted(edges)
@@ -276,7 +328,7 @@ def test_gamma_skips_coincident_points():
     coords = np.array([[0.0], [0.0]])
     space = MetricMeasureSpace.from_coords(range(2), coords, np.ones(2))
     target = enclosing_target(space)
-    gamma = assemble_gamma(space, target, empty_graph(), 0.5)
+    gamma = assemble_gamma(space, target, no_bridges(), 0.5)
     assert gamma.edge_count() == 0
     assert connectivity(gamma).components == 2
 
@@ -297,7 +349,7 @@ def test_micro_gamma_connects_through_the_bridge():
         ground_key(0)
     ]
     # without the bridge the clusters stay apart
-    bare = assemble_gamma(space, target, empty_graph(), 0.15)
+    bare = assemble_gamma(space, target, no_bridges(), 0.15)
     assert connectivity(bare).components == 2
     assert connectivity(empty_graph()).components == 0
 
@@ -315,8 +367,8 @@ def test_more_bridges_never_disconnect():
     eps = 2.2 / 99.0
     counts = []
     for k in (0, 1, len(porous)):
-        graph = build_bridges(space, tree, h, porous[:k], cfg)
-        gamma = assemble_gamma(space, target, graph, eps)
+        bridges = build_bridges(space, tree, h, porous[:k], cfg)
+        gamma = assemble_gamma(space, target, bridges, eps)
         counts.append(connectivity(gamma).components)
     assert counts[0] == 2  # the hole splits the bare adjacency graph
     assert counts == sorted(counts, reverse=True)
@@ -329,9 +381,9 @@ def test_more_bridges_never_disconnect():
 def test_budget_on_hole_fixture():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
-    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
-    budget = length_budget(space, target, gamma, porous, tree, cfg)
+    bridges = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    budget = length_budget(space, target, gamma, bridges, porous, tree, cfg)
     # 99 nearest-neighbor gaps of 1/99 plus 98 second-neighbor gaps
     assert budget.e_part == pytest.approx(99 / 99 + 98 * 2 / 99)
     assert budget.bound_e == pytest.approx(16.0)
@@ -350,9 +402,9 @@ def test_budget_on_hole_fixture():
 def test_budget_parts_are_sequential_sums_in_edge_order():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
-    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
-    budget = length_budget(space, target, gamma, porous, tree, cfg)
+    bridges = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    budget = length_budget(space, target, gamma, bridges, porous, tree, cfg)
     e_part = bridge_part = 0.0
     for length, p in edge_map(gamma).values():
         if p == ADJACENCY:
@@ -367,9 +419,9 @@ def test_budget_vacuous_on_tiny_targets():
     coords = np.array([[0.0], [0.1], [0.2]])
     space = MetricMeasureSpace.from_coords(range(3), coords, np.ones(3))
     target = enclosing_target(space)
-    gamma = assemble_gamma(space, target, empty_graph(), 0.15)
+    gamma = assemble_gamma(space, target, no_bridges(), 0.15)
     space2, _, h, tree, _ = hole_fixture()
-    budget = length_budget(space, target, gamma, (), tree, good_cfg())
+    budget = length_budget(space, target, gamma, no_bridges(), (), tree, good_cfg())
     assert budget.e_vacuous  # no usable radius window for the mass check
     assert budget.bridge_part == 0.0 and budget.bound_bridge == 0.0
     assert budget.ok
@@ -378,9 +430,9 @@ def test_budget_vacuous_on_tiny_targets():
 def hole_budget():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
-    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
-    return length_budget(space, target, gamma, porous, tree, cfg)
+    bridges = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
+    return length_budget(space, target, gamma, bridges, porous, tree, cfg)
 
 
 @pytest.mark.parametrize(
@@ -420,7 +472,7 @@ def test_budget_does_not_assert_a_vacuous_e_part():
 def test_parametrize_micro_tour():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    assert key_strs(param.visits) == [
+    assert key_strs(gamma.keys[param.visits]) == [
         "g:0",
         "g:1",
         "b:1:2:0",
@@ -437,14 +489,15 @@ def test_parametrize_micro_tour():
     assert param.lip_bound == pytest.approx(5.8)
     assert param.ts[0] == 0.0 and param.ts[-1] == 1.0
     assert list(param.ts) == sorted(param.ts)
-    assert tuple(param.visits[0]) == tuple(param.visits[-1])  # closed tour
+    assert param.visits.dtype == np.int64 and param.visits.shape == (11,)
+    assert param.visits[0] == param.visits[-1]  # closed tour
 
 
 def test_parametrize_consecutive_visits_are_graph_edges():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
     edges = edge_map(gamma)
-    visits = [tuple(v) for v in param.visits.tolist()]
+    visits = visit_keys(gamma, param)
     for i in range(len(visits) - 1):
         u, v = visits[i], visits[i + 1]
         key = (u, v) if u < v else (v, u)
@@ -465,13 +518,13 @@ def test_kruskal_ties_resolve_by_src_then_dst():
         ]
     )
     param = parametrize(graph)
-    assert [tuple(v)[1] for v in param.visits.tolist()] == [0, 1, 0, 3, 2, 3, 0]
+    assert [v[1] for v in visit_keys(graph, param)] == [0, 1, 0, 3, 2, 3, 0]
 
 
 def test_parametrize_two_vertices():
     g = BridgeGraph.from_edges([(ground_key(0), ground_key(1), 2.0, ADJACENCY)])
     param = parametrize(g)
-    assert [tuple(v) for v in param.visits.tolist()] == [
+    assert visit_keys(g, param) == [
         ground_key(0),
         ground_key(1),
         ground_key(0),
@@ -483,14 +536,14 @@ def test_parametrize_two_vertices():
 def test_parametrize_singleton_and_errors():
     single = BridgeGraph.from_edges((), vertices=[ground_key(5)])
     param = parametrize(single)
-    assert [tuple(v) for v in param.visits.tolist()] == [ground_key(5)]
+    assert visit_keys(single, param) == [ground_key(5)]
     assert param.ts.tolist() == [0.0] and param.lip_bound == 0.0
     with pytest.raises(ParameterError):
         parametrize(empty_graph())
     coords = np.array([[0.0], [10.0]])
     space = MetricMeasureSpace.from_coords(range(2), coords, np.ones(2))
     target = enclosing_target(space)
-    split = assemble_gamma(space, target, empty_graph(), 0.5)
+    split = assemble_gamma(space, target, no_bridges(), 0.5)
     with pytest.raises(DisconnectedError) as err:
         parametrize(split)
     assert err.value.components == 2
@@ -527,6 +580,31 @@ def test_check_parametrization_catches_time_warp():
     assert not check.lipschitz_ok and not check.ok
     assert check.witness == (0, 1)
     assert check.max_ratio > param.lip_bound
+    assert check.violations() == [
+        f"max_ratio {check.max_ratio!r} > lip_bound {param.lip_bound!r} "
+        "at visits (0, 1)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda c: {"missing": 2}, lambda c: "missing 2 > 0"),
+        (
+            lambda c: {"max_ratio": 2 * c.lip_bound, "witness": (0, 1)},
+            lambda c: f"max_ratio {c.max_ratio!r} > lip_bound "
+            f"{c.lip_bound!r} at visits (0, 1)",
+        ),
+    ],
+    ids=["surjective", "lipschitz"],
+)
+def test_param_check_names_each_failed_inequality(broken, message):
+    space, target, gamma = micro_gamma()
+    check = check_parametrization(parametrize(gamma), gamma, sample_pairs=2500)
+    assert check.ok and check.violations() == []
+    bad = dataclasses.replace(check, **broken(check))
+    assert bad.violations() == [message(bad)]
+    assert not bad.ok
 
 
 def test_check_parametrization_catches_missing_vertex():
@@ -535,23 +613,28 @@ def test_check_parametrization_catches_missing_vertex():
     # drop the single visit to g:3 (index 5 in the frozen tour)
     clipped = dataclasses.replace(
         param,
-        visits=np.delete(param.visits, 5, axis=0),
+        visits=np.delete(param.visits, 5),
         ts=np.delete(param.ts, 5),
     )
     check = check_parametrization(clipped, gamma, sample_pairs=2500)
     assert not check.surjective and check.missing == 1
+    assert check.violations() == ["missing 1 > 0"]
 
 
-def _stray_visit(param):
-    visits = param.visits.copy()
-    visits[3] = ground_key(9)  # no point 9 in the graph
-    return dataclasses.replace(param, visits=visits)
+def _stray_visit(position):
+    def malform(param):
+        visits = param.visits.copy()
+        visits[3] = position  # the graph has positions 0..5
+        return dataclasses.replace(param, visits=visits)
+
+    return malform
 
 
 @pytest.mark.parametrize(
     "malform, message",
     [
-        (_stray_visit, "visit 3 is at g:9, which is not a vertex"),
+        (_stray_visit(6), "visit 3 is at position 6, which is not a vertex"),
+        (_stray_visit(-1), "visit 3 is at position -1, which is not a vertex"),
         (
             lambda p: dataclasses.replace(p, ts=p.ts[:-1]),
             "10 times for 11 visits",
@@ -561,7 +644,7 @@ def _stray_visit(param):
             "12 times for 11 visits",
         ),
     ],
-    ids=["visit-off-graph", "short-ts", "long-ts"],
+    ids=["visit-off-graph", "negative-visit", "short-ts", "long-ts"],
 )
 def test_check_parametrization_rejects_malformed_tours(malform, message):
     space, target, gamma = micro_gamma()
@@ -573,8 +656,8 @@ def test_check_parametrization_rejects_malformed_tours(malform, message):
 def test_hole_fixture_tour_end_to_end():
     space, target, h, tree, porous = hole_fixture()
     cfg = good_cfg()
-    graph = build_bridges(space, tree, h, porous, cfg)
-    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
+    bridges = build_bridges(space, tree, h, porous, cfg)
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     param = parametrize(gamma)
     assert len(param.visits) == 2 * len(gamma.keys) - 1
     assert param.lip_bound == pytest.approx(2 * param.tree_length)
@@ -601,7 +684,7 @@ def test_parametrization_csv_layout(tmp_path):
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
     path = tmp_path / "tour.csv"
-    parametrization_csv(param, space, str(path))
+    parametrization_csv(param, gamma, space, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(param.visits)
@@ -646,17 +729,21 @@ HOLE_STAR_TOUR_SHA256 = (
 def test_micro_gamma_side_files_are_frozen(tmp_path):
     space, target, gamma = micro_gamma()
     edges_csv(gamma, str(tmp_path / "edges.csv"))
-    parametrization_csv(parametrize(gamma), space, str(tmp_path / "tour.csv"))
+    parametrization_csv(
+        parametrize(gamma), gamma, space, str(tmp_path / "tour.csv")
+    )
     assert (tmp_path / "edges.csv").read_bytes() == MICRO_EDGES_CSV.encode()
     assert (tmp_path / "tour.csv").read_bytes() == MICRO_TOUR_CSV.encode()
 
 
 def test_hole_fixture_star_side_files_are_frozen(tmp_path):
     space, target, h, tree, porous = hole_fixture()
-    graph = build_bridges(space, tree, h, porous, good_cfg())
-    gamma = assemble_gamma(space, target, graph, 2.2 / 99.0)
+    bridges = build_bridges(space, tree, h, porous, good_cfg())
+    gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     edges_csv(gamma, str(tmp_path / "edges.csv"))
-    parametrization_csv(parametrize(gamma), space, str(tmp_path / "tour.csv"))
+    parametrization_csv(
+        parametrize(gamma), gamma, space, str(tmp_path / "tour.csv")
+    )
     for name, expected in (
         ("edges.csv", HOLE_STAR_EDGES_SHA256),
         ("tour.csv", HOLE_STAR_TOUR_SHA256),

@@ -87,7 +87,7 @@ def test_connectivity_and_tour_match_the_tuple_oracle(case):
         return
     visits, ts, lip_bound, tree_length = tour_brute(vertices, as_dict)
     param = parametrize(graph)
-    assert [tuple(v) for v in param.visits.tolist()] == list(visits)
+    assert [tuple(v) for v in graph.keys[param.visits].tolist()] == list(visits)
     assert param.ts.tolist() == list(ts)
     assert param.lip_bound == lip_bound
     assert param.tree_length == tree_length

@@ -130,8 +130,13 @@ def test_stratify_two_atoms():
     assert stratify(heavy, [0, 1], 1, 1) == (0, 1)
     light = MetricMeasureSpace.from_coords([0, 1], coords, np.full(2, 0.1))
     assert stratify(light, [0, 1], 1, 1) == ()
-    # No testable radius below 1/k leaves the criterion vacuous.
-    assert stratify(light, [0, 1], 1, 2) == (0, 1)
+    # No testable radius below 1/k: the window is unresolved, not a stratum.
+    with pytest.raises(DegenerateInputError, match="1/k = 0.5 .* 0.5"):
+        stratify(light, [0, 1], 1, 2)
+    # 1/k = 1e-6 lies below the resolution scale 1/198 of 100 points
+    space, _ = generate(GeneratorSpec("interval", 100))
+    with pytest.raises(DegenerateInputError, match="1e-06 .* 0.00505"):
+        stratify(space, space.ids, 1000, 10**6)
     with pytest.raises(ParameterError):
         stratify(heavy, [0, 1], 0, 1)
     with pytest.raises(ParameterError):
@@ -310,6 +315,16 @@ def test_bs_sum_skips_empty_cubes():
     assert got.value == 0.0
     assert got.skipped == 4
     assert got.terms == ()
+
+
+def test_bs_sum_grows_on_a_uniform_segment():
+    """The unweighted sum does not stay bounded on a segment: each dyadic
+    level adds sqrt(d)*side/mass = 1/2, so four levels add 2.0."""
+    space, _ = generate(GeneratorSpec("interval", 4096))
+    values = [bs_sum(space, 2000, depth).value for depth in (4, 8, 12)]
+    assert values[0] == pytest.approx(2.5001221001221, abs=1e-12)
+    assert values[1] - values[0] == pytest.approx(2.0, abs=1e-12)
+    assert values[2] - values[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bs_sum_error_types():

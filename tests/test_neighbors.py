@@ -421,10 +421,10 @@ def test_adjacency_with_bridges_matches_the_row_based_pairs():
     tree = build_cubes(space, h)
     found = find_porous(space, tree, target, dist_to_set(space, target.members), cfg)
     bridges = build_bridges(space, tree, h, found, cfg)
-    assert bridges.bridge_pairs
+    assert len(bridges.pairs)
     eps = 2.2 / 200
     graph = assemble_gamma(space, target, bridges, eps)
-    ends = {p for pair in bridges.bridge_pairs for p in pair}
+    ends = set(bridges.pairs.ravel().tolist())
     ground = sorted(set(target.members) | ends)
     want = adjacency_rows(space, ground, eps)
     assert adjacency_edges(graph) == [(ground[a], ground[b], d) for a, b, d in want]

@@ -350,6 +350,41 @@ def test_shadow_map_records_scale_comparisons():
         assert rec.witness in tree.cubes[rec.shadow].members
 
 
+@pytest.mark.parametrize(
+    "broken, lhs, rhs",
+    [({"delta": 1e6}, "delta*l(Q)", "(4/rho)*l(S)"),
+     ({"M": 1e-9}, "l(S)", "(2M/c0)*l(Q)")],
+    ids=["lower", "upper"],
+)
+def test_shadow_names_the_first_failed_scale_comparison(broken, lhs, rhs):
+    """Each change breaks one comparison only; the report names the
+    first mapped porous cube, its shadow and both sides of it."""
+    space, target, h, tree = hole_fixture()
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, good_cfg())
+    assert shadow_map(space, tree, gap, porous, good_cfg()).violation is None
+    cfg = good_cfg(**broken)
+    report = shadow_map(space, tree, gap, porous, cfg)
+    assert not report.ok
+    first = next(r for r in report.records if r.shadow is not None)
+    l_cube = tree.cubes[first.cube].sidelength
+    l_shadow = tree.cubes[first.shadow].sidelength
+    sides = {
+        "delta*l(Q)": cfg.delta * l_cube,
+        "(4/rho)*l(S)": (4 / cfg.rho) * l_shadow,
+        "l(S)": l_shadow,
+        "(2M/c0)*l(Q)": (2 * cfg.M / report.c0_used) * l_cube,
+    }
+    assert report.violation == (
+        f"porous cube {first.cube} with shadow {first.shadow}: "
+        f"{lhs} {sides[lhs]!r} > {rhs} {sides[rhs]!r}"
+    )
+    mapped = [r for r in report.records if r.shadow is not None]
+    lower_broken = lhs == "delta*l(Q)"
+    assert all(r.scale_lower_ok != lower_broken for r in mapped)
+    assert all(r.scale_upper_ok == lower_broken for r in mapped)
+
+
 def test_shadow_map_antichain_is_maximal_and_disjoint():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()

@@ -449,6 +449,54 @@ def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data
         assert bits(space.ball_masses(np.arange(n), radii)) == bits(want)
 
 
+def near_tie_cloud(d: int, mirror: bool) -> tuple[np.ndarray, float, float]:
+    """(coords, least gap g, in-cell distance g') along one axis: stacks
+    of ``_CELL + 1`` points at 0, 20 + h and 21, and a cell of two
+    32-point stacks g' apart at 10, with g = 1 - h < g' < g + pad/2.
+    Two different distances within a pad of each other, in different
+    cells: the least gap between two stack cells, g' inside a cell."""
+    pad = 1e-6 * 21.0  # the space's pad: its extent is 21 on one axis
+    h, spread = 0.3 * pad, 1.0 - 0.1 * pad
+    stack = _CELL + 1
+    x = np.repeat([0.0, 10.0, 10.0 + spread, 20.0 + h, 21.0], [stack, 32, 32, stack, stack])
+    if mirror:
+        x = 21.0 - x
+    coords = np.zeros((len(x), d))
+    coords[:, d - 1] = x
+    return coords, 1.0 - h, spread
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9])
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_least_gap_search_holds_when_two_distances_lie_within_a_pad(d, mirror, fraction):
+    """Box bounds rounded inward by half and by 0.9 of the pad still
+    give the least gap and the eccentricities of the rows.  The least
+    gap is 0.3 pad below a distance between two other cells and 0.2 pad
+    below one inside a cell, so a search whose near-cell rule drops its
+    pad stops at the cell's distance, and one whose bound drops its pad
+    (caught at 0.9 only: at half a pad it cannot change an answer)
+    searches no cell pair at all."""
+    coords, g, spread = near_tie_cloud(d, mirror)
+    n = len(coords)
+    space = MetricMeasureSpace.from_coords(range(n), coords, np.full(n, 0.1))
+    ecc, gap = summary_rows(space)
+    assert gap == space.dists_from(n - 1)[n - 1 - (_CELL + 1)]  # the stacks at 20 + h, 21
+    assert math.isclose(gap, g, rel_tol=1e-12) and g < spread < g + space._pad / 2
+    cells, _, _ = space._cells()
+    assert sorted(len(c) for c in cells) == [64] + [_CELL + 1] * 3
+    shift, box_bounds = fraction * space._pad, space_module._box_bounds
+
+    def rounded(lo, hi, a):
+        mind, maxd = box_bounds(lo, hi, a)
+        return mind + shift, np.maximum(maxd - shift, 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_box_bounds", rounded)
+        assert space.min_gap() == gap
+        assert space.summary()[0].tolist() == ecc
+
+
 @given(clouds(masses=INEXACT), st.data())
 def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
     ids, coords, weights = cloud
@@ -467,11 +515,13 @@ def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
             assert profile.values == tuple(
                 weights[row < r].sum() / r for r in profile.radii
             )
-        if s.min_gap() > 0:
-            assert stratify(s, members, j, k) == stratify_brute(s, members, j, k)
-        else:
+        try:
+            want = stratify_brute(s, members, j, k)
+        except DegenerateInputError:
             with pytest.raises(DegenerateInputError, match="resolution scale"):
                 stratify(s, members, j, k)
+        else:
+            assert stratify(s, members, j, k) == want
 
 
 @pytest.mark.parametrize(
