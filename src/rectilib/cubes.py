@@ -158,7 +158,7 @@ def build_cubes(
                     parent=parent[n][k],
                     children=children[n][k],
                     members=tuple(sorted(space.ids[p] for p in pos.tolist())),
-                    mass=float(space.weights[pos].sum()),
+                    mass=space.mass(pos),
                 )
             )
         q, j, d = space.neighbors(level_idx[n], side)

@@ -374,7 +374,7 @@ def length_budget(
     adjacency = graph.provenance == ADJACENCY
     e_part = _seq_sum(graph.length[adjacency])
     bridge_part = _seq_sum(graph.length[~adjacency])
-    mu_e = float(space.weights[space.indices_of(target.members)].sum())
+    mu_e = space.mass(space.indices_of(target.members))
     bound_e = 10.0 * mu_e
 
     max_pairs = max(bridges.pairs_per_cube.values(), default=0)

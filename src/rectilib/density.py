@@ -167,7 +167,7 @@ def beta2(
         raise ParameterError("beta2 needs at least two points")
     idx = space.indices_of(ids)
     w = space.weights[idx]
-    mass = float(w.sum())
+    mass = space.mass(idx)
     if mass <= 0:
         raise DegenerateInputError("subset carries no mass")
     pts = space.coords[idx]
@@ -230,7 +230,7 @@ def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
         inside = np.all(
             (space.coords >= low) & (space.coords < low + side), axis=1
         )
-        cube_mass = float(space.weights[inside].sum())
+        cube_mass = space.mass(inside)
         if cube_mass <= 0:
             skipped += 1
             continue

@@ -9,7 +9,7 @@ Conventions used throughout the package:
 
 * point ids are integers; operations taking ids raise
   :class:`~rectilib.errors.UnknownIdentifierError` on unknown ones;
-* weights are nonnegative with positive total;
+* weights are nonnegative, with a positive total below ``2**1022``;
 * ties in greedy selections are broken by ascending point id, so every
   operation is deterministic.
 
@@ -31,23 +31,27 @@ A space caches what the pipeline asks for repeatedly:
   and the basepoint of :func:`enclosing_target` over every point are
   read.  A matrix space reduces its stored matrix; a coordinate space
   asks the cell pass below;
-* open-ball masses ``weights[row < r].sum()``, one array of length
-  ``n`` per radius, filled by :meth:`~MetricMeasureSpace.ball_masses`,
-  the package's only mass computation; it answers a point set as one
-  table.  The space, not the order of the calls, chooses one of two
-  fills: equal weights on coordinates are counted on the cells below,
-  and any other space finds each ball's members, from one neighbour
-  query per location below ``2 * min_gap`` and from the point's full
-  row at any other radius;
+* open-ball masses, one array of length ``n`` per radius, filled by
+  :meth:`~MetricMeasureSpace.ball_masses`, which answers a point set as
+  one table;
 * the cells of the cell pass below, cut once from every point;
 * a k-d tree over the coordinates, built only by the first neighbour
   query of a coordinate space.
 
-A coordinate space needs no full row for its summary, its small balls
-or, with equal weights, any ball.  :meth:`~MetricMeasureSpace.neighbors`
-answers "which points are closer than ``r``" for a batch of query
-points, and :meth:`~MetricMeasureSpace.dists_between` gives one row's
-entries at chosen columns.  On a coordinate space the tree
+Every mass comes from one definition.  When a space is built, each
+weight is split into nonnegative parts, one per level (:func:`_split`),
+so that a level's parts over any set of points sum exactly, in any
+order and grouping.  The mass of a set, :meth:`~MetricMeasureSpace.mass`,
+is its level sums added in level order: no order of the ids, no BLAS
+and no fill can move it.  Each backend has one ball-mass fill: a
+coordinate space sums levels over the cells below, a matrix space over
+its stored rows, a block at a time.
+
+A coordinate space needs no full row for its summary or its masses.
+:meth:`~MetricMeasureSpace.neighbors` answers "which points are closer
+than ``r``" for a batch of query points, and
+:meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
+chosen columns.  On a coordinate space the tree
 (``scipy.spatial.cKDTree``, imported and built by the first neighbour
 query, never by a matrix space, by loading a space or by the cell pass)
 is only a candidate filter: it is queried with the radius plus a pad of
@@ -57,12 +61,11 @@ the candidate columns.  Ties on lattice inputs therefore resolve exactly
 as the rows resolve them.  A matrix space answers from its stored rows.
 :meth:`~MetricMeasureSpace.neighbor_batches` gives the same answer in
 batches of a bounded number of pairs, for callers whose balls may hold
-many coincident points.  Nets, cubes, porous witnesses, the curve's
-adjacency and the gathered masses at radii below ``2 * min_gap`` are
-built on these methods.
+many coincident points.  Nets, cubes, porous witnesses and the curve's
+adjacency are built on these methods.
 
 The cell pass serves the summary, the eccentricities over a subset of
-the points and the equal-weight masses, with numpy alone.  Its cells are
+the points and the ball masses, with numpy alone.  Its cells are
 median splits of the points, or of a subset, down to ``_CELL`` points; a
 cut never separates coincident points, so a stack of them may make a
 larger cell.  The tight boxes of two cells, widened by the pad, bound
@@ -70,9 +73,7 @@ every distance between them, so a whole cell lies inside a ball, outside
 it, or straddles its boundary; only straddling cell pairs (and, for the
 summary, the pairs that may hold an eccentricity or the smallest gap)
 get distances, by the row formula, in blocks of at most ``_PAIR_BUDGET``
-pairs.  A count gives the mass only when every weight is the same: a
-pairwise sum of unequal weights in index order cannot be split across
-cells.
+pairs.  A cell inside a ball adds its level sums whole.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -150,9 +151,8 @@ class MetricMeasureSpace:
             self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
         self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
+        self._parts = np.empty((0, 0))  # weights split by level, set by _validate_common
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
-        self._equal = False  # every weight the same, set by _validate_common
-        self._count_sums: dict[int, np.float64] = {}  # point count -> ball mass
         self._tree = None  # k-d tree over coords, built by neighbor_batches
         self._all_cells = None  # the cell pass's cells of every point, built once
         self._pad = 0.0  # widens the tree's radii and the cells' bounds
@@ -226,9 +226,12 @@ class MetricMeasureSpace:
             raise ParameterError("weights must be finite")
         if np.any(self.weights < 0):
             raise ParameterError("weights must be nonnegative")
-        if self.weights.sum() <= 0:
+        if not self.weights.any():
             raise DegenerateInputError("total mass must be positive")
-        self._equal = bool(np.all(self.weights == self.weights[0]))
+        try:
+            self._parts = _split(self.weights)
+        except OverflowError:
+            raise ParameterError("total mass must be below 2**1022") from None
 
     def _validate_triangle(self) -> None:
         n = len(self.ids)
@@ -261,7 +264,16 @@ class MetricMeasureSpace:
 
     @property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        return self.mass(slice(None))
+
+    def mass(self, indices: Sequence[int] | np.ndarray | slice) -> float:
+        """The mass of the points at ``indices`` (an index array, a boolean
+        mask or a slice): exact level sums, added in level order."""
+        # _add_levels's additions on Python floats: cubes ask one mass each
+        total = 0.0
+        for level_sum in self._parts[indices].sum(axis=0).tolist():
+            total += level_sum
+        return total
 
     def index_of(self, point_id: int) -> int:
         try:
@@ -464,94 +476,41 @@ class MetricMeasureSpace:
         self, indices: Sequence[int] | np.ndarray, radii: Sequence[float]
     ) -> np.ndarray:
         """Open-ball masses of the points at ``indices`` (any order, repeats
-        allowed): ``table[a, c]`` is
-        ``weights[dists_from(indices[a]) < radii[c]].sum()``, bit for bit.
+        allowed): ``table[a, c]`` is :meth:`mass` of the points closer
+        than ``radii[c]`` to the point at ``indices[a]``.
 
-        Masses are cached per radius, one column over every point, and
-        the space chooses the fill, whatever was asked before:
-
-        * equal weights on coordinates: the radii a call finds missing
-          are counted together in one pass over the cells;
-        * any other space finds each ball's members: below twice the
-          smallest positive distance from :meth:`neighbor_batches`, asked
-          once per location, as ``weights[ascending neighbour indices]``,
-          the row mask's array; at any other radius from the point's
-          row, computed once when one of its masses is first asked for.
-
-        With every weight ``w0``, a ball of ``k`` points has mass
-        ``np.full(k, w0).sum()``, kept per ``k``: numpy's sum over a
-        fresh array of the same ``k`` values as ``weights[row < r]``, so
-        a count stands in for the gather.  A radius that is not ``> 0``
-        raises before any cache changes.
+        Masses are cached per radius, one column over every point; the
+        radii a call finds missing are filled together, by the cells on
+        coordinates and by the stored rows of a matrix.  Exact level
+        sums make both fills, in any order of the calls, give the same
+        bits.  A radius that is not ``> 0`` raises before any cache
+        changes.
         """
         bad = [r for r in radii if not r > 0]
         if bad:
             raise ParameterError(f"ball radii must be positive, got {bad[0]!r}")
         idx = np.asarray(indices, dtype=np.intp)
-        missing = [r for r in radii if r not in self._masses]
+        missing = list(dict.fromkeys(r for r in radii if r not in self._masses))
         if missing:
-            self._add_mass_columns(list(dict.fromkeys(missing)))
-        columns = [self._masses[r] for r in radii]
+            fill = self._row_sums if self.coords is None else self._cell_sums
+            for r, column in zip(missing, _add_levels(fill(missing))):
+                self._masses[r] = _read_only(column)
         table = np.empty((len(idx), len(radii)))
-        for c, column in enumerate(columns):
-            table[:, c] = column[idx]
-        waits = np.isnan(table)
-        if not waits.any():
-            return table
-        # each point still missing a mass gets one row, which fills every
-        # waiting radius (an entry already filled gets the same bits again)
-        points = np.unique(idx[waits.any(axis=1)]).tolist()
-        late = {r: col for r, col, w in zip(radii, columns, waits.any(axis=0)) if w}
-        masses = np.empty((len(points), len(late)))
-        for p, k in enumerate(points):
-            row = self.dists_from(k)
-            if self._equal:  # point counts: the sorted row holds them
-                masses[p] = np.searchsorted(np.sort(row), list(late))
-            else:
-                masses[p] = [self.weights[row < r].sum() for r in late]
-        if self._equal:
-            masses = self._count_masses(masses.astype(np.intp))
-        for column, mass in zip(late.values(), masses.T):
-            column.base[points] = mass  # a read-only view, its base is not
-        return self.ball_masses(idx, radii)
+        for c, r in enumerate(radii):
+            table[:, c] = self._masses[r][idx]
+        return table
 
-    def _add_mass_columns(self, radii: list[float]) -> None:
-        """Cache a mass column for each radius, as :meth:`ball_masses` says."""
-        if self._equal and self.coords is not None:
-            columns = [self._count_masses(c) for c in self._cell_counts(radii).T]
-        else:
-            small = 2.0 * self.min_gap()
-            columns = [
-                self._small_mass_column(r) if r < small else np.full(len(self), np.nan)
-                for r in radii
-            ]
-        for r, column in zip(radii, columns):
-            self._masses[r] = _read_only(column)
-
-    def _small_mass_column(self, r: float) -> np.ndarray:
-        """Every point's mass at a radius below ``2 * min_gap``, from
-        :meth:`neighbor_batches` asked once per location."""
-        if self.coords is not None:
-            _, first, where = np.unique(
-                self.coords, axis=0, return_index=True, return_inverse=True
-            )
-        else:
-            first = where = np.arange(len(self))
-        at = np.empty(len(first))  # mass per location
-        for batch, q, j, _ in self.neighbor_batches(first, r):
-            ends = np.searchsorted(q, np.arange(1, batch.stop - batch.start))
-            at[batch] = [self.weights[part].sum() for part in np.split(j, ends)]
-        return at[where.reshape(-1)]
-
-    def _count_masses(self, counts: np.ndarray) -> np.ndarray:
-        """The mass of a ball of each count when every weight is ``w0``:
-        ``np.full(k, w0).sum()``, computed once per count ``k``."""
-        distinct, slot = np.unique(counts, return_inverse=True)
-        for k in distinct.tolist():
-            if k not in self._count_sums:
-                self._count_sums[k] = np.full(k, self.weights[0]).sum()
-        sums = np.array([self._count_sums[k] for k in distinct.tolist()])
-        return sums[slot.reshape(counts.shape)]
+    def _row_sums(self, radii: list[float]) -> np.ndarray:
+        """``sums[c, i, k]``: the level-``k`` parts of the points closer
+        than ``radii[c]`` to point ``i``, summed from the stored matrix
+        in blocks of at most ``_PAIR_BUDGET`` entries."""
+        n = len(self)
+        sums = np.zeros((len(radii), n, self._parts.shape[1]))
+        for rs, cs in _blocks(n, n):
+            block, parts = self._matrix[rs, cs], self._parts[cs]
+            for c, r in enumerate(radii):
+                sums[c, rs] += (block < r) @ parts
+        return sums
 
     # -- the cell pass ---------------------------------------------------
     #
@@ -647,38 +606,75 @@ class MetricMeasureSpace:
                 found = min(found, np.min(d, where=d > 0, initial=math.inf))
         return ecc, float(found)
 
-    def _cell_counts(self, radii: list[float]) -> np.ndarray:
-        """``counts[i, c]``: the number of points closer than ``radii[c]``
-        to point ``i``, from the cells.
+    def _cell_sums(self, radii: list[float]) -> np.ndarray:
+        """``sums[c, i, k]``: the level-``k`` parts of the points closer
+        than ``radii[c]`` to point ``i``, summed from the cells.
 
         For a query cell A, a cell B inside a radius (upper bound below
-        it) adds its size to every count in A, and a cell outside it
-        (lower bound at or above it) adds nothing.  A cell that
-        straddles some radius is computed once against A, and each
-        radius it straddles counts ``d < r`` over its columns.
+        it) adds its own level sums to every point of A, and a cell
+        outside it (lower bound at or above it) adds nothing.  A cell
+        that straddles some radius is computed once against A, and each
+        radius it straddles adds the parts of its columns with
+        ``d < r``.
         """
         cells, lo, hi = self._cells()
-        pad = self._pad
+        pad, parts = self._pad, self._parts
         sizes = np.array([len(c) for c in cells])
+        order = np.concatenate(cells)
+        cell_sums = np.add.reduceat(parts[order], np.cumsum(sizes) - sizes)
         radii_arr = np.array(radii)
-        counts = np.zeros((len(self), len(radii)), dtype=np.intp)
+        sums = np.empty((len(radii), len(self), parts.shape[1]))
         for a, rows in enumerate(cells):
             mind, maxd = _box_bounds(lo, hi, a)
             inside = maxd[:, None] + pad < radii_arr  # (cell, radius)
             straddle = ~inside & (mind[:, None] - pad < radii_arr)
-            counts[rows] = sizes @ inside
+            sums[:, rows] = (inside.T @ cell_sums)[:, None]
             open_ = np.flatnonzero(straddle.any(axis=1))
             if not len(open_):
                 continue
             cols = np.concatenate([cells[b] for b in open_])
+            col_parts = parts[cols]
             # per radius, the block columns of the cells straddling it
             masks = np.repeat(straddle[open_], sizes[open_], axis=0).T
             for rs, cs in _blocks(len(rows), len(cols)):
                 d = self._pair_dists(rows[rs, None], cols[None, cs])
                 for c, r in enumerate(radii):
-                    part = np.compress(masks[c, cs], d, axis=1)
-                    counts[rows[rs], c] += np.count_nonzero(part < r, axis=1)
-        return counts
+                    keep = masks[c, cs]
+                    near = np.compress(keep, d, axis=1) < r
+                    sums[c, rows[rs]] += near @ col_parts[cs][keep]
+        return sums
+
+
+def _split(weights: np.ndarray) -> np.ndarray:
+    """``(n, K)`` parts, K levels adding up to each weight exactly, by
+    error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008).
+
+    A level takes ``hi = (sigma + w) - sigma`` from each remaining
+    weight, rounded down to a multiple of ``u = spacing(sigma)``; sigma
+    is the power of two just above twice the remaining total (by
+    ``math.fsum``, the same in any order).  Parts lie in ``[0, w]``, so
+    a level's sum over any subset is a multiple of ``u`` below
+    ``2**52 * u``: exact.  Levels go on until nothing remains, so tiny
+    weights beside large ones keep a positive mass.
+    """
+    rest = np.array(weights, dtype=float)
+    levels = []
+    while rest.any():
+        sigma = math.ldexp(1.0, math.frexp(math.fsum(rest))[1] + 1)
+        hi = (sigma + rest) - sigma
+        hi[hi > rest] -= np.spacing(sigma)
+        levels.append(hi)
+        rest -= hi  # exact: the remainder is below u
+    return np.stack(levels, axis=1)
+
+
+def _add_levels(sums: np.ndarray) -> np.ndarray:
+    """Masses from level sums on the last axis, added in level order."""
+    total = sums[..., 0].copy()
+    for k in range(1, sums.shape[-1]):
+        total += sums[..., k]
+    return total
 
 
 def _box_bounds(
@@ -889,17 +885,17 @@ def hausdorff_estimate(
     if not (0 < r_min < delta):
         raise ParameterError("need 0 < r_min < delta")
 
-    weights = space.weights[idx]
+    parts = space._parts[idx]
     radii = _cover_radius_grid(delta, r_min)
     uncovered = np.ones(len(members), dtype=bool)
     chosen: list[Ball] = []
     while np.any(uncovered):
-        w_unc = np.where(uncovered, weights, 0.0)
+        p_unc = np.where(uncovered[:, None], parts, 0.0)
         best_gain = 0.0
         best_c = -1
         best_r = radii[0]
         for r in radii:  # ascending: strict > keeps the smallest tied radius
-            gains = (sub < r) @ w_unc / r
+            gains = _add_levels((sub < r) @ p_unc) / r
             c = int(np.argmax(gains))  # first (smallest id) among equal gains
             if gains[c] > best_gain:
                 best_gain = float(gains[c])

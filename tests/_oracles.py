@@ -14,15 +14,45 @@ import numpy as np
 from rectilib.errors import DegenerateInputError
 
 
+def weight_levels(weights) -> list:
+    """Each weight cut into parts, one list of parts per level.
+
+    At each level the unit is ``2**-52`` times the power of two just
+    above twice the remaining total (``math.fsum``), and never below the
+    smallest subnormal; a weight's part is the weight rounded down to a
+    multiple of the unit, and what is left goes on to the next level,
+    until nothing is left.
+    """
+    rest = [float(w) for w in weights]
+    levels = []
+    while any(rest):
+        exponent = math.frexp(math.fsum(rest))[1] + 1 - 52
+        unit = math.ldexp(1.0, max(exponent, -1074))
+        level = [math.floor(w / unit) * unit for w in rest]
+        rest = [w - part for w, part in zip(rest, level)]
+        levels.append(level)
+    return levels
+
+
+def mass_of(levels, positions) -> float:
+    """Mass of the points at ``positions``: each level's parts summed by
+    ``math.fsum``, the level sums added in level order."""
+    positions = list(positions)
+    total = 0.0
+    for level in levels:
+        total += math.fsum(level[k] for k in positions)
+    return total
+
+
 def ball_mass_brute(space, center_id: int, radius: float) -> float:
     """Open-ball mass by looping over every point."""
     c = space.index_of(center_id)
-    total = 0.0
+    inside = []
     for pid in space.ids:
         k = space.index_of(pid)
         if space.dists_from(c)[k] < radius:
-            total += float(space.weights[k])
-    return total
+            inside.append(k)
+    return mass_of(weight_levels(space.weights), inside)
 
 
 def stratify_brute(space, member_ids, j: int, k: int) -> tuple:
@@ -74,6 +104,7 @@ def greedy_cover_trace(space, member_ids, delta: float, r_min: float):
     radii = sorted(radii)
 
     members = sorted(member_ids)
+    levels = weight_levels(space.weights)
     uncovered = set(members)
     chosen = []
     while uncovered:
@@ -82,10 +113,13 @@ def greedy_cover_trace(space, member_ids, delta: float, r_min: float):
             for center in members:
                 c = space.index_of(center)
                 row = space.dists_from(c)
-                gain = sum(
-                    float(space.weights[space.index_of(p)])
-                    for p in uncovered
-                    if row[space.index_of(p)] < radius
+                gain = mass_of(
+                    levels,
+                    (
+                        space.index_of(p)
+                        for p in uncovered
+                        if row[space.index_of(p)] < radius
+                    ),
                 )
                 gain /= radius
                 if gain > 0 and (best is None or gain > best[0]):
@@ -139,7 +173,7 @@ def beta2_submatrix(space, member_ids) -> float:
     ids = sorted(set(member_ids))
     idx = space.indices_of(ids)
     w = space.weights[idx]
-    mass = float(w.sum())
+    mass = mass_of(weight_levels(space.weights), idx)
     pts = space.coords[idx]
     centered = pts - (w[:, None] * pts).sum(axis=0) / mass
     moment = centered.T @ (w[:, None] * centered)
@@ -193,16 +227,18 @@ def bs_terms_brute(space, point_id: int, depth: int):
     """Dyadic diam/mass terms by explicit per-point cube membership."""
     x = space.coords[space.index_of(point_id)]
     d = len(x)
+    levels = weight_levels(space.weights)
     terms = []
     skipped = 0
     for m in range(depth + 1):
         side = 2.0**-m
         lo = [math.floor(c / side) * side for c in x]
-        mass = 0.0
+        inside = []
         for pid in space.ids:
             p = space.coords[space.index_of(pid)]
             if all(lo[i] <= p[i] < lo[i] + side for i in range(d)):
-                mass += float(space.weights[space.index_of(pid)])
+                inside.append(space.index_of(pid))
+        mass = mass_of(levels, inside)
         if mass <= 0:
             skipped += 1
         else:
@@ -245,17 +281,19 @@ def doubling_scan(space, radii) -> tuple:
     """(c_hat, evaluated, skipped, worst_center, worst_radius) by a scan
     over points in index order, then radii in the given order.
 
-    Masses are ``weights[row < r].sum()`` on each point's own row; an
-    empty inner ball is skipped, and only a strictly larger ratio
-    replaces the best, so the first largest ratio wins.
+    Masses are :func:`mass_of` the points of each point's own row
+    closer than the radius; an empty inner ball is skipped, and only a
+    strictly larger ratio replaces the best, so the first largest ratio
+    wins.
     """
+    levels = weight_levels(space.weights)
     best, center, radius = -math.inf, space.ids[0], radii[0]
     evaluated = skipped = 0
     for k, pid in enumerate(space.ids):
         row = space.dists_from(k)
         for r in radii:
-            inner = float(space.weights[row < r].sum())
-            outer = float(space.weights[row < 2.0 * r].sum())
+            inner = mass_of(levels, np.flatnonzero(row < r))
+            outer = mass_of(levels, np.flatnonzero(row < 2.0 * r))
             if inner == 0.0:
                 skipped += 1
                 continue

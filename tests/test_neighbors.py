@@ -4,10 +4,10 @@
 the pairs and the bits of the full rows they replace, on both backends,
 with duplicate points and with radii equal to a lattice distance.  Each
 converted client is held to its row-based original in ``_oracles``,
-witnesses and fallbacks included.  A default run on coordinates
-computes no full row, a run on a distance matrix computes rows only in
-its doubling stage, and only a coordinate space ever imports
-``scipy.spatial``.
+witnesses and fallbacks included.  A default run computes no full
+row, on coordinates or on a distance matrix, and only a coordinate
+space's neighbour queries import ``scipy.spatial``: its masses need no
+tree, whatever its weights.
 """
 
 import os
@@ -28,7 +28,9 @@ from _oracles import (
     c0_rows,
     cube_members_rows,
     find_porous_rows,
+    mass_of,
     verify_nets_rows,
+    weight_levels,
 )
 from rectilib.cubes import build_cubes
 from rectilib.curve import ADJACENCY, assemble_gamma, build_bridges
@@ -36,7 +38,13 @@ from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
 from rectilib.pipeline import STAGES, RunConfig
 from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
-from rectilib.space import MetricMeasureSpace, TargetSet, enclosing_target
+from rectilib.space import (
+    Ball,
+    MetricMeasureSpace,
+    TargetSet,
+    ball_members,
+    enclosing_target,
+)
 
 # a coarse value pool makes duplicate points and distance ties common
 VALUES = st.sampled_from([-3.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.0, 2.125, 6.0])
@@ -184,10 +192,12 @@ def test_one_point_queries_build_no_tree(monkeypatch):
     assert built == [2]
 
 
-def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
-    """Coincident points are asked for once per location, so 298 points
-    at one location cost three queries, not 298 balls of 298 pairs.  The
-    weights are unequal, so the masses are gathered, not counted."""
+def test_coincident_points_share_one_small_ball(pair_evals, row_calls):
+    """298 coincident points make one cell, whose box lies inside every
+    ball around them: their small balls cost no distances among them,
+    not 298 balls of 298 pairs, and no tree.  The only distances are
+    the stack's to the two other points, both ways, and those two's
+    to each other.  The weights are unequal."""
     coords = np.zeros((300, 1))
     coords[5, 0] = -0.0
     coords[-2:, 0] = [0.5, 1.0]
@@ -195,26 +205,22 @@ def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
     weights[-1] = 0.2
     space = MetricMeasureSpace.from_coords(range(300), coords, weights)
     gap = space.min_gap()
-    asked = []
-    batches = MetricMeasureSpace.neighbor_batches
-
-    def recorded(self, query_idx, r):
-        asked.extend(np.asarray(query_idx).tolist())
-        return batches(self, query_idx, r)
-
-    monkeypatch.setattr(MetricMeasureSpace, "neighbor_batches", recorded)
+    pair_evals.clear()
     masses = space.ball_masses(np.arange(300), [gap])[:, 0]
-    assert sorted(asked) == [0, 298, 299]
-    assert row_calls == {}  # min_gap counts cells, not rows
-    want = [weights[space.dists_from(k) < gap].sum() for k in range(300)]
+    assert sum(pair_evals["MetricMeasureSpace._cell_sums"]) == 2 * 298 * 2 + 2 * 2
+    assert row_calls == {} and space._tree is None
+    levels = weight_levels(weights)
+    want = [mass_of(levels, np.flatnonzero(space.dists_from(k) < gap)) for k in range(300)]
     assert np.array_equal(bits(masses), bits(want))
+    assert masses[0] == space.mass(np.arange(298)) == mass_of(levels, range(298))
 
 
 @given(clouds(dims=(1, 2, 3)), st.data())
-def test_small_radius_masses_from_neighbours_equal_row_sums(cloud, data):
+def test_small_radius_masses_equal_the_oracle_on_the_row_masks(cloud, data):
     ids, coords, weights = cloud
+    levels = weight_levels(weights)
     for space in both_backends(ids, coords, weights):
-        gap = space.min_gap()  # runs the summary: small radii use neighbors()
+        gap = space.min_gap()
         if gap == 0:
             continue
         radii = [gap / 2, gap, 2 * gap * (1 - 1e-9)]
@@ -222,25 +228,28 @@ def test_small_radius_masses_from_neighbours_equal_row_sums(cloud, data):
         for k in range(len(space)):
             row = space.dists_from(k)
             masses = space.ball_masses([k], radii)[0]
-            assert np.array_equal(
-                bits(masses), bits([weights[row < r].sum() for r in radii])
-            )
+            want = [mass_of(levels, np.flatnonzero(row < r)) for r in radii]
+            assert np.array_equal(bits(masses), bits(want))
 
 
-def test_small_radius_masses_keep_numpys_pairwise_sum():
-    """Twenty coincident points: a sequential sum of their weights is a
-    different float, so the mass must be the same numpy sum as the row's."""
+def test_small_radius_masses_do_not_depend_on_the_order_of_the_weights():
+    """Twenty coincident points: a sequential sum of their weights,
+    the same sum in ascending order and numpy's sum are three different
+    floats; the mass is the oracle's for either order of the weights."""
     coords = np.array([[0.0]] * 20 + [[1.0], [3.0]])
     weights = np.array([0.1, 0.1, 1.0 / 3.0] * 7 + [0.3])
-    for space in both_backends(range(22), coords, weights):
-        gap = space.min_gap()
-        row = space.dists_from(0)
-        want = weights[row < gap].sum()
-        assert space.ball_masses([0], [gap])[0, 0] == want
+    ascending = np.concatenate([np.sort(weights[:20]), weights[20:]])
+    sums = set()
+    for w in (weights, ascending):
         sequential = 0.0
-        for w in weights[:20]:
-            sequential += w
-        assert sequential != want
+        for x in w[:20]:
+            sequential += x
+        sums.add(sequential)
+    assert len(sums | {weights[:20].sum()}) == 3
+    want = mass_of(weight_levels(weights), range(20))
+    for w in (weights, ascending):
+        for space in both_backends(range(22), coords, w):
+            assert space.ball_masses([0], [space.min_gap()])[0, 0] == want
 
 
 # -- clients against their row-based originals ----------------------------
@@ -296,7 +305,7 @@ def assert_cubes_match(space, h):
     assert got == want
     assert tree.c0_achieved == c0_rows(space, tree)
     # a parent is the cube one level up that holds the centre; children
-    # ascend; a mass sums the members' weights in ascending point order
+    # ascend; a mass is the oracle's mass of the members
     levels = sorted(tree.by_level)
     assert all(tree.cubes[c].parent is None for c in tree.by_level[levels[0]])
     for above, n in zip(levels, levels[1:]):
@@ -306,7 +315,7 @@ def assert_cubes_match(space, h):
             assert [tree.cubes[cid].parent] == holder
     for cid, c in enumerate(tree.cubes):
         assert c.children == tuple(k for k, d in enumerate(tree.cubes) if d.parent == cid)
-        assert c.mass == float(space.weights[np.sort(space.indices_of(c.members))].sum())
+        assert c.mass == mass_of(weight_levels(space.weights), space.indices_of(c.members))
 
 
 @given(clouds(dims=(1, 2, 3), min_size=2), st.data())
@@ -442,11 +451,11 @@ def test_row_calls_keys_name_the_caller(row_calls):
     space = MetricMeasureSpace.from_coords(
         [4, 7], np.array([[0.0], [1.0]]), np.array([1.0, 2.0])
     )
-    space.ball_masses([1], [2.5])  # unequal weights, r >= 2 * min_gap: a row
+    ball_members(space, Ball(center=7, radius=2.5))
     _Probe().row(space)
     space.dists_from(1)
     assert row_calls == {
-        "MetricMeasureSpace.ball_masses": 1,
+        "ball_members": 1,
         "_Probe.row": 1,
         "test_row_calls_keys_name_the_caller": 1,
     }
@@ -465,16 +474,19 @@ def _rows_by_stage(row_calls, cfg) -> tuple:
     return len(ctx.space), by_stage
 
 
-def test_default_run_computes_full_rows_only_in_matrix_doubling(row_calls, tmp_path):
+def test_default_run_computes_no_full_row(row_calls, tmp_path):
     """Coordinates: no stage computes a row, also with a target smaller
     than the space, whose basepoint and distance to the target come from
-    sub-rows.  A distance matrix: only the doubling stage reads rows."""
-    for cfg in (
-        RunConfig(kind="lipschitz_curve", resolution=2000),
-        RunConfig(kind="interval", resolution=2000, params=HOLE),
+    sub-rows, and with unequal weights (cascade 5), whose masses come
+    from the cells.  A distance matrix: its masses read the stored
+    matrix in blocks, so no stage computes a row either."""
+    for cfg, points in (
+        (RunConfig(kind="lipschitz_curve", resolution=2000), 2000),
+        (RunConfig(kind="interval", resolution=2000, params=HOLE), 2000),
+        (RunConfig(kind="cascade", resolution=5), 1024),
     ):
         n, by_stage = _rows_by_stage(row_calls, cfg)
-        assert n == 2000
+        assert n == points
         assert by_stage == {}, cfg.kind
     space, _ = generate(GeneratorSpec("interval", 300, params=HOLE))
     matrix, weights = tmp_path / "m.csv", tmp_path / "w.csv"
@@ -483,7 +495,7 @@ def test_default_run_computes_full_rows_only_in_matrix_doubling(row_calls, tmp_p
     weights.write_text("id,weight\n" + "".join(rows))
     n, by_stage = _rows_by_stage(row_calls, RunConfig(matrix=str(matrix), weights=str(weights)))
     assert n == 300
-    assert by_stage == {"doubling": {"MetricMeasureSpace.ball_masses": n}}
+    assert by_stage == {}
 
 
 GUARD = """
@@ -511,6 +523,8 @@ load_space(matrix)
 assert not scipy_modules(), "load_space imported scipy"
 curve = RunConfig(kind="lipschitz_curve", resolution=2000)
 run_stages(curve, ("load", "validate", "doubling", "density"))
+cascade = RunConfig(kind="cascade", resolution=5)  # unequal weights
+run_stages(cascade, ("load", "validate", "doubling", "density"))
 assert not scipy_modules(), "the mass stages imported scipy"
 if sys.argv[3] == "nets":
     run_stages(curve, ("load", "validate", "doubling", "nets"))
@@ -526,9 +540,10 @@ else:
 
 
 def test_only_a_coordinate_run_imports_scipy_spatial(tmp_path):
-    """In fresh interpreters: loading a space and the mass stages import
-    no scipy; the nets import ``scipy.spatial`` and the curve's graph
-    passes ``scipy.sparse.csgraph``, each only when it runs."""
+    """In fresh interpreters: loading a space and the mass stages, with
+    equal or unequal weights, import no scipy; the nets import
+    ``scipy.spatial`` and the curve's graph passes
+    ``scipy.sparse.csgraph``, each only when it runs."""
     src = os.path.dirname(os.path.dirname(rectilib.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = [str(tmp_path / "m.csv"), str(tmp_path / "w.csv")]

@@ -211,20 +211,21 @@ def test_rows_and_caches_are_read_only():
     assert given.flags.writeable
 
 
-def test_ball_masses_match_uncached_masks_and_compute_rows_once():
+def test_ball_masses_match_uncached_masks_and_compute_no_rows():
     rng = np.random.default_rng(13)
     space = random_cloud(rng, n=25)
+    radii = [0.2, 0.4, 0.8]
+    row = space.dists_from(4)
+    want = [ball_mass_brute(space, space.ids[4], r) for r in radii]
+    assert want == [space.mass(row < r) for r in radii]
     calls = []
     original = space.dists_from
     space.dists_from = lambda k: calls.append(k) or original(k)
-    radii = [0.2, 0.4, 0.8]
     first = space.ball_masses([4], radii)[0].tolist()
-    row = original(4)
-    assert first == [float(space.weights[row < r].sum()) for r in radii]
+    assert first == want
     assert space.ball_masses([4], radii[::-1])[0].tolist() == first[::-1]
-    assert calls == [4]
     space.ball_masses([4], [1.6])
-    assert calls == [4, 4]
+    assert calls == []
     # open balls: a point at distance exactly r is outside
     line = line_space(5, spacing=1.0, weight=2.0)
     assert line.ball_masses([2], [1.0, 1.5, 2.0]).tolist() == [[2.0, 6.0, 6.0]]
@@ -275,7 +276,7 @@ def test_ball_mass_matches_brute_force():
             center = int(rng.integers(0, len(space)))
             radius = float(rng.uniform(0.05, 2.5))
             [[mass]] = space.ball_masses([space.index_of(center)], [radius])
-            assert mass == pytest.approx(ball_mass_brute(space, center, radius))
+            assert mass == ball_mass_brute(space, center, radius)
 
 
 # -- doubling estimates -------------------------------------------------

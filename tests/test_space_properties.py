@@ -2,8 +2,10 @@
 
 Rows, matrices, the cached summary and the cached ball masses must give
 the same values bit for bit whatever the backend, the id order, the
-weights and the order of the calls.  Density profiles and strata read
-the same mass cache as the doubling estimate.
+weights and the order of the calls.  Every mass is the level-sum mass
+of ``_oracles.mass_of``, which no order of the points can change.
+Density profiles and strata read the same mass cache as the doubling
+estimate.
 """
 
 import math
@@ -18,8 +20,10 @@ from _oracles import (
     basepoint_brute,
     dist_to_set_brute,
     doubling_scan,
+    mass_of,
     stratify_brute,
     summary_rows,
+    weight_levels,
 )
 from rectilib.density import density_profiles, stratify
 from rectilib.errors import DegenerateInputError, ParameterError
@@ -140,10 +144,10 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
     expected = np.array([[axis_order_distance(a, b) for b in coords] for a in coords])
     pool = [*np.unique(expected), 0.05, 1.3, 10.0]
     r = data.draw(st.sampled_from([x for x in pool if x > 0]))
-    space.min_gap()  # radii below 2 * min_gap are then filled from neighbours
+    levels = weight_levels(weights)
     for k in range(len(ids)):
         assert space.dists_from(k).tolist() == expected[k].tolist()
-        mass = float(weights[expected[k] < r].sum())
+        mass = mass_of(levels, np.flatnonzero(expected[k] < r))
         assert space.ball_masses([k], [r]).tolist() == [[mass]]
     q, j, d = space.neighbors(np.arange(len(ids)), r)
     assert space._tree is not None
@@ -156,9 +160,10 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
 def test_mass_cache_does_not_depend_on_call_order(cloud, equal, data):
     """One space is asked a mass table first, so a radius below
     ``2 * min_gap`` comes before the summary; the other is asked the
-    doubling estimate and the mass check first.  Both backends and both
-    weight modes; the index list is unordered, repeats and may be a
-    subset; every entry is the row mask's sum, bit for bit."""
+    doubling estimate and the mass check first.  Both backends, equal
+    and unequal weights; the index list is unordered, repeats and may be
+    a subset; every entry is the oracle's mass of the row mask, bit for
+    bit."""
     ids, coords, weights = cloud
     if equal:
         weights = np.full(len(ids), 0.5)
@@ -166,7 +171,8 @@ def test_mass_cache_does_not_depend_on_call_order(cloud, equal, data):
     gap = np.unique(matrix)[1] if matrix.any() else 1.0
     radii = [gap / 2, gap, 3 * gap, 0.6]
     idx = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=1))
-    want = [[weights[matrix[k] < r].sum() for r in radii] for k in idx]
+    levels = weight_levels(weights)
+    want = [[mass_of(levels, np.flatnonzero(matrix[k] < r)) for r in radii] for k in idx]
     cls = MetricMeasureSpace
     for build, source in ((cls.from_coords, coords), (cls.from_matrix, matrix)):
         first, second = build(ids, source, weights), build(ids, source, weights)
@@ -211,7 +217,7 @@ def test_doubling_estimate_is_the_first_largest_ratio_of_a_scan(cloud, data):
     """Repeated radii, radii equal to a distance, skipped pairs and tied
     ratios, with equal and unequal weights, on both backends."""
     ids, coords, weights = cloud
-    if data.draw(st.booleans()):  # every weight equal: masses from counts
+    if data.draw(st.booleans()):  # every weight equal
         w0 = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0]))
         weights = np.full(len(ids), w0)
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
@@ -247,9 +253,28 @@ def bits(values) -> list:
 # numpy's pairwise sum adds the first 7 values one by one, runs 8 lanes
 # up to 128 values and splits larger arrays in halves; a reduction may
 # also be cut into buffers of 8192.  A ball mass is checked on each side
-# of every edge, by a row (centre 0, one point per position) and by the
-# small-radius fill (radius 0.5 and 1.5 around a stack).
+# of every edge, by a row (centre 0, one point per position) and by a
+# small radius (0.5 and 1.5 around a stack): whatever numpy would do
+# there, the mass is the oracle's and does not move when its points are
+# summed in another order.
 EDGES = (7, 8, 9, 127, 128, 129)
+
+
+def assert_order_free_masses(space, levels, centres, radii) -> set:
+    """Each centre's masses are the oracle's, and :meth:`mass` of the
+    same members reversed or shuffled gives the same bits; returns the
+    ball sizes seen."""
+    rng = np.random.default_rng(0)
+    sizes = set()
+    for k in centres:
+        row = space.dists_from(k)
+        members = [np.flatnonzero(row < r) for r in radii]
+        want = [mass_of(levels, m) for m in members]
+        assert bits(space.ball_masses([k], radii)[0]) == bits(want)
+        for m, mass in zip(members, want):
+            assert space.mass(m[::-1]) == space.mass(rng.permutation(m)) == mass
+        sizes |= {len(m) for m in members}
+    return sizes
 
 
 @pytest.mark.parametrize("w0", [0.1, 1.0 / 3.0])
@@ -259,21 +284,22 @@ def test_equal_weight_masses_are_the_gathered_sums_at_pairwise_sum_edges(w0):
     )
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
     twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    levels = weight_levels(weights)
     row_radii = [k - 0.5 for k in EDGES]
+    ends = (0, len(space) - 1)
     for s in (space, twin):
-        assert s.min_gap() == 1.0  # the summary: radii below 2 are filled
-        for k in range(len(s)):
-            row = s.dists_from(k)
-            radii = [0.5, 1.5, *row_radii] if k in (0, len(s) - 1) else [0.5, 1.5]
-            want = [weights[row < r].sum() for r in radii]
-            assert bits(s.ball_masses([k], radii)[0]) == bits(want)
-        assert s._equal
+        assert s.min_gap() == 1.0
+        assert_order_free_masses(s, levels, range(len(s)), [0.5, 1.5])
+        assert_order_free_masses(s, levels, ends, row_radii)
+    radii = [0.5, 1.5, *row_radii]
+    assert bits(space.ball_masses(np.arange(len(space)), radii)) == bits(
+        twin.ball_masses(np.arange(len(space)), radii)
+    )
     sizes = {np.count_nonzero(space.dists_from(0) < r) for r in row_radii}
     first = np.searchsorted(coords[:, 0], [200 + 20 * i for i in range(len(EDGES))])
     stacked = [np.count_nonzero(space.dists_from(k) < 0.5) for k in first]
     assert sizes == set(EDGES) and tuple(stacked) == EDGES
-    # a product k * w0 or a running sum is a different float at some size
-    assert any(np.full(k, w0).sum() != k * w0 for k in EDGES)
+    # a pairwise and a running sum of the same weights differ at some size
     running = np.cumsum(np.full(max(EDGES), w0))
     assert any(np.full(k, w0).sum() != running[k - 1] for k in EDGES)
 
@@ -287,18 +313,96 @@ def test_equal_weight_masses_of_balls_past_8192_points(w0):
     assert len(space) == 9199 and space.min_gap() == 1.0
     stack = int(np.searchsorted(coords[:, 0], 500.0))
     radii = [0.5, 1.5, 450.0, 600.0, 1000.0]
-    sizes = set()
-    for k in (0, 1, stack, stack + 8199, len(space) - 1):
-        row = space.dists_from(k)
-        want = [weights[row < r].sum() for r in radii]
-        assert bits(space.ball_masses([k], radii)[0]) == bits(want)
-        sizes |= {np.count_nonzero(row < r) for r in radii}
+    centres = (0, 1, stack, stack + 8199, len(space) - 1)
+    sizes = assert_order_free_masses(space, weight_levels(weights), centres, radii)
     assert {8200, 8202, 8799, 9098, 9199} <= sizes
-    assert space._equal
+    assert space.ball_masses([0], [1000.0])[0, 0] == space.total_mass
     big = [k for k in sizes if k > 8192]
-    assert any(np.full(k, w0).sum() != k * w0 for k in big)
     running = np.cumsum(np.full(max(big), w0))
     assert any(np.full(k, w0).sum() != running[k - 1] for k in big)
+
+
+@given(clouds(masses=INEXACT, sizes=(1, 40)), st.data())
+def test_masses_do_not_depend_on_the_order_of_points_or_the_backend(cloud, data):
+    """The points listed in another order, under other ids, and asked
+    in another order of the index array; and the matrix twin: every
+    ball mass, subset mass and the total are the same bits."""
+    ids, coords, weights = cloud
+    n = len(ids)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    new_ids = data.draw(st.permutations(ids))
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    moved = MetricMeasureSpace.from_coords(new_ids, coords[perm], weights[perm])
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    where = np.argsort(perm)  # point k of space is point where[k] of moved
+    idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1)))
+    shuffled = np.array(data.draw(st.permutations(range(len(idx)))))
+    dists = np.unique(space.distance_matrix())
+    radii = [*dists[1:], *np.nextafter(dists, math.inf), 100.0]
+    table = bits(space.ball_masses(idx, radii))
+    assert bits(moved.ball_masses(where[idx], radii)) == table
+    assert bits(twin.ball_masses(idx, radii)) == table
+    assert bits(space.ball_masses(idx[shuffled], radii)) == [table[a] for a in shuffled]
+    members = np.unique(idx)
+    mass = space.mass(members)
+    assert mass == space.mass(members[::-1]) == moved.mass(where[members])
+    assert mass == twin.mass(members) == mass_of(weight_levels(weights), members)
+    assert space.total_mass == moved.total_mass == twin.total_mass
+
+
+def test_tiny_and_zero_weights_keep_their_mass():
+    """Weights from 1e-300 to 1 beside zeros: the parts are the
+    oracle's levels and add up to each weight; a ball holding only tiny
+    weights has a positive mass, one holding only zero weights has none,
+    and the ball over every point is the total."""
+    weights = np.array([1.0, 0.0, 1e-300, 3e-300, 5e-324, 0.0, 1e-200, 0.1])
+    coords = np.array([0.0, 10.0, 20.0, 20.5, 21.0, 30.0, 40.0, 50.0])[:, None]
+    levels = weight_levels(weights)
+    for space in (
+        MetricMeasureSpace.from_coords(range(8), coords, weights),
+        MetricMeasureSpace.from_matrix(
+            range(8), np.abs(coords - coords.T), weights
+        ),
+    ):
+        assert space._parts.T.tolist() == levels
+        assert [math.fsum(p) for p in space._parts] == weights.tolist()
+        masses = space.ball_masses([2, 1, 6, 0], [0.4, 1.5, 100.0])
+        assert masses[0].tolist() == [1e-300, mass_of(levels, [2, 3, 4]), space.total_mass]
+        assert 0 < 1e-300 < masses[0, 1] and masses[1, :2].tolist() == [0.0, 0.0]
+        assert masses[2, 0] == 1e-200 and masses[3, 0] == 1.0
+        assert space.total_mass == mass_of(levels, range(8)) == math.fsum(weights)
+    with pytest.raises(ParameterError, match="below 2"):
+        MetricMeasureSpace.from_coords(range(2), np.zeros((2, 1)), np.array([1e308, 1.0]))
+
+
+def test_the_split_does_not_depend_on_the_order_of_the_weights():
+    """numpy sums 0.1, 0.2, 0.3, 0.4 to 1 and the reverse to just below
+    1: a split whose unit followed such a sum would cut the same weight
+    differently in the two orders."""
+    weights = np.array([0.1, 0.2, 0.3, 0.4])
+    assert weights.sum() == 1.0 > weights[::-1].sum()
+    coords = np.arange(4.0)[:, None]
+    space = MetricMeasureSpace.from_coords(range(4), coords, weights)
+    moved = MetricMeasureSpace.from_coords(range(4), coords[::-1], weights[::-1])
+    assert space._parts.tolist() == moved._parts[::-1].tolist()
+    assert space._parts.T.tolist() == weight_levels(weights)
+
+
+def test_a_mass_adds_its_level_sums_in_level_order():
+    """Weights 1, 2**-53 and 2**-104 take one level each.  In level
+    order 1 + 2**-53 ties to 1, and 2**-104 then changes nothing; the
+    smallest first would carry past the tie (as math.fsum does) to the
+    next float up.  Every mass, on both backends, is the first."""
+    weights = np.array([1.0, 2.0**-53, 2.0**-104])
+    levels = weight_levels(weights)
+    assert len(levels) == 3 and math.fsum(weights) == 1.0 + 2.0**-52
+    for space in (
+        MetricMeasureSpace.from_coords(range(3), np.zeros((3, 1)), weights),
+        MetricMeasureSpace.from_matrix(range(3), np.zeros((3, 3)), weights),
+    ):
+        assert space._parts.T.tolist() == levels
+        assert space.ball_masses([0, 2], [1.0]).tolist() == [[1.0], [1.0]]
+        assert space.total_mass == space.mass([2, 1, 0]) == mass_of(levels, range(3)) == 1.0
 
 
 def _cell_pass_matches_the_rows(space, radii) -> None:
@@ -306,7 +410,7 @@ def _cell_pass_matches_the_rows(space, radii) -> None:
     ``space`` and with unequal ones: mass tables asked before the
     summary, first over a subset, then over every point unordered and
     with repeats, and with radii below ``2 * min_gap`` among the rest.
-    Every entry is the row mask's sum, bit for bit.  Then the summary
+    Every entry is the oracle's mass of the row mask, bit for bit.  Then the summary
     and what is read from it, and the eccentricities over every point
     but one (past 64 points, a subset cut into cells of its own),
     against the rows."""
@@ -322,9 +426,13 @@ def _cell_pass_matches_the_rows(space, radii) -> None:
     for weights in (space.weights, unequal):
         fresh = MetricMeasureSpace.from_coords(ids, coords, weights)
         twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+        levels = weight_levels(weights)
         for s in (fresh, twin):
             for idx in (subset, every):
-                want = [[weights[rows[k] < r].sum() for r in radii] for k in idx]
+                want = [
+                    [mass_of(levels, np.flatnonzero(rows[k] < r)) for r in radii]
+                    for k in idx
+                ]
                 assert bits(s.ball_masses(idx, radii)) == bits(want)
             assert s.summary()[0].tolist() == ecc
             assert s.min_gap() == gap and s.diameter() == max(ecc)
@@ -374,7 +482,7 @@ def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     assert set(pair_evals) == {
         "MetricMeasureSpace._max_dists",
         "MetricMeasureSpace._cell_summary",
-        "MetricMeasureSpace._cell_counts",
+        "MetricMeasureSpace._cell_sums",
     }
     blocks = [p for calls in pair_evals.values() for p in calls]
     # the stack's 8,200 rows against one more cell already pass the budget
@@ -423,9 +531,9 @@ def lattice_clouds(draw):
 def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data):
     """Box bounds rounded inward by half the pad, the worst the pad
     allows for, still give the rows' summary, eccentricities over a
-    subset and equal-weight masses: a rule that drops its pads fails."""
+    subset and masses: a rule that drops its pads fails."""
     n = len(coords)
-    weights = np.full(n, 0.1)
+    weights = 0.1 * (1 + np.arange(n) % 3)
     space = MetricMeasureSpace.from_coords(range(n), coords, weights)
     rows = [space.dists_from(k) for k in range(n)]
     ecc, gap = summary_rows(space)
@@ -434,7 +542,8 @@ def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data
     dists = np.unique(np.stack(rows))[1:]
     pool = [*dists, *np.nextafter(dists, math.inf), 100.0]
     radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
-    want = [[weights[row < r].sum() for r in radii] for row in rows]
+    levels = weight_levels(weights)
+    want = [[mass_of(levels, np.flatnonzero(row < r)) for r in radii] for row in rows]
     half, box_bounds = space._pad / 2, space_module._box_bounds
 
     def rounded(lo, hi, a):
@@ -508,12 +617,13 @@ def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
     members = data.draw(st.lists(st.sampled_from(ids), unique=True))
     j = data.draw(st.sampled_from([1, 2, 4, 16]))
     k = data.draw(st.sampled_from([1, 2, 8]))
+    levels = weight_levels(weights)
     for s in (space, twin):
         for pid in ids:
             row = matrix[s.index_of(pid)]
             profile = density_profiles(s, [pid], r_lo, r_hi)[0]
             assert profile.values == tuple(
-                weights[row < r].sum() / r for r in profile.radii
+                mass_of(levels, np.flatnonzero(row < r)) / r for r in profile.radii
             )
         try:
             want = stratify_brute(s, members, j, k)
