@@ -269,6 +269,7 @@ def _shadow(ctx):
         "antichain": len(shadow.maximal),
         "mapped": sum(1 for r in shadow.records if r.shadow is not None),
         "failures": len(shadow.failures),
+        "failures_per_level": _per_level(ctx.tree, shadow.failures),
         "b_observed": shadow.b_observed,
         "c0_used": shadow.c0_used,
         "ok": shadow.ok,

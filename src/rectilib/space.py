@@ -86,6 +86,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -1038,20 +1039,37 @@ def save_csv(space: MetricMeasureSpace, path: str) -> None:
             writer.writerow([pid] + [repr(float(v)) for v in xs] + [repr(float(w))])
 
 
+def _finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_json(path: str) -> MetricMeasureSpace:
-    """Point cloud from JSON: a list of {id, coords, weight} records."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Point cloud from JSON: a list of {id, coords, weight} records.
+
+    An id is an integer, coords a list of as many numbers as the first
+    record's and a weight a number, each number a finite float (true and
+    false are not numbers), or :class:`InputError` names the record."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a nonempty list of point records")
     ids, coords, weights = [], [], []
-    for rec in data:
-        try:
-            ids.append(int(rec["id"]))
-            coords.append([float(v) for v in rec["coords"]])
-            weights.append(float(rec["weight"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad point record {rec!r} ({exc})") from None
+    for k, rec in enumerate(data):
+        fields = rec if isinstance(rec, dict) else {}
+        pid, xs, w = (fields.get(f) for f in ("id", "coords", "weight"))
+        if not (type(pid) is int and type(xs) is list
+                and len(xs) == len(coords[0] if coords else xs)
+                and all(map(_finite, xs + [w]))):
+            raise InputError(
+                f"{path}: bad point record {k} {rec!r} (expected an integer id,"
+                " coords as many finite numbers as record 0's, a finite weight)"
+            )
+        ids.append(pid)
+        coords.append([float(v) for v in xs])
+        weights.append(float(w))
     return MetricMeasureSpace.from_coords(
         ids, np.array(coords), np.array(weights)
     )

@@ -383,6 +383,24 @@ class _UnionFind:
         return True
 
 
+def graph_dist_brute(vertices, edges):
+    """Graph distances of the tuple graph by Floyd–Warshall:
+    ``dist[i][j]`` between ``vertices[i]`` and ``vertices[j]``, inf
+    between components."""
+    n = len(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    dist = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for (u, v), length in edges.items():
+        i, j = pos[u], pos[v]
+        dist[i][j] = dist[j][i] = min(dist[i][j], length)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] + dist[k][j] < dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    return dist
+
+
 def tour_brute(vertices, edges):
     """(visits, ts, lip_bound, tree_length) of a connected graph.
 

@@ -4,19 +4,23 @@ Small random graphs over 4-integer vertex keys (negative and large ids
 included) with integer-heavy lengths, so equal-length ties are common,
 and with several components and isolated vertices.  Components,
 representatives, the spanning-tree tour and the edge list must equal
-what the tuple-keyed implementation gives, bit for bit.
+what the tuple-keyed implementation gives, bit for bit.  A tour the
+Lipschitz check passes, honest or tampered with, keeps every pair of
+visits within the bound under the oracle's graph distances.
 """
 
 import csv
+import dataclasses
 import itertools
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import components_brute, tour_brute
+from _oracles import components_brute, graph_dist_brute, tour_brute
 from rectilib.curve import (
     ADJACENCY,
     E_ADJACENCY,
@@ -27,7 +31,7 @@ from rectilib.curve import (
     key_str,
     parametrize,
 )
-from rectilib.errors import DisconnectedError
+from rectilib.errors import DisconnectedError, ParameterError
 
 IDS = st.sampled_from([-(2**62), -7, -1, 0, 1, 3, 2**40, 2**62])
 KEYS = st.tuples(st.sampled_from([0, 1]), IDS, IDS, st.sampled_from([0, 1]))
@@ -91,8 +95,54 @@ def test_connectivity_and_tour_match_the_tuple_oracle(case):
     assert param.ts.tolist() == list(ts)
     assert param.lip_bound == lip_bound
     assert param.tree_length == tree_length
-    check = check_parametrization(param, graph, sample_pairs=400)
+    check = check_parametrization(param, graph)
     assert check.surjective and check.ok
+
+
+# where a moved time lands between its neighbours' times
+SHARES = st.sampled_from([0.0, 1e-3, 0.5, 1 - 1e-3, 1.0])
+
+
+@settings(max_examples=150)
+@given(graphs(), st.data())
+def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
+    """Tours are the honest one, or it with a run of visits dropped and
+    the times respaced evenly, then one visit sent to any vertex, then
+    one time moved between its neighbours'.  Whenever the check passes,
+    each pair of visits has graph distance at most
+    ``lip_bound * (1 + 1e-9)`` times its gap."""
+    keys, edges = case
+    graph = BridgeGraph.from_edges(edges, vertices=keys)
+    try:
+        param = parametrize(graph)
+    except DisconnectedError:
+        return
+    visits, ts = param.visits, param.ts.copy()
+    if len(visits) >= 3 and data.draw(st.booleans(), label="drop"):
+        i = data.draw(st.integers(1, len(visits) - 2), label="first dropped")
+        j = data.draw(st.integers(i + 1, len(visits) - 1), label="kept again")
+        visits = np.delete(visits, np.arange(i, j))
+        ts = np.linspace(0.0, 1.0, len(visits))
+    if data.draw(st.booleans(), label="jump"):
+        i = data.draw(st.integers(0, len(visits) - 1), label="jumps")
+        visits = visits.copy()
+        visits[i] = data.draw(st.integers(0, len(keys) - 1), label="to")
+    if len(visits) >= 3 and data.draw(st.booleans(), label="retime"):
+        i = data.draw(st.integers(1, len(visits) - 2), label="retimed")
+        ts[i] = ts[i - 1] + data.draw(SHARES) * (ts[i + 1] - ts[i - 1])
+    tour = dataclasses.replace(param, visits=visits, ts=ts)
+    try:
+        check = check_parametrization(tour, graph)
+    except ParameterError:
+        return  # a step that is not an edge
+    if not check.ok:
+        return
+    vertices, as_dict = oracle_form(keys, edges)
+    dist = graph_dist_brute(vertices, as_dict)
+    bound = param.lip_bound * (1 + 1e-9)
+    for a, b in itertools.combinations(range(len(visits)), 2):
+        d = dist[visits[a]][visits[b]]
+        assert d == 0 or d <= bound * (ts[b] - ts[a]), (a, b)
 
 
 @given(graphs())

@@ -529,21 +529,22 @@ assert not scipy_modules(), "the mass stages imported scipy"
 if sys.argv[3] == "nets":
     run_stages(curve, ("load", "validate", "doubling", "nets"))
     assert "scipy.spatial" in sys.modules, "the nets built no tree"
-    assert "scipy.sparse.csgraph" not in sys.modules, "the nets imported csgraph"
 else:
-    run_pipeline(matrix)
-    assert "scipy.sparse.csgraph" in sys.modules, "a matrix run had no graph pass"
-    assert "scipy.spatial" not in sys.modules, "a matrix run imported scipy.spatial"
+    report, _, _ = run_pipeline(matrix)
+    assert report["param_check"]["surjective"], "a matrix run had no tour"
+    assert not scipy_modules(), "a matrix run imported scipy"
     run_pipeline(RunConfig(kind="interval", resolution=300))
     assert "scipy.spatial" in sys.modules, "a coordinate run built no tree"
+    # scipy.spatial loads scipy.sparse itself, but never its csgraph
+    assert "scipy.sparse.csgraph" not in sys.modules, "a run imported csgraph"
 """
 
 
 def test_only_a_coordinate_run_imports_scipy_spatial(tmp_path):
     """In fresh interpreters: loading a space and the mass stages, with
-    equal or unequal weights, import no scipy; the nets import
-    ``scipy.spatial`` and the curve's graph passes
-    ``scipy.sparse.csgraph``, each only when it runs."""
+    equal or unequal weights, import no scipy, and neither does a whole
+    run on a distance matrix; the nets of a coordinate space import
+    ``scipy.spatial``, and no run imports ``scipy.sparse.csgraph``."""
     src = os.path.dirname(os.path.dirname(rectilib.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = [str(tmp_path / "m.csv"), str(tmp_path / "w.csv")]

@@ -15,6 +15,7 @@ from rectilib.errors import (
 )
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import build_nets
+from rectilib.pipeline import RunConfig, run_stages
 from rectilib.porosity import (
     AppendixConstants,
     PorosityConfig,
@@ -411,3 +412,22 @@ def test_shadow_map_empty_porous_family():
     assert report.b_observed == 0
     assert report.failures == ()
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "resolution, expected", [(1000, {"2": 19}), (4000, {"2": 18})]
+)
+def test_shadow_counts_its_failures_per_level(resolution, expected):
+    """The README's interval run with one hole: the porous cubes whose
+    witness finds no shadow, counted per level as porous counts its
+    cubes."""
+    cfg = RunConfig(
+        kind="interval", resolution=resolution, params={"holes": [(0.4, 0.6)]}
+    )
+    stages = ("load", "validate", "doubling", "nets", "cubes", "porous", "shadow")
+    ctx, report = run_stages(cfg, stages)[:2]
+    section = report["shadow"]
+    assert section["failures_per_level"] == expected
+    assert sum(expected.values()) == section["failures"]
+    levels = Counter(str(ctx.tree.cubes[c].level) for c in ctx.shadow.failures)
+    assert levels == expected

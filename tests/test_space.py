@@ -504,6 +504,42 @@ def test_load_json_round_trip(tmp_path):
         load_json(str(bad))
 
 
+GOOD_RECORD = '{"id": 0, "coords": [0.0, 1.0], "weight": 1.0}'
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ('{"id": 1, "coo', "not valid JSON"),
+        ('{"id": 1, "coords": [1.0], "weight": 1.0}', "record 1"),
+        ('{"id": 1.5, "coords": [1.0, 0.0], "weight": 1.0}', "record 1"),
+        ('{"id": true, "coords": [1.0, 0.0], "weight": 1.0}', "record 1"),
+        ('{"id": 1, "coords": "12", "weight": 1.0}', "record 1"),
+        ('{"id": 1, "coords": [1.0, false], "weight": 1.0}', "record 1"),
+        ('{"id": 1, "coords": [1.0, 0.0], "weight": "1.0"}', "record 1"),
+        ('{"id": 1, "coords": [1%s, 0.0], "weight": 1.0}' % ("0" * 400), "record 1"),
+        ('[1, [1.0, 0.0], 1.0]', "record 1"),
+    ],
+    ids=[
+        "truncated", "ragged", "float-id", "bool-id", "string-coords",
+        "bool-coord", "string-weight", "coord-past-float", "not-an-object",
+    ],
+)
+def test_malformed_json_is_an_input_error(tmp_path, second, message):
+    """A malformed file exits 2 with the record named, not with a
+    traceback; the same file with two good records loads."""
+    good = tmp_path / "good.json"
+    good.write_text(f"[{GOOD_RECORD}, {GOOD_RECORD.replace('0', '1', 1)}]")
+    assert load_json(str(good)).ids == (0, 1)
+    assert main(["gen", "--input", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[{GOOD_RECORD}, {second}]")
+    with pytest.raises(InputError, match=message):
+        load_json(str(bad))
+    assert main(["gen", "--input", str(bad)]) == 2
+    assert main(["run", "--input", str(bad)]) == 2
+
+
 def test_load_matrix(tmp_path):
     mpath = tmp_path / "dist.csv"
     mpath.write_text("0.0,1.0\n1.0,0.0\n")

@@ -10,6 +10,11 @@ package; tests do not count.  Matching is by name only, so a method
 shares its uses with every attribute of the same name: the check misses
 some dead code, but whatever it reports is dead.  A public name may be
 kept for a reason given in ``KEEP``; a private one never is.
+
+The same walk fails on a module-level import (also one under a
+top-level ``if`` or ``try``) whose name no ``Name`` node of its own
+module reads; names listed in the module's ``__all__`` are exempt, and
+so are ``__future__`` imports.
 """
 
 import ast
@@ -86,3 +91,60 @@ def test_every_public_definition_is_used_by_the_package():
 
 def test_every_private_definition_is_used_by_the_package():
     assert [qual for qual in unreferenced(PACKAGE) if private(qual)] == []
+
+
+def module_imports(body: list) -> list:
+    """Import statements among these statements, descending into
+    ``if`` and ``try`` blocks but not into functions or classes."""
+    out = []
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.append(node)
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in ("body", "orelse", "finalbody"):
+                out += module_imports(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                out += module_imports(handler.body)
+    return out
+
+
+def exported(tree: ast.Module) -> set:
+    """The string entries of a module's ``__all__`` list."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in getattr(node.value, "elts", [])
+        if isinstance(elt, ast.Constant)
+    }
+
+
+def unused_imports(package: Path) -> list[str]:
+    """``module.name`` of each module-level import its module never reads."""
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= exported(tree)
+        for node in module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    dead.append(f"{path.stem}.{name}")
+    return dead
+
+
+def test_every_module_level_import_is_read():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_an_injected_unused_import_is_reported(tmp_path):
+    source = (PACKAGE / "curve.py").read_text()
+    (tmp_path / "curve.py").write_text("import math\n" + source)
+    (tmp_path / "__init__.py").write_text(
+        "from .curve import parametrize\n__all__ = ['parametrize']\n"
+    )
+    assert unused_imports(tmp_path) == ["curve.math"]
