@@ -9,9 +9,9 @@ builds the one graph, the curve: target points, short-range adjacency
 and the bridges.  Parametrization doubles a minimum-length tree through
 every vertex (Kruskal) into a closed tour, giving an explicitly
 Lipschitz surjection onto the vertex set.  :func:`check_parametrization`
-certifies it exactly: by the triangle and mediant inequalities a tour
-along edges is Lipschitz when each step is, its time gap widened by
-2**-51 for the three roundings of 2**-53 behind it.
+checks every step: an edge, no longer than the bound times its time gap
+plus 2**-51 for three roundings of 2**-53; visits m steps apart are then
+within the bound times their gap plus ``m * 2**-51``.
 
 A :class:`BridgeGraph` is integer arrays, and a vertex is its position.
 :func:`assemble_gamma` puts the ground points (target members and
@@ -478,8 +478,8 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     visits, steps = _euler_tour(
         n, 0, graph.src[tree], graph.dst[tree], graph.length[tree]
     )
-    total = float(sum(steps))
     cum = np.concatenate(([0.0], np.cumsum(steps)))
+    total = float(cum[-1])  # the same sum as cum, so the last time is 1
     visits = np.array(visits, dtype=np.int64)
     ts = cum / total if total else cum  # one vertex: no steps, time 0
     _readonly(visits, ts)
@@ -526,15 +526,16 @@ class ParamCheck:
 def check_parametrization(
     param: CurveParametrization, graph: BridgeGraph
 ) -> ParamCheck:
-    """Surjectivity and the Lipschitz bound of a tour, both exact.
+    """Surjectivity and the Lipschitz bound of a tour, on every step.
 
-    Each step, visits k and k + 1, must be an edge; by the mediant
-    inequality no pair of visits then has a larger ratio than the worst
-    step, ``max_ratio = length_k / (t_{k+1} - t_k + 2**-51)`` at witness
-    ``(k, k + 1)``, where 2**-51 covers the rounding of two times in
-    [0, 1] and of their difference, 2**-53 each.  A visit off the graph,
-    a step off its edges, other than one time per visit, or times that
-    fall or leave [0, 1] raise :class:`ParameterError`.
+    Each step, visits k and k + 1, must be an edge.  ``max_ratio`` is the
+    largest ``length_k / (t_{k+1} - t_k + 2**-51)``, witness ``(k, k + 1)``:
+    2**-51 covers the rounding of two times in [0, 1] and of their gap.
+    A pass bounds d(v_a, v_b), a < b, by the triangle inequality, to
+    ``lip_bound * (1 + 1e-9) * (t_b - t_a + (b - a) * 2**-51)`` up to a
+    few ulps; the 2**-51 per step adds up.  A visit off the graph, a step
+    off its edges, other than one time per visit, or times that fall or
+    leave [0, 1] raise :class:`ParameterError`.
     """
     pos = np.asarray(param.visits)
     ts = np.asarray(param.ts, dtype=float)

@@ -1046,9 +1046,8 @@ def _finite(value) -> bool:
 def load_json(path: str) -> MetricMeasureSpace:
     """Point cloud from JSON: a list of {id, coords, weight} records.
 
-    An id is an integer, coords a list of as many numbers as the first
-    record's and a weight a number, each number a finite float (true and
-    false are not numbers), or :class:`InputError` names the record."""
+    Ids are integers, coords lists as long as record 0's, and every number
+    a finite float, not a bool; else :class:`InputError` names the record."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -7,6 +7,7 @@ distances, so a bug in the library cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -441,9 +442,9 @@ def tour_brute(vertices, edges):
                 back = stack[-1][0]
                 visits.append(back)
                 lengths.append(next(w for c, w in tree_adj[node] if c == back))
-    total = float(sum(lengths))
-    cum = np.concatenate(([0.0], np.cumsum(lengths)))
-    ts = tuple(float(t) for t in cum / total)
+    cum = list(itertools.accumulate(lengths, initial=0.0))
+    total = cum[-1]
+    ts = tuple(t / total for t in cum)
     return tuple(visits), ts, total, tree_length
 
 

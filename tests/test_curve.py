@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from rectilib import curve
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
     ADJACENCY,
@@ -571,6 +572,49 @@ def test_check_parametrization_accepts_the_honest_tour():
     assert check.lipschitz_ok and check.ok
     assert check.max_ratio <= param.lip_bound * (1 + 1e-9)
     assert check.max_ratio == pytest.approx(param.lip_bound, rel=1e-9)
+
+
+def test_the_last_time_is_one_whatever_sum_the_builtins_do(monkeypatch):
+    """The tour's steps 0.1, 0.2, 0.3, 0.3, 0.2, 0.1 add up to
+    1.2000000000000002 left to right but to 1.2 compensated, as the
+    builtin ``sum`` of Python 3.12 adds them; the times and the bound
+    come from one left-to-right sum, so the tour still ends at 1."""
+    monkeypatch.setattr(curve, "sum", math.fsum, raising=False)
+    path = [ground_key(i) for i in range(4)]
+    graph = BridgeGraph.from_edges(
+        [
+            (path[i], path[i + 1], length, ADJACENCY)
+            for i, length in enumerate([0.1, 0.2, 0.3])
+        ]
+    )
+    param = parametrize(graph)
+    assert visit_keys(graph, param) == path + path[-2::-1]
+    assert math.fsum([0.1, 0.2, 0.3] * 2) == 1.2
+    assert param.lip_bound == 1.2000000000000002
+    assert param.ts[-1] == 1.0
+    assert check_parametrization(param, graph).ok
+
+
+def test_a_passed_tour_is_within_the_bound_plus_2_51_per_step():
+    """One edge of 2**50 and five of 1: the bound is 2**51 + 10, so a
+    step of 1 passes with no time at all.  The forward walk over the
+    short edges at one time passes the check; its ends are 5 apart at
+    time gap 0, within ``lip_bound * (1 + 1e-9) * 5 * 2**-51`` and no
+    tighter bound."""
+    path = [ground_key(i) for i in range(7)]
+    graph = BridgeGraph.from_edges(
+        [(path[0], path[1], 2.0**50, ADJACENCY)]
+        + [(path[i], path[i + 1], 1.0, ADJACENCY) for i in range(1, 6)]
+    )
+    param = parametrize(graph)
+    assert param.lip_bound == 2.0**51 + 10
+    ts = param.ts.copy()
+    ts[2:7] = ts[1]  # visits 1..6 walk g:1 .. g:6
+    squeezed = dataclasses.replace(param, ts=ts)
+    assert check_parametrization(squeezed, graph).ok
+    d, gap = 5.0, ts[6] - ts[1]
+    assert gap == 0 and d > param.lip_bound * gap
+    assert d <= param.lip_bound * (1 + 1e-9) * (gap + 5 * 2.0**-51)
 
 
 def test_check_parametrization_catches_time_warp():

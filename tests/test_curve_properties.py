@@ -6,7 +6,8 @@ and with several components and isolated vertices.  Components,
 representatives, the spanning-tree tour and the edge list must equal
 what the tuple-keyed implementation gives, bit for bit.  A tour the
 Lipschitz check passes, honest or tampered with, keeps every pair of
-visits within the bound under the oracle's graph distances.
+visits within the bound, plus 2**-51 per step between them, under the
+oracle's graph distances.
 """
 
 import csv
@@ -109,8 +110,8 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
     """Tours are the honest one, or it with a run of visits dropped and
     the times respaced evenly, then one visit sent to any vertex, then
     one time moved between its neighbours'.  Whenever the check passes,
-    each pair of visits has graph distance at most
-    ``lip_bound * (1 + 1e-9)`` times its gap."""
+    visits a < b have graph distance at most ``lip_bound * (1 + 1e-9)``
+    times their gap plus ``(b - a) * 2**-51``."""
     keys, edges = case
     graph = BridgeGraph.from_edges(edges, vertices=keys)
     try:
@@ -128,7 +129,9 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
         visits = visits.copy()
         visits[i] = data.draw(st.integers(0, len(keys) - 1), label="to")
     if len(visits) >= 3 and data.draw(st.booleans(), label="retime"):
-        i = data.draw(st.integers(1, len(visits) - 2), label="retimed")
+        k = data.draw(st.integers(1, len(visits) - 2), label="retimed")
+        # counted from either end, so both end steps are often moved
+        i = len(visits) - 1 - k if data.draw(st.booleans(), label="back") else k
         ts[i] = ts[i - 1] + data.draw(SHARES) * (ts[i + 1] - ts[i - 1])
     tour = dataclasses.replace(param, visits=visits, ts=ts)
     try:
@@ -142,7 +145,7 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
     bound = param.lip_bound * (1 + 1e-9)
     for a, b in itertools.combinations(range(len(visits)), 2):
         d = dist[visits[a]][visits[b]]
-        assert d == 0 or d <= bound * (ts[b] - ts[a]), (a, b)
+        assert d <= bound * (ts[b] - ts[a] + (b - a) * 2.0**-51), (a, b)
 
 
 @given(graphs())
