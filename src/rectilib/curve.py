@@ -5,13 +5,14 @@ two abstract lifted vertices, every edge as long as dist(x, y).  Each
 porous cube contributes bridges from its center to the net points near
 it: a star that joins them through the center.  :func:`build_bridges`
 returns the pairs as a :class:`Bridges` record; :func:`assemble_gamma`
-builds the one graph, the curve: target points, short-range adjacency
-and the bridges.  Parametrization doubles a minimum-length tree through
-every vertex (Kruskal) into a closed tour, giving an explicitly
-Lipschitz surjection onto the vertex set.  :func:`check_parametrization`
-checks every step: an edge, no longer than the bound times its time gap
-plus 2**-51 for three roundings of 2**-53; visits m steps apart are then
-within the bound times their gap plus ``m * 2**-51``.
+builds the one graph, the curve: target points, the minimum spanning
+forest of their short-range adjacency, and the bridges.
+Parametrization doubles a minimum-length tree through every vertex
+(Kruskal) into a closed tour, giving an explicitly Lipschitz surjection
+onto the vertex set.  :func:`check_parametrization` checks every step:
+an edge, no longer than the bound times its time gap plus 2**-51 for
+three roundings of 2**-53; visits m steps apart are then within the
+bound times their gap plus ``m * 2**-51``.
 
 A :class:`BridgeGraph` is integer arrays, and a vertex is its position.
 :func:`assemble_gamma` puts the ground points (target members and
@@ -45,7 +46,7 @@ from .cubes import CubeTree
 from .errors import DisconnectedError, ParameterError
 from .nets import NetHierarchy
 from .porosity import PorosityConfig, PorousCube
-from .space import MetricMeasureSpace, TargetSet, linear_mass_check
+from .space import MetricMeasureSpace, TargetSet, linear_mass_check, seq_sum
 
 VKey = tuple[int, int, int, int]
 
@@ -102,11 +103,6 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return ranked[new], inverse
-
-
-def _seq_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, the order ``total += x`` would use."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +233,13 @@ def assemble_gamma(
 ) -> BridgeGraph:
     """The curve graph: target points, short-range adjacency, bridges.
 
-    Ground vertices are the target members plus every bridge endpoint;
-    each ground pair strictly closer than eps_res gains an adjacency
-    edge of their distance.  Coincident pairs are skipped (an edge of
+    Ground vertices are the target members plus every bridge endpoint.
+    The adjacency edges are the minimum spanning forest, under the
+    strict order (length, a, b), of the ground pairs strictly closer
+    than eps_res, each as long as their distance.  A pair left out is
+    the longest edge of a cycle of such pairs, so it is in no minimum
+    tree of the whole graph either: :func:`parametrize` builds the same
+    tree with or without it.  Coincident pairs are skipped (an edge of
     length zero carries no metric information).  Vertices are numbered
     as the module docstring states.
     """
@@ -264,18 +264,22 @@ def assemble_gamma(
     keys[n_ground + 1 :: 2, 3] = 1
 
     idx = space.indices_of(ground_ids.tolist())
-    # adjacency edges: positions a < b in ground_ids (ground ids ascend,
-    # so h > g is b > a), by ascending (a, b), and lengths
+    # adjacency pairs: positions a < b in ground_ids (ground ids ascend,
+    # so h > g is b > a) and lengths
     position = np.full(len(space), -1, dtype=np.intp)
     position[idx] = np.arange(len(idx))
     adjacency = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
     for batch, a, j, d in space.neighbor_batches(idx, eps_res):
         a, b = a + batch.start, position[j]
         keep = (b > a) & (d > 0)  # coincident pairs are dropped batch by batch
-        a, b, d = a[keep], b[keep], d[keep]
-        order = np.lexsort((b, a))
-        adjacency.append((a[order], b[order], d[order]))
+        adjacency.append((a[keep], b[keep], d[keep]))
     adj_a, adj_b, adj_d = (np.concatenate(part) for part in zip(*adjacency))
+    # the forest, ranked as parametrize ranks the whole graph, then
+    # listed by ascending (a, b)
+    ranked = np.lexsort((adj_b, adj_a, adj_d))
+    forest = ranked[_kruskal(n_ground, adj_a[ranked], adj_b[ranked])[0]]
+    forest = forest[np.lexsort((adj_b[forest], adj_a[forest]))]
+    adj_a, adj_b, adj_d = adj_a[forest], adj_b[forest], adj_d[forest]
     return BridgeGraph(
         keys=keys,
         src=np.concatenate([bridge_src, adj_a]),
@@ -352,14 +356,14 @@ def length_budget(
     and its limit.
     """
     adjacency = graph.provenance == ADJACENCY
-    e_part = _seq_sum(graph.length[adjacency])
-    bridge_part = _seq_sum(graph.length[~adjacency])
+    e_part = seq_sum(graph.length[adjacency])
+    bridge_part = seq_sum(graph.length[~adjacency])
     mu_e = space.mass(space.indices_of(target.members))
     bound_e = 10.0 * mu_e
 
     max_pairs = max(bridges.pairs_per_cube.values(), default=0)
     c_pair = 3.0 * 2.0 * cfg.M * max_pairs
-    sum_l = sum(tree.cubes[p.cube].sidelength for p in porous)
+    sum_l = seq_sum([tree.cubes[p.cube].sidelength for p in porous])
     bound_bridge = c_pair * sum_l
 
     r_hi = space.diameter() / 4
@@ -474,7 +478,7 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
             f"graph has {components} components", components=components
         )
     tree = ranked[taken]  # tree edges, in Kruskal order
-    tree_length = _seq_sum(graph.length[tree])
+    tree_length = seq_sum(graph.length[tree])
     visits, steps = _euler_tour(
         n, 0, graph.src[tree], graph.dst[tree], graph.length[tree]
     )

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedMetricError,
 )
-from .space import MetricMeasureSpace, dyadic_radii
+from .space import MetricMeasureSpace, dyadic_radii, seq_sum
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
     return BsSumResult(
         point=x,
         depth=depth,
-        value=float(sum(terms)),
+        value=seq_sum(terms),
         skipped=skipped,
         terms=tuple(terms),
     )

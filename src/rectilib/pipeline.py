@@ -287,7 +287,8 @@ def _carleson(ctx):
         "C1": constants.C1,
         "a": constants.a,
         "b": constants.b,
-        "skipped": carleson.skipped,
+        "skipped": len(carleson.skipped),
+        "skipped_per_level": _per_level(ctx.tree, carleson.skipped),
         "ok": carleson.ok,
     }, None if carleson.ok else (
         f"carleson: worst ratio {carleson.worst_ratio} exceeds {constants.C1}"

@@ -190,7 +190,7 @@ class CarlesonReport:
     worst_ratio: float
     worst_cube: int | None
     constants: AppendixConstants
-    skipped: int  # zero-mass cubes left out
+    skipped: tuple[int, ...]  # zero-mass cubes left out, by id
     ok: bool
 
 
@@ -210,7 +210,7 @@ def carleson_check(
     porous_ids = {p.cube for p in porous}
     packed = [0.0] * len(tree.cubes)
     ratios: dict[int, float] = {}
-    skipped = 0
+    skipped: list[int] = []
     worst = -math.inf
     worst_cube: int | None = None
     for n in sorted(tree.by_level, reverse=True):
@@ -221,7 +221,7 @@ def carleson_check(
                 total += packed[child]
             packed[cid] = total
             if cube.mass <= 0:
-                skipped += 1
+                skipped.append(cid)
                 continue
             ratios[cid] = total / cube.mass
             if ratios[cid] > worst:
@@ -234,7 +234,7 @@ def carleson_check(
         worst_ratio=worst,
         worst_cube=worst_cube,
         constants=constants,
-        skipped=skipped,
+        skipped=tuple(skipped),
         ok=worst <= constants.C1,
     )
 

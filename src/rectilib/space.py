@@ -111,6 +111,15 @@ _PAIR_BUDGET = 1 << 18
 _CELL = 64
 
 
+def seq_sum(values) -> float:
+    """Left-to-right float sum, the order ``total += x`` would use.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12, so
+    every float total of a report goes through here instead.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (no copy; the input keeps its flags)."""
     view = array.view()
@@ -914,10 +923,10 @@ def hausdorff_estimate(
         uncovered[sub[best_c] < best_r] = False
         uncovered[best_c] = False  # the center itself is always at distance 0
 
-    upper = float(sum(2.0 * b.radius for b in chosen))
+    upper = seq_sum([2.0 * b.radius for b in chosen])
     kept = vitali_subcover(space, chosen)
     lower_balls = tuple(chosen[j] for j in kept)
-    lower = float(sum(2.0 * b.radius for b in lower_balls)) / 5.0
+    lower = seq_sum([2.0 * b.radius for b in lower_balls]) / 5.0
     return HausdorffEstimate(
         upper=upper,
         lower=lower,
@@ -986,11 +995,19 @@ def linear_mass_check(
 # -- IO ----------------------------------------------------------------
 
 
-def _parse_id(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"point id {raw!r} is not an integer") from None
+def _parse_number(raw: str, where: str, kind: type = float):
+    """``kind(raw)`` for a CSV field; ``where`` names it as ``path:line``.
+
+    Python's ``int`` and ``float`` also read digit-group underscores
+    (``1_0`` as 10) and non-ASCII digits, which no CSV writer means.
+    """
+    if "_" not in raw and raw.isascii():
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise InputError(f"{where}: {raw!r} is not {noun}")
 
 
 def load_csv(path: str) -> MetricMeasureSpace:
@@ -1013,14 +1030,12 @@ def load_csv(path: str) -> MetricMeasureSpace:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}:{lineno}"
             if len(row) != dim + 2:
-                raise InputError(f"{path}:{lineno}: expected {dim + 2} fields")
-            ids.append(_parse_id(row[0]))
-            try:
-                coords.append([float(v) for v in row[1:-1]])
-                weights.append(float(row[-1]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+                raise InputError(f"{where}: expected {dim + 2} fields")
+            ids.append(_parse_number(row[0], where, int))
+            coords.append([_parse_number(v, where) for v in row[1:-1]])
+            weights.append(_parse_number(row[-1], where))
     if not ids:
         raise InputError(f"{path}: no data rows")
     return MetricMeasureSpace.from_coords(
@@ -1085,13 +1100,11 @@ def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{weights_path}:{lineno}"
             if len(row) != 2:
-                raise InputError(f"{weights_path}:{lineno}: expected 2 fields")
-            ids.append(_parse_id(row[0]))
-            try:
-                weights.append(float(row[1]))
-            except ValueError as exc:
-                raise InputError(f"{weights_path}:{lineno}: {exc}") from None
+                raise InputError(f"{where}: expected 2 fields")
+            ids.append(_parse_number(row[0], where, int))
+            weights.append(_parse_number(row[1], where))
     try:
         matrix = np.loadtxt(matrix_path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:

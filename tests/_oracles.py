@@ -603,3 +603,15 @@ def adjacency_rows(space, ground_ids, eps_res) -> list:
             if b > a:
                 edges.append((a, int(b), float(row[b])))
     return edges
+
+
+def adjacency_forest_rows(space, ground_ids, eps_res) -> list:
+    """The minimum spanning forest of :func:`adjacency_rows`'s pairs.
+
+    Kruskal in (length, a, b) order; the kept (a, b, length) triples are
+    listed by ascending (a, b).
+    """
+    uf = _UnionFind(range(len(ground_ids)))
+    pairs = adjacency_rows(space, ground_ids, eps_res)
+    ranked = sorted(pairs, key=lambda e: (e[2], e[0], e[1]))
+    return sorted(e for e in ranked if uf.union(e[0], e[1]))

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from _oracles import adjacency_forest_rows
 from rectilib.cli import _run_config, build_parser, main
 from rectilib.density import density_profiles
 from rectilib.generators import GeneratorSpec, generate
@@ -302,7 +303,7 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
     )
     assert code == 0
     assert payload["gamma"]["vertices"] == 298
-    assert payload["gamma"]["edges"] == 494
+    assert payload["gamma"]["edges"] == 396
     assert payload["connectivity"]["components"] == 1
     budget = payload["budget"]
     assert budget["ok"] is True
@@ -312,6 +313,21 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
     with open(edges_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == payload["gamma"]["edges"]
+    # the adjacency rows are the forest of the row-based pairs
+    space, _ = generate(
+        GeneratorSpec("interval", 100, params={"holes": [[0.4, 0.6]]})
+    )
+    ground = sorted(
+        {int(r[end][2:]) for r in rows for end in "uv" if r[end][0] == "g"}
+    )
+    forest = adjacency_forest_rows(space, ground, 0.0222222)
+    adjacency = [r for r in rows if r["provenance"] == "E-adjacency"]
+    assert [(r["u"], r["v"], float(r["length"])) for r in adjacency] == [
+        (f"g:{ground[a]}", f"g:{ground[b]}", d) for a, b, d in forest
+    ]
+    # each bridge: two lifted vertices, three edges
+    lifted = payload["gamma"]["vertices"] - len(ground)
+    assert len(rows) - len(adjacency) == 3 * lifted // 2
 
 
 def test_param_round_trip_tour(capsys, tmp_path):
@@ -385,10 +401,31 @@ def test_run_writes_side_files(capsys, tmp_path):
     assert all("\t" in line for line in lines)
 
 
-def test_run_names_the_failed_budget_inequality(capsys):
-    code, report, _ = run_json(capsys, ["run", *HOLE_ARGS, "--eps-res", "0.3"])
+def test_run_names_the_failed_budget_inequality(capsys, tmp_path):
+    """A line of ten clusters, each of 40 points 1 apart; points of
+    clusters c and c' are |c - c'| apart.  Each cluster weighs 2, so an
+    open ball of radius r >= 2 about any point holds at least r clusters
+    and the mass check passes; but the 400 points are pairwise at least
+    1 apart, so any tree through them is at least 399 long, against
+    10 mu(E) = 200.  Below twice the smallest gap, where the check does
+    not look, a cluster is a 39-simplex, not a piece of curve."""
+    cluster = np.repeat(np.arange(10), 40)
+    dist = np.abs(cluster[:, None] - cluster[None, :]).astype(float)
+    dist[dist == 0] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    matrix, weights = tmp_path / "m.csv", tmp_path / "w.csv"
+    np.savetxt(matrix, dist, delimiter=",", fmt="%g")
+    weights.write_text(
+        "id,weight\n" + "".join(f"{i},0.05\n" for i in range(400))
+    )
+    code, report, _ = run_json(
+        capsys, ["run", "--matrix", str(matrix), "--weights", str(weights)]
+    )
     budget = report["budget"]
     assert code == 1
+    assert budget["mass_check_ok"] is True and budget["e_vacuous"] is False
+    assert budget["e_part"] == 399.0
+    assert budget["bound_e"] == pytest.approx(200.0)
     assert budget["e_part"] > budget["bound_e"]
     assert report["invariant_failures"] == [
         f"budget: e_part {budget['e_part']!r} > bound_e {budget['bound_e']!r}"

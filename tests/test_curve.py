@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from _oracles import adjacency_forest_rows
 from rectilib import curve
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
@@ -49,6 +51,11 @@ def hole_fixture():
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, good_cfg())
     return space, target, h, tree, porous
+
+
+def hole_ground(target, bridges) -> list:
+    """Ground ids of a curve: the target members and bridge endpoints."""
+    return sorted(set(target.members) | set(bridges.pairs.ravel().tolist()))
 
 
 def micro_gamma():
@@ -388,8 +395,12 @@ def test_budget_on_hole_fixture():
     bridges = build_bridges(space, tree, h, porous, cfg)
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     budget = length_budget(space, target, gamma, bridges, porous, tree, cfg)
-    # 99 nearest-neighbor gaps of 1/99 plus 98 second-neighbor gaps
-    assert budget.e_part == pytest.approx(99 / 99 + 98 * 2 / 99)
+    # the bridge endpoints fill the hole, so the forest of the adjacency
+    # is the path of 99 nearest-neighbor gaps of 1/99
+    forest = adjacency_forest_rows(space, hole_ground(target, bridges), 2.2 / 99.0)
+    assert len(forest) == 99
+    assert budget.e_part == pytest.approx(sum(d for _, _, d in forest))
+    assert budget.e_part == pytest.approx(99 / 99)
     assert budget.bound_e == pytest.approx(16.0)
     assert budget.mass_check_ok and not budget.e_vacuous
     assert budget.c_pair == pytest.approx(3 * 2 * cfg.M * 99)
@@ -401,6 +412,20 @@ def test_budget_on_hole_fixture():
     assert budget.bridge_part == pytest.approx(brute_bridge)
     assert budget.bridge_part <= budget.bound_bridge
     assert budget.ok
+
+
+def test_sidelength_sum_adds_whatever_sum_the_builtins_do(monkeypatch):
+    """Ten porous cubes of sidelength 0.1: 0.9999999999999999 left to
+    right, 1.0 compensated, as the builtin ``sum`` of Python 3.12 adds
+    them."""
+    monkeypatch.setattr(curve, "sum", math.fsum, raising=False)
+    space, target, gamma = micro_gamma()
+    tree = SimpleNamespace(cubes=[SimpleNamespace(sidelength=0.1)] * 10)
+    porous = [SimpleNamespace(cube=c) for c in range(10)]
+    budget = length_budget(
+        space, target, gamma, no_bridges(), porous, tree, good_cfg()
+    )
+    assert budget.sidelength_sum == 0.9999999999999999
 
 
 def test_budget_parts_are_sequential_sums_in_edge_order():
@@ -790,7 +815,7 @@ MICRO_TOUR_CSV = (
     "1.0,g:0,0.0\r\n"
 )
 HOLE_STAR_EDGES_SHA256 = (
-    "1f981cc502639c16d488b6f741138b6b906464be394bc4b9cfefb105c00add1f"
+    "a9cf22d3e2238d63862b83df0dfaaf5bb4620bc489888247d434eadd9b269ad8"
 )
 HOLE_STAR_TOUR_SHA256 = (
     "41557b1ccca42be15c5e8ba540cb43d7f15ed18a7e343f2ddd53f78accdb4cbf"
@@ -812,6 +837,13 @@ def test_hole_fixture_star_side_files_are_frozen(tmp_path):
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     edges_csv(gamma, str(tmp_path / "edges.csv"))
+    with open(tmp_path / "edges.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["provenance"] == E_ADJACENCY]
+    ground = hole_ground(target, bridges)
+    forest = adjacency_forest_rows(space, ground, 2.2 / 99.0)
+    assert [(r["u"], r["v"], float(r["length"])) for r in rows] == [
+        (f"g:{ground[a]}", f"g:{ground[b]}", d) for a, b, d in forest
+    ]
     parametrization_csv(
         parametrize(gamma), gamma, space, str(tmp_path / "tour.csv")
     )

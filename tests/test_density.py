@@ -12,6 +12,7 @@ from _oracles import (
     beta2_submatrix,
     bs_terms_brute,
 )
+from rectilib import density
 from rectilib.density import (
     bs_sum,
     beta2,
@@ -315,6 +316,20 @@ def test_bs_sum_skips_empty_cubes():
     assert got.value == 0.0
     assert got.skipped == 4
     assert got.terms == ()
+
+
+def test_bs_sum_adds_whatever_sum_the_builtins_do(monkeypatch):
+    """At point 0 of interval 100 the terms to depth 3 add up to
+    1.985819735819736 left to right but to 1.9858197358197358
+    compensated, as the builtin ``sum`` of Python 3.12 adds them."""
+    monkeypatch.setattr(density, "sum", math.fsum, raising=False)
+    space, _ = generate(GeneratorSpec("interval", 100))
+    got = bs_sum(space, 0, 3)
+    assert math.fsum(got.terms) == 1.9858197358197358
+    total = 0.0
+    for term in got.terms:
+        total += term
+    assert got.value == total == 1.985819735819736
 
 
 def test_bs_sum_grows_on_a_uniform_segment():

@@ -1,8 +1,9 @@
 """Pipeline metamorphic relations: changes of input that keep the report.
 
-A coordinate input and its distance-matrix twin give equal reports, and
-an order-preserving relabel of the ids (id -> 3 * id + 7) gives equal
-reports up to that relabel.  A permutation of the ids is not a symmetry
+A coordinate input and its distance-matrix twin give equal reports, an
+order-preserving relabel of the ids (id -> 3 * id + 7) gives equal
+reports up to that relabel, and a dyadic translation of a dyadic grid
+gives equal reports and side files up to the tour's coordinates.  A permutation of the ids is not a symmetry
 of the construction, because the nets admit points in id order; it
 keeps the total mass and the doubling constant bit for bit, since no
 mass depends on the order of the points, and it keeps every verdict.
@@ -10,6 +11,7 @@ Each run goes through ``rectilib run`` on files written from a
 generator's space, so the target is every point.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -32,9 +34,9 @@ def run(capsys, *argv) -> tuple[int, dict]:
     return code, json.loads(capsys.readouterr().out)
 
 
-def run_points(capsys, path, ids, coords, weights) -> tuple[int, dict]:
+def run_points(capsys, path, ids, coords, weights, *flags) -> tuple[int, dict]:
     save_csv(MetricMeasureSpace.from_coords(ids, coords, weights), str(path))
-    return run(capsys, "--input", str(path))
+    return run(capsys, "--input", str(path), *flags)
 
 
 def run_matrix(capsys, folder, space) -> tuple[int, dict]:
@@ -114,3 +116,43 @@ def test_a_permutation_of_the_ids_keeps_the_masses_and_the_verdicts(capsys, tmp_
     assert moved_code == code
     assert ok_flags(moved) == ok_flags(report)
     assert len(ok_flags(report)) > 5
+
+
+@pytest.mark.parametrize(
+    "spec, offset",
+    [(GeneratorSpec("cascade", 5), (3.5, -1.25)), (GeneratorSpec("interval", 257), (0.75,))],
+    ids=["cascade", "interval"],
+)
+def test_a_dyadic_translation_of_a_dyadic_grid_gives_the_same_files(
+    spec, offset, capsys, tmp_path
+):
+    """cascade 5's cell centres are multiples of 1/64 and interval 257's
+    points multiples of 1/256; moved by a dyadic offset, every coordinate
+    and every difference of two is exact, so every distance keeps its
+    bits.  ``report.json`` and ``edges.csv`` are the same, and so is
+    ``tour.csv`` but for its coordinates, each moved by the offset."""
+    space, _ = generate(spec)
+    moved = space.coords + np.array(offset)
+    assert np.array_equal(moved - np.array(offset), space.coords)
+    runs = []
+    for name, coords in (("a", space.coords), ("b", moved)):
+        folder = tmp_path / name
+        code, _ = run_points(
+            capsys, tmp_path / f"{name}.csv", space.ids, coords, space.weights,
+            "--out-dir", str(folder),
+        )
+        report = json.loads((folder / "report.json").read_text())
+        with open(folder / "tour.csv", newline="") as fh:
+            tour = list(csv.reader(fh))
+        edges = (folder / "edges.csv").read_bytes()
+        runs.append((code, without_config(report), edges, tour))
+    (code, report, edges, tour), moved_run = runs
+    assert code == 0
+    assert moved_run[:3] == (code, report, edges)
+    moved_tour = moved_run[3]
+    assert moved_tour[0] == tour[0]
+    assert moved_tour[1:] == [
+        row[:2] + [repr(float(x) + dx) for x, dx in zip(row[2:], offset)]
+        for row in tour[1:]
+    ]
+    assert len(tour) > len(space)  # a tour through every point

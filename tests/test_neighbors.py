@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import rectilib
 import rectilib.space as space_module
 from _oracles import (
+    adjacency_forest_rows,
     adjacency_rows,
     build_nets_rows,
     c0_rows,
@@ -33,7 +34,15 @@ from _oracles import (
     weight_levels,
 )
 from rectilib.cubes import build_cubes
-from rectilib.curve import ADJACENCY, assemble_gamma, build_bridges
+from rectilib.curve import (
+    ADJACENCY,
+    BridgeGraph,
+    assemble_gamma,
+    build_bridges,
+    ground_key,
+    parametrize,
+)
+from rectilib.errors import DisconnectedError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
 from rectilib.pipeline import STAGES, RunConfig
@@ -418,9 +427,63 @@ def test_adjacency_matches_the_row_based_pairs(cloud, data):
     for space in backends:
         empty = build_bridges(space, None, None, (), None)
         graph = assemble_gamma(space, target, empty, eps)
-        want = adjacency_rows(space, members, eps)
+        want = adjacency_forest_rows(space, members, eps)
         want = [(members[a], members[b], d) for a, b, d in want]
         assert adjacency_edges(graph) == want
+
+
+def assert_the_forest_keeps_the_tour(space, members, eps):
+    """Every pair closer than eps is an edge of one graph, only the
+    forest's pairs of the other: Kruskal takes the same tree from both,
+    so the tour, its times and its bound are the same bits."""
+    target = TargetSet(members=members, xi0=members[0])
+    forest = assemble_gamma(space, target, build_bridges(space, None, None, (), None), eps)
+    whole = BridgeGraph.from_edges(
+        [
+            (ground_key(members[a]), ground_key(members[b]), d, ADJACENCY)
+            for a, b, d in adjacency_rows(space, members, eps)
+        ],
+        vertices=[ground_key(m) for m in members],
+    )
+    assert np.array_equal(whole.keys, forest.keys)
+    tours = []
+    for graph in (whole, forest):
+        try:
+            tours.append(parametrize(graph))
+        except DisconnectedError as exc:
+            tours.append(exc.components)
+    if isinstance(tours[0], int):
+        assert tours[1] == tours[0]
+        return
+    assert np.array_equal(tours[1].visits, tours[0].visits)
+    assert np.array_equal(bits(tours[1].ts), bits(tours[0].ts))
+    assert tours[1].lip_bound == tours[0].lip_bound
+    assert tours[1].tree_length == tours[0].tree_length
+
+
+@given(clouds(min_size=2), st.data())
+def test_the_forest_keeps_the_tour_of_every_pair(cloud, data):
+    ids, coords, weights = cloud
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    members = tuple(sorted(data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
+    eps = float(data.draw(st.sampled_from([*np.unique(space.distance_matrix())[1:], 50.0])))
+    assert_the_forest_keeps_the_tour(space, members, eps)
+
+
+def test_the_forest_breaks_length_ties_by_position():
+    """A 2 x 3 grid of unit spacing: its seven unit edges close two
+    squares.  With equal lengths ranked by (a, b) the forest drops
+    (3, 4) and (3, 5); by (b, a) it would drop (1, 5) and (3, 5), and by
+    descending (a, b) (0, 2) and (1, 4).  Only the first keeps the tour
+    of every pair."""
+    coords = np.array([[0, 0], [0, 2], [1, 0], [1, 1], [1, 2], [0, 1]], dtype=float)
+    space = MetricMeasureSpace.from_coords(range(6), coords, np.ones(6))
+    target = TargetSet(members=tuple(range(6)), xi0=0)
+    graph = assemble_gamma(space, target, build_bridges(space, None, None, (), None), 1.2)
+    want = [(0, 2, 1.0), (0, 5, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 3, 1.0)]
+    assert adjacency_forest_rows(space, range(6), 1.2) == want
+    assert adjacency_edges(graph) == want
+    assert_the_forest_keeps_the_tour(space, tuple(range(6)), 1.2)
 
 
 def test_adjacency_with_bridges_matches_the_row_based_pairs():
@@ -435,7 +498,7 @@ def test_adjacency_with_bridges_matches_the_row_based_pairs():
     graph = assemble_gamma(space, target, bridges, eps)
     ends = set(bridges.pairs.ravel().tolist())
     ground = sorted(set(target.members) | ends)
-    want = adjacency_rows(space, ground, eps)
+    want = adjacency_forest_rows(space, ground, eps)
     assert adjacency_edges(graph) == [(ground[a], ground[b], d) for a, b, d in want]
 
 

@@ -27,7 +27,7 @@ from rectilib.porosity import (
     shadow_map,
     validate_config,
 )
-from rectilib.space import MetricMeasureSpace, enclosing_target
+from rectilib.space import MetricMeasureSpace, enclosing_target, save_csv
 
 
 def good_cfg(**overrides):
@@ -260,7 +260,7 @@ def test_carleson_matches_brute_force_descendant_sums():
         )
         assert ratio == pytest.approx(packed / tree.cubes[cid].mass)
     assert report.worst_ratio == pytest.approx(2.297872340425532, rel=1e-12)
-    assert report.skipped == 0
+    assert report.skipped == ()
 
 
 def test_carleson_is_invariant_under_mass_rescaling():
@@ -295,11 +295,38 @@ def test_carleson_skips_and_empty_family():
     report = carleson_check(tree, (), good_cfg(), 1)
     assert report.worst_ratio == 0.0
     assert report.ok
-    assert report.skipped == 2  # the zero-weight point's two singleton cubes
+    assert len(report.skipped) == 2  # the zero-weight point's two singleton cubes
     zero_cubes = [
         cid for cid, c in enumerate(tree.cubes) if c.mass == 0.0
     ]
     assert all(cid not in report.ratios for cid in zero_cubes)
+
+
+@pytest.mark.parametrize(
+    "hole_weight, expected", [(None, {}), (0.0, {"1": 2, "2": 20})],
+    ids=["hole-fixture", "weightless-hole"],
+)
+def test_carleson_counts_its_zero_mass_cubes_per_level(
+    hole_weight, expected, tmp_path
+):
+    """The hole fixture's cube tree, its points in the hole weighing
+    zero or as generated: the cubes of zero mass, counted per level as
+    porous counts its cubes."""
+    space, target, _, _ = hole_fixture()
+    weights = space.weights.copy()
+    if hole_weight is not None:
+        weights[np.setdiff1d(space.ids, target.members)] = hole_weight
+    path = tmp_path / "points.csv"
+    save_csv(MetricMeasureSpace.from_coords(space.ids, space.coords, weights), str(path))
+    cfg = RunConfig(input=str(path), rho=1.0 / 16.0, n_min=-1, n_max=2)
+    stages = ("load", "validate", "doubling", "nets", "cubes", "porous",
+              "shadow", "carleson")
+    ctx, report = run_stages(cfg, stages)[:2]
+    section = report["carleson"]
+    assert section["skipped_per_level"] == expected
+    assert section["skipped"] == sum(expected.values())
+    levels = Counter(str(c.level) for c in ctx.tree.cubes if c.mass == 0.0)
+    assert levels == expected
 
 
 # -- shadow map ---------------------------------------------------------

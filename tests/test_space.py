@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rectilib.errors import (
     ParameterError,
     UnknownIdentifierError,
 )
+from rectilib import space as space_module
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.space import (
     Ball,
@@ -28,6 +30,7 @@ from rectilib.space import (
     load_json,
     load_matrix,
     save_csv,
+    seq_sum,
     vitali_subcover,
 )
 
@@ -369,6 +372,35 @@ def test_hausdorff_estimate_interval_frozen():
     assert 0 < est.lower <= est.upper
 
 
+def left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_seq_sum_adds_left_to_right():
+    assert seq_sum([0.1] * 10) == left_to_right([0.1] * 10) == 0.9999999999999999
+    assert math.fsum([0.1] * 10) == 1.0
+    assert seq_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+    assert seq_sum([]) == 0.0
+
+
+def test_hausdorff_sums_whatever_sum_the_builtins_do(monkeypatch):
+    """Ten balls of diameter 0.1 * (1 - 1e-9) cover lipschitz_curve 30 at
+    gauge 0.1; their diameters add up to 0.9999999989999999 left to
+    right but to 0.999999999 compensated, as the builtin ``sum`` of
+    Python 3.12 adds them.  Both bounds are left-to-right sums."""
+    monkeypatch.setattr(space_module, "sum", math.fsum, raising=False)
+    space, _ = generate(GeneratorSpec("lipschitz_curve", 30))
+    est = hausdorff_estimate(space, list(space.ids), delta=0.1)
+    upper = [2.0 * b.radius for b in est.upper_balls]
+    lower = [2.0 * b.radius for b in est.lower_balls]
+    assert math.fsum(upper) != left_to_right(upper)
+    assert est.upper == left_to_right(upper) == 0.9999999989999999
+    assert est.lower == left_to_right(lower) / 5.0
+
+
 def test_hausdorff_estimate_matches_greedy_trace():
     space, _ = generate(GeneratorSpec("interval", 60))
     est = hausdorff_estimate(space, list(space.ids), delta=0.2)
@@ -487,6 +519,41 @@ def test_load_csv_errors(tmp_path):
     bad_id.write_text("id,x1,weight\nzero,0.0,1.0\n")
     with pytest.raises(InputError):
         load_csv(str(bad_id))
+
+
+@pytest.mark.parametrize(
+    "line", ["1_0,0.0,1.0", "1,1_5.0,1.0", "1,0.0,1_0", "\u0661,0.0,1.0"],
+    ids=["id", "coord", "weight", "arabic-indic-id"],
+)
+def test_points_csv_numbers_are_plain(tmp_path, line):
+    """Python reads ``1_0`` as 10 and other scripts' digits; a points
+    file must spell its numbers as a CSV writer does."""
+    path = tmp_path / "pts.csv"
+    path.write_text(f"id,x1,weight\n0,0.0,1.0\n{line}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: ")):
+        load_csv(str(path))
+    assert main(["gen", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("line", ["1_0,1.0", "1,1_5.0"], ids=["id", "weight"])
+def test_weights_csv_numbers_are_plain(tmp_path, line):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1\n1,0\n")
+    weights = tmp_path / "w.csv"
+    weights.write_text(f"id,weight\n0,1.0\n{line}\n")
+    with pytest.raises(InputError, match=re.escape(f"{weights}:3: ")):
+        load_matrix(str(matrix), str(weights))
+    assert main(["gen", "--matrix", str(matrix), "--weights", str(weights)]) == 2
+
+
+def test_matrix_csv_numbers_are_plain(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1_0\n1_0,0\n")
+    weights = tmp_path / "w.csv"
+    weights.write_text("id,weight\n0,1.0\n1,1.0\n")
+    with pytest.raises(InputError, match=re.escape(f"{matrix}: ")):
+        load_matrix(str(matrix), str(weights))
+    assert main(["gen", "--matrix", str(matrix), "--weights", str(weights)]) == 2
 
 
 def test_load_json_round_trip(tmp_path):
