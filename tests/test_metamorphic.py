@@ -3,10 +3,11 @@
 A coordinate input and its distance-matrix twin give equal reports, an
 order-preserving relabel of the ids (id -> 3 * id + 7) gives equal
 reports up to that relabel, and a dyadic translation of a dyadic grid
-gives equal reports and side files up to the tour's coordinates.  A permutation of the ids is not a symmetry
-of the construction, because the nets admit points in id order; it
-keeps the total mass and the doubling constant bit for bit, since no
-mass depends on the order of the points, and it keeps every verdict.
+gives equal reports and side files up to the tour's coordinates.  A
+permutation of the ids is not a symmetry of the construction, because
+the nets admit points in id order; it keeps the total mass and the
+doubling constant bit for bit, since no mass depends on the order of
+the points, and it keeps every verdict.
 Each run goes through ``rectilib run`` on files written from a
 generator's space, so the target is every point.
 """
@@ -120,7 +121,10 @@ def test_a_permutation_of_the_ids_keeps_the_masses_and_the_verdicts(capsys, tmp_
 
 @pytest.mark.parametrize(
     "spec, offset",
-    [(GeneratorSpec("cascade", 5), (3.5, -1.25)), (GeneratorSpec("interval", 257), (0.75,))],
+    [
+        (GeneratorSpec("cascade", 5), (3.5, -1.25)),
+        (GeneratorSpec("interval", 257), (0.75,)),
+    ],
     ids=["cascade", "interval"],
 )
 def test_a_dyadic_translation_of_a_dyadic_grid_gives_the_same_files(

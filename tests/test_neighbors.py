@@ -437,7 +437,8 @@ def assert_the_forest_keeps_the_tour(space, members, eps):
     forest's pairs of the other: Kruskal takes the same tree from both,
     so the tour, its times and its bound are the same bits."""
     target = TargetSet(members=members, xi0=members[0])
-    forest = assemble_gamma(space, target, build_bridges(space, None, None, (), None), eps)
+    empty = build_bridges(space, None, None, (), None)
+    forest = assemble_gamma(space, target, empty, eps)
     whole = BridgeGraph.from_edges(
         [
             (ground_key(members[a]), ground_key(members[b]), d, ADJACENCY)
@@ -465,9 +466,10 @@ def assert_the_forest_keeps_the_tour(space, members, eps):
 def test_the_forest_keeps_the_tour_of_every_pair(cloud, data):
     ids, coords, weights = cloud
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
-    members = tuple(sorted(data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))))
-    eps = float(data.draw(st.sampled_from([*np.unique(space.distance_matrix())[1:], 50.0])))
-    assert_the_forest_keeps_the_tour(space, members, eps)
+    members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    dists = np.unique(space.distance_matrix())
+    eps = float(data.draw(st.sampled_from([*dists[1:], 50.0])))
+    assert_the_forest_keeps_the_tour(space, tuple(sorted(members)), eps)
 
 
 def test_the_forest_breaks_length_ties_by_position():
@@ -479,7 +481,8 @@ def test_the_forest_breaks_length_ties_by_position():
     coords = np.array([[0, 0], [0, 2], [1, 0], [1, 1], [1, 2], [0, 1]], dtype=float)
     space = MetricMeasureSpace.from_coords(range(6), coords, np.ones(6))
     target = TargetSet(members=tuple(range(6)), xi0=0)
-    graph = assemble_gamma(space, target, build_bridges(space, None, None, (), None), 1.2)
+    empty = build_bridges(space, None, None, (), None)
+    graph = assemble_gamma(space, target, empty, 1.2)
     want = [(0, 2, 1.0), (0, 5, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 3, 1.0)]
     assert adjacency_forest_rows(space, range(6), 1.2) == want
     assert adjacency_edges(graph) == want
