@@ -99,10 +99,10 @@ def _interval(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None
     holes = spec.params.get("holes")
     if holes is None:
         return space, None
-    members = []
-    for j, x in enumerate(xs):
-        if not any(a < x < b for a, b in holes):
-            members.append(j)
+    inside = np.zeros(n, dtype=bool)
+    for a, b in holes:
+        inside |= (a < xs) & (xs < b)
+    members = np.flatnonzero(~inside).tolist()
     if not members:
         raise DegenerateInputError("holes swallow every interval point")
     return space, enclosing_target(space, members)

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ParameterError
 from .space import MetricMeasureSpace
 
+_ROUND_PAIRS = 1 << 12  # build_nets asks balls of about this many pairs at once
+
 
 @dataclass(frozen=True)
 class NetHierarchy:
@@ -64,30 +66,31 @@ def build_nets(
             stacklevel=2,
         )
 
-    n_pts = len(space)
     order_ids = np.argsort(np.array(space.ids, dtype=np.int64), kind="stable")
     # mindist[k]: distance from point k to the current net members, or
     # inf when every member was at least its admission scale away; scales
     # only shrink, so the comparison with the current scale is exact
-    mindist = np.full(n_pts, math.inf)
+    mindist = np.full(len(space), math.inf)
     members: list[int] = []
-
-    def admit(k: int, scale: float) -> None:
-        members.append(k)
-        _, j, d = space.neighbors([k], scale)
-        mindist[j] = np.minimum(mindist[j], d)
-
     levels: dict[int, tuple[int, ...]] = {}
     for n in range(n_min, n_max + 1):
         scale = rho**n
+        todo = order_ids
         if n == n_min and seed_ids:
-            for pid in seed_ids:
-                k = space.index_of(pid)
+            todo = np.concatenate([space.indices_of(seed_ids), order_ids])
+        size = 1
+        while len(todo := todo[mindist[todo] >= scale]):
+            # ask the balls of the next points apart from every member
+            chunk, todo = todo[:size], todo[size:]
+            q, j, d = space.neighbors(chunk, scale)
+            ends = np.searchsorted(q, np.arange(len(chunk) + 1)).tolist()
+            for p, k in enumerate(chunk.tolist()):
                 if mindist[k] >= scale:
-                    admit(k, scale)
-        for k in order_ids:
-            if mindist[k] >= scale:
-                admit(int(k), scale)
+                    members.append(k)
+                    near = slice(ends[p], ends[p + 1])
+                    mindist[j[near]] = np.minimum(mindist[j[near]], d[near])
+            # the lookahead grows while the balls are small
+            size = max(1, min(4 * size, _ROUND_PAIRS * len(chunk) // max(1, len(j))))
         levels[n] = tuple(space.ids[k] for k in members)
     return NetHierarchy(rho=rho, levels=levels)
 

@@ -34,9 +34,8 @@ A space caches what the pipeline asks for repeatedly:
 * open-ball masses, one array of length ``n`` per radius, filled by
   :meth:`~MetricMeasureSpace.ball_masses`, which answers a point set as
   one table;
-* the cells of the cell pass below, cut once from every point;
-* a k-d tree over the coordinates, built only by the first neighbour
-  query of a coordinate space.
+* the cells of the cell pass below, cut once from every point, and laid
+  end to end by the first neighbour query or ball-mass fill.
 
 Every mass comes from one definition.  When a space is built, each
 weight is split into nonnegative parts, one per level (:func:`_split`),
@@ -49,28 +48,23 @@ its stored rows, a block at a time.
 
 A coordinate space needs no full row for its summary or its masses.
 :meth:`~MetricMeasureSpace.neighbors` answers "which points are closer
-than ``r``" for a batch of query points, and
+than ``r``" for a batch of query points (in bounded batches from
+:meth:`~MetricMeasureSpace.neighbor_batches`), and
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
-chosen columns.  On a coordinate space the tree
-(``scipy.spatial.cKDTree``, imported and built by the first neighbour
-query, never by a matrix space, by loading a space or by the cell pass)
-is only a candidate filter: it is queried with the radius plus a pad of
-``1e-6`` times the bounding-box diagonal, so its own rounding cannot
-drop a pair, and ``d < r`` is then decided by the row formula above on
-the candidate columns.  Ties on lattice inputs therefore resolve exactly
-as the rows resolve them.  A matrix space answers from its stored rows.
-:meth:`~MetricMeasureSpace.neighbor_batches` gives the same answer in
-batches of a bounded number of pairs, for callers whose balls may hold
-many coincident points.  Nets, cubes, porous witnesses and the curve's
+chosen columns.  On coordinates the cells below pick the candidates and
+the row formula decides ``d < r`` on them, so ties on lattice inputs
+resolve exactly as the rows resolve them; a matrix space answers from
+its stored rows.  Nets, cubes, porous witnesses and the curve's
 adjacency are built on these methods.
 
 The cell pass serves the summary, the eccentricities over a subset of
-the points and the ball masses, with numpy alone.  Its cells are
-median splits of the points, or of a subset, down to ``_CELL`` points; a
-cut never separates coincident points, so a stack of them may make a
-larger cell.  The tight boxes of two cells, widened by the pad, bound
-every distance between them, so a whole cell lies inside a ball, outside
-it, or straddles its boundary; only straddling cell pairs (and, for the
+the points, the ball masses and the neighbour query, with numpy alone.
+Its cells are median splits of the points, or of a subset, down to
+``_CELL`` points; a cut never separates coincident points, so a stack of
+them may make a larger cell.  The tight boxes of two cells, widened by a
+pad of ``1e-6`` times the bounding-box diagonal, bound every distance
+between them, so a whole cell lies inside a ball, outside it, or
+straddles its boundary; only straddling cell pairs (and, for the
 summary, the pairs that may hold an eccentricity or the smallest gap)
 get distances, by the row formula, in blocks of at most ``_PAIR_BUDGET``
 pairs.  A cell inside a ball adds its level sums whole.
@@ -101,10 +95,8 @@ from .errors import (
 
 # Above this point count distance_matrix() refuses to build the full matrix.
 _DENSE_LIMIT = 5000
-# neighbor_batches() sends at most this many query points to the tree
-# at once, and keeps a batch near or below this many candidate pairs;
-# the cell pass computes at most _PAIR_BUDGET distances per block
-_QUERY_CHUNK = 1024
+# a neighbour batch holds at most this many candidate pairs, and the
+# cell pass computes at most this many distances per block
 _PAIR_BUDGET = 1 << 18
 # the cell pass splits points into cells of at most this many (more only
 # when they coincide) and decides pairs of cells whole
@@ -163,9 +155,9 @@ class MetricMeasureSpace:
         self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
         self._parts = np.empty((0, 0))  # weights split by level, set by _validate_common
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
-        self._tree = None  # k-d tree over coords, built by neighbor_batches
         self._all_cells = None  # the cell pass's cells of every point, built once
-        self._pad = 0.0  # widens the tree's radii and the cells' bounds
+        self._layout = None  # the same cells end to end, built by _cell_layout
+        self._pad = 0.0  # widens the cells' bounds
 
     # -- construction ---------------------------------------------------
 
@@ -187,8 +179,7 @@ class MetricMeasureSpace:
         space._validate_common()
         if not np.all(np.isfinite(coords)):
             raise ParameterError("coordinates must be finite")
-        # the tree and the boxes round their own squared sums; the pad
-        # keeps every pair the row formula puts below r
+        # the pad covers the rounding of the boxes' own squared sums
         space._pad = 1e-6 * math.hypot(*np.ptp(coords, axis=0))
         return space
 
@@ -346,8 +337,7 @@ class MetricMeasureSpace:
             parts.append((q + batch.start, j, d))
         if len(parts) == 2:  # one batch: nothing to join
             return parts[1]
-        q, j, d = (np.concatenate(part) for part in zip(*parts))
-        return q, j, d
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     def neighbor_batches(
         self, query_idx: Sequence[int] | np.ndarray, r: float
@@ -356,17 +346,14 @@ class MetricMeasureSpace:
 
         Yields ``(batch, q, j, d)``, where ``batch`` is the slice of
         ``query_idx`` answered and ``q`` indexes ``query_idx[batch]``;
-        every query's pairs are in one batch.  A batch holds at most
-        about ``_PAIR_BUDGET`` pairs (more only when one query point
-        alone has more neighbours), so a caller that reduces each batch
-        keeps its memory bounded even where many points coincide.
-        Coordinate spaces size each batch with a tree count, filter
-        candidates with a k-d tree and decide ``d < r`` by the row
-        formula; a batch of one point asks the space's own tree, with
-        no tree built over the batch.  The space's tree is built by the
-        first call; nothing else in the package builds one or imports
-        ``scipy.spatial``.  Matrix spaces scan their stored rows in
-        blocks.
+        every query's pairs are in one batch, of at most ``_PAIR_BUDGET``
+        candidate pairs (more only for one query alone), so a caller
+        that reduces each batch keeps its memory bounded even where many
+        points coincide.  A matrix space scans its stored rows.  On
+        coordinates a cell is a candidate for a query when its box, less
+        the pad, lies within ``r`` of the box of the query's cell and
+        then of the query point; the row formula decides ``d < r`` on
+        the candidates' points.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -378,39 +365,36 @@ class MetricMeasureSpace:
                 q, j = np.nonzero(rows < r)
                 yield slice(start, start + len(chunk)), q, j, rows[q, j]
             return
-        from scipy.spatial import cKDTree
-
-        if self._tree is None:
-            self._tree = cKDTree(self.coords)
-        tree, pad = self._tree, self._pad
+        cells, lo, hi = self._cells()
+        order, first, size, cell_of = self._cell_layout()
+        pad, step = self._pad, max(1, _PAIR_BUDGET // len(cells))
+        # the candidate cells of each home cell of a query, by home
+        homes, home = np.unique(cell_of[query_idx], return_inverse=True)
+        near = [np.empty((2, 0), dtype=np.intp)]
+        for h in range(0, len(homes), step):
+            at = homes[h : h + step, None]
+            a, b = np.nonzero(_gaps(lo, hi, lo[at], hi[at]) - pad < r)
+            near.append(np.stack([a + h, b]))
+        near_home, near_cell = np.concatenate(near, axis=1)
+        count = np.bincount(near_home, minlength=len(homes))
+        skip = np.cumsum(count) - count
+        pairs = np.cumsum(np.bincount(near_home, size[near_cell], len(homes))[home])
         start = 0
         while start < len(query_idx):
-            size = min(_QUERY_CHUNK, len(query_idx) - start)
-            while size > 1:
-                chunk = query_idx[start : start + size]
-                batch = cKDTree(self.coords[chunk])
-                if batch.count_neighbors(tree, r + pad) <= _PAIR_BUDGET:
-                    break
-                size //= 2
-            chunk = query_idx[start : start + size]
-            if size == 1:  # one point: the space's own tree answers it
-                rows = chunk[0]
-                hits = tree.query_ball_point(
-                    self.coords[rows], r + pad, return_sorted=True
-                )
-                j = np.array(hits, dtype=np.intp)
-                q = np.zeros(len(j), dtype=np.intp)
-            else:
-                found = batch.sparse_distance_matrix(
-                    tree, r + pad, output_type="ndarray"
-                )
-                key = np.sort(found["i"] * n + found["j"])
-                q, j = key // n, key % n
-                rows = chunk[q]
-            d = self._pair_dists(rows, j)
-            keep = d < r
-            yield slice(start, start + size), q[keep], j[keep], d[keep]
-            start += size
+            base = pairs[start - 1] if start else 0
+            stop = max(start + 1, np.searchsorted(pairs, base + _PAIR_BUDGET, "right"))
+            rows, own = query_idx[start:stop], home[start:stop]
+            q = np.repeat(np.arange(len(rows)), count[own])
+            c = near_cell[_runs(skip[own], count[own])]
+            x = self.coords[rows[q]]
+            keep = _gaps(lo[c], hi[c], x, x) - pad < r  # each query's own bound
+            q, c = q[keep], c[keep]
+            q, j = np.repeat(q, size[c]), order[_runs(first[c], size[c])]
+            d = self._pair_dists(rows[q], j)
+            keep = np.flatnonzero(d < r)
+            keep = keep[np.argsort(q[keep] * n + j[keep], kind="stable")]
+            yield slice(start, stop), q[keep], j[keep], d[keep]
+            start = stop
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
@@ -523,14 +507,6 @@ class MetricMeasureSpace:
         return sums
 
     # -- the cell pass ---------------------------------------------------
-    #
-    # A cell is a part of the points, or of a subset, left by median
-    # splits once it holds at most _CELL points or only coincident ones;
-    # the cells of every point are cut once.  The bounds of
-    # _box_bounds, widened by the pad, hold every distance the row
-    # formula gives between two cells, whatever the rounding; so a pair
-    # the bounds decide needs no distances, and the rest are decided by
-    # _pair_dists, the row formula itself.
 
     def _cells(
         self, members: np.ndarray | None = None
@@ -538,12 +514,11 @@ class MetricMeasureSpace:
         """The cells' point indices, and each cell's box as the per-axis
         minimum and maximum of its points.
 
-        The points (default: every point) are halved by median splits
-        down to ``_CELL`` points, with no tree.  Each cut sorts a part
-        along its widest axis and goes at the value change nearest the
-        middle, so the points of one location share a cell, and a part
-        whose points all coincide stays one cell, however large.  The
-        cells of every point are built once.
+        The points (default: every point, cut once) are halved by median
+        splits down to ``_CELL`` points.  Each cut sorts a part along its
+        widest axis and goes at the value change nearest the middle, so
+        the points of one location share a cell, and a part whose points
+        all coincide stays one cell, however large.
         """
         if members is None:
             if self._all_cells is None:
@@ -566,6 +541,16 @@ class MetricMeasureSpace:
         lo = np.array([self.coords[c].min(axis=0) for c in cells])
         hi = np.array([self.coords[c].max(axis=0) for c in cells])
         return cells, lo, hi
+
+    def _cell_layout(self) -> tuple[np.ndarray, ...]:
+        """The cells of every point end to end: their point indices in
+        cell order, each cell's first position and size, each point's cell."""
+        if self._layout is None:
+            size = np.array([len(c) for c in self._cells()[0]])
+            order = np.concatenate(self._cells()[0])
+            cell_of = np.repeat(np.arange(len(size)), size)[np.argsort(order)]
+            self._layout = (order, np.cumsum(size) - size, size, cell_of)
+        return self._layout
 
     def _cell_eccentricities(self, members: np.ndarray | None = None) -> np.ndarray:
         """Each member's largest distance to the members (default: every
@@ -629,9 +614,8 @@ class MetricMeasureSpace:
         """
         cells, lo, hi = self._cells()
         pad, parts = self._pad, self._parts
-        sizes = np.array([len(c) for c in cells])
-        order = np.concatenate(cells)
-        cell_sums = np.add.reduceat(parts[order], np.cumsum(sizes) - sizes)
+        order, first, sizes, _ = self._cell_layout()
+        cell_sums = np.add.reduceat(parts[order], first)
         radii_arr = np.array(radii)
         sums = np.empty((len(radii), len(self), parts.shape[1]))
         for a, rows in enumerate(cells):
@@ -687,16 +671,29 @@ def _add_levels(sums: np.ndarray) -> np.ndarray:
     return total
 
 
-def _box_bounds(
-    lo: np.ndarray, hi: np.ndarray, a: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _box_bounds(lo, hi, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Per box: the least and the largest distance between a point of
-    box ``a`` and a point of that box, up to rounding."""
-    gap = np.maximum(np.maximum(lo - hi[a], lo[a] - hi), 0.0)
-    span = np.maximum(hi - lo[a], hi[a] - lo)
-    gap *= gap
-    span *= span
-    return np.sqrt(gap.sum(axis=1)), np.sqrt(span.sum(axis=1))
+    box ``a`` and a point of that box, up to rounding.  The largest is
+    the least with the ends of every box swapped."""
+    return _gaps(lo, hi, lo[a], hi[a]), _gaps(hi, lo, hi[a], lo[a])
+
+
+def _gaps(lo, hi, a_lo, a_hi) -> np.ndarray:
+    """Per box ``(lo, hi)``, broadcast with the box ``(a_lo, a_hi)`` along
+    the last axis: the least distance between their points, up to rounding."""
+    acc = 0.0
+    for ax in range(lo.shape[-1]):
+        gap = np.maximum(lo[..., ax] - a_hi[..., ax], a_lo[..., ax] - hi[..., ax])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        acc = acc + gap
+    return np.sqrt(acc)
+
+
+def _runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``first[k], first[k] + 1, ...`` of ``counts[k]`` indices, in turn."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1:].sum()) + np.repeat(first - ends + counts, counts)
 
 
 def _blocks(rows: int, cols: int) -> Iterator[tuple[slice, slice]]:

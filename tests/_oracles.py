@@ -332,36 +332,30 @@ def basepoint_brute(space, member_ids) -> int:
 #
 # The tuple-keyed graph the array-backed BridgeGraph replaced: vertices
 # are a sorted tuple of 4-tuple keys and edges a dict {(u, v): length}
-# with u < v.  These are that representation's component labelling and
-# MST tour, kept line for line as they were.
+# with u < v.  These are that representation's MST tour, kept line for
+# line as it was, and a breadth-first component labelling.
 
 
 def components_brute(vertices, edges):
-    """(component count, smallest vertex of each component, in order)."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if not vertices:
-        return 0, ()
-    pos = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    rows, cols, vals = [], [], []
-    for (u, v), length in edges.items():
-        rows.extend((pos[u], pos[v]))
-        cols.extend((pos[v], pos[u]))
-        vals.extend((length, length))
-    graph = csr_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(n, n),
-    )
-    n_raw, raw = connected_components(graph, directed=False)
-    relabel: dict[int, int] = {}
-    reps = []
-    for v, r in zip(vertices, raw):
-        if int(r) not in relabel:
-            relabel[int(r)] = len(reps)
-            reps.append(v)
-    return n_raw, tuple(reps)
+    """(component count, smallest vertex of each component, in order),
+    by breadth-first search from each vertex not yet reached."""
+    near = {v: [] for v in vertices}
+    for u, v in edges:
+        near[u].append(v)
+        near[v].append(u)
+    reached, reps = set(), []
+    for v in vertices:  # sorted: a component's first vertex is its smallest
+        if v in reached:
+            continue
+        reps.append(v)
+        reached.add(v)
+        queue = [v]
+        while queue:
+            for w in near[queue.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    queue.append(w)
+    return len(reps), tuple(reps)
 
 
 class _UnionFind:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import adjacency_forest_rows
+from _oracles import adjacency_forest_rows, graph_dist_brute
 from rectilib import curve
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
@@ -361,15 +361,12 @@ def test_micro_gamma_connects_through_the_bridge():
 
 
 def test_graph_distance_across_a_bridge_is_three_hops():
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     space, target, gamma = micro_gamma()
-    pos = {v: i for i, v in enumerate(vertex_keys(gamma))}
-    n = len(gamma.keys)
-    adjacency = csr_matrix((gamma.length, (gamma.src, gamma.dst)), shape=(n, n))
-    dist = dijkstra(adjacency, directed=False, indices=[pos[ground_key(1)]])
-    assert dist[0, pos[ground_key(2)]] == pytest.approx(2.7)
+    vertices = vertex_keys(gamma)
+    edges = {uv: length for uv, (length, _) in edge_map(gamma).items()}
+    dist = graph_dist_brute(vertices, edges)
+    pos = {v: i for i, v in enumerate(vertices)}
+    assert dist[pos[ground_key(1)]][pos[ground_key(2)]] == pytest.approx(2.7)
 
 
 def test_more_bridges_never_disconnect():

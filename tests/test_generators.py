@@ -40,6 +40,27 @@ def test_interval_holes_trim_target_but_not_space():
         assert not (0.45 < xs[pid] < 0.55)
 
 
+@pytest.mark.parametrize(
+    "holes",
+    [
+        [(0.45, 0.55)],
+        [(0.2, 0.3), (0.5, 0.55), (0.7, 0.9)],
+        [(0.1, 0.3), (0.25, 0.5)],  # overlapping
+        [(0.5, 0.5), (0.9, 0.1)],  # empty and reversed: remove nothing
+        [[0.1, 0.3]],  # a list, as JSON params give it
+    ],
+)
+def test_interval_hole_members_are_the_loops_members(holes):
+    """The target is every point outside each open hole, as the scalar
+    loop ``not any(a < x < b for a, b in holes)`` picks them; with 11
+    points some lie exactly on a hole's end and stay."""
+    for n in (11, 101, 4000):
+        space, target = generate(GeneratorSpec("interval", n, params={"holes": holes}))
+        xs = space.coords[:, 0].tolist()
+        want = [j for j, x in enumerate(xs) if not any(a < x < b for a, b in holes)]
+        assert list(target.members) == want
+
+
 def test_interval_holes_swallowing_everything_is_degenerate():
     with pytest.raises(DegenerateInputError):
         generate(GeneratorSpec("interval", 10, params={"holes": [(-1.0, 2.0)]}))

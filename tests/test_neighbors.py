@@ -5,9 +5,7 @@ the pairs and the bits of the full rows they replace, on both backends,
 with duplicate points and with radii equal to a lattice distance.  Each
 converted client is held to its row-based original in ``_oracles``,
 witnesses and fallbacks included.  A default run computes no full
-row, on coordinates or on a distance matrix, and only a coordinate
-space's neighbour queries import ``scipy.spatial``: its masses need no
-tree, whatever its weights.
+row, on coordinates or on a distance matrix, and no run imports scipy.
 """
 
 import os
@@ -175,30 +173,100 @@ def test_batches_stay_within_the_pair_budget(cloud, data):
 
 
 def test_one_point_queries_build_no_tree(monkeypatch):
-    """Once the space's tree exists, a one-point query and the net scan
-    (one query per admitted point) construct no other tree, and give
-    the row-based answers."""
-    import scipy.spatial
-
+    """Once the space's own cells exist, one-point queries and the net
+    scan (which asks its lookahead of points at once) cut no other
+    cells, and give the row-based answers."""
     space, _ = generate(GeneratorSpec("circle", 400))
-    space.neighbors([0], 0.1)  # builds the space's own tree
+    space.neighbors([0], 0.1)  # the cells of every point, built once
     built = []
-    original = scipy.spatial.cKDTree
+    original = MetricMeasureSpace._cells
 
-    def counted(*args, **kwargs):
-        built.append(len(args[0]))
-        return original(*args, **kwargs)
+    def counted(self, members=None):
+        if members is not None:
+            built.append(len(members))
+        return original(self, members)
 
-    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    monkeypatch.setattr(MetricMeasureSpace, "_cells", counted)
     gap = space.min_gap()
     for k, r in [(0, 0.1), (7, gap), (7, gap * (1 + 1e-9)), (399, 0.5), (3, 5.0)]:
         assert_same_pairs(space.neighbors([k], r), row_pairs(space, [k], r))
     lo, hi = auto_levels(space, 0.5)
     h = build_nets(space, 0.5, lo, hi, seed_ids=[5])
-    assert built == []
     assert h.levels == build_nets_rows(space, 0.5, lo, hi, seed_ids=[5])
-    space.neighbors([0, 1], 0.1)  # two points still share a batch tree
-    assert built == [2]
+    space.neighbors([0, 1], 0.1)
+    assert built == []
+
+
+def rounded_gaps(patch, space):
+    """Box gaps rounded up by half the pad, the worst the pad allows
+    for: a filter that drops its pad loses pairs just inside r."""
+    half, gaps = space._pad / 2, space_module._gaps
+    patch.setattr(space_module, "_gaps", lambda *boxes: gaps(*boxes) + half)
+
+
+def tie_radii(space) -> list[float]:
+    """Some distances of the space, each also one ulp above itself."""
+    dists = np.unique(space.distance_matrix())[1:]
+    dists = dists[:: max(1, len(dists) // 6)]
+    return [*dists.tolist(), *np.nextafter(dists, np.inf).tolist(), 100.0]
+
+
+@pytest.mark.parametrize("backend", ["coords", "matrix"])
+def test_an_empty_query_or_a_zero_radius_finds_no_pair(backend):
+    coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [-0.0, 0.0]])
+    space = both_backends(range(4), coords, np.ones(4))[backend == "matrix"]
+    none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
+    for query, r in [([], 1.0), ([], 0.0), ([3, 0, 0, 2, 1], 0.0)]:
+        got = space.neighbors(query, r)
+        assert_same_pairs(got, none)
+        assert got[0].dtype == got[1].dtype == np.intp and got[2].dtype == float
+        batches = list(space.neighbor_batches(query, r))
+        assert sum(b.stop - b.start for b, _, _, _ in batches) == len(query)
+
+
+@pytest.mark.parametrize("backend", ["coords", "matrix"])
+def test_a_stack_larger_than_a_cell_keeps_the_budget(backend, pair_evals):
+    """_CELL + 36 coincident points make one oversized cell beside a
+    line of 40 points.  The answer is the rows', and a batch of more
+    than one query computes at most _PAIR_BUDGET candidate pairs."""
+    stack, budget = space_module._CELL + 36, 250
+    coords = np.concatenate([np.full((stack, 2), 0.5), np.zeros((40, 2))])
+    coords[stack:, 0] = np.arange(40) / 39
+    n = len(coords)
+    backends = both_backends(range(n), coords, np.ones(n))
+    assert max(len(c) for c in backends[0]._cells()[0]) == stack
+    space = backends[backend == "matrix"]
+    query = np.random.default_rng(0).integers(0, n, size=2 * n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space_module, "_PAIR_BUDGET", budget)
+        if space.coords is not None:
+            rounded_gaps(patch, space)
+        for r in tie_radii(space):
+            pair_evals.clear()
+            batches = space.neighbor_batches(query, r)
+            sizes = [b.stop - b.start for b, _, _, _ in batches]
+            evals = list(pair_evals["MetricMeasureSpace.neighbor_batches"])
+            assert_same_pairs(space.neighbors(query, r), row_pairs(space, query, r))
+            if space.coords is None:
+                assert max(sizes) <= max(1, budget // n)
+                continue
+            assert len(evals) == len(sizes)
+            assert all(p <= budget for p, s in zip(evals, sizes) if s > 1)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_clouds_in_three_and_five_dimensions_give_the_row_masks(d):
+    """A lattice cloud with duplicates: ties at every radius drawn."""
+    rng = np.random.default_rng(d)
+    coords = rng.integers(-3, 4, size=(300, d)) * 0.25
+    coords[250:] = coords[:50]
+    for space in both_backends(range(300), coords, np.ones(300)):
+        query = rng.permutation(300)[:200]
+        with pytest.MonkeyPatch.context() as patch:
+            if space.coords is not None:
+                rounded_gaps(patch, space)
+            for r in tie_radii(space):
+                assert_same_pairs(space.neighbors(query, r), row_pairs(space, query, r))
 
 
 def test_coincident_points_share_one_small_ball(pair_evals, row_calls):
@@ -217,7 +285,7 @@ def test_coincident_points_share_one_small_ball(pair_evals, row_calls):
     pair_evals.clear()
     masses = space.ball_masses(np.arange(300), [gap])[:, 0]
     assert sum(pair_evals["MetricMeasureSpace._cell_sums"]) == 2 * 298 * 2 + 2 * 2
-    assert row_calls == {} and space._tree is None
+    assert row_calls == {}
     levels = weight_levels(weights)
     want = [mass_of(levels, np.flatnonzero(space.dists_from(k) < gap)) for k in range(300)]
     assert np.array_equal(bits(masses), bits(want))
@@ -505,7 +573,7 @@ def test_adjacency_with_bridges_matches_the_row_based_pairs():
     assert adjacency_edges(graph) == [(ground[a], ground[b], d) for a, b, d in want]
 
 
-# -- the row budget and the lazy import ------------------------------------
+# -- the row budget and the import guard -----------------------------------
 
 
 class _Probe:
@@ -567,59 +635,42 @@ def test_default_run_computes_no_full_row(row_calls, tmp_path):
 GUARD = """
 import sys
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-
-import rectilib.cli
-
-assert not scipy_modules(), "import rectilib.cli imported scipy"
 import numpy as np
-from rectilib.pipeline import RunConfig, load_space, run_pipeline, run_stages
+import rectilib.cli
+from rectilib.pipeline import RunConfig, load_space, run_pipeline
 
-hole = {"holes": [(0.4, 0.6)]}  # a target subset: its basepoint needs no tree
+hole = {"holes": [(0.4, 0.6)]}
 space, _ = load_space(RunConfig(kind="interval", resolution=300, params=hole))
 np.savetxt(sys.argv[1], space.distance_matrix(), delimiter=",", fmt="%.17g")
 with open(sys.argv[2], "w") as fh:
     fh.write("id,weight\\n")
     fh.writelines(f"{i},{w!r}\\n" for i, w in zip(space.ids, space.weights.tolist()))
-matrix = RunConfig(matrix=sys.argv[1], weights=sys.argv[2])
-load_space(matrix)
-assert not scipy_modules(), "load_space imported scipy"
-curve = RunConfig(kind="lipschitz_curve", resolution=2000)
-run_stages(curve, ("load", "validate", "doubling", "density"))
-cascade = RunConfig(kind="cascade", resolution=5)  # unequal weights
-run_stages(cascade, ("load", "validate", "doubling", "density"))
-assert not scipy_modules(), "the mass stages imported scipy"
-if sys.argv[3] == "nets":
-    run_stages(curve, ("load", "validate", "doubling", "nets"))
-    assert "scipy.spatial" in sys.modules, "the nets built no tree"
-else:
-    report, _, _ = run_pipeline(matrix)
-    assert report["param_check"]["surjective"], "a matrix run had no tour"
-    assert not scipy_modules(), "a matrix run imported scipy"
-    run_pipeline(RunConfig(kind="interval", resolution=300))
-    assert "scipy.spatial" in sys.modules, "a coordinate run built no tree"
-    # scipy.spatial loads scipy.sparse itself, but never its csgraph
-    assert "scipy.sparse.csgraph" not in sys.modules, "a run imported csgraph"
+report, _, _ = run_pipeline(RunConfig(matrix=sys.argv[1], weights=sys.argv[2]))
+assert report["param_check"]["surjective"], "a matrix run had no tour"
+for cfg in (
+    RunConfig(kind="interval", resolution=300, params=hole),
+    RunConfig(kind="cascade", resolution=5),  # unequal weights
+    RunConfig(kind="grid2d", resolution=16),
+):
+    report, _, _ = run_pipeline(cfg)
+    assert report["gamma"]["edges"], cfg
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy, f"a run imported {scipy}"
 """
 
 
-def test_only_a_coordinate_run_imports_scipy_spatial(tmp_path):
-    """In fresh interpreters: loading a space and the mass stages, with
-    equal or unequal weights, import no scipy, and neither does a whole
-    run on a distance matrix; the nets of a coordinate space import
-    ``scipy.spatial``, and no run imports ``scipy.sparse.csgraph``."""
+def test_no_run_imports_scipy(tmp_path):
+    """In a fresh interpreter, the CLI's import and whole runs on a
+    distance matrix and on coordinates, with equal or unequal weights,
+    import no scipy module: numpy is the only dependency."""
     src = os.path.dirname(os.path.dirname(rectilib.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = [str(tmp_path / "m.csv"), str(tmp_path / "w.csv")]
-    for last in ("nets", "pipeline"):
-        proc = subprocess.run(
-            [sys.executable, "-c", GUARD, *files, last],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, *files],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

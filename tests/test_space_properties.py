@@ -150,7 +150,6 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
         mass = mass_of(levels, np.flatnonzero(expected[k] < r))
         assert space.ball_masses([k], [r]).tolist() == [[mass]]
     q, j, d = space.neighbors(np.arange(len(ids)), r)
-    assert space._tree is not None
     assert np.array_equal(np.stack([q, j]), np.nonzero(expected < r))
     assert d.tolist() == expected[expected < r].tolist()
     assert space._matrix is None
