@@ -6,6 +6,15 @@ smaller id) and each net point to its nearest parent one level up, so
 the cubes at each level partition the space exactly and children nest
 inside parents by construction.
 
+The tree is read-only arrays.  Cube ids run level by level, coarsest
+first, each level in the order of its net.  ``level``, ``center`` (the
+point index of the net point), ``parent`` (-1 on the top level),
+``sidelength`` and ``mass`` are indexed by cube id; ``start`` holds
+each level's first cube id; row ``k`` of ``cube_of`` gives, at the
+``k``-th level from the top, the cube id of every point by index.  A
+cube's members are the points whose ``cube_of`` entry is its id, and
+its children are the cubes whose ``parent`` it is.
+
 The sidelength convention is ``l(cube) = 5 * rho^n``.  Members always
 sit inside the open outer ball ``B(center, l)`` once ``rho <= 1/4``
 (the chain of nearest-parent hops has total length below ``2.4 *
@@ -28,37 +37,22 @@ from .space import MetricMeasureSpace
 SIDELENGTH_FACTOR = 5.0
 
 
-@dataclass(frozen=True)
-class Cube:
-    level: int
-    center: int  # point id of the net point indexing this cube
-    sidelength: float
-    parent: int | None  # cube id
-    children: tuple[int, ...]
-    members: tuple[int, ...]  # point ids, ascending
-    mass: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubeTree:
+    level: np.ndarray  # (C,) int64
+    center: np.ndarray  # (C,) point index of the net point indexing the cube
+    parent: np.ndarray  # (C,) int64 cube id, -1 on the top level
+    sidelength: np.ndarray  # (C,) float64
+    mass: np.ndarray  # (C,) float64
+    start: np.ndarray  # (L,) each level's first cube id, coarsest first
+    cube_of: np.ndarray  # (L, n) each point's cube id at each level
     c0_target: float
-    n_min: int
-    cubes: tuple[Cube, ...]  # a cube's id is its position here
-    by_level: dict[int, tuple[int, ...]]  # level -> cube ids
     c0_achieved: float  # +inf when no cube has a non-member
 
-    def roots(self) -> tuple[int, ...]:
-        return self.by_level[self.n_min]
-
-    def descendants(self, cube_id: int) -> list[int]:
-        """Cube ids of the full subtree, root first (preorder)."""
-        out: list[int] = []
-        stack = [cube_id]
-        while stack:
-            cid = stack.pop()
-            out.append(cid)
-            stack.extend(reversed(self.cubes[cid].children))
-        return out
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def _nearest(
@@ -90,13 +84,6 @@ def _nearest(
     return out
 
 
-def _groups(labels: np.ndarray, size: int) -> list[np.ndarray]:
-    """Per label ``0 .. size-1``, the positions holding it, ascending."""
-    order = np.argsort(labels, kind="stable")
-    ends = np.searchsorted(labels[order], np.arange(size + 1)).tolist()
-    return [order[a:b] for a, b in zip(ends[:-1], ends[1:])]
-
-
 def build_cubes(
     space: MetricMeasureSpace,
     hierarchy: NetHierarchy,
@@ -109,81 +96,72 @@ def build_cubes(
     if not levels:
         raise ParameterError("hierarchy has no levels")
 
-    level_idx = {
-        n: space.indices_of(hierarchy.levels[n]) for n in levels
-    }
+    level_idx = [space.indices_of(hierarchy.levels[n]) for n in levels]
+    sizes = [len(idx) for idx in level_idx]
     # point -> position of its cube center within each level's net
-    assign: dict[int, np.ndarray] = {}
-    finest = levels[-1]
-    assign[finest] = _nearest(
-        space, level_idx[finest], hierarchy.scale(finest), np.arange(len(space))
+    cube_of = np.empty((len(levels), len(space)), dtype=np.int64)
+    cube_of[-1] = _nearest(
+        space, level_idx[-1], hierarchy.scale(levels[-1]), np.arange(len(space))
     )
-    for n_above, n in zip(levels[-2::-1], levels[:0:-1]):
-        # map each level-n net point to its nearest level-n_above net
-        # point, then compose with the existing point assignment
+    for k in range(len(levels) - 2, -1, -1):
+        # map each net point one level down to its nearest net point
+        # here, then compose with the existing point assignment
         up = _nearest(
-            space, level_idx[n_above], hierarchy.scale(n_above), level_idx[n]
+            space, level_idx[k], hierarchy.scale(levels[k]), level_idx[k + 1]
         )
-        assign[n_above] = up[assign[n]]
+        cube_of[k] = up[cube_of[k + 1]]
 
     # a cube's id is its level's first id plus its net point's position;
     # a cube's parent holds its centre
-    sizes = [len(level_idx[n]) for n in levels]
-    first = dict(zip(levels, np.cumsum([0] + sizes).tolist()))
-    parent = {levels[0]: [None] * sizes[0]}
-    children = {levels[-1]: [()] * sizes[-1]}
-    for n_above, n in zip(levels, levels[1:]):
-        up = assign[n_above][level_idx[n]]
-        parent[n] = (first[n_above] + up).tolist()
-        children[n_above] = [
-            tuple((first[n] + g).tolist())
-            for g in _groups(up, len(level_idx[n_above]))
-        ]
+    start = np.cumsum([0] + sizes[:-1])
+    cube_of += start[:, None]
+    center = np.concatenate(level_idx)
+    parent = np.concatenate(
+        [np.full(sizes[0], -1)]
+        + [cube_of[k - 1, level_idx[k]] for k in range(1, len(levels))]
+    )
+    # Python's ** per level: numpy's power need not round the same way
+    sides = [SIDELENGTH_FACTOR * hierarchy.rho**n for n in levels]
 
-    cubes: list[Cube] = []
-    by_level: dict[int, tuple[int, ...]] = {}
+    mass: list[float] = []
     # c0: the nearest non-member of each cube, relative to its sidelength;
     # one within a sidelength comes from a neighbour query per level
     c0 = math.inf
-    far_cubes: list[tuple[int, int]] = []  # (level, position) of the rest
-    for n, size in zip(levels, sizes):
-        side = SIDELENGTH_FACTOR * hierarchy.rho**n
-        by_level[n] = tuple(range(first[n], first[n] + size))
-        for k, pos in enumerate(_groups(assign[n], size)):
-            cubes.append(
-                Cube(
-                    level=n,
-                    center=space.ids[int(level_idx[n][k])],
-                    sidelength=side,
-                    parent=parent[n][k],
-                    children=children[n][k],
-                    members=tuple(sorted(space.ids[p] for p in pos.tolist())),
-                    mass=space.mass(pos),
-                )
-            )
-        q, j, d = space.neighbors(level_idx[n], side)
-        outside = assign[n][j] != q
+    far_cubes: list[tuple[int, int]] = []  # (level row, cube id) of the rest
+    for k, size in enumerate(sizes):
+        # each cube's points, grouped by one stable sort of the level's row
+        order = np.argsort(cube_of[k], kind="stable")
+        counts = np.bincount(cube_of[k] - start[k], minlength=size)
+        mass.extend(
+            space.mass(pos) for pos in np.split(order, np.cumsum(counts)[:-1])
+        )
+        q, j, d = space.neighbors(level_idx[k], sides[k])
+        outside = cube_of[k, j] != start[k] + q
         nearest_out = np.full(size, math.inf)
         np.minimum.at(nearest_out, q[outside], d[outside])
         found = np.isfinite(nearest_out)
         if found.any():
-            c0 = min(c0, float((nearest_out[found] / side).min()))
-        far_cubes.extend((n, k) for k in np.flatnonzero(~found).tolist())
+            c0 = min(c0, float((nearest_out[found] / sides[k]).min()))
+        far = start[k] + np.flatnonzero(~found)
+        far_cubes.extend((k, c) for c in far.tolist())
     if not c0 < 1.0:
         # every ratio found is below 1 and a far cube's is at least 1, so
         # far cubes need their rows only when nothing was found
-        for n, k in far_cubes:
-            outside = assign[n] != k
+        for k, c in far_cubes:
+            outside = cube_of[k] != c
             if outside.any():
-                row = space.dists_from(int(level_idx[n][k]))
-                side = SIDELENGTH_FACTOR * hierarchy.rho**n
-                c0 = min(c0, float(row[outside].min()) / side)
+                row = space.dists_from(int(center[c]))
+                c0 = min(c0, float(row[outside].min()) / sides[k])
 
     return CubeTree(
+        level=np.repeat(levels, sizes),
+        center=center,
+        parent=parent,
+        sidelength=np.repeat(sides, sizes),
+        mass=np.array(mass),
+        start=start,
+        cube_of=cube_of,
         c0_target=c0_target,
-        n_min=levels[0],
-        cubes=tuple(cubes),
-        by_level=by_level,
         c0_achieved=c0,
     )
 
@@ -206,61 +184,59 @@ def verify_cube_axioms(
 ) -> CubeCheck:
     """Re-verify the cube axioms from scratch.
 
-    Checks, per level: the cubes partition the point set; every member
+    Checks, per level: the cubes partition the point set, that is every
+    point's ``cube_of`` entry is a cube of that level; every member
     sits inside the open outer ball of radius one sidelength; centers
-    are exactly the net points.  Across levels: member sets nest into
-    the parent.  The inner-ball axiom is the reported ``c0_achieved``
-    being at least ``c0_target``.
+    are exactly the net points.  Across levels: every member of a cube
+    is a member of its parent.  The inner-ball axiom is the reported
+    ``c0_achieved`` being at least ``c0_target``.  The witness is the
+    first failure scanning levels from the top, within a level the
+    cubes by id (outer ball before nesting), then the partition, then
+    the centers.
     """
-    partition_ok = nesting_ok = outer_ok = centers_ok = True
+    ok = {"partition": True, "nesting": True, "outer": True, "centers": True}
     witness = None
-    all_ids = set(space.ids)
-    for n, cids in sorted(tree.by_level.items()):
-        seen: set[int] = set()
-        count = 0
-        for cid in cids:
-            cube = tree.cubes[cid]
-            count += len(cube.members)
-            seen.update(cube.members)
-            if outer_ok and cube.members:
-                idx = space.indices_of(cube.members)
-                row = space.dists_between(space.index_of(cube.center), idx)
-                far = np.flatnonzero(row >= cube.sidelength)
-                if far.size:
-                    outer_ok = False
-                    witness = witness or (
-                        "outer",
-                        cid,
-                        cube.members[int(far[0])],
-                    )
-            if nesting_ok and cube.parent is not None:
-                parent_members = set(tree.cubes[cube.parent].members)
-                stray = set(cube.members) - parent_members
-                if stray:
-                    nesting_ok = False
-                    witness = witness or ("nesting", cid, sorted(stray)[0])
-        if partition_ok and (seen != all_ids or count != len(all_ids)):
-            partition_ok = False
-            missing = sorted(all_ids - seen)
-            witness = witness or (
-                "partition",
-                n,
-                missing[0] if missing else "overlap",
-            )
-        if centers_ok:
-            centers = {tree.cubes[cid].center for cid in cids}
-            if centers != set(hierarchy.levels[n]):
-                centers_ok = False
-                witness = witness or ("centers", n)
+    ids = np.asarray(space.ids)
+    by_level = np.split(np.arange(len(tree.level)), tree.start[1:])
+    for row, cids in zip(tree.cube_of, by_level):
+        n = int(tree.level[cids[0]])
+        held = (cids[0] <= row) & (row <= cids[-1])
+        pts = np.flatnonzero(held)
+        cube = row[pts]
+        parent = tree.parent[cube]
+        parent_row = np.searchsorted(tree.start, parent, side="right") - 1
+        failed = {
+            "outer": space.dists_between(tree.center[cube], pts)
+            >= tree.sidelength[cube],
+            "nesting": (parent >= 0) & (tree.cube_of[parent_row, pts] != parent),
+        }
+        # each failed check's first cube, its rank, and that cube's first id
+        firsts = []
+        for rank, (name, bad) in enumerate(failed.items()):
+            if bad.any():
+                ok[name] = False
+                c, p = cube[bad], ids[pts[bad]]
+                first = np.lexsort((p, c))[0]
+                firsts.append((int(c[first]), rank, name, int(p[first])))
+        if firsts:
+            c, _, name, p = min(firsts)
+            witness = witness or (name, c, p)
+        if not held.all():
+            ok["partition"] = False
+            witness = witness or ("partition", n, int(ids[~held].min()))
+        centers = set(ids[tree.center[cids]].tolist())
+        if centers != set(hierarchy.levels[n]):
+            ok["centers"] = False
+            witness = witness or ("centers", n)
     inner_ok = tree.c0_achieved >= tree.c0_target
     if not inner_ok:
         witness = witness or ("inner", tree.c0_achieved)
     return CubeCheck(
-        ok=partition_ok and nesting_ok and outer_ok and inner_ok and centers_ok,
-        partition_ok=partition_ok,
-        nesting_ok=nesting_ok,
-        outer_ok=outer_ok,
+        ok=all(ok.values()) and inner_ok,
+        partition_ok=ok["partition"],
+        nesting_ok=ok["nesting"],
+        outer_ok=ok["outer"],
         inner_ok=inner_ok,
-        centers_ok=centers_ok,
+        centers_ok=ok["centers"],
         witness=witness,
     )

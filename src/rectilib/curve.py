@@ -188,20 +188,19 @@ def build_bridges(
 
     def pairs_for(p: PorousCube):
         """The cube's (pair, length) bridges, or None without its level."""
-        cube = tree.cubes[p.cube]
-        level = cube.level + cfg.n0
+        level = int(tree.level[p.cube]) + cfg.n0
         if level not in hierarchy.levels:
             return None
         ids = hierarchy.levels[level]
-        dist = space.dists_between(
-            space.index_of(cube.center), space.indices_of(ids)
-        )
+        center = int(tree.center[p.cube])
+        dist = space.dists_between(center, space.indices_of(ids))
+        c, reach = space.ids[center], cfg.M * float(tree.sidelength[p.cube])
         # a coordinate row is symmetric bit for bit, so the center's
         # entry is the pair's distance whichever end is smaller
         return [
-            ((min(cube.center, q), max(cube.center, q)), d)
+            ((min(c, q), max(c, q)), d)
             for q, d in sorted(zip(ids, dist.tolist()))
-            if q != cube.center and d < cfg.M * cube.sidelength
+            if q != c and d < reach
         ]
 
     first: dict[tuple[int, int], tuple[int, float]] = {}  # pair -> cube, length
@@ -363,7 +362,7 @@ def length_budget(
 
     max_pairs = max(bridges.pairs_per_cube.values(), default=0)
     c_pair = 3.0 * 2.0 * cfg.M * max_pairs
-    sum_l = seq_sum([tree.cubes[p.cube].sidelength for p in porous])
+    sum_l = seq_sum(tree.sidelength[[p.cube for p in porous]])
     bound_bridge = c_pair * sum_l
 
     r_hi = space.diameter() / 4

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,16 +23,16 @@ from .errors import (
 from .space import MetricMeasureSpace, dyadic_radii, seq_sum
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    point: int
+@dataclass(frozen=True, eq=False)
+class DensityProfiles:
+    points: tuple[int, ...]  # point ids, in the order asked
     radii: tuple[float, ...]  # descending, r_hi down to r_lo
-    values: tuple[float, ...]  # mass(B(point, r)) / r per radius
-    lower_estimate: float
+    ratios: np.ndarray  # (points, radii) read-only, mass(B(point, r)) / r
 
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ParameterError("profile values must be nonnegative")
+    @property
+    def lower(self) -> np.ndarray:
+        """Each point's lower estimate: its smallest ratio on the grid."""
+        return self.ratios.min(axis=1)
 
 
 def density_profiles(
@@ -40,45 +40,40 @@ def density_profiles(
     points: Iterable[int],
     r_lo: float,
     r_hi: float,
-) -> list[DensityProfile]:
-    """Ball-mass-to-radius ratios on a halving radius grid, one profile
-    per point, in the given order.
+) -> DensityProfiles:
+    """Ball-mass-to-radius ratios on a halving radius grid, one row per
+    point, in the given order.
 
     Masses come from one table of :meth:`MetricMeasureSpace.ball_masses`.
     """
     if not (0 < r_lo < r_hi):
         raise ParameterError("need 0 < r_lo < r_hi")
-    points = list(points)
+    points = tuple(points)
     radii = tuple(dyadic_radii(r_lo, r_hi))
     ratios = space.ball_masses(space.indices_of(points), radii)
     ratios /= np.array(radii)
-    profiles = []
-    for x, row in zip(points, ratios):
-        values = tuple(row.tolist())
-        profiles.append(
-            DensityProfile(
-                point=x, radii=radii, values=values, lower_estimate=min(values)
-            )
-        )
-    return profiles
+    ratios.flags.writeable = False
+    return DensityProfiles(points=points, radii=radii, ratios=ratios)
 
 
-def density_csv(profiles: Iterable[DensityProfile], path: str) -> None:
+def density_csv(profiles: DensityProfiles, path: str) -> None:
     """Per-point lower estimates as CSV, ascending by id."""
+    order = np.argsort(profiles.points, kind="stable")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "lower_estimate"])
-        for p in sorted(profiles, key=lambda q: q.point):
-            writer.writerow([p.point, repr(p.lower_estimate)])
+        # Python floats: repr of a numpy float names its type
+        for k, low in zip(order.tolist(), profiles.lower[order].tolist()):
+            writer.writerow([profiles.points[k], repr(low)])
 
 
 def density_summary(
-    profiles: Sequence[DensityProfile], r_lo: float, r_hi: float
+    profiles: DensityProfiles, r_lo: float, r_hi: float
 ) -> dict:
     """Count, radius grid and spread of the profiles' lower estimates."""
-    lows = np.array([p.lower_estimate for p in profiles])
+    lows = profiles.lower
     return {
-        "profiled": len(profiles),
+        "profiled": len(profiles.points),
         "r_lo": r_lo,
         "r_hi": r_hi,
         "lower_min": float(lows.min()),

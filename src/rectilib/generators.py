@@ -73,8 +73,28 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _param(spec: GeneratorSpec, key: str, default, convert, expected: str):
+    """``convert`` of the params entry ``key`` (``default`` when absent);
+    a value it cannot convert is a ParameterError naming the key."""
+    value = spec.params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"{spec.kind}: param {key!r} must be {expected}, got {value!r}"
+        ) from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def generate(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None]:
     _require(spec.kind in KINDS, f"unknown generator kind {spec.kind!r}")
+    _require(
+        isinstance(spec.params, dict),
+        f"params must be a JSON object, got {spec.params!r}",
+    )
     if spec.kind in _LEVEL_KINDS:
         _require(spec.resolution >= 1, f"{spec.kind}: level must be >= 1")
     else:
@@ -96,9 +116,12 @@ def _interval(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None
     xs = np.arange(n, dtype=float) / (n - 1)
     weights = np.full(n, 2.0 / n)
     space = MetricMeasureSpace.from_coords(range(n), xs[:, None], weights)
-    holes = spec.params.get("holes")
-    if holes is None:
+    if spec.params.get("holes") is None:
         return space, None
+    holes = _param(
+        spec, "holes", None,
+        lambda v: _floats(v).reshape(len(v), 2), "a list of [a, b] pairs",
+    )
     inside = np.zeros(n, dtype=bool)
     for a, b in holes:
         inside |= (a < xs) & (xs < b)
@@ -166,9 +189,7 @@ def _koch(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None]:
 
 def _cascade(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None]:
     depth = spec.resolution
-    ratios = np.asarray(
-        spec.params.get("ratios", (0.3, 0.2, 0.3, 0.2)), dtype=float
-    )
+    ratios = _param(spec, "ratios", (0.3, 0.2, 0.3, 0.2), _floats, "numbers")
     if ratios.shape != (4,):
         raise ParameterError("cascade ratios must be four numbers")
     if np.any(ratios <= 0):
@@ -193,12 +214,13 @@ def _lipschitz_curve(
     spec: GeneratorSpec,
 ) -> tuple[MetricMeasureSpace, TargetSet | None]:
     n = spec.resolution
-    waypoints = np.asarray(
-        spec.params.get("waypoints", [[0.0, 0.0], [1.0, 0.0]]), dtype=float
+    waypoints = _param(
+        spec, "waypoints", [[0.0, 0.0], [1.0, 0.0]], _floats,
+        "a list of points of one dimension",
     )
     if waypoints.ndim != 2 or len(waypoints) < 2:
         raise ParameterError("lipschitz_curve needs at least two waypoints")
-    coils = int(spec.params.get("coils", 1))
+    coils = _param(spec, "coils", 1, int, "an integer")
     _require(coils >= 1, "coils must be >= 1")
 
     path = [waypoints]

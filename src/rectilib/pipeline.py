@@ -117,7 +117,7 @@ def load_space(cfg: RunConfig) -> tuple[MetricMeasureSpace, TargetSet | None]:
     spec = GeneratorSpec(
         kind=cfg.kind,
         resolution=cfg.resolution,
-        params=dict(cfg.params),
+        params=cfg.params,
     )
     return generate(spec)
 
@@ -220,11 +220,12 @@ def _cubes(ctx):
 def _verify_cubes(ctx):
     tree = ctx.tree
     check = verify_cube_axioms(ctx.space, ctx.hierarchy, tree)
+    sizes = np.diff(tree.start, append=len(tree.level))
     return {
-        "count": len(tree.cubes),
-        "per_level": {
-            str(n): len(tree.by_level[n]) for n in sorted(tree.by_level)
-        },
+        "count": len(tree.level),
+        "per_level": dict(
+            zip(map(str, tree.level[tree.start].tolist()), sizes.tolist())
+        ),
         "c0_achieved": tree.c0_achieved
         if np.isfinite(tree.c0_achieved)
         else None,
@@ -248,7 +249,7 @@ def _density(ctx):
 
 def _per_level(tree, cube_ids) -> dict[str, int]:
     """How many of the cubes lie at each level, keyed by level."""
-    return dict(Counter(str(tree.cubes[c].level) for c in cube_ids))
+    return dict(Counter(str(tree.level[c]) for c in cube_ids))
 
 
 def _porous(ctx):

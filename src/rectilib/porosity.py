@@ -108,13 +108,8 @@ def find_porous(
     result = validate_config(cfg)
     if not result.ok:
         raise ParameterError("config violates: " + "; ".join(result.violations))
-    e_members = set(target.members)
-    root = None
-    for rid in tree.roots():
-        if e_members <= set(tree.cubes[rid].members):
-            root = rid
-            break
-    if root is None:
+    e_idx = space.indices_of(target.members)
+    if len(np.unique(tree.cube_of[0, e_idx])) != 1:
         raise ContainmentError(
             "target set is not contained in any single root cube"
         )
@@ -123,18 +118,21 @@ def find_porous(
     by_gap = np.argsort(gap, kind="stable")
     sorted_gap = gap[by_gap]
     found: list[PorousCube] = []
-    for cid in tree.descendants(root):
-        cube = tree.cubes[cid]
-        if not e_members.intersection(cube.members):
-            continue
+    # the cubes meeting the target, all under its root, ascending
+    meeting = np.unique(tree.cube_of[:, e_idx])
+    for cid, center, side in zip(
+        meeting.tolist(),
+        tree.center[meeting].tolist(),
+        tree.sidelength[meeting].tolist(),
+    ):
         # the maximal near gap, if porous, and every point attaining it
         # are candidates, so distances to the others are never needed
-        start = np.searchsorted(sorted_gap, cfg.delta * cube.sidelength, "left")
+        start = np.searchsorted(sorted_gap, cfg.delta * side, "left")
         if start == len(gap):
             continue
         cand = by_gap[start:]
-        row = space.dists_between(space.index_of(cube.center), cand)
-        near = cand[row < cfg.M * cube.sidelength]
+        row = space.dists_between(center, cand)
+        near = cand[row < cfg.M * side]
         if not near.size:
             continue
         best = float(gap[near].max())
@@ -148,7 +146,7 @@ def find_porous(
                 witness_gap=best,
             )
         )
-    return tuple(sorted(found, key=lambda p: p.cube))
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -207,28 +205,24 @@ def carleson_check(
     contribute their full mass, matching the packing sum being bounded.
     """
     constants = appendix_constants(cfg, b_observed)
-    porous_ids = {p.cube for p in porous}
-    packed = [0.0] * len(tree.cubes)
-    ratios: dict[int, float] = {}
-    skipped: list[int] = []
-    worst = -math.inf
-    worst_cube: int | None = None
-    for n in sorted(tree.by_level, reverse=True):
-        for cid in tree.by_level[n]:
-            cube = tree.cubes[cid]
-            total = cube.mass if cid in porous_ids else 0.0
-            for child in cube.children:
-                total += packed[child]
-            packed[cid] = total
-            if cube.mass <= 0:
-                skipped.append(cid)
-                continue
-            ratios[cid] = total / cube.mass
-            if ratios[cid] > worst:
-                worst = ratios[cid]
-                worst_cube = cid
-    if worst == -math.inf:
-        worst = 0.0
+    porous_ids = [p.cube for p in porous]
+    packed = np.zeros(len(tree.mass))
+    packed[porous_ids] = tree.mass[porous_ids]
+    # from the bottom level up, each cube's children (ascending id) add
+    # their packed mass to its own, in the order a running total would
+    by_level = np.split(np.arange(len(tree.mass)), tree.start[1:])[::-1]
+    for cids in by_level[:-1]:
+        np.add.at(packed, tree.parent[cids], packed[cids])
+    order = np.concatenate(by_level)
+    weighed = order[tree.mass[order] > 0]
+    ratio = packed[weighed] / tree.mass[weighed]
+    ratios = dict(zip(weighed.tolist(), ratio.tolist()))
+    skipped = order[tree.mass[order] <= 0].tolist()
+    worst, worst_cube = 0.0, None
+    if len(weighed):
+        # the first cube in that order attaining the largest ratio
+        first = int(np.argmax(ratio))
+        worst, worst_cube = float(ratio[first]), int(weighed[first])
     return CarlesonReport(
         ratios=ratios,
         worst_ratio=worst,
@@ -282,23 +276,14 @@ def shadow_map(
     A witness contained in no antichain cube at the available levels is
     a resolution failure and is recorded, not raised.
     """
-    maximal: list[int] = []
-    stack = list(tree.roots())
-    while stack:
-        cid = stack.pop()
-        cube = tree.cubes[cid]
-        center_gap = gap[space.index_of(cube.center)]
-        if center_gap >= 2 * cube.sidelength:
-            maximal.append(cid)
-        else:
-            stack.extend(cube.children)
-    maximal.sort()
-
-    # point id -> containing antichain cube (at most one: it is an antichain)
-    shadow_of_point: dict[int, int] = {}
-    for cid in maximal:
-        for pid in tree.cubes[cid].members:
-            shadow_of_point[pid] = cid
+    clear = gap[tree.center] >= 2 * tree.sidelength
+    # a clear cube is maximal unless an ancestor is clear; one sweep from
+    # the top, since parents come a level before their children
+    cleared_above = np.zeros(len(clear), dtype=bool)
+    for cids in np.split(np.arange(len(clear)), tree.start[1:])[1:]:
+        up = tree.parent[cids]
+        cleared_above[cids] = clear[up] | cleared_above[up]
+    is_maximal = clear & ~cleared_above
 
     c0_used = tree.c0_achieved
     if not math.isfinite(c0_used):
@@ -309,8 +294,11 @@ def shadow_map(
     violation: str | None = None
     slack = 1.0 + 1e-12
     for p in porous:
-        cube = tree.cubes[p.cube]
-        shadow = shadow_of_point.get(p.witness)
+        # the witness's cube at each level; at most one is maximal, since
+        # the maximal cubes are an antichain
+        column = tree.cube_of[:, space.index_of(p.witness)]
+        hits = column[is_maximal[column]].tolist()
+        shadow = hits[0] if hits else None
         if shadow is None:
             failures.append(p.cube)
             records.append(
@@ -324,8 +312,8 @@ def shadow_map(
             )
             continue
         load[shadow] = load.get(shadow, 0) + 1
-        l_cube = cube.sidelength
-        l_shadow = tree.cubes[shadow].sidelength
+        l_cube = float(tree.sidelength[p.cube])
+        l_shadow = float(tree.sidelength[shadow])
         sides = [
             ("delta*l(Q)", cfg.delta * l_cube, "(4/rho)*l(S)",
              (4 / cfg.rho) * l_shadow),
@@ -352,7 +340,7 @@ def shadow_map(
         )
     return ShadowReport(
         records=tuple(records),
-        maximal=tuple(maximal),
+        maximal=tuple(np.flatnonzero(is_maximal).tolist()),
         b_observed=max(load.values(), default=0),
         c0_used=c0_used,
         failures=tuple(failures),

@@ -303,8 +303,9 @@ class MetricMeasureSpace:
                 acc += step
         return np.sqrt(acc, out=acc)
 
-    def dists_between(self, index: int, cols: np.ndarray) -> np.ndarray:
-        """``dists_from(index)[cols]``, bit for bit, without the rest of the row."""
+    def dists_between(self, index, cols: np.ndarray) -> np.ndarray:
+        """``dists_from(index)[cols]``, bit for bit, without the rest of the
+        row; an array ``index`` pairs with ``cols`` entry by entry."""
         return self._pair_dists(index, np.asarray(cols, dtype=np.intp))
 
     def _pair_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -1007,9 +1008,17 @@ def _parse_number(raw: str, where: str, kind: type = float):
     raise InputError(f"{where}: {raw!r} is not {noun}")
 
 
+def _open(path: str, **kwargs):
+    """``open`` for reading; a path naming no readable file is an InputError."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from None
+
+
 def load_csv(path: str) -> MetricMeasureSpace:
     """Point cloud from CSV with header ``id,x1,...,xd,weight``."""
-    with open(path, newline="") as fh:
+    with _open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -1061,7 +1070,7 @@ def load_json(path: str) -> MetricMeasureSpace:
     Ids are integers, coords lists as long as record 0's, and every number
     a finite float, not a bool; else :class:`InputError` names the record."""
     try:
-        with open(path) as fh:
+        with _open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
@@ -1088,7 +1097,7 @@ def load_json(path: str) -> MetricMeasureSpace:
 
 def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
     """Explicit metric: square distance CSV plus an ``id,weight`` CSV."""
-    with open(weights_path, newline="") as fh:
+    with _open(weights_path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if header != ["id", "weight"]:
@@ -1104,6 +1113,6 @@ def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
             weights.append(_parse_number(row[1], where))
     try:
         matrix = np.loadtxt(matrix_path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"{matrix_path}: {exc}") from None
     return MetricMeasureSpace.from_matrix(ids, matrix, np.array(weights))

@@ -548,19 +548,57 @@ def cube_members_rows(space, hierarchy) -> dict:
     return out
 
 
+def cube_members(space, tree, cube: int) -> tuple:
+    """Point ids of a cube, ascending: the points whose ``cube_of`` entry
+    at the cube's level is the cube."""
+    row = int(np.searchsorted(tree.start, cube, side="right")) - 1
+    at = np.flatnonzero(tree.cube_of[row] == cube).tolist()
+    return tuple(sorted(space.ids[k] for k in at))
+
+
+def cube_children(tree, cube: int) -> tuple:
+    """Ids of the cubes whose parent is the cube, ascending."""
+    return tuple(k for k, up in enumerate(tree.parent.tolist()) if up == cube)
+
+
+def cube_descendants(tree, cube: int) -> list:
+    """The cube and every cube below it, root first (preorder)."""
+    out, stack = [], [cube]
+    while stack:
+        cid = stack.pop()
+        out.append(cid)
+        stack.extend(reversed(cube_children(tree, cid)))
+    return out
+
+
+def maximal_clear_rows(tree, gap) -> list:
+    """Cubes whose centre's gap is at least twice their sidelength and
+    none of whose ancestors' is: a walk down from the top-level cubes
+    that stops at the first such cube, ids ascending."""
+    out = []
+    stack = [c for c in range(len(tree.level)) if tree.parent[c] < 0]
+    while stack:
+        cid = stack.pop()
+        if gap[tree.center[cid]] >= 2 * tree.sidelength[cid]:
+            out.append(cid)
+        else:
+            stack.extend(cube_children(tree, cid))
+    return sorted(out)
+
+
 def c0_rows(space, tree) -> float:
     """Smallest (nearest non-member distance) / sidelength over all cubes."""
     c0 = math.inf
     member_mask = np.zeros(len(space), dtype=bool)
-    for c in tree.cubes:
-        idx = [space.index_of(p) for p in c.members]
+    for c in range(len(tree.level)):
+        idx = [space.index_of(p) for p in cube_members(space, tree, c)]
         member_mask[:] = False
         member_mask[idx] = True
         if member_mask.all():
             continue
-        row = space.dists_from(space.index_of(c.center))
+        row = space.dists_from(int(tree.center[c]))
         nearest_out = float(row[~member_mask].min())
-        c0 = min(c0, nearest_out / c.sidelength)
+        c0 = min(c0, nearest_out / float(tree.sidelength[c]))
     return c0
 
 
@@ -570,18 +608,15 @@ def find_porous_rows(space, tree, target, cfg, root) -> list:
     gap = np.array(dist_to_set_brute(space, target.members))
     id_order = np.argsort(np.asarray(space.ids), kind="stable")
     found = []
-    stack = [root]
-    while stack:
-        cid = stack.pop()
-        cube = tree.cubes[cid]
-        stack.extend(reversed(cube.children))
-        if not e_members.intersection(cube.members):
+    for cid in cube_descendants(tree, root):
+        if not e_members.intersection(cube_members(space, tree, cid)):
             continue
-        row = space.dists_from(space.index_of(cube.center))
-        near = row < cfg.M * cube.sidelength
+        side = float(tree.sidelength[cid])
+        row = space.dists_from(int(tree.center[cid]))
+        near = row < cfg.M * side
         gaps = np.where(near, gap, -math.inf)
         best = float(gaps.max())
-        if best >= cfg.delta * cube.sidelength:
+        if best >= cfg.delta * side:
             pos = next(int(k) for k in id_order if gaps[k] == best)
             found.append((cid, space.ids[pos], best))
     return sorted(found)

@@ -151,13 +151,16 @@ def test_criterion_02_cube_axioms_and_fine_scale_floor(net_runs):
         assert check.nesting_ok, (run.kind, run.rho, check.witness)
         assert check.outer_ok, (run.kind, run.rho, check.witness)
         assert check.ok, (run.kind, run.rho, check.witness)
-        for cube in tree.cubes:
-            assert cube.sidelength == pytest.approx(
-                5.0 * run.rho ** cube.level, rel=1e-12
-            )
-            row = run.space.dists_from(run.space.index_of(cube.center))
-            members = run.space.indices_of(cube.members)
-            assert np.all(row[members] < cube.sidelength)
+        for row, cids in zip(
+            tree.cube_of, np.split(np.arange(len(tree.level)), tree.start[1:])
+        ):
+            for cid in cids.tolist():
+                side = tree.sidelength[cid]
+                assert side == pytest.approx(
+                    5.0 * run.rho ** int(tree.level[cid]), rel=1e-12
+                )
+                dists = run.space.dists_from(int(tree.center[cid]))
+                assert np.all(dists[row == cid] < side)
 
     micro = MetricMeasureSpace.from_coords(
         range(5),
@@ -239,7 +242,7 @@ def test_criterion_05_packing_and_shadow_inequalities(
 
         shadow = bundle.shadow
         assert shadow.ok
-        sidelength = [c.sidelength for c in bundle.tree.cubes]
+        sidelength = bundle.tree.sidelength
         mapped = 0
         for record in shadow.records:
             if record.shadow is None:
@@ -324,8 +327,8 @@ def test_criterion_09_tour_surjective_and_lipschitz(pipeline_reports):
 
 def test_criterion_10_density_discriminates_geometry():
     circle, _ = generate(GeneratorSpec("circle", 4096))
-    profile = density_profiles(circle, [0], 0.01, 0.1)[0]
-    assert 1.9 <= profile.lower_estimate <= 2.1
+    profile = density_profiles(circle, [0], 0.01, 0.1)
+    assert 1.9 <= profile.lower[0] <= 2.1
 
     medians = []
     for level in (4, 5, 6):
@@ -335,9 +338,7 @@ def test_criterion_10_density_discriminates_geometry():
         profiles = density_profiles(
             koch, points, 3.0 ** -level, 64.0 * 3.0 ** -level
         )
-        medians.append(float(np.median(
-            [p.lower_estimate for p in profiles]
-        )))
+        medians.append(float(np.median(profiles.lower)))
     assert medians[0] > medians[1] > medians[2]
     scales = [3.0 ** -level for level in (4, 5, 6)]
     slope = float(np.polyfit(np.log(scales), np.log(medians), 1)[0])
@@ -348,7 +349,7 @@ def test_criterion_10_density_discriminates_geometry():
     profiles = density_profiles(
         cantor, list(range(len(cantor))), 4.0 ** -4, 0.25
     )
-    assert min(p.lower_estimate for p in profiles) >= 0.2
+    assert profiles.lower.min() >= 0.2
     all_ids = list(range(len(cantor)))
     assert beta2(cantor, all_ids).beta2 >= 0.1
     coords = cantor.coords

@@ -170,7 +170,7 @@ def test_density_profiles_selected_points(capsys, tmp_path):
     code, payload, _ = run_json(
         capsys,
         ["density", "--kind", "interval", "--resolution", "32",
-         "--points", "0,5,9", "--out", out_path],
+         "--points", "9,0,5", "--out", out_path],
     )
     assert code == 0
     assert payload["profiled"] == 3
@@ -210,12 +210,9 @@ def test_density_median_is_the_median(capsys):
     )
     assert code == 0
     space, _ = generate(GeneratorSpec("cascade", 6))
-    lows = [
-        p.lower_estimate
-        for p in density_profiles(
-            space, points, payload["r_lo"], payload["r_hi"]
-        )
-    ]
+    lows = density_profiles(
+        space, points, payload["r_lo"], payload["r_hi"]
+    ).lower
     assert payload["lower_median"] == float(np.median(lows))
     assert payload["lower_median"] == pytest.approx(0.0372382634023727)
 
@@ -519,3 +516,49 @@ def test_params_that_are_not_json_exit_2(capsys):
         main(["run", "--kind", "interval", "--params", "{bad"])
     assert exc.value.code == 2
     assert "--params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("interval", "[1]", "params"),
+        ("grid2d", "null", "params"),
+        ("interval", '{"holes": 5}', "'holes'"),
+        ("interval", '{"holes": [[0.4]]}', "'holes'"),
+        ("cascade", '{"ratios": "ab"}', "'ratios'"),
+        ("lipschitz_curve", '{"coils": "x"}', "'coils'"),
+        ("lipschitz_curve", '{"waypoints": [[0, 0], [1]]}', "'waypoints'"),
+    ],
+)
+def test_malformed_params_exit_2_naming_the_parameter(capsys, kind, params, named):
+    code, out, err = run_cli(
+        capsys,
+        ["run", "--kind", kind, "--resolution", "3", "--params", params],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: stage load: ")
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--input csv", "--input json", "--input dir", "--matrix", "--weights"]
+)
+def test_unreadable_input_files_exit_2_naming_the_path(capsys, tmp_path, flag):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("id,weight\n0,1\n1,1\n")
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("0,1\n1,0\n")
+    missing = str(tmp_path / "missing")
+    argv = {
+        "--input csv": ["--input", missing + ".csv"],
+        "--input json": ["--input", missing + ".json"],
+        "--input dir": ["--input", str(tmp_path)],
+        "--matrix": ["--matrix", missing + ".csv", "--weights", str(weights)],
+        "--weights": ["--matrix", str(matrix), "--weights", missing + ".csv"],
+    }[flag]
+    code, out, err = run_cli(capsys, ["run", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: stage load: ")
+    assert (str(tmp_path) if flag == "--input dir" else missing) in err

@@ -15,6 +15,8 @@ from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import auto_levels, build_nets
 from rectilib.space import MetricMeasureSpace
 
+from _oracles import cube_children, cube_members
+
 
 def interval4_tree():
     space, _ = generate(GeneratorSpec("interval", 4))
@@ -24,27 +26,31 @@ def interval4_tree():
 
 def test_four_point_trace():
     space, h, tree = interval4_tree()
-    assert tree.by_level == {0: (0, 1), 1: (2, 3, 4, 5)}
-    root0 = tree.cubes[0]
-    assert root0.center == 0 and root0.members == (0, 1)
-    assert root0.sidelength == pytest.approx(SIDELENGTH_FACTOR)
-    assert root0.children == (2, 4) and root0.parent is None
-    root1 = tree.cubes[1]
-    assert root1.center == 3 and root1.members == (2, 3)
-    leaves = {tree.cubes[cid].center: tree.cubes[cid] for cid in tree.by_level[1]}
-    assert leaves[1].parent == 0 and leaves[2].parent == 1
-    assert all(len(leaves[c].members) == 1 for c in leaves)
+    assert tree.level.tolist() == [0, 0, 1, 1, 1, 1]
+    assert tree.start.tolist() == [0, 2]
+    assert tree.center.tolist() == [0, 3, 0, 3, 1, 2]
+    assert tree.parent.tolist() == [-1, -1, 0, 1, 0, 1]
+    assert tree.cube_of.tolist() == [[0, 0, 1, 1], [2, 4, 5, 3]]
+    assert cube_members(space, tree, 0) == (0, 1)
+    assert tree.sidelength[0] == pytest.approx(SIDELENGTH_FACTOR)
+    assert cube_children(tree, 0) == (2, 4)
+    assert cube_members(space, tree, 1) == (2, 3)
+    assert all(len(cube_members(space, tree, c)) == 1 for c in range(2, 6))
     # Tightest inner ball: root at center 0 has a non-member at 2/3,
     # against sidelength 5.
     assert tree.c0_achieved == pytest.approx(2.0 / 15.0)
     assert verify_cube_axioms(space, h, tree).ok
 
 
-def test_descendants_preorder():
+def test_tree_arrays_are_read_only():
     _, _, tree = interval4_tree()
-    assert tree.descendants(0) == [0, 2, 4]
-    assert tree.descendants(1) == [1, 3, 5]
-    assert tree.descendants(4) == [4]
+    for name in (
+        "level", "center", "parent", "sidelength", "mass", "start", "cube_of"
+    ):
+        array = getattr(tree, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 def test_micro_space_with_extreme_ratio():
@@ -53,7 +59,7 @@ def test_micro_space_with_extreme_ratio():
     h = build_nets(space, 1.0 / 1000.0, 0, 1)
     tree = build_cubes(space, h)
     assert h.levels[0] == (0,)
-    assert len(tree.by_level[1]) == 5  # every point is its own fine cube
+    assert np.sum(tree.level == 1) == 5  # every point is its own fine cube
     assert tree.c0_achieved == pytest.approx(0.2)
     assert verify_cube_axioms(space, h, tree).ok
 
@@ -81,29 +87,55 @@ def test_axioms_on_random_clouds():
         tree = build_cubes(space, h)
         check = verify_cube_axioms(space, h, tree)
         assert check.ok, check.witness
-        for level, cids in tree.by_level.items():
-            members = [p for cid in cids for p in tree.cubes[cid].members]
+        for cids in np.split(np.arange(len(tree.level)), tree.start[1:]):
+            members = [p for cid in cids for p in cube_members(space, tree, cid)]
             assert sorted(members) == list(space.ids)  # exact partition
-            level_mass = sum(tree.cubes[cid].mass for cid in cids)
+            level_mass = sum(tree.mass[cids])
             assert level_mass == pytest.approx(space.total_mass)
-            for cid in cids:
-                cube = tree.cubes[cid]
-                row = space.dists_from(space.index_of(cube.center))
-                for p in cube.members:
-                    assert row[space.index_of(p)] < cube.sidelength
-                if cube.parent is not None:
-                    parent = tree.cubes[cube.parent]
-                    assert set(cube.members) <= set(parent.members)
+            for cid in cids.tolist():
+                row = space.dists_from(int(tree.center[cid]))
+                for p in cube_members(space, tree, cid):
+                    assert row[space.index_of(p)] < tree.sidelength[cid]
+                if tree.parent[cid] >= 0:
+                    parent = cube_members(space, tree, int(tree.parent[cid]))
+                    assert set(cube_members(space, tree, cid)) <= set(parent)
 
 
-def test_verify_flags_tampered_membership():
+def test_verify_flags_tampered_cube_of():
     space, h, tree = interval4_tree()
-    cubes = list(tree.cubes)
+    cube_of = tree.cube_of.copy()
     # Move point 1 from the leaf under root 0 into a leaf under root 1.
-    cubes[4] = dataclasses.replace(cubes[4], members=())
-    cubes[5] = dataclasses.replace(cubes[5], members=(1, 2))
-    tampered = dataclasses.replace(tree, cubes=tuple(cubes))
+    cube_of[1, space.index_of(1)] = 5
+    tampered = dataclasses.replace(tree, cube_of=cube_of)
     check = verify_cube_axioms(space, h, tampered)
     assert not check.ok
     assert not check.nesting_ok  # 1 is not a member of its new parent
+    assert check.witness == ("nesting", 5, 1)
 
+
+def test_verify_flags_a_point_outside_its_levels_cubes():
+    space, h, tree = interval4_tree()
+    cube_of = tree.cube_of.copy()
+    # Point 2's level-1 entry names a level-0 cube.
+    cube_of[1, space.index_of(2)] = 1
+    check = verify_cube_axioms(space, h, dataclasses.replace(tree, cube_of=cube_of))
+    assert not check.partition_ok
+    assert check.outer_ok and check.nesting_ok and check.centers_ok
+    assert check.witness == ("partition", 1, 2)
+
+
+def test_verify_names_the_outer_ball_before_nesting_in_one_cube():
+    coords = np.array([[0.0], [0.01], [10.0], [10.01]])
+    space = MetricMeasureSpace.from_coords(range(4), coords, np.ones(4))
+    with pytest.warns(UserWarning, match="several roots"):
+        h = build_nets(space, 1.0 / 1000.0, 0, 1)
+    tree = build_cubes(space, h)
+    assert tree.center.tolist() == [0, 2, 0, 2, 1, 3]
+    cube_of = tree.cube_of.copy()
+    # Point 3 joins cube 4 (centre 0.01, under root 0): 10 past its
+    # sidelength 0.005 and outside its parent, both at cube 4.
+    cube_of[1, 3] = 4
+    check = verify_cube_axioms(space, h, dataclasses.replace(tree, cube_of=cube_of))
+    assert not check.outer_ok and not check.nesting_ok
+    assert check.partition_ok and check.centers_ok
+    assert check.witness == ("outer", 4, 3)

@@ -165,16 +165,16 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for p in sorted(porous, key=lambda q: q.cube):
-        cube = tree.cubes[p.cube]
-        level = cube.level + cfg.n0
+        level = int(tree.level[p.cube]) + cfg.n0
         if level not in h.levels:
             continue
-        row = space.dists_from(space.index_of(cube.center))
+        center = space.ids[tree.center[p.cube]]
+        row = space.dists_from(int(tree.center[p.cube]))
         for q in sorted(h.levels[level]):
-            if q == cube.center:
+            if q == center:
                 continue
-            if row[space.index_of(q)] < cfg.M * cube.sidelength:
-                pair = (min(cube.center, q), max(cube.center, q))
+            if row[space.index_of(q)] < cfg.M * tree.sidelength[p.cube]:
+                pair = (min(center, q), max(center, q))
                 expected.setdefault(pair, p.cube)
     assert pair_map(bridges) == expected
 
@@ -183,7 +183,7 @@ def test_bridges_skip_cubes_without_their_level():
     space, target, h, tree, porous = hole_fixture()
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     # n0 = 2 pushes level 1 and level 2 cubes past the finest net level.
-    deep = {p.cube for p in porous if tree.cubes[p.cube].level >= 1}
+    deep = {p.cube for p in porous if tree.level[p.cube] >= 1}
     assert set(bridges.skipped) == deep
     assert len(bridges.skipped) == 55
 
@@ -207,7 +207,7 @@ def test_report_counts_skipped_bridge_cubes_per_level(resolution, levels, expect
     assert section["skipped_per_level"] == expected
     assert sum(expected.values()) == section["skipped_cubes"]
     assert sorted(ctx.bridges.skipped) == sorted(
-        p.cube for p in ctx.porous if ctx.tree.cubes[p.cube].level >= 1
+        p.cube for p in ctx.porous if ctx.tree.level[p.cube] >= 1
     )
     porous_deep = {n: c for n, c in report["porous"]["per_level"].items() if n != "0"}
     assert porous_deep == expected
@@ -219,17 +219,16 @@ def test_star_bridges_pass_through_the_center():
     bridges = build_bridges(space, tree, h, porous, cfg)
     assert bridges.pairs_per_cube
     for cube_id, count in bridges.pairs_per_cube.items():
-        cube = tree.cubes[cube_id]
-        row = space.dists_from(space.index_of(cube.center))
+        row = space.dists_from(int(tree.center[cube_id]))
         near = [
             q
-            for q in h.levels[cube.level + cfg.n0]
-            if row[space.index_of(q)] < cfg.M * cube.sidelength
+            for q in h.levels[int(tree.level[cube_id]) + cfg.n0]
+            if row[space.index_of(q)] < cfg.M * tree.sidelength[cube_id]
         ]
         assert count == len(near) - 1  # every near point but the center
     lengths = edge_map(assemble_gamma(space, target, bridges, 2.2 / 99.0))
     for (x, y), cube_id in pair_map(bridges).items():
-        center = tree.cubes[cube_id].center
+        center = space.ids[tree.center[cube_id]]
         assert center in (x, y)
         other = y if x == center else x
         row = space.dists_from(space.index_of(center))
@@ -417,7 +416,7 @@ def test_sidelength_sum_adds_whatever_sum_the_builtins_do(monkeypatch):
     them."""
     monkeypatch.setattr(curve, "sum", math.fsum, raising=False)
     space, target, gamma = micro_gamma()
-    tree = SimpleNamespace(cubes=[SimpleNamespace(sidelength=0.1)] * 10)
+    tree = SimpleNamespace(sidelength=np.full(10, 0.1))
     porous = [SimpleNamespace(cube=c) for c in range(10)]
     budget = length_budget(
         space, target, gamma, no_bridges(), porous, tree, good_cfg()

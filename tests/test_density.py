@@ -42,29 +42,29 @@ def random_cloud(rng, n=20, dim=2):
 def test_profile_of_isolated_atom():
     coords = np.array([[0.0], [10.0]])
     space = MetricMeasureSpace.from_coords([0, 1], coords, np.ones(2))
-    prof = density_profiles(space, [0], 0.25, 1.0)[0]
+    prof = density_profiles(space, [0], 0.25, 1.0)
     assert prof.radii == (1.0, 0.5, 0.25)
-    assert prof.values == pytest.approx((1.0, 2.0, 4.0))
-    assert prof.lower_estimate == pytest.approx(1.0)
+    assert prof.ratios[0].tolist() == pytest.approx((1.0, 2.0, 4.0))
+    assert prof.lower.tolist() == pytest.approx([1.0])
 
 
 def test_profile_uses_open_balls():
     coords = np.array([[0.0], [1.0], [2.0]])
     space = MetricMeasureSpace.from_coords([0, 1, 2], coords, np.ones(3))
-    prof = density_profiles(space, [1], 1.0, 2.0)[0]
+    prof = density_profiles(space, [1], 1.0, 2.0)
     # B(1, 1) holds only the center; B(1, 2) holds all three.
-    assert prof.values == pytest.approx((1.5, 1.0))
-    assert prof.lower_estimate == pytest.approx(1.0)
+    assert prof.ratios[0].tolist() == pytest.approx((1.5, 1.0))
+    assert prof.lower.tolist() == pytest.approx([1.0])
 
 
 def test_profile_parameter_errors():
     space = random_cloud(np.random.default_rng(0))
     with pytest.raises(ParameterError):
-        density_profiles(space, [0], 0.5, 0.5)[0]
+        density_profiles(space, [0], 0.5, 0.5)
     with pytest.raises(ParameterError):
-        density_profiles(space, [0], 0.0, 0.5)[0]
+        density_profiles(space, [0], 0.0, 0.5)
     with pytest.raises(UnknownIdentifierError):
-        density_profiles(space, [777], 0.1, 0.5)[0]
+        density_profiles(space, [777], 0.1, 0.5)
 
 
 def test_profile_values_match_brute_force():
@@ -72,8 +72,8 @@ def test_profile_values_match_brute_force():
     for trial in range(8):
         space = random_cloud(rng, n=15)
         pid = int(rng.integers(0, 15))
-        prof = density_profiles(space, [pid], 0.05, 1.6)[0]
-        for r, v in zip(prof.radii, prof.values):
+        prof = density_profiles(space, [pid], 0.05, 1.6)
+        for r, v in zip(prof.radii, prof.ratios[0].tolist()):
             assert v == pytest.approx(ball_mass_brute(space, pid, r) / r)
 
 
@@ -88,9 +88,10 @@ def test_profiles_are_isometry_invariant():
         space.ids, space.coords @ q.T + np.array([3.0, -1.0]), space.weights
     )
     for pid in (0, 7, 17):
-        a = density_profiles(space, [pid], 0.1, 1.0)[0]
-        b = density_profiles(moved, [pid], 0.1, 1.0)[0]
-        assert a.values == pytest.approx(b.values, rel=1e-9)
+        a = density_profiles(space, [pid], 0.1, 1.0)
+        b = density_profiles(moved, [pid], 0.1, 1.0)
+        assert a.radii == b.radii
+        assert a.ratios == pytest.approx(b.ratios, rel=1e-9)
 
 
 def test_profiles_batch_matches_single():
@@ -98,9 +99,14 @@ def test_profiles_batch_matches_single():
     space = random_cloud(rng, n=12)
     pts = [3, 1, 9]
     batch = density_profiles(space, pts, 0.1, 0.9)
-    assert [p.point for p in batch] == pts
-    for prof in batch:
-        assert prof == density_profiles(space, [prof.point], 0.1, 0.9)[0]
+    assert batch.points == tuple(pts)
+    assert batch.ratios.shape == (3, len(batch.radii))
+    assert not batch.ratios.flags.writeable
+    for pid, row, low in zip(pts, batch.ratios, batch.lower):
+        single = density_profiles(space, [pid], 0.1, 0.9)
+        assert single.radii == batch.radii
+        assert single.ratios[0].tolist() == row.tolist()
+        assert low == row.min() == single.lower[0]
 
 
 def test_profiles_build_one_radius_grid(monkeypatch):
@@ -114,7 +120,7 @@ def test_profiles_build_one_radius_grid(monkeypatch):
     )
     batch = density_profiles(space, range(12), 0.1, 0.9)
     assert len(grids) == 1
-    assert batch[0].radii == tuple(original(0.1, 0.9))
+    assert batch.radii == tuple(original(0.1, 0.9))
 
 
 def test_resolution_scale_is_half_min_gap():

@@ -25,6 +25,7 @@ from _oracles import (
     adjacency_rows,
     build_nets_rows,
     c0_rows,
+    cube_members,
     cube_members_rows,
     find_porous_rows,
     mass_of,
@@ -378,21 +379,25 @@ def test_net_witnesses_match_the_row_based_check(cloud, data):
 def assert_cubes_match(space, h):
     tree = build_cubes(space, h)
     want = cube_members_rows(space, h)
-    got = {(c.level, c.center): c.members for c in tree.cubes}
+    cids = range(len(tree.level))
+    members = [cube_members(space, tree, c) for c in cids]
+    got = {
+        (int(tree.level[c]), space.ids[tree.center[c]]): members[c] for c in cids
+    }
     assert got == want
     assert tree.c0_achieved == c0_rows(space, tree)
-    # a parent is the cube one level up that holds the centre; children
-    # ascend; a mass is the oracle's mass of the members
-    levels = sorted(tree.by_level)
-    assert all(tree.cubes[c].parent is None for c in tree.by_level[levels[0]])
-    for above, n in zip(levels, levels[1:]):
-        for cid in tree.by_level[n]:
-            center = tree.cubes[cid].center
-            holder = [p for p in tree.by_level[above] if center in tree.cubes[p].members]
-            assert [tree.cubes[cid].parent] == holder
-    for cid, c in enumerate(tree.cubes):
-        assert c.children == tuple(k for k, d in enumerate(tree.cubes) if d.parent == cid)
-        assert c.mass == mass_of(weight_levels(space.weights), space.indices_of(c.members))
+    # a parent is the cube one level up that holds the centre; a mass is
+    # the oracle's mass of the members
+    levels = np.split(np.arange(len(tree.level)), tree.start[1:])
+    assert (tree.parent[levels[0]] == -1).all()
+    for above, below in zip(levels, levels[1:]):
+        for cid in below.tolist():
+            center = space.ids[tree.center[cid]]
+            holder = [p for p in above.tolist() if center in members[p]]
+            assert [tree.parent[cid]] == holder
+    for cid in cids:
+        idx = space.indices_of(members[cid])
+        assert tree.mass[cid] == mass_of(weight_levels(space.weights), idx)
 
 
 @given(clouds(dims=(1, 2, 3), min_size=2), st.data())
@@ -434,8 +439,9 @@ def test_porous_cubes_match_the_row_based_search(cloud, delta, data):
         tree = build_cubes(space, build_nets(space, cfg.rho, lo, hi))
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         target = enclosing_target(space, members)
+        # cube 0 is the first top-level cube
         assert porous(space, tree, target, cfg) == find_porous_rows(
-            space, tree, target, cfg, tree.roots()[0]
+            space, tree, target, cfg, 0
         )
 
 
@@ -447,7 +453,7 @@ def test_porous_cubes_match_on_the_hole_fixture():
     cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
     tree = build_cubes(space, build_nets(space, cfg.rho, -1, 2))
     got = porous(space, tree, target, cfg)
-    assert got == find_porous_rows(space, tree, target, cfg, tree.roots()[0])
+    assert got == find_porous_rows(space, tree, target, cfg, 0)
     assert len(got) > 10
 
 
@@ -461,9 +467,9 @@ def test_a_gap_equal_to_the_threshold_is_porous():
     levels = auto_levels(space, cfg.rho)
     tree = build_cubes(space, build_nets(space, cfg.rho, *levels))
     got = porous(space, tree, target, cfg)
-    assert got == find_porous_rows(space, tree, target, cfg, tree.roots()[0])
+    assert got == find_porous_rows(space, tree, target, cfg, 0)
     assert any(
-        gap == cfg.delta * tree.cubes[cube].sidelength == 1.0 for cube, _, gap in got
+        gap == cfg.delta * tree.sidelength[cube] == 1.0 for cube, _, gap in got
     )
 
 

@@ -1,0 +1,109 @@
+"""Pinned SHA-256 hashes of default runs' reports and side files.
+
+A change that keeps the construction must keep every byte: the JSON
+report of a run without ``out_dir`` (``report_json``) and the
+``density.csv``, ``edges.csv`` and ``tour.csv`` a run with one writes.
+Only the interval inputs have porous cubes, so they are the ones that
+reach the porous family, the shadows, the packing check and the
+bridges; cantor4 3 has a disconnected curve and writes no tour.  A
+change that alters a report on purpose re-pins its hashes and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from rectilib.pipeline import RunConfig, report_json, run_pipeline
+
+SIDE_FILES = ("density.csv", "edges.csv", "tour.csv")
+
+CASES = {
+    "interval-hole-1000": dict(
+        kind="interval", resolution=1000, params={"holes": [[0.4, 0.6]]}
+    ),
+    "interval-three-holes-1000": dict(
+        kind="interval", resolution=1000,
+        params={"holes": [[0.2, 0.3], [0.5, 0.55], [0.7, 0.9]]},
+    ),
+    "cascade-5": dict(kind="cascade", resolution=5),
+    "koch-3": dict(kind="koch", resolution=3),
+    "grid2d-16": dict(kind="grid2d", resolution=16),
+    "cantor4-3": dict(kind="cantor4", resolution=3),
+}
+
+PINS = {
+    "interval-hole-1000": {
+        "report":
+            "15f8b78bb4ce3f7b3715b55adf6dc9cf47846afde42ba9f5c874efdff5347637",
+        "density.csv":
+            "466bc01729108b30fcaf4278d0b4b9a8a681d89a38ea358a06e108e28c05d553",
+        "edges.csv":
+            "10c7f513b84d0fde9075f67ffe4031d6d7b458ba0d7518f99aebda7c464acadd",
+        "tour.csv":
+            "0361977a41f91e28f29a8271594329e2770babcfb10ff6d2f7dddab7aeb272ed",
+    },
+    "interval-three-holes-1000": {
+        "report":
+            "ff722f790ba8f76239eba0a6a8b862363c35a4822f609868281929e0493cb706",
+        "density.csv":
+            "25e41d2cb7399702a09c878b67d814f330710596c8c60bb5b3344d6d14e2e892",
+        "edges.csv":
+            "e82601bc6917209760875ae44b0eb59be44ff2beaa80574aa569e886084b14de",
+        "tour.csv":
+            "b89c6e9adcb6d68e4c32be8bace21e284d0b3bf87ec5dfda6000c8fb8f1128b8",
+    },
+    "cascade-5": {
+        "report":
+            "a4ccaf681f82220239d5456a98e0d9dfadfb89c35fc8e24a8a74a2fc5c88aded",
+        "density.csv":
+            "e2a1b4b33080ead984306516560531d143621c3a220eddce6e112ad888dec458",
+        "edges.csv":
+            "0d4d7562b6048874b3bbcab1d2d67ae8e8b613f722bfb4f11555442e9ca26ceb",
+        "tour.csv":
+            "39d49960e392151279da9a58d105bd7ffa60bcf3f08191a18dd7e4244f7393fb",
+    },
+    "koch-3": {
+        "report":
+            "e3c7798ff878194144c9d865b048687afa7c585b2f68d84ed06ecd8f9036fbd6",
+        "density.csv":
+            "b953400d4d3a2e98c213cacc3a6cbcffef2a5e32dcd040fb69536623ef71058a",
+        "edges.csv":
+            "b0378d48e552714bf408cd63dbf75571d734f6688dc3de88b398e4b2036130d8",
+        "tour.csv":
+            "20b287d2cff42f01f631e4bc7d524734cebf610c9b6adb7461f87a44cf196a24",
+    },
+    "grid2d-16": {
+        "report":
+            "7310ecb0bf75e59e3578397a73c390cca4fe029801b3b39af1c448bb6cbab636",
+        "density.csv":
+            "114db46df6d217392a12d3d08a9416340ebab8edc2ab652299dbd8c8c7ce2c15",
+        "edges.csv":
+            "1a921cb73decae1e3318e836e6f3d67692eeb13162547353293fc92ae2132dfc",
+        "tour.csv":
+            "1575fa682323c15ade4ea21e3f7fb0f30728594db7b2c077d38158baa5505496",
+    },
+    "cantor4-3": {
+        "report":
+            "4b78dead1fd1692ea2607dc95f0ca3ad385356d994825c2dc19ed7d1d7187e72",
+        "density.csv":
+            "853324d549fd2e5a0b1511df8a5b1e8362e7d3169670a2d1b26e1831603483f7",
+        "edges.csv":
+            "b934c8e6b686b33191513ffc22cd8b7547a574f421bb370a83b9fe91a8baab89",
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reports_and_side_files_keep_their_pinned_bytes(name, tmp_path):
+    report, _, _ = run_pipeline(RunConfig(**CASES[name]))
+    got = {"report": sha256(report_json(report).encode())}
+    run_pipeline(RunConfig(**CASES[name], out_dir=str(tmp_path)))
+    for side in SIDE_FILES:
+        path = tmp_path / side
+        if path.exists():
+            got[side] = sha256(path.read_bytes())
+    assert got == PINS[name]

@@ -6,7 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import dist_to_set_brute
+from _oracles import (
+    cube_children,
+    cube_descendants,
+    cube_members,
+    dist_to_set_brute,
+    maximal_clear_rows,
+)
 from rectilib.cubes import build_cubes
 from rectilib.errors import (
     ContainmentError,
@@ -14,7 +20,7 @@ from rectilib.errors import (
     UnknownIdentifierError,
 )
 from rectilib.generators import GeneratorSpec, generate
-from rectilib.nets import build_nets
+from rectilib.nets import auto_levels, build_nets
 from rectilib.pipeline import RunConfig, run_stages
 from rectilib.porosity import (
     AppendixConstants,
@@ -188,7 +194,7 @@ def test_find_porous_on_hole_fixture():
     assert len(porous) == 57
     # The deepest gap point: ids 49 and 50 tie at distance 10/99 from
     # the target, and the tie resolves to the smaller id.
-    big = [p for p in porous if tree.cubes[p.cube].level <= 1]
+    big = [p for p in porous if tree.level[p.cube] <= 1]
     assert {p.witness for p in big} == {49}
     assert porous[0].witness_gap == pytest.approx(10.0 / 99.0)
 
@@ -198,16 +204,16 @@ def test_find_porous_witness_recheck():
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
     for p in find_porous(space, tree, target, gap, cfg):
-        cube = tree.cubes[p.cube]
-        row = space.dists_from(space.index_of(cube.center))
+        side = tree.sidelength[p.cube]
+        row = space.dists_from(int(tree.center[p.cube]))
         wk = space.index_of(p.witness)
-        assert row[wk] < cfg.M * cube.sidelength
+        assert row[wk] < cfg.M * side
         assert gap[wk] == pytest.approx(p.witness_gap)
-        assert p.witness_gap >= cfg.delta * cube.sidelength
+        assert p.witness_gap >= cfg.delta * side
         better = [
             k
             for k in range(len(space))
-            if row[k] < cfg.M * cube.sidelength
+            if row[k] < cfg.M * side
             and (
                 gap[k] > gap[wk] + 1e-15
                 or (gap[k] == gap[wk] and space.ids[k] < p.witness)
@@ -238,7 +244,7 @@ def test_find_porous_needs_single_containing_root():
     space = MetricMeasureSpace.from_coords([0, 1], coords, np.ones(2))
     h = build_nets(space, 0.5, 0, 1)
     tree = build_cubes(space, h)
-    assert len(tree.roots()) == 2
+    assert len(np.unique(tree.cube_of[0])) == 2  # two top-level cubes
     target = enclosing_target(space)
     with pytest.raises(ContainmentError):
         porous_cubes(space, tree, target, good_cfg())
@@ -254,13 +260,44 @@ def test_carleson_matches_brute_force_descendant_sums():
     porous_ids = {p.cube for p in porous}
     for cid, ratio in report.ratios.items():
         packed = sum(
-            tree.cubes[d].mass
-            for d in tree.descendants(cid)
+            tree.mass[d]
+            for d in cube_descendants(tree, cid)
             if d in porous_ids
         )
-        assert ratio == pytest.approx(packed / tree.cubes[cid].mass)
+        assert ratio == pytest.approx(packed / tree.mass[cid])
     assert report.worst_ratio == pytest.approx(2.297872340425532, rel=1e-12)
     assert report.skipped == ()
+
+
+def test_carleson_adds_children_in_ascending_id_after_the_own_mass():
+    """Bit for bit the running totals of a bottom-up scan: a cube starts
+    from its own mass (when porous) and adds its children's packed
+    masses in ascending id; the worst ratio is the first largest."""
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 1.0, size=(300, 2))
+    space = MetricMeasureSpace.from_coords(
+        range(300), coords, rng.uniform(0.1, 1.0, size=300)
+    )
+    tree = build_cubes(space, build_nets(space, 0.25, -1, 3))
+    porous = [
+        PorousCube(cube=c, witness=0, witness_gap=0.0)
+        for c in range(0, len(tree.level), 3)
+    ]
+    report = carleson_check(tree, porous, good_cfg(), 1)
+    porous_ids = {p.cube for p in porous}
+    packed, ratios = {}, {}
+    for level in sorted(set(tree.level.tolist()), reverse=True):
+        for cid in np.flatnonzero(tree.level == level).tolist():
+            mass = float(tree.mass[cid])
+            total = mass if cid in porous_ids else 0.0
+            for child in cube_children(tree, cid):
+                total += packed[child]
+            packed[cid] = total
+            ratios[cid] = total / mass
+    assert list(report.ratios.items()) == list(ratios.items())
+    worst = max(ratios.values())
+    assert report.worst_ratio == worst
+    assert report.worst_cube == next(c for c, r in ratios.items() if r == worst)
 
 
 def test_carleson_is_invariant_under_mass_rescaling():
@@ -277,7 +314,7 @@ def test_carleson_is_invariant_under_mass_rescaling():
 
 def test_carleson_single_porous_root_has_ratio_one():
     space, target, h, tree = hole_fixture()
-    root = tree.roots()[0]
+    root = 0  # the first top-level cube
     porous = (PorousCube(cube=root, witness=49, witness_gap=0.1),)
     report = carleson_check(tree, porous, good_cfg(), 1)
     assert report.worst_ratio == pytest.approx(1.0)
@@ -296,9 +333,7 @@ def test_carleson_skips_and_empty_family():
     assert report.worst_ratio == 0.0
     assert report.ok
     assert len(report.skipped) == 2  # the zero-weight point's two singleton cubes
-    zero_cubes = [
-        cid for cid, c in enumerate(tree.cubes) if c.mass == 0.0
-    ]
+    zero_cubes = np.flatnonzero(tree.mass == 0.0).tolist()
     assert all(cid not in report.ratios for cid in zero_cubes)
 
 
@@ -325,7 +360,7 @@ def test_carleson_counts_its_zero_mass_cubes_per_level(
     section = report["carleson"]
     assert section["skipped_per_level"] == expected
     assert section["skipped"] == sum(expected.values())
-    levels = Counter(str(c.level) for c in ctx.tree.cubes if c.mass == 0.0)
+    levels = Counter(str(n) for n in ctx.tree.level[ctx.tree.mass == 0.0].tolist())
     assert levels == expected
 
 
@@ -341,7 +376,7 @@ def test_shadow_map_on_hole_fixture():
     # Maximal target-free cubes: the finest cubes centered deep enough
     # inside the hole, gap >= twice their sidelength 5/256.
     assert len(report.maximal) == 14
-    centers = sorted(tree.cubes[cid].center for cid in report.maximal)
+    centers = sorted(space.ids[tree.center[cid]] for cid in report.maximal)
     assert centers == list(range(43, 57))
     assert report.b_observed == 38
     assert len(report.failures) == 6
@@ -364,8 +399,8 @@ def test_shadow_map_records_scale_comparisons():
             assert rec.cube in report.failures
             assert rec.scale_lower_ok is None and rec.scale_upper_ok is None
             continue
-        l_cube = tree.cubes[rec.cube].sidelength
-        l_shadow = tree.cubes[rec.shadow].sidelength
+        l_cube = tree.sidelength[rec.cube]
+        l_shadow = tree.sidelength[rec.shadow]
         assert rec.scale_lower_ok == (
             cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * (1 + 1e-12)
         )
@@ -375,7 +410,7 @@ def test_shadow_map_records_scale_comparisons():
         )
         assert rec.scale_lower_ok and rec.scale_upper_ok
         # the witness really lies in its shadow cube
-        assert rec.witness in tree.cubes[rec.shadow].members
+        assert rec.witness in cube_members(space, tree, rec.shadow)
 
 
 @pytest.mark.parametrize(
@@ -395,8 +430,9 @@ def test_shadow_names_the_first_failed_scale_comparison(broken, lhs, rhs):
     report = shadow_map(space, tree, gap, porous, cfg)
     assert not report.ok
     first = next(r for r in report.records if r.shadow is not None)
-    l_cube = tree.cubes[first.cube].sidelength
-    l_shadow = tree.cubes[first.shadow].sidelength
+    # Python floats, as the report's repr shows them
+    l_cube = float(tree.sidelength[first.cube])
+    l_shadow = float(tree.sidelength[first.shadow])
     sides = {
         "delta*l(Q)": cfg.delta * l_cube,
         "(4/rho)*l(S)": (4 / cfg.rho) * l_shadow,
@@ -421,15 +457,31 @@ def test_shadow_map_antichain_is_maximal_and_disjoint():
     report = shadow_map(space, tree, gap, porous, cfg)
     seen: set[int] = set()
     for cid in report.maximal:
-        cube = tree.cubes[cid]
-        assert gap[space.index_of(cube.center)] >= 2 * cube.sidelength
-        assert not seen.intersection(cube.members)
-        seen.update(cube.members)
-        parent = cube.parent
-        while parent is not None:  # no ancestor qualifies
-            up = tree.cubes[parent]
-            assert gap[space.index_of(up.center)] < 2 * up.sidelength
-            parent = up.parent
+        assert gap[tree.center[cid]] >= 2 * tree.sidelength[cid]
+        members = cube_members(space, tree, cid)
+        assert not seen.intersection(members)
+        seen.update(members)
+        parent = int(tree.parent[cid])
+        while parent >= 0:  # no ancestor qualifies
+            assert gap[tree.center[parent]] < 2 * tree.sidelength[parent]
+            parent = int(tree.parent[parent])
+
+
+def test_the_antichain_keeps_the_topmost_clear_cube_of_a_far_cluster():
+    """A cluster 50 away from the target: its level-0 cube is clear of
+    the target, and so is every cube below it, which the antichain
+    leaves out."""
+    xs = np.concatenate([np.linspace(0.0, 1.0, 100), np.linspace(50.0, 50.5, 20)])
+    space = MetricMeasureSpace.from_coords(range(120), xs[:, None], np.ones(120))
+    target = enclosing_target(space, range(100))
+    cfg = good_cfg()
+    h = build_nets(space, cfg.rho, *auto_levels(space, cfg.rho))
+    tree = build_cubes(space, h)
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    report = shadow_map(space, tree, gap, porous, cfg)
+    assert list(report.maximal) == maximal_clear_rows(tree, gap)
+    assert any(cube_children(tree, c) for c in report.maximal)
 
 
 def test_shadow_map_empty_porous_family():
@@ -456,5 +508,5 @@ def test_shadow_counts_its_failures_per_level(resolution, expected):
     section = report["shadow"]
     assert section["failures_per_level"] == expected
     assert sum(expected.values()) == section["failures"]
-    levels = Counter(str(ctx.tree.cubes[c].level) for c in ctx.shadow.failures)
+    levels = Counter(str(ctx.tree.level[c]) for c in ctx.shadow.failures)
     assert levels == expected

@@ -620,10 +620,10 @@ def test_density_profiles_and_strata_are_open_ball_masks(cloud, data):
     for s in (space, twin):
         for pid in ids:
             row = matrix[s.index_of(pid)]
-            profile = density_profiles(s, [pid], r_lo, r_hi)[0]
-            assert profile.values == tuple(
+            profile = density_profiles(s, [pid], r_lo, r_hi)
+            assert profile.ratios[0].tolist() == [
                 mass_of(levels, np.flatnonzero(row < r)) / r for r in profile.radii
-            )
+            ]
         try:
             want = stratify_brute(s, members, j, k)
         except DegenerateInputError:
@@ -649,7 +649,7 @@ def test_density_stage_adds_only_radii_below_the_doubling_grid(spec):
     before = set(space._masses)
     density = next(fn for name, _, fn in STAGES if name == "density")
     density(ctx)
-    radii = set(ctx.profiles[0].radii)
+    radii = set(ctx.profiles.radii)
     added = set(space._masses) - before
     assert added == {r for r in radii if r < 2 * space.min_gap()}
     assert 0 < len(added) <= 2
