@@ -123,18 +123,11 @@ def build_cubes(
     # Python's ** per level: numpy's power need not round the same way
     sides = [SIDELENGTH_FACTOR * hierarchy.rho**n for n in levels]
 
-    mass: list[float] = []
     # c0: the nearest non-member of each cube, relative to its sidelength;
     # one within a sidelength comes from a neighbour query per level
     c0 = math.inf
     far_cubes: list[tuple[int, int]] = []  # (level row, cube id) of the rest
     for k, size in enumerate(sizes):
-        # each cube's points, grouped by one stable sort of the level's row
-        order = np.argsort(cube_of[k], kind="stable")
-        counts = np.bincount(cube_of[k] - start[k], minlength=size)
-        mass.extend(
-            space.mass(pos) for pos in np.split(order, np.cumsum(counts)[:-1])
-        )
         q, j, d = space.neighbors(level_idx[k], sides[k])
         outside = cube_of[k, j] != start[k] + q
         nearest_out = np.full(size, math.inf)
@@ -158,7 +151,7 @@ def build_cubes(
         center=center,
         parent=parent,
         sidelength=np.repeat(sides, sizes),
-        mass=np.array(mass),
+        mass=space.group_masses(cube_of, len(center)),
         start=start,
         cube_of=cube_of,
         c0_target=c0_target,

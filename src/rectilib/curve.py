@@ -15,19 +15,19 @@ three roundings of 2**-53; visits m steps apart are then within the
 bound times their gap plus ``m * 2**-51``.
 
 A :class:`BridgeGraph` is integer arrays, and a vertex is its position.
-:func:`assemble_gamma` puts the ground points (target members and
-bridge endpoints) at ``0..G-1`` by ascending id, then the two lifted
-vertices of the pair of rank k (pairs by ascending ``(x, y)``) at
-``G + 2k``, nearer x, and ``G + 2k + 1``, nearer y.  ``keys`` labels
-the positions for the side files and the connectivity report: ground
-point (0, id, 0, 0), lifted vertices (1, x, y, 0) and (1, x, y, 1).
-Positions follow key order, which is how :meth:`BridgeGraph.from_edges`
-numbers a graph given by keys.  ``src < dst`` are each edge's endpoint
-positions, ``length`` its float64 length and ``provenance`` the id of
-the porous cube that bridged it, or ``ADJACENCY`` (-1).
+``ground`` holds the ground points (target members and bridge
+endpoints) by ascending id, at positions ``0..G-1``; ``pairs`` holds
+the bridged pairs by ascending ``(x, y)``, and pair k owns the lifted
+vertices ``G + 2k``, nearer x, and ``G + 2k + 1``, nearer y.  The side
+files and the connectivity report label a position ``g:<id>`` or
+``b:<x>:<y>:<side>``, worked out from those two arrays.  Position order
+is the order of the tuples (0, id, 0, 0) for ground points and
+(1, x, y, side) for lifted vertices.  ``src < dst`` are each edge's
+endpoint positions, ``length`` its float64 length and ``provenance``
+the id of the porous cube that bridged it, or ``ADJACENCY`` (-1).
 
 Order rules that fix every result: equal-length Kruskal ties resolve by
-``(src, dst)``, that is by endpoint keys; edges keep insertion order,
+``(src, dst)``, that is by endpoint positions; edges keep insertion order,
 the bridges' three per pair (x, lifted x), (lifted x, lifted y),
 (y, lifted y) in construction order, then adjacency edges by ascending
 ground pair; sums are sequential, the budget's parts in edge order and
@@ -38,7 +38,7 @@ of bridges, graphs and tours are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,61 +48,13 @@ from .nets import NetHierarchy
 from .porosity import PorosityConfig, PorousCube
 from .space import MetricMeasureSpace, TargetSet, linear_mass_check, seq_sum
 
-VKey = tuple[int, int, int, int]
-
 E_ADJACENCY = "E-adjacency"
 ADJACENCY = -1  # provenance code of an E-adjacency edge
-
-
-def ground_key(point_id: int) -> VKey:
-    return (0, point_id, 0, 0)
-
-
-def lifted_keys(x: int, y: int) -> tuple[VKey, VKey]:
-    if not x < y:
-        raise ParameterError("bridge pair must be ordered")
-    return (1, x, y, 0), (1, x, y, 1)
-
-
-def key_str(v: VKey) -> str:
-    if v[0] == 0:
-        return f"g:{v[1]}"
-    return f"b:{v[1]}:{v[2]}:{v[3]}"
-
-
-def key_strs(keys: np.ndarray) -> list[str]:
-    """:func:`key_str` of every row of a (k, 4) key array."""
-    return [key_str(v) for v in np.asarray(keys).tolist()]
 
 
 def _readonly(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
-
-
-def _key_rows(keys) -> np.ndarray:
-    """Vertex keys as a (k, 4) int64 array."""
-    message = "vertex keys must be rows of four integers"
-    try:
-        rows = np.asarray(keys, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise ParameterError(message) from None
-    if rows.size == 0:
-        return rows.reshape(0, 4)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ParameterError(message)
-    return rows
-
-
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct rows of a (k, 4) array and each row's index there."""
-    order = np.lexsort(rows.T[::-1])  # column 0 is the primary key
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,52 +71,39 @@ class Bridges:
 
 @dataclass(frozen=True, eq=False)
 class BridgeGraph:
-    keys: np.ndarray  # (V, 4) int64 label of each position, in key order
+    ground: np.ndarray  # (G,) int64 point ids at positions 0..G-1, ascending
+    pairs: np.ndarray  # (P, 2) int64 bridged pairs x < y, ascending (x, y)
     src: np.ndarray  # (E,) int64 vertex positions, src < dst
     dst: np.ndarray
     length: np.ndarray  # (E,) float64
     provenance: np.ndarray  # (E,) int64 cube id, or ADJACENCY
 
     def __post_init__(self):
-        _readonly(self.keys, self.src, self.dst, self.length, self.provenance)
+        _readonly(
+            self.ground, self.pairs, self.src, self.dst, self.length,
+            self.provenance,
+        )
 
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[VKey, VKey, float, int]],
-        vertices: Iterable[VKey] = (),
-    ) -> BridgeGraph:
-        """Graph of ``(u, v, length, provenance)`` edges, kept in order.
-
-        The vertices are the edge endpoints plus ``vertices``, numbered
-        in key order.  Loops and repeated edges are rejected.
-        """
-        edges = list(edges)
-        m = len(edges)
-        ends = _key_rows(
-            [u for u, _, _, _ in edges] + [v for _, v, _, _ in edges]
-        )
-        keys, inverse = _unique_rows(
-            np.concatenate([ends, _key_rows(list(vertices))])
-        )
-        pu, pv = inverse[:m], inverse[m : 2 * m]
-        if np.any(pu == pv):
-            raise ParameterError("an edge joins a vertex to itself")
-        graph = cls(
-            keys=keys,
-            src=np.minimum(pu, pv),
-            dst=np.maximum(pu, pv),
-            length=np.array([length for _, _, length, _ in edges], dtype=float),
-            provenance=np.array([p for _, _, _, p in edges], dtype=np.int64),
-        )
-        ranked = np.lexsort((graph.dst, graph.src))
-        s, d = graph.src[ranked], graph.dst[ranked]
-        if np.any((s[1:] == s[:-1]) & (d[1:] == d[:-1])):
-            raise ParameterError("an edge is given twice")
-        return graph
+    def vertex_count(self) -> int:
+        return len(self.ground) + 2 * len(self.pairs)
 
     def edge_count(self) -> int:
         return len(self.src)
+
+
+def _labels(graph: BridgeGraph, positions: np.ndarray) -> list[str]:
+    """The label of each vertex position: ``g:<id>`` for a ground point,
+    ``b:<x>:<y>:<side>`` for a lifted vertex of the pair (x, y)."""
+    n_ground = len(graph.ground)
+    ground, pairs = graph.ground.tolist(), graph.pairs.tolist()
+    out = []
+    for v in np.asarray(positions).tolist():
+        if v < n_ground:
+            out.append(f"g:{ground[v]}")
+        else:
+            k, side = divmod(v - n_ground, 2)
+            out.append(f"b:{pairs[k][0]}:{pairs[k][1]}:{side}")
+    return out
 
 
 def build_bridges(
@@ -187,38 +126,42 @@ def build_bridges(
     """
 
     def pairs_for(p: PorousCube):
-        """The cube's (pair, length) bridges, or None without its level."""
+        """The cube's pairs and lengths by ascending far end, or None
+        without its level."""
         level = int(tree.level[p.cube]) + cfg.n0
         if level not in hierarchy.levels:
             return None
-        ids = hierarchy.levels[level]
+        ids = np.sort(np.array(hierarchy.levels[level], dtype=np.int64))
         center = int(tree.center[p.cube])
-        dist = space.dists_between(center, space.indices_of(ids))
+        dist = space.dists_between(center, space.indices_of(ids.tolist()))
         c, reach = space.ids[center], cfg.M * float(tree.sidelength[p.cube])
+        near = (ids != c) & (dist < reach)
         # a coordinate row is symmetric bit for bit, so the center's
         # entry is the pair's distance whichever end is smaller
-        return [
-            ((min(c, q), max(c, q)), d)
-            for q, d in sorted(zip(ids, dist.tolist()))
-            if q != c and d < reach
-        ]
+        q = ids[near]
+        return np.column_stack([np.minimum(c, q), np.maximum(c, q)]), dist[near]
 
-    first: dict[tuple[int, int], tuple[int, float]] = {}  # pair -> cube, length
+    found = [
+        (np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, np.int64))
+    ]
     pairs_per_cube: dict[int, int] = {}
     skipped: list[int] = []
     for p in sorted(porous, key=lambda p: p.cube):
-        pairs = pairs_for(p)
-        if pairs is None:
+        got = pairs_for(p)
+        if got is None:
             skipped.append(p.cube)
             continue
-        pairs_per_cube[p.cube] = len(pairs)
-        for pair, d in pairs:
-            if pair not in first and d > 0:
-                first[pair] = (p.cube, d)
+        pairs_per_cube[p.cube] = len(got[1])
+        found.append(got + (np.full(len(got[1]), p.cube, dtype=np.int64),))
+    pairs, length, cube = (np.concatenate(part) for part in zip(*found))
+    apart = length > 0
+    pairs, length, cube = pairs[apart], length[apart], cube[apart]
+    # each pair's first row, kept in construction order
+    keep = np.sort(np.unique(pairs, axis=0, return_index=True)[1])
     return Bridges(
-        pairs=np.array(list(first), dtype=np.int64).reshape(-1, 2),
-        length=np.array([d for _, d in first.values()], dtype=float),
-        cube=np.array([c for c, _ in first.values()], dtype=np.int64),
+        pairs=pairs[keep],
+        length=length[keep],
+        cube=cube[keep],
         pairs_per_cube=pairs_per_cube,
         skipped=tuple(skipped),
     )
@@ -256,11 +199,6 @@ def assemble_gamma(
     # the edges (x, lx), (lx, ly), (y, ly) of each pair, pair by pair
     bridge_src = np.column_stack([x_at, lx, y_at]).ravel()
     bridge_dst = np.column_stack([lx, lx + 1, lx + 1]).ravel()
-    keys = np.zeros((n_ground + 2 * n_pairs, 4), dtype=np.int64)
-    keys[:n_ground, 1] = ground_ids
-    keys[n_ground:, 0] = 1
-    keys[n_ground:, 1:3] = np.repeat(pairs[by_pair], 2, axis=0)
-    keys[n_ground + 1 :: 2, 3] = 1
 
     idx = space.indices_of(ground_ids.tolist())
     # adjacency pairs: positions a < b in ground_ids (ground ids ascend,
@@ -280,7 +218,8 @@ def assemble_gamma(
     forest = forest[np.lexsort((adj_b[forest], adj_a[forest]))]
     adj_a, adj_b, adj_d = adj_a[forest], adj_b[forest], adj_d[forest]
     return BridgeGraph(
-        keys=keys,
+        ground=ground_ids,
+        pairs=pairs[by_pair],
         src=np.concatenate([bridge_src, adj_a]),
         dst=np.concatenate([bridge_dst, adj_b]),
         length=np.concatenate([np.repeat(bridges.length, 3), adj_d]),
@@ -298,7 +237,7 @@ class ConnectivityReport:
 
 def connectivity(graph: BridgeGraph) -> ConnectivityReport:
     """Connected components, listed by their smallest vertex."""
-    _, roots = _kruskal(len(graph.keys), graph.src, graph.dst)
+    _, roots = _kruskal(graph.vertex_count(), graph.src, graph.dst)
     _, first = np.unique(roots, return_index=True)
     return ConnectivityReport(len(first), np.sort(first))
 
@@ -456,16 +395,16 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     """Closed tour of a minimum-length tree, parametrized by length.
 
     Edges enter the tree in (length, src, dst) order, so equal lengths
-    resolve by vertex position, which is key order.  The tour starts at
-    the smallest vertex, walks children in ascending order, and
-    re-emits the parent after each child subtree; every edge is
-    traversed exactly twice, making the tour speed (hence the Lipschitz
-    bound) twice the tree length.  A single-vertex graph gets the
-    constant parametrization.  A disconnected graph raises
+    resolve by vertex position, in the order the module docstring
+    states.  The tour starts at the smallest vertex, walks children in
+    ascending order, and re-emits the parent after each child subtree;
+    every edge is traversed exactly twice, making the tour speed (hence
+    the Lipschitz bound) twice the tree length.  A single-vertex graph
+    gets the constant parametrization.  A disconnected graph raises
     :class:`DisconnectedError` with the component count of the Kruskal
     forest.
     """
-    n = len(graph.keys)
+    n = graph.vertex_count()
     if not n:
         raise ParameterError("cannot parametrize an empty graph")
     ranked = np.lexsort((graph.dst, graph.src, graph.length))
@@ -542,7 +481,7 @@ def check_parametrization(
     """
     pos = np.asarray(param.visits)
     ts = np.asarray(param.ts, dtype=float)
-    n_visits, n = len(pos), len(graph.keys)
+    n_visits, n = len(pos), graph.vertex_count()
     if len(ts) != n_visits:
         raise ParameterError(
             f"tour has {len(ts)} times for {n_visits} visits"
@@ -589,7 +528,7 @@ _EOL = "\r\n"
 
 def edges_csv(graph: BridgeGraph, path: str) -> None:
     """Edge list as CSV in endpoint order: endpoints, length, provenance."""
-    names = key_strs(graph.keys)
+    names = _labels(graph, np.arange(graph.vertex_count()))
     order = np.lexsort((graph.dst, graph.src))
     lines = [
         f"{names[u]},{names[v]},{length!r},"
@@ -615,12 +554,11 @@ def parametrization_csv(
     """Tour as CSV: t, vertex, coordinates when available."""
     dim = 0 if space.coords is None else space.coords.shape[1]
     # each vertex's label and coordinate fields, formatted once
-    names = key_strs(graph.keys)
+    names = _labels(graph, np.arange(graph.vertex_count()))
     tails = [name + "," * dim for name in names]
     if dim:
-        ground = np.flatnonzero(graph.keys[:, 0] == 0)
-        coords = space.coords[space.indices_of(graph.keys[ground, 1].tolist())]
-        for g, xs in zip(ground.tolist(), coords.tolist()):
+        coords = space.coords[space.indices_of(graph.ground.tolist())]
+        for g, xs in enumerate(coords.tolist()):
             tails[g] = ",".join([names[g]] + [repr(c) for c in xs])
     header = ",".join(["t", "vertex"] + [f"x{i + 1}" for i in range(dim)])
     lines = [

@@ -26,12 +26,12 @@ import numpy as np
 
 from .cubes import build_cubes, verify_cube_axioms
 from .curve import (
+    _labels,
     assemble_gamma,
     build_bridges,
     check_parametrization,
     connectivity,
     edges_csv,
-    key_strs,
     length_budget,
     parametrize,
     parametrization_csv,
@@ -317,7 +317,7 @@ def _gamma(ctx):
     )
     ctx.gamma = assemble_gamma(ctx.space, ctx.target, ctx.bridges, eps_res)
     return {
-        "vertices": len(ctx.gamma.keys),
+        "vertices": ctx.gamma.vertex_count(),
         "edges": ctx.gamma.edge_count(),
         "eps_res": eps_res,
     }, None
@@ -327,9 +327,7 @@ def _connectivity(ctx):
     conn = connectivity(ctx.gamma)
     return {
         "components": conn.components,
-        "representatives": key_strs(
-            ctx.gamma.keys[conn.representatives[:10]]
-        ),
+        "representatives": _labels(ctx.gamma, conn.representatives[:10]),
         "disconnected": conn.components != 1,
     }, None
 

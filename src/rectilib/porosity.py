@@ -184,7 +184,6 @@ def appendix_constants(cfg: PorosityConfig, b_observed: int) -> AppendixConstant
 
 @dataclass(frozen=True)
 class CarlesonReport:
-    ratios: dict[int, float]  # cube id -> packed-mass ratio
     worst_ratio: float
     worst_cube: int | None
     constants: AppendixConstants
@@ -216,7 +215,6 @@ def carleson_check(
     order = np.concatenate(by_level)
     weighed = order[tree.mass[order] > 0]
     ratio = packed[weighed] / tree.mass[weighed]
-    ratios = dict(zip(weighed.tolist(), ratio.tolist()))
     skipped = order[tree.mass[order] <= 0].tolist()
     worst, worst_cube = 0.0, None
     if len(weighed):
@@ -224,7 +222,6 @@ def carleson_check(
         first = int(np.argmax(ratio))
         worst, worst_cube = float(ratio[first]), int(weighed[first])
     return CarlesonReport(
-        ratios=ratios,
         worst_ratio=worst,
         worst_cube=worst_cube,
         constants=constants,

@@ -276,6 +276,25 @@ class MetricMeasureSpace:
             total += level_sum
         return total
 
+    def group_masses(self, groups: np.ndarray, count: int) -> np.ndarray:
+        """The mass of each group ``0..count-1``; each row of ``groups``
+        puts point ``i`` in group ``row[i]``.  Each level's parts are
+        summed per group, exactly in any order, and the levels added in
+        level order: bit for bit the :meth:`mass` of each group."""
+        groups = np.asarray(groups).reshape(-1, len(self))
+        sums = np.stack(
+            [
+                np.bincount(
+                    groups.ravel(),
+                    weights=np.tile(part, len(groups)),
+                    minlength=count,
+                )
+                for part in self._parts.T
+            ],
+            axis=-1,
+        )
+        return _add_levels(sums)
+
     def index_of(self, point_id: int) -> int:
         try:
             return self._index[point_id]
@@ -1111,8 +1130,9 @@ def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
                 raise InputError(f"{where}: expected 2 fields")
             ids.append(_parse_number(row[0], where, int))
             weights.append(_parse_number(row[1], where))
-    try:
-        matrix = np.loadtxt(matrix_path, delimiter=",", dtype=float, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"{matrix_path}: {exc}") from None
+    with _open(matrix_path) as fh:
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{matrix_path}: {exc}") from None
     return MetricMeasureSpace.from_matrix(ids, matrix, np.array(weights))

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from rectilib.curve import BridgeGraph
 from rectilib.errors import DegenerateInputError
 
 
@@ -331,9 +332,39 @@ def basepoint_brute(space, member_ids) -> int:
 # -- curve graphs over tuple keys ---------------------------------------
 #
 # The tuple-keyed graph the array-backed BridgeGraph replaced: vertices
-# are a sorted tuple of 4-tuple keys and edges a dict {(u, v): length}
-# with u < v.  These are that representation's MST tour, kept line for
-# line as it was, and a breadth-first component labelling.
+# are a sorted tuple of keys and edges a dict {(u, v): length} with
+# u < v.  The keys were 4-tuples, (0, id, 0, 0) for a ground point and
+# (1, x, y, side) for a lifted vertex; a graph numbered by position
+# passes its positions, which sort as those tuples did.  These are that
+# representation's MST tour, kept line for line as it was, and a
+# breadth-first component labelling.
+
+
+def graph_by_position(ground, edges, pairs=()):
+    """A BridgeGraph from ground ids, bridged pairs and ``(src, dst,
+    length, provenance)`` edges between positions, ``src < dst``."""
+    columns = list(zip(*edges)) or [(), (), (), ()]
+    return BridgeGraph(
+        ground=np.array(ground, dtype=np.int64),
+        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        src=np.array(columns[0], dtype=np.int64),
+        dst=np.array(columns[1], dtype=np.int64),
+        length=np.array(columns[2], dtype=float),
+        provenance=np.array(columns[3], dtype=np.int64),
+    )
+
+
+def vertex_tuples(graph) -> list[tuple]:
+    """The tuple key of each position: ground ids, then two lifted
+    vertices per pair."""
+    ground = [(0, g, 0, 0) for g in graph.ground.tolist()]
+    lifted = [(1, x, y, side) for x, y in graph.pairs.tolist() for side in (0, 1)]
+    return ground + lifted
+
+
+def tuple_label(key: tuple) -> str:
+    """A tuple key as the side files label it."""
+    return f"g:{key[1]}" if key[0] == 0 else f"b:{key[1]}:{key[2]}:{key[3]}"
 
 
 def components_brute(vertices, edges):
@@ -620,6 +651,26 @@ def find_porous_rows(space, tree, target, cfg, root) -> list:
             pos = next(int(k) for k in id_order if gaps[k] == best)
             found.append((cid, space.ids[pos], best))
     return sorted(found)
+
+
+def bridges_rows(space, tree, hierarchy, porous, cfg) -> dict:
+    """{(x, y): (first cube, length)} of the star bridges, in
+    construction order: cubes by id, each one's net points by id; a
+    pair keeps its first cube, and a coincident pair gets no bridge."""
+    first = {}
+    for p in sorted(porous, key=lambda p: p.cube):
+        level = int(tree.level[p.cube]) + cfg.n0
+        if level not in hierarchy.levels:
+            continue
+        row = space.dists_from(int(tree.center[p.cube]))
+        c = space.ids[tree.center[p.cube]]
+        for q in sorted(hierarchy.levels[level]):
+            d = float(row[space.index_of(q)])
+            pair = (min(c, q), max(c, q))
+            if q != c and d < cfg.M * tree.sidelength[p.cube]:
+                if pair not in first and d > 0:
+                    first[pair] = (p.cube, d)
+    return first
 
 
 def adjacency_rows(space, ground_ids, eps_res) -> list:

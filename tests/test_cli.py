@@ -542,23 +542,28 @@ def test_malformed_params_exit_2_naming_the_parameter(capsys, kind, params, name
 
 
 @pytest.mark.parametrize(
-    "flag", ["--input csv", "--input json", "--input dir", "--matrix", "--weights"]
+    "flag",
+    ["--input csv", "--input json", "--input dir", "--matrix", "--matrix dir",
+     "--weights"],
 )
 def test_unreadable_input_files_exit_2_naming_the_path(capsys, tmp_path, flag):
+    folder = tmp_path / "inputs"
+    folder.mkdir()
     weights = tmp_path / "weights.csv"
     weights.write_text("id,weight\n0,1\n1,1\n")
     matrix = tmp_path / "matrix.csv"
     matrix.write_text("0,1\n1,0\n")
     missing = str(tmp_path / "missing")
-    argv = {
-        "--input csv": ["--input", missing + ".csv"],
-        "--input json": ["--input", missing + ".json"],
-        "--input dir": ["--input", str(tmp_path)],
-        "--matrix": ["--matrix", missing + ".csv", "--weights", str(weights)],
-        "--weights": ["--matrix", str(matrix), "--weights", missing + ".csv"],
+    path, argv = {
+        "--input csv": (missing + ".csv", ["--input"]),
+        "--input json": (missing + ".json", ["--input"]),
+        "--input dir": (str(folder), ["--input"]),
+        "--matrix": (missing + ".csv", ["--weights", str(weights), "--matrix"]),
+        "--matrix dir": (str(folder), ["--weights", str(weights), "--matrix"]),
+        "--weights": (missing + ".csv", ["--matrix", str(matrix), "--weights"]),
     }[flag]
-    code, out, err = run_cli(capsys, ["run", *argv])
+    code, out, err = run_cli(capsys, ["run", *argv, path])
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: stage load: ")
-    assert (str(tmp_path) if flag == "--input dir" else missing) in err
+    assert err.count(path) == 1 and "cannot read (" in err

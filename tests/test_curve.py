@@ -9,32 +9,33 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracles import adjacency_forest_rows, graph_dist_brute
+from _oracles import (
+    adjacency_forest_rows,
+    graph_by_position,
+    graph_dist_brute,
+    vertex_tuples,
+)
 from rectilib import curve
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
     ADJACENCY,
     E_ADJACENCY,
-    BridgeGraph,
     Bridges,
+    _labels,
     assemble_gamma,
     build_bridges,
     check_parametrization,
     connectivity,
     edges_csv,
-    ground_key,
-    key_str,
-    key_strs,
     length_budget,
-    lifted_keys,
     parametrize,
     parametrization_csv,
 )
 from rectilib.errors import DisconnectedError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
-from rectilib.nets import build_nets
+from rectilib.nets import NetHierarchy, build_nets
 from rectilib.pipeline import RunConfig, run_stages
-from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
+from rectilib.porosity import PorosityConfig, PorousCube, dist_to_set, find_porous
 from rectilib.space import MetricMeasureSpace, enclosing_target
 
 
@@ -84,7 +85,15 @@ def no_bridges():
 
 
 def empty_graph():
-    return BridgeGraph.from_edges(())
+    return graph_by_position([], [])
+
+
+def path_graph(lengths):
+    """Ground points 0..k joined in a path by edges of the given lengths."""
+    return graph_by_position(
+        range(len(lengths) + 1),
+        [(i, i + 1, length, ADJACENCY) for i, length in enumerate(lengths)],
+    )
 
 
 def pair_map(bridges) -> dict:
@@ -95,19 +104,16 @@ def pair_map(bridges) -> dict:
     }
 
 
-def visit_keys(graph, param) -> list[tuple]:
-    return [tuple(k) for k in graph.keys[param.visits].tolist()]
-
-
-def vertex_keys(graph) -> list[tuple]:
-    return [tuple(k) for k in graph.keys.tolist()]
+def labels(graph) -> list[str]:
+    return _labels(graph, np.arange(graph.vertex_count()))
 
 
 def edge_map(graph) -> dict:
-    """{(u, v): (length, provenance)} over vertex keys, in edge order."""
-    keys = vertex_keys(graph)
+    """{(u, v): (length, provenance)} over vertex labels, u the src end,
+    in edge order."""
+    names = labels(graph)
     return {
-        (keys[s], keys[d]): (length, p)
+        (names[s], names[d]): (length, p)
         for s, d, length, p in zip(
             graph.src.tolist(),
             graph.dst.tolist(),
@@ -117,18 +123,18 @@ def edge_map(graph) -> dict:
     }
 
 
-# -- vertex keys --------------------------------------------------------
+# -- vertex labels ------------------------------------------------------
 
 
 def test_vertex_keys():
-    assert ground_key(17) == (0, 17, 0, 0)
-    assert lifted_keys(3, 9) == ((1, 3, 9, 0), (1, 3, 9, 1))
-    assert key_str(ground_key(17)) == "g:17"
-    assert key_str(lifted_keys(3, 9)[1]) == "b:3:9:1"
-    with pytest.raises(ParameterError):
-        lifted_keys(9, 3)
-    with pytest.raises(ParameterError):
-        lifted_keys(3, 3)
+    """A position's label comes from the ground ids and the ranked pairs,
+    for positions asked in any order."""
+    graph = graph_by_position([3, 9, 17], [], pairs=[(3, 9), (3, 17)])
+    assert labels(graph) == [
+        "g:3", "g:9", "g:17", "b:3:9:0", "b:3:9:1", "b:3:17:0", "b:3:17:1"
+    ]
+    assert _labels(graph, np.array([4, 2, 5])) == ["b:3:9:1", "g:17", "b:3:17:0"]
+    assert _labels(graph, np.array([], dtype=np.int64)) == []
 
 
 # -- bridge construction ------------------------------------------------
@@ -143,10 +149,9 @@ def test_bridges_have_three_equal_edges():
     edges = edge_map(gamma)
     for (x, y), cube_id in pair_map(bridges).items():
         d = space.dists_from(space.index_of(x))[space.index_of(y)]
-        gx, gy = ground_key(x), ground_key(y)
-        lx, ly = lifted_keys(x, y)
-        for u, v in ((gx, lx), (lx, ly), (ly, gy)):
-            key = (u, v) if u < v else (v, u)
+        gx, gy = f"g:{x}", f"g:{y}"
+        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
+        for key in ((gx, lx), (lx, ly), (gy, ly)):
             assert edges[key][0] == pytest.approx(float(d))
             assert edges[key][1] == cube_id
 
@@ -161,7 +166,7 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     assert sum(bridges.pairs_per_cube.values()) == 2 * 99
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     assert np.count_nonzero(gamma.provenance != ADJACENCY) == 3 * 197
-    assert len(gamma.keys) == 100 + 2 * 197
+    assert gamma.vertex_count() == 100 + 2 * 197
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for p in sorted(porous, key=lambda q: q.cube):
@@ -177,6 +182,22 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
                 pair = (min(center, q), max(center, q))
                 expected.setdefault(pair, p.cube)
     assert pair_map(bridges) == expected
+
+
+def test_bridges_skip_coincident_pairs():
+    """A hand-built bridge level holding a copy of the center: the pair
+    is counted for the cube but gets no bridge."""
+    space = MetricMeasureSpace.from_coords(
+        [4, 8, 2], np.array([[0.0], [0.0], [0.5]]), np.ones(3)
+    )
+    hierarchy = NetHierarchy(rho=1.0 / 16.0, levels={0: (4,), 2: (4, 8, 2)})
+    tree = build_cubes(space, hierarchy)
+    porous = [PorousCube(cube=0, witness=2, witness_gap=0.5)]
+    bridges = build_bridges(space, tree, hierarchy, porous, good_cfg())
+    assert bridges.pairs.tolist() == [[2, 4]]
+    assert bridges.length.tolist() == [0.5]
+    assert bridges.cube.tolist() == [0]
+    assert bridges.pairs_per_cube == {0: 2}
 
 
 def test_bridges_skip_cubes_without_their_level():
@@ -232,9 +253,10 @@ def test_star_bridges_pass_through_the_center():
         assert center in (x, y)
         other = y if x == center else x
         row = space.dists_from(space.index_of(center))
-        gx, lx = ground_key(x), lifted_keys(x, y)[0]
         # bit for bit the center row's entry, not merely close to it
-        assert lengths[(gx, lx)][0] == float(row[space.index_of(other)])
+        assert lengths[(f"g:{x}", f"b:{x}:{y}:0")][0] == float(
+            row[space.index_of(other)]
+        )
 
 
 # -- array layout -------------------------------------------------------
@@ -244,67 +266,74 @@ def test_graph_arrays_follow_key_and_insertion_order():
     space, target, h, tree, porous = hole_fixture()
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
-    keys = vertex_keys(gamma)
-    assert keys == sorted(set(keys))  # distinct, in tuple order
-    assert gamma.keys.dtype == np.int64 and gamma.keys.shape == (len(keys), 4)
+    assert gamma.ground.tolist() == hole_ground(target, bridges)
+    assert gamma.pairs.tolist() == sorted(bridges.pairs.tolist())
+    assert gamma.ground.dtype == gamma.pairs.dtype == np.int64
     assert np.all(gamma.src < gamma.dst)
     # bridge edges first, three per pair in construction order
     edges = list(edge_map(gamma).items())
     n_bridge = 3 * len(bridges.pairs)
     for k, ((x, y), cube_id) in enumerate(pair_map(bridges).items()):
-        gx, gy = ground_key(x), ground_key(y)
-        lx, ly = lifted_keys(x, y)
+        gx, gy = f"g:{x}", f"g:{y}"
+        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
         triple = edges[3 * k : 3 * k + 3]
         assert [e for e, _ in triple] == [(gx, lx), (lx, ly), (gy, ly)]
         assert [p for _, (_, p) in triple] == [cube_id] * 3
     # then adjacency edges by ascending ground pair
-    adjacency = [e for e, _ in edges[n_bridge:]]
+    adjacency = list(zip(gamma.src[n_bridge:], gamma.dst[n_bridge:]))
     assert adjacency == sorted(adjacency)
+    assert gamma.dst[n_bridge:].max() < len(gamma.ground)
     assert all(p == ADJACENCY for _, (_, p) in edges[n_bridge:])
     assert all(p != ADJACENCY for _, (_, p) in edges[:n_bridge])
-    for a in (gamma.keys, gamma.src, gamma.dst, gamma.length, gamma.provenance,
-              bridges.pairs, bridges.length, bridges.cube):
+    for a in (gamma.ground, gamma.pairs, gamma.src, gamma.dst, gamma.length,
+              gamma.provenance, bridges.pairs, bridges.length, bridges.cube):
         assert not a.flags.writeable
 
 
 def test_keys_sort_by_columns_with_negative_and_large_ids():
+    """Positions follow the tuple keys (0, id, 0, 0), (1, x, y, side)
+    column by column, whatever the ids' signs and sizes."""
     big = 2**62
-    a, b, c = ground_key(-5), ground_key(big), ground_key(3)
-    lo, hi = lifted_keys(-5, big)
-    graph = BridgeGraph.from_edges(
-        [(b, hi, 1.0, 0), (a, lo, 1.0, 0), (lo, hi, 1.0, 0), (c, a, 2.0, ADJACENCY)],
-        vertices=[(0, -(2**62), 0, 0)],
+    ids = [big, -5, 3, -big]
+    space = MetricMeasureSpace.from_coords(
+        ids, np.array([[0.0], [1.0], [2.0], [3.0]]), np.ones(4)
     )
-    assert vertex_keys(graph) == sorted([a, b, c, lo, hi, (0, -(2**62), 0, 0)])
-    # edges keep the order given; each edge's endpoints are stored ascending
-    assert list(edge_map(graph)) == [(b, hi), (a, lo), (lo, hi), (a, c)]
-
-
-def test_from_edges_rejects_loops_and_repeats():
-    g0, g1 = ground_key(0), ground_key(1)
-    with pytest.raises(ParameterError, match="itself"):
-        BridgeGraph.from_edges([(g0, g0, 1.0, ADJACENCY)])
-    with pytest.raises(ParameterError, match="twice"):
-        BridgeGraph.from_edges(
-            [(g0, g1, 1.0, ADJACENCY), (g1, g0, 2.0, ADJACENCY)]
-        )
-    with pytest.raises(ParameterError, match="keys"):
-        BridgeGraph.from_edges([((0, 1), g1, 1.0, ADJACENCY)])
+    bridges = Bridges(
+        pairs=np.array([[3, big], [-big, -5], [-5, big]]),
+        length=np.array([2.0, 2.0, 1.0]),
+        cube=np.array([0, 0, 1]),
+        pairs_per_cube={0: 2, 1: 1},
+        skipped=(),
+    )
+    gamma = assemble_gamma(space, enclosing_target(space, [3]), bridges, 0.5)
+    keys = vertex_tuples(gamma)
+    assert keys == sorted(keys)
+    assert labels(gamma) == [
+        f"g:{-big}", "g:-5", "g:3", f"g:{big}",
+        f"b:{-big}:-5:0", f"b:{-big}:-5:1", f"b:-5:{big}:0", f"b:-5:{big}:1",
+        f"b:3:{big}:0", f"b:3:{big}:1",
+    ]
+    # edges keep construction order; each stores its endpoints ascending
+    assert list(edge_map(gamma)) == [
+        ("g:3", f"b:3:{big}:0"), (f"b:3:{big}:0", f"b:3:{big}:1"),
+        (f"g:{big}", f"b:3:{big}:1"),
+        (f"g:{-big}", f"b:{-big}:-5:0"), (f"b:{-big}:-5:0", f"b:{-big}:-5:1"),
+        ("g:-5", f"b:{-big}:-5:1"),
+        ("g:-5", f"b:-5:{big}:0"), (f"b:-5:{big}:0", f"b:-5:{big}:1"),
+        (f"g:{big}", f"b:-5:{big}:1"),
+    ]
 
 
 def test_connectivity_lists_components_by_smallest_vertex():
-    g = [ground_key(i) for i in range(6)]
-    graph = BridgeGraph.from_edges(
-        [(g[4], g[1], 1.0, ADJACENCY), (g[5], g[2], 1.0, ADJACENCY)],
-        vertices=[g[3], g[0]],
+    graph = graph_by_position(
+        [10, 11, 12, 13, 14, 15],
+        [(1, 4, 1.0, ADJACENCY), (2, 5, 1.0, ADJACENCY)],
     )
     report = connectivity(graph)
     assert report.components == 4
-    assert [vertex_keys(graph)[r] for r in report.representatives] == [
-        g[0],
-        g[1],
-        g[2],
-        g[3],
+    assert report.representatives.tolist() == [0, 1, 2, 3]
+    assert _labels(graph, report.representatives) == [
+        "g:10", "g:11", "g:12", "g:13"
     ]
 
 
@@ -318,12 +347,8 @@ def test_gamma_chain_adjacency():
     empty = no_bridges()
     gamma = assemble_gamma(space, target, empty, 0.15)
     edges = edge_map(gamma)
-    keys = sorted(edges)
-    assert keys == [
-        (ground_key(0), ground_key(1)),
-        (ground_key(1), ground_key(2)),
-    ]
-    assert all(edges[k][1] == ADJACENCY for k in keys)
+    assert list(edges) == [("g:0", "g:1"), ("g:1", "g:2")]
+    assert all(p == ADJACENCY for _, p in edges.values())
     assert connectivity(gamma).components == 1
     with pytest.raises(ParameterError):
         assemble_gamma(space, target, empty, 0.0)
@@ -340,7 +365,7 @@ def test_gamma_skips_coincident_points():
 
 def test_micro_gamma_connects_through_the_bridge():
     space, target, gamma = micro_gamma()
-    assert key_strs(gamma.keys) == [
+    assert labels(gamma) == [
         "g:0",
         "g:1",
         "g:2",
@@ -350,9 +375,7 @@ def test_micro_gamma_connects_through_the_bridge():
     ]
     report = connectivity(gamma)
     assert report.components == 1
-    assert [vertex_keys(gamma)[r] for r in report.representatives] == [
-        ground_key(0)
-    ]
+    assert _labels(gamma, report.representatives) == ["g:0"]
     # without the bridge the clusters stay apart
     bare = assemble_gamma(space, target, no_bridges(), 0.15)
     assert connectivity(bare).components == 2
@@ -361,11 +384,10 @@ def test_micro_gamma_connects_through_the_bridge():
 
 def test_graph_distance_across_a_bridge_is_three_hops():
     space, target, gamma = micro_gamma()
-    vertices = vertex_keys(gamma)
-    edges = {uv: length for uv, (length, _) in edge_map(gamma).items()}
-    dist = graph_dist_brute(vertices, edges)
-    pos = {v: i for i, v in enumerate(vertices)}
-    assert dist[pos[ground_key(1)]][pos[ground_key(2)]] == pytest.approx(2.7)
+    edges = dict(zip(zip(gamma.src.tolist(), gamma.dst.tolist()), gamma.length))
+    dist = graph_dist_brute(range(gamma.vertex_count()), edges)
+    assert labels(gamma)[1:3] == ["g:1", "g:2"]
+    assert dist[1][2] == pytest.approx(2.7)
 
 
 def test_more_bridges_never_disconnect():
@@ -497,7 +519,7 @@ def test_budget_does_not_assert_a_vacuous_e_part():
 def test_parametrize_micro_tour():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    assert key_strs(gamma.keys[param.visits]) == [
+    assert _labels(gamma, param.visits) == [
         "g:0",
         "g:1",
         "b:1:2:0",
@@ -521,47 +543,40 @@ def test_parametrize_micro_tour():
 def test_parametrize_consecutive_visits_are_graph_edges():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    edges = edge_map(gamma)
-    visits = visit_keys(gamma, param)
+    edges = dict(zip(zip(gamma.src.tolist(), gamma.dst.tolist()), gamma.length))
+    visits = param.visits.tolist()
     for i in range(len(visits) - 1):
         u, v = visits[i], visits[i + 1]
-        key = (u, v) if u < v else (v, u)
         dt = param.ts[i + 1] - param.ts[i]
-        assert edges[key][0] == pytest.approx(dt * param.lip_bound)
+        assert edges[min(u, v), max(u, v)] == pytest.approx(dt * param.lip_bound)
 
 
 def test_kruskal_ties_resolve_by_src_then_dst():
-    # a 4-cycle whose two long edges tie: (g0, g3) precedes (g1, g2) by
-    # src, (g1, g2) would precede by dst; the tree keeps (g0, g3)
-    g = [ground_key(i) for i in range(4)]
-    graph = BridgeGraph.from_edges(
+    # a 4-cycle whose two long edges tie: (0, 3) precedes (1, 2) by src,
+    # (1, 2) would precede by dst; the tree keeps (0, 3)
+    graph = graph_by_position(
+        [10, 20, 30, 40],
         [
-            (g[1], g[2], 2.0, ADJACENCY),
-            (g[0], g[3], 2.0, ADJACENCY),
-            (g[0], g[1], 1.0, ADJACENCY),
-            (g[2], g[3], 1.0, ADJACENCY),
-        ]
+            (1, 2, 2.0, ADJACENCY),
+            (0, 3, 2.0, ADJACENCY),
+            (0, 1, 1.0, ADJACENCY),
+            (2, 3, 1.0, ADJACENCY),
+        ],
     )
     param = parametrize(graph)
-    assert [v[1] for v in visit_keys(graph, param)] == [0, 1, 0, 3, 2, 3, 0]
+    assert param.visits.tolist() == [0, 1, 0, 3, 2, 3, 0]
 
 
 def test_parametrize_two_vertices():
-    g = BridgeGraph.from_edges([(ground_key(0), ground_key(1), 2.0, ADJACENCY)])
-    param = parametrize(g)
-    assert visit_keys(g, param) == [
-        ground_key(0),
-        ground_key(1),
-        ground_key(0),
-    ]
+    param = parametrize(path_graph([2.0]))
+    assert param.visits.tolist() == [0, 1, 0]
     assert param.ts.tolist() == [0.0, 0.5, 1.0]
     assert param.lip_bound == pytest.approx(4.0)
 
 
 def test_parametrize_singleton_and_errors():
-    single = BridgeGraph.from_edges((), vertices=[ground_key(5)])
-    param = parametrize(single)
-    assert visit_keys(single, param) == [ground_key(5)]
+    param = parametrize(graph_by_position([5], []))
+    assert param.visits.tolist() == [0]
     assert param.ts.tolist() == [0.0] and param.lip_bound == 0.0
     with pytest.raises(ParameterError):
         parametrize(empty_graph())
@@ -601,15 +616,9 @@ def test_the_last_time_is_one_whatever_sum_the_builtins_do(monkeypatch):
     builtin ``sum`` of Python 3.12 adds them; the times and the bound
     come from one left-to-right sum, so the tour still ends at 1."""
     monkeypatch.setattr(curve, "sum", math.fsum, raising=False)
-    path = [ground_key(i) for i in range(4)]
-    graph = BridgeGraph.from_edges(
-        [
-            (path[i], path[i + 1], length, ADJACENCY)
-            for i, length in enumerate([0.1, 0.2, 0.3])
-        ]
-    )
+    graph = path_graph([0.1, 0.2, 0.3])
     param = parametrize(graph)
-    assert visit_keys(graph, param) == path + path[-2::-1]
+    assert param.visits.tolist() == [0, 1, 2, 3, 2, 1, 0]
     assert math.fsum([0.1, 0.2, 0.3] * 2) == 1.2
     assert param.lip_bound == 1.2000000000000002
     assert param.ts[-1] == 1.0
@@ -622,15 +631,11 @@ def test_a_passed_tour_is_within_the_bound_plus_2_51_per_step():
     short edges at one time passes the check; its ends are 5 apart at
     time gap 0, within ``lip_bound * (1 + 1e-9) * 5 * 2**-51`` and no
     tighter bound."""
-    path = [ground_key(i) for i in range(7)]
-    graph = BridgeGraph.from_edges(
-        [(path[0], path[1], 2.0**50, ADJACENCY)]
-        + [(path[i], path[i + 1], 1.0, ADJACENCY) for i in range(1, 6)]
-    )
+    graph = path_graph([2.0**50] + [1.0] * 5)
     param = parametrize(graph)
     assert param.lip_bound == 2.0**51 + 10
     ts = param.ts.copy()
-    ts[2:7] = ts[1]  # visits 1..6 walk g:1 .. g:6
+    ts[2:7] = ts[1]  # visits 1..6 walk positions 1 .. 6
     squeezed = dataclasses.replace(param, ts=ts)
     assert check_parametrization(squeezed, graph).ok
     d, gap = 5.0, ts[6] - ts[1]
@@ -751,7 +756,7 @@ def test_hole_fixture_tour_end_to_end():
     bridges = build_bridges(space, tree, h, porous, cfg)
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     param = parametrize(gamma)
-    assert len(param.visits) == 2 * len(gamma.keys) - 1
+    assert len(param.visits) == 2 * gamma.vertex_count() - 1
     assert param.lip_bound == pytest.approx(2 * param.tree_length)
     check = check_parametrization(param, gamma)
     assert check.ok

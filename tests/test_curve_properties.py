@@ -1,13 +1,16 @@
 """Property tests: the array-backed curve graph matches the tuple oracles.
 
-Small random graphs over 4-integer vertex keys (negative and large ids
-included) with integer-heavy lengths, so equal-length ties are common,
-and with several components and isolated vertices.  Components,
-representatives, the spanning-tree tour and the edge list must equal
-what the tuple-keyed implementation gives, bit for bit.  A tour the
-Lipschitz check passes, honest or tampered with, keeps every pair of
-visits within the bound, plus 2**-51 per step between them, under the
-oracle's graph distances.
+Small random graphs by position, over ground ids and bridged pairs with
+negative and large ids, with integer-heavy lengths, so equal-length
+ties are common, and with several components and isolated vertices.
+Components, representatives, the spanning-tree tour and the edge list
+must equal what the tuple-keyed implementation gives on the positions,
+bit for bit, and the edge list's labels what the tuple keys print.  A
+tour the Lipschitz check passes, honest or tampered with, keeps every
+pair of visits within the bound, plus 2**-51 per step between them,
+under the oracle's graph distances.  On small clouds with holes, the
+curve's positions follow the tuple order and every bridge is the chain
+x, lifted x, lifted y, y.
 """
 
 import csv
@@ -21,30 +24,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import components_brute, graph_dist_brute, tour_brute
+from _oracles import (
+    bridges_rows,
+    components_brute,
+    graph_by_position,
+    graph_dist_brute,
+    tour_brute,
+    tuple_label,
+    vertex_tuples,
+)
+from rectilib.cubes import build_cubes
 from rectilib.curve import (
     ADJACENCY,
     E_ADJACENCY,
-    BridgeGraph,
+    _labels,
+    assemble_gamma,
+    build_bridges,
     check_parametrization,
     connectivity,
     edges_csv,
-    key_str,
     parametrize,
 )
 from rectilib.errors import DisconnectedError, ParameterError
+from rectilib.nets import auto_levels, build_nets
+from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
+from rectilib.space import MetricMeasureSpace, enclosing_target
 
-IDS = st.sampled_from([-(2**62), -7, -1, 0, 1, 3, 2**40, 2**62])
-KEYS = st.tuples(st.sampled_from([0, 1]), IDS, IDS, st.sampled_from([0, 1]))
+IDS = [-(2**62), -7, -1, 0, 1, 3, 5, 2**40, 2**62]
 LENGTHS = st.sampled_from([1.0, 1.0, 2.0, 0.1])
 PROVENANCE = st.sampled_from([ADJACENCY, 0, 4])
 
 
 @st.composite
 def graphs(draw):
-    """(vertex keys, edges as (u, v, length, provenance) in insertion order)."""
+    """A graph by position: ascending ground ids, ascending bridged
+    pairs, and edges ``(src, dst, length, provenance)``, ``src < dst``,
+    in insertion order."""
     n = draw(st.integers(1, 9))
-    keys = draw(st.lists(KEYS, min_size=n, max_size=n, unique=True))
+    n_pairs = draw(st.integers(0, n // 2))
+    ground = draw(st.lists(st.sampled_from(IDS), min_size=n - 2 * n_pairs,
+                           max_size=n - 2 * n_pairs, unique=True))
+    bridged = draw(st.lists(st.sampled_from(list(itertools.combinations(IDS, 2))),
+                            min_size=n_pairs, max_size=n_pairs, unique=True))
     pairs = list(itertools.combinations(range(n), 2))
     # dense draws make cycles whose heaviest edges tie, where the tie
     # order decides which edge the tree keeps
@@ -58,27 +79,19 @@ def graphs(draw):
         order = draw(st.permutations(range(n)))
         path = [tuple(sorted(p)) for p in zip(order, order[1:])]
         chosen += [p for p in path if p not in chosen]
-    edges = []
-    for i, j in chosen:
-        u, v = (keys[i], keys[j]) if draw(st.booleans()) else (keys[j], keys[i])
-        edges.append((u, v, draw(LENGTHS), draw(PROVENANCE)))
-    return keys, edges
+    edges = [(i, j, draw(LENGTHS), draw(PROVENANCE)) for i, j in chosen]
+    return graph_by_position(sorted(ground), edges, sorted(bridged))
 
 
-def oracle_form(keys, edges):
-    """The tuple-keyed graph: sorted vertices and {(u, v): length}, u < v."""
-    as_dict = {}
-    for u, v, length, _ in edges:
-        as_dict[(u, v) if u < v else (v, u)] = length
-    return tuple(sorted(keys)), as_dict
+def oracle_form(graph):
+    """The oracles' graph on positions: vertices and {(u, v): length}."""
+    edges = zip(graph.src.tolist(), graph.dst.tolist(), graph.length.tolist())
+    return tuple(range(graph.vertex_count())), {(u, v): d for u, v, d in edges}
 
 
 @given(graphs())
-def test_connectivity_and_tour_match_the_tuple_oracle(case):
-    keys, edges = case
-    graph = BridgeGraph.from_edges(edges, vertices=keys)
-    vertices, as_dict = oracle_form(keys, edges)
-    assert [tuple(k) for k in graph.keys.tolist()] == list(vertices)
+def test_connectivity_and_tour_match_the_tuple_oracle(graph):
+    vertices, as_dict = oracle_form(graph)
 
     components, reps = components_brute(vertices, as_dict)
     report = connectivity(graph)
@@ -92,7 +105,7 @@ def test_connectivity_and_tour_match_the_tuple_oracle(case):
         return
     visits, ts, lip_bound, tree_length = tour_brute(vertices, as_dict)
     param = parametrize(graph)
-    assert [tuple(v) for v in graph.keys[param.visits].tolist()] == list(visits)
+    assert param.visits.tolist() == list(visits)
     assert param.ts.tolist() == list(ts)
     assert param.lip_bound == lip_bound
     assert param.tree_length == tree_length
@@ -106,14 +119,12 @@ SHARES = st.sampled_from([0.0, 1e-3, 0.5, 1 - 1e-3, 1.0])
 
 @settings(max_examples=150)
 @given(graphs(), st.data())
-def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
+def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(graph, data):
     """Tours are the honest one, or it with a run of visits dropped and
     the times respaced evenly, then one visit sent to any vertex, then
     one time moved between its neighbours'.  Whenever the check passes,
     visits a < b have graph distance at most ``lip_bound * (1 + 1e-9)``
     times their gap plus ``(b - a) * 2**-51``."""
-    keys, edges = case
-    graph = BridgeGraph.from_edges(edges, vertices=keys)
     try:
         param = parametrize(graph)
     except DisconnectedError:
@@ -127,7 +138,9 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
     if data.draw(st.booleans(), label="jump"):
         i = data.draw(st.integers(0, len(visits) - 1), label="jumps")
         visits = visits.copy()
-        visits[i] = data.draw(st.integers(0, len(keys) - 1), label="to")
+        visits[i] = data.draw(
+            st.integers(0, graph.vertex_count() - 1), label="to"
+        )
     if len(visits) >= 3 and data.draw(st.booleans(), label="retime"):
         k = data.draw(st.integers(1, len(visits) - 2), label="retimed")
         # counted from either end, so both end steps are often moved
@@ -140,7 +153,7 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
         return  # a step that is not an edge
     if not check.ok:
         return
-    vertices, as_dict = oracle_form(keys, edges)
+    vertices, as_dict = oracle_form(graph)
     dist = graph_dist_brute(vertices, as_dict)
     bound = param.lip_bound * (1 + 1e-9)
     for a, b in itertools.combinations(range(len(visits)), 2):
@@ -149,9 +162,10 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(case, data):
 
 
 @given(graphs())
-def test_edges_csv_matches_the_tuple_writer(case):
-    keys, edges = case
-    graph = BridgeGraph.from_edges(edges, vertices=keys)
+def test_edges_csv_matches_the_tuple_writer(graph):
+    keys = vertex_tuples(graph)
+    edges = zip(graph.src.tolist(), graph.dst.tolist(),
+                graph.length.tolist(), graph.provenance.tolist())
     with tempfile.TemporaryDirectory() as tmp:
         expected_path = os.path.join(tmp, "expected.csv")
         with open(expected_path, "w", newline="") as fh:
@@ -159,12 +173,79 @@ def test_edges_csv_matches_the_tuple_writer(case):
             writer.writerow(["u", "v", "length", "provenance"])
             rows = {}
             for u, v, length, p in edges:
-                key = (u, v) if u < v else (v, u)
-                rows[key] = (length, E_ADJACENCY if p == ADJACENCY else p)
+                rows[keys[u], keys[v]] = (
+                    length, E_ADJACENCY if p == ADJACENCY else p
+                )
             for (u, v), (length, p) in sorted(rows.items()):
-                writer.writerow([key_str(u), key_str(v), repr(length), p])
+                writer.writerow([tuple_label(u), tuple_label(v), repr(length), p])
         edges_csv(graph, os.path.join(tmp, "edges.csv"))
         with open(expected_path, "rb") as a, open(
             os.path.join(tmp, "edges.csv"), "rb"
         ) as b:
             assert b.read() == a.read()
+
+
+@st.composite
+def clouds_with_holes(draw):
+    """(space, target): up to 40 points of [0, 1] on a grid of 1/32, so
+    some coincide, under shuffled ids of both signs; the target leaves
+    out an open hole."""
+    n = draw(st.integers(4, 40))
+    grid = draw(st.lists(st.integers(0, 32), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n,
+                        unique=True))
+    space = MetricMeasureSpace.from_coords(
+        ids, np.array(grid, dtype=float)[:, None] / 32, np.full(n, 1.0 / n)
+    )
+    lo = draw(st.integers(0, 28))
+    hi = lo + draw(st.integers(2, 8))
+    members = [i for i, g in zip(ids, grid) if not lo < g < hi]
+    if not members:
+        members = ids[:1]
+    return space, enclosing_target(space, members)
+
+
+@given(clouds_with_holes(), st.sampled_from([0.5 / 32, 1.5 / 32, 0.3]))
+def test_positions_follow_the_tuple_order_and_bridges_are_chains(case, eps):
+    """The ground ids ascend, then two lifted vertices per pair by
+    ascending (x, y): the labels read back as tuple keys ascend, which
+    is the order Kruskal's ties rely on.  Edge 3k, 3k + 1 and 3k + 2
+    are bridge k's chain x, lifted x, lifted y, y, as long as the pair
+    and owned by the first cube that bridged it."""
+    space, target = case
+    cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
+    lo, hi = auto_levels(space, cfg.rho)
+    hierarchy = build_nets(space, cfg.rho, lo, hi + cfg.n0, seed_ids=[target.xi0])
+    tree = build_cubes(space, hierarchy)
+    gap = dist_to_set(space, target.members)
+    porous = find_porous(space, tree, target, gap, cfg)
+    bridges = build_bridges(space, tree, hierarchy, porous, cfg)
+    want = bridges_rows(space, tree, hierarchy, porous, cfg)
+    assert bridges.pairs.tolist() == [list(pair) for pair in want]
+    assert list(zip(bridges.cube.tolist(), bridges.length.tolist())) == list(
+        want.values()
+    )
+
+    graph = assemble_gamma(space, target, bridges, eps)
+    names = _labels(graph, np.arange(graph.vertex_count()))
+    keys = [
+        (0, int(rest[0]), 0, 0) if kind == "g" else (1, *map(int, rest))
+        for kind, *rest in (name.split(":") for name in names)
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    ground = set(target.members) | set(bridges.pairs.ravel().tolist())
+    assert [k[1] for k in keys if k[0] == 0] == sorted(ground)
+    assert len(keys) == len(ground) + 2 * len(bridges.pairs)
+    for k, ((x, y), d, cube) in enumerate(
+        zip(bridges.pairs.tolist(), bridges.length.tolist(), bridges.cube.tolist())
+    ):
+        chain = [
+            (names[u], names[v])
+            for u, v in zip(graph.src[3 * k : 3 * k + 3].tolist(),
+                            graph.dst[3 * k : 3 * k + 3].tolist())
+        ]
+        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
+        assert chain == [(f"g:{x}", lx), (lx, ly), (f"g:{y}", ly)]
+        assert graph.length[3 * k : 3 * k + 3].tolist() == [d] * 3
+        assert graph.provenance[3 * k : 3 * k + 3].tolist() == [cube] * 3
+    assert np.all(graph.provenance[3 * len(bridges.pairs) :] == ADJACENCY)

@@ -28,6 +28,7 @@ from _oracles import (
     cube_members,
     cube_members_rows,
     find_porous_rows,
+    graph_by_position,
     mass_of,
     verify_nets_rows,
     weight_levels,
@@ -35,10 +36,8 @@ from _oracles import (
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
     ADJACENCY,
-    BridgeGraph,
     assemble_gamma,
     build_bridges,
-    ground_key,
     parametrize,
 )
 from rectilib.errors import DisconnectedError
@@ -484,8 +483,8 @@ def porous(space, tree, target, cfg) -> list:
 def adjacency_edges(graph):
     """(g, h, length) of each adjacency edge, in edge order."""
     keep = graph.provenance == ADJACENCY
-    g = graph.keys[graph.src[keep], 1].tolist()
-    h = graph.keys[graph.dst[keep], 1].tolist()
+    g = graph.ground[graph.src[keep]].tolist()
+    h = graph.ground[graph.dst[keep]].tolist()
     return list(zip(g, h, graph.length[keep].tolist()))
 
 
@@ -513,14 +512,12 @@ def assert_the_forest_keeps_the_tour(space, members, eps):
     target = TargetSet(members=members, xi0=members[0])
     empty = build_bridges(space, None, None, (), None)
     forest = assemble_gamma(space, target, empty, eps)
-    whole = BridgeGraph.from_edges(
-        [
-            (ground_key(members[a]), ground_key(members[b]), d, ADJACENCY)
-            for a, b, d in adjacency_rows(space, members, eps)
-        ],
-        vertices=[ground_key(m) for m in members],
+    whole = graph_by_position(
+        members,
+        [(a, b, d, ADJACENCY) for a, b, d in adjacency_rows(space, members, eps)],
     )
-    assert np.array_equal(whole.keys, forest.keys)
+    assert np.array_equal(whole.ground, forest.ground)
+    assert forest.pairs.shape == (0, 2)
     tours = []
     for graph in (whole, forest):
         try:

@@ -7,13 +7,24 @@ Only the interval inputs have porous cubes, so they are the ones that
 reach the porous family, the shadows, the packing check and the
 bridges; cantor4 3 has a disconnected curve and writes no tour.  A
 change that alters a report on purpose re-pins its hashes and says why.
+
+A generator's ids are its point indices, so a label that printed an
+index in place of an id would keep those pins.  Two more runs read
+files whose ids are not indices: the 300-point interval with a hole,
+ids ``3 * i + 7`` in a shuffled row order, once as a point CSV and once
+as that space's distance matrix, which has no coordinates for the tour.
+A file carries no target, so their target is every point.  Their
+reports are hashed without the ``config`` key, which names the files.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from rectilib.generators import GeneratorSpec, generate
 from rectilib.pipeline import RunConfig, report_json, run_pipeline
+from rectilib.space import MetricMeasureSpace, load_csv, save_csv
 
 SIDE_FILES = ("density.csv", "edges.csv", "tour.csv")
 
@@ -93,8 +104,40 @@ PINS = {
 }
 
 
+FILE_PINS = {
+    "points": {
+        "report":
+            "a7b49a49a74fb73c2bf9d57c3cc895dd439e86c18168c7782cf7988a2d91041b",
+        "density.csv":
+            "0bf5df2c0fe4ce198152a2a0fc7a8daffe30fe197dd87e39dd4405889718d05f",
+        "edges.csv":
+            "3fbfe5ffc9fafa8f95a0c43f86f5d179041c6992e318b4cfa25d2a00eb589a26",
+        "tour.csv":
+            "55e383b1c21f458d9c5c87b55fb494591a33816116ca30ceb1d227d9093b2f98",
+    },
+    "matrix": {
+        "report":
+            "a7b49a49a74fb73c2bf9d57c3cc895dd439e86c18168c7782cf7988a2d91041b",
+        "density.csv":
+            "0bf5df2c0fe4ce198152a2a0fc7a8daffe30fe197dd87e39dd4405889718d05f",
+        "edges.csv":
+            "3fbfe5ffc9fafa8f95a0c43f86f5d179041c6992e318b4cfa25d2a00eb589a26",
+        "tour.csv":
+            "94d197962dd9224b7599e1a3a0b4b58ae87c99dad2e81aff87bcf2eb4ffb8318",
+    },
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def side_file_hashes(folder) -> dict[str, str]:
+    return {
+        side: sha256((folder / side).read_bytes())
+        for side in SIDE_FILES
+        if (folder / side).exists()
+    }
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -102,8 +145,41 @@ def test_reports_and_side_files_keep_their_pinned_bytes(name, tmp_path):
     report, _, _ = run_pipeline(RunConfig(**CASES[name]))
     got = {"report": sha256(report_json(report).encode())}
     run_pipeline(RunConfig(**CASES[name], out_dir=str(tmp_path)))
-    for side in SIDE_FILES:
-        path = tmp_path / side
-        if path.exists():
-            got[side] = sha256(path.read_bytes())
-    assert got == PINS[name]
+    assert {**got, **side_file_hashes(tmp_path)} == PINS[name]
+
+
+def write_inputs(folder) -> dict[str, dict]:
+    """The id-mapped point CSV and its matrix twin, as RunConfig sources."""
+    space, _ = generate(GeneratorSpec("interval", 300, {"holes": [[0.4, 0.6]]}))
+    rows = np.random.default_rng(0).permutation(len(space))
+    points = folder / "points.csv"
+    save_csv(
+        MetricMeasureSpace.from_coords(
+            [3 * i + 7 for i in rows.tolist()],
+            space.coords[rows],
+            space.weights[rows],
+        ),
+        str(points),
+    )
+    shuffled = load_csv(str(points))
+    matrix, weights = folder / "matrix.csv", folder / "weights.csv"
+    np.savetxt(matrix, shuffled.distance_matrix(), delimiter=",", fmt="%.17g")
+    weights.write_text("id,weight\n" + "".join(
+        f"{i},{w!r}\n" for i, w in zip(shuffled.ids, shuffled.weights.tolist())
+    ))
+    return {
+        "points": dict(input=str(points)),
+        "matrix": dict(matrix=str(matrix), weights=str(weights)),
+    }
+
+
+@pytest.mark.parametrize("name", list(FILE_PINS))
+def test_runs_on_ids_that_are_not_indices_keep_their_pinned_bytes(
+    name, tmp_path
+):
+    source = write_inputs(tmp_path)[name]
+    out = tmp_path / "out"
+    report, _, _ = run_pipeline(RunConfig(**source, out_dir=str(out)))
+    del report["config"]
+    got = {"report": sha256(report_json(report).encode())}
+    assert {**got, **side_file_hashes(out)} == FILE_PINS[name]

@@ -253,18 +253,52 @@ def test_find_porous_needs_single_containing_root():
 # -- packing (Carleson) ratios ------------------------------------------
 
 
-def test_carleson_matches_brute_force_descendant_sums():
-    space, target, h, tree = hole_fixture()
-    porous = porous_cubes(space, tree, target, good_cfg())
-    report = carleson_check(tree, porous, good_cfg(), 1)
+def packed_ratios(tree, porous_ids, children=cube_children) -> tuple:
+    """({cube: packed ratio} of the cubes of positive mass, zero-mass
+    cubes): running totals from the bottom level up, ids ascending in a
+    level, each cube from its own mass (when porous) plus its
+    children's packed masses in the order ``children`` lists them."""
+    packed, ratios, skipped = {}, {}, []
+    for level in sorted(set(tree.level.tolist()), reverse=True):
+        for cid in np.flatnonzero(tree.level == level).tolist():
+            mass = float(tree.mass[cid])
+            total = mass if cid in porous_ids else 0.0
+            for child in children(tree, cid):
+                total += packed[child]
+            packed[cid] = total
+            if mass > 0:
+                ratios[cid] = total / mass
+            else:
+                skipped.append(cid)
+    return ratios, tuple(skipped)
+
+
+def assert_matches_brute_force(report, tree, porous):
+    """The worst ratio and cube and the skipped cubes of the brute-force
+    packed sums, each porous descendant's mass added once."""
     porous_ids = {p.cube for p in porous}
-    for cid, ratio in report.ratios.items():
+    ratios, skipped = {}, []
+    for cid in range(len(tree.level)):
         packed = sum(
             tree.mass[d]
             for d in cube_descendants(tree, cid)
             if d in porous_ids
         )
-        assert ratio == pytest.approx(packed / tree.mass[cid])
+        if tree.mass[cid] > 0:
+            ratios[cid] = packed / tree.mass[cid]
+        else:
+            skipped.append(cid)
+    worst = max(ratios.values(), default=0.0)
+    assert report.worst_ratio == pytest.approx(worst, rel=1e-12)
+    assert ratios.get(report.worst_cube, 0.0) == pytest.approx(worst, rel=1e-12)
+    assert sorted(report.skipped) == skipped
+
+
+def test_carleson_matches_brute_force_descendant_sums():
+    space, target, h, tree = hole_fixture()
+    porous = porous_cubes(space, tree, target, good_cfg())
+    report = carleson_check(tree, porous, good_cfg(), 1)
+    assert_matches_brute_force(report, tree, porous)
     assert report.worst_ratio == pytest.approx(2.297872340425532, rel=1e-12)
     assert report.skipped == ()
 
@@ -272,7 +306,9 @@ def test_carleson_matches_brute_force_descendant_sums():
 def test_carleson_adds_children_in_ascending_id_after_the_own_mass():
     """Bit for bit the running totals of a bottom-up scan: a cube starts
     from its own mass (when porous) and adds its children's packed
-    masses in ascending id; the worst ratio is the first largest."""
+    masses in ascending id; the worst ratio is the first largest.  The
+    worst cube's sum here differs with its children added in descending
+    id, so the order is pinned."""
     rng = np.random.default_rng(5)
     coords = rng.uniform(0.0, 1.0, size=(300, 2))
     space = MetricMeasureSpace.from_coords(
@@ -285,19 +321,15 @@ def test_carleson_adds_children_in_ascending_id_after_the_own_mass():
     ]
     report = carleson_check(tree, porous, good_cfg(), 1)
     porous_ids = {p.cube for p in porous}
-    packed, ratios = {}, {}
-    for level in sorted(set(tree.level.tolist()), reverse=True):
-        for cid in np.flatnonzero(tree.level == level).tolist():
-            mass = float(tree.mass[cid])
-            total = mass if cid in porous_ids else 0.0
-            for child in cube_children(tree, cid):
-                total += packed[child]
-            packed[cid] = total
-            ratios[cid] = total / mass
-    assert list(report.ratios.items()) == list(ratios.items())
+    ratios, skipped = packed_ratios(tree, porous_ids)
     worst = max(ratios.values())
     assert report.worst_ratio == worst
     assert report.worst_cube == next(c for c, r in ratios.items() if r == worst)
+    assert report.skipped == skipped == ()
+    descending, _ = packed_ratios(
+        tree, porous_ids, lambda tree, cid: cube_children(tree, cid)[::-1]
+    )
+    assert descending[report.worst_cube] != worst
 
 
 def test_carleson_is_invariant_under_mass_rescaling():
@@ -307,9 +339,11 @@ def test_carleson_is_invariant_under_mass_rescaling():
     porous = find_porous(scaled_space, scaled_tree, target2, gap, good_cfg())
     a = carleson_check(tree, porous, good_cfg(), 1)
     b = carleson_check(scaled_tree, porous, good_cfg(), 1)
+    assert_matches_brute_force(a, tree, porous)
+    assert_matches_brute_force(b, scaled_tree, porous)
     assert a.worst_ratio == pytest.approx(b.worst_ratio, rel=1e-12)
-    for cid in a.ratios:
-        assert a.ratios[cid] == pytest.approx(b.ratios[cid], rel=1e-12)
+    assert a.worst_cube == b.worst_cube
+    assert a.skipped == b.skipped
 
 
 def test_carleson_single_porous_root_has_ratio_one():
@@ -333,8 +367,7 @@ def test_carleson_skips_and_empty_family():
     assert report.worst_ratio == 0.0
     assert report.ok
     assert len(report.skipped) == 2  # the zero-weight point's two singleton cubes
-    zero_cubes = np.flatnonzero(tree.mass == 0.0).tolist()
-    assert all(cid not in report.ratios for cid in zero_cubes)
+    assert_matches_brute_force(report, tree, ())
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,28 @@ def test_masses_do_not_depend_on_the_order_of_points_or_the_backend(cloud, data)
     assert space.total_mass == moved.total_mass == twin.total_mass
 
 
+@given(clouds(masses=INEXACT, sizes=(1, 40)), st.data())
+def test_group_masses_are_the_masses_of_the_groups(cloud, data):
+    """One to three rows of groups, as a cube tree's levels: row ``r``
+    puts every point in one of its own groups ``r * k .. r * k + k - 1``,
+    some of them empty.  Each group's mass is the :meth:`mass` of its
+    points and the oracle's, bit for bit."""
+    ids, coords, weights = cloud
+    n = len(ids)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    k = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(1, 3))
+    group = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    groups = np.array(data.draw(st.lists(group, min_size=rows, max_size=rows)))
+    groups += k * np.arange(rows)[:, None]
+    masses = space.group_masses(groups, rows * k)
+    levels = weight_levels(weights)
+    for g in range(rows * k):
+        members = np.flatnonzero(groups[g // k] == g)
+        assert bits(masses[g]) == bits(space.mass(members))
+        assert bits(masses[g]) == bits(mass_of(levels, members))
+
+
 def test_tiny_and_zero_weights_keep_their_mass():
     """Weights from 1e-300 to 1 beside zeros: the parts are the
     oracle's levels and add up to each weight; a ball holding only tiny

@@ -30,9 +30,6 @@ KEEP = {
     "target (ROADMAP.md, open items)",
     "space.hausdorff_estimate": "planned: the report sets it against "
     "10 mu(E) on a stratum target (ROADMAP.md, open items)",
-    "curve.BridgeGraph.from_edges": "tests build small graphs with it",
-    "curve.ground_key": "tests build vertex keys with it",
-    "curve.lifted_keys": "tests build vertex keys with it",
     "space.MetricMeasureSpace.distance_matrix": "property tests use it as the "
     "matrix-backend reference, and feed it to from_matrix",
     "space.MetricMeasureSpace.distance_submatrix": "property tests use it as "
