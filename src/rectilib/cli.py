@@ -114,7 +114,14 @@ VIEWS = {
         None,
         # the report counts porous cubes; the view lists them
         lambda ctx: {
-            "family": [dataclasses.asdict(p) for p in ctx.porous]
+            "family": [
+                {"cube": c, "witness": ctx.space.ids[w], "witness_gap": g}
+                for c, w, g in zip(
+                    ctx.porous.cube.tolist(),
+                    ctx.porous.witness.tolist(),
+                    ctx.porous.gap.tolist(),
+                )
+            ]
         },
     ),
     "curve": (

@@ -96,7 +96,7 @@ def build_cubes(
     if not levels:
         raise ParameterError("hierarchy has no levels")
 
-    level_idx = [space.indices_of(hierarchy.levels[n]) for n in levels]
+    level_idx = [hierarchy.levels[n] for n in levels]
     sizes = [len(idx) for idx in level_idx]
     # point -> position of its cube center within each level's net
     cube_of = np.empty((len(levels), len(space)), dtype=np.int64)
@@ -217,8 +217,8 @@ def verify_cube_axioms(
         if not held.all():
             ok["partition"] = False
             witness = witness or ("partition", n, int(ids[~held].min()))
-        centers = set(ids[tree.center[cids]].tolist())
-        if centers != set(hierarchy.levels[n]):
+        centers = set(tree.center[cids].tolist())
+        if centers != set(hierarchy.levels[n].tolist()):
             ok["centers"] = False
             witness = witness or ("centers", n)
     inner_ok = tree.c0_achieved >= tree.c0_target

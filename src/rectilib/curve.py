@@ -38,15 +38,14 @@ of bridges, graphs and tours are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cubes import CubeTree
 from .errors import DisconnectedError, ParameterError
 from .nets import NetHierarchy
-from .porosity import PorosityConfig, PorousCube
-from .space import MetricMeasureSpace, TargetSet, linear_mass_check, seq_sum
+from .porosity import PorosityConfig, PorousFamily
+from .space import MetricMeasureSpace, TargetSet, _open, linear_mass_check, seq_sum
 
 E_ADJACENCY = "E-adjacency"
 ADJACENCY = -1  # provenance code of an E-adjacency edge
@@ -110,7 +109,7 @@ def build_bridges(
     space: MetricMeasureSpace,
     tree: CubeTree,
     hierarchy: NetHierarchy,
-    porous: Sequence[PorousCube],
+    porous: PorousFamily,
     cfg: PorosityConfig,
 ) -> Bridges:
     """Star bridges from each porous cube's center to the net points near it.
@@ -125,20 +124,22 @@ def build_bridges(
     hierarchy are skipped and reported.
     """
 
-    def pairs_for(p: PorousCube):
+    ids = np.asarray(space.ids)
+
+    def pairs_for(cube: int):
         """The cube's pairs and lengths by ascending far end, or None
         without its level."""
-        level = int(tree.level[p.cube]) + cfg.n0
+        level = int(tree.level[cube]) + cfg.n0
         if level not in hierarchy.levels:
             return None
-        ids = np.sort(np.array(hierarchy.levels[level], dtype=np.int64))
-        center = int(tree.center[p.cube])
-        dist = space.dists_between(center, space.indices_of(ids.tolist()))
-        c, reach = space.ids[center], cfg.M * float(tree.sidelength[p.cube])
-        near = (ids != c) & (dist < reach)
+        net = hierarchy.levels[level]
+        net = net[np.argsort(ids[net], kind="stable")]
+        center = int(tree.center[cube])
+        dist = space.dists_between(center, net)
+        near = (net != center) & (dist < cfg.M * float(tree.sidelength[cube]))
         # a coordinate row is symmetric bit for bit, so the center's
         # entry is the pair's distance whichever end is smaller
-        q = ids[near]
+        c, q = ids[center], ids[net[near]]
         return np.column_stack([np.minimum(c, q), np.maximum(c, q)]), dist[near]
 
     found = [
@@ -146,13 +147,13 @@ def build_bridges(
     ]
     pairs_per_cube: dict[int, int] = {}
     skipped: list[int] = []
-    for p in sorted(porous, key=lambda p: p.cube):
-        got = pairs_for(p)
+    for cube in porous.cube.tolist():
+        got = pairs_for(cube)
         if got is None:
-            skipped.append(p.cube)
+            skipped.append(cube)
             continue
-        pairs_per_cube[p.cube] = len(got[1])
-        found.append(got + (np.full(len(got[1]), p.cube, dtype=np.int64),))
+        pairs_per_cube[cube] = len(got[1])
+        found.append(got + (np.full(len(got[1]), cube, dtype=np.int64),))
     pairs, length, cube = (np.concatenate(part) for part in zip(*found))
     apart = length > 0
     pairs, length, cube = pairs[apart], length[apart], cube[apart]
@@ -281,7 +282,7 @@ def length_budget(
     target: TargetSet,
     graph: BridgeGraph,
     bridges: Bridges,
-    porous: Sequence[PorousCube],
+    porous: PorousFamily,
     tree: CubeTree,
     cfg: PorosityConfig,
 ) -> LengthBudget:
@@ -301,7 +302,7 @@ def length_budget(
 
     max_pairs = max(bridges.pairs_per_cube.values(), default=0)
     c_pair = 3.0 * 2.0 * cfg.M * max_pairs
-    sum_l = seq_sum(tree.sidelength[[p.cube for p in porous]])
+    sum_l = seq_sum(tree.sidelength[porous.cube])
     bound_bridge = c_pair * sum_l
 
     r_hi = space.diameter() / 4
@@ -540,7 +541,7 @@ def edges_csv(graph: BridgeGraph, path: str) -> None:
             graph.provenance[order].tolist(),
         )
     ]
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         fh.write(f"u,v,length,provenance{_EOL}")
         fh.write("".join(lines))
 
@@ -565,6 +566,6 @@ def parametrization_csv(
         f"{t!r},{tails[k]}{_EOL}"
         for t, k in zip(np.asarray(param.ts).tolist(), param.visits.tolist())
     ]
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         fh.write(header + _EOL)
         fh.write("".join(lines))

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedMetricError,
 )
-from .space import MetricMeasureSpace, dyadic_radii, seq_sum
+from .space import MetricMeasureSpace, _open, dyadic_radii, seq_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +59,7 @@ def density_profiles(
 def density_csv(profiles: DensityProfiles, path: str) -> None:
     """Per-point lower estimates as CSV, ascending by id."""
     order = np.argsort(profiles.points, kind="stable")
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "lower_estimate"])
         # Python floats: repr of a numpy float names its type

@@ -8,6 +8,10 @@ with the previous one preserves both axioms).
 
 Strictness convention: separation is ``dist >= rho^n``; covering is
 ``dist < rho^n``.
+
+A level is a read-only array of point indices in the order the scan
+admitted them; point ids appear only in the witnesses of
+:func:`verify_nets`.
 """
 
 from __future__ import annotations
@@ -24,10 +28,16 @@ from .space import MetricMeasureSpace
 _ROUND_PAIRS = 1 << 12  # build_nets asks balls of about this many pairs at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetHierarchy:
     rho: float
-    levels: dict[int, tuple[int, ...]]  # level -> member point ids, scan order
+    levels: dict[int, np.ndarray]  # level -> member point indices, scan order
+
+    def __post_init__(self):
+        levels = {n: np.array(k, dtype=np.intp) for n, k in self.levels.items()}
+        for idx in levels.values():
+            idx.flags.writeable = False
+        object.__setattr__(self, "levels", levels)
 
     def scale(self, n: int) -> float:
         return self.rho**n
@@ -72,7 +82,7 @@ def build_nets(
     # only shrink, so the comparison with the current scale is exact
     mindist = np.full(len(space), math.inf)
     members: list[int] = []
-    levels: dict[int, tuple[int, ...]] = {}
+    levels: dict[int, list[int]] = {}
     for n in range(n_min, n_max + 1):
         scale = rho**n
         todo = order_ids
@@ -91,7 +101,7 @@ def build_nets(
                     mindist[j[near]] = np.minimum(mindist[j[near]], d[near])
             # the lookahead grows while the balls are small
             size = max(1, min(4 * size, _ROUND_PAIRS * len(chunk) // max(1, len(j))))
-        levels[n] = tuple(space.ids[k] for k in members)
+        levels[n] = members.copy()
     return NetHierarchy(rho=rho, levels=levels)
 
 
@@ -137,17 +147,17 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
     """Exact re-verification of separation, covering, and nesting."""
     sep_ok = cov_ok = nest_ok = True
     witness = None
-    previous: set[int] | None = None
+    ids = np.asarray(space.ids)
+    previous = None
     for n in sorted(h.levels):
-        ids = h.levels[n]
+        idx = h.levels[n]
         scale = h.rho**n
-        idx = space.indices_of(ids)
         if previous is not None and nest_ok:
-            missing = previous - set(ids)
-            if missing:
+            missing = np.setdiff1d(previous, idx)
+            if missing.size:
                 nest_ok = False
-                witness = witness or ("nesting", n, sorted(missing)[0])
-        previous = set(ids)
+                witness = witness or ("nesting", n, int(ids[missing].min()))
+        previous = idx
         if not (sep_ok or cov_ok):
             continue
         # separation and covering from the pairs closer than the scale
@@ -159,7 +169,9 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
                 sep_ok = False
                 first = a[bad][0]  # a ascends: the smallest offending position
                 other = b[bad & (a == first)].min()
-                witness = witness or ("separation", n, ids[first], ids[other])
+                witness = witness or (
+                    "separation", n, int(ids[idx[first]]), int(ids[idx[other]])
+                )
         if cov_ok:
             covered = np.zeros(len(space), dtype=bool)
             covered[j] = True

@@ -46,6 +46,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DisconnectedError,
+    InputError,
     ParameterError,
     RectilibError,
 )
@@ -62,6 +63,7 @@ from .porosity import (
 from .space import (
     MetricMeasureSpace,
     TargetSet,
+    _open,
     doubling_estimate,
     dyadic_radii,
     enclosing_target,
@@ -258,17 +260,17 @@ def _porous(ctx):
         ctx.space, ctx.tree, ctx.target, ctx.gap, ctx.pcfg
     )
     return {
-        "count": len(ctx.porous),
-        "per_level": _per_level(ctx.tree, (p.cube for p in ctx.porous)),
+        "count": len(ctx.porous.cube),
+        "per_level": _per_level(ctx.tree, ctx.porous.cube),
     }, None
 
 
 def _shadow(ctx):
-    shadow = shadow_map(ctx.space, ctx.tree, ctx.gap, ctx.porous, ctx.pcfg)
+    shadow = shadow_map(ctx.tree, ctx.gap, ctx.porous, ctx.pcfg)
     ctx.shadow = shadow
     return {
         "antichain": len(shadow.maximal),
-        "mapped": sum(1 for r in shadow.records if r.shadow is not None),
+        "mapped": shadow.mapped,
         "failures": len(shadow.failures),
         "failures_per_level": _per_level(ctx.tree, shadow.failures),
         "b_observed": shadow.b_observed,
@@ -467,8 +469,11 @@ def write_outputs(
     param,
 ) -> None:
     """Side files: report, per-point density, edge list, tour, timings."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{out_dir}: cannot write ({exc.strerror})") from None
+    with _open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(report_json(report))
     if profiles is not None:
         density_csv(profiles, os.path.join(out_dir, "density.csv"))
@@ -477,6 +482,6 @@ def write_outputs(
         parametrization_csv(
             param, gamma, space, os.path.join(out_dir, "tour.csv")
         )
-    with open(os.path.join(out_dir, "timings.txt"), "w") as fh:
+    with _open(os.path.join(out_dir, "timings.txt"), "w") as fh:
         for name, seconds in timings:
             fh.write(f"{name}\t{seconds:.6f}\n")

@@ -5,13 +5,18 @@ within M sidelengths of its center sits at least delta sidelengths away
 from the target set.  The packing (Carleson) check verifies that the
 total mass of porous cubes inside any cube stays below C1 times that
 cube's mass, with C1 assembled from the doubling estimate.
+
+The porous family is read-only arrays, one entry per porous cube by
+ascending cube id: the cube, its witness as a point index and the
+witness's gap.  The shadow map reads every witness's cubes at once from
+the tree's ``cube_of`` rows and keeps counts, not per-cube records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +35,12 @@ class PorosityConfig:
     C_mu: float | None = None  # measured doubling estimate
 
 
-# each entry: (requirement shown to the user, test)
+# each entry: (requirement shown to the user, test); the domain comes
+# first, since the inequalities after it divide by rho
+_DOMAIN = (
+    ("0 < rho < 1", lambda c: 0 < c.rho < 1),
+    ("delta > 0", lambda c: c.delta > 0),
+)
 _CHECKS = (
     ("M > 10", lambda c: c.M > 10),
     ("delta < 4*rho", lambda c: c.delta < 4 * c.rho),
@@ -54,17 +64,24 @@ class ValidationResult:
 def validate_config(
     cfg: PorosityConfig, strict: bool = False
 ) -> ValidationResult:
-    """Check the parameter inequalities; violations name the failed one."""
-    checks = _CHECKS + (_STRICT_CHECKS if strict else ())
-    violations = tuple(name for name, test in checks if not test(cfg))
+    """Check the parameter inequalities; violations name the failed one.
+    Outside the domain of rho and delta only the domain is reported."""
+    violations = tuple(name for name, test in _DOMAIN if not test(cfg))
+    if not violations:
+        checks = _CHECKS + (_STRICT_CHECKS if strict else ())
+        violations = tuple(name for name, test in checks if not test(cfg))
     return ValidationResult(ok=not violations, violations=violations)
 
 
-@dataclass(frozen=True)
-class PorousCube:
-    cube: int  # cube id
-    witness: int  # point id
-    witness_gap: float  # distance from the witness to the target set
+@dataclass(frozen=True, eq=False)
+class PorousFamily:
+    cube: np.ndarray  # (F,) int64 cube ids, ascending
+    witness: np.ndarray  # (F,) point index of each cube's witness
+    gap: np.ndarray  # (F,) float64 distance from the witness to the target
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 def dist_to_set(
@@ -98,7 +115,7 @@ def find_porous(
     target: TargetSet,
     gap: np.ndarray,
     cfg: PorosityConfig,
-) -> tuple[PorousCube, ...]:
+) -> PorousFamily:
     """All cubes under the target's root that are porous for cfg.
 
     ``gap`` is :func:`dist_to_set` of the target's members.  A witness
@@ -117,7 +134,7 @@ def find_porous(
     # points by ascending gap: the candidates {gap >= delta*l} are a suffix
     by_gap = np.argsort(gap, kind="stable")
     sorted_gap = gap[by_gap]
-    found: list[PorousCube] = []
+    found: list[tuple[int, int]] = []  # (cube id, witness index)
     # the cubes meeting the target, all under its root, ascending
     meeting = np.unique(tree.cube_of[:, e_idx])
     for cid, center, side in zip(
@@ -135,18 +152,11 @@ def find_porous(
         near = cand[row < cfg.M * side]
         if not near.size:
             continue
-        best = float(gap[near].max())
         # first id (ascending) attaining the maximal gap
-        tied = near[gap[near] == best]
-        pos = int(tied[np.argmin(ids[tied])])
-        found.append(
-            PorousCube(
-                cube=cid,
-                witness=space.ids[pos],
-                witness_gap=best,
-            )
-        )
-    return tuple(found)
+        tied = near[gap[near] == gap[near].max()]
+        found.append((cid, int(tied[np.argmin(ids[tied])])))
+    cube, witness = np.array(found, dtype=np.int64).reshape(-1, 2).T
+    return PorousFamily(cube=cube, witness=witness, gap=gap[witness])
 
 
 @dataclass(frozen=True)
@@ -193,7 +203,7 @@ class CarlesonReport:
 
 def carleson_check(
     tree: CubeTree,
-    porous: Sequence[PorousCube],
+    porous: PorousFamily,
     cfg: PorosityConfig,
     b_observed: int,
 ) -> CarlesonReport:
@@ -204,9 +214,8 @@ def carleson_check(
     contribute their full mass, matching the packing sum being bounded.
     """
     constants = appendix_constants(cfg, b_observed)
-    porous_ids = [p.cube for p in porous]
     packed = np.zeros(len(tree.mass))
-    packed[porous_ids] = tree.mass[porous_ids]
+    packed[porous.cube] = tree.mass[porous.cube]
     # from the bottom level up, each cube's children (ascending id) add
     # their packed mass to its own, in the order a running total would
     by_level = np.split(np.arange(len(tree.mass)), tree.start[1:])[::-1]
@@ -231,18 +240,9 @@ def carleson_check(
 
 
 @dataclass(frozen=True)
-class ShadowRecord:
-    cube: int
-    witness: int
-    shadow: int | None  # largest empty-neighborhood cube holding the witness
-    scale_lower_ok: bool | None  # delta*l(cube) <= (4/rho)*l(shadow)
-    scale_upper_ok: bool | None  # l(shadow) <= (2M/c0)*l(cube)
-
-
-@dataclass(frozen=True)
 class ShadowReport:
-    records: tuple[ShadowRecord, ...]
     maximal: tuple[int, ...]  # the empty-neighborhood antichain
+    mapped: int  # porous cubes whose witness lies in an antichain cube
     b_observed: int  # max number of porous cubes sharing one shadow
     c0_used: float
     failures: tuple[int, ...]  # porous cubes whose witness found no shadow
@@ -256,10 +256,9 @@ class ShadowReport:
 
 
 def shadow_map(
-    space: MetricMeasureSpace,
     tree: CubeTree,
     gap: np.ndarray,
-    porous: Sequence[PorousCube],
+    porous: PorousFamily,
     cfg: PorosityConfig,
 ) -> ShadowReport:
     """Map porous cubes to maximal cubes clear of the target set.
@@ -271,7 +270,7 @@ def shadow_map(
     two sidelengths must be comparable, which is checked with the
     achieved inner-ball constant rather than the nominal target.
     A witness contained in no antichain cube at the available levels is
-    a resolution failure and is recorded, not raised.
+    a resolution failure and is counted, not raised.
     """
     clear = gap[tree.center] >= 2 * tree.sidelength
     # a clear cube is maximal unless an ancestor is clear; one sweep from
@@ -285,61 +284,37 @@ def shadow_map(
     c0_used = tree.c0_achieved
     if not math.isfinite(c0_used):
         c0_used = tree.c0_target
-    records: list[ShadowRecord] = []
-    failures: list[int] = []
-    load: dict[int, int] = {}
-    violation: str | None = None
+    # each witness's cube at each level; at most one is maximal, since
+    # the maximal cubes are an antichain
+    column = tree.cube_of[:, porous.witness]
+    hits = is_maximal[column]
+    found = hits.any(axis=0)
+    cube = porous.cube[found]
+    shadow = column.T[hits.T]
+    l_cube, l_shadow = tree.sidelength[cube], tree.sidelength[shadow]
     slack = 1.0 + 1e-12
-    for p in porous:
-        # the witness's cube at each level; at most one is maximal, since
-        # the maximal cubes are an antichain
-        column = tree.cube_of[:, space.index_of(p.witness)]
-        hits = column[is_maximal[column]].tolist()
-        shadow = hits[0] if hits else None
-        if shadow is None:
-            failures.append(p.cube)
-            records.append(
-                ShadowRecord(
-                    cube=p.cube,
-                    witness=p.witness,
-                    shadow=None,
-                    scale_lower_ok=None,
-                    scale_upper_ok=None,
-                )
-            )
-            continue
-        load[shadow] = load.get(shadow, 0) + 1
-        l_cube = float(tree.sidelength[p.cube])
-        l_shadow = float(tree.sidelength[shadow])
+    lower_ok = cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * slack
+    upper_ok = l_shadow <= (2 * cfg.M / c0_used) * l_cube * slack
+    violation: str | None = None
+    if not (lower_ok.all() and upper_ok.all()):
+        # the first failing pair, named from Python floats
+        k = int(np.argmin(lower_ok & upper_ok))
+        q, s = int(cube[k]), int(shadow[k])
+        lq, ls = float(l_cube[k]), float(l_shadow[k])
         sides = [
-            ("delta*l(Q)", cfg.delta * l_cube, "(4/rho)*l(S)",
-             (4 / cfg.rho) * l_shadow),
-            ("l(S)", l_shadow, "(2M/c0)*l(Q)", (2 * cfg.M / c0_used) * l_cube),
+            ("delta*l(Q)", cfg.delta * lq, "(4/rho)*l(S)", (4 / cfg.rho) * ls),
+            ("l(S)", ls, "(2M/c0)*l(Q)", (2 * cfg.M / c0_used) * lq),
         ]
-        lower_ok, upper_ok = passed = [x <= y * slack for _, x, _, y in sides]
-        failed = [
+        violation = f"porous cube {q} with shadow {s}: " + "; ".join(
             f"{lhs} {x!r} > {rhs} {y!r}"
-            for (lhs, x, rhs, y), ok in zip(sides, passed)
+            for (lhs, x, rhs, y), ok in zip(sides, (lower_ok[k], upper_ok[k]))
             if not ok
-        ]
-        if failed and violation is None:
-            violation = f"porous cube {p.cube} with shadow {shadow}: " + (
-                "; ".join(failed)
-            )
-        records.append(
-            ShadowRecord(
-                cube=p.cube,
-                witness=p.witness,
-                shadow=shadow,
-                scale_lower_ok=lower_ok,
-                scale_upper_ok=upper_ok,
-            )
         )
     return ShadowReport(
-        records=tuple(records),
         maximal=tuple(np.flatnonzero(is_maximal).tolist()),
-        b_observed=max(load.values(), default=0),
+        mapped=len(cube),
+        b_observed=int(np.bincount(shadow).max(initial=0)),
         c0_used=c0_used,
-        failures=tuple(failures),
+        failures=tuple(porous.cube[~found].tolist()),
         violation=violation,
     )

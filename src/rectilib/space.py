@@ -270,11 +270,7 @@ class MetricMeasureSpace:
     def mass(self, indices: Sequence[int] | np.ndarray | slice) -> float:
         """The mass of the points at ``indices`` (an index array, a boolean
         mask or a slice): exact level sums, added in level order."""
-        # _add_levels's additions on Python floats: cubes ask one mass each
-        total = 0.0
-        for level_sum in self._parts[indices].sum(axis=0).tolist():
-            total += level_sum
-        return total
+        return float(_add_levels(self._parts[indices].sum(axis=0)))
 
     def group_masses(self, groups: np.ndarray, count: int) -> np.ndarray:
         """The mass of each group ``0..count-1``; each row of ``groups``
@@ -1027,12 +1023,14 @@ def _parse_number(raw: str, where: str, kind: type = float):
     raise InputError(f"{where}: {raw!r} is not {noun}")
 
 
-def _open(path: str, **kwargs):
-    """``open`` for reading; a path naming no readable file is an InputError."""
+def _open(path: str, mode: str = "r", **kwargs):
+    """``open``; a path that cannot be opened in ``mode`` is an InputError
+    naming it."""
     try:
-        return open(path, **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as exc:
-        raise InputError(f"{path}: cannot read ({exc.strerror})") from None
+        verb = "read" if mode == "r" else "write"
+        raise InputError(f"{path}: cannot {verb} ({exc.strerror})") from None
 
 
 def load_csv(path: str) -> MetricMeasureSpace:
@@ -1072,7 +1070,7 @@ def save_csv(space: MetricMeasureSpace, path: str) -> None:
     if space.coords is None:
         raise ParameterError("matrix-backed spaces cannot be saved as point CSV")
     dim = space.coords.shape[1]
-    with open(path, "w", newline="") as fh:
+    with _open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"x{k + 1}" for k in range(dim)] + ["weight"])
         for pid, xs, w in zip(space.ids, space.coords, space.weights):

@@ -482,7 +482,7 @@ def tour_brute(vertices, edges):
 
 
 def build_nets_rows(space, rho, n_min, n_max, seed_ids=None) -> dict:
-    """Levels of the greedy nested nets: level -> member ids, scan order."""
+    """Levels of the greedy nested nets: level -> member indices, scan order."""
     n_pts = len(space)
     order_ids = np.argsort(np.array(space.ids, dtype=np.int64), kind="stable")
     mindist = np.full(n_pts, math.inf)
@@ -492,7 +492,7 @@ def build_nets_rows(space, rho, n_min, n_max, seed_ids=None) -> dict:
         members.append(k)
         np.minimum(mindist, space.dists_from(k), out=mindist)
 
-    levels: dict[int, tuple[int, ...]] = {}
+    levels: dict[int, list[int]] = {}
     for n in range(n_min, n_max + 1):
         scale = rho**n
         if n == n_min and seed_ids:
@@ -503,7 +503,7 @@ def build_nets_rows(space, rho, n_min, n_max, seed_ids=None) -> dict:
         for k in order_ids:
             if mindist[k] >= scale:
                 admit(int(k))
-        levels[n] = tuple(space.ids[k] for k in members)
+        levels[n] = list(members)
     return levels
 
 
@@ -513,9 +513,9 @@ def verify_nets_rows(space, h) -> tuple:
     witness = None
     previous = None
     for n in sorted(h.levels):
-        ids = h.levels[n]
+        idx = h.levels[n]
+        ids = [space.ids[k] for k in idx]
         scale = h.rho**n
-        idx = np.array([space.index_of(p) for p in ids], dtype=np.intp)
         if previous is not None and nest_ok:
             missing = previous - set(ids)
             if missing:
@@ -563,10 +563,7 @@ def nearest_rows(space, candidate_idx) -> np.ndarray:
 def cube_members_rows(space, hierarchy) -> dict:
     """{(level, center id): member ids} from nearest-parent composition."""
     levels = sorted(hierarchy.levels)
-    level_idx = {
-        n: np.array([space.index_of(p) for p in hierarchy.levels[n]], dtype=np.intp)
-        for n in levels
-    }
+    level_idx = hierarchy.levels
     assign = {levels[-1]: nearest_rows(space, level_idx[levels[-1]])}
     for n_above, n in zip(levels[-2::-1], levels[:0:-1]):
         up = nearest_rows(space, level_idx[n_above])[level_idx[n]]
@@ -633,6 +630,17 @@ def c0_rows(space, tree) -> float:
     return c0
 
 
+def family_rows(space, family) -> list:
+    """(cube, witness id, witness gap) of each cube of a porous family."""
+    return list(
+        zip(
+            family.cube.tolist(),
+            [space.ids[k] for k in family.witness.tolist()],
+            family.gap.tolist(),
+        )
+    )
+
+
 def find_porous_rows(space, tree, target, cfg, root) -> list:
     """(cube, witness id, witness gap) for every porous cube under root."""
     e_members = set(target.members)
@@ -658,18 +666,18 @@ def bridges_rows(space, tree, hierarchy, porous, cfg) -> dict:
     construction order: cubes by id, each one's net points by id; a
     pair keeps its first cube, and a coincident pair gets no bridge."""
     first = {}
-    for p in sorted(porous, key=lambda p: p.cube):
-        level = int(tree.level[p.cube]) + cfg.n0
+    for cube in sorted(porous.cube.tolist()):
+        level = int(tree.level[cube]) + cfg.n0
         if level not in hierarchy.levels:
             continue
-        row = space.dists_from(int(tree.center[p.cube]))
-        c = space.ids[tree.center[p.cube]]
-        for q in sorted(hierarchy.levels[level]):
+        row = space.dists_from(int(tree.center[cube]))
+        c = space.ids[tree.center[cube]]
+        for q in sorted(space.ids[k] for k in hierarchy.levels[level]):
             d = float(row[space.index_of(q)])
             pair = (min(c, q), max(c, q))
-            if q != c and d < cfg.M * tree.sidelength[p.cube]:
+            if q != c and d < cfg.M * tree.sidelength[cube]:
                 if pair not in first and d > 0:
-                    first[pair] = (p.cube, d)
+                    first[pair] = (cube, d)
     return first
 
 

@@ -74,7 +74,7 @@ def _porosity_bundle(kind, resolution, params=None):
     start = time.monotonic()
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, cfg)
-    shadow = shadow_map(space, tree, gap, porous, cfg)
+    shadow = shadow_map(tree, gap, porous, cfg)
     packing = carleson_check(tree, porous, cfg, shadow.b_observed)
     elapsed = time.monotonic() - start
     return SimpleNamespace(
@@ -231,7 +231,7 @@ def test_criterion_04_covering_length_bounded_by_mass():
 def test_criterion_05_packing_and_shadow_inequalities(
     hole_bundle, cascade_bundle
 ):
-    assert len(hole_bundle.porous) > 0
+    assert len(hole_bundle.porous.cube) > 0
     total_seconds = 0.0
     for bundle in (hole_bundle, cascade_bundle):
         total_seconds += bundle.porosity_seconds
@@ -242,16 +242,17 @@ def test_criterion_05_packing_and_shadow_inequalities(
 
         shadow = bundle.shadow
         assert shadow.ok
-        sidelength = bundle.tree.sidelength
-        mapped = 0
-        for record in shadow.records:
-            if record.shadow is None:
-                assert record.cube in shadow.failures
-                continue
-            mapped += 1
-            assert record.scale_lower_ok and record.scale_upper_ok
-            l_cube = sidelength[record.cube]
-            l_shadow = sidelength[record.shadow]
+        tree, porous = bundle.tree, bundle.porous
+        # each witness's cube at each level, and the antichain cube among them
+        column = tree.cube_of[:, porous.witness]
+        maximal = np.isin(column, shadow.maximal)
+        assert (maximal.sum(axis=0) <= 1).all()
+        found = maximal.any(axis=0)
+        assert shadow.failures == tuple(porous.cube[~found].tolist())
+        assert shadow.mapped == found.sum()
+        for cube, shadow_cube in zip(porous.cube[found], column.T[maximal.T]):
+            l_cube = tree.sidelength[cube]
+            l_shadow = tree.sidelength[shadow_cube]
             cfg = bundle.cfg
             assert cfg.delta * l_cube <= (4.0 / cfg.rho) * l_shadow * (
                 1 + 1e-12
@@ -259,7 +260,6 @@ def test_criterion_05_packing_and_shadow_inequalities(
             assert l_shadow <= (2.0 * cfg.M / shadow.c0_used) * l_cube * (
                 1 + 1e-12
             )
-        assert mapped == len(shadow.records) - len(shadow.failures)
     assert total_seconds < 60.0
 
 

@@ -567,3 +567,43 @@ def test_unreadable_input_files_exit_2_naming_the_path(capsys, tmp_path, flag):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: stage load: ")
     assert err.count(path) == 1 and "cannot read (" in err
+
+
+@pytest.mark.parametrize("command", ["run", "porous"])
+@pytest.mark.parametrize(
+    "flag, value, violation",
+    [("--rho", "0", "0 < rho < 1"), ("--rho", "1", "0 < rho < 1"),
+     ("--delta", "0", "delta > 0"), ("--delta", "-1", "delta > 0")],
+)
+def test_rho_and_delta_outside_their_domain_exit_2(
+    capsys, command, flag, value, violation
+):
+    """Checked before the inequalities that divide by rho; a delta of 0
+    would make every cube meeting the target porous."""
+    code, payload, err = run_json(
+        capsys,
+        [command, "--kind", "interval", "--resolution", "50", flag, value],
+    )
+    assert code == 2
+    assert payload["validation"]["violations"] == [violation]
+    assert "porous" not in payload
+    assert err.count("\n") == 1 and "stage validate" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("density", "--out"), ("curve", "--edges-out"),
+     ("param", "--tour-out"), ("run", "--out-dir")],
+)
+def test_unwritable_output_paths_exit_2_naming_the_path(
+    capsys, tmp_path, command, flag
+):
+    """A side file in a missing folder; an output folder under a file."""
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / ("file" if flag == "--out-dir" else "missing") / "out")
+    args = HOLE_ARGS[:6] if command in ("gen", "density") else HOLE_ARGS + EPS_ARGS
+    code, out, err = run_cli(capsys, [command, *args, flag, path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count(path) == 1 and "cannot write (" in err

@@ -58,7 +58,7 @@ def test_micro_space_with_extreme_ratio():
     space = MetricMeasureSpace.from_coords(range(5), coords, np.ones(5))
     h = build_nets(space, 1.0 / 1000.0, 0, 1)
     tree = build_cubes(space, h)
-    assert h.levels[0] == (0,)
+    assert h.levels[0].tolist() == [0]
     assert np.sum(tree.level == 1) == 5  # every point is its own fine cube
     assert tree.c0_achieved == pytest.approx(0.2)
     assert verify_cube_axioms(space, h, tree).ok

@@ -35,7 +35,7 @@ from rectilib.errors import DisconnectedError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, build_nets
 from rectilib.pipeline import RunConfig, run_stages
-from rectilib.porosity import PorosityConfig, PorousCube, dist_to_set, find_porous
+from rectilib.porosity import PorosityConfig, PorousFamily, dist_to_set, find_porous
 from rectilib.space import MetricMeasureSpace, enclosing_target
 
 
@@ -169,18 +169,18 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     assert gamma.vertex_count() == 100 + 2 * 197
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
-    for p in sorted(porous, key=lambda q: q.cube):
-        level = int(tree.level[p.cube]) + cfg.n0
+    for cube in porous.cube.tolist():
+        level = int(tree.level[cube]) + cfg.n0
         if level not in h.levels:
             continue
-        center = space.ids[tree.center[p.cube]]
-        row = space.dists_from(int(tree.center[p.cube]))
-        for q in sorted(h.levels[level]):
+        center = space.ids[tree.center[cube]]
+        row = space.dists_from(int(tree.center[cube]))
+        for q in sorted(space.ids[k] for k in h.levels[level]):
             if q == center:
                 continue
-            if row[space.index_of(q)] < cfg.M * tree.sidelength[p.cube]:
+            if row[space.index_of(q)] < cfg.M * tree.sidelength[cube]:
                 pair = (min(center, q), max(center, q))
-                expected.setdefault(pair, p.cube)
+                expected.setdefault(pair, cube)
     assert pair_map(bridges) == expected
 
 
@@ -190,9 +190,11 @@ def test_bridges_skip_coincident_pairs():
     space = MetricMeasureSpace.from_coords(
         [4, 8, 2], np.array([[0.0], [0.0], [0.5]]), np.ones(3)
     )
-    hierarchy = NetHierarchy(rho=1.0 / 16.0, levels={0: (4,), 2: (4, 8, 2)})
+    hierarchy = NetHierarchy(rho=1.0 / 16.0, levels={0: (0,), 2: (0, 1, 2)})
     tree = build_cubes(space, hierarchy)
-    porous = [PorousCube(cube=0, witness=2, witness_gap=0.5)]
+    porous = PorousFamily(
+        cube=np.array([0]), witness=np.array([2]), gap=np.array([0.5])
+    )
     bridges = build_bridges(space, tree, hierarchy, porous, good_cfg())
     assert bridges.pairs.tolist() == [[2, 4]]
     assert bridges.length.tolist() == [0.5]
@@ -204,7 +206,7 @@ def test_bridges_skip_cubes_without_their_level():
     space, target, h, tree, porous = hole_fixture()
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     # n0 = 2 pushes level 1 and level 2 cubes past the finest net level.
-    deep = {p.cube for p in porous if tree.level[p.cube] >= 1}
+    deep = set(porous.cube[tree.level[porous.cube] >= 1].tolist())
     assert set(bridges.skipped) == deep
     assert len(bridges.skipped) == 55
 
@@ -227,9 +229,8 @@ def test_report_counts_skipped_bridge_cubes_per_level(resolution, levels, expect
     section = report["bridges"]
     assert section["skipped_per_level"] == expected
     assert sum(expected.values()) == section["skipped_cubes"]
-    assert sorted(ctx.bridges.skipped) == sorted(
-        p.cube for p in ctx.porous if ctx.tree.level[p.cube] >= 1
-    )
+    cubes = ctx.porous.cube
+    assert sorted(ctx.bridges.skipped) == cubes[ctx.tree.level[cubes] >= 1].tolist()
     porous_deep = {n: c for n, c in report["porous"]["per_level"].items() if n != "0"}
     assert porous_deep == expected
 
@@ -242,9 +243,9 @@ def test_star_bridges_pass_through_the_center():
     for cube_id, count in bridges.pairs_per_cube.items():
         row = space.dists_from(int(tree.center[cube_id]))
         near = [
-            q
-            for q in h.levels[int(tree.level[cube_id]) + cfg.n0]
-            if row[space.index_of(q)] < cfg.M * tree.sidelength[cube_id]
+            k
+            for k in h.levels[int(tree.level[cube_id]) + cfg.n0]
+            if row[k] < cfg.M * tree.sidelength[cube_id]
         ]
         assert count == len(near) - 1  # every near point but the center
     lengths = edge_map(assemble_gamma(space, target, bridges, 2.2 / 99.0))
@@ -395,8 +396,9 @@ def test_more_bridges_never_disconnect():
     cfg = good_cfg()
     eps = 2.2 / 99.0
     counts = []
-    for k in (0, 1, len(porous)):
-        bridges = build_bridges(space, tree, h, porous[:k], cfg)
+    for k in (0, 1, len(porous.cube)):
+        first_k = PorousFamily(porous.cube[:k], porous.witness[:k], porous.gap[:k])
+        bridges = build_bridges(space, tree, h, first_k, cfg)
         gamma = assemble_gamma(space, target, bridges, eps)
         counts.append(connectivity(gamma).components)
     assert counts[0] == 2  # the hole splits the bare adjacency graph
@@ -439,7 +441,7 @@ def test_sidelength_sum_adds_whatever_sum_the_builtins_do(monkeypatch):
     monkeypatch.setattr(curve, "sum", math.fsum, raising=False)
     space, target, gamma = micro_gamma()
     tree = SimpleNamespace(sidelength=np.full(10, 0.1))
-    porous = [SimpleNamespace(cube=c) for c in range(10)]
+    porous = SimpleNamespace(cube=np.arange(10))
     budget = length_budget(
         space, target, gamma, no_bridges(), porous, tree, good_cfg()
     )
@@ -468,7 +470,10 @@ def test_budget_vacuous_on_tiny_targets():
     target = enclosing_target(space)
     gamma = assemble_gamma(space, target, no_bridges(), 0.15)
     space2, _, h, tree, _ = hole_fixture()
-    budget = length_budget(space, target, gamma, no_bridges(), (), tree, good_cfg())
+    no_porous = SimpleNamespace(cube=np.empty(0, dtype=np.int64))
+    budget = length_budget(
+        space, target, gamma, no_bridges(), no_porous, tree, good_cfg()
+    )
     assert budget.e_vacuous  # no usable radius window for the mass check
     assert budget.bridge_part == 0.0 and budget.bound_bridge == 0.0
     assert budget.ok

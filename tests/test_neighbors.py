@@ -27,6 +27,7 @@ from _oracles import (
     c0_rows,
     cube_members,
     cube_members_rows,
+    family_rows,
     find_porous_rows,
     graph_by_position,
     mass_of,
@@ -192,7 +193,7 @@ def test_one_point_queries_build_no_tree(monkeypatch):
         assert_same_pairs(space.neighbors([k], r), row_pairs(space, [k], r))
     lo, hi = auto_levels(space, 0.5)
     h = build_nets(space, 0.5, lo, hi, seed_ids=[5])
-    assert h.levels == build_nets_rows(space, 0.5, lo, hi, seed_ids=[5])
+    assert level_lists(h) == build_nets_rows(space, 0.5, lo, hi, seed_ids=[5])
     space.neighbors([0, 1], 0.1)
     assert built == []
 
@@ -332,6 +333,10 @@ def test_small_radius_masses_do_not_depend_on_the_order_of_the_weights():
 # -- clients against their row-based originals ----------------------------
 
 
+def level_lists(h) -> dict:
+    return {n: idx.tolist() for n, idx in h.levels.items()}
+
+
 def net_check(space, h) -> tuple:
     check = verify_nets(space, h)
     return check.separation_ok, check.covering_ok, check.nesting_ok, check.witness
@@ -344,7 +349,7 @@ def test_nets_match_the_row_based_scan(cloud, rho, data):
         lo, hi = auto_levels(space, rho)
         seeds = data.draw(st.lists(st.sampled_from(ids), max_size=2))
         h = build_nets(space, rho, lo, hi, seed_ids=seeds)
-        assert h.levels == build_nets_rows(space, rho, lo, hi, seed_ids=seeds)
+        assert level_lists(h) == build_nets_rows(space, rho, lo, hi, seed_ids=seeds)
         assert verify_nets(space, h).ok
         assert net_check(space, h) == verify_nets_rows(space, h)
 
@@ -356,21 +361,21 @@ def test_net_witnesses_match_the_row_based_check(cloud, data):
     ids, coords, weights = cloud
     for space in both_backends(ids, coords, weights):
         lo, hi = auto_levels(space, 0.5)
-        levels = dict(build_nets(space, 0.5, lo, hi).levels)
+        levels = level_lists(build_nets(space, 0.5, lo, hi))
         for n in data.draw(st.lists(st.sampled_from(sorted(levels)), max_size=3)):
-            members = list(levels[n])
+            members = levels[n]
             edits = st.sampled_from(["add", "drop", "duplicate", "shuffle"])
             for edit in data.draw(st.lists(edits, min_size=1, max_size=4)):
                 at = data.draw(st.integers(0, len(members)))
                 if edit == "add":
-                    members.insert(at, data.draw(st.sampled_from(ids)))
+                    members.insert(at, space.index_of(data.draw(st.sampled_from(ids))))
                 elif edit == "drop" and members:
                     members.pop(at % len(members))
                 elif edit == "duplicate" and members:
                     members.append(members[at % len(members)])
                 else:
                     members = data.draw(st.permutations(members))
-            levels[n] = tuple(members)
+            levels[n] = members
         h = NetHierarchy(rho=0.5, levels=levels)
         assert net_check(space, h) == verify_nets_rows(space, h)
 
@@ -410,6 +415,7 @@ def test_cubes_match_the_row_based_assignment(cloud, data):
         assert_cubes_match(space, h)
         # nested random subsets: a finer level need not cover anything
         chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        chosen = space.indices_of(chosen).tolist()
         levels = {n: tuple(chosen[: 1 + n - lo]) for n in range(lo, hi + 1)}
         assert_cubes_match(
             space, NetHierarchy(rho=0.25, levels=levels)
@@ -419,7 +425,7 @@ def test_cubes_match_the_row_based_assignment(cloud, data):
 def test_c0_falls_back_to_rows_when_no_cube_has_a_near_outsider():
     coords = np.array([[0.0], [10.0], [10.0 + 1e-3]])
     space = MetricMeasureSpace.from_coords([5, 7, 9], coords, np.ones(3))
-    h = NetHierarchy(rho=0.25, levels={0: (5, 9)})
+    h = NetHierarchy(rho=0.25, levels={0: (0, 2)})  # ids 5 and 9
     tree = build_cubes(space, h)
     assert tree.c0_achieved == c0_rows(space, tree) == (10.0 - 0.0) / 5.0
     assert_cubes_match(space, h)
@@ -474,10 +480,10 @@ def test_a_gap_equal_to_the_threshold_is_porous():
 
 def porous(space, tree, target, cfg) -> list:
     gap = dist_to_set(space, target.members)
-    return [
-        (p.cube, p.witness, p.witness_gap)
-        for p in find_porous(space, tree, target, gap, cfg)
-    ]
+    return family_rows(space, find_porous(space, tree, target, gap, cfg))
+
+
+NO_POROUS = SimpleNamespace(cube=np.empty(0, dtype=np.int64))  # bridges none
 
 
 def adjacency_edges(graph):
@@ -498,7 +504,7 @@ def test_adjacency_matches_the_row_based_pairs(cloud, data):
     dists = np.unique(backends[1].distance_matrix())
     eps = float(data.draw(st.sampled_from([*dists[1:], 0.4, 50.0])))
     for space in backends:
-        empty = build_bridges(space, None, None, (), None)
+        empty = build_bridges(space, None, None, NO_POROUS, None)
         graph = assemble_gamma(space, target, empty, eps)
         want = adjacency_forest_rows(space, members, eps)
         want = [(members[a], members[b], d) for a, b, d in want]
@@ -510,7 +516,7 @@ def assert_the_forest_keeps_the_tour(space, members, eps):
     forest's pairs of the other: Kruskal takes the same tree from both,
     so the tour, its times and its bound are the same bits."""
     target = TargetSet(members=members, xi0=members[0])
-    empty = build_bridges(space, None, None, (), None)
+    empty = build_bridges(space, None, None, NO_POROUS, None)
     forest = assemble_gamma(space, target, empty, eps)
     whole = graph_by_position(
         members,
@@ -552,7 +558,7 @@ def test_the_forest_breaks_length_ties_by_position():
     coords = np.array([[0, 0], [0, 2], [1, 0], [1, 1], [1, 2], [0, 1]], dtype=float)
     space = MetricMeasureSpace.from_coords(range(6), coords, np.ones(6))
     target = TargetSet(members=tuple(range(6)), xi0=0)
-    empty = build_bridges(space, None, None, (), None)
+    empty = build_bridges(space, None, None, NO_POROUS, None)
     graph = assemble_gamma(space, target, empty, 1.2)
     want = [(0, 2, 1.0), (0, 5, 1.0), (1, 4, 1.0), (1, 5, 1.0), (2, 3, 1.0)]
     assert adjacency_forest_rows(space, range(6), 1.2) == want

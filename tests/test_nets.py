@@ -25,9 +25,9 @@ def test_four_point_trace():
     space, _ = generate(GeneratorSpec("interval", 4))
     h = build_nets(space, 1.0 / 3.0, 0, 1)
     # Scale 1: id 0 enters, ids 1 and 2 are too close, id 3 is at exactly 1.
-    assert h.levels[0] == (0, 3)
+    assert h.levels[0].tolist() == [0, 3]
     # Scale 1/3: carry (0, 3), then admit 1 and 2 in id order.
-    assert h.levels[1] == (0, 3, 1, 2)
+    assert h.levels[1].tolist() == [0, 3, 1, 2]
     assert h.scale(1) == 1.0 / 3.0
     assert verify_nets(space, h).ok
 
@@ -37,16 +37,16 @@ def test_two_point_trace():
         [0, 1], np.array([[0.0], [1.0]]), np.ones(2)
     )
     h = build_nets(space, 0.5, 0, 2)
-    assert h.levels[0] == (0, 1)  # distance exactly 1 >= rho^0
-    assert h.levels[1] == (0, 1)
+    assert h.levels[0].tolist() == [0, 1]  # distance exactly 1 >= rho^0
+    assert h.levels[1].tolist() == [0, 1]
     assert verify_nets(space, h).ok
 
 
 def test_seed_ids_take_the_root():
     space, _ = generate(GeneratorSpec("interval", 4))
     h = build_nets(space, 1.0 / 3.0, 0, 1, seed_ids=[2])
-    assert h.levels[0] == (2,)  # everything else is within distance 1 of 2
-    assert h.levels[1] == (2, 0, 1, 3)
+    assert h.levels[0].tolist() == [2]  # the rest is within distance 1 of 2
+    assert h.levels[1].tolist() == [2, 0, 1, 3]
     assert verify_nets(space, h).ok
 
 
@@ -72,7 +72,7 @@ def test_axioms_on_random_clouds():
         h = build_nets(space, 0.5, n_min, n_max)
         previous = None
         for n in range(n_min, n_max + 1):
-            ids = h.levels[n]
+            ids = [space.ids[k] for k in h.levels[n]]
             scale = 0.5**n
             assert net_is_separated(space, ids, scale)
             assert net_covers(space, ids, scale)
@@ -88,7 +88,7 @@ def test_verify_nets_flags_injected_violations():
     h = build_nets(space, 0.25, 0, 2)
 
     crowded = dict(h.levels)
-    crowded[1] = h.levels[1] + (1,)  # id 1 is within 0.25 of id 0
+    crowded[1] = [*h.levels[1], 1]  # point 1 is within 0.25 of point 0
     bad_sep = NetHierarchy(rho=0.25, levels=crowded)
     check = verify_nets(space, bad_sep)
     assert not check.ok and not check.separation_ok
@@ -107,10 +107,43 @@ def test_verify_nets_flags_injected_violations():
     assert check.witness[0] == "separation"
 
     swapped = dict(h.levels)
-    swapped[0] = (h.levels[2][-1],)  # coarse member missing below
+    swapped[0] = h.levels[2][-1:]  # coarse member missing below
     bad_nest = NetHierarchy(rho=0.25, levels=swapped)
     check = verify_nets(space, bad_nest)
     assert not check.nesting_ok
+
+
+def test_levels_are_read_only_index_arrays():
+    """Levels hold point indices; a hierarchy built from lists owns
+    read-only copies of them."""
+    space = MetricMeasureSpace.from_coords(
+        [7, 3, 5], np.array([[0.0], [1.0], [0.1]]), np.ones(3)
+    )
+    h = build_nets(space, 0.5, 0, 1)
+    # id 3 (index 1) scans first, then id 7 (index 0) at distance 1
+    assert h.levels[0].tolist() == [1, 0]
+    assert h.levels[1].tolist() == [1, 0]
+    members = [1, 2]
+    edited = NetHierarchy(rho=0.5, levels={0: members})
+    members.append(0)
+    assert edited.levels[0].tolist() == [1, 2]
+    for level in (*h.levels.values(), *edited.levels.values()):
+        assert level.dtype == np.intp
+        assert not level.flags.writeable
+        with pytest.raises(ValueError):
+            level[0] = level[0]
+
+
+def test_nesting_witness_is_the_smallest_missing_id():
+    """Level 1 drops the points of ids 9 and 4 (indices 0 and 1); the
+    witness names id 4, not the smaller index."""
+    space = MetricMeasureSpace.from_coords(
+        [9, 4, 7], np.array([[0.0], [1.0], [2.0]]), np.ones(3)
+    )
+    h = NetHierarchy(rho=0.5, levels={0: [0, 1, 2], 1: [2]})
+    check = verify_nets(space, h)
+    assert not check.nesting_ok and check.separation_ok
+    assert check.witness == ("nesting", 1, 4)
 
 
 def test_verify_nets_computes_no_rows():

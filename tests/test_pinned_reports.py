@@ -15,15 +15,29 @@ ids ``3 * i + 7`` in a shuffled row order, once as a point CSV and once
 as that space's distance matrix, which has no coordinates for the tour.
 A file carries no target, so their target is every point.  Their
 reports are hashed without the ``config`` key, which names the files.
+
+The ``porous`` view's stdout is pinned too: it lists the porous family
+that the report only counts.  So is the shadow map's message for a
+failed scale comparison.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from rectilib.cli import main
+from rectilib.cubes import build_cubes
 from rectilib.generators import GeneratorSpec, generate
+from rectilib.nets import build_nets
 from rectilib.pipeline import RunConfig, report_json, run_pipeline
+from rectilib.porosity import (
+    PorosityConfig,
+    dist_to_set,
+    find_porous,
+    shadow_map,
+)
 from rectilib.space import MetricMeasureSpace, load_csv, save_csv
 
 SIDE_FILES = ("density.csv", "edges.csv", "tour.csv")
@@ -183,3 +197,50 @@ def test_runs_on_ids_that_are_not_indices_keep_their_pinned_bytes(
     del report["config"]
     got = {"report": sha256(report_json(report).encode())}
     assert {**got, **side_file_hashes(out)} == FILE_PINS[name]
+
+
+# the porous view prints the family the run report only counts
+VIEW_PINS = {
+    "porous interval-hole-1000": (
+        ["porous", "--kind", "interval", "--resolution", "1000",
+         "--params", '{"holes": [[0.4, 0.6]]}'],
+        "6529748a09f1ae21b387d135e3801771c628dc8cab21e81294f041ffab3b53d7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VIEW_PINS))
+def test_view_stdout_keeps_its_pinned_bytes(name, capsys):
+    argv, pin = VIEW_PINS[name]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == pin
+
+
+# No pipeline run at hand fails a shadow scale comparison, so the
+# violation string is pinned on the 100-point interval with a hole: its
+# family found at the reference parameters, then mapped with one
+# parameter broken.
+SHADOW_PINS = {
+    "lower": (
+        {"delta": 1e6},
+        "28c787dcf9e57c0838f30177b4368415afd52ed2d1f9c3aabb97cd6df3aa6e65",
+    ),
+    "upper": (
+        {"M": 1e-9},
+        "2513f97fc2654c2b8e5c71481d3c5278dd74ec3f6277c110aedec948130ab8e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SHADOW_PINS))
+def test_shadow_violation_keeps_its_pinned_bytes(name):
+    broken, pin = SHADOW_PINS[name]
+    space, target = generate(
+        GeneratorSpec("interval", 100, {"holes": [[0.4, 0.6]]})
+    )
+    cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1 / 16, C_mu=2.0)
+    tree = build_cubes(space, build_nets(space, cfg.rho, -1, 2))
+    gap = dist_to_set(space, target.members)
+    family = find_porous(space, tree, target, gap, cfg)
+    report = shadow_map(tree, gap, family, dataclasses.replace(cfg, **broken))
+    assert sha256(report.violation.encode()) == pin

@@ -11,6 +11,7 @@ from _oracles import (
     cube_descendants,
     cube_members,
     dist_to_set_brute,
+    family_rows,
     maximal_clear_rows,
 )
 from rectilib.cubes import build_cubes
@@ -25,7 +26,7 @@ from rectilib.pipeline import RunConfig, run_stages
 from rectilib.porosity import (
     AppendixConstants,
     PorosityConfig,
-    PorousCube,
+    PorousFamily,
     appendix_constants,
     carleson_check,
     dist_to_set,
@@ -45,6 +46,23 @@ def good_cfg(**overrides):
 def porous_cubes(space, tree, target, cfg):
     """find_porous with the target's gap, as the porous stage calls it."""
     return find_porous(space, tree, target, dist_to_set(space, target.members), cfg)
+
+
+def family_of(cubes) -> PorousFamily:
+    """A porous family of the given cubes, every witness point 0."""
+    cube = np.array(cubes, dtype=np.int64)
+    return PorousFamily(
+        cube=cube, witness=np.zeros_like(cube), gap=np.zeros(len(cube))
+    )
+
+
+def shadow_rows(space, tree, report, porous) -> list:
+    """(cube, witness id, shadow or None) of each porous cube, the
+    shadow found among the members of the report's antichain cubes."""
+    holder = {}
+    for s in report.maximal:
+        holder.update(dict.fromkeys(cube_members(space, tree, s), s))
+    return [(c, w, holder.get(w)) for c, w, _ in family_rows(space, porous)]
 
 
 def hole_fixture(weights_scale=1.0):
@@ -83,6 +101,21 @@ def test_validate_names_each_violation():
         "1/rho > M",
         "5*M*rho^n0 < 1",
     )
+
+
+@pytest.mark.parametrize(
+    "overrides, violations",
+    [({"rho": 0.0}, ("0 < rho < 1",)),
+     ({"rho": 1.0, "M": 9.0}, ("0 < rho < 1",)),
+     ({"rho": math.nan}, ("0 < rho < 1",)),
+     ({"delta": 0.0}, ("delta > 0",)),
+     ({"delta": -1.0, "rho": -1.0}, ("0 < rho < 1", "delta > 0"))],
+)
+def test_validate_checks_the_domain_before_the_inequalities(overrides, violations):
+    """Outside (0, 1) the inequalities would divide by rho; the domain
+    violations are then the only ones named, also in strict mode."""
+    for strict in (False, True):
+        assert validate_config(good_cfg(**overrides), strict).violations == violations
 
 
 def test_validate_strict_adds_two_checks():
@@ -185,38 +218,57 @@ def test_dist_to_set_rejects_unknown_ids():
 def test_no_porosity_when_target_is_everything():
     space, _, h, tree = hole_fixture()
     full = enclosing_target(space)
-    assert porous_cubes(space, tree, full, good_cfg()) == ()
+    assert family_rows(space, porous_cubes(space, tree, full, good_cfg())) == []
 
 
 def test_find_porous_on_hole_fixture():
     space, target, h, tree = hole_fixture()
-    porous = porous_cubes(space, tree, target, good_cfg())
+    porous = family_rows(space, porous_cubes(space, tree, target, good_cfg()))
     assert len(porous) == 57
     # The deepest gap point: ids 49 and 50 tie at distance 10/99 from
     # the target, and the tie resolves to the smaller id.
-    big = [p for p in porous if tree.level[p.cube] <= 1]
-    assert {p.witness for p in big} == {49}
-    assert porous[0].witness_gap == pytest.approx(10.0 / 99.0)
+    big = [witness for cube, witness, _ in porous if tree.level[cube] <= 1]
+    assert set(big) == {49}
+    assert porous[0][2] == pytest.approx(10.0 / 99.0)
+
+
+def test_family_arrays_are_read_only():
+    """Cubes ascend, witnesses are point indices; an empty family has
+    the same dtypes."""
+    space, target, h, tree = hole_fixture()
+    porous = porous_cubes(space, tree, target, good_cfg())
+    empty = porous_cubes(space, tree, enclosing_target(space), good_cfg())
+    assert len(empty.cube) == len(empty.witness) == len(empty.gap) == 0
+    assert (np.diff(porous.cube) > 0).all()
+    for family in (porous, empty):
+        for name in ("cube", "witness", "gap"):
+            array = getattr(family, name)
+            assert array.dtype == getattr(porous, name).dtype, name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[:1] = array[:1]
 
 
 def test_find_porous_witness_recheck():
     space, target, h, tree = hole_fixture()
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
-    for p in find_porous(space, tree, target, gap, cfg):
-        side = tree.sidelength[p.cube]
-        row = space.dists_from(int(tree.center[p.cube]))
-        wk = space.index_of(p.witness)
+    porous = find_porous(space, tree, target, gap, cfg)
+    assert np.array_equal(porous.gap, gap[porous.witness])
+    for cube, wk, witness_gap in zip(
+        porous.cube.tolist(), porous.witness.tolist(), porous.gap.tolist()
+    ):
+        side = tree.sidelength[cube]
+        row = space.dists_from(int(tree.center[cube]))
         assert row[wk] < cfg.M * side
-        assert gap[wk] == pytest.approx(p.witness_gap)
-        assert p.witness_gap >= cfg.delta * side
+        assert witness_gap >= cfg.delta * side
         better = [
             k
             for k in range(len(space))
             if row[k] < cfg.M * side
             and (
                 gap[k] > gap[wk] + 1e-15
-                or (gap[k] == gap[wk] and space.ids[k] < p.witness)
+                or (gap[k] == gap[wk] and space.ids[k] < space.ids[wk])
             )
         ]
         assert not better
@@ -226,7 +278,8 @@ def test_find_porous_is_antitone_in_delta():
     space, target, h, tree = hole_fixture()
     previous = None
     for delta in (0.003, 0.01, 0.05, 0.2):
-        cubes = {p.cube for p in porous_cubes(space, tree, target, good_cfg(delta=delta))}
+        porous = porous_cubes(space, tree, target, good_cfg(delta=delta))
+        cubes = set(porous.cube.tolist())
         if previous is not None:
             assert cubes <= previous
         previous = cubes
@@ -276,7 +329,7 @@ def packed_ratios(tree, porous_ids, children=cube_children) -> tuple:
 def assert_matches_brute_force(report, tree, porous):
     """The worst ratio and cube and the skipped cubes of the brute-force
     packed sums, each porous descendant's mass added once."""
-    porous_ids = {p.cube for p in porous}
+    porous_ids = set(porous.cube.tolist())
     ratios, skipped = {}, []
     for cid in range(len(tree.level)):
         packed = sum(
@@ -315,12 +368,9 @@ def test_carleson_adds_children_in_ascending_id_after_the_own_mass():
         range(300), coords, rng.uniform(0.1, 1.0, size=300)
     )
     tree = build_cubes(space, build_nets(space, 0.25, -1, 3))
-    porous = [
-        PorousCube(cube=c, witness=0, witness_gap=0.0)
-        for c in range(0, len(tree.level), 3)
-    ]
+    porous = family_of(range(0, len(tree.level), 3))
     report = carleson_check(tree, porous, good_cfg(), 1)
-    porous_ids = {p.cube for p in porous}
+    porous_ids = set(porous.cube.tolist())
     ratios, skipped = packed_ratios(tree, porous_ids)
     worst = max(ratios.values())
     assert report.worst_ratio == worst
@@ -349,8 +399,7 @@ def test_carleson_is_invariant_under_mass_rescaling():
 def test_carleson_single_porous_root_has_ratio_one():
     space, target, h, tree = hole_fixture()
     root = 0  # the first top-level cube
-    porous = (PorousCube(cube=root, witness=49, witness_gap=0.1),)
-    report = carleson_check(tree, porous, good_cfg(), 1)
+    report = carleson_check(tree, family_of([root]), good_cfg(), 1)
     assert report.worst_ratio == pytest.approx(1.0)
     assert report.worst_cube == root
     assert report.ok
@@ -363,11 +412,11 @@ def test_carleson_skips_and_empty_family():
     )
     h = build_nets(space, 0.5, -2, 0)
     tree = build_cubes(space, h)
-    report = carleson_check(tree, (), good_cfg(), 1)
+    report = carleson_check(tree, family_of([]), good_cfg(), 1)
     assert report.worst_ratio == 0.0
     assert report.ok
     assert len(report.skipped) == 2  # the zero-weight point's two singleton cubes
-    assert_matches_brute_force(report, tree, ())
+    assert_matches_brute_force(report, tree, family_of([]))
 
 
 @pytest.mark.parametrize(
@@ -405,7 +454,7 @@ def test_shadow_map_on_hole_fixture():
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, cfg)
-    report = shadow_map(space, tree, gap, porous, cfg)
+    report = shadow_map(tree, gap, porous, cfg)
     # Maximal target-free cubes: the finest cubes centered deep enough
     # inside the hole, gap >= twice their sidelength 5/256.
     assert len(report.maximal) == 14
@@ -415,10 +464,11 @@ def test_shadow_map_on_hole_fixture():
     assert len(report.failures) == 6
     assert report.ok
     assert report.c0_used == tree.c0_achieved
-    mapped = [r for r in report.records if r.shadow is not None]
-    assert len(mapped) == len(porous) - len(report.failures)
-    collisions = Counter(r.shadow for r in mapped)
-    assert max(collisions.values()) == report.b_observed
+    rows = shadow_rows(space, tree, report, porous)
+    mapped = [shadow for _, _, shadow in rows if shadow is not None]
+    assert report.mapped == len(mapped) == len(rows) - len(report.failures)
+    assert report.failures == tuple(c for c, _, shadow in rows if shadow is None)
+    assert max(Counter(mapped).values()) == report.b_observed
 
 
 def test_shadow_map_records_scale_comparisons():
@@ -426,24 +476,18 @@ def test_shadow_map_records_scale_comparisons():
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, cfg)
-    report = shadow_map(space, tree, gap, porous, cfg)
-    for rec in report.records:
-        if rec.shadow is None:
-            assert rec.cube in report.failures
-            assert rec.scale_lower_ok is None and rec.scale_upper_ok is None
+    report = shadow_map(tree, gap, porous, cfg)
+    rows = shadow_rows(space, tree, report, porous)
+    assert report.mapped == sum(shadow is not None for _, _, shadow in rows) > 0
+    for cube, witness, shadow in rows:
+        if shadow is None:
+            assert cube in report.failures
             continue
-        l_cube = tree.sidelength[rec.cube]
-        l_shadow = tree.sidelength[rec.shadow]
-        assert rec.scale_lower_ok == (
-            cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * (1 + 1e-12)
-        )
-        assert rec.scale_upper_ok == (
-            l_shadow
-            <= (2 * cfg.M / report.c0_used) * l_cube * (1 + 1e-12)
-        )
-        assert rec.scale_lower_ok and rec.scale_upper_ok
-        # the witness really lies in its shadow cube
-        assert rec.witness in cube_members(space, tree, rec.shadow)
+        l_cube = tree.sidelength[cube]
+        l_shadow = tree.sidelength[shadow]
+        assert cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * (1 + 1e-12)
+        assert l_shadow <= (2 * cfg.M / report.c0_used) * l_cube * (1 + 1e-12)
+    assert report.ok
 
 
 @pytest.mark.parametrize(
@@ -458,14 +502,16 @@ def test_shadow_names_the_first_failed_scale_comparison(broken, lhs, rhs):
     space, target, h, tree = hole_fixture()
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, good_cfg())
-    assert shadow_map(space, tree, gap, porous, good_cfg()).violation is None
+    assert shadow_map(tree, gap, porous, good_cfg()).violation is None
     cfg = good_cfg(**broken)
-    report = shadow_map(space, tree, gap, porous, cfg)
+    report = shadow_map(tree, gap, porous, cfg)
     assert not report.ok
-    first = next(r for r in report.records if r.shadow is not None)
+    rows = shadow_rows(space, tree, report, porous)
+    mapped = [(cube, shadow) for cube, _, shadow in rows if shadow is not None]
+    first_cube, first_shadow = mapped[0]
     # Python floats, as the report's repr shows them
-    l_cube = float(tree.sidelength[first.cube])
-    l_shadow = float(tree.sidelength[first.shadow])
+    l_cube = float(tree.sidelength[first_cube])
+    l_shadow = float(tree.sidelength[first_shadow])
     sides = {
         "delta*l(Q)": cfg.delta * l_cube,
         "(4/rho)*l(S)": (4 / cfg.rho) * l_shadow,
@@ -473,13 +519,15 @@ def test_shadow_names_the_first_failed_scale_comparison(broken, lhs, rhs):
         "(2M/c0)*l(Q)": (2 * cfg.M / report.c0_used) * l_cube,
     }
     assert report.violation == (
-        f"porous cube {first.cube} with shadow {first.shadow}: "
+        f"porous cube {first_cube} with shadow {first_shadow}: "
         f"{lhs} {sides[lhs]!r} > {rhs} {sides[rhs]!r}"
     )
-    mapped = [r for r in report.records if r.shadow is not None]
-    lower_broken = lhs == "delta*l(Q)"
-    assert all(r.scale_lower_ok != lower_broken for r in mapped)
-    assert all(r.scale_upper_ok == lower_broken for r in mapped)
+    # every mapped pair fails the broken comparison and only that one
+    for cube, shadow in mapped:
+        l_cube, l_shadow = tree.sidelength[cube], tree.sidelength[shadow]
+        lower_ok = cfg.delta * l_cube <= (4 / cfg.rho) * l_shadow * (1 + 1e-12)
+        upper_ok = l_shadow <= (2 * cfg.M / report.c0_used) * l_cube * (1 + 1e-12)
+        assert (lower_ok, upper_ok) == (lhs != "delta*l(Q)", lhs == "delta*l(Q)")
 
 
 def test_shadow_map_antichain_is_maximal_and_disjoint():
@@ -487,7 +535,7 @@ def test_shadow_map_antichain_is_maximal_and_disjoint():
     cfg = good_cfg()
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, cfg)
-    report = shadow_map(space, tree, gap, porous, cfg)
+    report = shadow_map(tree, gap, porous, cfg)
     seen: set[int] = set()
     for cid in report.maximal:
         assert gap[tree.center[cid]] >= 2 * tree.sidelength[cid]
@@ -512,15 +560,17 @@ def test_the_antichain_keeps_the_topmost_clear_cube_of_a_far_cluster():
     tree = build_cubes(space, h)
     gap = dist_to_set(space, target.members)
     porous = find_porous(space, tree, target, gap, cfg)
-    report = shadow_map(space, tree, gap, porous, cfg)
+    report = shadow_map(tree, gap, porous, cfg)
     assert list(report.maximal) == maximal_clear_rows(tree, gap)
     assert any(cube_children(tree, c) for c in report.maximal)
 
 
 def test_shadow_map_empty_porous_family():
     space, target, h, tree = hole_fixture()
-    report = shadow_map(space, tree, dist_to_set(space, target.members), (), good_cfg())
-    assert report.records == ()
+    report = shadow_map(
+        tree, dist_to_set(space, target.members), family_of([]), good_cfg()
+    )
+    assert report.maximal and report.mapped == 0
     assert report.b_observed == 0
     assert report.failures == ()
     assert report.ok
