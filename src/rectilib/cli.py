@@ -4,7 +4,9 @@ Every subcommand prints a JSON document to stdout; heavier artifacts
 (point clouds, edge lists, tours, per-point tables) go to files named
 by flags.  ``run`` prints the full pipeline report.  ``gen``, ``nets``,
 ``cubes``, ``porous``, ``curve`` and ``param`` are views over it: each
-runs the pipeline stages it needs and prints their report sections.
+names the stages whose sections it prints, which run with every stage
+they read (``pipeline.STAGES``).  A command's flags are those of the
+``RunConfig`` fields its stages read, then its own.
 Exit codes: 0 success, 1 a verified invariant failed, 2 bad input or
 configuration.
 """
@@ -15,7 +17,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from collections import Counter
 
 from .curve import edges_csv, parametrization_csv
 from .density import (
@@ -28,41 +32,43 @@ from .density import (
 )
 from .errors import ConfigError, InputError, RectilibError
 from .generators import KINDS
-from .pipeline import RunConfig, report_json, run_pipeline, run_stages
+from .pipeline import (
+    RunConfig,
+    closure,
+    report_json,
+    run_pipeline,
+    run_stages,
+)
 from .space import save_csv
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="points file (.csv or .json)")
-    p.add_argument("--matrix", help="distance-matrix CSV (needs --weights)")
-    p.add_argument("--weights", help="id,weight CSV for --matrix")
-    p.add_argument("--kind", choices=KINDS, help="generator kind")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--params", type=json.loads, help="generator params, JSON")
+def finite(raw: str) -> float:
+    """A float flag's value; nan and the infinities are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
-def _add_scale_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-
-
-def _add_cube_args(p: argparse.ArgumentParser) -> None:
-    _add_scale_args(p)
-    p.add_argument("--c0", type=float)
-
-
-def _add_porosity_args(p: argparse.ArgumentParser) -> None:
-    _add_cube_args(p)
-    p.add_argument("--M", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--strict", action="store_true")
-
-
-def _add_curve_args(p: argparse.ArgumentParser) -> None:
-    _add_porosity_args(p)
-    p.add_argument("--eps-res", type=float)
+# RunConfig field -> argparse keywords of its flag, in flag order; a
+# command takes the flags of the fields that its stages read
+FIELDS = {
+    "input": {"help": "points file (.csv or .json)"},
+    "matrix": {"help": "distance-matrix CSV (needs --weights)"},
+    "weights": {"help": "id,weight CSV for --matrix"},
+    "kind": {"choices": KINDS, "help": "generator kind"},
+    "resolution": {"type": int},
+    "params": {"type": json.loads, "help": "generator params, JSON"},
+    "rho": {"type": finite},
+    "n_min": {"type": int},
+    "n_max": {"type": int},
+    "c0": {"type": finite},
+    "M": {"type": finite},
+    "delta": {"type": finite},
+    "n0": {"type": int},
+    "strict": {"action": "store_true"},
+    "eps_res": {"type": finite},
+}
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -92,48 +98,35 @@ def _write_tour(ctx, path: str) -> None:
         parametrization_csv(ctx.param, ctx.gamma, ctx.space, path)
 
 
-_CURVE = (
-    "load", "validate", "doubling", "nets", "cubes", "porous", "bridges",
-    "gamma",
-)
+def _family(ctx) -> dict:
+    """The porous cubes that the report only counts."""
+    return {
+        "family": [
+            {"cube": c, "witness": ctx.space.ids[w], "witness_gap": g}
+            for c, w, g in zip(
+                ctx.porous.cube.tolist(),
+                ctx.porous.witness.tolist(),
+                ctx.porous.gap.tolist(),
+            )
+        ]
+    }
 
-# command -> (stages it runs, (side-file flag, writer), extra report keys)
+
+# view -> (stages whose sections it prints, which run with every stage
+# they read; side-file flag and writer; extra report keys)
 VIEWS = {
     "gen": (
-        ("load",),
-        ("out", lambda ctx, path: save_csv(ctx.space, path)),
-        None,
+        ("load",), ("out", lambda ctx, path: save_csv(ctx.space, path)), None
     ),
-    "nets": (("load", "nets", "verify_nets"), None, None),
-    "cubes": (("load", "nets", "cubes", "verify_cubes"), None, None),
-    "porous": (
-        (
-            "load", "validate", "doubling", "nets", "cubes", "verify_cubes",
-            "porous", "shadow", "carleson",
-        ),
-        None,
-        # the report counts porous cubes; the view lists them
-        lambda ctx: {
-            "family": [
-                {"cube": c, "witness": ctx.space.ids[w], "witness_gap": g}
-                for c, w, g in zip(
-                    ctx.porous.cube.tolist(),
-                    ctx.porous.witness.tolist(),
-                    ctx.porous.gap.tolist(),
-                )
-            ]
-        },
-    ),
+    "nets": (("verify_nets",), None, None),
+    "cubes": (("verify_cubes",), None, None),
+    "porous": (("verify_cubes", "carleson"), None, _family),
     "curve": (
-        _CURVE + ("connectivity", "budget"),
+        ("connectivity", "budget"),
         ("edges_out", lambda ctx, path: edges_csv(ctx.gamma, path)),
         None,
     ),
-    "param": (
-        _CURVE + ("parametrize", "check_param"),
-        ("tour_out", _write_tour),
-        None,
-    ),
+    "param": (("check_param",), ("tour_out", _write_tour), None),
 }
 
 
@@ -146,7 +139,7 @@ def _cmd_view(args) -> int:
         report.update(extra(ctx))
     sys.stdout.write(report_json(report))
     # the tour is what param is asked for; a disconnected curve has none
-    no_tour = "parametrize" in stages and ctx.param is None
+    no_tour = args.command == "param" and ctx.param is None
     return 1 if failures or no_tour else 0
 
 
@@ -158,6 +151,9 @@ def _cmd_density(args) -> int:
         pts = _ids_arg(args.points)
         if not pts:
             raise InputError("--points names no point ids")
+        repeated = [p for p, n in Counter(pts).items() if n > 1]
+        if repeated:
+            raise InputError(f"--points names id {repeated[0]} more than once")
     r_lo, r_hi = density_window(space)
     r_lo = r_lo if args.r_lo is None else args.r_lo
     r_hi = r_hi if args.r_hi is None else args.r_hi
@@ -206,6 +202,54 @@ def _cmd_run(args) -> int:
     return 1 if failures else 0
 
 
+_IDS = "comma-separated ids (default: target)"
+
+# command -> (help, handler, its own flags), in --help order; its flags are
+# those of the fields its stages read (a view's stages, load for density,
+# beta2 and bssum, every field for run), then its own
+COMMANDS = {
+    "gen": (
+        "generate a point cloud", _cmd_view,
+        {"out": {"default": None, "help": "write points CSV here"}},
+    ),
+    "nets": ("build and verify net hierarchy", _cmd_view, {}),
+    "cubes": ("build and verify the cube tree", _cmd_view, {}),
+    "density": (
+        "lower-density profiles", _cmd_density,
+        {
+            "points": {"default": None, "help": _IDS},
+            "r_lo": {"type": finite, "default": None},
+            "r_hi": {"type": finite, "default": None},
+            "out": {"default": None, "help": "per-point CSV"},
+        },
+    ),
+    "beta2": (
+        "flatness of a subset", _cmd_beta2,
+        {"members": {"default": None, "help": _IDS}, "label": {"default": ""}},
+    ),
+    "bssum": (
+        "dyadic diam/mass sum at a point", _cmd_bssum,
+        {
+            "point": {"type": int, "required": True},
+            "depth": {"type": int, "default": 8},
+        },
+    ),
+    "porous": ("porous cubes, packing, shadows", _cmd_view, {}),
+    "curve": (
+        "assemble the curve graph", _cmd_view,
+        {"edges_out": {"default": None, "help": "edge-list CSV"}},
+    ),
+    "param": (
+        "parametrize the curve graph", _cmd_view,
+        {"tour_out": {"default": None, "help": "tour CSV"}},
+    ),
+    "run": (
+        "full pipeline with JSON report", _cmd_run,
+        {"out_dir": {"help": "directory for side outputs"}},
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rectilib",
@@ -221,69 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
             argparse.ArgumentParser, argument_default=argparse.SUPPRESS
         ),
     )
-
-    p = sub.add_parser("gen", help="generate a point cloud")
-    _add_source_args(p)
-    p.add_argument("--out", default=None, help="write points CSV here")
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("nets", help="build and verify net hierarchy")
-    _add_source_args(p)
-    _add_scale_args(p)
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("cubes", help="build and verify the cube tree")
-    _add_source_args(p)
-    _add_cube_args(p)
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("density", help="lower-density profiles")
-    _add_source_args(p)
-    p.add_argument(
-        "--points", default=None, help="comma-separated ids (default: target)"
-    )
-    p.add_argument("--r-lo", type=float, default=None)
-    p.add_argument("--r-hi", type=float, default=None)
-    p.add_argument("--out", default=None, help="per-point CSV")
-    p.set_defaults(handler=_cmd_density)
-
-    p = sub.add_parser("beta2", help="flatness of a subset")
-    _add_source_args(p)
-    p.add_argument(
-        "--members", default=None, help="comma-separated ids (default: target)"
-    )
-    p.add_argument("--label", default="")
-    p.set_defaults(handler=_cmd_beta2)
-
-    p = sub.add_parser("bssum", help="dyadic diam/mass sum at a point")
-    _add_source_args(p)
-    p.add_argument("--point", type=int, required=True)
-    p.add_argument("--depth", type=int, default=8)
-    p.set_defaults(handler=_cmd_bssum)
-
-    p = sub.add_parser("porous", help="porous cubes, packing, shadows")
-    _add_source_args(p)
-    _add_porosity_args(p)
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("curve", help="assemble the curve graph")
-    _add_source_args(p)
-    _add_curve_args(p)
-    p.add_argument("--edges-out", default=None, help="edge-list CSV")
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("param", help="parametrize the curve graph")
-    _add_source_args(p)
-    _add_curve_args(p)
-    p.add_argument("--tour-out", default=None, help="tour CSV")
-    p.set_defaults(handler=_cmd_view)
-
-    p = sub.add_parser("run", help="full pipeline with JSON report")
-    _add_source_args(p)
-    _add_curve_args(p)
-    p.add_argument("--out-dir", help="directory for side outputs")
-    p.set_defaults(handler=_cmd_run)
-
+    for command, (text, handler, own) in COMMANDS.items():
+        stages = VIEWS[command][0] if command in VIEWS else ("load",)
+        read = {f for row in closure(stages) for f in row[4]}
+        flags = {f: FIELDS[f] for f in FIELDS if f in read or command == "run"}
+        p = sub.add_parser(command, help=text)
+        for name, keywords in (flags | own).items():
+            p.add_argument("--" + name.replace("_", "-"), **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 

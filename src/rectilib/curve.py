@@ -186,8 +186,8 @@ def assemble_gamma(
     length zero carries no metric information).  Vertices are numbered
     as the module docstring states.
     """
-    if not eps_res > 0:
-        raise ParameterError("eps_res must be positive")
+    if not 0 < eps_res < np.inf:
+        raise ParameterError("eps_res must be positive and finite")
     pairs = bridges.pairs
     members = np.asarray(target.members, dtype=np.int64)
     ground_ids = np.unique(np.concatenate([members, pairs.ravel()]))

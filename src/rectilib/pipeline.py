@@ -5,9 +5,10 @@ configurations produce byte-identical JSON reports.  Wall-clock
 timings are collected but kept out of the report (they go to stderr
 or a sidecar file) so reports stay reproducible.
 
-The stages form one table, ``STAGES``.  ``run_pipeline`` runs all of
-them; ``run_stages`` runs a named subset in table order, which is how
-the CLI's stage subcommands print parts of the same report.
+The stages form one table, ``STAGES``, each row naming the stages and
+the ``RunConfig`` fields it reads.  ``run_pipeline`` runs all of them;
+``run_stages`` runs the named ones and all they read, which is how the
+CLI's views print parts of the same report.
 
 Exit-code convention for front ends: 0 when every verified invariant
 holds, 1 when one fails, 2 for input or configuration problems.
@@ -19,7 +20,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,14 +142,8 @@ def report_json(report: dict) -> str:
     return json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
 
 
-def _porosity_config(cfg: RunConfig, C_mu: float | None = None):
-    return PorosityConfig(
-        M=cfg.M, delta=cfg.delta, n0=cfg.n0, rho=cfg.rho, c0=cfg.c0, C_mu=C_mu
-    )
-
-
-# Each stage reads earlier results from the context ``ctx``, adds its
-# own, and returns (its report section or None, invariant failure or None).
+# Each stage reads earlier results from the context ``ctx``, adds its own
+# as new names, and returns (its report section or None, failure or None).
 
 
 def _load(ctx):
@@ -166,11 +161,15 @@ def _load(ctx):
 
 
 def _validate(ctx):
-    result = validate_config(_porosity_config(ctx.cfg), strict=ctx.cfg.strict)
+    cfg = ctx.cfg
+    ctx.validated = PorosityConfig(
+        M=cfg.M, delta=cfg.delta, n0=cfg.n0, rho=cfg.rho, c0=cfg.c0
+    )
+    result = validate_config(ctx.validated, strict=cfg.strict)
     return {
         "ok": result.ok,
         "violations": list(result.violations),
-        "strict": ctx.cfg.strict,
+        "strict": cfg.strict,
     }, None
 
 
@@ -180,7 +179,7 @@ def _doubling(ctx):
     if not 0 < r_lo < r_hi:
         raise DegenerateInputError("space too small for a doubling estimate")
     doubling = doubling_estimate(ctx.space, dyadic_radii(r_lo, r_hi))
-    ctx.pcfg = _porosity_config(ctx.cfg, max(doubling.c_hat, 1.0 + 1e-9))
+    ctx.pcfg = replace(ctx.validated, C_mu=max(doubling.c_hat, 1.0 + 1e-9))
     return {
         "c_hat": doubling.c_hat,
         "evaluated": doubling.evaluated,
@@ -380,46 +379,66 @@ def _check_param(ctx):
     }, None if check.ok else "param_check: " + "; ".join(check.violations())
 
 
-# (stage name, report section it writes, stage function)
+# (stage name, report section it writes, stage function, earlier stages
+# whose results it reads, RunConfig fields it reads)
 STAGES = (
-    ("load", "space", _load),
-    ("validate", "validation", _validate),
-    ("doubling", "doubling", _doubling),
-    ("nets", None, _nets),
-    ("verify_nets", "nets", _verify_nets),
-    ("cubes", None, _cubes),
-    ("verify_cubes", "cubes", _verify_cubes),
-    ("density", "density", _density),
-    ("porous", "porous", _porous),
-    ("shadow", "shadow", _shadow),
-    ("carleson", "carleson", _carleson),
-    ("bridges", "bridges", _bridges),
-    ("gamma", "gamma", _gamma),
-    ("connectivity", "connectivity", _connectivity),
-    ("budget", "budget", _budget),
-    ("parametrize", "parametrization", _parametrize),
-    ("check_param", "param_check", _check_param),
+    ("load", "space", _load, (),
+     ("input", "matrix", "weights", "kind", "resolution", "params")),
+    ("validate", "validation", _validate, (),
+     ("rho", "c0", "M", "delta", "n0", "strict")),
+    ("doubling", "doubling", _doubling, ("load", "validate"), ()),
+    ("nets", None, _nets, ("load",), ("rho", "n_min", "n_max")),
+    ("verify_nets", "nets", _verify_nets, ("load", "nets"), ()),
+    ("cubes", None, _cubes, ("load", "nets"), ("c0",)),
+    ("verify_cubes", "cubes", _verify_cubes, ("load", "nets", "cubes"), ()),
+    ("density", "density", _density, ("load",), ()),
+    ("porous", "porous", _porous, ("load", "doubling", "cubes"), ()),
+    ("shadow", "shadow", _shadow, ("doubling", "cubes", "porous"), ()),
+    ("carleson", "carleson", _carleson,
+     ("doubling", "cubes", "porous", "shadow"), ()),
+    ("bridges", "bridges", _bridges,
+     ("load", "doubling", "nets", "cubes", "porous"), ()),
+    ("gamma", "gamma", _gamma, ("load", "nets", "bridges"),
+     ("rho", "eps_res")),
+    ("connectivity", "connectivity", _connectivity, ("gamma",), ()),
+    ("budget", "budget", _budget,
+     ("load", "doubling", "cubes", "porous", "bridges", "gamma"), ()),
+    ("parametrize", "parametrization", _parametrize, ("gamma",), ()),
+    ("check_param", "param_check", _check_param, ("gamma", "parametrize"), ()),
 )
-STAGE_NAMES = tuple(name for name, _, _ in STAGES)
+STAGE_NAMES = tuple(row[0] for row in STAGES)
+
+
+def closure(names) -> tuple[tuple, ...]:
+    """The rows of the named stages and all they read, in table order."""
+    need = set(names)
+    for name, _, _, reads, _ in reversed(STAGES):
+        if name in need:
+            need.update(reads)
+    return tuple(row for row in STAGES if row[0] in need)
 
 
 def run_stages(
     cfg: RunConfig, names: tuple[str, ...] = STAGE_NAMES
 ) -> tuple[SimpleNamespace, dict, list[str], list[tuple[str, float]]]:
-    """Run the named stages in table order.
+    """Run the named stages and every stage they read, in table order.
 
-    Returns (context, report, failures, timings).  The caller names
-    every stage whose results a later named stage reads.  Stage errors
-    propagate, prefixed with the stage name; a configuration that fails
-    validation raises :class:`ConfigError` carrying the report so far.
+    Returns (context, report, failures, timings); the context holds
+    every result.  A stage is handed only the results of the stages its
+    row names and the fields its row names, so reading anything else
+    raises AttributeError.  Stage errors propagate, prefixed with the
+    stage name; a configuration that fails validation raises
+    :class:`ConfigError` carrying the report so far.
     """
-    ctx = SimpleNamespace(cfg=cfg)
+    everything = SimpleNamespace(cfg=cfg)
+    added: dict[str, dict] = {}  # stage -> the results it added
     report: dict = {"schema": SCHEMA_VERSION, "config": asdict(cfg)}
     failures: list[str] = []
     timings: list[tuple[str, float]] = []
-    for name, key, fn in STAGES:
-        if name not in names:
-            continue
+    for name, key, fn, reads, fields in closure(names):
+        given = {k: v for read in reads for k, v in added[read].items()}
+        given["cfg"] = SimpleNamespace(**{f: getattr(cfg, f) for f in fields})
+        ctx = SimpleNamespace(**given)
         t0 = time.perf_counter()
         try:
             section, failure = fn(ctx)
@@ -427,6 +446,8 @@ def run_stages(
             raise type(exc)(f"stage {name}: {exc}") from exc
         finally:
             timings.append((name, time.perf_counter() - t0))
+        added[name] = {k: v for k, v in vars(ctx).items() if k not in given}
+        vars(everything).update(added[name])
         if section is not None:
             report[key] = section
         if failure is not None:
@@ -437,7 +458,7 @@ def run_stages(
                 + "; ".join(section["violations"]),
                 report=report,
             )
-    return ctx, report, failures, timings
+    return everything, report, failures, timings
 
 
 def run_pipeline(

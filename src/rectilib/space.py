@@ -18,9 +18,8 @@ contiguous column per axis; the row of point ``i`` is
 ``acc = dx0*dx0; acc += dx1*dx1; ...`` in axis order with
 ``dx_a = col_a - col_a[i]``, then ``sqrt(acc)``.  It is made of
 elementwise operations only, so ``d(i, j)`` and ``d(j, i)`` are equal
-bit for bit, and :meth:`MetricMeasureSpace.distance_matrix` and
-:meth:`MetricMeasureSpace.distance_submatrix` give the same values as
-the rows.  A matrix space serves views of its matrix, which must be
+bit for bit, and :meth:`MetricMeasureSpace.distance_matrix` gives the
+same values as the rows.  A matrix space serves views of its matrix, which must be
 exactly symmetric.
 
 A space caches what the pipeline asks for repeatedly:
@@ -425,11 +424,6 @@ class MetricMeasureSpace:
             matrix.setflags(write=False)
             return matrix
         return self._matrix
-
-    def distance_submatrix(self, point_ids: Iterable[int]) -> np.ndarray:
-        """Pairwise distances among the given points, in the given order."""
-        idx = self.indices_of(point_ids)
-        return self._pair_dists(idx[:, None], idx[None, :])
 
     def summary(self) -> tuple[np.ndarray, float]:
         """Each point's eccentricity (read-only) and the smallest positive
@@ -965,8 +959,8 @@ class MassCheckResult:
 
 def dyadic_radii(r_lo: float, r_hi: float) -> list[float]:
     """Geometric grid of ratio 1/2 from ``r_hi`` down to ``r_lo``."""
-    if not (0 < r_lo <= r_hi):
-        raise ParameterError("need 0 < r_lo <= r_hi")
+    if not (0 < r_lo <= r_hi < math.inf):
+        raise ParameterError("need 0 < r_lo <= r_hi < inf")
     radii = []
     r = float(r_hi)
     while r >= r_lo * (1.0 - 1e-12):
@@ -1033,23 +1027,19 @@ def _open(path: str, mode: str = "r", **kwargs):
         raise InputError(f"{path}: cannot {verb} ({exc.strerror})") from None
 
 
-def load_csv(path: str) -> MetricMeasureSpace:
-    """Point cloud from CSV with header ``id,x1,...,xd,weight``."""
+def _read_points(path: str, axes: int | None = None) -> tuple[list, ...]:
+    """Ids, coordinate rows and weights of a CSV with header
+    ``id,x1,...,xd,weight``: ``d`` is ``axes`` when given (an ``id,weight``
+    file has none), else the header's, at least one."""
     with _open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "id" or header[-1] != "weight":
-            raise InputError(
-                f"{path}: expected header id,x1,...,xd,weight, got {header}"
-            )
+        header = [h.strip() for h in next(reader, [])]
         dim = len(header) - 2
-        ids: list[int] = []
-        coords: list[list[float]] = []
-        weights: list[float] = []
+        named = header[:1] == ["id"] and header[-1:] == ["weight"]
+        if not named or (dim < 1 if axes is None else dim != axes):
+            shape = "id,weight" if axes == 0 else "id,x1,...,xd,weight"
+            raise InputError(f"{path}: expected header {shape}, got {header}")
+        ids, coords, weights = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -1061,6 +1051,12 @@ def load_csv(path: str) -> MetricMeasureSpace:
             weights.append(_parse_number(row[-1], where))
     if not ids:
         raise InputError(f"{path}: no data rows")
+    return ids, coords, weights
+
+
+def load_csv(path: str) -> MetricMeasureSpace:
+    """Point cloud from CSV with header ``id,x1,...,xd,weight``."""
+    ids, coords, weights = _read_points(path)
     return MetricMeasureSpace.from_coords(
         ids, np.array(coords), np.array(weights)
     )
@@ -1114,20 +1110,7 @@ def load_json(path: str) -> MetricMeasureSpace:
 
 def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
     """Explicit metric: square distance CSV plus an ``id,weight`` CSV."""
-    with _open(weights_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if header != ["id", "weight"]:
-            raise InputError(f"{weights_path}: expected header id,weight")
-        ids, weights = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{weights_path}:{lineno}"
-            if len(row) != 2:
-                raise InputError(f"{where}: expected 2 fields")
-            ids.append(_parse_number(row[0], where, int))
-            weights.append(_parse_number(row[1], where))
+    ids, _, weights = _read_points(weights_path, axes=0)
     with _open(matrix_path) as fh:
         try:
             matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)

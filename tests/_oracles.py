@@ -179,7 +179,7 @@ def beta2_submatrix(space, member_ids) -> float:
     pts = space.coords[idx]
     centered = pts - (w[:, None] * pts).sum(axis=0) / mass
     moment = centered.T @ (w[:, None] * centered)
-    diam = float(space.distance_submatrix(ids).max())
+    diam = float(space.distance_matrix()[np.ix_(idx, idx)].max())
     if diam == 0.0:
         return 0.0
     resid = float(np.trace(moment) - np.linalg.eigh(moment)[0][-1])

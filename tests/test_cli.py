@@ -11,15 +11,16 @@ import csv
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import adjacency_forest_rows
-from rectilib.cli import _run_config, build_parser, main
+from rectilib.cli import FIELDS, VIEWS, _run_config, build_parser, finite, main
 from rectilib.density import density_profiles
 from rectilib.generators import GeneratorSpec, generate
-from rectilib.pipeline import RunConfig
+from rectilib.pipeline import STAGES, RunConfig, closure
 from rectilib.space import load_csv
 
 HOLE_ARGS = [
@@ -186,7 +187,7 @@ def test_density_profiles_selected_points(capsys, tmp_path):
 @pytest.mark.parametrize(
     "points, message",
     [(",", "names no point ids"), ("", "names no point ids"),
-     ("0,x", "must be integers")],
+     ("0,x", "must be integers"), ("1,5,1,1", "names id 1 more than once")],
 )
 def test_density_rejects_bad_point_lists(capsys, points, message):
     code, out, err = run_cli(
@@ -607,3 +608,61 @@ def test_unwritable_output_paths_exit_2_naming_the_path(
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert err.count(path) == 1 and "cannot write (" in err
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+FLOAT_FLAGS = ("--rho", "--c0", "--M", "--delta", "--eps-res", "--r-lo", "--r-hi")
+FLOAT_CASES = [
+    (command, flag)
+    for command, sub in _subcommands().items()
+    for flag in FLOAT_FLAGS
+    if flag in sub._option_string_actions
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", FLOAT_CASES)
+def test_non_finite_float_flags_exit_2_naming_the_flag(capsys, command, flag, value):
+    """Refused at parse time: an infinite --eps-res made every pair of
+    points adjacent and wrote Infinity, which is not JSON, into the report."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--kind", "interval", "--resolution", "50", f"{flag}={value}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid finite value: '{value}'" in err
+
+
+def test_float_flags_are_the_float_run_config_fields():
+    floats = {
+        f.name for f in dataclasses.fields(RunConfig) if f.type.startswith("float")
+    }
+    assert {name for name, kw in FIELDS.items() if kw.get("type") is finite} == floats
+    assert len(FLOAT_CASES) == 24
+
+
+def test_fields_are_the_run_config_fields_the_stages_read():
+    """Every flag of the field table is read by some stage; run also
+    takes --out-dir, read by run_pipeline."""
+    read = [f for row in STAGES for f in row[4]]
+    assert set(FIELDS) == set(read)
+    assert set(FIELDS) | {"out_dir"} == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_readmes_view_table_is_the_derived_stage_sets():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| view | stages |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        view, stages = line.strip("|").split("|")
+        rows[view.strip().strip("`")] = [s.strip() for s in stages.split(",")]
+    assert rows == {
+        view: [row[0] for row in closure(stages)]
+        for view, (stages, _, _) in VIEWS.items()
+    }

@@ -355,6 +355,14 @@ def test_gamma_chain_adjacency():
         assemble_gamma(space, target, empty, 0.0)
 
 
+@pytest.mark.parametrize("eps_res", [-1.0, math.nan, math.inf, -math.inf])
+def test_gamma_refuses_an_eps_res_that_is_not_positive_and_finite(eps_res):
+    """An infinite eps_res would make every ground pair adjacent."""
+    space = MetricMeasureSpace.from_coords(range(2), np.eye(2), np.ones(2))
+    with pytest.raises(ParameterError, match="positive and finite"):
+        assemble_gamma(space, enclosing_target(space), no_bridges(), eps_res)
+
+
 def test_gamma_skips_coincident_points():
     coords = np.array([[0.0], [0.0]])
     space = MetricMeasureSpace.from_coords(range(2), coords, np.ones(2))

@@ -272,10 +272,10 @@ def test_beta2_builds_no_distance_submatrix(monkeypatch, spec):
         subsets.append(target.members)
     want = [beta2_submatrix(space, m) for m in subsets]
 
-    def refuse(self, point_ids):
-        raise AssertionError("beta2 built a distance submatrix")
+    def refuse(self):
+        raise AssertionError("beta2 built a distance matrix")
 
-    monkeypatch.setattr(MetricMeasureSpace, "distance_submatrix", refuse)
+    monkeypatch.setattr(MetricMeasureSpace, "distance_matrix", refuse)
     assert [beta2(space, m).beta2 for m in subsets] == want
 
 

@@ -608,7 +608,7 @@ def _rows_by_stage(row_calls, cfg) -> tuple:
     """(points, {stage: rows computed by caller}) of one default run."""
     ctx = SimpleNamespace(cfg=cfg)
     by_stage = {}
-    for name, _, stage in STAGES:
+    for name, _, stage, *_ in STAGES:
         before = row_calls.copy()
         stage(ctx)
         added = row_calls - before

@@ -153,11 +153,12 @@ def test_distance_submatrix_matches_both_backends():
     rng = np.random.default_rng(11)
     space = random_cloud(rng, n=12)
     ids = [7, 2, 9]
-    sub = space.distance_submatrix(ids)
+    block = np.ix_(space.indices_of(ids), space.indices_of(ids))
+    sub = space.distance_matrix()[block]
     twin = MetricMeasureSpace.from_matrix(
         space.ids, space.distance_matrix(), space.weights
     )
-    assert np.allclose(sub, twin.distance_submatrix(ids))
+    assert np.allclose(sub, twin.distance_matrix()[block])
     for a, pa in enumerate(ids):
         for b, pb in enumerate(ids):
             d = space.dists_from(space.index_of(pa))[space.index_of(pb)]
@@ -453,6 +454,16 @@ def test_dyadic_radii_grid():
         dyadic_radii(2.0, 1.0)
     with pytest.raises(ParameterError):
         dyadic_radii(0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "r_lo, r_hi",
+    [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan), (math.nan, 1.0)],
+)
+def test_dyadic_radii_needs_finite_bounds(r_lo, r_hi):
+    """Halving inf gives inf, so an infinite top would never end the grid."""
+    with pytest.raises(ParameterError, match="r_hi < inf"):
+        dyadic_radii(r_lo, r_hi)
 
 
 def test_linear_mass_check_pass_and_fail():

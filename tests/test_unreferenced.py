@@ -32,8 +32,6 @@ KEEP = {
     "10 mu(E) on a stratum target (ROADMAP.md, open items)",
     "space.MetricMeasureSpace.distance_matrix": "property tests use it as the "
     "matrix-backend reference, and feed it to from_matrix",
-    "space.MetricMeasureSpace.distance_submatrix": "property tests use it as "
-    "the matrix-backend reference",
 }
 
 
