@@ -55,35 +55,6 @@ class CubeTree:
                 value.flags.writeable = False
 
 
-def _nearest(
-    space: MetricMeasureSpace,
-    candidate_idx: np.ndarray,
-    radius: float,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Index (into candidate_idx) of the nearest candidate to each point.
-
-    Equal distances resolve to the smaller candidate id (then the
-    earlier position).  Candidates closer than ``radius``, the level's
-    covering scale, come from one neighbour query; a point with none
-    there is compared with every candidate.
-    """
-    cand_ids = np.array([space.ids[k] for k in candidate_idx], dtype=np.int64)
-    q, j, d = space.neighbors(candidate_idx, radius)
-    # per point: the first pair by (distance, candidate id, position)
-    order = np.lexsort((cand_ids[q], d, j))
-    j, q = j[order], q[order]
-    first = np.ones(len(j), dtype=bool)
-    first[1:] = j[1:] != j[:-1]
-    best = np.full(len(space), -1, dtype=np.intp)
-    best[j[first]] = q[first]
-    out = best[points]
-    for m in np.flatnonzero(out < 0):
-        row = space.dists_between(int(points[m]), candidate_idx)
-        out[m] = np.lexsort((cand_ids, row))[0]
-    return out
-
-
 def build_cubes(
     space: MetricMeasureSpace,
     hierarchy: NetHierarchy,
@@ -100,15 +71,15 @@ def build_cubes(
     sizes = [len(idx) for idx in level_idx]
     # point -> position of its cube center within each level's net
     cube_of = np.empty((len(levels), len(space)), dtype=np.int64)
-    cube_of[-1] = _nearest(
-        space, level_idx[-1], hierarchy.scale(levels[-1]), np.arange(len(space))
-    )
+    cube_of[-1] = space.nearest(
+        np.arange(len(space)), level_idx[-1], hierarchy.scale(levels[-1])
+    )[0]
     for k in range(len(levels) - 2, -1, -1):
         # map each net point one level down to its nearest net point
         # here, then compose with the existing point assignment
-        up = _nearest(
-            space, level_idx[k], hierarchy.scale(levels[k]), level_idx[k + 1]
-        )
+        up = space.nearest(
+            level_idx[k + 1], level_idx[k], hierarchy.scale(levels[k])
+        )[0]
         cube_of[k] = up[cube_of[k + 1]]
 
     # a cube's id is its level's first id plus its net point's position;
@@ -141,10 +112,10 @@ def build_cubes(
         # every ratio found is below 1 and a far cube's is at least 1, so
         # far cubes need their rows only when nothing was found
         for k, c in far_cubes:
-            outside = cube_of[k] != c
-            if outside.any():
-                row = space.dists_from(int(center[c]))
-                c0 = min(c0, float(row[outside].min()) / sides[k])
+            outside = np.flatnonzero(cube_of[k] != c)
+            if len(outside):
+                row = space.dists_between(int(center[c]), outside)
+                c0 = min(c0, float(row.min()) / sides[k])
 
     return CubeTree(
         level=np.repeat(levels, sizes),

@@ -207,6 +207,10 @@ def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
     grows without bound as depth grows.  The flatness-weighted Jones
     function, sum of beta2(mu, 3Q)^2 * diam(Q)/mass(Q), is the quantity
     that characterises 1-rectifiable measures (ROADMAP, item 4).
+
+    A depth whose cube around x no longer holds x in floating point
+    (``low + side`` rounds to ``low``, or ``side`` underflows to 0) is a
+    :class:`ParameterError` naming the largest usable depth.
     """
     if space.coords is None:
         raise UnsupportedMetricError(
@@ -221,7 +225,14 @@ def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
     skipped = 0
     for m in range(depth + 1):
         side = 2.0**-m
-        low = np.floor(point / side) * side
+        with np.errstate(all="ignore"):  # a zero side makes low nan
+            low = np.floor(point / side) * side
+        if not np.all((low <= point) & (point < low + side)):
+            raise ParameterError(
+                f"depth {depth} is below float resolution at point {x}: "
+                f"its cube at depth {m} does not hold it; "
+                f"the largest usable depth is {m - 1}"
+            )
         inside = np.all(
             (space.coords >= low) & (space.coords < low + side), axis=1
         )

@@ -89,23 +89,15 @@ def dist_to_set(
 ) -> np.ndarray:
     """Distance from every point to the nearest of the given points.
 
-    Members are at distance 0.  Only member-to-outsider distances are
-    computed, one sub-row per point of the smaller side: each member's
-    distances to the outsiders, or each outsider's distances to the
-    members.  Both give the same values, since distances are exactly
-    symmetric.
+    Members are at distance 0; each outsider's distance comes from
+    :meth:`~rectilib.space.MetricMeasureSpace.nearest` over the members,
+    in blocks of member-to-outsider pairs.  An empty member set raises
+    :class:`~rectilib.errors.DegenerateInputError`.
     """
     idx = np.unique(space.indices_of(member_ids))
     outside = np.setdiff1d(np.arange(len(space)), idx)
     best = np.zeros(len(space))
-    if len(outside) < len(idx):
-        for k in outside:
-            best[k] = space.dists_between(int(k), idx).min()
-        return best
-    near = np.full(len(outside), math.inf)
-    for k in idx:
-        np.minimum(near, space.dists_between(int(k), outside), out=near)
-    best[outside] = near
+    best[outside] = space.nearest(outside, idx)[1]
     return best
 
 

@@ -48,25 +48,28 @@ its stored rows, a block at a time.
 A coordinate space needs no full row for its summary or its masses.
 :meth:`~MetricMeasureSpace.neighbors` answers "which points are closer
 than ``r``" for a batch of query points (in bounded batches from
-:meth:`~MetricMeasureSpace.neighbor_batches`), and
+:meth:`~MetricMeasureSpace.neighbor_batches`),
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
-chosen columns.  On coordinates the cells below pick the candidates and
-the row formula decides ``d < r`` on them, so ties on lattice inputs
-resolve exactly as the rows resolve them; a matrix space answers from
-its stored rows.  Nets, cubes, porous witnesses and the curve's
+chosen columns, and :meth:`~MetricMeasureSpace.nearest` gives each
+point's nearest candidate, the one nearest-point search of the package.
+On coordinates the cells below pick the candidates and the row formula
+decides ``d < r`` on them, so ties on lattice inputs resolve exactly as
+the rows resolve them; a matrix space answers from its stored rows.
+Nets, cubes, gaps to the target, porous witnesses and the curve's
 adjacency are built on these methods.
 
-The cell pass serves the summary, the eccentricities over a subset of
-the points, the ball masses and the neighbour query, with numpy alone.
+The cell pass serves the eccentricities, the summary's bound on the
+least gap, the ball masses and the neighbour query, with numpy alone.
 Its cells are median splits of the points, or of a subset, down to
 ``_CELL`` points; a cut never separates coincident points, so a stack of
 them may make a larger cell.  The tight boxes of two cells, widened by a
 pad of ``1e-6`` times the bounding-box diagonal, bound every distance
 between them, so a whole cell lies inside a ball, outside it, or
-straddles its boundary; only straddling cell pairs (and, for the
-summary, the pairs that may hold an eccentricity or the smallest gap)
-get distances, by the row formula, in blocks of at most ``_PAIR_BUDGET``
-pairs.  A cell inside a ball adds its level sums whole.
+straddles its boundary; only straddling cell pairs (and the pairs that
+may hold an eccentricity) get distances, by the row formula, in blocks
+of at most ``_PAIR_BUDGET`` pairs.  A cell inside a ball adds its level
+sums whole.  The least gap is the least positive distance inside a cell
+or among the neighbours within the boxes' bound on it.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -124,8 +127,9 @@ class MetricMeasureSpace:
     Build instances with :meth:`from_coords` or :meth:`from_matrix`;
     both validate their input.  Distances are served row-wise through
     :meth:`dists_from`, as chosen entries of a row through
-    :meth:`dists_between`, and as the pairs closer than a radius through
-    :meth:`neighbors`; a coordinate space computes each on demand, a
+    :meth:`dists_between`, as the pairs closer than a radius through
+    :meth:`neighbors`, and as each point's nearest candidate through
+    :meth:`nearest`; a coordinate space computes each on demand, a
     matrix space reads its stored matrix.
     """
 
@@ -411,6 +415,42 @@ class MetricMeasureSpace:
             yield slice(start, stop), q[keep], j[keep], d[keep]
             start = stop
 
+    def nearest(
+        self, points: np.ndarray, candidates: np.ndarray, radius: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's nearest candidate: its position in ``candidates``
+        and that distance, a row entry bit for bit.  Ties go to the
+        smaller candidate id, then the earlier position.
+
+        Candidates closer than ``radius`` come from one :meth:`neighbors`
+        query.  Every other point (every point when ``radius`` is None)
+        meets the candidates sorted by (id, position) in blocks of at
+        most ``_PAIR_BUDGET`` pairs; a later block wins only when closer.
+        """
+        points = np.asarray(points, dtype=np.intp).reshape(-1)
+        candidates = np.asarray(candidates, dtype=np.intp).reshape(-1)
+        if not len(candidates):
+            raise DegenerateInputError("no nearest point: the candidate set is empty")
+        cand_ids = np.asarray(self.ids, dtype=np.int64)[candidates]
+        pos = np.full(len(self), -1, dtype=np.intp)
+        dist = np.full(len(self), math.inf)
+        if radius is not None:
+            q, j, d = self.neighbors(candidates, radius)
+            # per point: the first pair by (distance, candidate id, position)
+            order = np.lexsort((q, cand_ids[q], d, j))
+            j, first = np.unique(j[order], return_index=True)
+            pos[j], dist[j] = q[order][first], d[order][first]
+        pos, dist = pos[points], dist[points]
+        rest = np.flatnonzero(pos < 0)
+        by_id = np.argsort(cand_ids, kind="stable")
+        for rs, cs in _blocks(len(rest), len(by_id)):
+            at = rest[rs]
+            d = self._pair_dists(points[at, None], candidates[by_id[None, cs]])
+            k, d = d.argmin(axis=1), d.min(axis=1)  # first least: smallest id
+            better = (d < dist[at]) | (pos[at] < 0)
+            pos[at[better]], dist[at[better]] = by_id[cs][k[better]], d[better]
+        return pos, dist
+
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
         coordinate space builds a fresh one per call and keeps none."""
@@ -581,8 +621,8 @@ class MetricMeasureSpace:
 
         The least positive distance is at most the least found inside
         any one cell, and at most the upper bound to any cell surely
-        apart; only the cells whose lower bound is within that are
-        searched for it.
+        apart; one :meth:`neighbor_batches` query for the pairs within
+        that bound then finds it.
         """
         ecc = self._cell_eccentricities()
         cells, lo, hi = self._cells()
@@ -598,17 +638,10 @@ class MetricMeasureSpace:
                 for rs, cs in _blocks(len(rows), len(rows)):
                     d = self._pair_dists(rows[rs, None], rows[None, cs])
                     found = min(found, np.min(d, where=d > 0, initial=math.inf))
-        bound = min(bound, found)
-        for a, rows in enumerate(cells):
-            mind, _ = _box_bounds(lo, hi, a)
-            near = np.flatnonzero(mind - pad <= bound)
-            near = near[near != a]
-            if not len(near):
-                continue
-            cols = np.concatenate([cells[b] for b in near])
-            for rs, cs in _blocks(len(rows), len(cols)):
-                d = self._pair_dists(rows[rs, None], cols[None, cs])
-                found = min(found, np.min(d, where=d > 0, initial=math.inf))
+        # the least positive distance is among the pairs at most the bound apart
+        reach = np.nextafter(min(bound, found), math.inf)
+        for *_, d in self.neighbor_batches(np.arange(len(self)), reach):
+            found = min(found, np.min(d, where=d > 0, initial=math.inf))
         return ecc, float(found)
 
     def _cell_sums(self, radii: list[float]) -> np.ndarray:

@@ -252,6 +252,25 @@ def test_bssum_emits_terms(capsys):
     assert payload["value"] == pytest.approx(3.007936507936508)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "point, depth, usable",
+    [(32, 54, 53), (32, 200, 53), (0, 1100, 1074), (32, 53, None), (0, 1074, None)],
+)
+def test_bssum_refuses_a_depth_below_float_resolution(capsys, point, depth, usable):
+    """Point 32 sits near 1/2, so at depth 54 its cube's ends round to one
+    value; point 0's sides reach 0.0 at depth 1075.  Such a cube would be
+    empty and skipped as zero mass, though x has weight 2/64."""
+    argv = ["bssum", "--kind", "interval", "--resolution", "64",
+            "--point", str(point), "--depth", str(depth)]
+    code, out, err = run_cli(capsys, argv)
+    if usable is None:
+        assert code == 0 and json.loads(out)["skipped"] == 0
+    else:
+        assert code == 2 and out == ""
+        assert f"the largest usable depth is {usable}" in err
+
+
 def test_porous_reports_family_and_packing(capsys):
     code, payload, _ = run_json(capsys, ["porous", *HOLE_ARGS])
     assert code == 0

@@ -21,6 +21,7 @@ from _oracles import (
     dist_to_set_brute,
     doubling_scan,
     mass_of,
+    nearest_rows,
     stratify_brute,
     summary_rows,
     weight_levels,
@@ -127,8 +128,48 @@ def test_coordinate_and_matrix_backends_agree(cloud, data):
         assert enclosing_target(space, members) == enclosing_target(twin, members)
         assert _mass_check(space, members) == _mass_check(twin, members)
     assert _doubling(space) == _doubling(twin)
+    if not members:
+        for s in (space, twin):
+            with pytest.raises(DegenerateInputError, match="candidate set is empty"):
+                dist_to_set(s, members)
+        return
     assert np.array_equal(dist_to_set(space, members), dist_to_set(twin, members))
     assert dist_to_set(space, members).tolist() == dist_to_set_brute(space, members)
+
+
+@given(clouds(sizes=(1, 90)), st.data())
+def test_nearest_is_the_first_least_row_entry_on_both_backends(cloud, data):
+    """Positions as the row scan picks them (ties to the smaller id, then
+    the earlier position), distances as the rows and the brute minimum
+    give them, with no radius, one that covers every point, one that
+    covers none and one between; a tiny budget makes many blocks."""
+    ids, coords, weights = cloud
+    n = len(ids)
+    space = MetricMeasureSpace.from_coords(ids, coords, weights)
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), weights)
+    cand = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    points = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=int)
+    radius = data.draw(st.sampled_from([None, 2 * space.diameter() + 1, 0.0, 0.7]))
+    budget = data.draw(st.sampled_from([_PAIR_BUDGET, 1, 5]))
+    want_pos = nearest_rows(space, cand)[points]
+    want_dist = [float(space.dists_from(int(cand[j]))[p]) for j, p in zip(want_pos, points)]
+    brute = dist_to_set_brute(space, [ids[k] for k in np.unique(cand)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_PAIR_BUDGET", budget)
+        for s in (space, twin):
+            pos, dist = s.nearest(points, cand, radius)
+            assert pos.tolist() == want_pos.tolist()
+            assert bits(dist) == bits(want_dist) == bits([brute[p] for p in points])
+
+
+def test_nearest_refuses_an_empty_candidate_set():
+    coords = np.array([[0.0], [1.0]])
+    space = MetricMeasureSpace.from_coords([4, 7], coords, np.ones(2))
+    twin = MetricMeasureSpace.from_matrix([4, 7], space.distance_matrix(), np.ones(2))
+    for s in (space, twin):
+        for radius in (None, 2.0):
+            with pytest.raises(DegenerateInputError, match="candidate set is empty"):
+                s.nearest([0, 1], [], radius)
 
 
 @given(clouds(), st.booleans(), st.data())
@@ -490,9 +531,31 @@ def test_cell_pass_without_a_positive_distance(coords):
     _cell_pass_matches_the_rows(space, [0.5, 1.0])
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "xs",
+    [[0.0] * 70, [0.0] * 70 + [1e-9] * 70 + [3e-9] * 70 + [1.0]],
+    ids=["one location", "stacks closer than the pad"],
+)
+def test_least_gap_when_no_cell_holds_a_positive_distance(xs, d):
+    """Every cell is one location, so the first pass finds no distance;
+    the stacks 1e-9 apart are not apart by their boxes (the pad is 1e-6),
+    and the least gap comes from the neighbour query alone."""
+    coords = np.zeros((len(xs), d))
+    coords[:, -1] = xs
+    space = MetricMeasureSpace.from_coords(range(len(xs)), coords, np.full(len(xs), 0.1))
+    assert all(np.ptp(coords[c], axis=0).max() == 0 for c in space._cells()[0])
+    matrix = space.distance_matrix()
+    positive = matrix[matrix > 0]
+    want = float(positive.min()) if positive.size else 0.0
+    twin = MetricMeasureSpace.from_matrix(range(len(xs)), matrix, space.weights)
+    assert space.min_gap() == twin.min_gap() == want
+
+
 def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     """A leaf of 8,200 coincident points: the summary and the doubling
-    masses still compute at most _PAIR_BUDGET distances per block."""
+    masses still compute at most _PAIR_BUDGET distances per block; the
+    summary's search for the least gap goes through the neighbour query."""
     ids, coords, weights = stacked_line(1000, {500: 8200}, 0.1)
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
     assert max(len(cell) for cell in space._cells()[0]) == 8200
@@ -501,6 +564,7 @@ def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     assert set(pair_evals) == {
         "MetricMeasureSpace._max_dists",
         "MetricMeasureSpace._cell_summary",
+        "MetricMeasureSpace.neighbor_batches",
         "MetricMeasureSpace._cell_sums",
     }
     blocks = [p for calls in pair_evals.values() for p in calls]
