@@ -202,20 +202,11 @@ def assemble_gamma(
     bridge_dst = np.column_stack([lx, lx + 1, lx + 1]).ravel()
 
     idx = space.indices_of(ground_ids.tolist())
-    # adjacency pairs: positions a < b in ground_ids (ground ids ascend,
-    # so h > g is b > a) and lengths
-    position = np.full(len(space), -1, dtype=np.intp)
-    position[idx] = np.arange(len(idx))
-    adjacency = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    for batch, a, j, d in space.neighbor_batches(idx, eps_res):
-        a, b = a + batch.start, position[j]
-        keep = (b > a) & (d > 0)  # coincident pairs are dropped batch by batch
-        adjacency.append((a[keep], b[keep], d[keep]))
-    adj_a, adj_b, adj_d = (np.concatenate(part) for part in zip(*adjacency))
+    adj_a, adj_b, adj_d = _adjacency_pairs(space, idx, eps_res)
     # the forest, ranked as parametrize ranks the whole graph, then
     # listed by ascending (a, b)
     ranked = np.lexsort((adj_b, adj_a, adj_d))
-    forest = ranked[_kruskal(n_ground, adj_a[ranked], adj_b[ranked])[0]]
+    forest = ranked[_spanning_forest(n_ground, adj_a[ranked], adj_b[ranked])[0]]
     forest = forest[np.lexsort((adj_b[forest], adj_a[forest]))]
     adj_a, adj_b, adj_d = adj_a[forest], adj_b[forest], adj_d[forest]
     return BridgeGraph(
@@ -230,6 +221,23 @@ def assemble_gamma(
     )
 
 
+def _adjacency_pairs(
+    space: MetricMeasureSpace, idx: np.ndarray, eps_res: float
+) -> tuple[np.ndarray, ...]:
+    """The pairs of positions ``a < b`` in ``idx`` closer than ``eps_res``
+    and apart, and their lengths (``idx`` ascends by id, so the larger id
+    is ``b``); a neighbour batch is reduced as it arrives, and none
+    outlives the call."""
+    position = np.full(len(space), -1, dtype=np.intp)
+    position[idx] = np.arange(len(idx))
+    adjacency = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for batch, a, j, d in space.neighbor_batches(idx, eps_res):
+        a, b = a + batch.start, position[j]
+        keep = (b > a) & (d > 0)  # coincident pairs are dropped batch by batch
+        adjacency.append((a[keep], b[keep], d[keep]))
+    return tuple(np.concatenate(part) for part in zip(*adjacency))
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectivityReport:
     components: int
@@ -238,7 +246,7 @@ class ConnectivityReport:
 
 def connectivity(graph: BridgeGraph) -> ConnectivityReport:
     """Connected components, listed by their smallest vertex."""
-    _, roots = _kruskal(graph.vertex_count(), graph.src, graph.dst)
+    _, roots = _spanning_forest(graph.vertex_count(), graph.src, graph.dst)
     _, first = np.unique(roots, return_index=True)
     return ConnectivityReport(len(first), np.sort(first))
 
@@ -333,26 +341,43 @@ class CurveParametrization:
     tree_length: float
 
 
-def _kruskal(
+def _spanning_forest(
     n: int, src: np.ndarray, dst: np.ndarray
-) -> tuple[list[int], np.ndarray]:
-    """Edges that join two trees, scanning in order, and each vertex's root."""
-    parent = list(range(n))
-    taken: list[int] = []
-    for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[b] = a
-            taken.append(k)
-            if len(taken) == n - 1:
-                break
-    roots = np.array(parent, dtype=np.int64)
-    while np.any(roots[roots] != roots):  # jump until each meets its root
-        roots = roots[roots]
-    return taken, roots
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges that join two trees when scanned in order, ascending,
+    and a component label (a vertex) per vertex.
+
+    The scan order is a strict order, so these edges are the unique
+    minimum spanning forest under it, and Borůvka rounds find them:
+    each component takes its first edge to another component, and the
+    components so joined merge.
+    """
+    src, dst = np.asarray(src), np.asarray(dst)
+    label, edge, a, b = np.arange(n), np.arange(len(src)), src, dst
+    taken = np.zeros(len(src), dtype=bool)
+    while True:
+        la, lb = label[a], label[b]
+        out = la != lb  # an edge inside a component stays inside
+        edge, a, b, la, lb = edge[out], a[out], b[out], la[out], lb[out]
+        if not len(edge):
+            break
+        first = np.full(n, len(src))
+        np.minimum.at(first, la, edge)
+        np.minimum.at(first, lb, edge)
+        comp = np.flatnonzero(first < len(src))
+        pick = first[comp]
+        taken[pick] = True
+        # each component points at the other end of its edge; two that
+        # took the same edge point at each other, and the smaller is root
+        parent = np.arange(n)
+        ends = label[src[pick]]
+        parent[comp] = np.where(ends == comp, label[dst[pick]], ends)
+        mutual = (parent[parent[comp]] == comp) & (comp < parent[comp])
+        parent[comp[mutual]] = comp[mutual]
+        while np.any(parent[parent] != parent):
+            parent = parent[parent]
+        label = parent[label]
+    return np.flatnonzero(taken), label
 
 
 def _euler_tour(
@@ -409,7 +434,7 @@ def parametrize(graph: BridgeGraph) -> CurveParametrization:
     if not n:
         raise ParameterError("cannot parametrize an empty graph")
     ranked = np.lexsort((graph.dst, graph.src, graph.length))
-    taken, _ = _kruskal(n, graph.src[ranked], graph.dst[ranked])
+    taken, _ = _spanning_forest(n, graph.src[ranked], graph.dst[ranked])
     # each taken edge joins two trees, so the forest has n - len(taken)
     components = n - len(taken)
     if components != 1:

@@ -29,12 +29,12 @@ A space caches what the pipeline asks for repeatedly:
   :meth:`~MetricMeasureSpace.diameter`, :meth:`~MetricMeasureSpace.min_gap`
   and the basepoint of :func:`enclosing_target` over every point are
   read.  A matrix space reduces its stored matrix; a coordinate space
-  asks the cell pass below;
+  asks the cell tree below;
 * open-ball masses, one array of length ``n`` per radius, filled by
   :meth:`~MetricMeasureSpace.ball_masses`, which answers a point set as
   one table;
-* the cells of the cell pass below, cut once from every point, and laid
-  end to end by the first neighbour query or ball-mass fill.
+* the cell tree below, cut once from every point by the first summary,
+  neighbour query or ball-mass fill.
 
 Every mass comes from one definition.  When a space is built, each
 weight is split into nonnegative parts, one per level (:func:`_split`),
@@ -42,8 +42,8 @@ so that a level's parts over any set of points sum exactly, in any
 order and grouping.  The mass of a set, :meth:`~MetricMeasureSpace.mass`,
 is its level sums added in level order: no order of the ids, no BLAS
 and no fill can move it.  Each backend has one ball-mass fill: a
-coordinate space sums levels over the cells below, a matrix space over
-its stored rows, a block at a time.
+coordinate space sums levels over the cell tree below, a matrix space
+over its stored rows, a block at a time.
 
 A coordinate space needs no full row for its summary or its masses.
 :meth:`~MetricMeasureSpace.neighbors` answers "which points are closer
@@ -52,24 +52,33 @@ than ``r``" for a batch of query points (in bounded batches from
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
 chosen columns, and :meth:`~MetricMeasureSpace.nearest` gives each
 point's nearest candidate, the one nearest-point search of the package.
-On coordinates the cells below pick the candidates and the row formula
-decides ``d < r`` on them, so ties on lattice inputs resolve exactly as
+On coordinates the cell tree below picks the candidates and the row
+formula decides ``d < r`` on them, so ties on lattice inputs resolve exactly as
 the rows resolve them; a matrix space answers from its stored rows.
 Nets, cubes, gaps to the target, porous witnesses and the curve's
 adjacency are built on these methods.
 
-The cell pass serves the eccentricities, the summary's bound on the
-least gap, the ball masses and the neighbour query, with numpy alone.
-Its cells are median splits of the points, or of a subset, down to
-``_CELL`` points; a cut never separates coincident points, so a stack of
-them may make a larger cell.  The tight boxes of two cells, widened by a
-pad of ``1e-6`` times the bounding-box diagonal, bound every distance
-between them, so a whole cell lies inside a ball, outside it, or
-straddles its boundary; only straddling cell pairs (and the pairs that
-may hold an eccentricity) get distances, by the row formula, in blocks
-of at most ``_PAIR_BUDGET`` pairs.  A cell inside a ball adds its level
-sums whole.  The least gap is the least positive distance inside a cell
-or among the neighbours within the boxes' bound on it.
+The cell tree serves the eccentricities, the least gap, the ball masses
+and the neighbour query, with numpy alone.  Its nodes are median splits
+of the points, or of a subset, down to leaves of ``_CELL`` points; a cut
+never separates coincident points, so a stack of them may make a larger
+leaf.  Each node keeps its points as one range of a common order, its
+tight box, its children and, for the tree of every point, its level
+sums.  The boxes of two nodes, widened by a pad of ``1e-6`` times the
+bounding-box diagonal, bound every distance between them, so a whole
+node lies inside a ball, outside it, or straddles its boundary.  A
+query walks node pairs level by level, as arrays, from the root pair
+down (dual-tree range counting: Gray & Moore, "'N-Body' problems in
+statistical learning", NIPS 2000): a pair its bounds decide is settled
+whole, and a pair left open gives way to its children's pairs.  Only
+open leaf pairs get distances, by the row formula, as padded blocks of
+leaf pieces of at most ``_PAIR_BUDGET`` distances.  The masses, the
+eccentricities and the least gap walk unordered pairs, so each block
+serves both of its leaves: a node inside a ball adds its level sums
+whole, a pair that cannot hold either node's farthest point is dropped,
+and so is a pair whose lower bound passes the least upper bound of the
+pairs surely apart.  The neighbour query walks each query's leaf against
+the nodes, from a level deep enough to skip the top of the tree.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -98,11 +107,11 @@ from .errors import (
 # Above this point count distance_matrix() refuses to build the full matrix.
 _DENSE_LIMIT = 5000
 # a neighbour batch holds at most this many candidate pairs, and the
-# cell pass computes at most this many distances per block
+# cell tree computes at most this many distances per block
 _PAIR_BUDGET = 1 << 18
-# the cell pass splits points into cells of at most this many (more only
-# when they coincide) and decides pairs of cells whole
-_CELL = 64
+# the cell tree splits points into leaves of at most this many (more
+# only when they coincide) and decides pairs of nodes whole
+_CELL = 16
 
 
 def seq_sum(values) -> float:
@@ -155,12 +164,17 @@ class MetricMeasureSpace:
         if matrix is not None:
             self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
+        try:  # the index order of the ids and the ids in it, for indices_of
+            ids_array = np.array(self.ids, dtype=np.int64)
+            order = np.argsort(ids_array, kind="stable")
+            self._by_id = (order, ids_array[order])
+        except OverflowError:  # an id past int64: indices_of looks up one by one
+            self._by_id = None
         self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
         self._parts = np.empty((0, 0))  # weights split by level, set by _validate_common
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
-        self._all_cells = None  # the cell pass's cells of every point, built once
-        self._layout = None  # the same cells end to end, built by _cell_layout
-        self._pad = 0.0  # widens the cells' bounds
+        self._cell_tree = None  # the cell tree of every point, built once
+        self._pad = 0.0  # widens the cell tree's box bounds
 
     # -- construction ---------------------------------------------------
 
@@ -301,7 +315,18 @@ class MetricMeasureSpace:
             raise UnknownIdentifierError(f"unknown point id {point_id!r}") from None
 
     def indices_of(self, point_ids: Iterable[int]) -> np.ndarray:
-        return np.array([self.index_of(p) for p in point_ids], dtype=np.intp)
+        """The index of each id, in order; the first unknown id raises.
+        Integer ids are looked up together in the ids sorted once."""
+        wanted = point_ids if isinstance(point_ids, np.ndarray) else list(point_ids)
+        keys = np.asarray(wanted)
+        if keys.dtype.kind != "i" or self._by_id is None:
+            return np.array([self.index_of(p) for p in wanted], dtype=np.intp)
+        order, sorted_ids = self._by_id
+        at = np.minimum(np.searchsorted(sorted_ids, keys), len(order) - 1)
+        unknown = np.flatnonzero(sorted_ids[at] != keys)
+        if len(unknown):
+            self.index_of(wanted[unknown[0]])
+        return order[at]
 
     def dists_from(self, index: int) -> np.ndarray:
         """Distances from the point at ``index`` to every point.
@@ -369,10 +394,10 @@ class MetricMeasureSpace:
         candidate pairs (more only for one query alone), so a caller
         that reduces each batch keeps its memory bounded even where many
         points coincide.  A matrix space scans its stored rows.  On
-        coordinates a cell is a candidate for a query when its box, less
-        the pad, lies within ``r`` of the box of the query's cell and
-        then of the query point; the row formula decides ``d < r`` on
-        the candidates' points.
+        coordinates a leaf of the cell tree is a candidate for a query
+        when its box, less the pad, lies within ``r`` of the box of the
+        query's leaf, down the tree, and then of the query point; the
+        row formula decides ``d < r`` on the candidates' points.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -384,17 +409,30 @@ class MetricMeasureSpace:
                 q, j = np.nonzero(rows < r)
                 yield slice(start, start + len(chunk)), q, j, rows[q, j]
             return
-        cells, lo, hi = self._cells()
-        order, first, size, cell_of = self._cell_layout()
-        pad, step = self._pad, max(1, _PAIR_BUDGET // len(cells))
-        # the candidate cells of each home cell of a query, by home
-        homes, home = np.unique(cell_of[query_idx], return_inverse=True)
-        near = [np.empty((2, 0), dtype=np.intp)]
-        for h in range(0, len(homes), step):
-            at = homes[h : h + step, None]
-            a, b = np.nonzero(_gaps(lo, hi, lo[at], hi[at]) - pad < r)
-            near.append(np.stack([a + h, b]))
-        near_home, near_cell = np.concatenate(near, axis=1)
+        if not len(query_idx):
+            return
+        tree, pad = self._tree(), self._pad
+        lo, hi, first = tree.lo, tree.hi, tree.start
+        size = tree.stop - tree.start
+        homes, home = np.unique(tree.leaf_of[query_idx], return_inverse=True)
+        # the candidate leaves of each home: pairs (home, node), each node
+        # giving way to its children while its box lies within r of the
+        # home's, from the deepest level that pairs with the homes in at
+        # most one pair per point
+        b = tree.cover(len(homes))
+        a, b = np.repeat(homes, len(b)), np.tile(b, len(homes))
+        near = []
+        while len(a):
+            keep = _gaps(*_rows((lo, hi), b), *_rows((lo, hi), a)) - pad < r
+            a, b = a[keep], b[keep]
+            leaf = tree.leaf[b]
+            near.append((a[leaf], b[leaf]))
+            a, kid = np.repeat(a[~leaf], 2), tree.child[b[~leaf]]
+            b = (kid[:, None] + (0, 1)).ravel()
+        near_home, near_cell = _joined(near)
+        by_home = np.argsort(near_home, kind="stable")
+        near_home = np.searchsorted(homes, near_home[by_home])
+        near_cell = near_cell[by_home]
         count = np.bincount(near_home, minlength=len(homes))
         skip = np.cumsum(count) - count
         pairs = np.cumsum(np.bincount(near_home, size[near_cell], len(homes))[home])
@@ -405,14 +443,16 @@ class MetricMeasureSpace:
             rows, own = query_idx[start:stop], home[start:stop]
             q = np.repeat(np.arange(len(rows)), count[own])
             c = near_cell[_runs(skip[own], count[own])]
-            x = self.coords[rows[q]]
-            keep = _gaps(lo[c], hi[c], x, x) - pad < r  # each query's own bound
+            x = np.take(self.coords, rows[q], axis=0)
+            keep = _gaps(*_rows((lo, hi), c), x, x) - pad < r  # each query's own bound
             q, c = q[keep], c[keep]
-            q, j = np.repeat(q, size[c]), order[_runs(first[c], size[c])]
+            q, j = np.repeat(q, size[c]), tree.order[_runs(first[c], size[c])]
             d = self._pair_dists(rows[q], j)
             keep = np.flatnonzero(d < r)
             keep = keep[np.argsort(q[keep] * n + j[keep], kind="stable")]
-            yield slice(start, stop), q[keep], j[keep], d[keep]
+            # the batch's candidates are dropped before the caller works
+            q, j, d = q[keep], j[keep], d[keep]
+            yield slice(start, stop), q, j, d
             start = stop
 
     def nearest(
@@ -470,7 +510,7 @@ class MetricMeasureSpace:
         distance (0.0 when there is none), computed once.
 
         A matrix space reduces its stored matrix; a coordinate space
-        asks the cells, and computes distances only between cells
+        walks the cell tree, and computes distances only between leaves
         whose box bounds leave the answer open.
         """
         if self._summary is None:
@@ -479,7 +519,7 @@ class MetricMeasureSpace:
                 ecc = m.max(axis=1)
                 gap = float(np.min(m, where=m > 0, initial=math.inf))
             else:
-                ecc, gap = self._cell_summary()
+                ecc, gap = self._tree_eccentricities(self._tree()), self._tree_gap()
             ecc.setflags(write=False)
             self._summary = (ecc, 0.0 if gap == math.inf else gap)
         return self._summary
@@ -497,7 +537,7 @@ class MetricMeasureSpace:
         Over every point this reads the summary.  Over fewer, a matrix
         space reduces the members' submatrix a block of rows at a time,
         and a coordinate space applies the summary's eccentricity rule to
-        cells made of the members.  Indices may repeat.
+        a cell tree of the members.  Indices may repeat.
         """
         idx = np.asarray(indices, dtype=np.intp)
         members = np.unique(idx)
@@ -505,7 +545,7 @@ class MetricMeasureSpace:
             return self.summary()[0][idx]
         if self._matrix is not None:
             return self._max_dists(idx, members)
-        return self._cell_eccentricities(members)[idx]
+        return self._tree_eccentricities(self._tree(members))[idx]
 
     def _max_dists(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Each ``rows`` point's largest distance to the ``cols`` points,
@@ -524,8 +564,8 @@ class MetricMeasureSpace:
         than ``radii[c]`` to the point at ``indices[a]``.
 
         Masses are cached per radius, one column over every point; the
-        radii a call finds missing are filled together, by the cells on
-        coordinates and by the stored rows of a matrix.  Exact level
+        radii a call finds missing are filled together, by the cell tree
+        on coordinates and by the stored rows of a matrix.  Exact level
         sums make both fills, in any order of the calls, give the same
         bits.  A radius that is not ``> 0`` raises before any cache
         changes.
@@ -534,9 +574,9 @@ class MetricMeasureSpace:
         if bad:
             raise ParameterError(f"ball radii must be positive, got {bad[0]!r}")
         idx = np.asarray(indices, dtype=np.intp)
-        missing = list(dict.fromkeys(r for r in radii if r not in self._masses))
+        missing = sorted({r for r in radii if r not in self._masses})
         if missing:
-            fill = self._row_sums if self.coords is None else self._cell_sums
+            fill = self._row_sums if self.coords is None else self._tree_sums
             for r, column in zip(missing, _add_levels(fill(missing))):
                 self._masses[r] = _read_only(column)
         table = np.empty((len(idx), len(radii)))
@@ -556,130 +596,142 @@ class MetricMeasureSpace:
                 sums[c, rs] += (block < r) @ parts
         return sums
 
-    # -- the cell pass ---------------------------------------------------
+    # -- the cell tree ---------------------------------------------------
 
-    def _cells(
-        self, members: np.ndarray | None = None
-    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """The cells' point indices, and each cell's box as the per-axis
-        minimum and maximum of its points.
+    def _tree(self, members: np.ndarray | None = None) -> "_CellTree":
+        """The cell tree of ``members``; the tree of every point is built
+        once, with its level sums."""
+        if members is not None:
+            return _CellTree(self.coords, members)
+        if self._cell_tree is None:
+            self._cell_tree = _CellTree(self.coords, np.arange(len(self)), self._parts)
+        return self._cell_tree
 
-        The points (default: every point, cut once) are halved by median
-        splits down to ``_CELL`` points.  Each cut sorts a part along its
-        widest axis and goes at the value change nearest the middle, so
-        the points of one location share a cell, and a part whose points
-        all coincide stays one cell, however large.
+    def _tree_eccentricities(self, tree: "_CellTree") -> np.ndarray:
+        """Each point of ``tree``'s largest distance to its points, at its
+        index of a length-``n`` array.
+
+        Pairs are unordered, and each block of distances serves both of
+        its leaves.  A node pair can hold the farthest point from a point
+        of one node only while its upper bound reaches the largest lower
+        bound among that node's pairs; a pair that can do so for neither
+        node is dropped.
         """
-        if members is None:
-            if self._all_cells is None:
-                self._all_cells = self._cells(np.arange(len(self)))
-            return self._all_cells
-        cells, parts = [], [members]
-        while parts:
-            part = parts.pop()
-            if len(part) > _CELL:
-                x = self.coords[part]
-                axis = x[:, np.ptp(x, axis=0).argmax()]
-                order = np.argsort(axis, kind="stable")
-                part, axis = part[order], axis[order]
-                cuts = np.flatnonzero(axis[1:] != axis[:-1]) + 1
-                if len(cuts):  # else the widest axis is flat: one location
-                    cut = cuts[np.abs(cuts - len(part) // 2).argmin()]
-                    parts += [part[:cut], part[cut:]]
-                    continue
-            cells.append(part)
-        lo = np.array([self.coords[c].min(axis=0) for c in cells])
-        hi = np.array([self.coords[c].max(axis=0) for c in cells])
-        return cells, lo, hi
-
-    def _cell_layout(self) -> tuple[np.ndarray, ...]:
-        """The cells of every point end to end: their point indices in
-        cell order, each cell's first position and size, each point's cell."""
-        if self._layout is None:
-            size = np.array([len(c) for c in self._cells()[0]])
-            order = np.concatenate(self._cells()[0])
-            cell_of = np.repeat(np.arange(len(size)), size)[np.argsort(order)]
-            self._layout = (order, np.cumsum(size) - size, size, cell_of)
-        return self._layout
-
-    def _cell_eccentricities(self, members: np.ndarray | None = None) -> np.ndarray:
-        """Each member's largest distance to the members (default: every
-        point), at its index of a length-``n`` array.  A cell B can hold
-        a point's farthest member only when its upper bound reaches the
-        largest lower bound over all cells."""
-        cells, lo, hi = self._cells(members)
-        ecc = np.empty(len(self))
-        for a, rows in enumerate(cells):
-            mind, maxd = _box_bounds(lo, hi, a)
-            far = np.flatnonzero(maxd + self._pad >= mind.max() - self._pad)
-            ecc[rows] = self._max_dists(rows, np.concatenate([cells[b] for b in far]))
+        pad = self._pad
+        a = b = np.zeros(1, dtype=np.intp)
+        leaves = []
+        while len(a):
+            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
+            reach = np.full(tree.count, -math.inf)
+            np.maximum.at(reach, a, mind)
+            np.maximum.at(reach, b, mind)
+            keep = maxd + pad >= np.minimum(reach[a], reach[b]) - pad
+            a, b = a[keep], b[keep]
+            leaf = tree.leaf[a] & tree.leaf[b]
+            leaves.append((a[leaf], b[leaf]))
+            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
+        ecc = np.full(len(self), -math.inf)
+        for _, rows, cols, _, _ in tree.blocks(*_joined(leaves)):
+            d = self._pair_dists(rows[:, :, None], cols[:, None, :])
+            np.maximum.at(ecc, rows, d.max(axis=2))
+            np.maximum.at(ecc, cols, d.max(axis=1))
         return ecc
 
-    def _cell_summary(self) -> tuple[np.ndarray, float]:
-        """Eccentricities and the least positive distance (``inf`` when
-        there is none) from the cells.
+    def _tree_gap(self) -> float:
+        """The least positive distance (``inf`` when there is none).
 
-        The least positive distance is at most the least found inside
-        any one cell, and at most the upper bound to any cell surely
-        apart; one :meth:`neighbor_batches` query for the pairs within
-        that bound then finds it.
+        It is at most ``bound``, the least upper bound of the unordered
+        node pairs whose boxes are surely apart.  Pairs whose lower
+        bound passes it, and a one-location leaf with itself, hold no
+        smaller positive distance; the leaf pairs left get distances.
         """
-        ecc = self._cell_eccentricities()
-        cells, lo, hi = self._cells()
-        pad = self._pad
-        found = math.inf  # least positive distance computed so far
-        bound = math.inf  # and an upper bound on it from the boxes
-        for a, rows in enumerate(cells):
-            mind, maxd = _box_bounds(lo, hi, a)
-            apart = mind - pad > 0  # every distance to such a cell is positive
+        tree, pad = self._tree(), self._pad
+        bound = math.inf
+        a = b = np.zeros(1, dtype=np.intp)
+        leaves = []
+        while len(a):
+            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
+            apart = mind - pad > 0
             if apart.any():
                 bound = min(bound, float(maxd[apart].min()) + pad)
-            if maxd[a] > 0:  # else every point of the cell coincides
-                for rs, cs in _blocks(len(rows), len(rows)):
-                    d = self._pair_dists(rows[rs, None], rows[None, cs])
-                    found = min(found, np.min(d, where=d > 0, initial=math.inf))
-        # the least positive distance is among the pairs at most the bound apart
-        reach = np.nextafter(min(bound, found), math.inf)
-        for *_, d in self.neighbor_batches(np.arange(len(self)), reach):
-            found = min(found, np.min(d, where=d > 0, initial=math.inf))
-        return ecc, float(found)
+            keep = (mind - pad <= bound) & ~((a == b) & tree.spot[a])
+            a, b, mind = a[keep], b[keep], mind[keep]
+            leaf = tree.leaf[a] & tree.leaf[b]
+            leaves.append((a[leaf], b[leaf], mind[leaf]))
+            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
+        a, b, mind = _joined(leaves)
+        near = mind - pad <= bound  # the bound has only fallen since
+        found = math.inf
+        for _, rows, cols, _, _ in tree.blocks(a[near], b[near]):
+            d = self._pair_dists(rows[:, :, None], cols[:, None, :])
+            found = min(found, float(np.min(d, where=d > 0, initial=math.inf)))
+        return found
 
-    def _cell_sums(self, radii: list[float]) -> np.ndarray:
+    def _tree_sums(self, radii: list[float]) -> np.ndarray:
         """``sums[c, i, k]``: the level-``k`` parts of the points closer
-        than ``radii[c]`` to point ``i``, summed from the cells.
+        than ``radii[c]`` (ascending) to point ``i``, over the cell tree.
 
-        For a query cell A, a cell B inside a radius (upper bound below
-        it) adds its own level sums to every point of A, and a cell
-        outside it (lower bound at or above it) adds nothing.  A cell
-        that straddles some radius is computed once against A, and each
-        radius it straddles adds the parts of its columns with
-        ``d < r``.
+        Each unordered node pair keeps the run of radii still open for
+        it.  The radii that its box bounds put outside add nothing, those
+        they put inside add each node's level sums to every point of the
+        other (kept per node as a difference over the radii, then pushed
+        down the tree), and those between stay open for its child pairs.
+        A leaf pair still open gets one block of distances; each of its
+        open radii adds, to each point of either leaf, the parts of the
+        other's points with ``d < r``.
         """
-        cells, lo, hi = self._cells()
-        pad, parts = self._pad, self._parts
-        order, first, sizes, _ = self._cell_layout()
-        cell_sums = np.add.reduceat(parts[order], first)
-        radii_arr = np.array(radii)
-        sums = np.empty((len(radii), len(self), parts.shape[1]))
-        for a, rows in enumerate(cells):
-            mind, maxd = _box_bounds(lo, hi, a)
-            inside = maxd[:, None] + pad < radii_arr  # (cell, radius)
-            straddle = ~inside & (mind[:, None] - pad < radii_arr)
-            sums[:, rows] = (inside.T @ cell_sums)[:, None]
-            open_ = np.flatnonzero(straddle.any(axis=1))
-            if not len(open_):
-                continue
-            cols = np.concatenate([cells[b] for b in open_])
-            col_parts = parts[cols]
-            # per radius, the block columns of the cells straddling it
-            masks = np.repeat(straddle[open_], sizes[open_], axis=0).T
-            for rs, cs in _blocks(len(rows), len(cols)):
-                d = self._pair_dists(rows[rs, None], cols[None, cs])
-                for c, r in enumerate(radii):
-                    keep = masks[c, cs]
-                    near = np.compress(keep, d, axis=1) < r
-                    sums[c, rows[rs]] += near @ col_parts[cs][keep]
-        return sums
+        tree, pad, n = self._tree(), self._pad, len(self)
+        levels = self._parts.shape[1]
+        r, count = np.asarray(radii, dtype=float), len(radii)
+        a = b = np.zeros(1, dtype=np.intp)
+        first, stop = np.zeros(1, dtype=np.intp), np.full(1, count)
+        whole, leaves = [], []
+        while len(a):
+            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
+            low = np.maximum(np.searchsorted(r, mind - pad, "right"), first)
+            high = np.clip(np.searchsorted(r, maxd + pad, "right"), low, stop)
+            inside = high < stop  # each node lies inside radii high .. stop - 1
+            whole.append((a[inside], b[inside], high[inside], stop[inside]))
+            open_ = low < high
+            a, b, first, stop = a[open_], b[open_], low[open_], high[open_]
+            leaf = tree.leaf[a] & tree.leaf[b]
+            leaves.append((a[leaf], b[leaf], first[leaf], stop[leaf]))
+            a, b, up = tree.split(a[~leaf], b[~leaf], symmetric=True)
+            first, stop = first[~leaf][up], stop[~leaf][up]
+        # per level and radius a slot for every point and one more, which
+        # padding and the second side of a leaf's pair with itself go to
+        sums = np.zeros((levels, count, n + 1))
+        sums[..., :n] = tree.whole_sums(*_joined(whole), count).T
+        la, lb, l_first, l_stop = _joined(leaves)
+        parts = np.concatenate([self._parts, np.zeros((1, levels))])
+        for k, rows, cols, row_ok, col_ok in tree.blocks(la, lb):
+            d = self._pair_dists(rows[:, :, None], cols[:, None, :])
+            to_row = np.where(row_ok, rows, n)
+            to_col = np.where(col_ok & (la[k] != lb[k])[:, None], cols, n)
+            of_col = np.where(col_ok, cols, n)
+            _add_near(sums, d, r, l_first[k], l_stop[k], parts, to_row, to_col, of_col)
+        return sums[..., :n].transpose(1, 2, 0)
+
+
+def _add_near(sums, d, r, first, stop, parts, to_row, to_col, of_col) -> None:
+    """Add one block's near parts to ``sums[k, c, i]``: for each leaf
+    pair ``p`` and radius ``c`` in ``first[p] .. stop[p] - 1``, the parts
+    of the columns with ``d[p] < r[c]`` to the points ``to_row[p]``, and
+    of the rows (``to_row[p]``'s parts) to ``to_col[p]``."""
+    n = sums.shape[-1] - 1
+    span = stop - first
+    of_row, of_col = np.take(parts, to_row, axis=0), np.take(parts, of_col, axis=0)
+    got, dest = [], []
+    for step in range(span.max()):
+        at = np.flatnonzero(span > step) if step else slice(None)
+        near = (d[at] < r[first[at] + step, None, None]).astype(float)
+        slot = (first[at, None] + step) * (n + 1)
+        got += [near @ of_col[at], near.transpose(0, 2, 1) @ of_row[at]]
+        dest += [slot + to_row[at], slot + to_col[at]]
+    got = np.concatenate([g.reshape(-1, parts.shape[1]) for g in got])
+    dest = np.concatenate([t.ravel() for t in dest])
+    for k, level in enumerate(sums):
+        level += np.bincount(dest, got[:, k], level.size).reshape(level.shape)
 
 
 def _split(weights: np.ndarray) -> np.ndarray:
@@ -714,11 +766,12 @@ def _add_levels(sums: np.ndarray) -> np.ndarray:
     return total
 
 
-def _box_bounds(lo, hi, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per box: the least and the largest distance between a point of
-    box ``a`` and a point of that box, up to rounding.  The largest is
-    the least with the ends of every box swapped."""
-    return _gaps(lo, hi, lo[a], hi[a]), _gaps(hi, lo, hi[a], lo[a])
+def _box_bounds(lo, hi, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of boxes ``a[k]``, ``b[k]``: the least and the largest
+    distance between a point of one and a point of the other, up to
+    rounding.  The largest is the least with the ends of both swapped."""
+    (lo_a, hi_a), (lo_b, hi_b) = _rows((lo, hi), a), _rows((lo, hi), b)
+    return _gaps(lo_b, hi_b, lo_a, hi_a), _gaps(hi_b, lo_b, hi_a, lo_a)
 
 
 def _gaps(lo, hi, a_lo, a_hi) -> np.ndarray:
@@ -747,6 +800,185 @@ def _blocks(rows: int, cols: int) -> Iterator[tuple[slice, slice]]:
     for i in range(0, rows, height):
         for j in range(0, cols, width):
             yield slice(i, i + height), slice(j, j + width)
+
+
+class _CellTree:
+    """Median splits of a point set, kept as a binary tree.
+
+    Nodes are numbered level by level from the root, 0.  Node ``v``
+    holds the points ``order[start[v]:stop[v]]``, its tight box is
+    ``lo[v]``, ``hi[v]``, and its children are ``child[v]`` and
+    ``child[v] + 1`` (a leaf's ``child`` is -1).  A part of more than
+    ``_CELL`` points is sorted along its widest axis and cut at the value
+    change nearest the middle, so a location is never split and a part
+    whose points all coincide stays one leaf, however large.  With
+    ``parts``, ``sums[v]`` are the node's level sums, from prefix sums
+    (exact, as every level sum is), and ``leaf_of`` maps each point to
+    its leaf.
+    """
+
+    def __init__(self, coords: np.ndarray, members: np.ndarray, parts=None):
+        order = np.array(members, dtype=np.intp)
+        start, stop = [np.zeros(1, dtype=np.intp)], [np.array([len(order)])]
+        lo, hi, child = [], [], []
+        self.count = 1
+        while True:  # one level of nodes per pass
+            s, e = start[-1], stop[-1]
+            size = e - s
+            x = np.take(coords, order[_runs(s, size)], axis=0)
+            lo.append(np.minimum.reduceat(x, np.cumsum(size) - size))
+            hi.append(np.maximum.reduceat(x, np.cumsum(size) - size))
+            kids = np.full(len(s), -1)
+            child.append(kids)
+            big = np.flatnonzero(size > _CELL)
+            if not len(big):
+                break
+            s, size = s[big], size[big]
+            pos = _runs(s, size)
+            part = np.repeat(np.arange(len(big)), size)
+            axis = (hi[-1] - lo[-1])[big].argmax(axis=1)
+            v = coords[order[pos], axis[part]]
+            by = np.lexsort((v, part))  # stable: ties keep their order
+            order[pos], v = order[pos[by]], v[by]
+            # per part, the value changes on either side of its middle
+            base = np.cumsum(size) - size
+            change = np.flatnonzero((v[1:] != v[:-1]) & (part[1:] == part[:-1])) + 1
+            mid = base + size // 2
+            ends = np.concatenate([[-len(v)], change, [2 * len(v)]])
+            after = np.searchsorted(change, mid) + 1
+            left, right = ends[after - 1], ends[after]
+            left_ok, right_ok = left > base, right < base + size
+            nearer = left_ok & ~(right_ok & (right - mid < mid - left))
+            cut = s + np.where(nearer, left, right) - base
+            split = left_ok | right_ok  # else one location: a leaf
+            if not split.any():
+                break
+            kids[big[split]] = self.count + 2 * np.arange(split.sum())
+            self.count += 2 * int(split.sum())
+            s, e, cut = s[split], (s + size)[split], cut[split]
+            start.append(np.column_stack([s, cut]).ravel())
+            stop.append(np.column_stack([cut, e]).ravel())
+        self.levels = np.cumsum([0] + [len(s) for s in start])
+        self.depth = np.repeat(np.arange(len(start)), np.diff(self.levels))
+        self.order = order
+        self.start, self.stop = np.concatenate(start), np.concatenate(stop)
+        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
+        self.child = np.concatenate(child)
+        self.leaf = self.child < 0
+        self.spot = np.all(self.lo == self.hi, axis=1)  # one location
+        # per level, its nodes and the leaves above it: the cover's size
+        shallow = np.cumsum(np.bincount(self.depth[self.leaf], minlength=len(start)))
+        self.wide = np.diff(self.levels) + np.concatenate([[0], shallow[:-1]])
+        self.covers: dict[int, np.ndarray] = {}
+        size = self.stop - self.start
+        # the side of a block; a larger leaf is one location, cut in pieces
+        self.width = int(min(_CELL, size[self.leaf].max()))
+        if parts is not None:
+            cum = np.cumsum(np.concatenate([np.zeros((1, parts.shape[1])), parts[order]]), axis=0)
+            self.sums = cum[self.stop] - cum[self.start]
+            leaves = np.flatnonzero(self.leaf)
+            self.leaf_of = np.empty(len(order), dtype=np.intp)
+            self.leaf_of[order[_runs(self.start[leaves], size[leaves])]] = np.repeat(
+                leaves, size[leaves]
+            )
+
+    def split(self, a, b, symmetric: bool = False):
+        """The child pairs of the node pairs ``(a, b)``, none of them two
+        leaves: each node of a pair that is not a leaf gives way to its
+        two children.  Returns the child pairs and each one's parent
+        pair.  ``symmetric`` pairs are unordered, so a node's pair with
+        itself gives three."""
+        ca, cb = self.child[a], self.child[b]
+        na, nb = 1 + (ca >= 0), 1 + (cb >= 0)
+        up = np.repeat(np.arange(len(a)), na * nb)
+        t = _runs(np.zeros(len(a), dtype=np.intp), na * nb)
+        ca, cb = ca[up], cb[up]
+        a2 = np.where(ca < 0, a[up], ca + t // nb[up])
+        b2 = np.where(cb < 0, b[up], cb + t % nb[up])
+        if symmetric:
+            keep = (a[up] != b[up]) | (a2 <= b2)
+            return a2[keep], b2[keep], up[keep]
+        return a2, b2, up
+
+    def cover(self, homes: int) -> np.ndarray:
+        """The nodes of the deepest level, with the leaves above it, that
+        pair with ``homes`` nodes in at most one pair per point (the root
+        when none does); together they hold every point once."""
+        level = max(0, np.searchsorted(self.wide * homes, len(self.order), "right") - 1)
+        if level not in self.covers:
+            depth = self.depth
+            at = (depth == level) | self.leaf & (depth < level)
+            self.covers[level] = np.flatnonzero(at)
+        return self.covers[level]
+
+    def whole_sums(self, a, b, first, stop, count: int) -> np.ndarray:
+        """``sums[i, c, k]``: the level-``k`` sums that point ``i`` gets
+        from the unordered node pairs ``(a, b)`` held whole by the radii
+        ``first .. stop - 1`` of ``count``, each node getting the other's.
+
+        Per node, a node's sums go in at its pair's first radius and out
+        past its last; summed over the radii and down the tree, from each
+        node to its children, they reach the points.  Every partial sum
+        is a subset's level sum, exact in any grouping.
+        """
+        two = a != b
+        to, of = np.concatenate([a, b[two]]), np.concatenate([b, a[two]])
+        first, stop = np.concatenate([first, first[two]]), np.concatenate([stop, stop[two]])
+        at = np.concatenate([to * (count + 1) + first, to * (count + 1) + stop])
+        node = np.empty((self.count, count + 1, self.sums.shape[1]))
+        for k, part in enumerate(self.sums[of].T):
+            node[..., k] = np.bincount(
+                at, np.concatenate([part, -part]), node[..., k].size
+            ).reshape(self.count, count + 1)
+        node = np.cumsum(node, axis=1)[:, :count]
+        for v in range(len(self.levels) - 2):
+            at = np.arange(self.levels[v], self.levels[v + 1])
+            at = at[~self.leaf[at]]
+            node[self.child[at]] += node[at]
+            node[self.child[at] + 1] += node[at]
+        return node[self.leaf_of]
+
+    def blocks(self, a, b):
+        """The leaf pairs ``(a, b)`` as padded blocks of point indices.
+
+        Each leaf is cut into pieces of ``width`` points, and each pair of
+        pieces is one row of a block; a block holds at most
+        ``_PAIR_BUDGET`` distances, and no more piece pairs than the tree
+        has points per piece, so that its arrays stay near the size of a
+        column of masses (a block has at least one piece pair).  Yields
+        ``(k, rows, cols, row_ok, col_ok)``: ``rows[p]`` and ``cols[p]``
+        are ``width`` points of pieces of ``a[k[p]]`` and ``b[k[p]]``, a
+        short piece padded with its last point, and the ``_ok`` masks
+        mark the points that are not padding.
+        """
+        width = self.width
+        na = -(-(self.stop[a] - self.start[a]) // width)
+        nb = -(-(self.stop[b] - self.start[b]) // width)
+        k = np.repeat(np.arange(len(a)), na * nb)
+        t = _runs(np.zeros(len(a), dtype=np.intp), na * nb)
+        row = self.start[a[k]] + t // nb[k] * width
+        col = self.start[b[k]] + t % nb[k] * width
+        row_n = np.minimum(width, self.stop[a[k]] - row)
+        col_n = np.minimum(width, self.stop[b[k]] - col)
+        lane = np.arange(width)
+        step = max(1, min(_PAIR_BUDGET // (width * width), len(self.order) // width))
+        for i in range(0, len(k), step):
+            at = slice(i, i + step)
+            rn, cn = row_n[at, None], col_n[at, None]
+            rows = self.order[row[at, None] + np.minimum(lane, rn - 1)]
+            cols = self.order[col[at, None] + np.minimum(lane, cn - 1)]
+            yield k[at], rows, cols, lane < rn, lane < cn
+
+
+def _rows(arrays, at) -> list[np.ndarray]:
+    """Rows ``at`` of each array (``take`` is much faster than fancy
+    indexing on rows)."""
+    return [np.take(x, at, axis=0) for x in arrays]
+
+
+def _joined(pieces: list[tuple]) -> tuple[np.ndarray, ...]:
+    """Each field of a list of equal-shaped tuples of arrays, concatenated."""
+    return tuple(np.concatenate(field) for field in zip(*pieces))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ from rectilib.space import (
     MetricMeasureSpace,
     TargetSet,
     ball_members,
+    doubling_estimate,
+    dyadic_radii,
     enclosing_target,
 )
 
@@ -174,20 +176,19 @@ def test_batches_stay_within_the_pair_budget(cloud, data):
 
 
 def test_one_point_queries_build_no_tree(monkeypatch):
-    """Once the space's own cells exist, one-point queries and the net
-    scan (which asks its lookahead of points at once) cut no other
-    cells, and give the row-based answers."""
+    """Once the space's own cell tree exists, one-point queries and the
+    net scan (which asks its lookahead of points at once) build no other
+    tree, and give the row-based answers."""
     space, _ = generate(GeneratorSpec("circle", 400))
-    space.neighbors([0], 0.1)  # the cells of every point, built once
+    space.neighbors([0], 0.1)  # the cell tree of every point, built once
     built = []
-    original = MetricMeasureSpace._cells
+    original = space_module._CellTree
 
-    def counted(self, members=None):
-        if members is not None:
-            built.append(len(members))
-        return original(self, members)
+    def counted(*args, **kwargs):
+        built.append(len(args[1]))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(MetricMeasureSpace, "_cells", counted)
+    monkeypatch.setattr(space_module, "_CellTree", counted)
     gap = space.min_gap()
     for k, r in [(0, 0.1), (7, gap), (7, gap * (1 + 1e-9)), (399, 0.5), (3, 5.0)]:
         assert_same_pairs(space.neighbors([k], r), row_pairs(space, [k], r))
@@ -227,7 +228,7 @@ def test_an_empty_query_or_a_zero_radius_finds_no_pair(backend):
 
 @pytest.mark.parametrize("backend", ["coords", "matrix"])
 def test_a_stack_larger_than_a_cell_keeps_the_budget(backend, pair_evals):
-    """_CELL + 36 coincident points make one oversized cell beside a
+    """_CELL + 36 coincident points make one oversized leaf beside a
     line of 40 points.  The answer is the rows', and a batch of more
     than one query computes at most _PAIR_BUDGET candidate pairs."""
     stack, budget = space_module._CELL + 36, 250
@@ -235,7 +236,8 @@ def test_a_stack_larger_than_a_cell_keeps_the_budget(backend, pair_evals):
     coords[stack:, 0] = np.arange(40) / 39
     n = len(coords)
     backends = both_backends(range(n), coords, np.ones(n))
-    assert max(len(c) for c in backends[0]._cells()[0]) == stack
+    tree = backends[0]._tree()
+    assert (tree.stop - tree.start)[tree.leaf].max() == stack
     space = backends[backend == "matrix"]
     query = np.random.default_rng(0).integers(0, n, size=2 * n)
     with pytest.MonkeyPatch.context() as patch:
@@ -270,12 +272,12 @@ def test_clouds_in_three_and_five_dimensions_give_the_row_masks(d):
                 assert_same_pairs(space.neighbors(query, r), row_pairs(space, query, r))
 
 
-def test_coincident_points_share_one_small_ball(pair_evals, row_calls):
-    """298 coincident points make one cell, whose box lies inside every
-    ball around them: their small balls cost no distances among them,
-    not 298 balls of 298 pairs, and no tree.  The only distances are
-    the stack's to the two other points, both ways, and those two's
-    to each other.  The weights are unequal."""
+def test_coincident_points_share_one_small_ball(monkeypatch, row_calls):
+    """298 coincident points make one leaf, whose box lies inside every
+    ball around them: their small balls cost no distance among them,
+    not 298 balls of 298 pairs.  The only distances are the stack's to
+    the two other points, both ways, and those two's to each other.
+    The weights are unequal."""
     coords = np.zeros((300, 1))
     coords[5, 0] = -0.0
     coords[-2:, 0] = [0.5, 1.0]
@@ -283,14 +285,44 @@ def test_coincident_points_share_one_small_ball(pair_evals, row_calls):
     weights[-1] = 0.2
     space = MetricMeasureSpace.from_coords(range(300), coords, weights)
     gap = space.min_gap()
-    pair_evals.clear()
+    pairs = []
+    original = MetricMeasureSpace._pair_dists
+
+    def recorded(self, rows, cols):
+        rows, cols = np.broadcast_arrays(rows, cols)
+        pairs.append(np.stack([rows.ravel(), cols.ravel()]))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(MetricMeasureSpace, "_pair_dists", recorded)
     masses = space.ball_masses(np.arange(300), [gap])[:, 0]
-    assert sum(pair_evals["MetricMeasureSpace._cell_sums"]) == 2 * 298 * 2 + 2 * 2
+    rows, cols = np.concatenate(pairs, axis=1)
+    assert not np.any((rows < 298) & (cols < 298))  # none among the stack
+    assert {(int(a), int(b)) for a, b in zip(rows, cols) if a >= 298 and b >= 298} == {
+        (298, 299), (299, 298), (298, 298), (299, 299)
+    }
     assert row_calls == {}
     levels = weight_levels(weights)
     want = [mass_of(levels, np.flatnonzero(space.dists_from(k) < gap)) for k in range(300)]
     assert np.array_equal(bits(masses), bits(want))
     assert masses[0] == space.mass(np.arange(298)) == mass_of(levels, range(298))
+
+
+@pytest.mark.parametrize(
+    "spec, pairs",
+    [(GeneratorSpec("grid2d", 64), 3_572_736), (GeneratorSpec("cascade", 5), 411_648)],
+    ids=["grid2d 64", "cascade 5"],
+)
+def test_doubling_masses_compute_a_pinned_number_of_pairs(spec, pairs, pair_evals):
+    """The doubling grid's masses from the cell tree compute exactly this
+    many distances, padding included.  The flat 64-point cells computed
+    13,238,272 on grid2d 64 and every pair, 1,048,576, on cascade 5; a
+    fill that stops pruning node pairs, or evaluates both orders of a
+    pair, computes more."""
+    space, _ = generate(spec)
+    gap, diam = space.min_gap(), space.diameter()
+    pair_evals.clear()
+    doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
+    assert sum(pair_evals["MetricMeasureSpace._tree_sums"]) == pairs
 
 
 @given(clouds(dims=(1, 2, 3)), st.data())

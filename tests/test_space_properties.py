@@ -472,7 +472,7 @@ def _cell_pass_matches_the_rows(space, radii) -> None:
     with repeats, and with radii below ``2 * min_gap`` among the rest.
     Every entry is the oracle's mass of the row mask, bit for bit.  Then the summary
     and what is read from it, and the eccentricities over every point
-    but one (past 64 points, a subset cut into cells of its own),
+    but one (past _CELL points, a subset with a cell tree of its own),
     against the rows."""
     ids, coords, n = space.ids, space.coords, len(space)
     rows = [space.dists_from(k) for k in range(n)]
@@ -510,8 +510,9 @@ def _cell_pass_matches_the_rows(space, radii) -> None:
 
 @given(clouds(dims=(1, 2, 3), sizes=(1, 160)), st.data())
 def test_cell_pass_gives_the_row_masses_and_summary(cloud, data):
-    """Past 64 points the median splits make several cells, and a
-    location holding many coincident points is a cell larger than 64."""
+    """Past _CELL points the median splits make a tree of several
+    leaves, and a location holding many coincident points is a leaf
+    larger than _CELL."""
     ids, coords, _ = cloud
     w0 = data.draw(st.sampled_from([0.1, 1.0 / 3.0, 2.0]))
     space = MetricMeasureSpace.from_coords(ids, coords, np.full(len(ids), w0))
@@ -544,7 +545,8 @@ def test_least_gap_when_no_cell_holds_a_positive_distance(xs, d):
     coords = np.zeros((len(xs), d))
     coords[:, -1] = xs
     space = MetricMeasureSpace.from_coords(range(len(xs)), coords, np.full(len(xs), 0.1))
-    assert all(np.ptp(coords[c], axis=0).max() == 0 for c in space._cells()[0])
+    tree = space._tree()
+    assert tree.spot[tree.leaf].all()
     matrix = space.distance_matrix()
     positive = matrix[matrix > 0]
     want = float(positive.min()) if positive.size else 0.0
@@ -554,29 +556,33 @@ def test_least_gap_when_no_cell_holds_a_positive_distance(xs, d):
 
 def test_cell_blocks_stay_within_the_pair_budget(pair_evals):
     """A leaf of 8,200 coincident points: the summary and the doubling
-    masses still compute at most _PAIR_BUDGET distances per block; the
-    summary's search for the least gap goes through the neighbour query."""
+    masses still compute at most _PAIR_BUDGET distances per block, the
+    stack cut into pieces of at most _CELL points; the eccentricities,
+    the least gap and the masses each traverse the cell tree."""
     ids, coords, weights = stacked_line(1000, {500: 8200}, 0.1)
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
-    assert max(len(cell) for cell in space._cells()[0]) == 8200
+    tree = space._tree()
+    assert (tree.stop - tree.start)[tree.leaf].max() == 8200
+    assert tree.width <= _CELL
     gap, diam = space.min_gap(), space.diameter()
     doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
     assert set(pair_evals) == {
-        "MetricMeasureSpace._max_dists",
-        "MetricMeasureSpace._cell_summary",
-        "MetricMeasureSpace.neighbor_batches",
-        "MetricMeasureSpace._cell_sums",
+        "MetricMeasureSpace._tree_eccentricities",
+        "MetricMeasureSpace._tree_gap",
+        "MetricMeasureSpace._tree_sums",
     }
     blocks = [p for calls in pair_evals.values() for p in calls]
-    # the stack's 8,200 rows against one more cell already pass the budget
-    assert max(blocks) <= _PAIR_BUDGET < 8200 * 64 < sum(blocks)
+    # the stack's rows against the points beside it pass the budget
+    assert max(blocks) <= _PAIR_BUDGET < sum(pair_evals["MetricMeasureSpace._tree_sums"])
 
 
 @given(clouds(dims=(1, 2, 3), sizes=(1, 300)), st.data())
 def test_cells_partition_the_points_and_keep_each_location_whole(cloud, data):
-    """The cells of every point, and of a member subset, partition them;
-    a cell holds more than _CELL points only when they all coincide, no
-    location is in two cells, and each box is its cell's extent."""
+    """The cell tree of every point, and of a member subset: the root
+    holds them all, each node's two children split its points in two,
+    the leaves partition them, a leaf holds more than _CELL points only
+    when they all coincide, no location is in two leaves, and each box
+    is its node's extent."""
     ids, coords, weights = cloud
     n = len(ids)
     space = MetricMeasureSpace.from_coords(ids, coords, weights)
@@ -584,19 +590,85 @@ def test_cells_partition_the_points_and_keep_each_location_whole(cloud, data):
     # adding 0.0 turns -0.0 into 0.0, the same location
     _, location = np.unique(coords + 0.0, axis=0, return_inverse=True)
     location = location.reshape(-1)
-    for points, (cells, lo, hi) in [
-        (np.arange(n), space._cells()),
-        (members, space._cells(members)),
-    ]:
-        flat = np.concatenate(cells)
-        assert np.array_equal(np.sort(flat), points)
-        for c, cell in enumerate(cells):
-            assert len(cell) <= _CELL or np.all(coords[cell] == coords[cell[0]])
-            assert np.array_equal(lo[c], coords[cell].min(axis=0))
-            assert np.array_equal(hi[c], coords[cell].max(axis=0))
-        cell_of = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-        pairs = np.unique(np.stack([location[flat], cell_of]), axis=1)
+    for points, tree in [(np.arange(n), space._tree()), (members, space._tree(members))]:
+        assert np.array_equal(np.sort(tree.order), points)
+        assert (tree.start[0], tree.stop[0]) == (0, len(points))
+        inner = np.flatnonzero(~tree.leaf)
+        left, right = tree.child[inner], tree.child[inner] + 1
+        assert np.array_equal(tree.start[left], tree.start[inner])
+        assert np.array_equal(tree.stop[left], tree.start[right])
+        assert np.array_equal(tree.stop[right], tree.stop[inner])
+        assert np.all(tree.start[left] < tree.stop[left])
+        assert np.all(tree.start[right] < tree.stop[right])
+        for v in range(tree.count):
+            x = coords[tree.order[tree.start[v] : tree.stop[v]]]
+            assert np.array_equal(tree.lo[v], x.min(axis=0))
+            assert np.array_equal(tree.hi[v], x.max(axis=0))
+            if tree.leaf[v]:
+                assert len(x) <= _CELL or np.all(x == x[0])
+        leaves = np.flatnonzero(tree.leaf)
+        sizes = tree.stop[leaves] - tree.start[leaves]
+        assert sizes.sum() == len(points)
+        at = np.concatenate([np.arange(tree.start[v], tree.stop[v]) for v in leaves])
+        leaf_of = np.repeat(leaves, sizes)
+        pairs = np.unique(np.stack([location[tree.order[at]], leaf_of]), axis=1)
         assert len(np.unique(pairs[0])) == pairs.shape[1]
+
+
+@st.composite
+def tree_clouds(draw):
+    """(coords, weights): lattice points (exact distance ties) in one or
+    three axes, from one point up, with zero and unequal weights, and
+    sometimes a stack of ten leaves' worth of coincident points."""
+    d = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.integers(1, 12))
+    coords = 0.25 * rng.integers(-side, side + 1, size=(n, d)).astype(float)
+    if draw(st.booleans()):
+        coords = np.concatenate([coords, np.repeat(coords[:1], 10 * _CELL, axis=0)])
+    weights = rng.choice([0.0, 0.1, 1.0 / 3.0, 2.0], size=len(coords))
+    assume(weights.sum() > 0)
+    return coords, weights
+
+
+@given(tree_clouds(), st.data())
+def test_cell_tree_gives_the_oracles_masses_summary_and_neighbours(cloud, data):
+    """Ball masses, the summary, eccentricities over a member subset and
+    a neighbour query, all read from the cell tree, are the oracles'
+    bit for bit, and no block of distances passes _PAIR_BUDGET."""
+    coords, weights = cloud
+    n = len(coords)
+    space = MetricMeasureSpace.from_coords(range(n), coords, weights)
+    rows = [space.dists_from(k) for k in range(n)]
+    dists = np.unique(np.stack(rows))[1:]
+    pool = [*dists, *np.nextafter(dists, math.inf), 0.1, 100.0]
+    radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    r = data.draw(st.sampled_from(pool))
+    query = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    blocks = []
+    original = MetricMeasureSpace._pair_dists
+
+    def counted(self, rows, cols):
+        blocks.append(np.broadcast(rows, cols).size)
+        return original(self, rows, cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MetricMeasureSpace, "_pair_dists", counted)
+        ecc, gap = space.summary()
+        masses = space.ball_masses(np.arange(n), radii)
+        member_ecc = space.eccentricities(members)
+        q, j, d = space.neighbors(query, r)
+    assert max(blocks, default=0) <= _PAIR_BUDGET
+    assert (ecc.tolist(), gap) == summary_rows(space)
+    levels = weight_levels(weights)
+    want = [[mass_of(levels, np.flatnonzero(row < c)) for c in radii] for row in rows]
+    assert bits(masses) == bits(want)
+    assert member_ecc.tolist() == [rows[k][members].max() for k in members]
+    pairs = [(a, b) for a, k in enumerate(query) for b in np.flatnonzero(rows[k] < r)]
+    assert list(zip(q.tolist(), j.tolist())) == pairs
+    assert bits(d) == bits([rows[query[a]][b] for a, b in pairs])
 
 
 @st.composite
@@ -629,8 +701,8 @@ def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data
     want = [[mass_of(levels, np.flatnonzero(row < r)) for r in radii] for row in rows]
     half, box_bounds = space._pad / 2, space_module._box_bounds
 
-    def rounded(lo, hi, a):
-        mind, maxd = box_bounds(lo, hi, a)
+    def rounded(*boxes):
+        mind, maxd = box_bounds(*boxes)
         return mind + half, np.maximum(maxd - half, 0.0)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -642,15 +714,18 @@ def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data
 
 
 def near_tie_cloud(d: int, mirror: bool) -> tuple[np.ndarray, float, float]:
-    """(coords, least gap g, in-cell distance g') along one axis: stacks
-    of ``_CELL + 1`` points at 0, 20 + h and 21, and a cell of two
-    32-point stacks g' apart at 10, with g = 1 - h < g' < g + pad/2.
-    Two different distances within a pad of each other, in different
-    cells: the least gap between two stack cells, g' inside a cell."""
+    """(coords, least gap g, in-leaf distance g') along one axis: stacks
+    of ``_CELL + 1`` points at 0, 20 + h and 21, and a leaf of two
+    stacks of ``_CELL / 2`` points g' apart at 10, with g = 1 - h < g'
+    < g + pad/2.  Two different distances within a pad of each other,
+    in different leaves: the least gap between two stack leaves, g'
+    inside a leaf."""
     pad = 1e-6 * 21.0  # the space's pad: its extent is 21 on one axis
     h, spread = 0.3 * pad, 1.0 - 0.1 * pad
-    stack = _CELL + 1
-    x = np.repeat([0.0, 10.0, 10.0 + spread, 20.0 + h, 21.0], [stack, 32, 32, stack, stack])
+    stack, half = _CELL + 1, _CELL // 2
+    x = np.repeat(
+        [0.0, 10.0, 10.0 + spread, 20.0 + h, 21.0], [stack, half, half, stack, stack]
+    )
     if mirror:
         x = 21.0 - x
     coords = np.zeros((len(x), d))
@@ -664,23 +739,23 @@ def near_tie_cloud(d: int, mirror: bool) -> tuple[np.ndarray, float, float]:
 def test_least_gap_search_holds_when_two_distances_lie_within_a_pad(d, mirror, fraction):
     """Box bounds rounded inward by half and by 0.9 of the pad still
     give the least gap and the eccentricities of the rows.  The least
-    gap is 0.3 pad below a distance between two other cells and 0.2 pad
-    below one inside a cell, so a search whose near-cell rule drops its
-    pad stops at the cell's distance, and one whose bound drops its pad
-    (caught at 0.9 only: at half a pad it cannot change an answer)
-    searches no cell pair at all."""
+    gap is 0.3 pad below a distance between two other leaves and 0.2
+    pad below one inside a leaf, so a search whose near-pair rule drops
+    its pad stops at the leaf's distance, and one whose bound drops its
+    pad (caught at 0.9 only: at half a pad it cannot change an answer)
+    searches no leaf pair at all."""
     coords, g, spread = near_tie_cloud(d, mirror)
     n = len(coords)
     space = MetricMeasureSpace.from_coords(range(n), coords, np.full(n, 0.1))
     ecc, gap = summary_rows(space)
     assert gap == space.dists_from(n - 1)[n - 1 - (_CELL + 1)]  # the stacks at 20 + h, 21
     assert math.isclose(gap, g, rel_tol=1e-12) and g < spread < g + space._pad / 2
-    cells, _, _ = space._cells()
-    assert sorted(len(c) for c in cells) == [64] + [_CELL + 1] * 3
+    tree = space._tree()
+    assert sorted((tree.stop - tree.start)[tree.leaf]) == [_CELL] + [_CELL + 1] * 3
     shift, box_bounds = fraction * space._pad, space_module._box_bounds
 
-    def rounded(lo, hi, a):
-        mind, maxd = box_bounds(lo, hi, a)
+    def rounded(*boxes):
+        mind, maxd = box_bounds(*boxes)
         return mind + shift, np.maximum(maxd - shift, 0.0)
 
     with pytest.MonkeyPatch.context() as mp:
