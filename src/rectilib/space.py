@@ -164,12 +164,6 @@ class MetricMeasureSpace:
         if matrix is not None:
             self._matrix = _read_only(np.asarray(matrix, dtype=float))
         self._index = {pid: k for k, pid in enumerate(self.ids)}
-        try:  # the index order of the ids and the ids in it, for indices_of
-            ids_array = np.array(self.ids, dtype=np.int64)
-            order = np.argsort(ids_array, kind="stable")
-            self._by_id = (order, ids_array[order])
-        except OverflowError:  # an id past int64: indices_of looks up one by one
-            self._by_id = None
         self._summary: tuple[np.ndarray, float] | None = None  # ecc, min gap
         self._parts = np.empty((0, 0))  # weights split by level, set by _validate_common
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
@@ -316,17 +310,14 @@ class MetricMeasureSpace:
 
     def indices_of(self, point_ids: Iterable[int]) -> np.ndarray:
         """The index of each id, in order; the first unknown id raises.
-        Integer ids are looked up together in the ids sorted once."""
+        The ids go through the index in one ``map``, with no Python
+        call per id."""
         wanted = point_ids if isinstance(point_ids, np.ndarray) else list(point_ids)
-        keys = np.asarray(wanted)
-        if keys.dtype.kind != "i" or self._by_id is None:
+        keys = wanted.tolist() if isinstance(wanted, np.ndarray) else wanted
+        try:
+            return np.fromiter(map(self._index.__getitem__, keys), np.intp, len(keys))
+        except KeyError:  # raised again, by the first unknown id
             return np.array([self.index_of(p) for p in wanted], dtype=np.intp)
-        order, sorted_ids = self._by_id
-        at = np.minimum(np.searchsorted(sorted_ids, keys), len(order) - 1)
-        unknown = np.flatnonzero(sorted_ids[at] != keys)
-        if len(unknown):
-            self.index_of(wanted[unknown[0]])
-        return order[at]
 
     def dists_from(self, index: int) -> np.ndarray:
         """Distances from the point at ``index`` to every point.
@@ -427,8 +418,7 @@ class MetricMeasureSpace:
             a, b = a[keep], b[keep]
             leaf = tree.leaf[b]
             near.append((a[leaf], b[leaf]))
-            a, kid = np.repeat(a[~leaf], 2), tree.child[b[~leaf]]
-            b = (kid[:, None] + (0, 1)).ravel()
+            a, b, _ = tree.split(a[~leaf], b[~leaf])  # a home is a leaf
         near_home, near_cell = _joined(near)
         by_home = np.argsort(near_home, kind="stable")
         near_home = np.searchsorted(homes, near_home[by_home])
@@ -869,7 +859,6 @@ class _CellTree:
         # per level, its nodes and the leaves above it: the cover's size
         shallow = np.cumsum(np.bincount(self.depth[self.leaf], minlength=len(start)))
         self.wide = np.diff(self.levels) + np.concatenate([[0], shallow[:-1]])
-        self.covers: dict[int, np.ndarray] = {}
         size = self.stop - self.start
         # the side of a block; a larger leaf is one location, cut in pieces
         self.width = int(min(_CELL, size[self.leaf].max()))
@@ -905,11 +894,7 @@ class _CellTree:
         pair with ``homes`` nodes in at most one pair per point (the root
         when none does); together they hold every point once."""
         level = max(0, np.searchsorted(self.wide * homes, len(self.order), "right") - 1)
-        if level not in self.covers:
-            depth = self.depth
-            at = (depth == level) | self.leaf & (depth < level)
-            self.covers[level] = np.flatnonzero(at)
-        return self.covers[level]
+        return np.flatnonzero((self.depth == level) | self.leaf & (self.depth < level))
 
     def whole_sums(self, a, b, first, stop, count: int) -> np.ndarray:
         """``sums[i, c, k]``: the level-``k`` sums that point ``i`` gets
