@@ -6,7 +6,8 @@ porous cube contributes bridges from its center to the net points near
 it: a star that joins them through the center.  :func:`build_bridges`
 returns the pairs as a :class:`Bridges` record; :func:`assemble_gamma`
 builds the one graph, the curve: target points, the minimum spanning
-forest of their short-range adjacency, and the bridges.
+forest of their short-range adjacency (in Borůvka rounds), and the
+bridges.
 Parametrization doubles a minimum-length tree through every vertex
 (Kruskal) into a closed tour, giving an explicitly Lipschitz surjection
 onto the vertex set.  :func:`check_parametrization` checks every step:
@@ -45,7 +46,15 @@ from .cubes import CubeTree
 from .errors import DisconnectedError, ParameterError
 from .nets import NetHierarchy
 from .porosity import PorosityConfig, PorousFamily
-from .space import MetricMeasureSpace, TargetSet, _open, linear_mass_check, seq_sum
+from .space import (
+    MetricMeasureSpace,
+    TargetSet,
+    _joined,
+    _open,
+    _unique,
+    linear_mass_check,
+    seq_sum,
+)
 
 E_ADJACENCY = "E-adjacency"
 ADJACENCY = -1  # provenance code of an E-adjacency edge
@@ -183,14 +192,17 @@ def assemble_gamma(
     the longest edge of a cycle of such pairs, so it is in no minimum
     tree of the whole graph either: :func:`parametrize` builds the same
     tree with or without it.  Coincident pairs are skipped (an edge of
-    length zero carries no metric information).  Vertices are numbered
-    as the module docstring states.
+    length zero carries no metric information).  The forest grows in
+    Borůvka rounds, each asking
+    :meth:`~rectilib.space.MetricMeasureSpace.lightest_edges` for every
+    component's lightest edge, so the pairs are never listed.  Vertices
+    are numbered as the module docstring states.
     """
     if not 0 < eps_res < np.inf:
         raise ParameterError("eps_res must be positive and finite")
     pairs = bridges.pairs
     members = np.asarray(target.members, dtype=np.int64)
-    ground_ids = np.unique(np.concatenate([members, pairs.ravel()]))
+    ground_ids = _unique(np.concatenate([members, pairs.ravel()]))
     n_ground, n_pairs = len(ground_ids), len(pairs)
     by_pair = np.lexsort((pairs[:, 1], pairs[:, 0]))  # ascending (x, y)
     rank = np.empty(n_pairs, dtype=np.int64)
@@ -202,13 +214,24 @@ def assemble_gamma(
     bridge_dst = np.column_stack([lx, lx + 1, lx + 1]).ravel()
 
     idx = space.indices_of(ground_ids.tolist())
-    adj_a, adj_b, adj_d = _adjacency_pairs(space, idx, eps_res)
-    # the forest, ranked as parametrize ranks the whole graph, then
-    # listed by ascending (a, b)
-    ranked = np.lexsort((adj_b, adj_a, adj_d))
-    forest = ranked[_spanning_forest(n_ground, adj_a[ranked], adj_b[ranked])[0]]
-    forest = forest[np.lexsort((adj_b[forest], adj_a[forest]))]
-    adj_a, adj_b, adj_d = adj_a[forest], adj_b[forest], adj_d[forest]
+    # each component takes its lightest edge, and the components so
+    # joined merge; the order is strict, so the forest is unique
+    label = np.arange(n_ground)
+    forest = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    taken = 0
+    while taken < n_ground - 1:  # a tree has no edge left to find
+        a, b, d = space.lightest_edges(idx, label, eps_res)
+        comp = np.flatnonzero(d < np.inf)
+        if not len(comp):
+            break
+        a, b, d = a[comp], b[comp], d[comp]
+        ends = label[a]
+        label, new = _merge(label, comp, np.where(ends == comp, label[b], ends))
+        forest.append((a[new], b[new], d[new]))
+        taken += int(new.sum())
+    adj_a, adj_b, adj_d = _joined(forest)
+    listed = np.lexsort((adj_b, adj_a))  # by ascending (a, b)
+    adj_a, adj_b, adj_d = adj_a[listed], adj_b[listed], adj_d[listed]
     return BridgeGraph(
         ground=ground_ids,
         pairs=pairs[by_pair],
@@ -219,23 +242,6 @@ def assemble_gamma(
             [np.repeat(bridges.cube, 3), np.full(len(adj_d), ADJACENCY)]
         ),
     )
-
-
-def _adjacency_pairs(
-    space: MetricMeasureSpace, idx: np.ndarray, eps_res: float
-) -> tuple[np.ndarray, ...]:
-    """The pairs of positions ``a < b`` in ``idx`` closer than ``eps_res``
-    and apart, and their lengths (``idx`` ascends by id, so the larger id
-    is ``b``); a neighbour batch is reduced as it arrives, and none
-    outlives the call."""
-    position = np.full(len(space), -1, dtype=np.intp)
-    position[idx] = np.arange(len(idx))
-    adjacency = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    for batch, a, j, d in space.neighbor_batches(idx, eps_res):
-        a, b = a + batch.start, position[j]
-        keep = (b > a) & (d > 0)  # coincident pairs are dropped batch by batch
-        adjacency.append((a[keep], b[keep], d[keep]))
-    return tuple(np.concatenate(part) for part in zip(*adjacency))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,17 +373,31 @@ def _spanning_forest(
         comp = np.flatnonzero(first < len(src))
         pick = first[comp]
         taken[pick] = True
-        # each component points at the other end of its edge; two that
-        # took the same edge point at each other, and the smaller is root
-        parent = np.arange(n)
         ends = label[src[pick]]
-        parent[comp] = np.where(ends == comp, label[dst[pick]], ends)
-        mutual = (parent[parent[comp]] == comp) & (comp < parent[comp])
-        parent[comp[mutual]] = comp[mutual]
-        while np.any(parent[parent] != parent):
-            parent = parent[parent]
-        label = parent[label]
+        label, _ = _merge(label, comp, np.where(ends == comp, label[dst[pick]], ends))
     return np.flatnonzero(taken), label
+
+
+def _merge(
+    label: np.ndarray, comp: np.ndarray, other: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Borůvka merge: each component ``comp[k]`` (a label) joins
+    ``other[k]``, the component at the far end of its lightest edge.
+
+    Under a strict edge order, two components that point at each other
+    took the same edge, the smaller is the root, and no longer cycle
+    exists.  Returns each vertex's new label and, per component,
+    whether its edge is its own: not that of a smaller component
+    pointing back.
+    """
+    parent = np.arange(len(label))
+    parent[comp] = other
+    mutual = parent[other] == comp
+    root = comp[mutual & (comp < other)]
+    parent[root] = root
+    while np.any(parent[parent] != parent):
+        parent = parent[parent]
+    return parent[label], ~(mutual & (comp > other))
 
 
 def _euler_tour(
@@ -522,7 +542,7 @@ def check_parametrization(
     dt = np.diff(ts)
     if n_visits and not (ts[0] >= 0 and ts[-1] <= 1 and np.all(dt >= 0)):
         raise ParameterError("tour times must be nondecreasing within [0, 1]")
-    missing = n - len(np.unique(pos))
+    missing = n - len(_unique(pos))
     step = np.minimum(pos[:-1], pos[1:]) * n + np.maximum(pos[:-1], pos[1:])
     codes = np.append(graph.src * n + graph.dst, n * n)  # above every step
     order = np.argsort(codes)

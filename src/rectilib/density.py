@@ -71,14 +71,17 @@ def density_summary(
     profiles: DensityProfiles, r_lo: float, r_hi: float
 ) -> dict:
     """Count, radius grid and spread of the profiles' lower estimates."""
-    lows = profiles.lower
+    lows = np.sort(profiles.lower)
+    half = len(lows) // 2
+    # np.median's value, whose NaN check imports numpy.ma
+    median = lows[half] if len(lows) % 2 else (lows[half - 1] + lows[half]) / 2
     return {
         "profiled": len(profiles.points),
         "r_lo": r_lo,
         "r_hi": r_hi,
-        "lower_min": float(lows.min()),
-        "lower_median": float(np.median(lows)),
-        "lower_max": float(lows.max()),
+        "lower_min": float(lows[0]),
+        "lower_median": float(median),
+        "lower_max": float(lows[-1]),
     }
 
 

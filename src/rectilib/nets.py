@@ -153,7 +153,7 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
         idx = h.levels[n]
         scale = h.rho**n
         if previous is not None and nest_ok:
-            missing = np.setdiff1d(previous, idx)
+            missing = np.setdiff1d(previous, idx, assume_unique=True)
             if missing.size:
                 nest_ok = False
                 witness = witness or ("nesting", n, int(ids[missing].min()))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cubes import CubeTree
 from .errors import ContainmentError, ParameterError
-from .space import MetricMeasureSpace, TargetSet
+from .space import MetricMeasureSpace, TargetSet, _unique
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def dist_to_set(
     in blocks of member-to-outsider pairs.  An empty member set raises
     :class:`~rectilib.errors.DegenerateInputError`.
     """
-    idx = np.unique(space.indices_of(member_ids))
-    outside = np.setdiff1d(np.arange(len(space)), idx)
+    idx = _unique(space.indices_of(member_ids))
+    outside = np.setdiff1d(np.arange(len(space)), idx, assume_unique=True)
     best = np.zeros(len(space))
     best[outside] = space.nearest(outside, idx)[1]
     return best
@@ -118,7 +118,7 @@ def find_porous(
     if not result.ok:
         raise ParameterError("config violates: " + "; ".join(result.violations))
     e_idx = space.indices_of(target.members)
-    if len(np.unique(tree.cube_of[0, e_idx])) != 1:
+    if len(_unique(tree.cube_of[0, e_idx])) != 1:
         raise ContainmentError(
             "target set is not contained in any single root cube"
         )
@@ -128,17 +128,18 @@ def find_porous(
     sorted_gap = gap[by_gap]
     found: list[tuple[int, int]] = []  # (cube id, witness index)
     # the cubes meeting the target, all under its root, ascending
-    meeting = np.unique(tree.cube_of[:, e_idx])
-    for cid, center, side in zip(
+    meeting = _unique(tree.cube_of[:, e_idx])
+    # the maximal near gap, if porous, and every point attaining it are
+    # candidates, so distances to the others are never needed
+    starts = np.searchsorted(sorted_gap, cfg.delta * tree.sidelength[meeting], "left")
+    some = starts < len(gap)
+    meeting, starts = meeting[some], starts[some]
+    for cid, center, side, start in zip(
         meeting.tolist(),
         tree.center[meeting].tolist(),
         tree.sidelength[meeting].tolist(),
+        starts.tolist(),
     ):
-        # the maximal near gap, if porous, and every point attaining it
-        # are candidates, so distances to the others are never needed
-        start = np.searchsorted(sorted_gap, cfg.delta * side, "left")
-        if start == len(gap):
-            continue
         cand = by_gap[start:]
         row = space.dists_between(center, cand)
         near = cand[row < cfg.M * side]

@@ -50,19 +50,22 @@ A coordinate space needs no full row for its summary or its masses.
 than ``r``" for a batch of query points (in bounded batches from
 :meth:`~MetricMeasureSpace.neighbor_batches`),
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
-chosen columns, and :meth:`~MetricMeasureSpace.nearest` gives each
-point's nearest candidate, the one nearest-point search of the package.
-On coordinates the cell tree below picks the candidates and the row
-formula decides ``d < r`` on them, so ties on lattice inputs resolve exactly as
-the rows resolve them; a matrix space answers from its stored rows.
-Nets, cubes, gaps to the target, porous witnesses and the curve's
-adjacency are built on these methods.
+chosen columns, :meth:`~MetricMeasureSpace.nearest` gives each
+point's nearest candidate, the one nearest-point search of the package,
+and :meth:`~MetricMeasureSpace.lightest_edges` gives each component of
+a point set its lightest edge shorter than ``r``, one Borůvka round of
+a minimum spanning forest.  On coordinates the cell tree below picks
+the candidates and the row formula decides ``d < r`` on them, so ties
+on lattice inputs resolve exactly as the rows resolve them; a matrix
+space answers from its stored rows.  Nets, cubes, gaps to the target,
+porous witnesses and the curve's adjacency forest are built on these
+methods.
 
-The cell tree serves the eccentricities, the least gap, the ball masses
-and the neighbour query, with numpy alone.  Its nodes are median splits
-of the points, or of a subset, down to leaves of ``_CELL`` points; a cut
-never separates coincident points, so a stack of them may make a larger
-leaf.  Each node keeps its points as one range of a common order, its
+The cell tree serves the eccentricities, the least gap, the ball masses,
+the neighbour query and the lightest edges, with numpy alone.  Its
+nodes are median splits of the points, or of a subset, down to leaves
+of ``_CELL`` points; a cut never separates coincident points, so a
+stack of them may make a larger leaf.  Each node keeps its points as one range of a common order, its
 tight box, its children and, for the tree of every point, its level
 sums.  The boxes of two nodes, widened by a pad of ``1e-6`` times the
 bounding-box diagonal, bound every distance between them, so a whole
@@ -78,7 +81,12 @@ serves both of its leaves: a node inside a ball adds its level sums
 whole, a pair that cannot hold either node's farthest point is dropped,
 and so is a pair whose lower bound passes the least upper bound of the
 pairs surely apart.  The neighbour query walks each query's leaf against
-the nodes, from a level deep enough to skip the top of the tree.
+the nodes, from a level deep enough to skip the top of the tree.  The
+lightest edges walk unordered pairs of a tree of the points asked,
+dropping a pair that lies in one component, then meet the leaf pairs
+by ascending lower bound (dual-tree Borůvka: March, Ram & Gray, "Fast
+Euclidean minimum spanning tree", KDD 2010), dropping a pair whose lower
+bound passes the lightest edge found so far of every component in it.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -481,6 +489,29 @@ class MetricMeasureSpace:
             pos[at[better]], dist[at[better]] = by_id[cs][k[better]], d[better]
         return pos, dist
 
+    def lightest_edges(
+        self, points: np.ndarray, label: np.ndarray, r: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each component's lightest edge to another component, shorter
+        than ``r``: one Borůvka round.
+
+        ``points`` are distinct point indices, and ``label[k]``, in
+        ``0..len(points)-1``, names the component of ``points[k]``.  An
+        edge joins positions ``a < b`` of ``points`` in two components,
+        ``0 < d < r`` apart (coincident pairs are skipped), and edges are
+        ordered by ``(d, a, b)``.  Returns ``(a, b, d)`` indexed by
+        label: ``d`` is a row entry bit for bit, or inf (with ``a = b =
+        -1``) for a label with no edge.  A matrix space scans each stored
+        pair of ``points`` once, in blocks of at most ``_PAIR_BUDGET``
+        entries; a coordinate space walks the cell tree of ``points``.
+        """
+        points = np.asarray(points, dtype=np.intp)
+        label = np.asarray(label, dtype=np.intp)
+        best = _Lightest(len(points))
+        fill = self._row_edges if self.coords is None else self._tree_edges
+        fill(points, label, r, best)
+        return best.edges()
+
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
         coordinate space builds a fresh one per call and keeps none."""
@@ -530,7 +561,7 @@ class MetricMeasureSpace:
         a cell tree of the members.  Indices may repeat.
         """
         idx = np.asarray(indices, dtype=np.intp)
-        members = np.unique(idx)
+        members = _unique(idx)
         if len(members) == len(self):
             return self.summary()[0][idx]
         if self._matrix is not None:
@@ -585,6 +616,38 @@ class MetricMeasureSpace:
             for c, r in enumerate(radii):
                 sums[c, rs] += (block < r) @ parts
         return sums
+
+    def _row_edges(
+        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest"
+    ) -> None:
+        """:meth:`lightest_edges` on a matrix: the rows from ``start`` on
+        against the columns from ``start`` on, a block at a time, so each
+        pair comes once, with row ``i`` < column ``j`` but in the block's
+        diagonal square, where it comes twice."""
+        m = len(points)
+        whole = m == len(self) and np.array_equal(points, np.arange(m))
+        start = 0
+        while start < m:
+            stop = start + max(1, _PAIR_BUDGET // (m - start))
+            if whole:
+                block = self._matrix[start:stop, start:]
+            else:
+                block = self._matrix[points[start:stop]][:, points[start:]]
+            i, j = np.divmod(np.flatnonzero(block < r), m - start)
+            d = block[i, j]
+            i, j = i + start, j + start
+            keep = (d > 0) & (label[i] != label[j])
+            i, j, d = i[keep], j[keep], d[keep]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            best.add(label[j], lo, hi, d)  # each column gets its every edge
+            # each row its lightest entry, the first of its ties: for a
+            # row, the least (a, b)
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            least = np.repeat(np.minimum.reduceat(d, first), np.diff(first, append=len(d)))
+            tie = np.flatnonzero(d == least)
+            tie = tie[np.diff(i[tie], prepend=-1) != 0]
+            best.add(label[i[tie]], lo[tie], hi[tie], d[tie])
+            start = stop
 
     # -- the cell tree ---------------------------------------------------
 
@@ -657,6 +720,62 @@ class MetricMeasureSpace:
             found = min(found, float(np.min(d, where=d > 0, initial=math.inf)))
         return found
 
+    def _tree_edges(
+        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest"
+    ) -> None:
+        """:meth:`lightest_edges` on coordinates, over the cell tree of
+        ``points``.
+
+        The walk drops an unordered node pair whose lower bound reaches
+        ``r``, or whose nodes lie in one component.  The leaf pairs left
+        meet in order of their lower bounds, block by block, so each
+        leaf's pair with itself comes first; a pair whose lower bound
+        passes the bound of every component in either leaf, the least
+        edge found so far, is dropped before its distances.
+        """
+        tree = self._tree() if len(points) == len(self) else self._tree(points)
+        position = np.full(len(self), -1, dtype=np.intp)
+        position[points] = np.arange(len(points))
+        lab = label[position[tree.order]]  # each tree slot's component
+        changes = np.concatenate([[0], np.cumsum(lab[1:] != lab[:-1])])
+        one = changes[tree.stop - 1] == changes[tree.start]  # a node in one component
+        comp = lab[tree.start]
+        a = b = np.zeros(1, dtype=np.intp)
+        leaves = []
+        while len(a):
+            low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
+            within = one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
+            keep = (low < r) & ~within
+            a, b, low = a[keep], b[keep], low[keep]
+            leaf = tree.leaf[a] & tree.leaf[b]
+            leaves.append((a[leaf], b[leaf], low[leaf]))
+            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
+        a, b, low = _joined(leaves)
+        by_low = np.argsort(low, kind="stable")
+        a, b, low = a[by_low], b[by_low], low[by_low]
+        leaves = np.flatnonzero(tree.leaf)
+        leaves = leaves[np.argsort(tree.start[leaves])]  # they partition the slots
+        node = np.empty(tree.count)
+        for k, rows, cols, _, _ in tree.blocks(a, b):
+            node[leaves] = np.maximum.reduceat(best.d[lab], tree.start[leaves])
+            ok = low[k] <= np.maximum(node[a[k]], node[b[k]])
+            if not ok.any():
+                continue
+            # each piece by ascending position (padding only repeats a pair)
+            rows, cols = (np.sort(position[x[ok]], axis=1) for x in (rows, cols))
+            d = self._pair_dists(points[rows][:, :, None], points[cols][:, None, :])
+            same = label[rows][:, :, None] == label[cols][:, None, :]
+            np.copyto(d, math.inf, where=same | (d == 0))
+            # each point's lightest edge in the block, ties to the first
+            # partner position: for a fixed end, the least (a, b)
+            for x, others, axis in ((rows, cols, 2), (cols, rows, 1)):
+                at = np.expand_dims(d.argmin(axis=axis), axis)
+                least = np.take_along_axis(d, at, axis).squeeze(axis)
+                y = np.take_along_axis(others, at.squeeze(axis), 1)
+                near = least < r
+                x, y = x[near], y[near]
+                best.add(label[x], np.minimum(x, y), np.maximum(x, y), least[near])
+
     def _tree_sums(self, radii: list[float]) -> np.ndarray:
         """``sums[c, i, k]``: the level-``k`` parts of the points closer
         than ``radii[c]`` (ascending) to point ``i``, over the cell tree.
@@ -724,6 +843,30 @@ def _add_near(sums, d, r, first, stop, parts, to_row, to_col, of_col) -> None:
         level += np.bincount(dest, got[:, k], level.size).reshape(level.shape)
 
 
+class _Lightest:
+    """Per component, the lightest edge offered so far by ``(d, a, b)``:
+    ``d`` and ``key``, which is ``a * m + b``."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.d = np.full(m, math.inf)
+        self.key = np.full(m, m * m, dtype=np.int64)
+
+    def add(self, comps, a, b, d) -> None:
+        """Offer the edge ``(a[k], b[k])``, ``d[k]`` long, to ``comps[k]``."""
+        old = self.d[comps]
+        np.minimum.at(self.d, comps, d)
+        new = self.d[comps]
+        self.key[comps[new < old]] = self.m * self.m  # ties start again
+        tie = d == new
+        np.minimum.at(self.key, comps[tie], a[tie] * self.m + b[tie])
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        found = self.d < math.inf
+        a, b = np.divmod(self.key, self.m)
+        return np.where(found, a, -1), np.where(found, b, -1), self.d
+
+
 def _split(weights: np.ndarray) -> np.ndarray:
     """``(n, K)`` parts, K levels adding up to each weight exactly, by
     error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
@@ -774,6 +917,15 @@ def _gaps(lo, hi, a_lo, a_hi) -> np.ndarray:
         gap *= gap
         acc = acc + gap
     return np.sqrt(acc)
+
+
+def _unique(values) -> np.ndarray:
+    """``np.unique(values)`` by one sort: the distinct values, ascending
+    (a plain ``np.unique`` imports ``numpy.ma`` on its first call)."""
+    values = np.sort(np.ravel(values))
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _runs(first: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ row, on coordinates or on a distance matrix, and no run imports scipy.
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,7 +45,7 @@ from rectilib.curve import (
 from rectilib.errors import DisconnectedError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
-from rectilib.pipeline import STAGES, RunConfig
+from rectilib.pipeline import STAGES, RunConfig, run_stages
 from rectilib.porosity import PorosityConfig, dist_to_set, find_porous
 from rectilib.space import (
     Ball,
@@ -323,6 +324,62 @@ def test_doubling_masses_compute_a_pinned_number_of_pairs(spec, pairs, pair_eval
     pair_evals.clear()
     doubling_estimate(space, dyadic_radii(2 * gap, diam / 2))
     assert sum(pair_evals["MetricMeasureSpace._tree_sums"]) == pairs
+
+
+@pytest.mark.parametrize(
+    "spec, pairs",
+    [(GeneratorSpec("grid2d", 64), 188_416), (GeneratorSpec("cascade", 5), 45_056)],
+    ids=["grid2d 64", "cascade 5"],
+)
+def test_the_forest_walk_computes_a_pinned_number_of_pairs(spec, pairs, pair_evals):
+    """The default run's ε-forest, in Borůvka rounds over the cell tree,
+    computes exactly this many distances, padding included, and nothing
+    else in ``gamma`` computes one.  Listing every ε-pair computed
+    1,104,384 on grid2d 64 and 98,816 on cascade 5; a walk that stops
+    dropping pairs by the best edges found so far computes more."""
+    cfg = RunConfig(kind=spec.kind, resolution=spec.resolution)
+    ctx = run_stages(cfg, ("bridges",))[0]
+    gamma = next(row[2] for row in STAGES if row[0] == "gamma")
+    pair_evals.clear()
+    gamma(SimpleNamespace(**vars(ctx)))
+    assert {key: sum(calls) for key, calls in pair_evals.items()} == {
+        "MetricMeasureSpace._tree_edges": pairs
+    }
+
+
+def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
+    """Node pairs inside one component hold no edge, so the walk drops
+    them before any distance: with every point in one component it
+    computes none (137,728 when it keeps them), and with two halves
+    only the 64 leaf pairs across the cut, 16 x 16 distances each
+    (45,056 when it keeps the pairs inside a half)."""
+    space, _ = generate(GeneratorSpec("grid2d", 32))
+    points = np.arange(len(space))
+    whole = np.zeros(len(space), dtype=np.intp)
+    a, b, d = space.lightest_edges(points, whole, 0.2)
+    assert np.isinf(d).all() and (a == -1).all() and (b == -1).all()
+    assert not pair_evals
+    halves = np.where(space.coords[:, 0] < 0.5, 0, 1)
+    halves[halves == 1] = np.flatnonzero(halves)[0]  # the label of the right half
+    a, b, d = space.lightest_edges(points, halves, 0.2)
+    assert np.isfinite(d[halves[[0, -1]]]).all()
+    assert sum(pair_evals["MetricMeasureSpace._tree_edges"]) == 64 * 16 * 16
+
+
+def test_the_forest_keeps_its_memory_near_a_column_of_the_space():
+    """``assemble_gamma`` on interval + hole (0.4, 0.6) at 4000 points
+    peaks under 3 MB: no array the size of its ε-pairs, which peaked at
+    13.0 MB when they were listed and ranked."""
+    cfg = RunConfig(kind="interval", resolution=4000, params=HOLE)
+    ctx = run_stages(cfg, ("bridges",))[0]
+    eps = 2 * cfg.rho ** max(ctx.hierarchy.levels)
+    tracemalloc.start()
+    try:
+        graph = assemble_gamma(ctx.space, ctx.target, ctx.bridges, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count() and peak < 3 * 2**20
 
 
 @given(clouds(dims=(1, 2, 3)), st.data())
@@ -697,13 +754,16 @@ for cfg in (
     assert report["gamma"]["edges"], cfg
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not scipy, f"a run imported {scipy}"
+assert "numpy.ma" not in sys.modules, "a run imported numpy.ma"
 """
 
 
 def test_no_run_imports_scipy(tmp_path):
     """In a fresh interpreter, the CLI's import and whole runs on a
     distance matrix and on coordinates, with equal or unequal weights,
-    import no scipy module: numpy is the only dependency."""
+    import no scipy module: numpy is the only dependency.  Nor do they
+    import ``numpy.ma``, which a plain ``np.unique``, ``np.setdiff1d``
+    or ``np.median`` imports on its first call."""
     src = os.path.dirname(os.path.dirname(rectilib.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     files = [str(tmp_path / "m.csv"), str(tmp_path / "w.csv")]

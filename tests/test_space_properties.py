@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import rectilib.space as space_module
 from _oracles import (
+    adjacency_forest_rows,
     basepoint_brute,
     dist_to_set_brute,
     doubling_scan,
@@ -26,6 +27,7 @@ from _oracles import (
     summary_rows,
     weight_levels,
 )
+from rectilib.curve import Bridges, assemble_gamma
 from rectilib.density import density_profiles, stratify
 from rectilib.errors import DegenerateInputError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
@@ -35,6 +37,7 @@ from rectilib.space import (
     _CELL,
     _PAIR_BUDGET,
     MetricMeasureSpace,
+    TargetSet,
     doubling_estimate,
     dyadic_radii,
     enclosing_target,
@@ -711,6 +714,53 @@ def test_cell_pass_holds_when_the_boxes_round_by_half_the_pad(coords, step, data
         assert space.min_gap() == gap
         assert space.eccentricities(members).tolist() == member_ecc
         assert bits(space.ball_masses(np.arange(n), radii)) == bits(want)
+
+
+NO_BRIDGES = Bridges(
+    pairs=np.empty((0, 2), dtype=np.int64),
+    length=np.empty(0),
+    cube=np.empty(0, dtype=np.int64),
+    pairs_per_cube={},
+    skipped=(),
+)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5], ids=["exact boxes", "boxes rounded by half the pad"])
+@given(lattice_clouds(), st.data())
+def test_the_forest_walk_gives_the_oracles_forest(shift, coords, data):
+    """The curve's ε-forest, in Borůvka rounds over ``lightest_edges``, is
+    the Kruskal oracle's edge for edge and bit for bit on both backends:
+    a member subset of a lattice with exact ties and coincident stacks,
+    ``eps_res`` a distance or the next float above one.  On coordinates
+    the walk also holds with box bounds rounded inward by half the pad,
+    the worst the pad allows for."""
+    n = len(coords)
+    weights = 0.1 * (1 + np.arange(n) % 3)
+    space = MetricMeasureSpace.from_coords(range(n), coords, weights)
+    matrix = space.distance_matrix()
+    twin = MetricMeasureSpace.from_matrix(range(n), matrix, weights)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    share = data.draw(st.sampled_from([1.0, 0.7, 0.3]))
+    members = np.flatnonzero(rng.random(n) < share)
+    assume(len(members))
+    members = tuple(members.tolist())
+    dists = np.unique(matrix)[1:]
+    eps = float(data.draw(st.sampled_from([*dists, *np.nextafter(dists, math.inf)])))
+    want = adjacency_forest_rows(space, members, eps)
+    target = TargetSet(members=members, xi0=members[0])
+    half, box_bounds = shift * space._pad, space_module._box_bounds
+
+    def rounded(*boxes):
+        mind, maxd = box_bounds(*boxes)
+        return mind + half, np.maximum(maxd - half, 0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_box_bounds", rounded)
+        for s in (space, twin):
+            graph = assemble_gamma(s, target, NO_BRIDGES, eps)
+            assert graph.src.tolist() == [a for a, _, _ in want]
+            assert graph.dst.tolist() == [b for _, b, _ in want]
+            assert bits(graph.length) == bits([d for _, _, d in want])
 
 
 def near_tie_cloud(d: int, mirror: bool) -> tuple[np.ndarray, float, float]:
