@@ -327,6 +327,33 @@ def test_doubling_masses_compute_a_pinned_number_of_pairs(spec, pairs, pair_eval
 
 
 @pytest.mark.parametrize(
+    "spec, ecc, gap, near",
+    [
+        (GeneratorSpec("grid2d", 64), 679_936, 733_696, 231_616),
+        (GeneratorSpec("cascade", 5), 179_200, 156_160, 54_464),
+    ],
+    ids=["grid2d 64", "cascade 5"],
+)
+def test_the_summary_and_a_whole_query_compute_a_pinned_number_of_pairs(
+    spec, ecc, gap, near, pair_evals
+):
+    """The summary's two walks, and a neighbour query of every point at
+    2.5 times the least gap, compute exactly this many distances,
+    padding included; a walk that stops pruning node pairs computes
+    more.  The query's count sums every caller of ``_pair_dists``."""
+    space, _ = generate(spec)
+    pair_evals.clear()
+    space.summary()
+    assert {key: sum(calls) for key, calls in pair_evals.items()} == {
+        "MetricMeasureSpace._tree_eccentricities": ecc,
+        "MetricMeasureSpace._tree_gap": gap,
+    }
+    pair_evals.clear()
+    space.neighbors(np.arange(len(space)), 2.5 * space.min_gap())
+    assert sum(p for calls in pair_evals.values() for p in calls) == near
+
+
+@pytest.mark.parametrize(
     "spec, pairs",
     [(GeneratorSpec("grid2d", 64), 188_416), (GeneratorSpec("cascade", 5), 45_056)],
     ids=["grid2d 64", "cascade 5"],
