@@ -18,6 +18,7 @@ circle
     length ``2*pi/n`` and are scaled up by the smallest factor making
     ``mass(B(x, r)) >= 2 r`` hold on the dyadic check grid; the factor
     is tiny (a few percent), so the total mass stays close to ``2*pi``.
+    Below 26 points the grid has no radius and the factor is 1.
 grid2d
     ``m x m`` cell midpoints of the unit square, weight ``1/m^2``.
 cantor4
@@ -141,10 +142,11 @@ def _circle(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None]:
     spacing = float(chords[1])
     diam = float(chords.max())
     factor = 1.0
-    for r in dyadic_radii(2.0 * spacing, diam / 4.0):
-        mass = float((chords < r).sum()) * base
-        factor = max(factor, 2.0 * r / mass)
-    factor *= 1.0 + 1e-12  # keep the binding radius above equality in floats
+    if 2.0 * spacing <= diam / 4.0:  # below 26 points the grid is empty
+        for r in dyadic_radii(2.0 * spacing, diam / 4.0):
+            mass = float((chords < r).sum()) * base
+            factor = max(factor, 2.0 * r / mass)
+        factor *= 1.0 + 1e-12  # keep the binding radius above equality in floats
     weights = np.full(n, base * factor)
     space = MetricMeasureSpace.from_coords(range(n), coords, weights)
     return space, None

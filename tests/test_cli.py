@@ -462,6 +462,22 @@ def test_run_skips_parametrization_when_disconnected(capsys):
     assert payload["ok"] is True
 
 
+def test_small_circles_run_or_stop_only_at_the_doubling_estimate(capsys):
+    """Every circle resolution ``generate`` accepts loads: below 26
+    points its mass check grid is empty, and a run either exits 0 or
+    stops where a doubling estimate needs more points."""
+    stopped = []
+    for n in range(2, 33):
+        code, out, err = run_cli(capsys, ["run", "--kind", "circle", "--resolution", str(n)])
+        if code == 0:
+            assert json.loads(out)["ok"] is True
+        else:
+            assert (code, out) == (2, "")
+            assert err == "error: stage doubling: space too small for a doubling estimate\n"
+            stopped.append(n)
+    assert stopped == list(range(2, 13))
+
+
 def test_run_invalid_config_prints_validation(capsys):
     code, payload, err = run_json(
         capsys,
