@@ -47,8 +47,8 @@ over its stored rows, a block at a time.
 
 A coordinate space needs no full row for its summary or its masses.
 :meth:`~MetricMeasureSpace.neighbors` answers "which points are closer
-than ``r``" for a batch of query points (in bounded batches from
-:meth:`~MetricMeasureSpace.neighbor_batches`),
+than ``r``" for a batch of query points, in one call (runs of bounded
+size inside it),
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
 chosen columns, :meth:`~MetricMeasureSpace.nearest` gives each
 point's nearest candidate, the one nearest-point search of the package,
@@ -69,13 +69,15 @@ stack of them may make a larger leaf.  Each node keeps its points as one range o
 tight box, its children and, for the tree of every point, its level
 sums.  The boxes of two nodes, widened by a pad of ``1e-6`` times the
 bounding-box diagonal, bound every distance between them, so a whole
-node lies inside a ball, outside it, or straddles its boundary.  A
-query walks node pairs level by level, as arrays, from the root pair
-down (dual-tree range counting: Gray & Moore, "'N-Body' problems in
-statistical learning", NIPS 2000): a pair its bounds decide is settled
-whole, and a pair left open gives way to its children's pairs.  Only
-open leaf pairs get distances, by the row formula, as padded blocks of
-leaf pieces of at most ``_PAIR_BUDGET`` distances.  The masses, the
+node lies inside a ball, outside it, or straddles its boundary.  Every
+query goes down the tree by one descent, :meth:`_CellTree.walk`, over
+node pairs level by level, as arrays, from the root pair down
+(dual-tree range counting: Gray & Moore, "'N-Body' problems in
+statistical learning", NIPS 2000); each query passes it only its rule
+for the pairs to keep.  A pair its bounds decide is settled whole, and
+a pair left open gives way to its children's pairs.  Only open leaf
+pairs get distances, by the row formula, as padded blocks of leaf
+pieces of at most ``_PAIR_BUDGET`` distances.  The masses, the
 eccentricities and the least gap walk unordered pairs, so each block
 serves both of its leaves: a node inside a ball adds its level sums
 whole, a pair that cannot hold either node's farthest point is dropped,
@@ -372,86 +374,68 @@ class MetricMeasureSpace:
 
         Returns ``(q, j, d)``: exactly the pairs with
         ``d = dists_from(query_idx[q])[j] < r``, sorted by ``(q, j)``,
-        each ``d`` equal to that row entry bit for bit.  The answer is
-        the concatenation of :meth:`neighbor_batches`.
-        """
-        parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-        for batch, q, j, d in self.neighbor_batches(query_idx, r):
-            parts.append((q + batch.start, j, d))
-        if len(parts) == 2:  # one batch: nothing to join
-            return parts[1]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-
-    def neighbor_batches(
-        self, query_idx: Sequence[int] | np.ndarray, r: float
-    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`neighbors` for consecutive runs of query points.
-
-        Yields ``(batch, q, j, d)``, where ``batch`` is the slice of
-        ``query_idx`` answered and ``q`` indexes ``query_idx[batch]``;
-        every query's pairs are in one batch, of at most ``_PAIR_BUDGET``
-        candidate pairs (more only for one query alone), so a caller
-        that reduces each batch keeps its memory bounded even where many
-        points coincide.  A matrix space scans its stored rows.  On
-        coordinates a leaf of the cell tree is a candidate for a query
-        when its box, less the pad, lies within ``r`` of the box of the
-        query's leaf, down the tree, and then of the query point; the
-        row formula decides ``d < r`` on the candidates' points.
+        each ``d`` equal to that row entry bit for bit.  Consecutive runs
+        of queries are answered in turn, each of at most ``_PAIR_BUDGET``
+        candidate pairs (more only for one query alone), so memory stays
+        bounded even where many points coincide.  A matrix space scans
+        its stored rows.  On coordinates a leaf of the cell tree is a
+        candidate for a query when its box, less the pad, lies within
+        ``r`` of the box of the query's leaf, down the tree, and then of
+        the query point; the row formula decides ``d < r`` on the
+        candidates' points.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
+        parts = []
         if self._matrix is not None:
             step = max(1, _PAIR_BUDGET // n)
             for start in range(0, len(query_idx), step):
-                chunk = query_idx[start : start + step]
-                rows = self._matrix[chunk]
+                rows = self._matrix[query_idx[start : start + step]]
                 q, j = np.nonzero(rows < r)
-                yield slice(start, start + len(chunk)), q, j, rows[q, j]
-            return
-        if not len(query_idx):
-            return
-        tree, pad = self._tree(), self._pad
-        lo, hi, first = tree.lo, tree.hi, tree.start
-        size = tree.stop - tree.start
-        homes, home = np.unique(tree.leaf_of[query_idx], return_inverse=True)
-        # the candidate leaves of each home: pairs (home, node), each node
-        # giving way to its children while its box lies within r of the
-        # home's, from the deepest level that pairs with the homes in at
-        # most one pair per point
-        b = tree.cover(len(homes))
-        a, b = np.repeat(homes, len(b)), np.tile(b, len(homes))
-        near = []
-        while len(a):
-            keep = _gaps(*_rows((lo, hi), b), *_rows((lo, hi), a)) - pad < r
-            a, b = a[keep], b[keep]
-            leaf = tree.leaf[b]
-            near.append((a[leaf], b[leaf]))
-            a, b, _ = tree.split(a[~leaf], b[~leaf])  # a home is a leaf
-        near_home, near_cell = _joined(near)
-        by_home = np.argsort(near_home, kind="stable")
-        near_home = np.searchsorted(homes, near_home[by_home])
-        near_cell = near_cell[by_home]
-        count = np.bincount(near_home, minlength=len(homes))
-        skip = np.cumsum(count) - count
-        pairs = np.cumsum(np.bincount(near_home, size[near_cell], len(homes))[home])
-        start = 0
-        while start < len(query_idx):
-            base = pairs[start - 1] if start else 0
-            stop = max(start + 1, np.searchsorted(pairs, base + _PAIR_BUDGET, "right"))
-            rows, own = query_idx[start:stop], home[start:stop]
-            q = np.repeat(np.arange(len(rows)), count[own])
-            c = near_cell[_runs(skip[own], count[own])]
-            x = np.take(self.coords, rows[q], axis=0)
-            keep = _gaps(*_rows((lo, hi), c), x, x) - pad < r  # each query's own bound
-            q, c = q[keep], c[keep]
-            q, j = np.repeat(q, size[c]), tree.order[_runs(first[c], size[c])]
-            d = self._pair_dists(rows[q], j)
-            keep = np.flatnonzero(d < r)
-            keep = keep[np.argsort(q[keep] * n + j[keep], kind="stable")]
-            # the batch's candidates are dropped before the caller works
-            q, j, d = q[keep], j[keep], d[keep]
-            yield slice(start, stop), q, j, d
-            start = stop
+                parts.append((q + start, j, rows[q, j]))
+        elif len(query_idx):
+            tree, pad = self._tree(), self._pad
+            lo, hi, first = tree.lo, tree.hi, tree.start
+            size = tree.stop - tree.start
+            homes, home = np.unique(tree.leaf_of[query_idx], return_inverse=True)
+
+            def near(a, b):  # a is a home, a leaf
+                keep = _gaps(*_rows((lo, hi), b), *_rows((lo, hi), a)) - pad < r
+                return a[keep], b[keep]
+
+            # the candidate leaves of each home, from the deepest level
+            # that pairs with the homes in at most one pair per point
+            cover = tree.cover(len(homes))
+            start = np.repeat(homes, len(cover)), np.tile(cover, len(homes))
+            near_home, near_cell = tree.walk(near, start, symmetric=False)
+            by_home = np.argsort(near_home, kind="stable")
+            near_home = np.searchsorted(homes, near_home[by_home])
+            near_cell = near_cell[by_home]
+            count = np.bincount(near_home, minlength=len(homes))
+            skip = np.cumsum(count) - count
+            pairs = np.cumsum(np.bincount(near_home, size[near_cell], len(homes))[home])
+            start = 0
+            while start < len(query_idx):
+                base = pairs[start - 1] if start else 0
+                stop = max(start + 1, np.searchsorted(pairs, base + _PAIR_BUDGET, "right"))
+                rows, own = query_idx[start:stop], home[start:stop]
+                q = np.repeat(np.arange(len(rows)), count[own])
+                c = near_cell[_runs(skip[own], count[own])]
+                x = np.take(self.coords, rows[q], axis=0)
+                keep = _gaps(*_rows((lo, hi), c), x, x) - pad < r  # each query's own bound
+                q, c = q[keep], c[keep]
+                q, j = np.repeat(q, size[c]), tree.order[_runs(first[c], size[c])]
+                d = self._pair_dists(rows[q], j)
+                keep = np.flatnonzero(d < r)
+                keep = keep[np.argsort(q[keep] * n + j[keep], kind="stable")]
+                # the run's candidates are dropped before the next run
+                q, j, d = q[keep] + start, j[keep], d[keep]
+                parts.append((q, j, d))
+                start = stop
+        if len(parts) == 1:  # one run: nothing to join
+            return parts[0]
+        none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
+        return _joined([none, *parts])
 
     def nearest(
         self, points: np.ndarray, candidates: np.ndarray, radius: float | None = None
@@ -671,20 +655,17 @@ class MetricMeasureSpace:
         node is dropped.
         """
         pad = self._pad
-        a = b = np.zeros(1, dtype=np.intp)
-        leaves = []
-        while len(a):
+
+        def reaching(a, b):
             mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
             reach = np.full(tree.count, -math.inf)
             np.maximum.at(reach, a, mind)
             np.maximum.at(reach, b, mind)
             keep = maxd + pad >= np.minimum(reach[a], reach[b]) - pad
-            a, b = a[keep], b[keep]
-            leaf = tree.leaf[a] & tree.leaf[b]
-            leaves.append((a[leaf], b[leaf]))
-            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
+            return a[keep], b[keep]
+
         ecc = np.full(len(self), -math.inf)
-        for _, rows, cols, _, _ in tree.blocks(*_joined(leaves)):
+        for _, rows, cols, _, _ in tree.blocks(*tree.walk(reaching)):
             d = self._pair_dists(rows[:, :, None], cols[:, None, :])
             np.maximum.at(ecc, rows, d.max(axis=2))
             np.maximum.at(ecc, cols, d.max(axis=1))
@@ -700,20 +681,19 @@ class MetricMeasureSpace:
         """
         tree, pad = self._tree(), self._pad
         bound = math.inf
-        a = b = np.zeros(1, dtype=np.intp)
-        leaves = []
-        while len(a):
+
+        def below(a, b):
+            nonlocal bound
             mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
             apart = mind - pad > 0
             if apart.any():
                 bound = min(bound, float(maxd[apart].min()) + pad)
             keep = (mind - pad <= bound) & ~((a == b) & tree.spot[a])
-            a, b, mind = a[keep], b[keep], mind[keep]
-            leaf = tree.leaf[a] & tree.leaf[b]
-            leaves.append((a[leaf], b[leaf], mind[leaf]))
-            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
-        a, b, mind = _joined(leaves)
-        near = mind - pad <= bound  # the bound has only fallen since
+            return a[keep], b[keep]
+
+        a, b = tree.walk(below)
+        # the bound has only fallen since a leaf pair was kept
+        near = _box_bounds(tree.lo, tree.hi, a, b)[0] - pad <= bound
         found = math.inf
         for _, rows, cols, _, _ in tree.blocks(a[near], b[near]):
             d = self._pair_dists(rows[:, :, None], cols[:, None, :])
@@ -740,17 +720,15 @@ class MetricMeasureSpace:
         changes = np.concatenate([[0], np.cumsum(lab[1:] != lab[:-1])])
         one = changes[tree.stop - 1] == changes[tree.start]  # a node in one component
         comp = lab[tree.start]
-        a = b = np.zeros(1, dtype=np.intp)
-        leaves = []
-        while len(a):
+
+        def across(a, b):
             low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
             within = one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
             keep = (low < r) & ~within
-            a, b, low = a[keep], b[keep], low[keep]
-            leaf = tree.leaf[a] & tree.leaf[b]
-            leaves.append((a[leaf], b[leaf], low[leaf]))
-            a, b, _ = tree.split(a[~leaf], b[~leaf], symmetric=True)
-        a, b, low = _joined(leaves)
+            return a[keep], b[keep]
+
+        a, b = tree.walk(across)
+        low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
         by_low = np.argsort(low, kind="stable")
         a, b, low = a[by_low], b[by_low], low[by_low]
         leaves = np.flatnonzero(tree.leaf)
@@ -792,26 +770,23 @@ class MetricMeasureSpace:
         tree, pad, n = self._tree(), self._pad, len(self)
         levels = self._parts.shape[1]
         r, count = np.asarray(radii, dtype=float), len(radii)
-        a = b = np.zeros(1, dtype=np.intp)
-        first, stop = np.zeros(1, dtype=np.intp), np.full(1, count)
-        whole, leaves = [], []
-        while len(a):
+        whole = []
+
+        def still_open(a, b, first, stop):
             mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
             low = np.maximum(np.searchsorted(r, mind - pad, "right"), first)
             high = np.clip(np.searchsorted(r, maxd + pad, "right"), low, stop)
             inside = high < stop  # each node lies inside radii high .. stop - 1
             whole.append((a[inside], b[inside], high[inside], stop[inside]))
             open_ = low < high
-            a, b, first, stop = a[open_], b[open_], low[open_], high[open_]
-            leaf = tree.leaf[a] & tree.leaf[b]
-            leaves.append((a[leaf], b[leaf], first[leaf], stop[leaf]))
-            a, b, up = tree.split(a[~leaf], b[~leaf], symmetric=True)
-            first, stop = first[~leaf][up], stop[~leaf][up]
+            return a[open_], b[open_], low[open_], high[open_]
+
+        runs = (np.zeros(1, dtype=np.intp), np.full(1, count))
+        la, lb, l_first, l_stop = tree.walk(still_open, carry=runs)
         # per level and radius a slot for every point and one more, which
         # padding and the second side of a leaf's pair with itself go to
         sums = np.zeros((levels, count, n + 1))
         sums[..., :n] = tree.whole_sums(*_joined(whole), count).T
-        la, lb, l_first, l_stop = _joined(leaves)
         parts = np.concatenate([self._parts, np.zeros((1, levels))])
         for k, rows, cols, row_ok, col_ok in tree.blocks(la, lb):
             d = self._pair_dists(rows[:, :, None], cols[:, None, :])
@@ -1023,23 +998,38 @@ class _CellTree:
                 leaves, size[leaves]
             )
 
-    def split(self, a, b, symmetric: bool = False):
-        """The child pairs of the node pairs ``(a, b)``, none of them two
-        leaves: each node of a pair that is not a leaf gives way to its
-        two children.  Returns the child pairs and each one's parent
-        pair.  ``symmetric`` pairs are unordered, so a node's pair with
-        itself gives three."""
-        ca, cb = self.child[a], self.child[b]
-        na, nb = 1 + (ca >= 0), 1 + (cb >= 0)
-        up = np.repeat(np.arange(len(a)), na * nb)
-        t = _runs(np.zeros(len(a), dtype=np.intp), na * nb)
-        ca, cb = ca[up], cb[up]
-        a2 = np.where(ca < 0, a[up], ca + t // nb[up])
-        b2 = np.where(cb < 0, b[up], cb + t % nb[up])
-        if symmetric:
-            keep = (a[up] != b[up]) | (a2 <= b2)
-            return a2[keep], b2[keep], up[keep]
-        return a2, b2, up
+    def walk(self, keep, start=None, carry=(), symmetric=True):
+        """The leaf pairs that ``keep`` lets through, walking node pairs
+        level by level from the root with itself, or from the pairs
+        ``start``.
+
+        At each level ``keep(a, b, *carry)`` returns the pairs to keep
+        and their carry, arrays with one entry per pair.  A kept pair of
+        two leaves is an answer; in every other kept pair each node that
+        is not a leaf gives way to its two children, and the child pairs
+        inherit the carry.  Returns the answers ``(a, b, *carry)``, level
+        by level.  ``symmetric`` pairs are unordered, so a node's pair
+        with itself gives three.
+        """
+        a, b = start if start is not None else (np.zeros(1, dtype=np.intp),) * 2
+        leaves = []
+        while len(a):
+            a, b, *carry = keep(a, b, *carry)
+            leaf = self.leaf[a] & self.leaf[b]
+            leaves.append([x[leaf] for x in (a, b, *carry)])
+            a, b, *carry = (x[~leaf] for x in (a, b, *carry))
+            ca, cb = self.child[a], self.child[b]
+            na, nb = 1 + (ca >= 0), 1 + (cb >= 0)
+            up = np.repeat(np.arange(len(a)), na * nb)
+            t = _runs(np.zeros(len(a), dtype=np.intp), na * nb)
+            ca, cb = ca[up], cb[up]
+            a2 = np.where(ca < 0, a[up], ca + t // nb[up])
+            b2 = np.where(cb < 0, b[up], cb + t % nb[up])
+            if symmetric:
+                two = (a[up] != b[up]) | (a2 <= b2)
+                up, a2, b2 = up[two], a2[two], b2[two]
+            a, b, carry = a2, b2, [x[up] for x in carry]
+        return _joined(leaves)
 
     def cover(self, homes: int) -> np.ndarray:
         """The nodes of the deepest level, with the leaves above it, that

@@ -150,10 +150,51 @@ def test_lattice_distances_as_radii_flip_no_tie(spec):
         assert len(wider[0]) > len(want[0])
 
 
+class RowReads(np.ndarray):
+    """A view of a stored matrix that appends to ``reads`` how many rows
+    each read takes."""
+
+    def __getitem__(self, key):
+        got = np.asarray(self)[key]
+        self.reads.append(len(got) if got.ndim == 2 else 1)
+        return got
+
+
+def record_runs(patch, space) -> list:
+    """What each run of a neighbour query asks, while ``patch`` lasts:
+    on coordinates the row points of each ``_pair_dists`` call from
+    ``neighbors``, on a matrix the row count of each stored-row read."""
+    runs = []
+    if space.coords is None:
+        view = space._matrix.view(RowReads)
+        view.reads = runs
+        patch.setattr(space, "_matrix", view)
+        return runs
+    original = MetricMeasureSpace._pair_dists
+
+    def recorded(self, rows, cols):
+        if sys._getframe(1).f_code.co_name == "neighbors":
+            runs.append(np.broadcast_arrays(rows, cols)[0].ravel())
+        return original(self, rows, cols)
+
+    patch.setattr(MetricMeasureSpace, "_pair_dists", recorded)
+    return runs
+
+
+def within_budget(space, runs, budget) -> bool:
+    """Each run keeps the budget: a matrix reads at most ``budget // n``
+    rows at once (one row at least), and on coordinates only a run whose
+    rows are one query point computes more than ``budget`` distances."""
+    if space.coords is None:
+        return all(rows <= max(1, budget // len(space)) for rows in runs)
+    return all(len(rows) <= budget or len(set(rows.tolist())) == 1 for rows in runs)
+
+
 @given(clouds(), st.data())
 def test_batches_stay_within_the_pair_budget(cloud, data):
-    """A tiny budget splits the queries into many batches; together they
-    are the answer, and only a single query may exceed the budget."""
+    """A tiny budget cuts the queries into many runs; each keeps the
+    budget, a matrix reads each query's row once, and the answer is the
+    rows'."""
     ids, coords, weights = cloud
     n = len(ids)
     query = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
@@ -162,18 +203,12 @@ def test_batches_stay_within_the_pair_budget(cloud, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(space_module, "_PAIR_BUDGET", budget)
         for space in both_backends(ids, coords, weights):
-            batches = list(space.neighbor_batches(query, r))
-            bounds = [0] + [b.stop for b, _, _, _ in batches]
-            assert [b.start for b, _, _, _ in batches] == bounds[:-1]
-            assert bounds[-1] == len(query)
-            for b, q, _, _ in batches:
-                size = b.stop - b.start
-                if space.coords is None or not coords.shape[1]:
-                    assert size <= max(1, budget // n)
-                else:
-                    assert size == 1 or len(q) <= budget
-            got = space.neighbors(query, r)
-            assert_same_pairs(got, row_pairs(space, query, r))
+            want = row_pairs(space, query, r)
+            runs = record_runs(patch, space)
+            assert_same_pairs(space.neighbors(query, r), want)
+            assert within_budget(space, runs, budget)
+            if space.coords is None:
+                assert sum(runs) == len(query)
 
 
 def test_one_point_queries_build_no_tree(monkeypatch):
@@ -216,22 +251,29 @@ def tie_radii(space) -> list[float]:
 
 @pytest.mark.parametrize("backend", ["coords", "matrix"])
 def test_an_empty_query_or_a_zero_radius_finds_no_pair(backend):
+    """No pair, typed as a full answer; a matrix still reads each query's
+    row once, and on coordinates only query points are rows."""
     coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5], [-0.0, 0.0]])
     space = both_backends(range(4), coords, np.ones(4))[backend == "matrix"]
     none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
     for query, r in [([], 1.0), ([], 0.0), ([3, 0, 0, 2, 1], 0.0)]:
-        got = space.neighbors(query, r)
+        with pytest.MonkeyPatch.context() as patch:
+            runs = record_runs(patch, space)
+            got = space.neighbors(query, r)
         assert_same_pairs(got, none)
         assert got[0].dtype == got[1].dtype == np.intp and got[2].dtype == float
-        batches = list(space.neighbor_batches(query, r))
-        assert sum(b.stop - b.start for b, _, _, _ in batches) == len(query)
+        if space.coords is None:
+            assert sum(runs) == len(query)
+        else:
+            assert set(np.concatenate([[], *runs]).tolist()) <= set(query)
 
 
 @pytest.mark.parametrize("backend", ["coords", "matrix"])
-def test_a_stack_larger_than_a_cell_keeps_the_budget(backend, pair_evals):
+def test_a_stack_larger_than_a_cell_keeps_the_budget(backend):
     """_CELL + 36 coincident points make one oversized leaf beside a
     line of 40 points.  The answer is the rows', and a batch of more
-    than one query computes at most _PAIR_BUDGET candidate pairs."""
+    than one query computes at most _PAIR_BUDGET candidate pairs, in
+    more than one run."""
     stack, budget = space_module._CELL + 36, 250
     coords = np.concatenate([np.full((stack, 2), 0.5), np.zeros((40, 2))])
     coords[stack:, 0] = np.arange(40) / 39
@@ -241,21 +283,18 @@ def test_a_stack_larger_than_a_cell_keeps_the_budget(backend, pair_evals):
     assert (tree.stop - tree.start)[tree.leaf].max() == stack
     space = backends[backend == "matrix"]
     query = np.random.default_rng(0).integers(0, n, size=2 * n)
+    radii = tie_radii(space)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(space_module, "_PAIR_BUDGET", budget)
         if space.coords is not None:
             rounded_gaps(patch, space)
-        for r in tie_radii(space):
-            pair_evals.clear()
-            batches = space.neighbor_batches(query, r)
-            sizes = [b.stop - b.start for b, _, _, _ in batches]
-            evals = list(pair_evals["MetricMeasureSpace.neighbor_batches"])
-            assert_same_pairs(space.neighbors(query, r), row_pairs(space, query, r))
-            if space.coords is None:
-                assert max(sizes) <= max(1, budget // n)
-                continue
-            assert len(evals) == len(sizes)
-            assert all(p <= budget for p, s in zip(evals, sizes) if s > 1)
+        for r in radii:
+            want = row_pairs(space, query, r)
+            with pytest.MonkeyPatch.context() as recording:
+                runs = record_runs(recording, space)
+                assert_same_pairs(space.neighbors(query, r), want)
+            assert len(runs) > 1
+            assert within_budget(space, runs, budget)
 
 
 @pytest.mark.parametrize("d", [3, 5])
