@@ -283,12 +283,11 @@ def test_a_stack_larger_than_a_cell_keeps_the_budget(backend):
     assert (tree.stop - tree.start)[tree.leaf].max() == stack
     space = backends[backend == "matrix"]
     query = np.random.default_rng(0).integers(0, n, size=2 * n)
-    radii = tie_radii(space)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(space_module, "_PAIR_BUDGET", budget)
         if space.coords is not None:
             rounded_gaps(patch, space)
-        for r in radii:
+        for r in tie_radii(space):
             want = row_pairs(space, query, r)
             with pytest.MonkeyPatch.context() as recording:
                 runs = record_runs(recording, space)
