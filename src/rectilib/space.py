@@ -90,6 +90,17 @@ by ascending lower bound (dual-tree Borůvka: March, Ram & Gray, "Fast
 Euclidean minimum spanning tree", KDD 2010), dropping a pair whose lower
 bound passes the lightest edge found so far of every component in it.
 
+A distance matrix comes from CSV through :func:`load_matrix`.  A large
+one is parsed in parts, one per usable CPU but no more than
+``n * n // _PAIR_BUDGET``: byte ranges cut at line ends, the first
+parsed in the calling process and each other in a forked child, each
+writing its rows into one shared array at the offset the earlier parts'
+row counts give.  Each part gets the one ``np.loadtxt`` call a small
+matrix gets, so the parts give its bits.  If a part fails, a child
+dies, or the rows do not add up to ``n``, the whole file is parsed once,
+as a small one is, so every error names the rows of the whole file; no
+child outlives the load.
+
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
 writing into one it was given.  The inputs are not copied: do not
@@ -99,9 +110,16 @@ modify a coordinate or matrix array after building a space from it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import mmap
+import os
+import signal
+import stat
 import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -1500,12 +1518,141 @@ def load_json(path: str) -> MetricMeasureSpace:
     )
 
 
-def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
-    """Explicit metric: square distance CSV plus an ``id,weight`` CSV."""
-    ids, _, weights = _read_points(weights_path, axes=0)
-    with _open(matrix_path) as fh:
+class _Slice(io.RawIOBase):
+    """Bytes ``start`` to ``stop`` of the file open as ``fd``, read by
+    offset, so that readers sharing ``fd`` never move its position."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._at, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._stop - self._at), self._at)
+        buf[: len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _line_end(fd: int, pos: int, size: int) -> int:
+    """The offset just past the first newline at or after ``pos``, else
+    ``size``."""
+    return pos + len(io.BufferedReader(_Slice(fd, pos, size)).readline())
+
+
+def _load_part(fd: int, encoding: str, start: int, stop: int) -> np.ndarray:
+    """``load_matrix``'s ``np.loadtxt`` call on the lines of one byte range,
+    read as ``open`` reads the whole file."""
+    text = io.TextIOWrapper(io.BufferedReader(_Slice(fd, start, stop)), encoding=encoding)
+    return np.loadtxt(text, delimiter=",", dtype=float, ndmin=2)
+
+
+def _rows_of(part: np.ndarray, n: int) -> int:
+    """The rows of a parsed part, or -1 when they are not ``n`` wide."""
+    return len(part) if part.shape[1] == n or not len(part) else -1
+
+
+def _parse_in_parts(fh, n: int) -> np.ndarray | None:
+    """The ``n`` by ``n`` matrix CSV open as ``fh``, parsed in byte ranges
+    cut at line ends, one per usable CPU but no more than
+    ``n * n // _PAIR_BUDGET``; None when that is one range (always, for a
+    file that is not a regular one, where ``os.fork`` is missing, or in a
+    process running a second thread, which a fork may leave holding a
+    lock), or when any range fails to parse, is not ``n`` wide, or the
+    rows do not add up to ``n``, so that the caller parses the whole file
+    as one.
+
+    The first range is parsed here, each other by a child of ``os.fork``
+    that does nothing else and ends in ``os._exit``.  Each sends its row
+    count up a pipe, is sent the rows before it, and writes its rows at
+    that offset into one shared anonymous map, so the matrix is never
+    copied whole.  Every child is reaped, or killed and reaped, before
+    this returns or raises."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return None
+    parts = max(1, min(len(os.sched_getaffinity(0)), n * n // _PAIR_BUDGET))
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    if parts == 1 or not stat.S_ISREG(info.st_mode):
+        return None
+    size = info.st_size
+    cuts = sorted({0, size, *(_line_end(fd, size * k // parts, size) for k in range(1, parts))})
+    if len(cuts) < 3:
+        return None
+    out = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=float).reshape(n, n)
+    children: dict[int, tuple[int, int]] = {}  # pid -> (count in, offset out)
+    status: dict[int, int] = {}  # pid -> wait status, once reaped
+    try:
+        for start, stop in zip(cuts[1:], cuts[2:]):
+            count_in, count_out = os.pipe()
+            offset_in, offset_out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: parse the file as one
+                for k in (count_in, count_out, offset_in, offset_out):
+                    os.close(k)
+                return None
+            if not pid:
+                code = 1
+                try:
+                    for k in (count_in, offset_out, *(k for ends in children.values() for k in ends)):
+                        os.close(k)
+                    part = _load_part(fd, fh.encoding, start, stop)
+                    os.write(count_out, b"%d" % _rows_of(part, n))
+                    offset = int(os.read(offset_in, 32) or -1)
+                    if offset >= 0:
+                        out[offset : offset + len(part)] = part
+                        code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = (count_in, offset_out)
+            os.close(count_out)
+            os.close(offset_in)
         try:
-            matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{matrix_path}: {exc}") from None
+            first = _load_part(fd, fh.encoding, cuts[0], cuts[1])
+        except ValueError:
+            return None
+        counts = [_rows_of(first, n)] + [int(os.read(k, 32) or -1) for k, _ in children.values()]
+        if min(counts) < 0 or sum(counts) != n:
+            return None
+        out[: len(first)] = first
+        del first
+        offset = counts[0]
+        for (_, offset_out), count in zip(children.values(), counts[1:]):
+            try:
+                os.write(offset_out, b"%d" % offset)
+            except BrokenPipeError:  # the child is gone
+                return None
+            offset += count
+        for pid in children:
+            status[pid] = os.waitpid(pid, 0)[1]
+        return None if any(status.values()) else out
+    finally:
+        for pid, ends in children.items():
+            for k in ends:
+                os.close(k)
+            if pid not in status:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
+    """Explicit metric: square distance CSV plus an ``id,weight`` CSV.
+
+    A large matrix is parsed in parts on every usable CPU
+    (:func:`_parse_in_parts`); a small one, or one whose parts fail, by one
+    ``np.loadtxt`` over the whole file, so every error names the rows of
+    the whole file.  A file with no data row is an :class:`InputError`."""
+    ids, _, weights = _read_points(weights_path, axes=0)
+    with _open(matrix_path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        matrix = _parse_in_parts(fh, len(ids))
+        if matrix is None:
+            try:
+                matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+            except ValueError as exc:
+                raise InputError(f"{matrix_path}: {exc}") from None
+    if not matrix.size:
+        raise InputError(f"{matrix_path}: no data rows")
     return MetricMeasureSpace.from_matrix(ids, matrix, np.array(weights))

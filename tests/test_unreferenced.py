@@ -32,6 +32,8 @@ KEEP = {
     "10 mu(E) on a stratum target (ROADMAP.md, open items)",
     "space.MetricMeasureSpace.distance_matrix": "property tests use it as the "
     "matrix-backend reference, and feed it to from_matrix",
+    "space._Slice.readable": "the raw-stream protocol: io.BufferedReader calls it",
+    "space._Slice.readinto": "the raw-stream protocol: io.BufferedReader calls it",
 }
 
 
