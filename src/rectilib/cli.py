@@ -24,7 +24,6 @@ from collections import Counter
 from .curve import edges_csv, parametrization_csv
 from .density import (
     beta2,
-    bs_sum,
     density_csv,
     density_profiles,
     density_summary,
@@ -180,20 +179,6 @@ def _cmd_beta2(args) -> int:
     return 0
 
 
-def _cmd_bssum(args) -> int:
-    space, _ = _space_and_target(args)
-    result = bs_sum(space, args.point, args.depth)
-    payload = {
-        "point": result.point,
-        "depth": result.depth,
-        "value": result.value,
-        "skipped": result.skipped,
-        "terms": list(result.terms),
-    }
-    sys.stdout.write(report_json(payload))
-    return 0
-
-
 def _cmd_run(args) -> int:
     report, failures, timings = run_pipeline(_run_config(args))
     sys.stdout.write(report_json(report))
@@ -205,8 +190,8 @@ def _cmd_run(args) -> int:
 _IDS = "comma-separated ids (default: target)"
 
 # command -> (help, handler, its own flags), in --help order; its flags are
-# those of the fields its stages read (a view's stages, load for density,
-# beta2 and bssum, every field for run), then its own
+# those of the fields its stages read (a view's stages, load for density
+# and beta2, every field for run), then its own
 COMMANDS = {
     "gen": (
         "generate a point cloud", _cmd_view,
@@ -226,13 +211,6 @@ COMMANDS = {
     "beta2": (
         "flatness of a subset", _cmd_beta2,
         {"members": {"default": None, "help": _IDS}, "label": {"default": ""}},
-    ),
-    "bssum": (
-        "dyadic diam/mass sum at a point", _cmd_bssum,
-        {
-            "point": {"type": int, "required": True},
-            "depth": {"type": int, "default": 8},
-        },
     ),
     "porous": ("porous cubes, packing, shadows", _cmd_view, {}),
     "curve": (

@@ -1,13 +1,14 @@
 """Bridges, the assembled curve, and its Lipschitz parametrization.
 
-A bridge between sample points x and y is a three-edge detour through
-two abstract lifted vertices, every edge as long as dist(x, y).  Each
-porous cube contributes bridges from its center to the net points near
-it: a star that joins them through the center.  :func:`build_bridges`
-returns the pairs as a :class:`Bridges` record; :func:`assemble_gamma`
-builds the one graph, the curve: target points, the minimum spanning
-forest of their short-range adjacency (in Borůvka rounds), and the
-bridges.
+A bridge between sample points x and y is one edge as long as
+dist(x, y): X embeds isometrically in ℓ∞(X) by x ↦ d(x, ·) − d(x₀, ·),
+where the segment from x to y is that long, so the curve may leave X
+between x and y.  Each porous cube contributes bridges from its center
+to the net points near it: a star that joins them through the center.
+:func:`build_bridges` returns the pairs as a :class:`Bridges` record;
+:func:`assemble_gamma` builds the one graph, the curve: target points,
+the minimum spanning forest of their short-range adjacency (in Borůvka
+rounds), and the bridges.
 Parametrization doubles a minimum-length tree through every vertex
 (Kruskal) into a closed tour, giving an explicitly Lipschitz surjection
 onto the vertex set.  :func:`check_parametrization` checks every step:
@@ -17,22 +18,21 @@ bound times their gap plus ``m * 2**-51``.
 
 A :class:`BridgeGraph` is integer arrays, and a vertex is its position.
 ``ground`` holds the ground points (target members and bridge
-endpoints) by ascending id, at positions ``0..G-1``; ``pairs`` holds
-the bridged pairs by ascending ``(x, y)``, and pair k owns the lifted
-vertices ``G + 2k``, nearer x, and ``G + 2k + 1``, nearer y.  The side
-files and the connectivity report label a position ``g:<id>`` or
-``b:<x>:<y>:<side>``, worked out from those two arrays.  Position order
-is the order of the tuples (0, id, 0, 0) for ground points and
-(1, x, y, side) for lifted vertices.  ``src < dst`` are each edge's
-endpoint positions, ``length`` its float64 length and ``provenance``
-the id of the porous cube that bridged it, or ``ADJACENCY`` (-1).
+endpoints) by ascending id, at positions ``0..G-1``, and these are all
+the vertices.  The side files and the connectivity report label
+position g ``g:<ground[g]>``.  ``src < dst`` are each edge's endpoint
+positions, ``length`` its float64 length and ``provenance`` the id of
+the porous cube that bridged it, or ``ADJACENCY`` (-1).
 
 Order rules that fix every result: equal-length Kruskal ties resolve by
-``(src, dst)``, that is by endpoint positions; edges keep insertion order,
-the bridges' three per pair (x, lifted x), (lifted x, lifted y),
-(y, lifted y) in construction order, then adjacency edges by ascending
-ground pair; sums are sequential, the budget's parts in edge order and
-the tree length in Kruskal order.  A tour visits positions.  All arrays
+``(src, dst)``, that is by endpoint positions, then by insertion order;
+edges keep insertion order, one bridge edge (x, y) per pair in
+construction order, then adjacency edges by ascending ground pair; sums
+are sequential, the budget's parts in edge order and the tree length in
+Kruskal order.  A bridged pair closer than ``eps_res`` may also be an
+adjacency edge, a parallel edge between the same positions: Kruskal
+keeps the shorter, and of two equally long the bridge, inserted first;
+the step check reads the shorter.  A tour visits positions.  All arrays
 of bridges, graphs and tours are read-only.
 """
 
@@ -80,38 +80,25 @@ class Bridges:
 @dataclass(frozen=True, eq=False)
 class BridgeGraph:
     ground: np.ndarray  # (G,) int64 point ids at positions 0..G-1, ascending
-    pairs: np.ndarray  # (P, 2) int64 bridged pairs x < y, ascending (x, y)
     src: np.ndarray  # (E,) int64 vertex positions, src < dst
     dst: np.ndarray
     length: np.ndarray  # (E,) float64
     provenance: np.ndarray  # (E,) int64 cube id, or ADJACENCY
 
     def __post_init__(self):
-        _readonly(
-            self.ground, self.pairs, self.src, self.dst, self.length,
-            self.provenance,
-        )
+        _readonly(self.ground, self.src, self.dst, self.length, self.provenance)
 
     def vertex_count(self) -> int:
-        return len(self.ground) + 2 * len(self.pairs)
+        return len(self.ground)
 
     def edge_count(self) -> int:
         return len(self.src)
 
 
 def _labels(graph: BridgeGraph, positions: np.ndarray) -> list[str]:
-    """The label of each vertex position: ``g:<id>`` for a ground point,
-    ``b:<x>:<y>:<side>`` for a lifted vertex of the pair (x, y)."""
-    n_ground = len(graph.ground)
-    ground, pairs = graph.ground.tolist(), graph.pairs.tolist()
-    out = []
-    for v in np.asarray(positions).tolist():
-        if v < n_ground:
-            out.append(f"g:{ground[v]}")
-        else:
-            k, side = divmod(v - n_ground, 2)
-            out.append(f"b:{pairs[k][0]}:{pairs[k][1]}:{side}")
-    return out
+    """The label ``g:<id>`` of each vertex position."""
+    ground = graph.ground.tolist()
+    return [f"g:{ground[v]}" for v in np.asarray(positions).tolist()]
 
 
 def build_bridges(
@@ -185,7 +172,8 @@ def assemble_gamma(
 ) -> BridgeGraph:
     """The curve graph: target points, short-range adjacency, bridges.
 
-    Ground vertices are the target members plus every bridge endpoint.
+    The vertices are the target members plus every bridge endpoint, and
+    each bridge is one edge (x, y) as long as its pair.
     The adjacency edges are the minimum spanning forest, under the
     strict order (length, a, b), of the ground pairs strictly closer
     than eps_res, each as long as their distance.  A pair left out is
@@ -200,18 +188,11 @@ def assemble_gamma(
     """
     if not 0 < eps_res < np.inf:
         raise ParameterError("eps_res must be positive and finite")
-    pairs = bridges.pairs
     members = np.asarray(target.members, dtype=np.int64)
-    ground_ids = _unique(np.concatenate([members, pairs.ravel()]))
-    n_ground, n_pairs = len(ground_ids), len(pairs)
-    by_pair = np.lexsort((pairs[:, 1], pairs[:, 0]))  # ascending (x, y)
-    rank = np.empty(n_pairs, dtype=np.int64)
-    rank[by_pair] = np.arange(n_pairs)
-    x_at, y_at = np.searchsorted(ground_ids, pairs.T)
-    lx = n_ground + 2 * rank  # and lifted y is lx + 1
-    # the edges (x, lx), (lx, ly), (y, ly) of each pair, pair by pair
-    bridge_src = np.column_stack([x_at, lx, y_at]).ravel()
-    bridge_dst = np.column_stack([lx, lx + 1, lx + 1]).ravel()
+    ground_ids = _unique(np.concatenate([members, bridges.pairs.ravel()]))
+    n_ground = len(ground_ids)
+    # x < y, so each bridge edge (x, y) has src < dst
+    x_at, y_at = np.searchsorted(ground_ids, bridges.pairs.T)
 
     idx = space.indices_of(ground_ids.tolist())
     # each component takes its lightest edge, and the components so
@@ -234,13 +215,10 @@ def assemble_gamma(
     adj_a, adj_b, adj_d = adj_a[listed], adj_b[listed], adj_d[listed]
     return BridgeGraph(
         ground=ground_ids,
-        pairs=pairs[by_pair],
-        src=np.concatenate([bridge_src, adj_a]),
-        dst=np.concatenate([bridge_dst, adj_b]),
-        length=np.concatenate([np.repeat(bridges.length, 3), adj_d]),
-        provenance=np.concatenate(
-            [np.repeat(bridges.cube, 3), np.full(len(adj_d), ADJACENCY)]
-        ),
+        src=np.concatenate([x_at, adj_a]),
+        dst=np.concatenate([y_at, adj_b]),
+        length=np.concatenate([bridges.length, adj_d]),
+        provenance=np.concatenate([bridges.cube, np.full(len(adj_d), ADJACENCY)]),
     )
 
 
@@ -315,7 +293,7 @@ def length_budget(
     bound_e = 10.0 * mu_e
 
     max_pairs = max(bridges.pairs_per_cube.values(), default=0)
-    c_pair = 3.0 * 2.0 * cfg.M * max_pairs
+    c_pair = 2.0 * cfg.M * max_pairs
     sum_l = seq_sum(tree.sidelength[porous.cube])
     bound_bridge = c_pair * sum_l
 
@@ -516,8 +494,9 @@ def check_parametrization(
 ) -> ParamCheck:
     """Surjectivity and the Lipschitz bound of a tour, on every step.
 
-    Each step, visits k and k + 1, must be an edge.  ``max_ratio`` is the
-    largest ``length_k / (t_{k+1} - t_k + 2**-51)``, witness ``(k, k + 1)``:
+    Each step, visits k and k + 1, must be an edge, the shortest of any
+    parallel ones.  ``max_ratio`` is the largest
+    ``length_k / (t_{k+1} - t_k + 2**-51)``, witness ``(k, k + 1)``:
     2**-51 covers the rounding of two times in [0, 1] and of their gap.
     A pass bounds d(v_a, v_b), a < b, by the triangle inequality, to
     ``lip_bound * (1 + 1e-9) * (t_b - t_a + (b - a) * 2**-51)`` up to a
@@ -545,7 +524,7 @@ def check_parametrization(
     missing = n - len(_unique(pos))
     step = np.minimum(pos[:-1], pos[1:]) * n + np.maximum(pos[:-1], pos[1:])
     codes = np.append(graph.src * n + graph.dst, n * n)  # above every step
-    order = np.argsort(codes)
+    order = np.lexsort((np.append(graph.length, 0.0), codes))
     edge = order[np.searchsorted(codes, step, sorter=order)]
     astray = np.flatnonzero(codes[edge] != step)
     if len(astray):
@@ -600,12 +579,13 @@ def parametrization_csv(
     """Tour as CSV: t, vertex, coordinates when available."""
     dim = 0 if space.coords is None else space.coords.shape[1]
     # each vertex's label and coordinate fields, formatted once
-    names = _labels(graph, np.arange(graph.vertex_count()))
-    tails = [name + "," * dim for name in names]
+    tails = _labels(graph, np.arange(graph.vertex_count()))
     if dim:
         coords = space.coords[space.indices_of(graph.ground.tolist())]
-        for g, xs in enumerate(coords.tolist()):
-            tails[g] = ",".join([names[g]] + [repr(c) for c in xs])
+        tails = [
+            ",".join([name] + [repr(c) for c in xs])
+            for name, xs in zip(tails, coords.tolist())
+        ]
     header = ",".join(["t", "vertex"] + [f"x{i + 1}" for i in range(dim)])
     lines = [
         f"{t!r},{tails[k]}{_EOL}"

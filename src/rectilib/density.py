@@ -1,4 +1,4 @@
-"""Lower-density profiles, density strata, beta-2 numbers, dyadic sums.
+"""Lower-density profiles, density strata, beta-2 numbers.
 
 The lower density of a point is approximated by the minimum of
 ``mass(B(x, r)) / r`` over a geometric radius grid; the true liminf is
@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedMetricError,
 )
-from .space import MetricMeasureSpace, _open, dyadic_radii, seq_sum
+from .space import MetricMeasureSpace, _open, dyadic_radii
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,65 +189,4 @@ def beta2(
         beta2=value,
         line_point=tuple(float(c) for c in centroid),
         line_direction=tuple(float(c) for c in direction),
-    )
-
-
-@dataclass(frozen=True)
-class BsSumResult:
-    point: int
-    depth: int
-    value: float
-    skipped: int  # dyadic cubes with zero mass, left out of the sum
-    terms: tuple[float, ...]
-
-
-def bs_sum(space: MetricMeasureSpace, x: int, depth: int) -> BsSumResult:
-    """Truncated sum of diam(Q)/mass(Q) over dyadic cubes around x.
-
-    Cubes are half-open, sides 2^0 down to 2^-depth.  The sum is
-    unweighted, so it does not tell a segment from dust: on a uniform
-    segment each level adds about sqrt(d)*side/mass = 1/2 and the value
-    grows without bound as depth grows.  The flatness-weighted Jones
-    function, sum of beta2(mu, 3Q)^2 * diam(Q)/mass(Q), is the quantity
-    that characterises 1-rectifiable measures (ROADMAP, item 4).
-
-    A depth whose cube around x no longer holds x in floating point
-    (``low + side`` rounds to ``low``, or ``side`` underflows to 0) is a
-    :class:`ParameterError` naming the largest usable depth.
-    """
-    if space.coords is None:
-        raise UnsupportedMetricError(
-            "bs_sum needs coordinate-embedded points"
-        )
-    if depth < 1:
-        raise ParameterError("depth must be at least 1")
-    point = space.coords[space.index_of(x)]
-    d = point.shape[0]
-    root_d = math.sqrt(d)
-    terms: list[float] = []
-    skipped = 0
-    for m in range(depth + 1):
-        side = 2.0**-m
-        with np.errstate(all="ignore"):  # a zero side makes low nan
-            low = np.floor(point / side) * side
-        if not np.all((low <= point) & (point < low + side)):
-            raise ParameterError(
-                f"depth {depth} is below float resolution at point {x}: "
-                f"its cube at depth {m} does not hold it; "
-                f"the largest usable depth is {m - 1}"
-            )
-        inside = np.all(
-            (space.coords >= low) & (space.coords < low + side), axis=1
-        )
-        cube_mass = space.mass(inside)
-        if cube_mass <= 0:
-            skipped += 1
-            continue
-        terms.append(root_d * side / cube_mass)
-    return BsSumResult(
-        point=x,
-        depth=depth,
-        value=seq_sum(terms),
-        skipped=skipped,
-        terms=tuple(terms),
     )

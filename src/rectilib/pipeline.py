@@ -303,7 +303,7 @@ def _bridges(ctx):
     )
     return {
         "pairs": len(ctx.bridges.pairs),
-        "edges": 3 * len(ctx.bridges.pairs),
+        "edges": len(ctx.bridges.pairs),
         "skipped_cubes": len(ctx.bridges.skipped),
         "skipped_per_level": _per_level(ctx.tree, ctx.bridges.skipped),
     }, None

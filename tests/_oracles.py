@@ -225,29 +225,6 @@ def cascade_masses_recursive(ratios, depth: int) -> dict:
     return out
 
 
-def bs_terms_brute(space, point_id: int, depth: int):
-    """Dyadic diam/mass terms by explicit per-point cube membership."""
-    x = space.coords[space.index_of(point_id)]
-    d = len(x)
-    levels = weight_levels(space.weights)
-    terms = []
-    skipped = 0
-    for m in range(depth + 1):
-        side = 2.0**-m
-        lo = [math.floor(c / side) * side for c in x]
-        inside = []
-        for pid in space.ids:
-            p = space.coords[space.index_of(pid)]
-            if all(lo[i] <= p[i] < lo[i] + side for i in range(d)):
-                inside.append(space.index_of(pid))
-        mass = mass_of(levels, inside)
-        if mass <= 0:
-            skipped += 1
-        else:
-            terms.append(math.sqrt(d) * side / mass)
-    return terms, skipped
-
-
 def net_is_separated(space, ids, scale: float) -> bool:
     for i, a in enumerate(ids):
         row = space.dists_from(space.index_of(a))
@@ -333,38 +310,23 @@ def basepoint_brute(space, member_ids) -> int:
 #
 # The tuple-keyed graph the array-backed BridgeGraph replaced: vertices
 # are a sorted tuple of keys and edges a dict {(u, v): length} with
-# u < v.  The keys were 4-tuples, (0, id, 0, 0) for a ground point and
-# (1, x, y, side) for a lifted vertex; a graph numbered by position
-# passes its positions, which sort as those tuples did.  These are that
+# u < v.  A key is a ground point's id; a graph numbered by position
+# passes its positions, which sort as the ids do.  These are that
 # representation's MST tour, kept line for line as it was, and a
 # breadth-first component labelling.
 
 
-def graph_by_position(ground, edges, pairs=()):
-    """A BridgeGraph from ground ids, bridged pairs and ``(src, dst,
-    length, provenance)`` edges between positions, ``src < dst``."""
+def graph_by_position(ground, edges):
+    """A BridgeGraph from ground ids and ``(src, dst, length,
+    provenance)`` edges between positions, ``src < dst``."""
     columns = list(zip(*edges)) or [(), (), (), ()]
     return BridgeGraph(
         ground=np.array(ground, dtype=np.int64),
-        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
         src=np.array(columns[0], dtype=np.int64),
         dst=np.array(columns[1], dtype=np.int64),
         length=np.array(columns[2], dtype=float),
         provenance=np.array(columns[3], dtype=np.int64),
     )
-
-
-def vertex_tuples(graph) -> list[tuple]:
-    """The tuple key of each position: ground ids, then two lifted
-    vertices per pair."""
-    ground = [(0, g, 0, 0) for g in graph.ground.tolist()]
-    lifted = [(1, x, y, side) for x, y in graph.pairs.tolist() for side in (0, 1)]
-    return ground + lifted
-
-
-def tuple_label(key: tuple) -> str:
-    """A tuple key as the side files label it."""
-    return f"g:{key[1]}" if key[0] == 0 else f"b:{key[1]}:{key[2]}:{key[3]}"
 
 
 def components_brute(vertices, edges):

@@ -239,38 +239,6 @@ def test_beta2_label_and_members(capsys):
     assert payload["beta2"] <= 1e-12
 
 
-def test_bssum_emits_terms(capsys):
-    code, payload, _ = run_json(
-        capsys,
-        ["bssum", "--kind", "interval", "--resolution", "64",
-         "--point", "0", "--depth", "5"],
-    )
-    assert code == 0
-    assert payload["point"] == 0
-    assert payload["depth"] == 5
-    assert len(payload["terms"]) + payload["skipped"] == 6
-    assert payload["value"] == pytest.approx(3.007936507936508)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "point, depth, usable",
-    [(32, 54, 53), (32, 200, 53), (0, 1100, 1074), (32, 53, None), (0, 1074, None)],
-)
-def test_bssum_refuses_a_depth_below_float_resolution(capsys, point, depth, usable):
-    """Point 32 sits near 1/2, so at depth 54 its cube's ends round to one
-    value; point 0's sides reach 0.0 at depth 1075.  Such a cube would be
-    empty and skipped as zero mass, though x has weight 2/64."""
-    argv = ["bssum", "--kind", "interval", "--resolution", "64",
-            "--point", str(point), "--depth", str(depth)]
-    code, out, err = run_cli(capsys, argv)
-    if usable is None:
-        assert code == 0 and json.loads(out)["skipped"] == 0
-    else:
-        assert code == 2 and out == ""
-        assert f"the largest usable depth is {usable}" in err
-
-
 def test_porous_reports_family_and_packing(capsys):
     code, payload, _ = run_json(capsys, ["porous", *HOLE_ARGS])
     assert code == 0
@@ -319,8 +287,8 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
          "--edges-out", edges_path],
     )
     assert code == 0
-    assert payload["gamma"]["vertices"] == 298
-    assert payload["gamma"]["edges"] == 396
+    assert payload["gamma"]["vertices"] == 100
+    assert payload["gamma"]["edges"] == 198
     assert payload["connectivity"]["components"] == 1
     budget = payload["budget"]
     assert budget["ok"] is True
@@ -335,16 +303,17 @@ def test_curve_builds_connected_graph(capsys, tmp_path):
         GeneratorSpec("interval", 100, params={"holes": [[0.4, 0.6]]})
     )
     ground = sorted(
-        {int(r[end][2:]) for r in rows for end in "uv" if r[end][0] == "g"}
+        {int(r[end][2:]) for r in rows for end in "uv"}
     )
     forest = adjacency_forest_rows(space, ground, 0.0222222)
     adjacency = [r for r in rows if r["provenance"] == "E-adjacency"]
     assert [(r["u"], r["v"], float(r["length"])) for r in adjacency] == [
         (f"g:{ground[a]}", f"g:{ground[b]}", d) for a, b, d in forest
     ]
-    # each bridge: two lifted vertices, three edges
-    lifted = payload["gamma"]["vertices"] - len(ground)
-    assert len(rows) - len(adjacency) == 3 * lifted // 2
+    # each bridge is one edge between two ground points
+    assert payload["gamma"]["vertices"] == len(ground)
+    bridged = len(rows) - len(adjacency)
+    assert bridged == payload["bridges"]["pairs"] == payload["bridges"]["edges"]
 
 
 def test_param_round_trip_tour(capsys, tmp_path):

@@ -22,7 +22,6 @@ FLAGS = {
     "cubes": [*SOURCE, *SCALE, "--c0"],
     "density": [*SOURCE, "--points", "--r-lo", "--r-hi", "--out"],
     "beta2": [*SOURCE, "--members", "--label"],
-    "bssum": [*SOURCE, "--point", "--depth"],
     "porous": [*SOURCE, *POROSITY],
     "curve": [*SOURCE, *POROSITY, "--eps-res", "--edges-out"],
     "param": [*SOURCE, *POROSITY, "--eps-res", "--tour-out"],
@@ -35,7 +34,6 @@ HELP = [
     ("cubes", "build and verify the cube tree"),
     ("density", "lower-density profiles"),
     ("beta2", "flatness of a subset"),
-    ("bssum", "dyadic diam/mass sum at a point"),
     ("porous", "porous cubes, packing, shadows"),
     ("curve", "assemble the curve graph"),
     ("param", "parametrize the curve graph"),

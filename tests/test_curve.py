@@ -13,7 +13,6 @@ from _oracles import (
     adjacency_forest_rows,
     graph_by_position,
     graph_dist_brute,
-    vertex_tuples,
 )
 from rectilib import curve
 from rectilib.cubes import build_cubes
@@ -108,52 +107,51 @@ def labels(graph) -> list[str]:
     return _labels(graph, np.arange(graph.vertex_count()))
 
 
-def edge_map(graph) -> dict:
-    """{(u, v): (length, provenance)} over vertex labels, u the src end,
-    in edge order."""
+def edge_list(graph) -> list:
+    """[((u, v), (length, provenance))] over vertex labels, u the src
+    end, in edge order; a parallel edge is listed again."""
     names = labels(graph)
-    return {
-        (names[s], names[d]): (length, p)
+    return [
+        ((names[s], names[d]), (length, p))
         for s, d, length, p in zip(
             graph.src.tolist(),
             graph.dst.tolist(),
             graph.length.tolist(),
             graph.provenance.tolist(),
         )
-    }
+    ]
+
+
+def bridge_map(graph) -> dict:
+    """{(u, v): (length, cube)} of the bridge edges."""
+    return {e: value for e, value in edge_list(graph) if value[1] != ADJACENCY}
 
 
 # -- vertex labels ------------------------------------------------------
 
 
 def test_vertex_keys():
-    """A position's label comes from the ground ids and the ranked pairs,
-    for positions asked in any order."""
-    graph = graph_by_position([3, 9, 17], [], pairs=[(3, 9), (3, 17)])
-    assert labels(graph) == [
-        "g:3", "g:9", "g:17", "b:3:9:0", "b:3:9:1", "b:3:17:0", "b:3:17:1"
-    ]
-    assert _labels(graph, np.array([4, 2, 5])) == ["b:3:9:1", "g:17", "b:3:17:0"]
+    """A position's label comes from the ground ids, for positions asked
+    in any order."""
+    graph = graph_by_position([3, 9, 17], [])
+    assert labels(graph) == ["g:3", "g:9", "g:17"]
+    assert _labels(graph, np.array([2, 0, 2])) == ["g:17", "g:3", "g:17"]
     assert _labels(graph, np.array([], dtype=np.int64)) == []
 
 
 # -- bridge construction ------------------------------------------------
 
 
-def test_bridges_have_three_equal_edges():
+def test_each_bridge_is_one_edge():
     space, target, h, tree, porous = hole_fixture()
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     bridged = gamma.provenance != ADJACENCY
-    assert np.count_nonzero(bridged) == 3 * len(bridges.pairs)
-    edges = edge_map(gamma)
+    assert np.count_nonzero(bridged) == len(bridges.pairs)
+    edges = bridge_map(gamma)
     for (x, y), cube_id in pair_map(bridges).items():
         d = space.dists_from(space.index_of(x))[space.index_of(y)]
-        gx, gy = f"g:{x}", f"g:{y}"
-        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
-        for key in ((gx, lx), (lx, ly), (gy, ly)):
-            assert edges[key][0] == pytest.approx(float(d))
-            assert edges[key][1] == cube_id
+        assert edges[f"g:{x}", f"g:{y}"] == (pytest.approx(float(d)), cube_id)
 
 
 def test_bridges_dedupe_and_attribute_to_first_cube():
@@ -165,8 +163,8 @@ def test_bridges_dedupe_and_attribute_to_first_cube():
     assert len(bridges.pairs) == 99 + 98
     assert sum(bridges.pairs_per_cube.values()) == 2 * 99
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
-    assert np.count_nonzero(gamma.provenance != ADJACENCY) == 3 * 197
-    assert gamma.vertex_count() == 100 + 2 * 197
+    assert np.count_nonzero(gamma.provenance != ADJACENCY) == 197
+    assert gamma.vertex_count() == 100
     # recompute the expected first-contributor for every pair
     expected: dict[tuple[int, int], int] = {}
     for cube in porous.cube.tolist():
@@ -248,14 +246,14 @@ def test_star_bridges_pass_through_the_center():
             if row[k] < cfg.M * tree.sidelength[cube_id]
         ]
         assert count == len(near) - 1  # every near point but the center
-    lengths = edge_map(assemble_gamma(space, target, bridges, 2.2 / 99.0))
+    lengths = bridge_map(assemble_gamma(space, target, bridges, 2.2 / 99.0))
     for (x, y), cube_id in pair_map(bridges).items():
         center = space.ids[tree.center[cube_id]]
         assert center in (x, y)
         other = y if x == center else x
         row = space.dists_from(space.index_of(center))
         # bit for bit the center row's entry, not merely close to it
-        assert lengths[(f"g:{x}", f"b:{x}:{y}:0")][0] == float(
+        assert lengths[(f"g:{x}", f"g:{y}")][0] == float(
             row[space.index_of(other)]
         )
 
@@ -268,32 +266,29 @@ def test_graph_arrays_follow_key_and_insertion_order():
     bridges = build_bridges(space, tree, h, porous, good_cfg())
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     assert gamma.ground.tolist() == hole_ground(target, bridges)
-    assert gamma.pairs.tolist() == sorted(bridges.pairs.tolist())
-    assert gamma.ground.dtype == gamma.pairs.dtype == np.int64
+    assert gamma.ground.dtype == np.int64
     assert np.all(gamma.src < gamma.dst)
-    # bridge edges first, three per pair in construction order
-    edges = list(edge_map(gamma).items())
-    n_bridge = 3 * len(bridges.pairs)
-    for k, ((x, y), cube_id) in enumerate(pair_map(bridges).items()):
-        gx, gy = f"g:{x}", f"g:{y}"
-        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
-        triple = edges[3 * k : 3 * k + 3]
-        assert [e for e, _ in triple] == [(gx, lx), (lx, ly), (gy, ly)]
-        assert [p for _, (_, p) in triple] == [cube_id] * 3
+    # bridge edges first, one per pair in construction order
+    edges = edge_list(gamma)
+    n_bridge = len(bridges.pairs)
+    assert edges[:n_bridge] == [
+        ((f"g:{x}", f"g:{y}"), (d, cube_id))
+        for (x, y), d, cube_id in zip(
+            bridges.pairs.tolist(), bridges.length.tolist(), bridges.cube.tolist()
+        )
+    ]
     # then adjacency edges by ascending ground pair
     adjacency = list(zip(gamma.src[n_bridge:], gamma.dst[n_bridge:]))
     assert adjacency == sorted(adjacency)
-    assert gamma.dst[n_bridge:].max() < len(gamma.ground)
     assert all(p == ADJACENCY for _, (_, p) in edges[n_bridge:])
     assert all(p != ADJACENCY for _, (_, p) in edges[:n_bridge])
-    for a in (gamma.ground, gamma.pairs, gamma.src, gamma.dst, gamma.length,
+    for a in (gamma.ground, gamma.src, gamma.dst, gamma.length,
               gamma.provenance, bridges.pairs, bridges.length, bridges.cube):
         assert not a.flags.writeable
 
 
 def test_keys_sort_by_columns_with_negative_and_large_ids():
-    """Positions follow the tuple keys (0, id, 0, 0), (1, x, y, side)
-    column by column, whatever the ids' signs and sizes."""
+    """Positions follow the ground ids, whatever their signs and sizes."""
     big = 2**62
     ids = [big, -5, 3, -big]
     space = MetricMeasureSpace.from_coords(
@@ -307,21 +302,10 @@ def test_keys_sort_by_columns_with_negative_and_large_ids():
         skipped=(),
     )
     gamma = assemble_gamma(space, enclosing_target(space, [3]), bridges, 0.5)
-    keys = vertex_tuples(gamma)
-    assert keys == sorted(keys)
-    assert labels(gamma) == [
-        f"g:{-big}", "g:-5", "g:3", f"g:{big}",
-        f"b:{-big}:-5:0", f"b:{-big}:-5:1", f"b:-5:{big}:0", f"b:-5:{big}:1",
-        f"b:3:{big}:0", f"b:3:{big}:1",
-    ]
+    assert labels(gamma) == [f"g:{-big}", "g:-5", "g:3", f"g:{big}"]
     # edges keep construction order; each stores its endpoints ascending
-    assert list(edge_map(gamma)) == [
-        ("g:3", f"b:3:{big}:0"), (f"b:3:{big}:0", f"b:3:{big}:1"),
-        (f"g:{big}", f"b:3:{big}:1"),
-        (f"g:{-big}", f"b:{-big}:-5:0"), (f"b:{-big}:-5:0", f"b:{-big}:-5:1"),
-        ("g:-5", f"b:{-big}:-5:1"),
-        ("g:-5", f"b:-5:{big}:0"), (f"b:-5:{big}:0", f"b:-5:{big}:1"),
-        (f"g:{big}", f"b:-5:{big}:1"),
+    assert [e for e, _ in edge_list(gamma)] == [
+        ("g:3", f"g:{big}"), (f"g:{-big}", "g:-5"), ("g:-5", f"g:{big}"),
     ]
 
 
@@ -347,9 +331,9 @@ def test_gamma_chain_adjacency():
     target = enclosing_target(space)
     empty = no_bridges()
     gamma = assemble_gamma(space, target, empty, 0.15)
-    edges = edge_map(gamma)
-    assert list(edges) == [("g:0", "g:1"), ("g:1", "g:2")]
-    assert all(p == ADJACENCY for _, p in edges.values())
+    edges = edge_list(gamma)
+    assert [e for e, _ in edges] == [("g:0", "g:1"), ("g:1", "g:2")]
+    assert all(p == ADJACENCY for _, (_, p) in edges)
     assert connectivity(gamma).components == 1
     with pytest.raises(ParameterError):
         assemble_gamma(space, target, empty, 0.0)
@@ -374,14 +358,7 @@ def test_gamma_skips_coincident_points():
 
 def test_micro_gamma_connects_through_the_bridge():
     space, target, gamma = micro_gamma()
-    assert labels(gamma) == [
-        "g:0",
-        "g:1",
-        "g:2",
-        "g:3",
-        "b:1:2:0",
-        "b:1:2:1",
-    ]
+    assert labels(gamma) == ["g:0", "g:1", "g:2", "g:3"]
     report = connectivity(gamma)
     assert report.components == 1
     assert _labels(gamma, report.representatives) == ["g:0"]
@@ -391,12 +368,51 @@ def test_micro_gamma_connects_through_the_bridge():
     assert connectivity(empty_graph()).components == 0
 
 
-def test_graph_distance_across_a_bridge_is_three_hops():
+def parallel_gamma(bridge_length=None):
+    """Four points 0.1 apart, all adjacent at eps_res 0.15, and a bridge
+    over the pair (1, 2): the bridge and the adjacency edge are parallel.
+    The bridge is as long as the pair unless stated otherwise."""
+    coords = np.array([[0.0], [0.1], [0.2], [0.3]])
+    space = MetricMeasureSpace.from_coords(range(4), coords, np.ones(4))
+    d = float(space.dists_between(1, np.array([2]))[0])
+    bridges = Bridges(
+        pairs=np.array([[1, 2]]),
+        length=np.array([d if bridge_length is None else bridge_length]),
+        cube=np.array([7]),
+        pairs_per_cube={7: 1},
+        skipped=(),
+    )
+    return space, assemble_gamma(space, enclosing_target(space), bridges, 0.15)
+
+
+@pytest.mark.parametrize("bridge_length", [None, 0.5], ids=["tied", "longer"])
+def test_a_bridge_parallel_to_an_adjacency_edge(bridge_length):
+    """Kruskal keeps one of the two edges between g:1 and g:2, the
+    bridge on a tie, and the step check reads the shorter, so the tour
+    passes whichever is longer."""
+    space, gamma = parallel_gamma(bridge_length)
+    edges = edge_list(gamma)
+    assert [e for e, _ in edges] == [
+        ("g:1", "g:2"), ("g:0", "g:1"), ("g:1", "g:2"), ("g:2", "g:3")
+    ]
+    assert [p for _, (_, p) in edges] == [7] + [ADJACENCY] * 3
+    adjacency = gamma.length[gamma.provenance == ADJACENCY]
+    if bridge_length is None:
+        assert gamma.length[0] == adjacency[1]
+    param = parametrize(gamma)
+    assert param.visits.tolist() == [0, 1, 2, 3, 2, 1, 0]
+    assert param.tree_length == pytest.approx(sum(adjacency.tolist()), rel=1e-12)
+    check = check_parametrization(param, gamma)
+    assert check.ok
+    assert check.max_ratio == pytest.approx(param.lip_bound, rel=1e-9)
+
+
+def test_graph_distance_across_a_bridge_is_one_hop():
     space, target, gamma = micro_gamma()
     edges = dict(zip(zip(gamma.src.tolist(), gamma.dst.tolist()), gamma.length))
     dist = graph_dist_brute(range(gamma.vertex_count()), edges)
     assert labels(gamma)[1:3] == ["g:1", "g:2"]
-    assert dist[1][2] == pytest.approx(2.7)
+    assert dist[1][2] == 0.9
 
 
 def test_more_bridges_never_disconnect():
@@ -431,12 +447,8 @@ def test_budget_on_hole_fixture():
     assert budget.e_part == pytest.approx(99 / 99)
     assert budget.bound_e == pytest.approx(16.0)
     assert budget.mass_check_ok and not budget.e_vacuous
-    assert budget.c_pair == pytest.approx(3 * 2 * cfg.M * 99)
-    brute_bridge = sum(
-        length
-        for length, p in edge_map(gamma).values()
-        if p != ADJACENCY
-    )
+    assert budget.c_pair == pytest.approx(2 * cfg.M * 99)
+    brute_bridge = sum(length for length, _ in bridge_map(gamma).values())
     assert budget.bridge_part == pytest.approx(brute_bridge)
     assert budget.bridge_part <= budget.bound_bridge
     assert budget.ok
@@ -463,7 +475,7 @@ def test_budget_parts_are_sequential_sums_in_edge_order():
     gamma = assemble_gamma(space, target, bridges, 2.2 / 99.0)
     budget = length_budget(space, target, gamma, bridges, porous, tree, cfg)
     e_part = bridge_part = 0.0
-    for length, p in edge_map(gamma).values():
+    for _, (length, p) in edge_list(gamma):
         if p == ADJACENCY:
             e_part += length
         else:
@@ -533,23 +545,13 @@ def test_parametrize_micro_tour():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
     assert _labels(gamma, param.visits) == [
-        "g:0",
-        "g:1",
-        "b:1:2:0",
-        "b:1:2:1",
-        "g:2",
-        "g:3",
-        "g:2",
-        "b:1:2:1",
-        "b:1:2:0",
-        "g:1",
-        "g:0",
+        "g:0", "g:1", "g:2", "g:3", "g:2", "g:1", "g:0"
     ]
-    assert param.tree_length == pytest.approx(2.9)
-    assert param.lip_bound == pytest.approx(5.8)
+    assert param.tree_length == pytest.approx(1.1)
+    assert param.lip_bound == pytest.approx(2.2)
     assert param.ts[0] == 0.0 and param.ts[-1] == 1.0
     assert list(param.ts) == sorted(param.ts)
-    assert param.visits.dtype == np.int64 and param.visits.shape == (11,)
+    assert param.visits.dtype == np.int64 and param.visits.shape == (7,)
     assert param.visits[0] == param.visits[-1]  # closed tour
 
 
@@ -696,12 +698,12 @@ def test_param_check_names_each_failed_inequality(broken, message):
 def test_check_parametrization_catches_missing_vertex():
     space, target, gamma = micro_gamma()
     param = parametrize(gamma)
-    # drop the single visit to g:3 (index 5 in the frozen tour) and the
+    # drop the single visit to g:3 (index 3 in the frozen tour) and the
     # return to its parent g:2, so the walk stays on the graph's edges
     clipped = dataclasses.replace(
         param,
-        visits=np.delete(param.visits, [5, 6]),
-        ts=np.delete(param.ts, [5, 6]),
+        visits=np.delete(param.visits, [3, 4]),
+        ts=np.delete(param.ts, [3, 4]),
     )
     check = check_parametrization(clipped, gamma)
     assert not check.surjective and check.missing == 1
@@ -711,7 +713,7 @@ def test_check_parametrization_catches_missing_vertex():
 def _stray_visit(position):
     def malform(param):
         visits = param.visits.copy()
-        visits[3] = position  # the graph has positions 0..5
+        visits[3] = position  # the graph has positions 0..3
         return dataclasses.replace(param, visits=visits)
 
     return malform
@@ -720,14 +722,14 @@ def _stray_visit(position):
 @pytest.mark.parametrize(
     "malform, message",
     [
-        (_stray_visit(6), "visit 3 is at position 6, which is not a vertex"),
+        (_stray_visit(4), "visit 3 is at position 4, which is not a vertex"),
         (_stray_visit(-1), "visit 3 is at position -1, which is not a vertex"),
         (
-            # g:0 g:1 b:1:2:0 g:2, skipping the lifted vertex b:1:2:1
+            # g:0 g:1 g:3, skipping g:2
             lambda p: dataclasses.replace(
-                p, visits=np.delete(p.visits, 3), ts=np.delete(p.ts, 3)
+                p, visits=np.delete(p.visits, 2), ts=np.delete(p.ts, 2)
             ),
-            r"step \(2, 3\) from position 4 to 2 is not an edge",
+            r"step \(1, 2\) from position 1 to 3 is not an edge",
         ),
         (
             lambda p: dataclasses.replace(p, ts=p.ts[::-1]),
@@ -739,11 +741,11 @@ def _stray_visit(position):
         ),
         (
             lambda p: dataclasses.replace(p, ts=p.ts[:-1]),
-            "10 times for 11 visits",
+            "6 times for 7 visits",
         ),
         (
             lambda p: dataclasses.replace(p, ts=np.append(p.ts, 1.0)),
-            "12 times for 11 visits",
+            "8 times for 7 visits",
         ),
     ],
     ids=[
@@ -798,41 +800,34 @@ def test_parametrization_csv_layout(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(param.visits)
-    assert [r["vertex"] for r in rows[:3]] == ["g:0", "g:1", "b:1:2:0"]
+    assert [r["vertex"] for r in rows[:3]] == ["g:0", "g:1", "g:2"]
     assert float(rows[1]["x1"]) == pytest.approx(0.1)
-    assert rows[2]["x1"] == ""  # lifted vertices have no coordinates
+    assert float(rows[2]["x1"]) == 1.0
     assert float(rows[-1]["t"]) == 1.0
 
 
-# Frozen bytes of the side files, as written by the tuple-keyed graph
-# before it became arrays.
+# Frozen bytes of the side files of one-edge bridges.
 MICRO_EDGES_CSV = (
     "u,v,length,provenance\r\n"
     "g:0,g:1,0.1,E-adjacency\r\n"
-    "g:1,b:1:2:0,0.9,7\r\n"
+    "g:1,g:2,0.9,7\r\n"
     "g:2,g:3,0.10000000000000009,E-adjacency\r\n"
-    "g:2,b:1:2:1,0.9,7\r\n"
-    "b:1:2:0,b:1:2:1,0.9,7\r\n"
 )
 MICRO_TOUR_CSV = (
     "t,vertex,x1\r\n"
     "0.0,g:0,0.0\r\n"
-    "0.017241379310344827,g:1,0.1\r\n"
-    "0.1724137931034483,b:1:2:0,\r\n"
-    "0.3275862068965517,b:1:2:1,\r\n"
-    "0.48275862068965514,g:2,1.0\r\n"
+    "0.045454545454545456,g:1,0.1\r\n"
+    "0.45454545454545453,g:2,1.0\r\n"
     "0.5,g:3,1.1\r\n"
-    "0.5172413793103449,g:2,1.0\r\n"
-    "0.6724137931034483,b:1:2:1,\r\n"
-    "0.8275862068965517,b:1:2:0,\r\n"
-    "0.9827586206896552,g:1,0.1\r\n"
+    "0.5454545454545455,g:2,1.0\r\n"
+    "0.9545454545454545,g:1,0.1\r\n"
     "1.0,g:0,0.0\r\n"
 )
 HOLE_STAR_EDGES_SHA256 = (
-    "a9cf22d3e2238d63862b83df0dfaaf5bb4620bc489888247d434eadd9b269ad8"
+    "2157cbf99027f0fc46ed36cb239a5993312ba533fbce7d813d87c3663f657e80"
 )
 HOLE_STAR_TOUR_SHA256 = (
-    "41557b1ccca42be15c5e8ba540cb43d7f15ed18a7e343f2ddd53f78accdb4cbf"
+    "9db89eb02536f5d135cb83717af4cb2a7118fe20e594e9b5cc86e2a53b9ba8ee"
 )
 
 

@@ -1,16 +1,16 @@
 """Property tests: the array-backed curve graph matches the tuple oracles.
 
-Small random graphs by position, over ground ids and bridged pairs with
-negative and large ids, with integer-heavy lengths, so equal-length
-ties are common, and with several components and isolated vertices.
+Small random graphs by position, over ground ids with negative and
+large ids, with integer-heavy lengths, so equal-length ties are common,
+and with several components and isolated vertices.
 Components, representatives, the spanning-tree tour and the edge list
 must equal what the tuple-keyed implementation gives on the positions,
 bit for bit, and the edge list's labels what the tuple keys print.  A
 tour the Lipschitz check passes, honest or tampered with, keeps every
 pair of visits within the bound, plus 2**-51 per step between them,
 under the oracle's graph distances.  On small clouds with holes, the
-curve's positions follow the tuple order and every bridge is the chain
-x, lifted x, lifted y, y.
+curve's positions follow the ground ids and every bridge is one edge
+(x, y).
 """
 
 import csv
@@ -30,8 +30,6 @@ from _oracles import (
     graph_by_position,
     graph_dist_brute,
     tour_brute,
-    tuple_label,
-    vertex_tuples,
 )
 from rectilib.cubes import build_cubes
 from rectilib.curve import (
@@ -57,15 +55,11 @@ PROVENANCE = st.sampled_from([ADJACENCY, 0, 4])
 
 @st.composite
 def graphs(draw):
-    """A graph by position: ascending ground ids, ascending bridged
-    pairs, and edges ``(src, dst, length, provenance)``, ``src < dst``,
-    in insertion order."""
+    """A graph by position: ascending ground ids and edges ``(src, dst,
+    length, provenance)``, ``src < dst``, in insertion order."""
     n = draw(st.integers(1, 9))
-    n_pairs = draw(st.integers(0, n // 2))
-    ground = draw(st.lists(st.sampled_from(IDS), min_size=n - 2 * n_pairs,
-                           max_size=n - 2 * n_pairs, unique=True))
-    bridged = draw(st.lists(st.sampled_from(list(itertools.combinations(IDS, 2))),
-                            min_size=n_pairs, max_size=n_pairs, unique=True))
+    ground = draw(st.lists(st.sampled_from(IDS), min_size=n, max_size=n,
+                           unique=True))
     pairs = list(itertools.combinations(range(n), 2))
     # dense draws make cycles whose heaviest edges tie, where the tie
     # order decides which edge the tree keeps
@@ -80,7 +74,7 @@ def graphs(draw):
         path = [tuple(sorted(p)) for p in zip(order, order[1:])]
         chosen += [p for p in path if p not in chosen]
     edges = [(i, j, draw(LENGTHS), draw(PROVENANCE)) for i, j in chosen]
-    return graph_by_position(sorted(ground), edges, sorted(bridged))
+    return graph_by_position(sorted(ground), edges)
 
 
 def oracle_form(graph):
@@ -163,7 +157,7 @@ def test_a_passed_tour_keeps_every_pair_of_visits_within_the_bound(graph, data):
 
 @given(graphs())
 def test_edges_csv_matches_the_tuple_writer(graph):
-    keys = vertex_tuples(graph)
+    keys = graph.ground.tolist()
     edges = zip(graph.src.tolist(), graph.dst.tolist(),
                 graph.length.tolist(), graph.provenance.tolist())
     with tempfile.TemporaryDirectory() as tmp:
@@ -177,7 +171,7 @@ def test_edges_csv_matches_the_tuple_writer(graph):
                     length, E_ADJACENCY if p == ADJACENCY else p
                 )
             for (u, v), (length, p) in sorted(rows.items()):
-                writer.writerow([tuple_label(u), tuple_label(v), repr(length), p])
+                writer.writerow([f"g:{u}", f"g:{v}", repr(length), p])
         edges_csv(graph, os.path.join(tmp, "edges.csv"))
         with open(expected_path, "rb") as a, open(
             os.path.join(tmp, "edges.csv"), "rb"
@@ -206,12 +200,11 @@ def clouds_with_holes(draw):
 
 
 @given(clouds_with_holes(), st.sampled_from([0.5 / 32, 1.5 / 32, 0.3]))
-def test_positions_follow_the_tuple_order_and_bridges_are_chains(case, eps):
-    """The ground ids ascend, then two lifted vertices per pair by
-    ascending (x, y): the labels read back as tuple keys ascend, which
-    is the order Kruskal's ties rely on.  Edge 3k, 3k + 1 and 3k + 2
-    are bridge k's chain x, lifted x, lifted y, y, as long as the pair
-    and owned by the first cube that bridged it."""
+def test_positions_follow_the_ground_ids_and_bridges_are_edges(case, eps):
+    """The vertices are the target members and bridge endpoints by
+    ascending id, which is the order Kruskal's ties rely on.  Edge k is
+    bridge k, the one edge (x, y), as long as the pair and owned by the
+    first cube that bridged it; the adjacency edges follow."""
     space, target = case
     cfg = PorosityConfig(M=11.0, delta=0.003, n0=2, rho=1.0 / 16.0, C_mu=2.0)
     lo, hi = auto_levels(space, cfg.rho)
@@ -228,24 +221,14 @@ def test_positions_follow_the_tuple_order_and_bridges_are_chains(case, eps):
 
     graph = assemble_gamma(space, target, bridges, eps)
     names = _labels(graph, np.arange(graph.vertex_count()))
-    keys = [
-        (0, int(rest[0]), 0, 0) if kind == "g" else (1, *map(int, rest))
-        for kind, *rest in (name.split(":") for name in names)
-    ]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
     ground = set(target.members) | set(bridges.pairs.ravel().tolist())
-    assert [k[1] for k in keys if k[0] == 0] == sorted(ground)
-    assert len(keys) == len(ground) + 2 * len(bridges.pairs)
-    for k, ((x, y), d, cube) in enumerate(
-        zip(bridges.pairs.tolist(), bridges.length.tolist(), bridges.cube.tolist())
-    ):
-        chain = [
-            (names[u], names[v])
-            for u, v in zip(graph.src[3 * k : 3 * k + 3].tolist(),
-                            graph.dst[3 * k : 3 * k + 3].tolist())
-        ]
-        lx, ly = f"b:{x}:{y}:0", f"b:{x}:{y}:1"
-        assert chain == [(f"g:{x}", lx), (lx, ly), (f"g:{y}", ly)]
-        assert graph.length[3 * k : 3 * k + 3].tolist() == [d] * 3
-        assert graph.provenance[3 * k : 3 * k + 3].tolist() == [cube] * 3
-    assert np.all(graph.provenance[3 * len(bridges.pairs) :] == ADJACENCY)
+    assert names == [f"g:{g}" for g in sorted(ground)]
+    n_pairs = len(bridges.pairs)
+    edges = [
+        (names[u], names[v])
+        for u, v in zip(graph.src[:n_pairs].tolist(), graph.dst[:n_pairs].tolist())
+    ]
+    assert edges == [(f"g:{x}", f"g:{y}") for x, y in bridges.pairs.tolist()]
+    assert graph.length[:n_pairs].tolist() == bridges.length.tolist()
+    assert graph.provenance[:n_pairs].tolist() == bridges.cube.tolist()
+    assert np.all(graph.provenance[n_pairs:] == ADJACENCY)

@@ -1,4 +1,4 @@
-"""Tests for density profiles, strata, flatness numbers, and dyadic sums."""
+"""Tests for density profiles, strata, and flatness numbers."""
 
 import math
 
@@ -10,11 +10,8 @@ from _oracles import (
     beta2_grid,
     beta2_grid_slack,
     beta2_submatrix,
-    bs_terms_brute,
 )
-from rectilib import density
 from rectilib.density import (
-    bs_sum,
     beta2,
     density_profiles,
     resolution_scale,
@@ -277,83 +274,3 @@ def test_beta2_builds_no_distance_submatrix(monkeypatch, spec):
 
     monkeypatch.setattr(MetricMeasureSpace, "distance_matrix", refuse)
     assert [beta2(space, m).beta2 for m in subsets] == want
-
-
-def test_bs_sum_matches_brute_force():
-    rng = np.random.default_rng(67)
-    for trial in range(6):
-        space = random_cloud(rng, n=15)
-        pid = int(rng.integers(0, 15))
-        depth = int(rng.integers(1, 6))
-        got = bs_sum(space, pid, depth)
-        terms, skipped = bs_terms_brute(space, pid, depth)
-        assert got.terms == pytest.approx(tuple(terms))
-        assert got.skipped == skipped
-        assert got.value == pytest.approx(sum(terms))
-        assert len(got.terms) + got.skipped == depth + 1
-
-
-def test_bs_sum_on_power_of_two_grid():
-    space, _ = generate(GeneratorSpec("grid2d", 8))
-    for pid in (0, 27, 63):
-        got = bs_sum(space, pid, 3)
-        assert got.skipped == 0
-        assert got.value == pytest.approx(math.sqrt(2.0) * (2.0**4 - 1.0))
-
-
-def test_bs_sum_atom_formula_and_monotonicity():
-    coords = np.array([[0.25, 0.25], [100.25, 100.25]])
-    space = MetricMeasureSpace.from_coords([0, 1], coords, np.full(2, 0.5))
-    values = []
-    for depth in (1, 2, 3, 4):
-        got = bs_sum(space, 1, depth)
-        expected = math.sqrt(2.0) / 0.5 * (2.0 - 2.0**-depth)
-        assert got.value == pytest.approx(expected)
-        values.append(got.value)
-    assert values == sorted(values)
-
-
-def test_bs_sum_skips_empty_cubes():
-    coords = np.array([[0.25, 0.25], [100.25, 100.25]])
-    space = MetricMeasureSpace.from_coords(
-        [0, 1], coords, np.array([1.0, 0.0])
-    )
-    got = bs_sum(space, 1, 3)
-    assert got.value == 0.0
-    assert got.skipped == 4
-    assert got.terms == ()
-
-
-def test_bs_sum_adds_whatever_sum_the_builtins_do(monkeypatch):
-    """At point 0 of interval 100 the terms to depth 3 add up to
-    1.985819735819736 left to right but to 1.9858197358197358
-    compensated, as the builtin ``sum`` of Python 3.12 adds them."""
-    monkeypatch.setattr(density, "sum", math.fsum, raising=False)
-    space, _ = generate(GeneratorSpec("interval", 100))
-    got = bs_sum(space, 0, 3)
-    assert math.fsum(got.terms) == 1.9858197358197358
-    total = 0.0
-    for term in got.terms:
-        total += term
-    assert got.value == total == 1.985819735819736
-
-
-def test_bs_sum_grows_on_a_uniform_segment():
-    """The unweighted sum does not stay bounded on a segment: each dyadic
-    level adds sqrt(d)*side/mass = 1/2, so four levels add 2.0."""
-    space, _ = generate(GeneratorSpec("interval", 4096))
-    values = [bs_sum(space, 2000, depth).value for depth in (4, 8, 12)]
-    assert values[0] == pytest.approx(2.5001221001221, abs=1e-12)
-    assert values[1] - values[0] == pytest.approx(2.0, abs=1e-12)
-    assert values[2] - values[1] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_bs_sum_error_types():
-    space, _ = generate(GeneratorSpec("grid2d", 4))
-    with pytest.raises(ParameterError):
-        bs_sum(space, 0, 0)
-    twin = MetricMeasureSpace.from_matrix(
-        [0, 1], np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2)
-    )
-    with pytest.raises(UnsupportedMetricError):
-        bs_sum(twin, 0, 2)

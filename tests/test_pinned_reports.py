@@ -59,23 +59,23 @@ CASES = {
 PINS = {
     "interval-hole-1000": {
         "report":
-            "15f8b78bb4ce3f7b3715b55adf6dc9cf47846afde42ba9f5c874efdff5347637",
+            "636c90da244f8306726ecf11b516825c68b692d9608e0069eb97c691d38f76a6",
         "density.csv":
             "466bc01729108b30fcaf4278d0b4b9a8a681d89a38ea358a06e108e28c05d553",
         "edges.csv":
-            "10c7f513b84d0fde9075f67ffe4031d6d7b458ba0d7518f99aebda7c464acadd",
+            "13b0af9aef82ad59464734892eebe812b91926cf58cf7f6579847bb1499d9404",
         "tour.csv":
-            "0361977a41f91e28f29a8271594329e2770babcfb10ff6d2f7dddab7aeb272ed",
+            "bb646cbf00efad526c7c090f8455c97085074fc64512f863681c8433fe9f8a00",
     },
     "interval-three-holes-1000": {
         "report":
-            "ff722f790ba8f76239eba0a6a8b862363c35a4822f609868281929e0493cb706",
+            "6d7f621a1e94dcabaa44bfb397c6ccc132dd725246b512a044cc7c9f153ecaa6",
         "density.csv":
             "25e41d2cb7399702a09c878b67d814f330710596c8c60bb5b3344d6d14e2e892",
         "edges.csv":
-            "e82601bc6917209760875ae44b0eb59be44ff2beaa80574aa569e886084b14de",
+            "c4c27c1c14321515506af4d921e323399cd42825ebb4d60a7cdc101fdd28be2a",
         "tour.csv":
-            "b89c6e9adcb6d68e4c32be8bace21e284d0b3bf87ec5dfda6000c8fb8f1128b8",
+            "a9ce44a05379c42c33fca79b3bb867ec30202956d785f7dbc7ffef4b08678b53",
     },
     "cascade-5": {
         "report":
