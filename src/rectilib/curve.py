@@ -50,8 +50,8 @@ from .space import (
     MetricMeasureSpace,
     TargetSet,
     _joined,
-    _open,
     _unique,
+    _write_lines,
     linear_mass_check,
     seq_sum,
 )
@@ -199,9 +199,9 @@ def assemble_gamma(
     # joined merge; the order is strict, so the forest is unique
     label = np.arange(n_ground)
     forest = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    taken = 0
+    taken, kept = 0, {}
     while taken < n_ground - 1:  # a tree has no edge left to find
-        a, b, d = space.lightest_edges(idx, label, eps_res)
+        a, b, d = space.lightest_edges(idx, label, eps_res, kept)
         comp = np.flatnonzero(d < np.inf)
         if not len(comp):
             break
@@ -555,7 +555,7 @@ def edges_csv(graph: BridgeGraph, path: str) -> None:
     """Edge list as CSV in endpoint order: endpoints, length, provenance."""
     names = _labels(graph, np.arange(graph.vertex_count()))
     order = np.lexsort((graph.dst, graph.src))
-    lines = [
+    lines = (
         f"{names[u]},{names[v]},{length!r},"
         f"{E_ADJACENCY if p == ADJACENCY else p}{_EOL}"
         for u, v, length, p in zip(
@@ -564,10 +564,8 @@ def edges_csv(graph: BridgeGraph, path: str) -> None:
             graph.length[order].tolist(),
             graph.provenance[order].tolist(),
         )
-    ]
-    with _open(path, "w", newline="") as fh:
-        fh.write(f"u,v,length,provenance{_EOL}")
-        fh.write("".join(lines))
+    )
+    _write_lines(path, f"u,v,length,provenance{_EOL}", lines)
 
 
 def parametrization_csv(
@@ -587,10 +585,8 @@ def parametrization_csv(
             for name, xs in zip(tails, coords.tolist())
         ]
     header = ",".join(["t", "vertex"] + [f"x{i + 1}" for i in range(dim)])
-    lines = [
+    lines = (
         f"{t!r},{tails[k]}{_EOL}"
         for t, k in zip(np.asarray(param.ts).tolist(), param.visits.tolist())
-    ]
-    with _open(path, "w", newline="") as fh:
-        fh.write(header + _EOL)
-        fh.write("".join(lines))
+    )
+    _write_lines(path, header + _EOL, lines)

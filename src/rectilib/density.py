@@ -8,7 +8,6 @@ evaluated on and the minimum is a finite-resolution surrogate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -20,7 +19,7 @@ from .errors import (
     ParameterError,
     UnsupportedMetricError,
 )
-from .space import MetricMeasureSpace, _open, dyadic_radii
+from .space import MetricMeasureSpace, _write_lines, dyadic_radii
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +58,13 @@ def density_profiles(
 def density_csv(profiles: DensityProfiles, path: str) -> None:
     """Per-point lower estimates as CSV, ascending by id."""
     order = np.argsort(profiles.points, kind="stable")
-    with _open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lower_estimate"])
-        # Python floats: repr of a numpy float names its type
-        for k, low in zip(order.tolist(), profiles.lower[order].tolist()):
-            writer.writerow([profiles.points[k], repr(low)])
+    # Python floats: repr of a numpy float names its type; no field holds
+    # a comma, a quote or a line break, so each line is csv.writer's
+    lines = (
+        f"{profiles.points[k]},{low!r}\r\n"
+        for k, low in zip(order.tolist(), profiles.lower[order].tolist())
+    )
+    _write_lines(path, "id,lower_estimate\r\n", lines)
 
 
 def density_summary(

@@ -12,6 +12,16 @@ Strictness convention: separation is ``dist >= rho^n``; covering is
 A level is a read-only array of point indices in the order the scan
 admitted them; point ids appear only in the witnesses of
 :func:`verify_nets`.
+
+The scan walks the cell tree once per level that has more than one
+candidate, keeping the candidate lists of the level's scale for the
+homes of all its candidates and members
+(:meth:`~rectilib.space.MetricMeasureSpace.keep_neighbors`), and
+answers every lookahead chunk from them; :func:`verify_nets` and the
+cubes ask the balls of the members at the same scales and walk only
+at a level the scan did not walk (greedy nets over a tree: Har-Peled
+& Mendel, "Fast construction of nets in low-dimensional metrics and
+their applications", SIAM J. Comput. 35(5), 2006).
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 from .errors import ParameterError
 from .space import MetricMeasureSpace
 
-_ROUND_PAIRS = 1 << 12  # build_nets asks balls of about this many pairs at once
+_ROUND_PAIRS = 1 << 13  # build_nets asks balls of about this many pairs at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +72,10 @@ def build_nets(
     from ``seed_ids``, which lets a caller force a particular root
     point), then scans the remaining points in ascending id order,
     admitting any point at distance >= ``rho^n`` from all current
-    members.
+    members.  The scan asks the balls of a chunk of its next candidates
+    at once and admits the chunk's points in turn, a point only while
+    no member and no point admitted before it in the chunk lies in its
+    ball.
     """
     _check_rho(rho)
     if n_max < n_min:
@@ -81,6 +94,7 @@ def build_nets(
     # inf when every member was at least its admission scale away; scales
     # only shrink, so the comparison with the current scale is exact
     mindist = np.full(len(space), math.inf)
+    slot = np.full(len(space), -1)  # a chunk point's position in its chunk
     members: list[int] = []
     levels: dict[int, list[int]] = {}
     for n in range(n_min, n_max + 1):
@@ -88,21 +102,55 @@ def build_nets(
         todo = order_ids
         if n == n_min and seed_ids:
             todo = np.concatenate([space.indices_of(seed_ids), order_ids])
-        size = 1
-        while len(todo := todo[mindist[todo] >= scale]):
+            # each point once, at its first place: a chunk holds no point twice
+            todo = todo[np.sort(np.unique(todo, return_index=True)[1])]
+        todo = todo[mindist[todo] >= scale]
+        if len(todo) > 1:  # one walk for every chunk and the level's check
+            space.keep_neighbors(np.concatenate([todo, members]), scale)
+        size, used, admitted = 1, 0, 0
+        while len(todo):
             # ask the balls of the next points apart from every member
             chunk, todo = todo[:size], todo[size:]
-            q, j, d = space.neighbors(chunk, scale)
-            ends = np.searchsorted(q, np.arange(len(chunk) + 1)).tolist()
-            for p, k in enumerate(chunk.tolist()):
-                if mindist[k] >= scale:
-                    members.append(k)
-                    near = slice(ends[p], ends[p + 1])
-                    mindist[j[near]] = np.minimum(mindist[j[near]], d[near])
-            # the lookahead grows while the balls are small
-            size = max(1, min(4 * size, _ROUND_PAIRS * len(chunk) // max(1, len(j))))
+            q, j, d = space.neighbors(chunk, scale, ordered=False)
+            slot[chunk] = np.arange(len(chunk))
+            took = _admit(slot[j], mindist[chunk] >= scale, q)
+            slot[chunk] = -1
+            members += chunk[took].tolist()
+            near = np.zeros(len(chunk), dtype=bool)
+            near[took] = True
+            near = near[q]  # the pairs of the balls admitted
+            np.minimum.at(mindist, j[near], d[near])
+            left = len(todo)
+            todo = todo[mindist[todo] >= scale]
+            used, admitted = used + len(chunk) + left - len(todo), admitted + len(took)
+            # the lookahead grows while the balls are small, and stops
+            # while each member's ball covers many candidates after it
+            ball = len(j) // len(chunk)
+            if (used / admitted - 1) * ball > 2 * _ROUND_PAIRS:
+                size = 1
+            else:
+                size = max(1, min(4 * size, _ROUND_PAIRS // max(1, ball)))
         levels[n] = members.copy()
     return NetHierarchy(rho=rho, levels=levels)
+
+
+def _admit(pos: np.ndarray, open_: np.ndarray, q: np.ndarray) -> list[int]:
+    """The chunk positions the scan admits, in turn: a point still at
+    least the scale from every member (``open_``) and from each point
+    admitted before it in the chunk.  ``(q, pos)`` are the chunk's balls:
+    each query's position, ascending, and the chunk position of a point
+    in its ball, or -1 for a point outside the chunk."""
+    later = np.flatnonzero(pos > q)
+    ends = np.searchsorted(q[later], np.arange(len(open_) + 1)).tolist()
+    later = pos[later].tolist()
+    open_ = open_.tolist()
+    took = []
+    for p in range(len(open_)):
+        if open_[p]:
+            took.append(p)
+            for t in later[ends[p] : ends[p + 1]]:
+                open_[t] = False
+    return took
 
 
 def auto_levels(space: MetricMeasureSpace, rho: float) -> tuple[int, int]:
@@ -161,7 +209,7 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
         if not (sep_ok or cov_ok):
             continue
         # separation and covering from the pairs closer than the scale
-        q, j, _ = space.neighbors(idx, scale)
+        q, j, _ = space.neighbors(idx, scale, ordered=False)
         if sep_ok:
             a, b = _position_pairs(idx, q, j)
             bad = b > a

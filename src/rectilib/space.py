@@ -82,13 +82,17 @@ eccentricities and the least gap walk unordered pairs, so each block
 serves both of its leaves: a node inside a ball adds its level sums
 whole, a pair that cannot hold either node's farthest point is dropped,
 and so is a pair whose lower bound passes the least upper bound of the
-pairs surely apart.  The neighbour query walks each query's leaf against
-the nodes, from a level deep enough to skip the top of the tree.  The
+pairs surely apart.  The neighbour query at radius ``r`` walks ordered
+pairs: home-side nodes, down to each query's home (the highest node
+holding its leaf that is at most ``r / 2`` across), against nodes down
+to the leaves; the candidates of a home are kept per radius, for every
+later query, when :meth:`~MetricMeasureSpace.keep_neighbors` asks.  The
 lightest edges walk unordered pairs of a tree of the points asked,
 dropping a pair that lies in one component, then meet the leaf pairs
 by ascending lower bound (dual-tree Borůvka: March, Ram & Gray, "Fast
 Euclidean minimum spanning tree", KDD 2010), dropping a pair whose lower
-bound passes the lightest edge found so far of every component in it.
+bound passes the lightest edge found so far of every component in it;
+the later rounds of one forest filter the first round's leaf pairs.
 
 A distance matrix comes from CSV through :func:`load_matrix`.  A large
 one is parsed in parts, one per usable CPU but no more than
@@ -110,7 +114,9 @@ modify a coordinate or matrix array after building a space from it.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
+import itertools
 import json
 import math
 import mmap
@@ -196,6 +202,7 @@ class MetricMeasureSpace:
         self._parts = np.empty((0, 0))  # weights split by level, set by _validate_common
         self._masses: dict[float, np.ndarray] = {}  # radius -> mass per point
         self._cell_tree = None  # the cell tree of every point, built once
+        self._near: dict[float, _Candidates] = {}  # radius -> kept candidates
         self._pad = 0.0  # widens the cell tree's box bounds
 
     # -- construction ---------------------------------------------------
@@ -386,21 +393,26 @@ class MetricMeasureSpace:
         return np.sqrt(acc, out=acc)
 
     def neighbors(
-        self, query_idx: Sequence[int] | np.ndarray, r: float
+        self, query_idx: Sequence[int] | np.ndarray, r: float, ordered: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pair closer than ``r`` to a query point, in one answer.
 
         Returns ``(q, j, d)``: exactly the pairs with
-        ``d = dists_from(query_idx[q])[j] < r``, sorted by ``(q, j)``,
-        each ``d`` equal to that row entry bit for bit.  Consecutive runs
-        of queries are answered in turn, each of at most ``_PAIR_BUDGET``
-        candidate pairs (more only for one query alone), so memory stays
-        bounded even where many points coincide.  A matrix space scans
-        its stored rows.  On coordinates a leaf of the cell tree is a
+        ``d = dists_from(query_idx[q])[j] < r``, sorted by ``(q, j)``
+        (by ``q`` alone when not ``ordered``: a query's pairs then come
+        in the cell tree's order, with no sort), each ``d`` equal to that
+        row entry bit for bit.  Consecutive runs of queries are answered
+        in turn, each of at most ``_PAIR_BUDGET`` candidate pairs (more
+        only for one query alone), so memory stays bounded even where
+        many points coincide.  A matrix space scans
+        its stored rows.  On coordinates a node of the cell tree is a
         candidate for a query when its box, less the pad, lies within
-        ``r`` of the box of the query's leaf, down the tree, and then of
-        the query point; the row formula decides ``d < r`` on the
-        candidates' points.
+        ``r`` of the box of the query's home (the highest node that holds
+        its leaf and is at most ``r / 2`` across), down the tree, and
+        then of the query point; the row formula decides ``d < r`` on the
+        candidates' points.  The candidates of a home come from the lists
+        :meth:`keep_neighbors` kept for ``r``, or else from one walk for
+        this call, over the homes the lists lack.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -413,39 +425,27 @@ class MetricMeasureSpace:
                 parts.append((q + start, j, rows[q, j]))
         elif len(query_idx):
             tree, pad = self._tree(), self._pad
-            lo, hi, first = tree.lo, tree.hi, tree.start
-            size = tree.stop - tree.start
-            homes, home = np.unique(tree.leaf_of[query_idx], return_inverse=True)
-
-            def near(a, b):  # a is a home, a leaf
-                keep = _gaps(*_rows((lo, hi), b), *_rows((lo, hi), a)) - pad < r
-                return a[keep], b[keep]
-
-            # the candidate leaves of each home, from the deepest level
-            # that pairs with the homes in at most one pair per point
-            cover = tree.cover(len(homes))
-            start = np.repeat(homes, len(cover)), np.tile(cover, len(homes))
-            near_home, near_cell = tree.walk(near, start, symmetric=False)
-            by_home = np.argsort(near_home, kind="stable")
-            near_home = np.searchsorted(homes, near_home[by_home])
-            near_cell = near_cell[by_home]
-            count = np.bincount(near_home, minlength=len(homes))
-            skip = np.cumsum(count) - count
-            pairs = np.cumsum(np.bincount(near_home, size[near_cell], len(homes))[home])
+            lo, hi, first, size = tree.lo, tree.hi, tree.start, tree.size
+            near = self._near.get(r) or _Candidates(tree, r)
+            home = near.home[tree.leaf_of[query_idx]]
+            self._walk_near(near, home, r)
+            pairs = np.cumsum(near.reach[home])
             start = 0
             while start < len(query_idx):
                 base = pairs[start - 1] if start else 0
                 stop = max(start + 1, np.searchsorted(pairs, base + _PAIR_BUDGET, "right"))
                 rows, own = query_idx[start:stop], home[start:stop]
-                q = np.repeat(np.arange(len(rows)), count[own])
-                c = near_cell[_runs(skip[own], count[own])]
+                count = near.count[own]
+                q = np.repeat(np.arange(len(rows)), count)
+                c = near.cells[_runs(near.first[own], count)]
                 x = np.take(self.coords, rows[q], axis=0)
                 keep = _gaps(*_rows((lo, hi), c), x, x) - pad < r  # each query's own bound
                 q, c = q[keep], c[keep]
                 q, j = np.repeat(q, size[c]), tree.order[_runs(first[c], size[c])]
                 d = self._pair_dists(rows[q], j)
                 keep = np.flatnonzero(d < r)
-                keep = keep[np.argsort(q[keep] * n + j[keep], kind="stable")]
+                if ordered:  # each (q, j) comes once: any sort gives one order
+                    keep = keep[np.argsort(q[keep] * n + j[keep])]
                 # the run's candidates are dropped before the next run
                 q, j, d = q[keep] + start, j[keep], d[keep]
                 parts.append((q, j, d))
@@ -454,6 +454,56 @@ class MetricMeasureSpace:
             return parts[0]
         none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
         return _joined([none, *parts])
+
+    def keep_neighbors(self, query_idx: Sequence[int] | np.ndarray, r: float) -> None:
+        """Walk the cell tree once at radius ``r`` for the homes of
+        ``query_idx`` and keep each home's candidates, so that
+        :meth:`neighbors` at ``r`` walks only for homes not yet walked.
+        The kept lists last as long as the space; a matrix space keeps
+        nothing."""
+        if self._matrix is None:
+            tree = self._tree()
+            if r not in self._near:
+                self._near[r] = _Candidates(tree, r)
+            near = self._near[r]
+            query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
+            self._walk_near(near, near.home[tree.leaf_of[query_idx]], r)
+
+    def _walk_near(self, near: "_Candidates", homes: np.ndarray, r: float) -> None:
+        """Add to ``near`` the candidates of each of ``homes`` it lacks, by
+        one walk of home-side nodes against nodes from the root pair down:
+        each node whose box, less the pad, lies within ``r`` of the home's
+        box, as a whole where its box bounds put all of it within ``r`` of
+        a node holding the home, else leaf by leaf."""
+        new = near.first[homes] < 0
+        if not new.any():
+            return
+        tree, pad = self._tree(), self._pad
+        homes = _unique(homes[new])
+        homes = homes[np.argsort(tree.start[homes])]  # disjoint: by their slots
+        # the home-side nodes worth walking: those holding a home asked for
+        held = np.zeros(len(tree.order) + 1, dtype=np.intp)
+        held[_runs(tree.start[homes], tree.size[homes]) + 1] = 1
+        held = np.cumsum(held)  # the slots of these homes before each slot
+        asked = held[tree.stop] > held[tree.start]
+        whole = []
+
+        def close(a, b):
+            a, b = a[asked[a]], b[asked[a]]
+            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
+            inside = maxd + pad < r
+            whole.append((a[inside], b[inside]))
+            keep = (mind - pad < r) & ~inside
+            return a[keep], b[keep]
+
+        near_home, near_cell = tree.walk(close, stop=near.stop)
+        # a node settled whole against ``a`` is a candidate of each home in ``a``
+        big, cell = _joined(whole)
+        first = np.searchsorted(tree.start[homes], tree.start[big])
+        count = np.searchsorted(tree.start[homes], tree.stop[big]) - first
+        near_home = np.concatenate([near_home, homes[_runs(first, count)]])
+        near_cell = np.concatenate([near_cell, np.repeat(cell, count)])
+        near.add(homes, near_home, near_cell, tree.size)
 
     def nearest(
         self, points: np.ndarray, candidates: np.ndarray, radius: float | None = None
@@ -475,11 +525,15 @@ class MetricMeasureSpace:
         pos = np.full(len(self), -1, dtype=np.intp)
         dist = np.full(len(self), math.inf)
         if radius is not None:
-            q, j, d = self.neighbors(candidates, radius)
-            # per point: the first pair by (distance, candidate id, position)
-            order = np.lexsort((q, cand_ids[q], d, j))
+            q, j, d = self.neighbors(candidates, radius, ordered=False)
+            # per point: the first pair by (distance, candidate id, position),
+            # among its pairs at its least distance
+            np.minimum.at(dist, j, d)
+            tie = np.flatnonzero(d == dist[j])
+            q, j = q[tie], j[tie]
+            order = np.lexsort((q, cand_ids[q], j))
             j, first = np.unique(j[order], return_index=True)
-            pos[j], dist[j] = q[order][first], d[order][first]
+            pos[j] = q[order][first]
         pos, dist = pos[points], dist[points]
         rest = np.flatnonzero(pos < 0)
         by_id = np.argsort(cand_ids, kind="stable")
@@ -492,7 +546,7 @@ class MetricMeasureSpace:
         return pos, dist
 
     def lightest_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float
+        self, points: np.ndarray, label: np.ndarray, r: float, kept: dict | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each component's lightest edge to another component, shorter
         than ``r``: one Borůvka round.
@@ -506,12 +560,20 @@ class MetricMeasureSpace:
         -1``) for a label with no edge.  A matrix space scans each stored
         pair of ``points`` once, in blocks of at most ``_PAIR_BUDGET``
         entries; a coordinate space walks the cell tree of ``points``.
+
+        ``kept``, one dict passed to every round of one forest, keeps
+        what the first round found for the rounds after it, whose
+        components only merge: a pair of points in one component stays
+        so, and a point with no entry below ``r`` into another component
+        has none later.  So a later round filters the first walk's leaf
+        pairs in place of walking again, and reads only the rows of the
+        points that still had such an entry.
         """
         points = np.asarray(points, dtype=np.intp)
         label = np.asarray(label, dtype=np.intp)
         best = _Lightest(len(points))
         fill = self._row_edges if self.coords is None else self._tree_edges
-        fill(points, label, r, best)
+        fill(points, label, r, best, {} if kept is None else kept)
         return best.edges()
 
     def distance_matrix(self) -> np.ndarray:
@@ -620,26 +682,34 @@ class MetricMeasureSpace:
         return sums
 
     def _row_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest"
+        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest", kept: dict
     ) -> None:
         """:meth:`lightest_edges` on a matrix: the rows from ``start`` on
         against the columns from ``start`` on, a block at a time, so each
         pair comes once, with row ``i`` < column ``j`` but in the block's
-        diagonal square, where it comes twice."""
-        m = len(points)
-        whole = m == len(self) and np.array_equal(points, np.arange(m))
+        diagonal square, where it comes twice.  Only the positions
+        ``kept["rows"]`` take part once they are at most half the points
+        (gathering their submatrix costs more than reading every row
+        before that), every one in the first round."""
+        at = kept.get("rows")
+        if at is None or 2 * len(at) > len(points):
+            at = np.arange(len(points))
+        m = len(at)
+        whole = len(points) == len(self) == m and np.array_equal(points, at)
+        still = np.zeros(len(points), dtype=bool)
         start = 0
         while start < m:
             stop = start + max(1, _PAIR_BUDGET // (m - start))
             if whole:
                 block = self._matrix[start:stop, start:]
             else:
-                block = self._matrix[points[start:stop]][:, points[start:]]
+                block = self._matrix[np.ix_(points[at[start:stop]], points[at[start:]])]
             i, j = np.divmod(np.flatnonzero(block < r), m - start)
             d = block[i, j]
-            i, j = i + start, j + start
+            i, j = at[i + start], at[j + start]
             keep = (d > 0) & (label[i] != label[j])
             i, j, d = i[keep], j[keep], d[keep]
+            still[i] = still[j] = True
             lo, hi = np.minimum(i, j), np.maximum(i, j)
             best.add(label[j], lo, hi, d)  # each column gets its every edge
             # each row its lightest entry, the first of its ties: for a
@@ -650,6 +720,7 @@ class MetricMeasureSpace:
             tie = tie[np.diff(i[tie], prepend=-1) != 0]
             best.add(label[i[tie]], lo[tie], hi[tie], d[tie])
             start = stop
+        kept["rows"] = np.flatnonzero(still)
 
     # -- the cell tree ---------------------------------------------------
 
@@ -719,7 +790,7 @@ class MetricMeasureSpace:
         return found
 
     def _tree_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest"
+        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest", kept: dict
     ) -> None:
         """:meth:`lightest_edges` on coordinates, over the cell tree of
         ``points``.
@@ -729,9 +800,14 @@ class MetricMeasureSpace:
         meet in order of their lower bounds, block by block, so each
         leaf's pair with itself comes first; a pair whose lower bound
         passes the bound of every component in either leaf, the least
-        edge found so far, is dropped before its distances.
+        edge found so far, is dropped before its distances.  The first
+        round keeps its tree and its leaf pairs in ``kept``; a later
+        round drops the pairs now in one component, which are the pairs
+        its own walk would drop, and keeps the rest in their order.
         """
-        tree = self._tree() if len(points) == len(self) else self._tree(points)
+        if "tree" not in kept:
+            kept["tree"] = self._tree() if len(points) == len(self) else self._tree(points)
+        tree = kept["tree"]
         position = np.full(len(self), -1, dtype=np.intp)
         position[points] = np.arange(len(points))
         lab = label[position[tree.order]]  # each tree slot's component
@@ -739,16 +815,25 @@ class MetricMeasureSpace:
         one = changes[tree.stop - 1] == changes[tree.start]  # a node in one component
         comp = lab[tree.start]
 
-        def across(a, b):
-            low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
-            within = one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
-            keep = (low < r) & ~within
-            return a[keep], b[keep]
+        def within(a, b):
+            return one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
 
-        a, b = tree.walk(across)
-        low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
-        by_low = np.argsort(low, kind="stable")
-        a, b, low = a[by_low], b[by_low], low[by_low]
+        if "pairs" in kept:
+            a, b, low = kept["pairs"]
+            keep = ~within(a, b)
+            a, b, low = a[keep], b[keep], low[keep]
+        else:
+
+            def across(a, b):
+                low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
+                keep = (low < r) & ~within(a, b)
+                return a[keep], b[keep]
+
+            a, b = tree.walk(across)
+            low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
+            by_low = np.argsort(low, kind="stable")
+            a, b, low = a[by_low], b[by_low], low[by_low]
+        kept["pairs"] = a, b, low
         leaves = np.flatnonzero(tree.leaf)
         leaves = leaves[np.argsort(tree.start[leaves])]  # they partition the slots
         node = np.empty(tree.count)
@@ -937,6 +1022,33 @@ def _blocks(rows: int, cols: int) -> Iterator[tuple[slice, slice]]:
             yield slice(i, i + height), slice(j, j + width)
 
 
+class _Candidates:
+    """At radius ``r``, the candidate nodes of some homes: a query's home
+    is ``home`` at its leaf (see :meth:`_CellTree.homes`), those of home
+    ``h`` are ``cells[first[h]:first[h] + count[h]]``, holding
+    ``reach[h]`` points, and ``first[h]`` is -1 for a home not walked
+    yet."""
+
+    def __init__(self, tree: "_CellTree", r: float):
+        self.home = tree.homes(r)
+        self.stop = np.zeros(tree.count, dtype=bool)  # the homes
+        self.stop[self.home[tree.leaf]] = True
+        self.first = np.full(tree.count, -1, dtype=np.intp)
+        self.count = np.zeros(tree.count, dtype=np.intp)
+        self.reach = np.zeros(tree.count, dtype=np.intp)
+        self.cells = np.empty(0, dtype=np.intp)
+
+    def add(self, homes, near_home, near_cell, size) -> None:
+        """Append the walk's pairs ``(near_home, near_cell)`` of ``homes``."""
+        by_home = np.argsort(near_home, kind="stable")
+        near_home, near_cell = near_home[by_home], near_cell[by_home]
+        count = np.bincount(near_home, minlength=len(self.first))
+        self.first[homes] = len(self.cells) + (np.cumsum(count) - count)[homes]
+        self.count[homes] = count[homes]
+        self.reach[homes] = np.bincount(near_home, size[near_cell], len(self.first))[homes]
+        self.cells = np.concatenate([self.cells, near_cell])
+
+
 class _CellTree:
     """Median splits of a point set, kept as a binary tree.
 
@@ -994,17 +1106,17 @@ class _CellTree:
             start.append(np.column_stack([s, cut]).ravel())
             stop.append(np.column_stack([cut, e]).ravel())
         self.levels = np.cumsum([0] + [len(s) for s in start])
-        self.depth = np.repeat(np.arange(len(start)), np.diff(self.levels))
         self.order = order
         self.start, self.stop = np.concatenate(start), np.concatenate(stop)
         self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
         self.child = np.concatenate(child)
         self.leaf = self.child < 0
         self.spot = np.all(self.lo == self.hi, axis=1)  # one location
-        # per level, its nodes and the leaves above it: the cover's size
-        shallow = np.cumsum(np.bincount(self.depth[self.leaf], minlength=len(start)))
-        self.wide = np.diff(self.levels) + np.concatenate([[0], shallow[:-1]])
-        size = self.stop - self.start
+        self.size = size = self.stop - self.start
+        self.parent = np.full(self.count, -1)
+        inner = np.flatnonzero(~self.leaf)
+        self.parent[self.child[inner]] = self.parent[self.child[inner] + 1] = inner
+        self.across = np.sqrt(np.sum((self.hi - self.lo) ** 2, axis=1))  # box diagonals
         # the side of a block; a larger leaf is one location, cut in pieces
         self.width = int(min(_CELL, size[self.leaf].max()))
         if parts is not None:
@@ -1016,7 +1128,7 @@ class _CellTree:
                 leaves, size[leaves]
             )
 
-    def walk(self, keep, start=None, carry=(), symmetric=True):
+    def walk(self, keep, start=None, carry=(), stop=None):
         """The leaf pairs that ``keep`` lets through, walking node pairs
         level by level from the root with itself, or from the pairs
         ``start``.
@@ -1026,35 +1138,42 @@ class _CellTree:
         two leaves is an answer; in every other kept pair each node that
         is not a leaf gives way to its two children, and the child pairs
         inherit the carry.  Returns the answers ``(a, b, *carry)``, level
-        by level.  ``symmetric`` pairs are unordered, so a node's pair
-        with itself gives three.
+        by level.  Pairs are unordered, so a node's pair with itself gives
+        three.  With ``stop``, a mask of nodes, pairs are ordered: ``a``
+        descends only until ``stop[a]`` and ``b`` to the leaves, and a
+        kept pair of a stopped ``a`` and a leaf ``b`` is an answer.
         """
         a, b = start if start is not None else (np.zeros(1, dtype=np.intp),) * 2
         leaves = []
         while len(a):
             a, b, *carry = keep(a, b, *carry)
-            leaf = self.leaf[a] & self.leaf[b]
+            leaf = self.leaf[b] & (self.leaf[a] if stop is None else stop[a])
             leaves.append([x[leaf] for x in (a, b, *carry)])
             a, b, *carry = (x[~leaf] for x in (a, b, *carry))
-            ca, cb = self.child[a], self.child[b]
+            ca = self.child[a] if stop is None else np.where(stop[a], -1, self.child[a])
+            cb = self.child[b]
             na, nb = 1 + (ca >= 0), 1 + (cb >= 0)
             up = np.repeat(np.arange(len(a)), na * nb)
             t = _runs(np.zeros(len(a), dtype=np.intp), na * nb)
             ca, cb = ca[up], cb[up]
             a2 = np.where(ca < 0, a[up], ca + t // nb[up])
             b2 = np.where(cb < 0, b[up], cb + t % nb[up])
-            if symmetric:
+            if stop is None:
                 two = (a[up] != b[up]) | (a2 <= b2)
                 up, a2, b2 = up[two], a2[two], b2[two]
             a, b, carry = a2, b2, [x[up] for x in carry]
         return _joined(leaves)
 
-    def cover(self, homes: int) -> np.ndarray:
-        """The nodes of the deepest level, with the leaves above it, that
-        pair with ``homes`` nodes in at most one pair per point (the root
-        when none does); together they hold every point once."""
-        level = max(0, np.searchsorted(self.wide * homes, len(self.order), "right") - 1)
-        return np.flatnonzero((self.depth == level) | self.leaf & (self.depth < level))
+    def homes(self, r: float) -> np.ndarray:
+        """Each node's home at radius ``r``: the highest node that holds
+        it, itself included, whose box is at most ``r / 2`` across."""
+        home = np.arange(self.count)
+        while True:
+            up = self.parent[home]
+            move = (up >= 0) & (self.across[up] <= r / 2)
+            if not move.any():
+                return home
+            home = np.where(move, up, home)
 
     def whole_sums(self, a, b, first, stop, count: int) -> np.ndarray:
         """``sums[i, c, k]``: the level-``k`` sums that point ``i`` gets
@@ -1315,20 +1434,27 @@ def hausdorff_estimate(
     parts = space._parts[idx]
     radii = _cover_radius_grid(delta, r_min)
     uncovered = np.ones(len(members), dtype=bool)
+
+    def gain(c: int, k: int) -> float:  # the ball's uncovered mass per unit radius
+        return float(_add_levels(parts[uncovered & (sub[c] < radii[k])].sum(axis=0)) / radii[k])
+
+    # a lazy greedy (Minoux 1978): gains only fall, and a gain computed
+    # again is the same bits, so the least (-gain, radius, centre) whose
+    # gain holds is the pair a full rescan would take
+    heap = [
+        (-g, k, c)
+        for k, r in enumerate(radii)
+        for c, g in enumerate((_add_levels((sub < r) @ parts) / r).tolist())
+    ]
+    heapq.heapify(heap)
     chosen: list[Ball] = []
     while np.any(uncovered):
-        p_unc = np.where(uncovered[:, None], parts, 0.0)
-        best_gain = 0.0
-        best_c = -1
-        best_r = radii[0]
-        for r in radii:  # ascending: strict > keeps the smallest tied radius
-            gains = _add_levels((sub < r) @ p_unc) / r
-            c = int(np.argmax(gains))  # first (smallest id) among equal gains
-            if gains[c] > best_gain:
-                best_gain = float(gains[c])
-                best_c = c
-                best_r = r
-        if best_gain <= 0.0:
+        _, k, c = heapq.heappop(heap)
+        best = (-gain(c, k), k, c)
+        if heap and best > heap[0]:
+            heapq.heappush(heap, best)
+            continue
+        if best[0] >= 0.0:
             # Only zero-weight points remain; cover them at the floor radius.
             for c in np.flatnonzero(uncovered):
                 if uncovered[c]:
@@ -1336,9 +1462,9 @@ def hausdorff_estimate(
                     uncovered[sub[int(c)] < r_min] = False
                     uncovered[int(c)] = False
             break
-        chosen.append(Ball(center=members[best_c], radius=best_r))
-        uncovered[sub[best_c] < best_r] = False
-        uncovered[best_c] = False  # the center itself is always at distance 0
+        chosen.append(Ball(center=members[c], radius=radii[k]))
+        uncovered[sub[c] < radii[k]] = False
+        uncovered[c] = False  # the center itself is always at distance 0
 
     upper = seq_sum([2.0 * b.radius for b in chosen])
     kept = vitali_subcover(space, chosen)
@@ -1435,6 +1561,16 @@ def _open(path: str, mode: str = "r", **kwargs):
     except OSError as exc:
         verb = "read" if mode == "r" else "write"
         raise InputError(f"{path}: cannot {verb} ({exc.strerror})") from None
+
+
+def _write_lines(path: str, header: str, lines: Iterable[str]) -> None:
+    """Write ``header`` and then ``lines`` to ``path``, joined a block of
+    lines at a time, so no more than a block is ever held as text."""
+    lines = iter(lines)
+    with _open(path, "w", newline="") as fh:
+        fh.write(header)
+        while block := "".join(itertools.islice(lines, 4096)):
+            fh.write(block)
 
 
 def _read_points(path: str, axes: int | None = None) -> tuple[list, ...]:

@@ -469,6 +469,36 @@ def build_nets_rows(space, rho, n_min, n_max, seed_ids=None) -> dict:
     return levels
 
 
+def build_nets_chunks(space, rho, n_min, n_max, seed_ids=None) -> dict:
+    """Levels of the greedy nested nets by the per-chunk scan: each
+    lookahead chunk of the points still apart from every member asks its
+    own ``neighbors`` query, and its points are admitted in turn, each
+    lowering the distances of its ball.  The chunk grows fourfold while
+    its balls hold at most 4096 pairs."""
+    order_ids = np.argsort(np.array(space.ids, dtype=np.int64), kind="stable")
+    mindist = np.full(len(space), math.inf)
+    members: list[int] = []
+    levels: dict[int, list[int]] = {}
+    for n in range(n_min, n_max + 1):
+        scale = rho**n
+        todo = order_ids
+        if n == n_min and seed_ids:
+            todo = np.concatenate([space.indices_of(seed_ids), order_ids])
+        size = 1
+        while len(todo := todo[mindist[todo] >= scale]):
+            chunk, todo = todo[:size], todo[size:]
+            q, j, d = space.neighbors(chunk, scale)
+            ends = np.searchsorted(q, np.arange(len(chunk) + 1)).tolist()
+            for p, k in enumerate(chunk.tolist()):
+                if mindist[k] >= scale:
+                    members.append(k)
+                    near = slice(ends[p], ends[p + 1])
+                    mindist[j[near]] = np.minimum(mindist[j[near]], d[near])
+            size = max(1, min(4 * size, 4096 * len(chunk) // max(1, len(j))))
+        levels[n] = list(members)
+    return levels
+
+
 def verify_nets_rows(space, h) -> tuple:
     """(separation_ok, covering_ok, nesting_ok, witness) from one row per net point."""
     sep_ok = cov_ok = nest_ok = True

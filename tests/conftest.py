@@ -1,5 +1,5 @@
-"""Shared pytest setup: a deterministic hypothesis profile, a row counter
-and a pair counter.
+"""Shared pytest setup: a deterministic hypothesis profile, a row counter,
+a pair counter and a walk counter.
 
 Property tests draw the same examples on every run (``derandomize``),
 so a failure reproduces and tier-1 stays stable on a loaded machine;
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rectilib.space import MetricMeasureSpace
+from rectilib.space import MetricMeasureSpace, _CellTree
 
 settings.register_profile(
     "rectilib", derandomize=True, max_examples=40, deadline=None
@@ -68,3 +68,21 @@ def pair_evals(monkeypatch) -> defaultdict:
 
     monkeypatch.setattr(MetricMeasureSpace, "_pair_dists", counted)
     return evals
+
+
+@pytest.fixture
+def walks(monkeypatch) -> Counter:
+    """Cell-tree descents made during the test, counted by caller.
+
+    Wraps :meth:`rectilib.space._CellTree.walk` on the class, so every
+    tree sees it; keys name the caller as :func:`_caller_key` does.
+    """
+    calls: Counter = Counter()
+    original = _CellTree.walk
+
+    def counted(self, *args, **kwargs):
+        calls[_caller_key(sys._getframe(1))] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(_CellTree, "walk", counted)
+    return calls

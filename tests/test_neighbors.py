@@ -24,6 +24,7 @@ import rectilib.space as space_module
 from _oracles import (
     adjacency_forest_rows,
     adjacency_rows,
+    build_nets_chunks,
     build_nets_rows,
     c0_rows,
     cube_members,
@@ -126,6 +127,33 @@ def test_neighbors_and_sub_rows_equal_the_row_masks(cloud, data):
         for k in query:
             want = space.dists_from(k)[cols]
             assert np.array_equal(bits(space.dists_between(k, cols)), bits(want))
+
+
+@pytest.mark.parametrize("kept_share", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("stacks", [False, True])
+def test_kept_candidates_give_the_row_answers(stacks, kept_share):
+    """Candidate lists kept for part of the points (none, some, all) at
+    radii from a few gaps to past the diameter, where a home is a node
+    above the leaves, give the row answers, in order and unordered, for
+    points whose homes were walked and for points whose were not.  Two
+    stacks of coincident points make leaves, and so homes, at uneven
+    depths, whose order by node differs from their order by slot."""
+    curve, _ = generate(GeneratorSpec("lipschitz_curve", 3000))
+    coords = curve.coords
+    if stacks:
+        coords = np.concatenate([coords, np.repeat(coords[[100, 2000]], [40, 25], axis=0)])
+    n = len(coords)
+    space = MetricMeasureSpace.from_coords(range(n), coords, np.ones(n))
+    rng = np.random.default_rng(7)
+    kept = rng.choice(n, int(kept_share * n), replace=False)
+    query = np.sort(rng.choice(n, 120, replace=False))
+    for r in (3 * space.min_gap(), 0.01, 0.07, 0.4, 2 * space.diameter()):
+        space.keep_neighbors(kept, r)
+        want = row_pairs(space, query, r)
+        assert_same_pairs(space.neighbors(query, r), want)
+        q, j, d = space.neighbors(query, r, ordered=False)
+        order = np.lexsort((j, q))
+        assert_same_pairs((q[order], j[order], d[order]), want)
 
 
 @pytest.mark.parametrize(
@@ -412,6 +440,34 @@ def test_the_forest_walk_computes_a_pinned_number_of_pairs(spec, pairs, pair_eva
     }
 
 
+@pytest.mark.parametrize(
+    "spec, net_walks",
+    [
+        (GeneratorSpec("lipschitz_curve", 2048), 3),
+        (GeneratorSpec("grid2d", 64), 2),
+        (GeneratorSpec("circle", 2000), 4),
+    ],
+    ids=["lipschitz_curve 2048", "grid2d 64", "circle 2000"],
+)
+def test_nets_and_the_forest_walk_the_tree_a_pinned_number_of_times(spec, net_walks, walks):
+    """The default run's net scan walks the cell tree once per level that
+    has more than one candidate (3, 2 and 4 levels here; one walk per
+    lookahead chunk made 27, 22 and more), and answers every chunk from
+    the leaf lists of that walk.  The ε-forest walks once for all its
+    Borůvka rounds: circle 2000 takes seven rounds, which walked seven
+    times when each round walked again."""
+    cfg = RunConfig(kind=spec.kind, resolution=spec.resolution)
+    stage = {row[0]: row[2] for row in STAGES}
+    ctx = run_stages(cfg, ("load",))[0]
+    walks.clear()
+    stage["nets"](SimpleNamespace(**vars(ctx)))
+    assert walks == {"MetricMeasureSpace._walk_near": net_walks}
+    ctx = run_stages(cfg, ("bridges",))[0]
+    walks.clear()
+    stage["gamma"](SimpleNamespace(**vars(ctx)))
+    assert walks == {"MetricMeasureSpace._tree_edges": 1}
+
+
 def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
     """Node pairs inside one component hold no edge, so the walk drops
     them before any distance: with every point in one component it
@@ -506,6 +562,29 @@ def test_nets_match_the_row_based_scan(cloud, rho, data):
         assert level_lists(h) == build_nets_rows(space, rho, lo, hi, seed_ids=seeds)
         assert verify_nets(space, h).ok
         assert net_check(space, h) == verify_nets_rows(space, h)
+
+
+@pytest.mark.parametrize(
+    "spec, rho",
+    [
+        (GeneratorSpec("lipschitz_curve", 2048), 1 / 16),
+        (GeneratorSpec("circle", 2000), 1 / 16),
+        (GeneratorSpec("cascade", 5), 1 / 16),
+        (GeneratorSpec("grid2d", 32), 0.5),
+        (GeneratorSpec("interval", 1000, params={"holes": [[0.4, 0.6]]}), 0.25),
+    ],
+    ids=["lipschitz_curve 2048", "circle 2000", "cascade 5", "grid2d 32", "interval 1000"],
+)
+def test_nets_admit_what_the_per_chunk_scan_admits(spec, rho):
+    """The one-walk scan's levels, in admission order, are the per-chunk
+    scan's, on coordinates and on the same points as a matrix; each
+    side runs on its own space, so no leaf list is shared."""
+    space, _ = generate(spec)
+    lo, hi = auto_levels(space, rho)
+    want = build_nets_chunks(generate(spec)[0], rho, lo, hi)
+    assert level_lists(build_nets(space, rho, lo, hi)) == want
+    twin = MetricMeasureSpace.from_matrix(space.ids, space.distance_matrix(), space.weights)
+    assert level_lists(build_nets(twin, rho, lo, hi)) == want
 
 
 @given(clouds(dims=(1, 2, 3), min_size=3), st.data())

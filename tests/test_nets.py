@@ -50,6 +50,16 @@ def test_seed_ids_take_the_root():
     assert verify_nets(space, h).ok
 
 
+def test_a_seed_near_an_earlier_seed_stays_out():
+    """Seeds 2 and 1 are one apart, under the scale 2.5, and 1 comes
+    again among the first ids, in the same lookahead chunk as both seeds:
+    2 is admitted, so 1 is not, at either place."""
+    space = MetricMeasureSpace.from_coords(range(10), np.arange(10.0)[:, None], np.ones(10))
+    with pytest.warns(UserWarning, match="below the diameter"):
+        h = build_nets(space, 0.4, -1, -1, seed_ids=[9, 2, 1])
+    assert h.levels[-1].tolist() == [9, 2, 5]
+
+
 def test_build_nets_parameter_errors():
     space, _ = generate(GeneratorSpec("interval", 4))
     with pytest.raises(ParameterError):

@@ -410,6 +410,34 @@ def test_hausdorff_estimate_matches_greedy_trace():
     assert got == [(c, pytest.approx(r)) for c, r in trace]
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_hausdorff_estimate_breaks_exact_ties_as_the_greedy_trace(seed):
+    """On a half-unit lattice with repeated points and weights of 1, 2
+    and 4 tenths, equal gains per radius are common and exact: the lazy
+    greedy takes the trace's balls, the smaller radius first on a tie,
+    then the smaller centre id."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    coords = rng.integers(0, 6, (n, int(rng.integers(1, 3)))) * 0.5
+    weights = rng.choice([0.1, 0.2, 0.4], n)
+    space = MetricMeasureSpace.from_coords(range(n), coords, weights)
+    members = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+    delta = float(rng.choice([0.7, 1.0, 2.5]))
+    est = hausdorff_estimate(space, members, delta=delta)
+    trace = greedy_cover_trace(space, members, delta, est.r_min)
+    assert [(b.center, b.radius) for b in est.upper_balls] == trace
+
+
+def test_hausdorff_estimate_takes_the_smaller_radius_on_a_tie():
+    """Two unit-weight points 1 apart, radii t/4 and t/2 (t just under
+    delta = 3): one point per t/4 and both per t/2 are the same gain,
+    4/t, so the smaller radius wins and each point gets its own ball."""
+    space = line_space(2)
+    top = 3.0 * (1.0 - 1e-9)
+    est = hausdorff_estimate(space, [0, 1], delta=3.0, r_min=top / 4)
+    assert [(b.center, b.radius) for b in est.upper_balls] == [(0, top / 4), (1, top / 4)]
+
+
 def test_hausdorff_estimate_covers_with_small_balls():
     rng = np.random.default_rng(23)
     space = random_cloud(rng, n=30)

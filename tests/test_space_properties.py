@@ -763,6 +763,26 @@ def test_the_forest_walk_gives_the_oracles_forest(shift, coords, data):
             assert bits(graph.length) == bits([d for _, _, d in want])
 
 
+@pytest.mark.parametrize("d, eps", [(1, 0.002), (1, 0.005), (2, 0.02), (2, 0.05)])
+def test_the_matrix_forest_is_the_coordinate_forest_over_many_rounds(d, eps):
+    """The curve's ε-forest on a matrix, whose later Borůvka rounds read
+    only the rows of the points that still had an entry below ``eps``
+    into another component, is the forest on coordinates edge for edge
+    and bit for bit: 600 random points with shuffled ids, where a point's
+    entries into other components may all lie in rows before its own."""
+    rng = np.random.default_rng(3)
+    coords = rng.random((600, d))
+    ids = rng.permutation(600).tolist()
+    space = MetricMeasureSpace.from_coords(ids, coords, np.ones(600))
+    twin = MetricMeasureSpace.from_matrix(ids, space.distance_matrix(), space.weights)
+    members = tuple(sorted(ids))
+    target = TargetSet(members=members, xi0=members[0])
+    want = assemble_gamma(space, target, NO_BRIDGES, eps)
+    got = assemble_gamma(twin, target, NO_BRIDGES, eps)
+    assert got.src.tolist() == want.src.tolist() and got.dst.tolist() == want.dst.tolist()
+    assert bits(got.length) == bits(want.length)
+
+
 def near_tie_cloud(d: int, mirror: bool) -> tuple[np.ndarray, float, float]:
     """(coords, least gap g, in-leaf distance g') along one axis: stacks
     of ``_CELL + 1`` points at 0, 20 + h and 21, and a leaf of two
