@@ -99,7 +99,7 @@ def build_cubes(
     c0 = math.inf
     far_cubes: list[tuple[int, int]] = []  # (level row, cube id) of the rest
     for k, size in enumerate(sizes):
-        q, j, d = space.neighbors(level_idx[k], sides[k], ordered=False)
+        q, j, d = space.neighbors(level_idx[k], sides[k])
         outside = cube_of[k, j] != start[k] + q
         nearest_out = np.full(size, math.inf)
         np.minimum.at(nearest_out, q[outside], d[outside])

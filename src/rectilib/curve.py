@@ -181,10 +181,10 @@ def assemble_gamma(
     tree of the whole graph either: :func:`parametrize` builds the same
     tree with or without it.  Coincident pairs are skipped (an edge of
     length zero carries no metric information).  The forest grows in
-    Borůvka rounds, each asking
-    :meth:`~rectilib.space.MetricMeasureSpace.lightest_edges` for every
-    component's lightest edge, so the pairs are never listed.  Vertices
-    are numbered as the module docstring states.
+    Borůvka rounds of
+    :meth:`~rectilib.space.MetricMeasureSpace.boruvka_rounds`, each
+    giving every component its lightest edge, so the pairs are never
+    listed.  Vertices are numbered as the module docstring states.
     """
     if not 0 < eps_res < np.inf:
         raise ParameterError("eps_res must be positive and finite")
@@ -199,9 +199,9 @@ def assemble_gamma(
     # joined merge; the order is strict, so the forest is unique
     label = np.arange(n_ground)
     forest = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    taken, kept = 0, {}
+    taken, rounds = 0, space.boruvka_rounds(idx, eps_res)
     while taken < n_ground - 1:  # a tree has no edge left to find
-        a, b, d = space.lightest_edges(idx, label, eps_res, kept)
+        a, b, d = rounds.round(label)
         comp = np.flatnonzero(d < np.inf)
         if not len(comp):
             break

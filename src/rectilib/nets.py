@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ParameterError
 from .space import MetricMeasureSpace
 
-_ROUND_PAIRS = 1 << 13  # build_nets asks balls of about this many pairs at once
+_ROUND_PAIRS = 1 << 12  # build_nets asks balls of about this many pairs at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +107,11 @@ def build_nets(
         todo = todo[mindist[todo] >= scale]
         if len(todo) > 1:  # one walk for every chunk and the level's check
             space.keep_neighbors(np.concatenate([todo, members]), scale)
-        size, used, admitted = 1, 0, 0
+        size = 1
         while len(todo):
             # ask the balls of the next points apart from every member
             chunk, todo = todo[:size], todo[size:]
-            q, j, d = space.neighbors(chunk, scale, ordered=False)
+            q, j, d = space.neighbors(chunk, scale)
             slot[chunk] = np.arange(len(chunk))
             took = _admit(slot[j], mindist[chunk] >= scale, q)
             slot[chunk] = -1
@@ -120,16 +120,9 @@ def build_nets(
             near[took] = True
             near = near[q]  # the pairs of the balls admitted
             np.minimum.at(mindist, j[near], d[near])
-            left = len(todo)
             todo = todo[mindist[todo] >= scale]
-            used, admitted = used + len(chunk) + left - len(todo), admitted + len(took)
-            # the lookahead grows while the balls are small, and stops
-            # while each member's ball covers many candidates after it
-            ball = len(j) // len(chunk)
-            if (used / admitted - 1) * ball > 2 * _ROUND_PAIRS:
-                size = 1
-            else:
-                size = max(1, min(4 * size, _ROUND_PAIRS // max(1, ball)))
+            # the lookahead grows while the balls are small
+            size = max(1, min(4 * size, _ROUND_PAIRS * len(chunk) // max(1, len(j))))
         levels[n] = members.copy()
     return NetHierarchy(rho=rho, levels=levels)
 
@@ -209,7 +202,7 @@ def verify_nets(space: MetricMeasureSpace, h: NetHierarchy) -> NetCheck:
         if not (sep_ok or cov_ok):
             continue
         # separation and covering from the pairs closer than the scale
-        q, j, _ = space.neighbors(idx, scale, ordered=False)
+        q, j, _ = space.neighbors(idx, scale)
         if sep_ok:
             a, b = _position_pairs(idx, q, j)
             bad = b > a

@@ -52,9 +52,9 @@ size inside it),
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
 chosen columns, :meth:`~MetricMeasureSpace.nearest` gives each
 point's nearest candidate, the one nearest-point search of the package,
-and :meth:`~MetricMeasureSpace.lightest_edges` gives each component of
-a point set its lightest edge shorter than ``r``, one Borůvka round of
-a minimum spanning forest.  On coordinates the cell tree below picks
+and :meth:`~MetricMeasureSpace.boruvka_rounds` gives each component
+of a point set its lightest edge shorter than ``r``, round after round
+of a minimum spanning forest.  On coordinates the cell tree below picks
 the candidates and the row formula decides ``d < r`` on them, so ties
 on lattice inputs resolve exactly as the rows resolve them; a matrix
 space answers from its stored rows.  Nets, cubes, gaps to the target,
@@ -393,19 +393,19 @@ class MetricMeasureSpace:
         return np.sqrt(acc, out=acc)
 
     def neighbors(
-        self, query_idx: Sequence[int] | np.ndarray, r: float, ordered: bool = True
+        self, query_idx: Sequence[int] | np.ndarray, r: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every pair closer than ``r`` to a query point, in one answer.
 
         Returns ``(q, j, d)``: exactly the pairs with
-        ``d = dists_from(query_idx[q])[j] < r``, sorted by ``(q, j)``
-        (by ``q`` alone when not ``ordered``: a query's pairs then come
-        in the cell tree's order, with no sort), each ``d`` equal to that
-        row entry bit for bit.  Consecutive runs of queries are answered
-        in turn, each of at most ``_PAIR_BUDGET`` candidate pairs (more
-        only for one query alone), so memory stays bounded even where
-        many points coincide.  A matrix space scans
-        its stored rows.  On coordinates a node of the cell tree is a
+        ``d = dists_from(query_idx[q])[j] < r``, each once, grouped by
+        ascending ``q``, each ``d`` equal to that row entry bit for bit.
+        Within a query its pairs come in the cell tree's order on
+        coordinates, with no sort, and by ascending ``j`` on a matrix.
+        Consecutive runs of queries are answered in turn, each of at
+        most ``_PAIR_BUDGET`` candidate pairs (more only for one query
+        alone), so memory stays bounded even where many points
+        coincide.  A matrix space scans its stored rows.  On coordinates a node of the cell tree is a
         candidate for a query when its box, less the pad, lies within
         ``r`` of the box of the query's home (the highest node that holds
         its leaf and is at most ``r / 2`` across), down the tree, and
@@ -444,8 +444,6 @@ class MetricMeasureSpace:
                 q, j = np.repeat(q, size[c]), tree.order[_runs(first[c], size[c])]
                 d = self._pair_dists(rows[q], j)
                 keep = np.flatnonzero(d < r)
-                if ordered:  # each (q, j) comes once: any sort gives one order
-                    keep = keep[np.argsort(q[keep] * n + j[keep])]
                 # the run's candidates are dropped before the next run
                 q, j, d = q[keep] + start, j[keep], d[keep]
                 parts.append((q, j, d))
@@ -525,7 +523,7 @@ class MetricMeasureSpace:
         pos = np.full(len(self), -1, dtype=np.intp)
         dist = np.full(len(self), math.inf)
         if radius is not None:
-            q, j, d = self.neighbors(candidates, radius, ordered=False)
+            q, j, d = self.neighbors(candidates, radius)
             # per point: the first pair by (distance, candidate id, position),
             # among its pairs at its least distance
             np.minimum.at(dist, j, d)
@@ -545,36 +543,12 @@ class MetricMeasureSpace:
             pos[at[better]], dist[at[better]] = by_id[cs][k[better]], d[better]
         return pos, dist
 
-    def lightest_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float, kept: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each component's lightest edge to another component, shorter
-        than ``r``: one Borůvka round.
-
-        ``points`` are distinct point indices, and ``label[k]``, in
-        ``0..len(points)-1``, names the component of ``points[k]``.  An
-        edge joins positions ``a < b`` of ``points`` in two components,
-        ``0 < d < r`` apart (coincident pairs are skipped), and edges are
-        ordered by ``(d, a, b)``.  Returns ``(a, b, d)`` indexed by
-        label: ``d`` is a row entry bit for bit, or inf (with ``a = b =
-        -1``) for a label with no edge.  A matrix space scans each stored
-        pair of ``points`` once, in blocks of at most ``_PAIR_BUDGET``
-        entries; a coordinate space walks the cell tree of ``points``.
-
-        ``kept``, one dict passed to every round of one forest, keeps
-        what the first round found for the rounds after it, whose
-        components only merge: a pair of points in one component stays
-        so, and a point with no entry below ``r`` into another component
-        has none later.  So a later round filters the first walk's leaf
-        pairs in place of walking again, and reads only the rows of the
-        points that still had such an entry.
-        """
-        points = np.asarray(points, dtype=np.intp)
-        label = np.asarray(label, dtype=np.intp)
-        best = _Lightest(len(points))
-        fill = self._row_edges if self.coords is None else self._tree_edges
-        fill(points, label, r, best, {} if kept is None else kept)
-        return best.edges()
+    def boruvka_rounds(self, points: np.ndarray, r: float) -> "BoruvkaRounds":
+        """The Borůvka rounds of the minimum spanning forest of ``points``
+        under the edges shorter than ``r``: one :class:`BoruvkaRounds`,
+        whose :meth:`~BoruvkaRounds.round` gives each component its
+        lightest edge."""
+        return BoruvkaRounds(self, points, r)
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
@@ -681,17 +655,15 @@ class MetricMeasureSpace:
                 sums[c, rs] += (block < r) @ parts
         return sums
 
-    def _row_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest", kept: dict
-    ) -> None:
-        """:meth:`lightest_edges` on a matrix: the rows from ``start`` on
-        against the columns from ``start`` on, a block at a time, so each
-        pair comes once, with row ``i`` < column ``j`` but in the block's
-        diagonal square, where it comes twice.  Only the positions
-        ``kept["rows"]`` take part once they are at most half the points
-        (gathering their submatrix costs more than reading every row
-        before that), every one in the first round."""
-        at = kept.get("rows")
+    def _row_edges(self, rounds: "BoruvkaRounds", label: np.ndarray, best: "_Lightest") -> None:
+        """:meth:`BoruvkaRounds.round` on a matrix: the rows from ``start``
+        on against the columns from ``start`` on, a block at a time, so
+        each pair comes once, with row ``i`` < column ``j`` but in the
+        block's diagonal square, where it comes twice.  Only the
+        positions ``rounds.rows`` take part once they are at most half
+        the points (gathering their submatrix costs more than reading
+        every row before that), every one in the first round."""
+        points, r, at = rounds.points, rounds.r, rounds.rows
         if at is None or 2 * len(at) > len(points):
             at = np.arange(len(points))
         m = len(at)
@@ -720,7 +692,7 @@ class MetricMeasureSpace:
             tie = tie[np.diff(i[tie], prepend=-1) != 0]
             best.add(label[i[tie]], lo[tie], hi[tie], d[tie])
             start = stop
-        kept["rows"] = np.flatnonzero(still)
+        rounds.rows = np.flatnonzero(still)
 
     # -- the cell tree ---------------------------------------------------
 
@@ -789,11 +761,9 @@ class MetricMeasureSpace:
             found = min(found, float(np.min(d, where=d > 0, initial=math.inf)))
         return found
 
-    def _tree_edges(
-        self, points: np.ndarray, label: np.ndarray, r: float, best: "_Lightest", kept: dict
-    ) -> None:
-        """:meth:`lightest_edges` on coordinates, over the cell tree of
-        ``points``.
+    def _tree_edges(self, rounds: "BoruvkaRounds", label: np.ndarray, best: "_Lightest") -> None:
+        """:meth:`BoruvkaRounds.round` on coordinates, over the cell tree
+        of ``rounds.points``.
 
         The walk drops an unordered node pair whose lower bound reaches
         ``r``, or whose nodes lie in one component.  The leaf pairs left
@@ -801,13 +771,15 @@ class MetricMeasureSpace:
         leaf's pair with itself comes first; a pair whose lower bound
         passes the bound of every component in either leaf, the least
         edge found so far, is dropped before its distances.  The first
-        round keeps its tree and its leaf pairs in ``kept``; a later
+        round keeps its tree and its leaf pairs in ``rounds``; a later
         round drops the pairs now in one component, which are the pairs
         its own walk would drop, and keeps the rest in their order.
         """
-        if "tree" not in kept:
-            kept["tree"] = self._tree() if len(points) == len(self) else self._tree(points)
-        tree = kept["tree"]
+        points, r = rounds.points, rounds.r
+        if rounds.tree is None:
+            whole = len(points) == len(self)
+            rounds.tree = self._tree() if whole else self._tree(points)
+        tree = rounds.tree
         position = np.full(len(self), -1, dtype=np.intp)
         position[points] = np.arange(len(points))
         lab = label[position[tree.order]]  # each tree slot's component
@@ -818,8 +790,8 @@ class MetricMeasureSpace:
         def within(a, b):
             return one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
 
-        if "pairs" in kept:
-            a, b, low = kept["pairs"]
+        if rounds.pairs is not None:
+            a, b, low = rounds.pairs
             keep = ~within(a, b)
             a, b, low = a[keep], b[keep], low[keep]
         else:
@@ -833,7 +805,7 @@ class MetricMeasureSpace:
             low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
             by_low = np.argsort(low, kind="stable")
             a, b, low = a[by_low], b[by_low], low[by_low]
-        kept["pairs"] = a, b, low
+        rounds.pairs = a, b, low
         leaves = np.flatnonzero(tree.leaf)
         leaves = leaves[np.argsort(tree.start[leaves])]  # they partition the slots
         node = np.empty(tree.count)
@@ -943,6 +915,62 @@ class _Lightest:
         found = self.d < math.inf
         a, b = np.divmod(self.key, self.m)
         return np.where(found, a, -1), np.where(found, b, -1), self.d
+
+
+class BoruvkaRounds:
+    """The Borůvka rounds of one minimum spanning forest: the edges
+    shorter than ``r`` between ``points``, distinct point indices of
+    ``space``.  Make it with :meth:`MetricMeasureSpace.boruvka_rounds`
+    and ask :meth:`round` once per round.
+
+    A matrix space scans each stored pair of ``points`` once per round,
+    in blocks of at most ``_PAIR_BUDGET`` entries; a coordinate space
+    walks the cell tree of ``points``.  Components only merge from one
+    round to the next, so a pair of points in one component stays so,
+    and a point with no entry below ``r`` into another component has
+    none later.  So the first round's findings serve the rounds after
+    it: on coordinates its tree (``tree``) and its leaf pairs
+    (``pairs``), which a later round filters in place of walking again;
+    on a matrix the positions whose rows still held such an entry
+    (``rows``), the only rows a later round reads.
+    """
+
+    def __init__(self, space: MetricMeasureSpace, points: np.ndarray, r: float):
+        self.space = space
+        self.points = _read_only(np.array(points, dtype=np.intp).reshape(-1))
+        self.r = float(r)
+        self.label: np.ndarray | None = None  # the last round's components
+        self.tree: _CellTree | None = None
+        self.pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.rows: np.ndarray | None = None
+
+    def round(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each component's lightest edge to another component, shorter
+        than ``r``.
+
+        ``label[k]``, in ``0..len(points)-1``, names the component of
+        ``points[k]``; each component of the round before must lie in
+        one component of this one.  An edge joins positions ``a < b`` of
+        ``points`` in two components, ``0 < d < r`` apart (coincident
+        pairs are skipped), and edges are ordered by ``(d, a, b)``.
+        Returns ``(a, b, d)`` indexed by label: ``d`` is a row entry bit
+        for bit, or inf (with ``a = b = -1``) for a label with no edge.
+        """
+        m = len(self.points)
+        label = np.array(label, dtype=np.intp).reshape(-1)
+        if len(label) != m or m and not 0 <= label.min() <= label.max() < m:
+            raise ParameterError(f"need one label in 0..{m - 1} for each of {m} points")
+        if self.label is not None:
+            merged = np.empty(m, dtype=np.intp)
+            merged[self.label] = label  # a component's label now, its last point's
+            if not np.array_equal(merged[self.label], label):
+                raise ParameterError("components may only merge between Borůvka rounds")
+        self.label = label
+        best = _Lightest(m)
+        space = self.space
+        fill = space._row_edges if space.coords is None else space._tree_edges
+        fill(self, label, best)
+        return best.edges()
 
 
 def _split(weights: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from rectilib.curve import (
     build_bridges,
     parametrize,
 )
-from rectilib.errors import DisconnectedError
+from rectilib.errors import DisconnectedError, ParameterError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
 from rectilib.pipeline import STAGES, RunConfig, run_stages
@@ -102,9 +102,14 @@ def row_pairs(space, query_idx, r):
 
 
 def assert_same_pairs(got, want):
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(bits(got[2]), bits(want[2]))
+    """``got``, an answer of ``neighbors``, holds ``want``'s pairs, which
+    are sorted by ``(q, j)``: grouped by ascending ``q``, and the same
+    pairs and bits once sorted."""
+    assert np.all(np.diff(got[0]) >= 0)
+    order = np.lexsort((got[1], got[0]))
+    assert np.array_equal(got[0][order], want[0])
+    assert np.array_equal(got[1][order], want[1])
+    assert np.array_equal(bits(got[2][order]), bits(want[2]))
 
 
 # -- the query itself ----------------------------------------------------
@@ -134,10 +139,10 @@ def test_neighbors_and_sub_rows_equal_the_row_masks(cloud, data):
 def test_kept_candidates_give_the_row_answers(stacks, kept_share):
     """Candidate lists kept for part of the points (none, some, all) at
     radii from a few gaps to past the diameter, where a home is a node
-    above the leaves, give the row answers, in order and unordered, for
-    points whose homes were walked and for points whose were not.  Two
-    stacks of coincident points make leaves, and so homes, at uneven
-    depths, whose order by node differs from their order by slot."""
+    above the leaves, give the row answers for points whose homes were
+    walked and for points whose were not.  Two stacks of coincident
+    points make leaves, and so homes, at uneven depths, whose order by
+    node differs from their order by slot."""
     curve, _ = generate(GeneratorSpec("lipschitz_curve", 3000))
     coords = curve.coords
     if stacks:
@@ -151,9 +156,6 @@ def test_kept_candidates_give_the_row_answers(stacks, kept_share):
         space.keep_neighbors(kept, r)
         want = row_pairs(space, query, r)
         assert_same_pairs(space.neighbors(query, r), want)
-        q, j, d = space.neighbors(query, r, ordered=False)
-        order = np.lexsort((j, q))
-        assert_same_pairs((q[order], j[order], d[order]), want)
 
 
 @pytest.mark.parametrize(
@@ -477,14 +479,33 @@ def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
     space, _ = generate(GeneratorSpec("grid2d", 32))
     points = np.arange(len(space))
     whole = np.zeros(len(space), dtype=np.intp)
-    a, b, d = space.lightest_edges(points, whole, 0.2)
+    a, b, d = space.boruvka_rounds(points, 0.2).round(whole)
     assert np.isinf(d).all() and (a == -1).all() and (b == -1).all()
     assert not pair_evals
     halves = np.where(space.coords[:, 0] < 0.5, 0, 1)
     halves[halves == 1] = np.flatnonzero(halves)[0]  # the label of the right half
-    a, b, d = space.lightest_edges(points, halves, 0.2)
+    a, b, d = space.boruvka_rounds(points, 0.2).round(halves)
     assert np.isfinite(d[halves[[0, -1]]]).all()
     assert sum(pair_evals["MetricMeasureSpace._tree_edges"]) == 64 * 16 * 16
+
+
+@pytest.mark.parametrize("backend", ["coords", "matrix"])
+def test_boruvka_rounds_take_only_merged_components(backend):
+    """A later round reuses the first round's findings, which hold only
+    while components merge: labels that split a component, or that are
+    not one per point in ``0..m-1``, are refused."""
+    coords = np.array([[0.0], [1.0], [2.0], [3.0]])
+    space = both_backends(range(4), coords, np.ones(4))[backend == "matrix"]
+    rounds = space.boruvka_rounds([0, 1, 2, 3], 1.5)
+    a, b, d = rounds.round(np.array([0, 1, 2, 3]))
+    assert (a.tolist(), b.tolist()) == ([0, 0, 1, 2], [1, 1, 2, 3])
+    a, b, d = rounds.round(np.array([0, 0, 2, 2]))
+    assert (a.tolist(), b.tolist()) == ([1, -1, 1, -1], [2, -1, 2, -1])
+    assert d.tolist() == [1.0, np.inf, 1.0, np.inf]
+    for label in ([0, 1, 2, 2], [0, 0, 2], [0, 0, 4, 4]):
+        with pytest.raises(ParameterError):
+            rounds.round(np.array(label))
+    rounds.round(np.zeros(4, dtype=np.intp))
 
 
 def test_the_forest_keeps_its_memory_near_a_column_of_the_space():

@@ -192,6 +192,9 @@ def test_a_coordinate_space_stays_on_its_formula(cloud, serve_matrix, data):
         mass = mass_of(levels, np.flatnonzero(expected[k] < r))
         assert space.ball_masses([k], [r]).tolist() == [[mass]]
     q, j, d = space.neighbors(np.arange(len(ids)), r)
+    assert np.all(np.diff(q) >= 0)  # grouped by query; sorted by (q, j) below
+    order = np.lexsort((j, q))
+    q, j, d = q[order], j[order], d[order]
     assert np.array_equal(np.stack([q, j]), np.nonzero(expected < r))
     assert d.tolist() == expected[expected < r].tolist()
     assert space._matrix is None
@@ -670,6 +673,9 @@ def test_cell_tree_gives_the_oracles_masses_summary_and_neighbours(cloud, data):
     assert bits(masses) == bits(want)
     assert member_ecc.tolist() == [rows[k][members].max() for k in members]
     pairs = [(a, b) for a, k in enumerate(query) for b in np.flatnonzero(rows[k] < r)]
+    assert np.all(np.diff(q) >= 0)  # grouped by query; sorted by (q, j) below
+    order = np.lexsort((j, q))
+    q, j, d = q[order], j[order], d[order]
     assert list(zip(q.tolist(), j.tolist())) == pairs
     assert bits(d) == bits([rows[query[a]][b] for a, b in pairs])
 
@@ -728,7 +734,7 @@ NO_BRIDGES = Bridges(
 @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["exact boxes", "boxes rounded by half the pad"])
 @given(lattice_clouds(), st.data())
 def test_the_forest_walk_gives_the_oracles_forest(shift, coords, data):
-    """The curve's ε-forest, in Borůvka rounds over ``lightest_edges``, is
+    """The curve's ε-forest, in Borůvka rounds over ``boruvka_rounds``, is
     the Kruskal oracle's edge for edge and bit for bit on both backends:
     a member subset of a lattice with exact ties and coincident stacks,
     ``eps_res`` a distance or the next float above one.  On coordinates
