@@ -13,15 +13,13 @@ A level is a read-only array of point indices in the order the scan
 admitted them; point ids appear only in the witnesses of
 :func:`verify_nets`.
 
-The scan walks the cell tree once per level that has more than one
-candidate, keeping the candidate lists of the level's scale for the
-homes of all its candidates and members
-(:meth:`~rectilib.space.MetricMeasureSpace.keep_neighbors`), and
-answers every lookahead chunk from them; :func:`verify_nets` and the
-cubes ask the balls of the members at the same scales and walk only
-at a level the scan did not walk (greedy nets over a tree: Har-Peled
-& Mendel, "Fast construction of nets in low-dimensional metrics and
-their applications", SIAM J. Comput. 35(5), 2006).
+The scan asks the balls of its lookahead chunks through
+:meth:`~rectilib.space.MetricMeasureSpace.neighbors`, which walks the
+cell tree once per radius and keeps the candidate lists of that walk,
+so a level's chunks, :func:`verify_nets` and the cubes at the same
+scale share one walk (greedy nets over a tree: Har-Peled & Mendel,
+"Fast construction of nets in low-dimensional metrics and their
+applications", SIAM J. Comput. 35(5), 2006).
 """
 
 from __future__ import annotations
@@ -105,8 +103,6 @@ def build_nets(
             # each point once, at its first place: a chunk holds no point twice
             todo = todo[np.sort(np.unique(todo, return_index=True)[1])]
         todo = todo[mindist[todo] >= scale]
-        if len(todo) > 1:  # one walk for every chunk and the level's check
-            space.keep_neighbors(np.concatenate([todo, members]), scale)
         size = 1
         while len(todo):
             # ask the balls of the next points apart from every member

@@ -34,7 +34,9 @@ A space caches what the pipeline asks for repeatedly:
   :meth:`~MetricMeasureSpace.ball_masses`, which answers a point set as
   one table;
 * the cell tree below, cut once from every point by the first summary,
-  neighbour query or ball-mass fill.
+  neighbour query or ball-mass fill;
+* on coordinates, the candidate lists of each radius a neighbour query
+  asks, made by one walk of that tree the first time.
 
 Every mass comes from one definition.  When a space is built, each
 weight is split into nonnegative parts, one per level (:func:`_split`),
@@ -83,16 +85,17 @@ serves both of its leaves: a node inside a ball adds its level sums
 whole, a pair that cannot hold either node's farthest point is dropped,
 and so is a pair whose lower bound passes the least upper bound of the
 pairs surely apart.  The neighbour query at radius ``r`` walks ordered
-pairs: home-side nodes, down to each query's home (the highest node
-holding its leaf that is at most ``r / 2`` across), against nodes down
-to the leaves; the candidates of a home are kept per radius, for every
-later query, when :meth:`~MetricMeasureSpace.keep_neighbors` asks.  The
-lightest edges walk unordered pairs of a tree of the points asked,
-dropping a pair that lies in one component, then meet the leaf pairs
-by ascending lower bound (dual-tree Borůvka: March, Ram & Gray, "Fast
-Euclidean minimum spanning tree", KDD 2010), dropping a pair whose lower
-bound passes the lightest edge found so far of every component in it;
-the later rounds of one forest filter the first round's leaf pairs.
+pairs once, the first time any query asks for ``r``: home-side nodes,
+down to every home (the highest node holding a leaf that is at most
+``r / 2`` across), against nodes down to the leaves; each home's
+candidates are kept for every later query at ``r``.  The lightest
+edges walk unordered pairs of a tree of the points asked once per
+forest, when it is made, keeping the leaf pairs whose lower bound is
+below ``r``; each round drops those now inside one component and meets
+the rest by ascending lower bound (dual-tree Borůvka: March, Ram &
+Gray, "Fast Euclidean minimum spanning tree", KDD 2010), dropping a
+pair whose lower bound passes the lightest edge found so far of every
+component in it.
 
 A distance matrix comes from CSV through :func:`load_matrix`.  A large
 one is parsed in parts, one per usable CPU but no more than
@@ -405,14 +408,15 @@ class MetricMeasureSpace:
         Consecutive runs of queries are answered in turn, each of at
         most ``_PAIR_BUDGET`` candidate pairs (more only for one query
         alone), so memory stays bounded even where many points
-        coincide.  A matrix space scans its stored rows.  On coordinates a node of the cell tree is a
-        candidate for a query when its box, less the pad, lies within
-        ``r`` of the box of the query's home (the highest node that holds
-        its leaf and is at most ``r / 2`` across), down the tree, and
-        then of the query point; the row formula decides ``d < r`` on the
-        candidates' points.  The candidates of a home come from the lists
-        :meth:`keep_neighbors` kept for ``r``, or else from one walk for
-        this call, over the homes the lists lack.
+        coincide.  A matrix space scans its stored rows and keeps
+        nothing.  On coordinates a node of the cell tree is a candidate
+        for a query when its box, less the pad, lies within ``r`` of the
+        box of the query's home (the highest node that holds its leaf and
+        is at most ``r / 2`` across), down the tree, and then of the
+        query point; the row formula decides ``d < r`` on the candidates'
+        points.  The first query at ``r`` walks the tree once for every
+        home, and the space keeps those lists for every later query at
+        ``r``.
         """
         query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
         n = len(self)
@@ -426,9 +430,10 @@ class MetricMeasureSpace:
         elif len(query_idx):
             tree, pad = self._tree(), self._pad
             lo, hi, first, size = tree.lo, tree.hi, tree.start, tree.size
-            near = self._near.get(r) or _Candidates(tree, r)
+            if r not in self._near:
+                self._near[r] = _Candidates(tree, r, pad)
+            near = self._near[r]
             home = near.home[tree.leaf_of[query_idx]]
-            self._walk_near(near, home, r)
             pairs = np.cumsum(near.reach[home])
             start = 0
             while start < len(query_idx):
@@ -452,56 +457,6 @@ class MetricMeasureSpace:
             return parts[0]
         none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)
         return _joined([none, *parts])
-
-    def keep_neighbors(self, query_idx: Sequence[int] | np.ndarray, r: float) -> None:
-        """Walk the cell tree once at radius ``r`` for the homes of
-        ``query_idx`` and keep each home's candidates, so that
-        :meth:`neighbors` at ``r`` walks only for homes not yet walked.
-        The kept lists last as long as the space; a matrix space keeps
-        nothing."""
-        if self._matrix is None:
-            tree = self._tree()
-            if r not in self._near:
-                self._near[r] = _Candidates(tree, r)
-            near = self._near[r]
-            query_idx = np.asarray(query_idx, dtype=np.intp).reshape(-1)
-            self._walk_near(near, near.home[tree.leaf_of[query_idx]], r)
-
-    def _walk_near(self, near: "_Candidates", homes: np.ndarray, r: float) -> None:
-        """Add to ``near`` the candidates of each of ``homes`` it lacks, by
-        one walk of home-side nodes against nodes from the root pair down:
-        each node whose box, less the pad, lies within ``r`` of the home's
-        box, as a whole where its box bounds put all of it within ``r`` of
-        a node holding the home, else leaf by leaf."""
-        new = near.first[homes] < 0
-        if not new.any():
-            return
-        tree, pad = self._tree(), self._pad
-        homes = _unique(homes[new])
-        homes = homes[np.argsort(tree.start[homes])]  # disjoint: by their slots
-        # the home-side nodes worth walking: those holding a home asked for
-        held = np.zeros(len(tree.order) + 1, dtype=np.intp)
-        held[_runs(tree.start[homes], tree.size[homes]) + 1] = 1
-        held = np.cumsum(held)  # the slots of these homes before each slot
-        asked = held[tree.stop] > held[tree.start]
-        whole = []
-
-        def close(a, b):
-            a, b = a[asked[a]], b[asked[a]]
-            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
-            inside = maxd + pad < r
-            whole.append((a[inside], b[inside]))
-            keep = (mind - pad < r) & ~inside
-            return a[keep], b[keep]
-
-        near_home, near_cell = tree.walk(close, stop=near.stop)
-        # a node settled whole against ``a`` is a candidate of each home in ``a``
-        big, cell = _joined(whole)
-        first = np.searchsorted(tree.start[homes], tree.start[big])
-        count = np.searchsorted(tree.start[homes], tree.stop[big]) - first
-        near_home = np.concatenate([near_home, homes[_runs(first, count)]])
-        near_cell = np.concatenate([near_cell, np.repeat(cell, count)])
-        near.add(homes, near_home, near_cell, tree.size)
 
     def nearest(
         self, points: np.ndarray, candidates: np.ndarray, radius: float | None = None
@@ -596,13 +551,14 @@ class MetricMeasureSpace:
         Over every point this reads the summary.  Over fewer, a matrix
         space reduces the members' submatrix a block of rows at a time,
         and a coordinate space applies the summary's eccentricity rule to
-        a cell tree of the members.  Indices may repeat.
+        a cell tree of the members.  Indices may repeat; none give an
+        empty array.
         """
         idx = np.asarray(indices, dtype=np.intp)
         members = _unique(idx)
         if len(members) == len(self):
             return self.summary()[0][idx]
-        if self._matrix is not None:
+        if self._matrix is not None or not len(members):
             return self._max_dists(idx, members)
         return self._tree_eccentricities(self._tree(members))[idx]
 
@@ -662,9 +618,9 @@ class MetricMeasureSpace:
         block's diagonal square, where it comes twice.  Only the
         positions ``rounds.rows`` take part once they are at most half
         the points (gathering their submatrix costs more than reading
-        every row before that), every one in the first round."""
+        every row before that)."""
         points, r, at = rounds.points, rounds.r, rounds.rows
-        if at is None or 2 * len(at) > len(points):
+        if 2 * len(at) > len(points):
             at = np.arange(len(points))
         m = len(at)
         whole = len(points) == len(self) == m and np.array_equal(points, at)
@@ -762,50 +718,25 @@ class MetricMeasureSpace:
         return found
 
     def _tree_edges(self, rounds: "BoruvkaRounds", label: np.ndarray, best: "_Lightest") -> None:
-        """:meth:`BoruvkaRounds.round` on coordinates, over the cell tree
-        of ``rounds.points``.
+        """:meth:`BoruvkaRounds.round` on coordinates: the leaf pairs of
+        ``rounds.pairs`` less those now inside one component, kept for
+        the next round in their order.
 
-        The walk drops an unordered node pair whose lower bound reaches
-        ``r``, or whose nodes lie in one component.  The leaf pairs left
-        meet in order of their lower bounds, block by block, so each
+        They meet in order of their lower bounds, block by block, so each
         leaf's pair with itself comes first; a pair whose lower bound
         passes the bound of every component in either leaf, the least
-        edge found so far, is dropped before its distances.  The first
-        round keeps its tree and its leaf pairs in ``rounds``; a later
-        round drops the pairs now in one component, which are the pairs
-        its own walk would drop, and keeps the rest in their order.
+        edge found so far, is dropped before its distances.
         """
-        points, r = rounds.points, rounds.r
-        if rounds.tree is None:
-            whole = len(points) == len(self)
-            rounds.tree = self._tree() if whole else self._tree(points)
-        tree = rounds.tree
+        points, r, tree = rounds.points, rounds.r, rounds.tree
         position = np.full(len(self), -1, dtype=np.intp)
         position[points] = np.arange(len(points))
         lab = label[position[tree.order]]  # each tree slot's component
         changes = np.concatenate([[0], np.cumsum(lab[1:] != lab[:-1])])
         one = changes[tree.stop - 1] == changes[tree.start]  # a node in one component
         comp = lab[tree.start]
-
-        def within(a, b):
-            return one[a] & one[b] & (comp[a] == comp[b]) | (a == b) & tree.spot[a]
-
-        if rounds.pairs is not None:
-            a, b, low = rounds.pairs
-            keep = ~within(a, b)
-            a, b, low = a[keep], b[keep], low[keep]
-        else:
-
-            def across(a, b):
-                low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
-                keep = (low < r) & ~within(a, b)
-                return a[keep], b[keep]
-
-            a, b = tree.walk(across)
-            low = _box_bounds(tree.lo, tree.hi, a, b)[0] - self._pad
-            by_low = np.argsort(low, kind="stable")
-            a, b, low = a[by_low], b[by_low], low[by_low]
-        rounds.pairs = a, b, low
+        a, b, low = rounds.pairs
+        keep = ~(one[a] & one[b] & (comp[a] == comp[b]))
+        a, b, low = rounds.pairs = a[keep], b[keep], low[keep]
         leaves = np.flatnonzero(tree.leaf)
         leaves = leaves[np.argsort(tree.start[leaves])]  # they partition the slots
         node = np.empty(tree.count)
@@ -924,15 +855,16 @@ class BoruvkaRounds:
     and ask :meth:`round` once per round.
 
     A matrix space scans each stored pair of ``points`` once per round,
-    in blocks of at most ``_PAIR_BUDGET`` entries; a coordinate space
-    walks the cell tree of ``points``.  Components only merge from one
-    round to the next, so a pair of points in one component stays so,
-    and a point with no entry below ``r`` into another component has
-    none later.  So the first round's findings serve the rounds after
-    it: on coordinates its tree (``tree``) and its leaf pairs
-    (``pairs``), which a later round filters in place of walking again;
-    on a matrix the positions whose rows still held such an entry
-    (``rows``), the only rows a later round reads.
+    in blocks of at most ``_PAIR_BUDGET`` entries.  A coordinate space
+    walks the cell tree of ``points`` once, here: it keeps the unordered
+    leaf pairs (``pairs``) whose padded lower bound is below ``r``, but a
+    one-location leaf's pair with itself, sorted by that bound.
+    Components only merge from one round to the next, so a pair of
+    points in one component stays so, and a point with no entry below
+    ``r`` into another component has none later.  So each round, the
+    first included, drops the leaf pairs now inside one component, and
+    a matrix round reads only the rows of the positions whose rows
+    still held such an entry (``rows``, every position at first).
     """
 
     def __init__(self, space: MetricMeasureSpace, points: np.ndarray, r: float):
@@ -940,9 +872,20 @@ class BoruvkaRounds:
         self.points = _read_only(np.array(points, dtype=np.intp).reshape(-1))
         self.r = float(r)
         self.label: np.ndarray | None = None  # the last round's components
-        self.tree: _CellTree | None = None
-        self.pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.rows: np.ndarray | None = None
+        self.rows = np.arange(len(self.points))
+        if space.coords is not None and len(self.points):  # no points, no pairs
+            whole = len(self.points) == len(space)
+            tree = self.tree = space._tree() if whole else space._tree(self.points)
+
+            def below(a, b):
+                low = _box_bounds(tree.lo, tree.hi, a, b)[0] - space._pad
+                keep = (low < self.r) & ~((a == b) & tree.spot[a])
+                return a[keep], b[keep]
+
+            a, b = tree.walk(below)
+            low = _box_bounds(tree.lo, tree.hi, a, b)[0] - space._pad
+            by_low = np.argsort(low, kind="stable")
+            self.pairs = a[by_low], b[by_low], low[by_low]
 
     def round(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each component's lightest edge to another component, shorter
@@ -968,8 +911,9 @@ class BoruvkaRounds:
         self.label = label
         best = _Lightest(m)
         space = self.space
-        fill = space._row_edges if space.coords is None else space._tree_edges
-        fill(self, label, best)
+        if m:
+            fill = space._row_edges if space.coords is None else space._tree_edges
+            fill(self, label, best)
         return best.edges()
 
 
@@ -1051,30 +995,43 @@ def _blocks(rows: int, cols: int) -> Iterator[tuple[slice, slice]]:
 
 
 class _Candidates:
-    """At radius ``r``, the candidate nodes of some homes: a query's home
-    is ``home`` at its leaf (see :meth:`_CellTree.homes`), those of home
-    ``h`` are ``cells[first[h]:first[h] + count[h]]``, holding
-    ``reach[h]`` points, and ``first[h]`` is -1 for a home not walked
-    yet."""
+    """At radius ``r``, the candidate nodes of every home, from one walk:
+    a query's home is ``home`` at its leaf (see :meth:`_CellTree.homes`),
+    and those of home ``h`` are ``cells[first[h]:first[h] + count[h]]``,
+    holding ``reach[h]`` points.
 
-    def __init__(self, tree: "_CellTree", r: float):
+    The walk pairs home-side nodes, down to the homes, with nodes from
+    the root down, and keeps each node whose box, less ``pad``, lies
+    within ``r`` of the home's box: whole where the box bounds put all of
+    it within ``r`` of a node holding the home, else leaf by leaf.
+    """
+
+    def __init__(self, tree: "_CellTree", r: float, pad: float):
         self.home = tree.homes(r)
-        self.stop = np.zeros(tree.count, dtype=bool)  # the homes
-        self.stop[self.home[tree.leaf]] = True
-        self.first = np.full(tree.count, -1, dtype=np.intp)
-        self.count = np.zeros(tree.count, dtype=np.intp)
-        self.reach = np.zeros(tree.count, dtype=np.intp)
-        self.cells = np.empty(0, dtype=np.intp)
+        homes = _unique(self.home[tree.leaf])
+        stop = np.zeros(tree.count, dtype=bool)
+        stop[homes] = True
+        homes = homes[np.argsort(tree.start[homes])]  # they partition the slots
+        whole = []
 
-    def add(self, homes, near_home, near_cell, size) -> None:
-        """Append the walk's pairs ``(near_home, near_cell)`` of ``homes``."""
-        by_home = np.argsort(near_home, kind="stable")
-        near_home, near_cell = near_home[by_home], near_cell[by_home]
-        count = np.bincount(near_home, minlength=len(self.first))
-        self.first[homes] = len(self.cells) + (np.cumsum(count) - count)[homes]
-        self.count[homes] = count[homes]
-        self.reach[homes] = np.bincount(near_home, size[near_cell], len(self.first))[homes]
-        self.cells = np.concatenate([self.cells, near_cell])
+        def close(a, b):
+            mind, maxd = _box_bounds(tree.lo, tree.hi, a, b)
+            inside = maxd + pad < r
+            whole.append((a[inside], b[inside]))
+            keep = (mind - pad < r) & ~inside
+            return a[keep], b[keep]
+
+        near_home, near_cell = tree.walk(close, stop=stop)
+        # a node settled whole against ``a`` is a candidate of each home in ``a``
+        big, cell = _joined(whole)
+        first = np.searchsorted(tree.start[homes], tree.start[big])
+        count = np.searchsorted(tree.start[homes], tree.stop[big]) - first
+        near_home = np.concatenate([near_home, homes[_runs(first, count)]])
+        near_cell = np.concatenate([near_cell, np.repeat(cell, count)])
+        self.cells = near_cell[np.argsort(near_home, kind="stable")]
+        self.count = np.bincount(near_home, minlength=tree.count)
+        self.first = np.cumsum(self.count) - self.count
+        self.reach = np.bincount(near_home, tree.size[near_cell], tree.count).astype(np.intp)
 
 
 class _CellTree:

@@ -94,8 +94,10 @@ def greedy_cover_trace(space, member_ids, delta: float, r_min: float):
     Candidate radii halve down from just under delta to r_min; each
     round picks the (center, radius) maximizing uncovered mass per
     radius, preferring smaller radii and then smaller center ids on
-    ties; leftover zero-gain points get their own r_min balls.
-    Returns the list of (center_id, radius) chosen, in order.
+    ties.  When only zero-gain points are left, they are covered at
+    r_min by ascending id: each still uncovered one centres a ball,
+    which covers every point left within r_min of it.  Returns the list
+    of (center_id, radius) chosen, in order.
     """
     radii = []
     r = delta * (1.0 - 1e-9)
@@ -128,7 +130,10 @@ def greedy_cover_trace(space, member_ids, delta: float, r_min: float):
                     best = (gain, radius, center)
         if best is None:
             for p in sorted(uncovered):
-                chosen.append((p, r_min))
+                if p in uncovered:
+                    chosen.append((p, r_min))
+                    row = space.dists_from(space.index_of(p))
+                    uncovered = {t for t in uncovered if row[space.index_of(t)] >= r_min}
             break
         _, radius, center = best
         chosen.append((center, radius))

@@ -134,28 +134,45 @@ def test_neighbors_and_sub_rows_equal_the_row_masks(cloud, data):
             assert np.array_equal(bits(space.dists_between(k, cols)), bits(want))
 
 
-@pytest.mark.parametrize("kept_share", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("stacks", [False, True])
-def test_kept_candidates_give_the_row_answers(stacks, kept_share):
-    """Candidate lists kept for part of the points (none, some, all) at
-    radii from a few gaps to past the diameter, where a home is a node
-    above the leaves, give the row answers for points whose homes were
-    walked and for points whose were not.  Two stacks of coincident
-    points make leaves, and so homes, at uneven depths, whose order by
-    node differs from their order by slot."""
+def test_a_query_answers_the_same_from_lists_an_earlier_query_built(stacks):
+    """At radii from a few gaps to past the diameter, where a home is a
+    node above the leaves, a query's answer is the same bits, order
+    included, whether it builds the candidate lists of ``r`` itself or
+    reads those an earlier query of other points built, and it is the
+    row answer.  Two stacks of coincident points make leaves, and so
+    homes, at uneven depths, whose order by node differs from their
+    order by slot."""
     curve, _ = generate(GeneratorSpec("lipschitz_curve", 3000))
     coords = curve.coords
     if stacks:
         coords = np.concatenate([coords, np.repeat(coords[[100, 2000]], [40, 25], axis=0)])
     n = len(coords)
-    space = MetricMeasureSpace.from_coords(range(n), coords, np.ones(n))
     rng = np.random.default_rng(7)
-    kept = rng.choice(n, int(kept_share * n), replace=False)
+    earlier = rng.choice(n, 300, replace=False)
     query = np.sort(rng.choice(n, 120, replace=False))
-    for r in (3 * space.min_gap(), 0.01, 0.07, 0.4, 2 * space.diameter()):
-        space.keep_neighbors(kept, r)
-        want = row_pairs(space, query, r)
-        assert_same_pairs(space.neighbors(query, r), want)
+    first, later = (MetricMeasureSpace.from_coords(range(n), coords, np.ones(n)) for _ in "ab")
+    for r in (3 * first.min_gap(), 0.01, 0.07, 0.4, 2 * first.diameter()):
+        later.neighbors(earlier, r)
+        got = first.neighbors(query, r)
+        for x, y in zip(got, later.neighbors(query, r)):
+            assert np.array_equal(bits(x), bits(y))
+        assert_same_pairs(got, row_pairs(first, query, r))
+
+
+def test_a_radius_walks_once_and_a_matrix_keeps_nothing(walks):
+    """The first query at a radius walks the cell tree once and keeps
+    its lists; a second query at that radius, of other points, walks
+    none.  A matrix space answers from its rows and keeps no list."""
+    coords = np.random.default_rng(2).random((500, 2))
+    space, twin = both_backends(range(500), coords, np.ones(500))
+    for s in (space, twin):
+        s.neighbors(np.arange(0, 500, 2), 0.05)
+    assert walks == {"_Candidates.__init__": 1}
+    walks.clear()
+    space.neighbors(np.arange(1, 500, 2), 0.05)
+    assert not walks
+    assert list(space._near) == [0.05] and not twin._near
 
 
 @pytest.mark.parametrize(
@@ -452,26 +469,26 @@ def test_the_forest_walk_computes_a_pinned_number_of_pairs(spec, pairs, pair_eva
     ids=["lipschitz_curve 2048", "grid2d 64", "circle 2000"],
 )
 def test_nets_and_the_forest_walk_the_tree_a_pinned_number_of_times(spec, net_walks, walks):
-    """The default run's net scan walks the cell tree once per level that
-    has more than one candidate (3, 2 and 4 levels here; one walk per
-    lookahead chunk made 27, 22 and more), and answers every chunk from
-    the leaf lists of that walk.  The ε-forest walks once for all its
-    Borůvka rounds: circle 2000 takes seven rounds, which walked seven
+    """The default run's net scan walks the cell tree once per level
+    whose scale it first asks (3, 2 and 4 here; one walk per lookahead
+    chunk made 27, 22 and more), and answers every chunk from the lists
+    of that walk.  The ε-forest walks once for all its Borůvka rounds,
+    when it is made: circle 2000 takes seven rounds, which walked seven
     times when each round walked again."""
     cfg = RunConfig(kind=spec.kind, resolution=spec.resolution)
     stage = {row[0]: row[2] for row in STAGES}
     ctx = run_stages(cfg, ("load",))[0]
     walks.clear()
     stage["nets"](SimpleNamespace(**vars(ctx)))
-    assert walks == {"MetricMeasureSpace._walk_near": net_walks}
+    assert walks == {"_Candidates.__init__": net_walks}
     ctx = run_stages(cfg, ("bridges",))[0]
     walks.clear()
     stage["gamma"](SimpleNamespace(**vars(ctx)))
-    assert walks == {"MetricMeasureSpace._tree_edges": 1}
+    assert walks == {"BoruvkaRounds.__init__": 1}
 
 
 def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
-    """Node pairs inside one component hold no edge, so the walk drops
+    """Leaf pairs inside one component hold no edge, so each round drops
     them before any distance: with every point in one component it
     computes none (137,728 when it keeps them), and with two halves
     only the 64 leaf pairs across the cut, 16 x 16 distances each

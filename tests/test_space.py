@@ -410,16 +410,19 @@ def test_hausdorff_estimate_matches_greedy_trace():
     assert got == [(c, pytest.approx(r)) for c, r in trace]
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_hausdorff_estimate_breaks_exact_ties_as_the_greedy_trace(seed):
     """On a half-unit lattice with repeated points and weights of 1, 2
     and 4 tenths, equal gains per radius are common and exact: the lazy
     greedy takes the trace's balls, the smaller radius first on a tie,
-    then the smaller centre id."""
+    then the smaller centre id.  From seed 8 on, zero weights too: the
+    zero-gain points left at the end take floor balls, each covering
+    the points left within ``r_min`` of it, coincident ones included."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 40))
     coords = rng.integers(0, 6, (n, int(rng.integers(1, 3)))) * 0.5
-    weights = rng.choice([0.1, 0.2, 0.4], n)
+    weights = rng.choice([0.0] * 4 * (seed >= 8) + [0.1, 0.2, 0.4], n)
+    weights[0] = max(weights[0], 0.1)  # a positive total mass
     space = MetricMeasureSpace.from_coords(range(n), coords, weights)
     members = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
     delta = float(rng.choice([0.7, 1.0, 2.5]))

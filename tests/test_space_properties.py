@@ -131,6 +131,12 @@ def test_coordinate_and_matrix_backends_agree(cloud, data):
         assert enclosing_target(space, members) == enclosing_target(twin, members)
         assert _mass_check(space, members) == _mass_check(twin, members)
     assert _doubling(space) == _doubling(twin)
+    # no point and one point: the eccentricities and a forest round
+    for few in ([], [0], space.indices_of(members[:1])):
+        ecc = [s.eccentricities(few) for s in (space, twin)]
+        edges = [s.boruvka_rounds(few, 1.0).round(np.arange(len(few))) for s in (space, twin)]
+        assert ecc[0].dtype == ecc[1].dtype and ecc[0].tolist() == ecc[1].tolist()
+        assert [x.tolist() for x in edges[0]] == [x.tolist() for x in edges[1]]
     if not members:
         for s in (space, twin):
             with pytest.raises(DegenerateInputError, match="candidate set is empty"):

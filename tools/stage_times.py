@@ -1,17 +1,20 @@
 """Per-stage times and work counts of ``rectilib run`` on the benchmark's inputs.
 
-    python3 tools/stage_times.py [--workload W ...] [--seed S] [--runs N]
-                                 [--src SRC] [--work DIR]
+    python3 tools/stage_times.py [--workload W ...] [--generate KIND:RESOLUTION ...]
+                                 [--seed S] [--runs N] [--src SRC] [--work DIR]
 
 Builds each input of ``perfbench/run.py`` for ``--seed`` (default 0;
-every workload unless ``--workload`` names some), then runs the
-pipeline on it ``--runs`` times (default 7) in this one process, each
-run from a fresh load, with the ``rectilib`` under ``SRC`` (default:
-this checkout's ``src``).  The side files are written to a temporary
-directory, as the ``write`` row.  Prints one row per input and stage:
-the least wall time over the runs in milliseconds, and the stage's
-``_CellTree.walk`` calls and ``_pair_dists`` calls and distances, which
-are the same on every run.  The ``total`` row sums each column.
+every workload unless ``--workload`` or ``--generate`` names some),
+and each generator input ``--generate`` names with the default flags
+(``circle:40000``, ``cascade:7``), then runs the pipeline on it
+``--runs`` times (default 7) in this one process, each run from a fresh
+load, with the ``rectilib`` under ``SRC`` (default: this checkout's
+``src``).  The side files are written to a temporary directory, as the
+``write`` row.  Prints one row per input and stage: the least wall time
+over the runs in milliseconds, and the stage's ``_CellTree.walk`` calls
+and ``_pair_dists`` calls and distances, which are the same on every
+run.  The ``total`` row sums each column, and a last line gives the
+bytes of the candidate lists the last run's space keeps per radius.
 
 Times are in-process minima, so the import and the compile of a fresh
 ``rectilib run`` are not in them.  The matrix input is written under
@@ -88,8 +91,14 @@ class Counts:
         )
 
 
-def measure(pipeline, tally: Counts, cfg, runs: int) -> tuple[dict, Counter]:
-    """Least time per stage over ``runs`` runs, and the last run's counts."""
+def kept_bytes(space) -> int:
+    """The bytes of the candidate lists ``space`` keeps, over every radius."""
+    return sum(a.nbytes for near in space._near.values() for a in vars(near).values())
+
+
+def measure(pipeline, tally: Counts, cfg, runs: int) -> tuple[dict, Counter, int]:
+    """Least time per stage over ``runs`` runs, and the last run's counts
+    and kept bytes."""
     best: dict[str, float] = {}
     for _ in range(runs):
         tally.counts = Counter()
@@ -104,7 +113,7 @@ def measure(pipeline, tally: Counts, cfg, runs: int) -> tuple[dict, Counter]:
             tally.stage = "-"
         for name, seconds in timings:
             best[name] = min(best.get(name, seconds), seconds)
-    return best, tally.counts
+    return best, tally.counts, kept_bytes(ctx.space)
 
 
 COUNTS = ("walks", "dist_calls", "dists")
@@ -122,6 +131,10 @@ def main() -> int:
     parser.add_argument(
         "--workload", action="append", choices=list(bench.WORKLOADS), help="default: every one"
     )
+    parser.add_argument(
+        "--generate", action="append", default=[], metavar="KIND:RESOLUTION",
+        help="a generator input with the default flags, such as circle:40000",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=7)
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding rectilib")
@@ -129,26 +142,35 @@ def main() -> int:
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    generated = [item.partition(":") for item in args.generate]
+    if any(not sep or not res.isdigit() for _, sep, res in generated):
+        parser.error("--generate takes KIND:RESOLUTION, such as circle:40000")
     sys.path.insert(0, str(Path(args.src).resolve()))
     from rectilib import pipeline, space as space_mod
 
-    names = args.workload or list(bench.WORKLOADS)
+    names = args.workload or ([] if generated else list(bench.WORKLOADS))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work).resolve() if args.work else Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
         bench.WORK = bench.ROOT = work  # matrix_2k names its files relative to ROOT
+        inputs = [
+            (f"{name}-{args.seed}", config(pipeline, bench.WORKLOADS[name](args.seed), work))
+            for name in names
+        ] + [
+            (f"{kind}-{res}", pipeline.RunConfig(kind=kind, resolution=int(res)))
+            for kind, _, res in generated
+        ]
         tally = Counts(pipeline, space_mod)
         print(row("input", "stage", "min ms", "walks", "dist calls", "dists"))
-        for name in names:
-            cfg = config(pipeline, bench.WORKLOADS[name](args.seed), work)
-            best, counts = measure(pipeline, tally, cfg, args.runs)
-            label = f"{name}-{args.seed}"
+        for label, cfg in inputs:
+            best, counts, kept = measure(pipeline, tally, cfg, args.runs)
             total = [0.0, 0, 0, 0]
             for stage, seconds in best.items():
                 values = [seconds * 1e3] + [counts[stage, k] for k in COUNTS]
                 total = [t + v for t, v in zip(total, values)]
                 print(row(label, stage, *values))
             print(row(label, "total", *total))
+            print(f"{label}: the space keeps {kept} bytes of candidate lists")
     return 0
 
 
