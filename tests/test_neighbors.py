@@ -134,26 +134,29 @@ def test_neighbors_and_sub_rows_equal_the_row_masks(cloud, data):
             assert np.array_equal(bits(space.dists_between(k, cols)), bits(want))
 
 
+@pytest.mark.parametrize("kept_share", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("stacks", [False, True])
-def test_a_query_answers_the_same_from_lists_an_earlier_query_built(stacks):
-    """At radii from a few gaps to past the diameter, where a home is a
-    node above the leaves, a query's answer is the same bits, order
-    included, whether it builds the candidate lists of ``r`` itself or
-    reads those an earlier query of other points built, and it is the
-    row answer.  Two stacks of coincident points make leaves, and so
-    homes, at uneven depths, whose order by node differs from their
-    order by slot."""
+def test_kept_candidates_give_the_row_answers(stacks, kept_share):
+    """An earlier query of part of the points (none, some, all) at radii
+    from a few gaps to past the diameter, where a home is a node above
+    the leaves, leaves candidate lists that give a later query the same
+    bits, order included, as a space that builds them for that query
+    itself, and those are the row answers.  With no earlier points the
+    later query builds the lists.  Two stacks of coincident points make
+    leaves, and so homes, at uneven depths, whose order by node differs
+    from their order by slot."""
     curve, _ = generate(GeneratorSpec("lipschitz_curve", 3000))
     coords = curve.coords
     if stacks:
         coords = np.concatenate([coords, np.repeat(coords[[100, 2000]], [40, 25], axis=0)])
     n = len(coords)
     rng = np.random.default_rng(7)
-    earlier = rng.choice(n, 300, replace=False)
+    kept = rng.choice(n, int(kept_share * n), replace=False)
     query = np.sort(rng.choice(n, 120, replace=False))
     first, later = (MetricMeasureSpace.from_coords(range(n), coords, np.ones(n)) for _ in "ab")
     for r in (3 * first.min_gap(), 0.01, 0.07, 0.4, 2 * first.diameter()):
-        later.neighbors(earlier, r)
+        later.neighbors(kept, r)
+        assert (r in later._near) == bool(len(kept))
         got = first.neighbors(query, r)
         for x, y in zip(got, later.neighbors(query, r)):
             assert np.array_equal(bits(x), bits(y))
