@@ -7,11 +7,15 @@ between x and y.  Each porous cube contributes bridges from its center
 to the net points near it: a star that joins them through the center.
 :func:`build_bridges` returns the pairs as a :class:`Bridges` record;
 :func:`assemble_gamma` builds the one graph, the curve: target points,
-the minimum spanning forest of their short-range adjacency (in Borůvka
-rounds), and the bridges.
+the minimum spanning forest of their short-range adjacency, and the
+bridges.
 Parametrization doubles a minimum-length tree through every vertex
-(Kruskal) into a closed tour, giving an explicitly Lipschitz surjection
-onto the vertex set.  :func:`check_parametrization` checks every step:
+(Kruskal order) into a closed tour, giving an explicitly Lipschitz
+surjection onto the vertex set.  Both forests, the adjacency and the
+tree, grow in the rounds of the package's one Borůvka loop,
+:func:`rectilib.space._boruvka`: the space gives each component its
+lightest short pair, and :func:`_spanning_forest` its first edge in
+Kruskal order.  :func:`check_parametrization` checks every step:
 an edge, no longer than the bound times its time gap plus 2**-51 for
 three roundings of 2**-53; visits m steps apart are then within the
 bound times their gap plus ``m * 2**-51``.
@@ -49,7 +53,7 @@ from .porosity import PorosityConfig, PorousFamily
 from .space import (
     MetricMeasureSpace,
     TargetSet,
-    _joined,
+    _boruvka,
     _unique,
     _write_lines,
     linear_mass_check,
@@ -180,11 +184,10 @@ def assemble_gamma(
     the longest edge of a cycle of such pairs, so it is in no minimum
     tree of the whole graph either: :func:`parametrize` builds the same
     tree with or without it.  Coincident pairs are skipped (an edge of
-    length zero carries no metric information).  The forest grows in
-    Borůvka rounds of
-    :meth:`~rectilib.space.MetricMeasureSpace.boruvka_rounds`, each
-    giving every component its lightest edge, so the pairs are never
-    listed.  Vertices are numbered as the module docstring states.
+    length zero carries no metric information).  The forest is one
+    call, :meth:`~rectilib.space.MetricMeasureSpace.spanning_forest`,
+    which grows it in Borůvka rounds and never lists the pairs.
+    Vertices are numbered as the module docstring states.
     """
     if not 0 < eps_res < np.inf:
         raise ParameterError("eps_res must be positive and finite")
@@ -195,24 +198,7 @@ def assemble_gamma(
     x_at, y_at = np.searchsorted(ground_ids, bridges.pairs.T)
 
     idx = space.indices_of(ground_ids.tolist())
-    # each component takes its lightest edge, and the components so
-    # joined merge; the order is strict, so the forest is unique
-    label = np.arange(n_ground)
-    forest = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
-    taken, rounds = 0, space.boruvka_rounds(idx, eps_res)
-    while taken < n_ground - 1:  # a tree has no edge left to find
-        a, b, d = rounds.round(label)
-        comp = np.flatnonzero(d < np.inf)
-        if not len(comp):
-            break
-        a, b, d = a[comp], b[comp], d[comp]
-        ends = label[a]
-        label, new = _merge(label, comp, np.where(ends == comp, label[b], ends))
-        forest.append((a[new], b[new], d[new]))
-        taken += int(new.sum())
-    adj_a, adj_b, adj_d = _joined(forest)
-    listed = np.lexsort((adj_b, adj_a))  # by ascending (a, b)
-    adj_a, adj_b, adj_d = adj_a[listed], adj_b[listed], adj_d[listed]
+    adj_a, adj_b, adj_d = space.spanning_forest(idx, eps_res)
     return BridgeGraph(
         ground=ground_ids,
         src=np.concatenate([x_at, adj_a]),
@@ -325,57 +311,32 @@ class CurveParametrization:
     tree_length: float
 
 
-def _spanning_forest(
-    n: int, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _spanning_forest(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
     """The edges that join two trees when scanned in order, ascending,
     and a component label (a vertex) per vertex.
 
     The scan order is a strict order, so these edges are the unique
-    minimum spanning forest under it, and Borůvka rounds find them:
-    each component takes its first edge to another component, and the
-    components so joined merge.
+    minimum spanning forest under it, and the Borůvka rounds of
+    :func:`~rectilib.space._boruvka` find them: each component takes its
+    first edge to another component.
     """
     src, dst = np.asarray(src), np.asarray(dst)
-    label, edge, a, b = np.arange(n), np.arange(len(src)), src, dst
-    taken = np.zeros(len(src), dtype=bool)
-    while True:
-        la, lb = label[a], label[b]
+    edge = np.arange(len(src))
+
+    def first(label):
+        nonlocal edge
+        la, lb = label[src[edge]], label[dst[edge]]
         out = la != lb  # an edge inside a component stays inside
-        edge, a, b, la, lb = edge[out], a[out], b[out], la[out], lb[out]
-        if not len(edge):
-            break
-        first = np.full(n, len(src))
-        np.minimum.at(first, la, edge)
-        np.minimum.at(first, lb, edge)
-        comp = np.flatnonzero(first < len(src))
-        pick = first[comp]
-        taken[pick] = True
-        ends = label[src[pick]]
-        label, _ = _merge(label, comp, np.where(ends == comp, label[dst[pick]], ends))
-    return np.flatnonzero(taken), label
+        edge, la, lb = edge[out], la[out], lb[out]
+        rank = np.full(n, len(src))
+        np.minimum.at(rank, la, edge)
+        np.minimum.at(rank, lb, edge)
+        comp = np.flatnonzero(rank < len(src))
+        pick = rank[comp]
+        return comp, src[pick], dst[pick], pick
 
-
-def _merge(
-    label: np.ndarray, comp: np.ndarray, other: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Borůvka merge: each component ``comp[k]`` (a label) joins
-    ``other[k]``, the component at the far end of its lightest edge.
-
-    Under a strict edge order, two components that point at each other
-    took the same edge, the smaller is the root, and no longer cycle
-    exists.  Returns each vertex's new label and, per component,
-    whether its edge is its own: not that of a smaller component
-    pointing back.
-    """
-    parent = np.arange(len(label))
-    parent[comp] = other
-    mutual = parent[other] == comp
-    root = comp[mutual & (comp < other)]
-    parent[root] = root
-    while np.any(parent[parent] != parent):
-        parent = parent[parent]
-    return parent[label], ~(mutual & (comp > other))
+    (_, _, rank), label = _boruvka(n, first)
+    return np.sort(rank), label
 
 
 def _euler_tour(

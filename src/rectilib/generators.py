@@ -124,7 +124,9 @@ def _interval(spec: GeneratorSpec) -> tuple[MetricMeasureSpace, TargetSet | None
         lambda v: _floats(v).reshape(len(v), 2), "a list of [a, b] pairs",
     )
     inside = np.zeros(n, dtype=bool)
-    for a, b in holes:
+    for a, b in holes.tolist():
+        if not a < b:  # a NaN end, or an empty hole
+            raise ParameterError(f"interval: hole [{a!r}, {b!r}] in 'holes' needs a < b")
         inside |= (a < xs) & (xs < b)
     members = np.flatnonzero(~inside).tolist()
     if not members:

@@ -54,9 +54,11 @@ size inside it),
 :meth:`~MetricMeasureSpace.dists_between` gives one row's entries at
 chosen columns, :meth:`~MetricMeasureSpace.nearest` gives each
 point's nearest candidate, the one nearest-point search of the package,
-and :meth:`~MetricMeasureSpace.boruvka_rounds` gives each component
-of a point set its lightest edge shorter than ``r``, round after round
-of a minimum spanning forest.  On coordinates the cell tree below picks
+and :meth:`~MetricMeasureSpace.spanning_forest` gives the minimum
+spanning forest of a point set under its edges shorter than ``r``.  It
+grows in the rounds of :func:`_boruvka`, the one Borůvka loop of the
+package, which the curve's tour tree also uses, with its own rule for
+each component's least edge.  On coordinates the cell tree below picks
 the candidates and the row formula decides ``d < r`` on them, so ties
 on lattice inputs resolve exactly as the rows resolve them; a matrix
 space answers from its stored rows.  Nets, cubes, gaps to the target,
@@ -88,14 +90,13 @@ pairs surely apart.  The neighbour query at radius ``r`` walks ordered
 pairs once, the first time any query asks for ``r``: home-side nodes,
 down to every home (the highest node holding a leaf that is at most
 ``r / 2`` across), against nodes down to the leaves; each home's
-candidates are kept for every later query at ``r``.  The lightest
-edges walk unordered pairs of a tree of the points asked once per
-forest, when it is made, keeping the leaf pairs whose lower bound is
-below ``r``; each round drops those now inside one component and meets
-the rest by ascending lower bound (dual-tree Borůvka: March, Ram &
-Gray, "Fast Euclidean minimum spanning tree", KDD 2010), dropping a
-pair whose lower bound passes the lightest edge found so far of every
-component in it.
+candidates are kept for every later query at ``r``.  A spanning forest
+walks unordered pairs of a tree of its points once, keeping the leaf
+pairs whose lower bound is below ``r``; each Borůvka round drops those
+now inside one component and meets the rest by ascending lower bound
+(dual-tree Borůvka: March, Ram & Gray, "Fast Euclidean minimum spanning
+tree", KDD 2010), dropping a pair whose lower bound passes the lightest
+edge found so far of every component in it.
 
 A distance matrix comes from CSV through :func:`load_matrix`.  A large
 one is parsed in parts, one per usable CPU but no more than
@@ -498,12 +499,21 @@ class MetricMeasureSpace:
             pos[at[better]], dist[at[better]] = by_id[cs][k[better]], d[better]
         return pos, dist
 
-    def boruvka_rounds(self, points: np.ndarray, r: float) -> "BoruvkaRounds":
-        """The Borůvka rounds of the minimum spanning forest of ``points``
-        under the edges shorter than ``r``: one :class:`BoruvkaRounds`,
-        whose :meth:`~BoruvkaRounds.round` gives each component its
-        lightest edge."""
-        return BoruvkaRounds(self, points, r)
+    def spanning_forest(self, points: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
+        """The minimum spanning forest of ``points``, distinct point
+        indices, under the strict order ``(d, a, b)`` of its edges: the
+        pairs of positions ``a < b`` of ``points`` that are ``0 < d < r``
+        apart (coincident pairs are skipped).
+
+        Returns ``(a, b, d)`` by ascending ``(a, b)``, each ``d`` a row
+        entry bit for bit.  The forest grows in the Borůvka rounds of
+        :func:`_boruvka`, each giving every component its lightest edge
+        (:class:`_ForestRounds`), so the pairs are never listed.
+        """
+        points = np.asarray(points, dtype=np.intp).reshape(-1)
+        (a, b, d), _ = _boruvka(len(points), _ForestRounds(self, points, float(r)))
+        listed = np.lexsort((b, a))
+        return a[listed], b[listed], d[listed].astype(float)  # an empty one's too
 
     def distance_matrix(self) -> np.ndarray:
         """Full matrix (read-only), refused above a size guard; a
@@ -611,33 +621,25 @@ class MetricMeasureSpace:
                 sums[c, rs] += (block < r) @ parts
         return sums
 
-    def _row_edges(self, rounds: "BoruvkaRounds", label: np.ndarray, best: "_Lightest") -> None:
-        """:meth:`BoruvkaRounds.round` on a matrix: the rows from ``start``
-        on against the columns from ``start`` on, a block at a time, so
-        each pair comes once, with row ``i`` < column ``j`` but in the
-        block's diagonal square, where it comes twice.  Only the
-        positions ``rounds.rows`` take part once they are at most half
-        the points (gathering their submatrix costs more than reading
-        every row before that)."""
-        points, r, at = rounds.points, rounds.r, rounds.rows
-        if 2 * len(at) > len(points):
-            at = np.arange(len(points))
-        m = len(at)
-        whole = len(points) == len(self) == m and np.array_equal(points, at)
-        still = np.zeros(len(points), dtype=bool)
+    def _row_edges(self, rounds: "_ForestRounds", label: np.ndarray, best: "_Lightest") -> None:
+        """A round of :class:`_ForestRounds` on a matrix: the rows from
+        ``start`` on against the columns from ``start`` on, a block at a
+        time, so each pair comes once, with row ``i`` < column ``j`` but
+        in the block's diagonal square, where it comes twice."""
+        points, r, m = rounds.points, rounds.r, len(rounds.points)
+        whole = m == len(self) and np.array_equal(points, np.arange(m))
         start = 0
         while start < m:
             stop = start + max(1, _PAIR_BUDGET // (m - start))
             if whole:
                 block = self._matrix[start:stop, start:]
             else:
-                block = self._matrix[np.ix_(points[at[start:stop]], points[at[start:]])]
+                block = self._matrix[np.ix_(points[start:stop], points[start:])]
             i, j = np.divmod(np.flatnonzero(block < r), m - start)
             d = block[i, j]
-            i, j = at[i + start], at[j + start]
+            i, j = i + start, j + start
             keep = (d > 0) & (label[i] != label[j])
             i, j, d = i[keep], j[keep], d[keep]
-            still[i] = still[j] = True
             lo, hi = np.minimum(i, j), np.maximum(i, j)
             best.add(label[j], lo, hi, d)  # each column gets its every edge
             # each row its lightest entry, the first of its ties: for a
@@ -648,7 +650,6 @@ class MetricMeasureSpace:
             tie = tie[np.diff(i[tie], prepend=-1) != 0]
             best.add(label[i[tie]], lo[tie], hi[tie], d[tie])
             start = stop
-        rounds.rows = np.flatnonzero(still)
 
     # -- the cell tree ---------------------------------------------------
 
@@ -717,10 +718,10 @@ class MetricMeasureSpace:
             found = min(found, float(np.min(d, where=d > 0, initial=math.inf)))
         return found
 
-    def _tree_edges(self, rounds: "BoruvkaRounds", label: np.ndarray, best: "_Lightest") -> None:
-        """:meth:`BoruvkaRounds.round` on coordinates: the leaf pairs of
-        ``rounds.pairs`` less those now inside one component, kept for
-        the next round in their order.
+    def _tree_edges(self, rounds: "_ForestRounds", label: np.ndarray, best: "_Lightest") -> None:
+        """A round of :class:`_ForestRounds` on coordinates: the leaf
+        pairs of ``rounds.pairs`` less those now inside one component,
+        kept for the next round in their order.
 
         They meet in order of their lower bounds, block by block, so each
         leaf's pair with itself comes first; a pair whose lower bound
@@ -842,17 +843,18 @@ class _Lightest:
         tie = d == new
         np.minimum.at(self.key, comps[tie], a[tie] * self.m + b[tie])
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        found = self.d < math.inf
-        a, b = np.divmod(self.key, self.m)
-        return np.where(found, a, -1), np.where(found, b, -1), self.d
+    def edges(self) -> tuple[np.ndarray, ...]:
+        """``(comp, a, b, d)``: each component offered an edge, its lightest."""
+        comp = np.flatnonzero(self.d < math.inf)
+        a, b = np.divmod(self.key[comp], self.m)
+        return comp, a, b, self.d[comp]
 
 
-class BoruvkaRounds:
-    """The Borůvka rounds of one minimum spanning forest: the edges
-    shorter than ``r`` between ``points``, distinct point indices of
-    ``space``.  Make it with :meth:`MetricMeasureSpace.boruvka_rounds`
-    and ask :meth:`round` once per round.
+class _ForestRounds:
+    """The Borůvka rounds of :meth:`MetricMeasureSpace.spanning_forest`
+    of ``points``, distinct point indices of ``space``: called with each
+    round's labels, it gives every component its lightest edge shorter
+    than ``r``, as :func:`_boruvka` asks.
 
     A matrix space scans each stored pair of ``points`` once per round,
     in blocks of at most ``_PAIR_BUDGET`` entries.  A coordinate space
@@ -860,26 +862,19 @@ class BoruvkaRounds:
     leaf pairs (``pairs``) whose padded lower bound is below ``r``, but a
     one-location leaf's pair with itself, sorted by that bound.
     Components only merge from one round to the next, so a pair of
-    points in one component stays so, and a point with no entry below
-    ``r`` into another component has none later.  So each round, the
-    first included, drops the leaf pairs now inside one component, and
-    a matrix round reads only the rows of the positions whose rows
-    still held such an entry (``rows``, every position at first).
+    points in one component stays so, and each round, the first
+    included, drops the leaf pairs now inside one component.
     """
 
     def __init__(self, space: MetricMeasureSpace, points: np.ndarray, r: float):
-        self.space = space
-        self.points = _read_only(np.array(points, dtype=np.intp).reshape(-1))
-        self.r = float(r)
-        self.label: np.ndarray | None = None  # the last round's components
-        self.rows = np.arange(len(self.points))
-        if space.coords is not None and len(self.points):  # no points, no pairs
-            whole = len(self.points) == len(space)
-            tree = self.tree = space._tree() if whole else space._tree(self.points)
+        self.space, self.points, self.r = space, points, r
+        if space.coords is not None and len(points):  # no points, no pairs
+            whole = len(points) == len(space)
+            tree = self.tree = space._tree() if whole else space._tree(points)
 
             def below(a, b):
                 low = _box_bounds(tree.lo, tree.hi, a, b)[0] - space._pad
-                keep = (low < self.r) & ~((a == b) & tree.spot[a])
+                keep = (low < r) & ~((a == b) & tree.spot[a])
                 return a[keep], b[keep]
 
             a, b = tree.walk(below)
@@ -887,34 +882,51 @@ class BoruvkaRounds:
             by_low = np.argsort(low, kind="stable")
             self.pairs = a[by_low], b[by_low], low[by_low]
 
-    def round(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each component's lightest edge to another component, shorter
-        than ``r``.
-
-        ``label[k]``, in ``0..len(points)-1``, names the component of
-        ``points[k]``; each component of the round before must lie in
-        one component of this one.  An edge joins positions ``a < b`` of
-        ``points`` in two components, ``0 < d < r`` apart (coincident
-        pairs are skipped), and edges are ordered by ``(d, a, b)``.
-        Returns ``(a, b, d)`` indexed by label: ``d`` is a row entry bit
-        for bit, or inf (with ``a = b = -1``) for a label with no edge.
-        """
-        m = len(self.points)
-        label = np.array(label, dtype=np.intp).reshape(-1)
-        if len(label) != m or m and not 0 <= label.min() <= label.max() < m:
-            raise ParameterError(f"need one label in 0..{m - 1} for each of {m} points")
-        if self.label is not None:
-            merged = np.empty(m, dtype=np.intp)
-            merged[self.label] = label  # a component's label now, its last point's
-            if not np.array_equal(merged[self.label], label):
-                raise ParameterError("components may only merge between Borůvka rounds")
-        self.label = label
-        best = _Lightest(m)
-        space = self.space
-        if m:
+    def __call__(self, label: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each component's lightest edge to another component, ordered
+        by ``(d, a, b)``: ``label[k]`` names the component of
+        ``points[k]``, and an edge joins positions ``a < b`` of
+        ``points``."""
+        best, space = _Lightest(len(self.points)), self.space
+        if len(self.points):
             fill = space._row_edges if space.coords is None else space._tree_edges
             fill(self, label, best)
         return best.edges()
+
+
+def _boruvka(m: int, lightest) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The minimum spanning forest of vertices ``0..m-1`` under a strict
+    edge order, in Borůvka rounds.
+
+    Each round, ``lightest(label)``, where ``label[v]`` is a vertex of
+    ``v``'s component, gives the components with an edge to another and
+    each one's least such edge, as arrays ``(comp, a, b, d)``; each
+    component joins the one at its edge's far end.  Two components that
+    point at each other took the same edge, the smaller is the root, and
+    no longer cycle exists.  The rounds stop when no component has an
+    edge, or at a tree's ``m - 1`` edges.  Returns the edges taken,
+    ``(a, b, d)`` round by round, and each vertex's label.
+    """
+    label, none = np.arange(m), np.empty(0, dtype=np.intp)
+    taken, count = [(none, none, none)], 0
+    while count < m - 1:
+        comp, a, b, d = lightest(label)
+        if not len(comp):
+            break
+        ends = label[a]
+        other = np.where(ends == comp, label[b], ends)
+        parent = np.arange(m)
+        parent[comp] = other
+        mutual = parent[other] == comp
+        root = comp[mutual & (comp < other)]
+        parent[root] = root
+        while np.any(parent[parent] != parent):
+            parent = parent[parent]
+        label = parent[label]
+        new = ~(mutual & (comp > other))  # not the edge a smaller one took too
+        taken.append((a[new], b[new], d[new]))
+        count += int(new.sum())
+    return _joined(taken), label
 
 
 def _split(weights: np.ndarray) -> np.ndarray:
@@ -1596,12 +1608,14 @@ def load_csv(path: str) -> MetricMeasureSpace:
 def save_csv(space: MetricMeasureSpace, path: str) -> None:
     if space.coords is None:
         raise ParameterError("matrix-backed spaces cannot be saved as point CSV")
-    dim = space.coords.shape[1]
-    with _open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{k + 1}" for k in range(dim)] + ["weight"])
-        for pid, xs, w in zip(space.ids, space.coords, space.weights):
-            writer.writerow([pid] + [repr(float(v)) for v in xs] + [repr(float(w))])
+    axes = "".join(f",x{k + 1}" for k in range(space.coords.shape[1]))
+    # Python floats and ints: no field holds a comma, a quote or a line
+    # break, so each line is csv.writer's
+    lines = (
+        f"{pid},{','.join(map(repr, xs))},{w!r}\r\n"
+        for pid, xs, w in zip(space.ids, space.coords.tolist(), space.weights.tolist())
+    )
+    _write_lines(path, f"id{axes},weight\r\n", lines)
 
 
 def _finite(value) -> bool:

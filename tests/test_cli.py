@@ -530,6 +530,7 @@ def test_params_that_are_not_json_exit_2(capsys):
         ("grid2d", "null", "params"),
         ("interval", '{"holes": 5}', "'holes'"),
         ("interval", '{"holes": [[0.4]]}', "'holes'"),
+        ("interval", '{"holes": [[NaN, 0.6]]}', "hole [nan, 0.6]"),
         ("cascade", '{"ratios": "ab"}', "'ratios'"),
         ("lipschitz_curve", '{"coils": "x"}', "'coils'"),
         ("lipschitz_curve", '{"waypoints": [[0, 0], [1]]}', "'waypoints'"),

@@ -1,6 +1,7 @@
 """Tests for the deterministic sample-measure generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_interval_holes_trim_target_but_not_space():
         [(0.45, 0.55)],
         [(0.2, 0.3), (0.5, 0.55), (0.7, 0.9)],
         [(0.1, 0.3), (0.25, 0.5)],  # overlapping
-        [(0.5, 0.5), (0.9, 0.1)],  # empty and reversed: remove nothing
+        [(0.2, 0.5), (0.5, 0.8)],  # sharing an end, which stays
         [[0.1, 0.3]],  # a list, as JSON params give it
     ],
 )
@@ -64,6 +65,23 @@ def test_interval_hole_members_are_the_loops_members(holes):
 def test_interval_holes_swallowing_everything_is_degenerate():
     with pytest.raises(DegenerateInputError):
         generate(GeneratorSpec("interval", 10, params={"holes": [(-1.0, 2.0)]}))
+
+
+@pytest.mark.parametrize(
+    "hole, named",
+    [
+        ((math.nan, 0.6), "[nan, 0.6]"),
+        ((0.6, 0.4), "[0.6, 0.4]"),
+        ((0.5, 0.5), "[0.5, 0.5]"),
+    ],
+    ids=["NaN end", "reversed", "empty"],
+)
+def test_interval_holes_without_a_below_b_are_refused_by_name(hole, named):
+    """A hole with a NaN end or with a >= b would remove no point, so it
+    is refused, not run as if the target were the whole interval."""
+    holes = [(0.1, 0.2), hole]
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        generate(GeneratorSpec("interval", 200, params={"holes": holes}))
 
 
 def test_circle_sits_on_unit_circle_with_linear_mass():

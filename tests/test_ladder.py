@@ -1,13 +1,14 @@
 """The resolution ladder: default runs on nested samples of two curves.
 
 interval + hole (0.4, 0.6) at n = 2^k + 1 and lipschitz_curve at
-n = 2^k, k = 6 ... 12.  At every rung the run passes its own checks
-(no invariant failure, so the command exits 0), the curve is connected,
-its tree is no longer than the curve the points were sampled from, and
-the tour's bound is twice the tree.  The tree bound holds when each gap
-between neighbouring sample points is below ``eps_res`` or bridged:
-a bridge is one edge as long as its pair, so a path through the points
-in order then lies in the graph and is no longer than the curve.
+n = 2^k, k = 6 ... 12, and interval + hole at n = 10000.  At every rung
+the run passes its own checks (no invariant failure, so the command
+exits 0), the curve is connected, its tree is no longer than the curve
+the points were sampled from, and the tour's bound is twice the tree.
+The tree bound holds when each gap between neighbouring sample points
+is below ``eps_res`` or bridged: a bridge is one edge as long as its
+pair, so a path through the points in order then lies in the graph and
+is no longer than the curve.
 
 Rungs that fail for a known reason, named by its ROADMAP item, stay in
 the ladder as strict expected failures: once the reason is gone they
@@ -41,6 +42,10 @@ RUNGS = [
         [pytest.mark.xfail(strict=True, reason=SKIPPED)] if k <= 7 else []
     ))
     for k in K
+] + [
+    rung("interval", 10000, pytest.mark.xfail(
+        strict=True, reason="item 2: two hole gaps neither adjacent nor bridged"
+    )),
 ] + [rung("lipschitz_curve", 2**k) for k in K]
 
 # the length of the curve each kind samples: the unit interval, hole

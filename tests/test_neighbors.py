@@ -43,7 +43,7 @@ from rectilib.curve import (
     build_bridges,
     parametrize,
 )
-from rectilib.errors import DisconnectedError, ParameterError
+from rectilib.errors import DisconnectedError
 from rectilib.generators import GeneratorSpec, generate
 from rectilib.nets import NetHierarchy, auto_levels, build_nets, verify_nets
 from rectilib.pipeline import STAGES, RunConfig, run_stages
@@ -52,6 +52,7 @@ from rectilib.space import (
     Ball,
     MetricMeasureSpace,
     TargetSet,
+    _ForestRounds,
     ball_members,
     doubling_estimate,
     dyadic_radii,
@@ -476,8 +477,8 @@ def test_nets_and_the_forest_walk_the_tree_a_pinned_number_of_times(spec, net_wa
     whose scale it first asks (3, 2 and 4 here; one walk per lookahead
     chunk made 27, 22 and more), and answers every chunk from the lists
     of that walk.  The ε-forest walks once for all its Borůvka rounds,
-    when it is made: circle 2000 takes seven rounds, which walked seven
-    times when each round walked again."""
+    when its rounds are made: circle 2000 takes seven rounds, which
+    walked seven times when each round walked again."""
     cfg = RunConfig(kind=spec.kind, resolution=spec.resolution)
     stage = {row[0]: row[2] for row in STAGES}
     ctx = run_stages(cfg, ("load",))[0]
@@ -487,7 +488,7 @@ def test_nets_and_the_forest_walk_the_tree_a_pinned_number_of_times(spec, net_wa
     ctx = run_stages(cfg, ("bridges",))[0]
     walks.clear()
     stage["gamma"](SimpleNamespace(**vars(ctx)))
-    assert walks == {"BoruvkaRounds.__init__": 1}
+    assert walks == {"_ForestRounds.__init__": 1}
 
 
 def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
@@ -495,37 +496,26 @@ def test_the_forest_walk_skips_pairs_inside_one_component(pair_evals):
     them before any distance: with every point in one component it
     computes none (137,728 when it keeps them), and with two halves
     only the 64 leaf pairs across the cut, 16 x 16 distances each
-    (45,056 when it keeps the pairs inside a half)."""
+    (45,056 when it keeps the pairs inside a half).  On a line of four
+    points, on both backends, a round gives each component its least
+    edge by ``(d, a, b)``: singletons, then pairs."""
     space, _ = generate(GeneratorSpec("grid2d", 32))
     points = np.arange(len(space))
     whole = np.zeros(len(space), dtype=np.intp)
-    a, b, d = space.boruvka_rounds(points, 0.2).round(whole)
-    assert np.isinf(d).all() and (a == -1).all() and (b == -1).all()
-    assert not pair_evals
+    comp, a, b, d = _ForestRounds(space, points, 0.2)(whole)
+    assert not len(comp) and not pair_evals
     halves = np.where(space.coords[:, 0] < 0.5, 0, 1)
     halves[halves == 1] = np.flatnonzero(halves)[0]  # the label of the right half
-    a, b, d = space.boruvka_rounds(points, 0.2).round(halves)
-    assert np.isfinite(d[halves[[0, -1]]]).all()
+    comp, a, b, d = _ForestRounds(space, points, 0.2)(halves)
+    assert comp.tolist() == halves[[0, -1]].tolist() and np.isfinite(d).all()
     assert sum(pair_evals["MetricMeasureSpace._tree_edges"]) == 64 * 16 * 16
-
-
-@pytest.mark.parametrize("backend", ["coords", "matrix"])
-def test_boruvka_rounds_take_only_merged_components(backend):
-    """A later round reuses the first round's findings, which hold only
-    while components merge: labels that split a component, or that are
-    not one per point in ``0..m-1``, are refused."""
     coords = np.array([[0.0], [1.0], [2.0], [3.0]])
-    space = both_backends(range(4), coords, np.ones(4))[backend == "matrix"]
-    rounds = space.boruvka_rounds([0, 1, 2, 3], 1.5)
-    a, b, d = rounds.round(np.array([0, 1, 2, 3]))
-    assert (a.tolist(), b.tolist()) == ([0, 0, 1, 2], [1, 1, 2, 3])
-    a, b, d = rounds.round(np.array([0, 0, 2, 2]))
-    assert (a.tolist(), b.tolist()) == ([1, -1, 1, -1], [2, -1, 2, -1])
-    assert d.tolist() == [1.0, np.inf, 1.0, np.inf]
-    for label in ([0, 1, 2, 2], [0, 0, 2], [0, 0, 4, 4]):
-        with pytest.raises(ParameterError):
-            rounds.round(np.array(label))
-    rounds.round(np.zeros(4, dtype=np.intp))
+    for line in both_backends(range(4), coords, np.ones(4)):
+        rounds = _ForestRounds(line, np.arange(4), 1.5)
+        got = rounds(np.array([0, 1, 2, 3]))
+        assert [x.tolist() for x in got] == [[0, 1, 2, 3], [0, 0, 1, 2], [1, 1, 2, 3], [1.0] * 4]
+        got = rounds(np.array([0, 0, 2, 2]))
+        assert [x.tolist() for x in got] == [[0, 2], [1, 1], [2, 2], [1.0, 1.0]]
 
 
 def test_the_forest_keeps_its_memory_near_a_column_of_the_space():

@@ -38,6 +38,7 @@ from rectilib.space import (
     _PAIR_BUDGET,
     MetricMeasureSpace,
     TargetSet,
+    _ForestRounds,
     doubling_estimate,
     dyadic_radii,
     enclosing_target,
@@ -131,12 +132,17 @@ def test_coordinate_and_matrix_backends_agree(cloud, data):
         assert enclosing_target(space, members) == enclosing_target(twin, members)
         assert _mass_check(space, members) == _mass_check(twin, members)
     assert _doubling(space) == _doubling(twin)
-    # no point and one point: the eccentricities and a forest round
+    # no point and one point: the eccentricities, a forest round and the
+    # forest, which has no edge but still float lengths
     for few in ([], [0], space.indices_of(members[:1])):
         ecc = [s.eccentricities(few) for s in (space, twin)]
-        edges = [s.boruvka_rounds(few, 1.0).round(np.arange(len(few))) for s in (space, twin)]
+        few = np.asarray(few, dtype=np.intp)
+        edges = [_ForestRounds(s, few, 1.0)(np.arange(len(few))) for s in (space, twin)]
         assert ecc[0].dtype == ecc[1].dtype and ecc[0].tolist() == ecc[1].tolist()
         assert [x.tolist() for x in edges[0]] == [x.tolist() for x in edges[1]]
+        for s in (space, twin):
+            a, b, d = s.spanning_forest(few, 1.0)
+            assert not len(a) and d.dtype == np.float64
     if not members:
         for s in (space, twin):
             with pytest.raises(DegenerateInputError, match="candidate set is empty"):
@@ -740,7 +746,7 @@ NO_BRIDGES = Bridges(
 @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["exact boxes", "boxes rounded by half the pad"])
 @given(lattice_clouds(), st.data())
 def test_the_forest_walk_gives_the_oracles_forest(shift, coords, data):
-    """The curve's ε-forest, in Borůvka rounds over ``boruvka_rounds``, is
+    """The curve's ε-forest, in Borůvka rounds of ``spanning_forest``, is
     the Kruskal oracle's edge for edge and bit for bit on both backends:
     a member subset of a lattice with exact ties and coincident stacks,
     ``eps_res`` a distance or the next float above one.  On coordinates
@@ -777,11 +783,10 @@ def test_the_forest_walk_gives_the_oracles_forest(shift, coords, data):
 
 @pytest.mark.parametrize("d, eps", [(1, 0.002), (1, 0.005), (2, 0.02), (2, 0.05)])
 def test_the_matrix_forest_is_the_coordinate_forest_over_many_rounds(d, eps):
-    """The curve's ε-forest on a matrix, whose later Borůvka rounds read
-    only the rows of the points that still had an entry below ``eps``
-    into another component, is the forest on coordinates edge for edge
-    and bit for bit: 600 random points with shuffled ids, where a point's
-    entries into other components may all lie in rows before its own."""
+    """The curve's ε-forest on a matrix, over many Borůvka rounds, is the
+    forest on coordinates edge for edge and bit for bit: 600 random
+    points with shuffled ids, where a point's entries into other
+    components may all lie in rows before its own."""
     rng = np.random.default_rng(3)
     coords = rng.random((600, d))
     ids = rng.permutation(600).tolist()

@@ -11,10 +11,13 @@ and each generator input ``--generate`` names with the default flags
 load, with the ``rectilib`` under ``SRC`` (default: this checkout's
 ``src``).  The side files are written to a temporary directory, as the
 ``write`` row.  Prints one row per input and stage: the least wall time
-over the runs in milliseconds, and the stage's ``_CellTree.walk`` calls
-and ``_pair_dists`` calls and distances, which are the same on every
-run.  The ``total`` row sums each column, and a last line gives the
-bytes of the candidate lists the last run's space keeps per radius.
+over the runs in milliseconds, the stage's ``_CellTree.walk`` calls,
+its Borůvka rounds (the calls ``_boruvka`` makes to its rule for each
+component's least edge; 0 for a ``SRC`` without ``_boruvka``, whose
+loops are not counted) and its ``_pair_dists`` calls and distances,
+which are the same on every run.  The ``total`` row sums each column,
+and a last line gives the bytes of the candidate lists the last run's
+space keeps per radius.
 
 Times are in-process minima, so the import and the compile of a fresh
 ``rectilib run`` are not in them.  The matrix input is written under
@@ -55,19 +58,28 @@ def config(pipeline, source: dict, work: Path):
 
 
 class Counts:
-    """Wraps every stage, ``_CellTree.walk`` and ``_pair_dists`` once, so
-    that ``self.counts[(stage, key)]`` counts each stage's walks,
-    distance calls and distances; ``stage`` names the one running."""
+    """Wraps every stage, ``_CellTree.walk``, ``_boruvka`` and
+    ``_pair_dists`` once, so that ``self.counts[(stage, key)]`` counts
+    each stage's walks, Borůvka rounds, distance calls and distances;
+    ``stage`` names the one running."""
 
-    def __init__(self, pipeline, space_mod):
+    def __init__(self, pipeline, space_mod, curve_mod):
         self.stage, self.counts = "-", Counter()
         walk = space_mod._CellTree.walk
+        boruvka = getattr(space_mod, "_boruvka", None)
         pair_dists = space_mod.MetricMeasureSpace._pair_dists
         broadcast = space_mod.np.broadcast
 
         def counted_walk(tree, *args, **kwargs):
             self.counts[self.stage, "walks"] += 1
             return walk(tree, *args, **kwargs)
+
+        def counted_boruvka(m, lightest):
+            def counted(label):
+                self.counts[self.stage, "rounds"] += 1
+                return lightest(label)
+
+            return boruvka(m, counted)
 
         def counted_pairs(space, rows, cols):
             self.counts[self.stage, "dist_calls"] += 1
@@ -85,6 +97,8 @@ class Counts:
             return run
 
         space_mod._CellTree.walk = counted_walk
+        if boruvka:
+            space_mod._boruvka = curve_mod._boruvka = counted_boruvka
         space_mod.MetricMeasureSpace._pair_dists = counted_pairs
         pipeline.STAGES = tuple(
             (name, key, staged(name, fn), *rest) for name, key, fn, *rest in pipeline.STAGES
@@ -116,13 +130,13 @@ def measure(pipeline, tally: Counts, cfg, runs: int) -> tuple[dict, Counter, int
     return best, tally.counts, kept_bytes(ctx.space)
 
 
-COUNTS = ("walks", "dist_calls", "dists")
+COUNTS = ("walks", "rounds", "dist_calls", "dists")
 
 
-def row(label, stage, ms, walks, calls, dists) -> str:
+def row(label, stage, ms, walks, rounds, calls, dists) -> str:
     """One line of the table; ``ms`` is printed to 0.1 when a number."""
     ms = f"{ms:.1f}" if isinstance(ms, float) else ms
-    return f"{label:<22} {stage:<13} {ms:>8} {walks:>6} {calls:>10} {dists:>10}"
+    return f"{label:<22} {stage:<13} {ms:>8} {walks:>6} {rounds:>6} {calls:>10} {dists:>10}"
 
 
 def main() -> int:
@@ -146,7 +160,7 @@ def main() -> int:
     if any(not sep or not res.isdigit() for _, sep, res in generated):
         parser.error("--generate takes KIND:RESOLUTION, such as circle:40000")
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from rectilib import pipeline, space as space_mod
+    from rectilib import curve as curve_mod, pipeline, space as space_mod
 
     names = args.workload or ([] if generated else list(bench.WORKLOADS))
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,11 +174,11 @@ def main() -> int:
             (f"{kind}-{res}", pipeline.RunConfig(kind=kind, resolution=int(res)))
             for kind, _, res in generated
         ]
-        tally = Counts(pipeline, space_mod)
-        print(row("input", "stage", "min ms", "walks", "dist calls", "dists"))
+        tally = Counts(pipeline, space_mod, curve_mod)
+        print(row("input", "stage", "min ms", "walks", "rounds", "dist calls", "dists"))
         for label, cfg in inputs:
             best, counts, kept = measure(pipeline, tally, cfg, args.runs)
-            total = [0.0, 0, 0, 0]
+            total = [0.0, 0, 0, 0, 0]
             for stage, seconds in best.items():
                 values = [seconds * 1e3] + [counts[stage, k] for k in COUNTS]
                 total = [t + v for t, v in zip(total, values)]
