@@ -107,7 +107,17 @@ row counts give.  Each part gets the one ``np.loadtxt`` call a small
 matrix gets, so the parts give its bits.  If a part fails, a child
 dies, or the rows do not add up to ``n``, the whole file is parsed once,
 as a small one is, so every error names the rows of the whole file; no
-child outlives the load.
+child outlives the load.  A parse is needed once per content: a regular
+file's matrix is kept as a ``.npy`` in ``$XDG_CACHE_HOME/rectilib`` (else
+``~/.cache/rectilib``), named by the SHA-256 of the file's bytes, its
+text encoding and the numpy version, and a later load of the same bytes
+maps it read-only in place of parsing.  The cache keeps the
+``_CACHE_ENTRIES`` most recently used matrices.  An entry that is not a
+2-D native float64 array is a miss; a file that fails to parse, or that
+changes while it is read, is not kept; a cache that cannot be written is
+passed over.  Every check of :meth:`MetricMeasureSpace.from_matrix` runs
+on every load, and a refusal names its first bad entry in row-major
+order, by ids and values.
 
 The cached arrays, the axis columns, the weights and the stored matrix
 are read-only, so a caller cannot change a later row or cached value by
@@ -129,6 +139,7 @@ import signal
 import stat
 import sys
 import threading
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -150,6 +161,9 @@ _PAIR_BUDGET = 1 << 18
 # the cell tree splits points into leaves of at most this many (more
 # only when they coincide) and decides pairs of nodes whole
 _CELL = 16
+# the distance-matrix cache keeps this many parsed matrices, the most
+# recently used
+_CACHE_ENTRIES = 4
 
 
 def seq_sum(values) -> float:
@@ -159,6 +173,15 @@ def seq_sum(values) -> float:
     every float total of a report goes through here instead.
     """
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _witness(ids, matrix: np.ndarray, bad: np.ndarray, mirror: bool = False) -> str:
+    """The first entry of ``matrix`` where ``bad`` holds, in row-major
+    order, as ``d(i, j) = value`` by ids, then ``d(j, i)`` when
+    ``mirror``."""
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    at = [(i, j), (j, i)] if mirror else [(i, j)]
+    return ", ".join(f"d({int(ids[a])}, {int(ids[b])}) = {float(matrix[a, b])!r}" for a, b in at)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -253,13 +276,23 @@ class MetricMeasureSpace:
                 f"distance matrix shape {matrix.shape} does not match {n} ids"
             )
         if not np.all(np.isfinite(matrix)):
-            raise ParameterError("distances must be finite")
+            raise ParameterError(
+                f"distances must be finite: {_witness(ids, matrix, ~np.isfinite(matrix))}"
+            )
         if np.any(matrix < 0):
-            raise ParameterError("distances must be nonnegative")
+            raise ParameterError(
+                f"distances must be nonnegative: {_witness(ids, matrix, matrix < 0)}"
+            )
         if np.any(np.diag(matrix) != 0.0):
-            raise ParameterError("distance matrix diagonal must be zero")
+            bad = np.diag(np.diag(matrix) != 0.0)
+            raise ParameterError(
+                f"distance matrix diagonal must be zero: {_witness(ids, matrix, bad)}"
+            )
         if not np.array_equal(matrix, matrix.T):
-            raise ParameterError("distance matrix must be symmetric")
+            bad = matrix != matrix.T
+            raise ParameterError(
+                f"distance matrix must be symmetric: {_witness(ids, matrix, bad, mirror=True)}"
+            )
         space = cls(ids, np.asarray(weights, dtype=float), matrix=matrix)
         space._validate_common()
         space._validate_triangle()
@@ -269,14 +302,17 @@ class MetricMeasureSpace:
         n = len(self.ids)
         if n == 0:
             raise DegenerateInputError("a space needs at least one point")
-        if len(set(self.ids)) != n:
-            raise ParameterError("point ids must be unique")
+        if len(self._index) != n:  # the index keeps each id's last row
+            twice = next(pid for k, pid in enumerate(self.ids) if self._index[pid] != k)
+            raise ParameterError(f"point ids must be unique: id {twice} appears more than once")
         if self.weights.shape != (n,):
             raise ParameterError("weights must be one value per point")
-        if not np.all(np.isfinite(self.weights)):
-            raise ParameterError("weights must be finite")
-        if np.any(self.weights < 0):
-            raise ParameterError("weights must be nonnegative")
+        for rule, bad in (("finite", ~np.isfinite(self.weights)), ("nonnegative", self.weights < 0)):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ParameterError(
+                    f"weights must be {rule}: id {self.ids[k]} has weight {float(self.weights[k])!r}"
+                )
         if not self.weights.any():
             raise DegenerateInputError("total mass must be positive")
         try:
@@ -1772,22 +1808,110 @@ def _parse_in_parts(fh, n: int) -> np.ndarray | None:
                 os.waitpid(pid, 0)
 
 
+def _cache_entry(fh) -> tuple[str, tuple[int, int]] | None:
+    """The cache entry of the matrix CSV open as ``fh``, and the file's
+    ``(st_size, st_mtime_ns)`` before the hash; None for a file that is
+    not a regular one, or one that cannot be read.  The entry is in
+    ``rectilib`` under ``$XDG_CACHE_HOME`` when that is an absolute path,
+    else under ``~/.cache``, named by the SHA-256 of the file's bytes,
+    its text encoding and the numpy version."""
+    import hashlib
+
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    digest, chunk, at = hashlib.sha256(), bytearray(1 << 20), 0
+    try:
+        while read := os.preadv(fd, [chunk], at):
+            digest.update(memoryview(chunk)[:read])
+            at += read
+    except OSError:
+        return None
+    digest.update(f"\n{fh.encoding}\n{np.__version__}".encode())
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    name = os.path.join(base, "rectilib", f"{digest.hexdigest()}.npy")
+    return name, (info.st_size, info.st_mtime_ns)
+
+
+def _touch(path: str) -> None:
+    """Stamp ``path`` with the current time to the nanosecond, finer than
+    the file system's own clock, so recent use orders entries."""
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
+
+
+def _cached_matrix(entry: str) -> np.ndarray | None:
+    """The matrix kept as ``entry``, mapped read-only, and the entry marked
+    as just used; None unless it is a 2-D native float64 ``.npy``."""
+    try:
+        matrix = np.lib.format.open_memmap(entry, mode="r")
+    except (OSError, ValueError):
+        return None
+    if matrix.ndim != 2 or matrix.dtype != np.float64:
+        return None
+    try:
+        _touch(entry)
+    except OSError:
+        pass
+    return matrix
+
+
+def _keep_matrix(entry: str, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as the cache entry ``entry``, under a temporary name
+    and then renamed, and delete the least recently used entries past
+    ``_CACHE_ENTRIES``; a cache that cannot be written is left as it is."""
+    folder = os.path.dirname(entry)
+    tmp = f"{entry}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        os.makedirs(folder, mode=0o700, exist_ok=True)
+        with open(tmp, "xb") as out:
+            np.save(out, matrix, allow_pickle=False)
+        os.replace(tmp, entry)
+        _touch(entry)
+        kept = sorted(
+            (e for e in os.scandir(folder) if e.name.endswith(".npy")),
+            key=lambda e: e.stat().st_mtime_ns,
+            reverse=True,
+        )
+        for old in kept[_CACHE_ENTRIES:]:
+            os.remove(old.path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
 def load_matrix(matrix_path: str, weights_path: str) -> MetricMeasureSpace:
     """Explicit metric: square distance CSV plus an ``id,weight`` CSV.
 
-    A large matrix is parsed in parts on every usable CPU
-    (:func:`_parse_in_parts`); a small one, or one whose parts fail, by one
-    ``np.loadtxt`` over the whole file, so every error names the rows of
-    the whole file.  A file with no data row is an :class:`InputError`."""
+    A regular file whose bytes were parsed before is read from the cache
+    (:func:`_cache_entry`), with no parse.  Else a large matrix is parsed
+    in parts on every usable CPU (:func:`_parse_in_parts`); a small one,
+    or one whose parts fail, by one ``np.loadtxt`` over the whole file,
+    so every error names the rows of the whole file.  A parse that gives
+    a nonempty matrix is kept in the cache when the file did not change
+    while it was read.  A file with no data row is an
+    :class:`InputError`.  Every check of :meth:`MetricMeasureSpace.from_matrix`
+    runs on every load, cached or not."""
     ids, _, weights = _read_points(weights_path, axes=0)
     with _open(matrix_path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        matrix = _parse_in_parts(fh, len(ids))
+        cache = _cache_entry(fh)
+        matrix = _cached_matrix(cache[0]) if cache else None
         if matrix is None:
-            try:
-                matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
-            except ValueError as exc:
-                raise InputError(f"{matrix_path}: {exc}") from None
+            matrix = _parse_in_parts(fh, len(ids))
+            if matrix is None:
+                try:
+                    matrix = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+                except ValueError as exc:
+                    raise InputError(f"{matrix_path}: {exc}") from None
+            info = os.fstat(fh.fileno())
+            if cache and matrix.size and cache[1] == (info.st_size, info.st_mtime_ns):
+                _keep_matrix(cache[0], matrix)
     if not matrix.size:
         raise InputError(f"{matrix_path}: no data rows")
     return MetricMeasureSpace.from_matrix(ids, matrix, np.array(weights))

@@ -1,5 +1,6 @@
-"""Shared pytest setup: a deterministic hypothesis profile, a row counter,
-a pair counter and a walk counter.
+"""Shared pytest setup: a deterministic hypothesis profile, a matrix
+cache of each test's own, a row counter, a pair counter and a walk
+counter.
 
 Property tests draw the same examples on every run (``derandomize``),
 so a failure reproduces and tier-1 stays stable on a loaded machine;
@@ -21,6 +22,24 @@ settings.register_profile(
     "rectilib", derandomize=True, max_examples=40, deadline=None
 )
 settings.load_profile("rectilib")
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache(tmp_path_factory, monkeypatch):
+    """Points ``XDG_CACHE_HOME`` at a new empty folder, so no test reads
+    the user's matrix cache or one another's, and the first load of a
+    matrix in a test parses it.  Calling the returned function points it
+    at another new folder, so the next load parses again; it returns the
+    ``rectilib`` folder the cache will use.
+    """
+
+    def fresh():
+        home = tmp_path_factory.mktemp("cache-home")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        return home / "rectilib"
+
+    fresh()
+    return fresh
 
 
 def _caller_key(frame) -> str:

@@ -9,6 +9,12 @@ that small files fork on any machine.  The parts give one
 that dies, or rows that do not add up fall back to that one parse, so
 every error reads as it does without parts; and no child outlives the
 call.
+
+A regular file's parsed matrix is kept in a cache keyed by the file's
+bytes, so a later load of the same bytes parses nothing.  The
+``fresh_cache`` fixture of ``conftest.py`` gives each test its own
+cache; a test that counts the forks of more than one load asks it for a
+new cache before each load.
 """
 
 import os
@@ -159,12 +165,13 @@ def test_a_second_thread_keeps_the_parse_whole(tmp_path, monkeypatch, forks):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_load_matrix_in_parts_builds_the_same_space(tmp_path, monkeypatch, forks, cpus):
+def test_load_matrix_in_parts_builds_the_same_space(tmp_path, monkeypatch, forks, fresh_cache, cpus):
     n = 9
     matrix, weights = write_space(tmp_path, [",".join(r) for r in line_metric(n)], n)
     one = load_matrix(str(matrix), str(weights))
     assert not forks
     use_cpus(monkeypatch, cpus)
+    fresh_cache()
     parts = load_matrix(str(matrix), str(weights))
     assert len(forks) == cpus - 1
     assert parts._matrix.tobytes() == one._matrix.tobytes()
@@ -191,29 +198,33 @@ BREAKS = {
 }
 
 
-def failure(matrix, weights, capsys) -> tuple:
+def failure(matrix, weights, capsys, fresh_cache) -> tuple:
     """The error ``load_matrix`` raises, and the CLI's exit code and
-    output, on these files."""
+    output, on these files, each load from a new cache."""
+    fresh_cache()
     with pytest.raises(RectilibError) as info:
         load_matrix(str(matrix), str(weights))
     capsys.readouterr()
+    fresh_cache()
     code = main(["gen", "--matrix", str(matrix), "--weights", str(weights)])
     return type(info.value), str(info.value), code, capsys.readouterr()
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("name", list(BREAKS))
-def test_a_later_part_failing_gives_the_error_of_one_parse(tmp_path, monkeypatch, capsys, forks, name, cpus):
+def test_a_later_part_failing_gives_the_error_of_one_parse(
+    tmp_path, monkeypatch, capsys, forks, fresh_cache, name, cpus
+):
     """The fault sits in the last line, so in the last part, or in the
     first part's every row; the error, the exit code and the output are
     those of the one parse, whose row numbers count the whole file."""
     n = 9
     lines = BREAKS[name]([",".join(r) for r in line_metric(n)])
     matrix, weights = write_space(tmp_path, lines, n)
-    expected = failure(matrix, weights, capsys)
+    expected = failure(matrix, weights, capsys, fresh_cache)
     assert not forks and expected[2] in (1, 2)
     use_cpus(monkeypatch, cpus)
-    assert failure(matrix, weights, capsys) == expected
+    assert failure(matrix, weights, capsys, fresh_cache) == expected
     assert len(forks) == 2 * (cpus - 1)
     assert_no_child_left()
 
@@ -235,7 +246,7 @@ def die_in_child(monkeypatch, module, name: str) -> None:
 @pytest.mark.parametrize(
     "module, name", [(space_module, "_load_part"), (os, "read")], ids=["before its count", "before its rows"]
 )
-def test_a_killed_child_falls_back_to_one_parse(tmp_path, monkeypatch, forks, module, name):
+def test_a_killed_child_falls_back_to_one_parse(tmp_path, monkeypatch, forks, fresh_cache, module, name):
     """A child killed by a signal once it has parsed its part, or once it
     has been sent its offset, leaves the load to one parse: the same
     space, and no child left."""
@@ -244,6 +255,7 @@ def test_a_killed_child_falls_back_to_one_parse(tmp_path, monkeypatch, forks, mo
     expected = load_matrix(str(matrix), str(weights))._matrix.tobytes()
     use_cpus(monkeypatch, 3)
     die_in_child(monkeypatch, module, name)
+    fresh_cache()
     assert load_matrix(str(matrix), str(weights))._matrix.tobytes() == expected
     assert len(forks) == 2
     assert_no_child_left()
@@ -292,3 +304,228 @@ def test_a_matrix_with_no_data_row_is_an_input_error(tmp_path, text):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: stage load: {matrix}: no data rows\n")
+
+
+# -- the cache of parsed matrices ----------------------------------------
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch) -> list:
+    """``np.loadtxt``, counted: one entry per call in this process."""
+    calls: list = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def float_metric(n: int, seed: int = 0) -> list[str]:
+    """Lines of the distances of ``n`` random points on a line, each with
+    17 digits: a valid matrix whose every bit must survive the cache."""
+    x = np.random.default_rng(seed).random(n)
+    return [",".join("%.17g" % abs(a - b) for b in x) for a in x]
+
+
+def entries(folder) -> set:
+    return set(folder.glob("*.npy")) if folder.is_dir() else set()
+
+
+def space_bytes(space) -> tuple:
+    return space._matrix.tobytes(), space.ids, space.weights.tobytes()
+
+
+def test_a_warm_load_gives_the_cold_load_bit_for_bit(tmp_path, monkeypatch, forks, fresh_cache):
+    """The second load of the same bytes reads the cache: no
+    ``np.loadtxt``, no fork, and the same bits, ids and weights in a
+    read-only matrix."""
+    folder = fresh_cache()
+    use_cpus(monkeypatch, 2)
+    matrix, weights = write_space(tmp_path, float_metric(9), 9)
+    cold = load_matrix(str(matrix), str(weights))
+    assert len(forks) == 1 and len(entries(folder)) == 1
+    assert folder.stat().st_mode & 0o777 == 0o700
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a warm load parsed the file")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    warm = load_matrix(str(matrix), str(weights))
+    assert len(forks) == 1
+    assert space_bytes(warm) == space_bytes(cold)
+    assert not warm._matrix.flags.writeable
+    with pytest.raises(ValueError):
+        warm._matrix[0, 1] = 2.0
+
+
+def test_a_byte_changed_under_the_same_size_and_mtime_is_a_miss(tmp_path, loadtxt_calls):
+    """The key is the bytes, not the size and mtime: a file edited in
+    place, with its mtime put back, is parsed again, and its new entry
+    is checked like any other."""
+    matrix, weights = write_space(tmp_path, [",".join(r) for r in line_metric(4)], 4)
+    load_matrix(str(matrix), str(weights))
+    before = matrix.stat()
+    text = matrix.read_bytes()
+    assert text.startswith(b"0,1,")
+    matrix.write_bytes(b"0,5," + text[4:])  # d(0, 1) = 5, d(1, 0) = 1
+    os.utime(matrix, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = matrix.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    with pytest.raises(RectilibError, match=r"symmetric: d\(0, 1\) = 5.0, d\(1, 0\) = 1.0$"):
+        load_matrix(str(matrix), str(weights))
+    assert len(loadtxt_calls) == 2
+
+
+def test_a_file_that_changes_while_it_is_parsed_is_not_kept(tmp_path, monkeypatch, fresh_cache):
+    """The parse reads the file again after the hash, so a file whose size
+    or mtime moved in between is loaded but not kept under the old key."""
+    folder = fresh_cache()
+    matrix, weights = write_space(tmp_path, float_metric(5), 5)
+    loadtxt = np.loadtxt
+
+    def touched(*args, **kwargs):
+        os.utime(matrix, ns=(0, 10**9))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", touched)
+    load_matrix(str(matrix), str(weights))
+    assert not entries(folder)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    load_matrix(str(matrix), str(weights))
+    assert len(entries(folder)) == 1
+
+
+BAD_ENTRIES = {
+    "truncated": lambda entry, m: entry.write_bytes(entry.read_bytes()[:-10]),
+    "garbage": lambda entry, m: entry.write_bytes(b"not an array\n" * 10),
+    "float32": lambda entry, m: np.save(entry, m.astype(np.float32)),
+    "big-endian": lambda entry, m: np.save(entry, m.astype(">f8")),
+    "1-D": lambda entry, m: np.save(entry, m.ravel()),
+    "pickled objects": lambda entry, m: np.save(entry, np.array([m, None], dtype=object), allow_pickle=True),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_ENTRIES))
+def test_a_bad_entry_is_a_miss_and_is_rewritten(tmp_path, fresh_cache, loadtxt_calls, kind):
+    """An entry that is not a 2-D native float64 ``.npy`` is never an
+    error: the file is parsed again and the entry written anew."""
+    folder = fresh_cache()
+    matrix, weights = write_space(tmp_path, float_metric(6), 6)
+    cold = load_matrix(str(matrix), str(weights))
+    (entry,) = entries(folder)
+    BAD_ENTRIES[kind](entry, np.array(cold._matrix))
+    again = load_matrix(str(matrix), str(weights))
+    assert len(loadtxt_calls) == 2
+    assert space_bytes(again) == space_bytes(cold)
+    kept = np.load(entry, allow_pickle=False)
+    assert kept.dtype == np.float64 and kept.tobytes() == cold._matrix.tobytes()
+    load_matrix(str(matrix), str(weights))
+    assert len(loadtxt_calls) == 2
+
+
+def test_a_fifo_is_parsed_and_never_kept(tmp_path, fresh_cache, loadtxt_calls):
+    """A pipe cannot be read twice, so it is not hashed: it is parsed as
+    without a cache, and nothing is written."""
+    folder = fresh_cache()
+    matrix, weights = write_space(tmp_path, float_metric(5), 5)
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as out:
+            out.write(matrix.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = load_matrix(str(fifo), str(weights))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert not folder.exists()
+    assert space_bytes(piped) == space_bytes(load_matrix(str(matrix), str(weights)))
+
+
+def test_an_unwritable_cache_loads_as_without_one(tmp_path, monkeypatch, loadtxt_calls):
+    """``XDG_CACHE_HOME`` names a regular file: every load parses, none
+    fails, and nothing is written anywhere."""
+    blocker = tmp_path / "a file"
+    blocker.write_text("not a folder\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    matrix, weights = write_space(tmp_path, float_metric(5), 5)
+    first = load_matrix(str(matrix), str(weights))
+    second = load_matrix(str(matrix), str(weights))
+    assert len(loadtxt_calls) == 2
+    assert space_bytes(first) == space_bytes(second)
+    assert blocker.read_text() == "not a folder\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a file", "m.csv", "w.csv"]
+
+
+def test_a_file_that_fails_to_parse_is_never_kept(tmp_path, fresh_cache, loadtxt_calls):
+    """So every load of it parses, and raises the same error."""
+    folder = fresh_cache()
+    lines = BREAKS["semicolon"]([",".join(r) for r in line_metric(4)])
+    matrix, weights = write_space(tmp_path, lines, 4)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RectilibError) as info:
+            load_matrix(str(matrix), str(weights))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] and "0;1" in errors[0][1]
+    assert len(loadtxt_calls) == 2
+    assert not entries(folder)
+
+
+def test_the_cache_keeps_the_four_most_recently_used(tmp_path, fresh_cache, loadtxt_calls):
+    """Five matrices, the first loaded again before the fifth: four
+    entries remain, and the second matrix's, the least recently used,
+    is gone, so it parses again."""
+    folder = fresh_cache()
+    files, names = [], []
+    for k in range(5):
+        sub = tmp_path / str(k)
+        sub.mkdir()
+        files.append([str(p) for p in write_space(sub, float_metric(5, seed=k), 5)])
+    for k in (0, 1, 2, 3):
+        before = entries(folder)
+        load_matrix(*files[k])
+        (new,) = entries(folder) - before
+        names.append(new)
+    load_matrix(*files[0])
+    assert len(loadtxt_calls) == 4
+    load_matrix(*files[4])
+    assert len(entries(folder)) == 4
+    assert names[1] not in entries(folder)
+    assert {names[0], names[2], names[3]} <= entries(folder)
+    load_matrix(*files[1])
+    assert len(loadtxt_calls) == 6
+
+
+HASHLIB_GUARD = """
+import sys
+from rectilib.pipeline import RunConfig, run_pipeline
+from rectilib.space import load_matrix
+
+run_pipeline(RunConfig(kind="interval", resolution=200))
+assert "hashlib" not in sys.modules, "a generator run imported hashlib"
+load_matrix(*sys.argv[1:])
+assert "hashlib" in sys.modules
+"""
+
+
+def test_only_a_matrix_load_imports_hashlib(tmp_path):
+    """In a fresh interpreter a generator run imports no ``hashlib``; the
+    cache key of a matrix load does."""
+    matrix, weights = write_space(tmp_path, float_metric(5), 5)
+    src = os.path.dirname(os.path.dirname(rectilib.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHLIB_GUARD, str(matrix), str(weights)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -85,22 +85,34 @@ def test_from_coords_degenerate_inputs():
 
 
 def test_from_matrix_validation():
+    """Each refusal names its first offending entry in row-major order,
+    by ids and values."""
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
     MetricMeasureSpace.from_matrix([0, 1], good, np.ones(2))
-    with pytest.raises(ParameterError):  # shape mismatch
+    with pytest.raises(ParameterError, match=r"^distance matrix shape \(2, 2\) does not match 3 ids$"):
         MetricMeasureSpace.from_matrix([0, 1, 2], good, np.ones(3))
-    with pytest.raises(ParameterError):  # asymmetric
+    with pytest.raises(ParameterError, match=r"^distance matrix must be symmetric: d\(7, 9\) = 1.0, d\(9, 7\) = 2.0$"):
         MetricMeasureSpace.from_matrix(
-            [0, 1], np.array([[0.0, 1.0], [2.0, 0.0]]), np.ones(2)
+            [7, 9], np.array([[0.0, 1.0], [2.0, 0.0]]), np.ones(2)
         )
-    with pytest.raises(ParameterError):  # nonzero diagonal
+    with pytest.raises(ParameterError, match=r"^distance matrix diagonal must be zero: d\(7, 7\) = 0.5$"):
         MetricMeasureSpace.from_matrix(
-            [0, 1], np.array([[0.5, 1.0], [1.0, 0.0]]), np.ones(2)
+            [7, 9], np.array([[0.5, 1.0], [1.0, 0.0]]), np.ones(2)
         )
-    with pytest.raises(ParameterError):  # negative distance
+    with pytest.raises(ParameterError, match=r"^distances must be nonnegative: d\(7, 9\) = -1.0$"):
         MetricMeasureSpace.from_matrix(
-            [0, 1], np.array([[0.0, -1.0], [-1.0, 0.0]]), np.ones(2)
+            [7, 9], np.array([[0.0, -1.0], [-1.0, 0.0]]), np.ones(2)
         )
+    with pytest.raises(ParameterError, match=r"^distances must be finite: d\(9, 7\) = nan$"):
+        MetricMeasureSpace.from_matrix(
+            [7, 9], np.array([[0.0, 1.0], [np.nan, 0.0]]), np.ones(2)
+        )
+    with pytest.raises(ParameterError, match=r"^point ids must be unique: id 9 appears more than once$"):
+        MetricMeasureSpace.from_matrix([7, 9, 9], np.zeros((3, 3)), np.ones(3))
+    with pytest.raises(ParameterError, match=r"^weights must be nonnegative: id 9 has weight -0.5$"):
+        MetricMeasureSpace.from_matrix([7, 9], good, np.array([1.0, -0.5]))
+    with pytest.raises(ParameterError, match=r"^weights must be finite: id 7 has weight inf$"):
+        MetricMeasureSpace.from_matrix([7, 9], good, np.array([np.inf, 1.0]))
 
 
 def test_from_matrix_triangle_violation_is_caught():

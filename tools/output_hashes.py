@@ -15,7 +15,11 @@ that names its input or its out-dir reads the same from any ``DIR``.
 Two versions of the code compare by one run per ``--src`` and a
 ``diff`` of the two outputs.  The matrix inputs are written under
 ``DIR`` by the workload functions of ``perfbench/run.py``; nothing under
-``perfbench/`` changes.
+``perfbench/`` changes.  So is the cache of parsed matrices
+(``XDG_CACHE_HOME`` is ``DIR/cache-home``), so the user's own cache is
+never read: in a new ``DIR`` each seed's first matrix command parses
+its CSV and the later ones read the cache, and in a ``DIR`` used before
+every one reads the cache.  The output is the same either way.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ def main() -> int:
     bench = load_bench()
     bench.SRC = Path(args.src).resolve()
     env = bench.child_env()  # one thread, PYTHONPATH at SRC, fixed hash seed
+    env["XDG_CACHE_HOME"] = str(work / "cache-home")
     side = work / SIDE
     for name, source in inputs(bench, work):
         for command, flags in COMMANDS.items():
